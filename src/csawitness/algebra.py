@@ -21,7 +21,7 @@ _ASSOC_SAMPLES_PER_DIM = 10
 
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
-                 "_lmul_cache")
+                 "_closure_gens")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
                  preset=None, _trusted=False):
@@ -34,7 +34,7 @@ class Algebra:
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
         self.preset = preset or {"kind": "explicit"}
-        self._lmul_cache = {}
+        self._closure_gens = None
         if not _trusted:
             self._check_associativity()
         if unit is None:
@@ -44,9 +44,6 @@ class Algebra:
             self._check_unit()
 
     # -- construction-time checks -------------------------------------------
-
-    def _product_of_basis(self, i, j):
-        return dict(self.table[i][j])
 
     def _check_associativity(self):
         f = self.field
@@ -125,13 +122,12 @@ class Algebra:
         add, mulf, is_zero = f.add, f.mul, f.is_zero
         out = [f.zero] * self.dim
         table = self.table
+        ys = [(j, yj) for j, yj in enumerate(y) if not is_zero(yj)]
         for i, xi in enumerate(x):
             if is_zero(xi):
                 continue
             ti = table[i]
-            for j, yj in enumerate(y):
-                if is_zero(yj):
-                    continue
+            for j, yj in ys:
                 c = mulf(xi, yj)
                 for k, ck in ti[j]:
                     out[k] = add(out[k], mulf(c, ck))
@@ -176,6 +172,34 @@ class Algebra:
                     col[k] = f.add(col[k], f.mul(xi, ck))
             cols.append(col)
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+
+    def closure_generators(self):
+        """Coordinates of a unital generating set, verified on this table.
+
+        The preset's candidates (algebra_generators) are kept only if the
+        closure of span{1} under right multiplication by them is all of A;
+        otherwise the whole basis is used, so a preset that does not match
+        the structure constants cannot weaken a closure check.  Cached.
+        """
+        if self._closure_gens is None:
+            gens = [g.coords for g in algebra_generators(self)]
+            if not self._right_closure_is_everything(gens):
+                gens = [self.basis_coords(i) for i in range(self.dim)]
+            self._closure_gens = tuple(gens)
+        return self._closure_gens
+
+    def _right_closure_is_everything(self, gens):
+        # Grow span{1} by right products with gens.  Each round multiplies
+        # only the rref rows with new pivots: they span the new part modulo
+        # the old span, so every direction is multiplied exactly once.
+        basis, pivots = rref(self.field, [self.unit])
+        frontier = basis
+        while frontier and len(basis) < self.dim:
+            prods = [self.mul(v, g) for v in frontier for g in gens]
+            old = set(pivots)
+            basis, pivots = rref(self.field, basis + prods)
+            frontier = [r for r, c in zip(basis, pivots) if c not in old]
+        return len(basis) == self.dim
 
     # -- elements -------------------------------------------------------------
 
@@ -403,6 +427,46 @@ def extend_scalars(A, new_field, lift):
                   "right": extend_scalars(A.preset["right"], new_field, lift)}
     return Algebra(new_field, table, A.degree, labels=A.labels, unit=unit,
                    preset=preset, _trusted=True)
+
+
+def algebra_generators(A):
+    """A small unital generating set of A, read off the preset.
+
+    A subspace I is a right ideal iff I g is contained in I for every g in a
+    set whose words span A (the empty word being 1): then I w lies in I for
+    every word w, hence I A lies in I.  Matrix presets give E_{i,i+1} and
+    E_{i+1,i}, quaternions i and j, tensor products g(x)1 and 1(x)g over the
+    generators g of each factor; anything else the whole basis.  The list is
+    only as good as the preset; Algebra.closure_generators verifies it.
+    """
+    kind = A.preset.get("kind")
+    if kind == "matrix":
+        n = A.preset["n"]
+        idx = []
+        for i in range(n - 1):
+            idx.append(i * n + (i + 1))
+            idx.append((i + 1) * n + i)
+        return [A.basis_element(i) for i in idx] or [A.one]
+    if kind == "quaternion":
+        return [A.basis_element(1), A.basis_element(2)]
+    if kind == "tensor":
+        left, right = A.preset["left"], A.preset["right"]
+        dim_b = right.dim
+        gens = []
+        for g in algebra_generators(left):
+            coords = [A.field.zero] * A.dim
+            for i, c in enumerate(g.coords):
+                for j, u in enumerate(right.unit):
+                    coords[i * dim_b + j] = A.field.mul(c, u)
+            gens.append(A.element(coords))
+        for g in algebra_generators(right):
+            coords = [A.field.zero] * A.dim
+            for i, c in enumerate(left.unit):
+                for j, u in enumerate(g.coords):
+                    coords[i * dim_b + j] = A.field.mul(c, u)
+            gens.append(A.element(coords))
+        return gens
+    return [A.basis_element(i) for i in range(A.dim)]
 
 
 def certified_exponent_divides_2(A):

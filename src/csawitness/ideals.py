@@ -2,8 +2,9 @@
 
 Ideals are stored as reduced row-echelon bases of coordinate rows, so
 equality is representation-independent and byte-comparable.  Construction
-verifies closure under right multiplication by every basis element and
-integrality of the reduced dimension.
+verifies closure under right multiplication by a verified generating set of
+the algebra (Algebra.closure_generators; closure under generators is closure
+under all of A) and integrality of the reduced dimension.
 """
 
 from .algebra import Algebra, AlgebraElement
@@ -30,9 +31,10 @@ class RightIdeal:
 
     def _check_closed(self):
         alg = self.algebra
+        gens = alg.closure_generators()
         for b in self.basis:
-            for j in range(alg.dim):
-                prod = alg.mul(b, alg.basis_coords(j))
+            for g in gens:
+                prod = alg.mul(b, g)
                 if not in_row_space(alg.field, self.basis, self.pivots, prod):
                     raise StructuralError("subspace is not a right ideal")
 

@@ -112,10 +112,6 @@ def in_row_space(field, basis, pivots, vec):
     return all(field.is_zero(x) for x in residual)
 
 
-def row_space_contains_all(field, basis, pivots, vectors):
-    return all(in_row_space(field, basis, pivots, v) for v in vectors)
-
-
 def kernel(field, rows):
     """Basis of the right kernel {v : rows . v = 0}, canonical order."""
     if not rows:

@@ -202,15 +202,6 @@ class Poly:
             acc = f.add(f.mul(acc, a), c)
         return acc
 
-    def compose_affine(self, u, v):
-        """Evaluate at u*x + v (Horner in the polynomial ring)."""
-        f = self.field
-        lin = Poly(f, [v, u])
-        acc = Poly.zero(f)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly.constant(f, c)
-        return acc
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self):

@@ -84,12 +84,6 @@ def xpoly_discriminant(fc):
     return res
 
 
-def xpoly_specialize(fc, t):
-    """Evaluate the t-variable: a Poly in x over the base field."""
-    base = fc[0].field
-    return Poly(base, [c.eval(t) for c in fc])
-
-
 def solve_poly_linear(rows, rhs):
     """Solve rows . x = rhs for polynomial unknowns, or None.
 

@@ -277,9 +277,13 @@ def witness_to_json(w, form=None):
 
 
 def witness_from_json(data):
+    if not isinstance(data, dict):
+        raise InvalidInputError("a witness file must hold a JSON object")
     if data.get("param_convention") != PARAM_CONVENTION:
         raise InvalidInputError(
             f"unsupported parameter convention {data.get('param_convention')!r}")
+    if "algebra" not in data and "form" not in data:
+        raise InvalidInputError("witness has neither an algebra nor a form")
     algebra = algebra_from_json(data["algebra"]) if "algebra" in data else None
     form = form_from_json(data["form"]) if "form" in data else None
     if data.get("kind") == "empty":

@@ -11,7 +11,9 @@ polynomials, discriminants); sampling is only ever the verifier's job.
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraElement, certified_exponent_divides_2
+from .algebra import (
+    AlgebraElement, algebra_generators, certified_exponent_divides_2,
+)
 from .errors import (
     ConstructionFailedError, FieldTooSmallError, InvalidInputError,
     StructuralError, UnsupportedFieldError,
@@ -250,9 +252,12 @@ def verify_witness(w, samples=None, open_set=None):
 
 
 def _check_ideal_sample(w, t, open_set):
+    # the start endpoint was closure-checked when it was built or loaded
+    want = w.start.rdim
+    if w.meta.get("rdim") != want:
+        return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
     ideal = w.evaluate(t)
-    want = w.meta.get("rdim")
-    if want is not None and ideal.rdim != want:
+    if ideal.rdim != want:
         return False, f"rdim {ideal.rdim} != {want}"
     return True, ""
 
@@ -475,39 +480,6 @@ def connect_max_etale(E1, E2, retry_budget=16, rng_seed=0):
 
 # ---------------------------------------------------------------------------
 # involutions: inner twists and symmetry-preserving constructions
-
-
-def algebra_generators(A):
-    """A small unital generating set, preset-aware (falls back to the whole
-    basis)."""
-    kind = A.preset.get("kind")
-    if kind == "matrix":
-        n = A.preset["n"]
-        idx = []
-        for i in range(n - 1):
-            idx.append(i * n + (i + 1))
-            idx.append((i + 1) * n + i)
-        return [A.basis_element(i) for i in idx] or [A.one]
-    if kind == "quaternion":
-        return [A.basis_element(1), A.basis_element(2)]
-    if kind == "tensor":
-        left, right = A.preset["left"], A.preset["right"]
-        dim_b = right.dim
-        gens = []
-        for g in algebra_generators(left):
-            coords = [A.field.zero] * A.dim
-            for i, c in enumerate(g.coords):
-                for j, u in enumerate(right.unit):
-                    coords[i * dim_b + j] = A.field.mul(c, u)
-            gens.append(A.element(coords))
-        for g in algebra_generators(right):
-            coords = [A.field.zero] * A.dim
-            for i, c in enumerate(left.unit):
-                for j, u in enumerate(g.coords):
-                    coords[i * dim_b + j] = A.field.mul(c, u)
-            gens.append(A.element(coords))
-        return gens
-    return [A.basis_element(i) for i in range(A.dim)]
 
 
 def _intertwiner_space(A, pairs):

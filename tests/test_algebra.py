@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from csawitness.algebra import (
-    NoWitnessFound, SplitWitness, certified_exponent_divides_2,
-    extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
+    Algebra, NoWitnessFound, SplitWitness, algebra_generators,
+    certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, reduced_trace,
     tensor_product,
 )
@@ -13,7 +13,7 @@ from csawitness.errors import (
     InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import charpoly, kernel, rank
+from csawitness.linalg import charpoly, kernel, rank, rref
 from csawitness.poly import Poly
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -196,3 +196,108 @@ def test_extend_scalars():
     assert B.field == F4 and B.degree == 2
     x = B.element([F4.gen, F4.zero, F4.zero, F4.one])
     assert reduced_char_poly(x).degree == 2
+
+
+# ---------------------------------------------------------------------------
+# closure generators and the product
+
+
+def _word_span_rank(A, gens):
+    """Rank of the span of all words in gens, grown one word length at a
+    time: S_{k+1} = S_k + S_k g."""
+    f = A.field
+    span, _ = rref(f, [A.unit])
+    while True:
+        grown, _ = rref(f, span + [A.mul(b, g) for b in span for g in gens])
+        if len(grown) == len(span):
+            return len(span)
+        span = grown
+
+
+def _preset_algebras():
+    F4, F9 = standard_extension(2, 2), standard_extension(3, 2)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    S = make_quaternion(QQ, Fraction(1), Fraction(1))
+    out = [(f"M{n}(F5)", make_matrix_algebra(F5, n)) for n in (1, 2, 3, 4)]
+    out += [("(-1,-1)/Q", H), ("(3,5)/F7", make_quaternion(F7, 3, 5)),
+            ("M2(Q)xH", tensor_product(make_matrix_algebra(QQ, 2), H)),
+            ("Hx(1,1)/Q", tensor_product(H, S)),
+            ("M3(F2)->F4", extend_scalars(make_matrix_algebra(F2, 3), F4, F4.lift)),
+            ("(1,2)/F3->F9", extend_scalars(make_quaternion(F3, 1, 2), F9, F9.lift)),
+            ("M2x(1,1)/F3->F9",
+             extend_scalars(tensor_product(make_matrix_algebra(F3, 2),
+                                           make_quaternion(F3, 1, 1)), F9, F9.lift))]
+    return out
+
+
+@pytest.mark.parametrize("name, A", _preset_algebras())
+def test_closure_generators_span_every_preset(name, A):
+    gens = A.closure_generators()
+    # the preset's own candidates pass verification and are kept
+    assert gens == tuple(g.coords for g in algebra_generators(A))
+    assert len(gens) < A.dim or A.dim == 1
+    assert _word_span_rank(A, gens) == A.dim
+    assert A.closure_generators() is gens  # cached
+
+
+def _reordered_m2(field):
+    """M_2 on the basis E11, E22, E12, E21 under a false matrix preset: the
+    preset's candidates (basis 1 and 2, i.e. E22 and E12) only reach the
+    upper triangular matrices."""
+    M = make_matrix_algebra(field, 2)
+    perm = [0, 3, 1, 2]
+    inv = {old: new for new, old in enumerate(perm)}
+    table = [[tuple((inv[k], c) for k, c in M.table[perm[a]][perm[b]])
+              for b in range(4)] for a in range(4)]
+    return Algebra(field, table, 2, preset={"kind": "matrix", "n": 2})
+
+
+def test_false_preset_falls_back_to_the_basis():
+    from csawitness.ideals import RightIdeal
+    A = _reordered_m2(F3)
+    cand = [g.coords for g in algebra_generators(A)]
+    assert _word_span_rank(A, cand) == 3
+    assert A.closure_generators() == tuple(A.basis_coords(i) for i in range(4))
+    # span{E12, E22} is closed under the false candidates but is a left
+    # ideal, not a right one; the check still rejects it
+    for g in cand:
+        for b in (A.basis_coords(2), A.basis_coords(1)):
+            assert A.mul(b, g) in (A.zero_coords(), A.basis_coords(1),
+                                   A.basis_coords(2))
+    with pytest.raises(StructuralError):
+        RightIdeal(A, [A.basis_coords(2), A.basis_coords(1)])
+
+
+def _dense_mul(A, x, y):
+    f = A.field
+    out = [f.zero] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            c = f.mul(x[i], y[j])
+            for k, ck in A.table[i][j]:
+                out[k] = f.add(out[k], f.mul(c, ck))
+    return tuple(out)
+
+
+def _sparse_random(A, rng):
+    # about half the coordinates zero, so the nonzero-pair path is exercised
+    f = A.field
+    return tuple(f.random(rng) if rng.random() < 0.5 else f.zero
+                 for _ in range(A.dim))
+
+
+def test_mul_matches_dense_reference():
+    F9 = standard_extension(3, 2)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    algebras = [tensor_product(make_matrix_algebra(QQ, 2), H),
+                make_matrix_algebra(F7, 3),
+                extend_scalars(make_quaternion(F3, 1, 2), F9, F9.lift),
+                make_matrix_algebra(F9, 2)]
+    rng = random.Random(4)
+    for A in algebras:
+        for _ in range(40):
+            x, y = _sparse_random(A, rng), _sparse_random(A, rng)
+            assert A.mul(x, y) == _dense_mul(A, x, y)
+        x = _sparse_random(A, rng)
+        assert A.mul(x, A.zero_coords()) == A.zero_coords()
+        assert A.mul(A.zero_coords(), x) == A.zero_coords()

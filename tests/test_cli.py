@@ -39,7 +39,7 @@ def test_end_to_end_ideal_witness(runner, tmp_path):
     assert "pass" in r.output
 
 
-def test_verify_tampered_witness_exits_1(runner, tmp_path):
+def _ideal_witness_file(runner, tmp_path):
     a = tmp_path / "a.json"
     i1 = tmp_path / "i1.json"
     i2 = tmp_path / "i2.json"
@@ -53,6 +53,11 @@ def test_verify_tampered_witness_exits_1(runner, tmp_path):
                  ["witness", "connect-ideals", "--algebra", str(a),
                   "--from", str(i1), "--to", str(i2), "--out", str(w)]):
         assert invoke(runner, args).exit_code == 0
+    return w
+
+
+def test_verify_tampered_witness_exits_1(runner, tmp_path):
+    w = _ideal_witness_file(runner, tmp_path)
     data = json.loads(w.read_text())
     seg = data["segments"][0]
     # tamper with one pencil vector
@@ -171,3 +176,37 @@ def test_determinism_double_run():
             with open(i, "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("case", ["top_level_list", "no_algebra_or_form"])
+def test_malformed_witness_exits_2(runner, tmp_path, case):
+    w = _ideal_witness_file(runner, tmp_path)
+    if case == "top_level_list":
+        w.write_text("[]\n")
+    else:
+        data = json.loads(w.read_text())
+        del data["algebra"]
+        w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+
+
+def test_verify_rederives_rdim(runner, tmp_path):
+    w = _ideal_witness_file(runner, tmp_path)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0
+    passed = r.stdout
+    data = json.loads(w.read_text())
+    del data["segments"][0]["meta"]["rdim"]
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 1
+    # same checks, now failing on the missing metadata
+    assert r.stdout == passed.replace("pass", "FAIL")
+    assert "stored rdim None != 1" in r.stderr
+    data["segments"][0]["meta"]["rdim"] = 2
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 1 and "stored rdim 2 != 1" in r.stderr

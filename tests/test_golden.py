@@ -1,0 +1,205 @@
+"""Golden outputs: fixed-seed csaw pipelines must stay byte-identical.
+
+The digests below are the sha256 of every file a pipeline writes and of
+the stdout of every command, as recorded when this test was written.  A
+change that alters any output byte fails here.
+"""
+
+import hashlib
+
+from click.testing import CliRunner
+
+from csawitness.cli import main
+
+M4F5 = [
+    ("a", ["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:5",
+           "--out", "a.json"]),
+    ("i1", ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "7",
+            "--out", "i1.json"]),
+    ("i2", ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "8",
+            "--out", "i2.json"]),
+    ("w", ["witness", "connect-ideals", "--algebra", "a.json", "--from", "i1.json",
+           "--to", "i2.json", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
+]
+
+# over Q there is no exhaustive sampling; verify uses the default samples
+M2H_Q = [
+    ("h", ["algebra", "new", "--preset", "quaternion", "--field", "q",
+           "--a", "-1", "--b", "-1", "--out", "h.json"]),
+    ("m", ["algebra", "new", "--preset", "matrix", "--n", "2", "--field", "q",
+           "--out", "m.json"]),
+    ("a", ["algebra", "new", "--preset", "tensor", "--field", "q",
+           "--left", "m.json", "--right", "h.json", "--out", "a.json"]),
+    ("i1", ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "3",
+            "--out", "i1.json"]),
+    ("i2", ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "4",
+            "--out", "i2.json"]),
+    ("w", ["witness", "connect-ideals", "--algebra", "a.json", "--from", "i1.json",
+           "--to", "i2.json", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--out", "v.json"]),
+]
+
+ETALE_M3F7 = [
+    ("a", ["algebra", "new", "--preset", "matrix", "--n", "3", "--field", "fp:7",
+           "--out", "a.json"]),
+    ("e1", ["etale", "generate", "--algebra", "a.json", "--random-maximal",
+            "--seed", "3", "--out", "e1.json"]),
+    ("e2", ["etale", "generate", "--algebra", "a.json", "--random-maximal",
+            "--seed", "4", "--out", "e2.json"]),
+    ("w", ["witness", "connect-etale", "--algebra", "a.json", "--from", "e1.json",
+           "--to", "e2.json", "--seed", "5", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
+]
+
+# elements with minimal polynomial x(x - 1) and (x - 1)(x - 2), each
+# eigenvalue of multiplicity 2, generate balanced quadratic subalgebras
+EXP2_M4F7 = [
+    ("a", ["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:7",
+           "--out", "a.json"]),
+    ("e1", ["etale", "generate", "--algebra", "a.json",
+            "--element", "1,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0", "--out", "e1.json"]),
+    ("e2", ["etale", "generate", "--algebra", "a.json",
+            "--element", "1,0,1,0,0,1,0,0,0,0,2,0,0,0,0,2", "--out", "e2.json"]),
+    ("w", ["witness", "connect-exp2", "--algebra", "a.json", "--from", "e1.json",
+           "--to", "e2.json", "--seed", "11", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
+]
+
+GOLDEN = {
+    "ideals_m4f5": {
+        "a.json":
+            "18f654e256e640a96e6f3c4923294433efa0927c17062ca44e7bc934054539c3",
+        "a.stdout":
+            "b04e9ce2f117e7cdad1e15d8667ead990c235cd87d2083ef048342ef4bf4b429",
+        "i1.json":
+            "57f80139fb1d1834d4fb1acfb86a6943e183ed11e8bb6bbc03d19a132f9ba2c7",
+        "i1.stdout":
+            "2f268d5c651559c2909244d1af861355ea154cf5982b8d3f6c223dea4bd11387",
+        "i2.json":
+            "0ef97b27c7c2445f02b40f3c8649b83fa1aae2074ae5d8bd415c59784465c5ca",
+        "i2.stdout":
+            "8592c1a9b5ecb596023e108644977ffcd9f5f4352c89222a67de00ff8ef20f6d",
+        "v.json":
+            "58adc6da4144e0f50b556724f4415345a165981e9cc9af899953b9a5f5462925",
+        "v.stdout":
+            "6a2c7d3f69aac1318285e857aee3e46083219b620726441c9df485085de53dc1",
+        "w.json":
+            "eca55077943434f0daeea6d22cfce8340ebe5bf8ce8fb00cea1f1a9e7d82ae17",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
+    "ideals_m2h_q": {
+        "a.json":
+            "5e093abbc2d0fedff2bd80e92b9198b5a708fdc96598e5b25df748fcdddf4196",
+        "a.stdout":
+            "b04e9ce2f117e7cdad1e15d8667ead990c235cd87d2083ef048342ef4bf4b429",
+        "h.json":
+            "c66b8d6fef0edaebbba9750220bf0224dc71518dea516ae40b32ab495dd7cf27",
+        "h.stdout":
+            "304e12610728b8b9d7d1537872dcf0cf9f90d5f9b8f90d612d2b567a501b22ff",
+        "i1.json":
+            "9e6c9bfd156fde27d58db59c2f9cc0e67e359de3112dbbc6f8ca16dae12f260e",
+        "i1.stdout":
+            "2f268d5c651559c2909244d1af861355ea154cf5982b8d3f6c223dea4bd11387",
+        "i2.json":
+            "491ef36e504f40deb4c1a635d149bbb8aa51fea94553d0901b8daa4359d65109",
+        "i2.stdout":
+            "8592c1a9b5ecb596023e108644977ffcd9f5f4352c89222a67de00ff8ef20f6d",
+        "m.json":
+            "08f4e3f1ef0f576f40f41689ad57593db7994afcfc16767b169b304ef9253239",
+        "m.stdout":
+            "023d64d34f3894a9c5be7dcc6c7ddcf6828672b3ed198d83c1bd312993047476",
+        "v.json":
+            "f2afafb0c4fe3a1227764012bf3a8c94de78a1e29ece88bdd27f102a812694cd",
+        "v.stdout":
+            "6a2c7d3f69aac1318285e857aee3e46083219b620726441c9df485085de53dc1",
+        "w.json":
+            "5304ed37fd207dc7715d395661b3dab0c7785222ba85c40bd636316f94afba1e",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
+    "etale_m3f7": {
+        "a.json":
+            "8641f837923c5860f3d709cf0310a40c8e3ba2f864f07671d23044b6c10b0cf6",
+        "a.stdout":
+            "a136ac6181d2d6b76dc77562209e6dda669b11184ef174f9bfdd7b1fe33acaea",
+        "e1.json":
+            "0d4051f5cd3256804c3303e6d0e5d33ed54ec51f878fcbc65db8d5ae5ecbe9c3",
+        "e1.stdout":
+            "6b4182300a8d3c405740a157cb014d795f50f5c4ee8c8fa70d40c0d861d12fc1",
+        "e2.json":
+            "a94ce09f5b65fdcdcc2ddce6dcaafc55bfc72ce59e74011c9eb741e61e9b9b55",
+        "e2.stdout":
+            "3b29c70cec81de3172a49555484ece6fa3dbecea9a6a9622f1d48c73ea926758",
+        "v.json":
+            "39e5aa6170050b3d46aa1642059023fc3b5a16d752f0a5788cd7e0f18a631d18",
+        "v.stdout":
+            "63451a5b103868774461ad1ddb89749170d48dd20b61bab43db91052a8a79d5e",
+        "w.json":
+            "35afaf7a9a434e0467fb0a4ab6e06563d27076753b0e8b577f79dcee7de85414",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
+    "exp2_m4f7": {
+        "a.json":
+            "389c4085d216b35996601bdbb803a3bcb1d76b17ef39bf42bd18d8cabbc8760f",
+        "a.stdout":
+            "b04e9ce2f117e7cdad1e15d8667ead990c235cd87d2083ef048342ef4bf4b429",
+        "e1.json":
+            "9c1afc02dc8b80ecea11d9a060bb85ac62cfe187f31fb668d1eb4f5758d40605",
+        "e1.stdout":
+            "61eda48b281d7139120b38a58e0f0a93dfdc1d07fa96c3f25fb816829cdf3987",
+        "e2.json":
+            "a465aeb232828f5732841173c52cc4fcb100def531b959fa7aec37dfdc527b5f",
+        "e2.stdout":
+            "dc2d5fa45d8c3b3ddaee9f0acf6d3603df3211636a945f3d78cc5daa245ca186",
+        "v.json":
+            "a61f470c122e915e34b9e34a993c7f7fb2d088022986af79a168d46b98656593",
+        "v.stdout":
+            "562f4fe63a25e1f40967705a0c92d5f4182b05d97bc28888cc3889a659479955",
+        "w.json":
+            "23c4e7b97bebc73ed3017f659dde93e7df93e91cd135b85b02e2bd8282e02588",
+        "w.stdout":
+            "cc9a0d09b7140d990543345b1d5cb4096b8f05f94587429252c1ce2e8f8f95c7",
+    },
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(steps, workdir):
+    """Run the steps in workdir (relative paths keep stdout path-free) and
+    hash every stdout and every written file."""
+    runner = CliRunner()
+    out = {}
+    for name, args in steps:
+        r = runner.invoke(main, args, catch_exceptions=False)
+        assert r.exit_code == 0, (name, r.output)
+        out[f"{name}.stdout"] = _sha(r.stdout.encode())
+    for path in sorted(workdir.iterdir()):
+        out[path.name] = _sha(path.read_bytes())
+    return out
+
+
+def _check(name, steps, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(steps, tmp_path) == GOLDEN[name]
+
+
+def test_golden_ideals_m4f5(tmp_path, monkeypatch):
+    _check("ideals_m4f5", M4F5, tmp_path, monkeypatch)
+
+
+def test_golden_ideals_m2h_q(tmp_path, monkeypatch):
+    _check("ideals_m2h_q", M2H_Q, tmp_path, monkeypatch)
+
+
+def test_golden_etale_m3f7(tmp_path, monkeypatch):
+    _check("etale_m3f7", ETALE_M3F7, tmp_path, monkeypatch)
+
+
+def test_golden_exp2_m4f7(tmp_path, monkeypatch):
+    _check("exp2_m4f7", EXP2_M4F7, tmp_path, monkeypatch)

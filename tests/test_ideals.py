@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError, StructuralError
 from csawitness.fields import QQ, PrimeField
+from csawitness.linalg import in_row_space, rref
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
     induce_from_corner, module_presentation, perp, radical_is_regular_is_isotropic,
@@ -204,3 +206,42 @@ def test_quaternion_ideal_has_even_rdim():
     w = index_evidence(H)
     I = ideal_generated([w.x])
     assert I.rdim in (1, 2)
+
+
+def _closed_under_every_basis_element(A, rows):
+    """The former definition: dimension a multiple of the degree and
+    closure under right multiplication by each basis element e_j."""
+    f = A.field
+    basis, pivots = rref(f, rows)
+    if len(basis) % A.degree:
+        return False
+    return all(in_row_space(f, basis, pivots, A.mul(b, A.basis_coords(j)))
+               for b in basis for j in range(A.dim))
+
+
+_SMALL = {
+    "M2(F3)": make_matrix_algebra(F3, 2),
+    "M3(F2)": make_matrix_algebra(F2, 3),
+    "(-1,-1)/F3": make_quaternion(F3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_right_ideal_accepts_what_the_basis_definition_accepts(name, data):
+    A = _SMALL[name]
+    f = A.field
+    elem = st.tuples(*[st.sampled_from(list(f.elements()))] * A.dim)
+    # products g e_j over a subset J of the basis are a right ideal when J
+    # is everything; extra rows then may or may not break closure
+    gens = data.draw(st.lists(elem, max_size=2))
+    js = data.draw(st.sets(st.integers(0, A.dim - 1)))
+    extra = data.draw(st.lists(elem, max_size=2))
+    rows = [A.mul(g, A.basis_coords(j)) for g in gens for j in sorted(js)] + extra
+    try:
+        RightIdeal(A, rows)
+        accepted = True
+    except StructuralError:
+        accepted = False
+    assert accepted == _closed_under_every_basis_element(A, rows)
