@@ -3,8 +3,10 @@
 An Algebra stores a sparse multiplication table over an exact field: for
 basis indices i, j the product e_i e_j is the stored list of (k, scalar)
 pairs.  Elements are coordinate tuples.  Everything is immutable after
-construction; associativity and the unit are verified when an algebra is
-built (fully up to dimension 256, by seeded sampling above that).
+construction.  Every algebra checks that its table is dim x dim with basis
+indices in range(dim) and that its unit has dim coordinates; associativity
+and the unit are verified when an untrusted algebra is built (fully up to
+dimension 256, by seeded sampling above that).
 """
 
 import random
@@ -21,7 +23,7 @@ _ASSOC_SAMPLES_PER_DIM = 10
 
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
-                 "_closure_gens")
+                 "_closure_gens", "_flat")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
                  preset=None, _trusted=False):
@@ -33,8 +35,17 @@ class Algebra:
         self.degree = degree
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
+        self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
+        # Over F_p, mul walks the nonzero structure constants, flattened per
+        # left index i into (j, k, c) triples: e_i e_j has coordinate c at k.
+        self._flat = None
+        if isinstance(field, PrimeField):
+            self._flat = tuple(
+                tuple((j, k, c) for j, entry in enumerate(row) for k, c in entry
+                      if c % field.p)
+                for row in self.table)
         if not _trusted:
             self._check_associativity()
         if unit is None:
@@ -44,6 +55,24 @@ class Algebra:
             self._check_unit()
 
     # -- construction-time checks -------------------------------------------
+
+    def _check_shape(self, unit):
+        dim = self.dim
+        for i, row in enumerate(self.table):
+            if len(row) != dim:
+                raise InvalidInputError(
+                    f"row {i} of the structure constants has {len(row)} entries, not {dim}")
+            for j, entry in enumerate(row):
+                for pair in entry:
+                    if len(pair) != 2:
+                        raise InvalidInputError(
+                            f"product e{i}*e{j} has a term that is not an (index, scalar) pair")
+                    k = pair[0]
+                    if not isinstance(k, int) or not 0 <= k < dim:
+                        raise InvalidInputError(
+                            f"product e{i}*e{j} names basis index {k!r}, outside 0..{dim - 1}")
+        if unit is not None and len(unit) != dim:
+            raise InvalidInputError(f"unit has {len(unit)} coordinates, not {dim}")
 
     def _check_associativity(self):
         f = self.field
@@ -118,6 +147,25 @@ class Algebra:
         return (self.field.zero,) * self.dim
 
     def mul(self, x, y):
+        """The product x y of two coordinate tuples.
+
+        Over F_p the terms x_i y_j c are summed as ints over the flat table
+        and each coordinate is reduced mod p once at the end.  Python ints
+        cannot overflow and each partial sum is congruent mod p to the exact
+        one, so the result is the canonical product for any int inputs
+        congruent to x and y; a literal 0 is skipped, since it adds nothing.
+        """
+        flat = self._flat
+        if flat is not None:
+            out = [0] * self.dim
+            for i, xi in enumerate(x):
+                if xi:
+                    for j, k, c in flat[i]:
+                        yj = y[j]
+                        if yj:
+                            out[k] += xi * yj * c
+            p = self.field.p
+            return tuple([v % p for v in out])
         f = self.field
         add, mulf, is_zero = f.add, f.mul, f.is_zero
         out = [f.zero] * self.dim

@@ -13,7 +13,7 @@ from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )
 from .fields import Rationals
-from .ideals import ideal_generated
+from .ideals import ideal_generated, principal_rdim
 from .linalg import in_row_space, rref, solve, transpose
 from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
 
@@ -228,13 +228,14 @@ def etale_type(E):
 
     Each irreducible factor of degree d_i contributes d_i equal parts of size
     rdim(e_i A) / d_i; the parts always sum to the degree of the algebra.
+    rdim(e_i A) is rank(L_{e_i}) / deg(A) (ideals.principal_rdim).
     """
     if E._type is not None:
         return E._type
     alg = E.algebra
     parts = []
     for fi, ei in factor_idempotents(E):
-        r = ideal_generated([ei]).rdim
+        r = principal_rdim(ei)
         d = fi.degree
         if r % d != 0:
             raise StructuralError(

@@ -84,6 +84,20 @@ def ideal_generated(gens):
     return RightIdeal(alg, rows)
 
 
+def principal_rdim(x):
+    """Reduced dimension of the right ideal x A, without building it.
+
+    x A is spanned by the products x e_j, the columns of left multiplication
+    by x, so its dimension is rank(L_x).  A rank that is not a multiple of
+    the degree raises StructuralError, as RightIdeal does.
+    """
+    alg = x.algebra
+    r = rank(alg.field, alg.left_mult_matrix(x.coords))
+    if r % alg.degree != 0:
+        raise StructuralError(f"subspace dimension {r} is not a multiple of the degree")
+    return r // alg.degree
+
+
 def splitting_idempotent(ideal):
     """An idempotent e in I with e A = I.
 
@@ -134,7 +148,7 @@ def corner_algebra(e):
         rows.append(alg.mul(alg.mul(e.coords, alg.basis_coords(j)), e.coords))
     embed, pivots = rref(f, rows)
     dc = len(embed)
-    l = ideal_generated([e]).rdim
+    l = principal_rdim(e)
     if dc != l * l:
         raise StructuralError(
             f"corner dimension {dc} does not equal rdim^2 = {l * l}")

@@ -1,9 +1,11 @@
 """Involutions of the first kind on structure-constant algebras.
 
 An involution is stored by the matrix of its linear action on the coordinate
-basis plus an orthogonal/symplectic tag.  Construction verifies, exactly and
-on every basis pair, that the map is an anti-automorphism of order two and
-that the tag matches the fixed-space dimension.  Characteristic 2 is rejected
+basis plus an orthogonal/symplectic tag.  Construction verifies exactly that
+the map has order two, that it is an anti-automorphism (checked on 1 and on
+the products e_i g of basis elements with the verified generators of
+Algebra.closure_generators, which implies it on every basis pair), and that
+the tag matches the fixed-space dimension.  Characteristic 2 is rejected
 throughout: the orthogonal/symplectic dichotomy needs 2 invertible.
 """
 
@@ -75,22 +77,40 @@ def sym_basis(sigma):
 
 
 def involution_from_matrix(algebra, mat, expected_kind=None):
-    """Build and fully verify an involution from its coordinate matrix."""
+    """Build and fully verify an involution from its coordinate matrix.
+
+    The anti-automorphism property is checked as sigma(1) = 1 and
+    sigma(e_i g) = sigma(g) sigma(e_i) for every basis element e_i and every
+    g in algebra.closure_generators().  That suffices: the set W of w with
+    sigma(x w) = sigma(w) sigma(x) for all x is a subspace, since both sides
+    are linear in w (and in x, so basis elements x are enough).  It contains
+    1, as sigma(1) = 1, and every g.  It is closed under products: for u, w
+    in W, sigma(x u w) = sigma(w) sigma(x u) = sigma(w) sigma(u) sigma(x),
+    and x = 1 gives sigma(u w) = sigma(w) sigma(u), so u w is in W.  Hence
+    W contains every word in the generators, and closure_generators
+    verified that these words span A; so W = A.
+    """
     _require_odd_char(algebra.field)
     f = algebra.field
     n = algebra.dim
     mat = [list(r) for r in mat]
     if mat_mul(f, mat, mat) != identity(f, n):
         raise InvalidInputError("map is not of order two")
-    images = [tuple(mat_vec(f, mat, algebra.basis_coords(i))) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = algebra.mul(algebra.basis_coords(i), algebra.basis_coords(j))
-            lhs = tuple(mat_vec(f, mat, prod))
-            rhs = algebra.mul(images[j], images[i])
-            if lhs != rhs:
+
+    def sigma(coords):
+        return tuple(mat_vec(f, mat, coords))
+
+    if sigma(algebra.unit) != algebra.unit:
+        raise InvalidInputError("map does not fix the unit")
+    images = [sigma(algebra.basis_coords(i)) for i in range(n)]
+    for g in algebra.closure_generators():
+        sigma_g = sigma(g)
+        for i in range(n):
+            lhs = sigma(algebra.mul(algebra.basis_coords(i), g))
+            if lhs != algebra.mul(sigma_g, images[i]):
                 raise InvalidInputError(
-                    f"map is not an anti-automorphism at basis pair ({i},{j})")
+                    f"map is not an anti-automorphism at basis element "
+                    f"{algebra.labels[i]} and generator {algebra.element(g)!r}")
     deg = algebra.degree
     d = sym_dimension(algebra, mat)
     if d == deg * (deg + 1) // 2:

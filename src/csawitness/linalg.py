@@ -4,9 +4,22 @@ Matrices are lists of row lists of raw scalars.  Row reduction is
 deterministic: columns are processed left to right and the first row with a
 nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
+
+Over a PrimeField, mat_vec, rref, reduce_vector and in_row_space work on
+plain ints with delayed reduction (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
+TOMS 2008).  Products are summed as Python ints, which cannot overflow, and
+reduced mod p once per output entry, or before an entry is tested for zero.
+Every intermediate int is congruent mod p to the value the field operations
+would produce, and every returned scalar is reduced to [0, p).  So the
+results equal those of the field-method path entry by entry, for inputs
+given by any ints congruent to the true scalars.
 """
 
+import operator
+
 from .errors import InvalidInputError
+from .fields import PrimeField
 
 
 def identity(field, n):
@@ -39,6 +52,9 @@ def mat_mul(field, a, b):
 
 
 def mat_vec(field, a, v):
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [sum(map(operator.mul, row, v)) % p for row in a]
     add, mul, zero = field.add, field.mul, field.zero
     out = []
     for row in a:
@@ -59,6 +75,32 @@ def rref(field, rows):
     m = [list(r) for r in rows]
     if not m:
         return [], []
+    if isinstance(field, PrimeField):
+        # Only the pivot row is reduced before it is used; the other rows
+        # collect unreduced updates, each adding less than p^2 in size.
+        p = field.p
+        nrows = len(m)
+        pivots = []
+        r = 0
+        for c in range(len(m[0])):
+            for pr in range(r, nrows):
+                if m[pr][c] % p:
+                    break
+            else:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            inv = pow(m[r][c], p - 2, p)
+            mr = m[r] = [inv * x % p for x in m[r]]
+            for i in range(nrows):
+                if i != r:
+                    f = m[i][c] % p
+                    if f:
+                        m[i] = [x - f * y for x, y in zip(m[i], mr)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return [[x % p for x in m[i]] for i in range(r)], pivots
     ncols = len(m[0])
     sub, mul, div = field.sub, field.mul, field.div
     is_zero = field.is_zero
@@ -97,6 +139,14 @@ def reduce_vector(field, basis, pivots, vec):
     """Reduce vec against an rref basis; returns (residual, coefficients)."""
     v = list(vec)
     coeffs = []
+    if isinstance(field, PrimeField):
+        p = field.p
+        for row, piv in zip(basis, pivots):
+            c = v[piv] % p
+            coeffs.append(c)
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        return [x % p for x in v], coeffs
     sub, mul = field.sub, field.mul
     for row, p in zip(basis, pivots):
         c = v[p]
@@ -108,6 +158,8 @@ def reduce_vector(field, basis, pivots, vec):
 
 
 def in_row_space(field, basis, pivots, vec):
+    if isinstance(field, PrimeField):
+        return not any(reduce_vector(field, basis, pivots, vec)[0])
     residual, _ = reduce_vector(field, basis, pivots, vec)
     return all(field.is_zero(x) for x in residual)
 

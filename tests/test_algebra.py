@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import (
     Algebra, NoWitnessFound, SplitWitness, algebra_generators,
@@ -301,3 +302,48 @@ def test_mul_matches_dense_reference():
         x = _sparse_random(A, rng)
         assert A.mul(x, A.zero_coords()) == A.zero_coords()
         assert A.mul(A.zero_coords(), x) == A.zero_coords()
+
+
+_FP_ALGEBRAS = {
+    "M2(F2)": make_matrix_algebra(F2, 2),
+    "M3(F3)": make_matrix_algebra(F3, 3),
+    "(3,5)/F7": make_quaternion(F7, 3, 5),
+    "M2x(1,1)/F3": tensor_product(make_matrix_algebra(F3, 2), make_quaternion(F3, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FP_ALGEBRAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mul_over_fp_accepts_unreduced_ints(name, data):
+    A = _FP_ALGEBRAS[name]
+    p = A.field.p
+    # entries in [-2p, 2p], zero about half the time
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    vec = st.lists(entry, min_size=A.dim, max_size=A.dim)
+    x, y = data.draw(vec), data.draw(vec)
+    want = _dense_mul(A, [c % p for c in x], [c % p for c in y])
+    assert A.mul(x, y) == want
+    assert all(0 <= c < p for c in want)
+
+
+def _explicit(table, degree=1, unit=None):
+    return Algebra(F5, table, degree, unit=unit)
+
+
+def test_structure_constants_must_fit_the_dimension():
+    assert _explicit([[((0, 1),)]]).unit == (1,)
+    for bad in (3, -1, 1, "0", 0.0):
+        with pytest.raises(InvalidInputError, match="basis index"):
+            _explicit([[((bad, 1),)]])
+    with pytest.raises(InvalidInputError, match="row 0"):
+        _explicit([[((0, 1),)], [], [], []], degree=2)
+    M = make_matrix_algebra(F5, 2)
+    ragged = [list(row) for row in M.table]
+    ragged[3] = ragged[3][:3]
+    with pytest.raises(InvalidInputError, match="row 3"):
+        Algebra(F5, ragged, 2, unit=M.unit)
+    with pytest.raises(InvalidInputError, match="not an \\(index, scalar\\) pair"):
+        _explicit([[((0, 1, 2),)]])
+    with pytest.raises(InvalidInputError, match="unit has 2 coordinates"):
+        _explicit([[((0, 1),)]], unit=(1, 0))

@@ -210,3 +210,29 @@ def test_verify_rederives_rdim(runner, tmp_path):
     w.write_text(json.dumps(data))
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert r.exit_code == 1 and "stored rdim 2 != 1" in r.stderr
+
+
+_F5 = {"kind": "prime", "p": "5"}
+_MALFORMED_ALGEBRAS = {
+    "index_out_of_range": ({"field": _F5, "preset": "explicit", "degree": 1,
+                            "structure_constants": [[[[3, "1"]]]]},
+                           "basis index 3"),
+    "ragged_row": ({"field": _F5, "preset": "explicit", "degree": 2,
+                    "structure_constants": [[[[0, "1"]]], [], [], []]},
+                   "row 0 of the structure constants has 1 entries, not 4"),
+    "long_unit": ({"field": _F5, "preset": "explicit", "degree": 1,
+                   "structure_constants": [[[[0, "1"]]]], "unit": ["1", "0"]},
+                  "unit has 2 coordinates, not 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ALGEBRAS))
+def test_malformed_structure_constants_exit_2(runner, tmp_path, case):
+    data, message = _MALFORMED_ALGEBRAS[case]
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(data))
+    r = invoke(runner, ["algebra", "show", "--algebra", str(a)])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert message in r.stderr

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import (
     make_matrix_algebra, make_quaternion, matrix_of, poly_eval_at_element,
@@ -15,12 +16,13 @@ from csawitness.involutions import (
     ORTHOGONAL, SYMPLECTIC, adjoint_involution, conjugate_involution,
     involution_from_matrix, involution_type, pfaffian_char_poly,
     quaternion_conjugation, quaternion_reversal, standard_alternating_matrix,
-    sym_basis, tensor_involution, transpose_involution, twist_by_inner,
+    sym_basis, sym_dimension, tensor_involution, transpose_involution,
+    twist_by_inner,
 )
-from csawitness.linalg import identity
+from csawitness.linalg import identity, mat_mul, mat_vec
 from csawitness.poly import Poly
 
-F7 = PrimeField(7)
+F3, F7 = PrimeField(3), PrimeField(7)
 
 
 def test_transpose_on_m3_is_orthogonal():
@@ -183,3 +185,120 @@ def test_twist_by_inner():
     d = A.element([(3 if divmod(t, 3)[0] == divmod(t, 3)[1] else 0) for t in range(9)])
     t = twist_by_inner(s, d)
     assert t.kind == ORTHOGONAL
+
+
+# ---------------------------------------------------------------------------
+# the generator check against the all-pairs definition
+
+
+def _all_pairs_kind(A, mat):
+    """The former definition: order two, sigma(e_i e_j) = sigma(e_j)
+    sigma(e_i) on every basis pair, and dim Sym = n(n+1)/2 or n(n-1)/2.
+    Returns the kind, or None when the map is rejected."""
+    f, n, deg = A.field, A.dim, A.degree
+    if mat_mul(f, mat, mat) != identity(f, n):
+        return None
+    images = [tuple(mat_vec(f, mat, A.basis_coords(i))) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = tuple(mat_vec(f, mat, A.mul(A.basis_coords(i), A.basis_coords(j))))
+            if lhs != A.mul(images[j], images[i]):
+                return None
+    d = sym_dimension(A, mat)
+    return {deg * (deg + 1) // 2: ORTHOGONAL, deg * (deg - 1) // 2: SYMPLECTIC}.get(d)
+
+
+def _matrix_of_map(A, fn):
+    images = [fn(A.basis_coords(j)) for j in range(A.dim)]
+    return [[images[j][i] for j in range(A.dim)] for i in range(A.dim)]
+
+
+def _elementary_conjugate(sigma, a, b, c):
+    """T sigma T^-1 with T = 1 + c E_ab: of order two, and fixing 1 when
+    the unit has coordinate 0 at b, but in general not an
+    anti-automorphism."""
+    A = sigma.algebra
+    f = A.field
+
+    def t_map(x, c):
+        x = list(x)
+        x[a] = f.add(x[a], f.mul(c, x[b]))
+        return tuple(x)
+
+    return _matrix_of_map(A, lambda x: t_map(sigma.apply_coords(t_map(x, f.neg(c))), c))
+
+
+def _small_involutions():
+    M = make_matrix_algebra(F3, 2)
+    Q = make_quaternion(F3, 2, 2)  # (-1,-1)/F_3
+    S = make_quaternion(F3, 1, 1)
+    T = tensor_product(M, S)
+    return {
+        "M2(F3)": [transpose_involution(M),
+                   adjoint_involution(M, standard_alternating_matrix(F3, 2))],
+        "(-1,-1)/F3": [quaternion_conjugation(Q), quaternion_reversal(Q)],
+        "(1,1)/F3": [quaternion_conjugation(S), quaternion_reversal(S)],
+        "M2x(1,1)/F3": [tensor_involution(transpose_involution(M),
+                                          quaternion_conjugation(S), T),
+                        tensor_involution(adjoint_involution(
+                            M, standard_alternating_matrix(F3, 2)),
+                            quaternion_reversal(S), T)],
+    }
+
+
+_SMALL_INVOLUTIONS = _small_involutions()
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_INVOLUTIONS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_generator_check_accepts_what_all_pairs_accepts(name, data):
+    sigma = data.draw(st.sampled_from(_SMALL_INVOLUTIONS[name]))
+    A = sigma.algebra
+    f, n = A.field, A.dim
+    scalar = st.sampled_from(list(f.elements()))
+    unit_scalar = st.sampled_from([c for c in f.elements() if not f.is_zero(c)])
+    u = tuple(data.draw(st.lists(scalar, min_size=n, max_size=n)))
+    u_inv = A.inverse(u)
+    index = st.integers(0, n - 1)
+    off_unit = st.sampled_from([k for k in range(n) if f.is_zero(A.unit[k])])
+    how = data.draw(st.sampled_from(
+        ["as is", "twist", "inner", "entry", "elementary", "tensor"]))
+    mat = [list(r) for r in sigma.mat]
+    if how == "twist" and u_inv is not None:
+        # x -> u sigma(x) u^-1: an anti-automorphism, of order two or not
+        mat = _matrix_of_map(A, lambda x: A.mul(A.mul(u, sigma.apply_coords(x)), u_inv))
+    elif how == "inner" and u_inv is not None:
+        # x -> u x u^-1: an automorphism, never an anti-automorphism here
+        mat = _matrix_of_map(A, lambda x: A.mul(A.mul(u, x), u_inv))
+    elif how == "entry":
+        i, j = data.draw(index), data.draw(index)
+        mat[i][j] = f.add(mat[i][j], data.draw(scalar))
+    elif how == "elementary":
+        b = data.draw(off_unit)
+        a = data.draw(st.sampled_from([k for k in range(n) if k != b]))
+        mat = _elementary_conjugate(sigma, a, b, data.draw(unit_scalar))
+    elif how == "tensor" and A.preset.get("kind") == "tensor":
+        # sigma_1 (x) phi for phi of order two fixing 1 on the right factor:
+        # it passes the check at the left factor's generators g (x) 1 and
+        # fails at a right one when phi is not an anti-automorphism
+        s1 = data.draw(st.sampled_from(_SMALL_INVOLUTIONS["M2(F3)"]))
+        b = data.draw(st.integers(1, 3))
+        a = data.draw(st.sampled_from([k for k in range(4) if k != b]))
+        sigma2 = data.draw(st.sampled_from(_SMALL_INVOLUTIONS["(1,1)/F3"]))
+        phi = _elementary_conjugate(sigma2, a, b, data.draw(unit_scalar))
+        mat = [[f.mul(s1.mat[i1][j1], phi[i2][j2]) for j1 in range(4) for j2 in range(4)]
+               for i1 in range(4) for i2 in range(4)]
+    try:
+        kind = involution_from_matrix(A, mat).kind
+    except InvalidInputError:
+        kind = None
+    assert kind == _all_pairs_kind(A, mat)
+
+
+def test_anti_automorphism_error_names_the_basis_element_and_generator():
+    A = make_matrix_algebra(F3, 2)
+    # x -> x has order two and fixes 1, but E12 E21 != E21 E12
+    with pytest.raises(InvalidInputError,
+                       match="at basis element E11 and generator 1[*]E12"):
+        involution_from_matrix(A, identity(F3, 4))

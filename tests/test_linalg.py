@@ -2,10 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    Matrix, charpoly, det, identity, intersect_row_spaces, inverse, kernel,
-    mat_mul, mat_vec, rank, rref, row_space_rref, solve,
+    Matrix, charpoly, det, identity, in_row_space, intersect_row_spaces,
+    inverse, kernel, mat_mul, mat_vec, rank, reduce_vector, rref,
+    row_space_rref, solve,
 )
 
 F5 = PrimeField(5)
@@ -167,3 +171,93 @@ def test_matrix_wrapper_roundtrip():
     m = Matrix(F5, [[1, 2], [3, 4]])
     assert Matrix.from_json(F5, m.to_json()) == m
     assert m.rref().rows == ((1, 0), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the F_p delayed-reduction branch against the field-method path and sympy
+
+
+class MethodPathField:
+    """F_p through PrimeField's methods, but not a PrimeField instance, so
+    linalg takes the field-method path on it."""
+
+    def __init__(self, p):
+        self._f = PrimeField(p)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+PRIMES = (2, 3, 7)
+
+
+@st.composite
+def unreduced_matrices(draw, max_rows=6, max_cols=7):
+    """(p, rows): int entries in [-2p, 2p], so many are not in [0, p)."""
+    p = draw(st.sampled_from(PRIMES))
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.integers(-2 * p, 2 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return p, rows
+
+
+def _reduced(p, rows):
+    return [[x % p for x in r] for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices())
+def test_rref_and_rank_match_the_method_path(case):
+    p, rows = case
+    want = rref(MethodPathField(p), _reduced(p, rows))
+    assert rref(PrimeField(p), rows) == want
+    assert rank(PrimeField(p), rows) == len(want[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices(), st.data())
+def test_mat_vec_matches_the_method_path(case, data):
+    p, rows = case
+    v = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows[0]),
+                           max_size=len(rows[0])))
+    want = mat_vec(MethodPathField(p), _reduced(p, rows), [x % p for x in v])
+    assert mat_vec(PrimeField(p), rows, v) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices(), st.data())
+def test_reduce_vector_matches_the_method_path(case, data):
+    p, rows = case
+    f = PrimeField(p)
+    basis, pivots = rref(f, rows)
+    # an unreduced combination of the rows, and an arbitrary vector
+    coeffs = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows),
+                                max_size=len(rows)))
+    inside = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(rows[0]))]
+    other = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows[0]),
+                               max_size=len(rows[0])))
+    for v in (inside, other):
+        want = reduce_vector(MethodPathField(p), basis, pivots, [x % p for x in v])
+        assert reduce_vector(f, basis, pivots, v) == want
+        member = in_row_space(f, basis, pivots, v)
+        assert member == in_row_space(MethodPathField(p), basis, pivots,
+                                      [x % p for x in v])
+        assert member == (rank(f, rows + [v]) == len(basis))
+    assert in_row_space(f, basis, pivots, inside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unreduced_matrices())
+def test_rref_and_rank_match_sympy(case):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+    p, rows = case
+    K = GF(p)
+    dm = DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), len(rows[0])), K)
+    sym_rows, sym_pivots = dm.rref()
+    want = [[K.to_int(x) % p for x in r] for r in sym_rows.to_list()[:len(sym_pivots)]]
+    assert rref(PrimeField(p), rows) == (want, list(sym_pivots))
+    assert rank(PrimeField(p), rows) == dm.rank()
