@@ -21,6 +21,21 @@ _ASSOC_FULL_LIMIT = 256
 _ASSOC_SAMPLES_PER_DIM = 10
 
 
+def _mult_matrix(f, x, table):
+    """The matrix with column j equal to sum_i x_i table[i][j]: table is the
+    structure constants for x y, or their transpose for y x."""
+    dim = len(table)
+    add, mul = f.add, f.mul
+    m = [[f.zero] * dim for _ in range(dim)]
+    for xi, row in zip(x, table):
+        if f.is_zero(xi):
+            continue
+        for j, entry in enumerate(row):
+            for k, c in entry:
+                m[k][j] = add(m[k][j], mul(xi, c))
+    return m
+
+
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
                  "_closure_gens", "_flat")
@@ -195,31 +210,11 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x y on the coordinate basis (rows act on columns)."""
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, xi in enumerate(x):
-                if f.is_zero(xi):
-                    continue
-                for k, ck in self.table[i][j]:
-                    col[k] = f.add(col[k], f.mul(xi, ck))
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return _mult_matrix(self.field, x, self.table)
 
     def right_mult_matrix(self, x):
         """Matrix of y -> y x."""
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            col = [f.zero] * self.dim
-            for i, xi in enumerate(x):
-                if f.is_zero(xi):
-                    continue
-                for k, ck in self.table[j][i]:
-                    col[k] = f.add(col[k], f.mul(xi, ck))
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return _mult_matrix(self.field, x, tuple(zip(*self.table)))
 
     def closure_generators(self):
         """Coordinates of a unital generating set, verified on this table.

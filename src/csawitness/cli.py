@@ -25,7 +25,7 @@ from .errors import (
     BudgetExceededError, CsawError, FieldTooSmallError, InvalidInputError,
 )
 from .etale import etale_type, generate_etale, random_maximal_etale
-from .fields import parse_field_flag
+from .fields import json_get, parse_field_flag
 from .ideals import Flag, ideal_generated, random_flag, random_ideal
 from .involutions import (
     adjoint_involution, involution_type, quaternion_conjugation,
@@ -391,7 +391,7 @@ def _build_model(kind, form_path, field_flag, k, m):
     if kind == "involution-quadric":
         form = serialize.form_from_json(data)
         field = form.field
-        hyper = [field.parse(c) for c in data["hyperplane"]]
+        hyper = [field.parse(c) for c in json_get(data, "hyperplane", list)]
         return InvolutionQuadricModel(form, hyper)
     raise InvalidInputError(f"unknown model kind {kind!r}")
 

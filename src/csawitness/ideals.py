@@ -10,7 +10,8 @@ under all of A) and integrality of the reduced dimension.
 from .algebra import Algebra, AlgebraElement
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, intersect_row_spaces, kernel, rank, reduce_vector, rref,
+    in_row_space, intersect_row_spaces, kernel, mat_vec, rank, reduce_vector,
+    rref, transpose,
 )
 
 
@@ -124,12 +125,7 @@ def splitting_idempotent(ideal):
     if mu is None:
         raise StructuralError("no left unit exists; the input is not a right "
                               "ideal of a semisimple algebra")
-    e = [f.zero] * alg.dim
-    for c, b in zip(mu, cols):
-        if not f.is_zero(c):
-            for i, x in enumerate(b):
-                e[i] = f.add(e[i], f.mul(c, x))
-    elem = alg.element(e)
+    elem = alg.element(mat_vec(f, transpose(cols), mu))
     if not (elem * elem - elem).is_zero():
         raise StructuralError("solved element is not idempotent")  # pragma: no cover
     return elem
@@ -175,14 +171,7 @@ def corner_algebra(e):
 
 
 def corner_to_parent(D, coords):
-    embed = D.preset["embed"]
-    f = D.field
-    out = [f.zero] * len(embed[0])
-    for c, row in zip(coords, embed):
-        if not f.is_zero(c):
-            for i, x in enumerate(row):
-                out[i] = f.add(out[i], f.mul(c, x))
-    return tuple(out)
+    return tuple(mat_vec(D.field, transpose(D.preset["embed"]), coords))
 
 
 def parent_to_corner(D, coords):

@@ -5,7 +5,9 @@ basis plus an orthogonal/symplectic tag.  Construction verifies exactly that
 the map has order two, that it is an anti-automorphism (checked on 1 and on
 the products e_i g of basis elements with the verified generators of
 Algebra.closure_generators, which implies it on every basis pair), and that
-the tag matches the fixed-space dimension.  Characteristic 2 is rejected
+the tag matches the fixed-space dimension.  Construction and involution_type
+read the tag off dim Sym through one helper, and sym_dimension and sym_basis
+build sigma - 1 through one helper.  Characteristic 2 is rejected
 throughout: the orthogonal/symplectic dichotomy needs 2 invertible.
 """
 
@@ -16,7 +18,9 @@ from .algebra import (
 from .errors import (
     InvalidFormError, InvalidInputError, StructuralError, UnsupportedFieldError,
 )
-from .linalg import identity, inverse, mat_mul, mat_vec, rank, rref, transpose
+from .linalg import (
+    identity, inverse, kernel, mat_mul, mat_vec, rank, rref, transpose,
+)
 from .poly import poly_nth_root
 
 ORTHOGONAL = "orthogonal"
@@ -55,25 +59,32 @@ def _require_odd_char(field):
         raise UnsupportedFieldError("involutions are not supported in characteristic 2")
 
 
+def _minus_identity(f, mat):
+    """mat - 1, whose kernel is the fixed space of mat."""
+    return [[f.sub(c, f.one if i == j else f.zero) for j, c in enumerate(row)]
+            for i, row in enumerate(mat)]
+
+
 def sym_dimension(algebra, mat):
     """dim of the fixed space of the linear map given by mat."""
-    f = algebra.field
-    n = algebra.dim
-    delta = [[f.sub(mat[i][j], f.one if i == j else f.zero) for j in range(n)]
-             for i in range(n)]
-    return n - rank(f, delta)
+    return algebra.dim - rank(algebra.field, _minus_identity(algebra.field, mat))
 
 
 def sym_basis(sigma):
     """Canonical (rref) basis of Sym(A, sigma)."""
-    alg = sigma.algebra
-    f = alg.field
-    n = alg.dim
-    delta = [[f.sub(sigma.mat[i][j], f.one if i == j else f.zero) for j in range(n)]
-             for i in range(n)]
-    from .linalg import kernel
-    basis, _ = rref(f, kernel(f, delta))
+    f = sigma.algebra.field
+    basis, _ = rref(f, kernel(f, _minus_identity(f, sigma.mat)))
     return [tuple(r) for r in basis]
+
+
+def _kind_from_sym_dimension(deg, d):
+    """The tag of an involution of the first kind on a degree-deg algebra
+    whose symmetric elements have dimension d; None if d fits neither."""
+    if d == deg * (deg + 1) // 2:
+        return ORTHOGONAL
+    if d == deg * (deg - 1) // 2:
+        return SYMPLECTIC
+    return None
 
 
 def involution_from_matrix(algebra, mat, expected_kind=None):
@@ -111,13 +122,9 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
                 raise InvalidInputError(
                     f"map is not an anti-automorphism at basis element "
                     f"{algebra.labels[i]} and generator {algebra.element(g)!r}")
-    deg = algebra.degree
     d = sym_dimension(algebra, mat)
-    if d == deg * (deg + 1) // 2:
-        kind = ORTHOGONAL
-    elif d == deg * (deg - 1) // 2:
-        kind = SYMPLECTIC
-    else:
+    kind = _kind_from_sym_dimension(algebra.degree, d)
+    if kind is None:
         raise InvalidInputError(
             f"fixed space has dimension {d}, not n(n+1)/2 or n(n-1)/2: "
             "not an involution of the first kind over this field")
@@ -129,23 +136,13 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
 def involution_type(sigma):
     """Recompute the orthogonal/symplectic tag from dim Sym and check it."""
     _require_odd_char(sigma.algebra.field)
-    deg = sigma.algebra.degree
-    d = sym_dimension(sigma.algebra, sigma.mat)
-    if d == deg * (deg + 1) // 2:
-        kind = ORTHOGONAL
-    elif d == deg * (deg - 1) // 2:
-        kind = SYMPLECTIC
-    else:
+    kind = _kind_from_sym_dimension(sigma.algebra.degree,
+                                    sym_dimension(sigma.algebra, sigma.mat))
+    if kind is None:
         raise StructuralError("stored involution is not of the first kind")
     if kind != sigma.kind:
         raise StructuralError("stored involution tag is inconsistent")
     return kind
-
-
-def _map_matrix_from_images(algebra, image_of_basis):
-    """Columns are the images of the coordinate basis vectors."""
-    n = algebra.dim
-    return [[image_of_basis[j][i] for j in range(n)] for i in range(n)]
 
 
 def adjoint_involution(A, B):
@@ -178,7 +175,7 @@ def adjoint_involution(A, B):
         x = matrix_of(A, A.basis_coords(i))
         img = mat_mul(f, mat_mul(f, Binv, transpose(x)), B)
         images.append(coords_of_matrix(A, img))
-    mat = _map_matrix_from_images(A, images)
+    mat = transpose(images)
     expected = SYMPLECTIC if alternating else ORTHOGONAL
     return involution_from_matrix(A, mat, expected_kind=expected)
 
@@ -207,7 +204,7 @@ def quaternion_reversal(A):
     for t in range(4):
         img = i * conj(A.basis_element(t)) * i_inv
         images.append(img.coords)
-    mat = _map_matrix_from_images(A, images)
+    mat = transpose(images)
     return involution_from_matrix(A, mat, expected_kind=ORTHOGONAL)
 
 
@@ -252,7 +249,7 @@ def tensor_involution(sigma1, sigma2, product_algebra):
                         continue
                     img[k1 * dim_b + k2] = f.mul(c1, c2)
             images.append(tuple(img))
-    mat = _map_matrix_from_images(A, images)
+    mat = transpose(images)
     return involution_from_matrix(A, mat)
 
 
@@ -267,7 +264,7 @@ def twist_by_inner(sigma, u):
     for i in range(A.dim):
         img = A.mul(A.mul(uc, sigma.apply_coords(A.basis_coords(i))), u_inv)
         images.append(img)
-    mat = _map_matrix_from_images(A, images)
+    mat = transpose(images)
     return involution_from_matrix(A, mat)
 
 
@@ -283,7 +280,7 @@ def conjugate_involution(sigma, g):
         inner = A.mul(A.mul(g_inv, A.basis_coords(i)), gc)
         img = A.mul(A.mul(gc, sigma.apply_coords(inner)), g_inv)
         images.append(img)
-    mat = _map_matrix_from_images(A, images)
+    mat = transpose(images)
     return involution_from_matrix(A, mat)
 
 

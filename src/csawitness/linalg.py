@@ -309,64 +309,7 @@ def intersect_row_spaces(field, a_rows, b_rows):
         return ()
     stacked = [list(r) for r in a_rows] + [list(r) for r in b_rows]
     left_kernel = kernel(field, transpose(stacked))
-    vecs = []
-    for coeffs in left_kernel:
-        alpha = coeffs[:len(a_rows)]
-        v = [field.zero] * len(a_rows[0])
-        for c, row in zip(alpha, a_rows):
-            if not field.is_zero(c):
-                for j, x in enumerate(row):
-                    v[j] = field.add(v[j], field.mul(c, x))
-        vecs.append(v)
+    a_cols = transpose(a_rows)
+    vecs = [mat_vec(field, a_cols, coeffs[:len(a_rows)]) for coeffs in left_kernel]
     return row_space_rref(field, vecs)
 
-
-class Matrix:
-    """Thin immutable wrapper used where a named matrix type reads better."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise InvalidInputError("ragged matrix")
-        self.field = field
-        self.rows = rows
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def rref(self):
-        basis, _ = rref(self.field, self.rows)
-        return Matrix(self.field, basis)
-
-    def rank(self):
-        return rank(self.field, self.rows)
-
-    def det(self):
-        return det(self.field, self.rows)
-
-    def charpoly(self):
-        return charpoly(self.field, self.rows)
-
-    def __mul__(self, other):
-        return Matrix(self.field, mat_mul(self.field, self.rows, other.rows))
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and other.field == self.field
-                and other.rows == self.rows)
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
-    def to_json(self):
-        return [[self.field.to_json(c) for c in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, field, data):
-        return cls(field, [[field.parse(c) for c in row] for row in data])

@@ -2,9 +2,10 @@
 index bounds, and linkage graphs of degree-n cycles at desk scale.
 
 Models live over a prime base field; points of degree d are computed inside
-the canonical extension F_{p^d} (the lexicographically first modulus), so a
-closed point is always represented over its own minimal field and no
-cross-field coercion is ever needed during enumeration.  Connectivity
+the canonical extension F_{p^d} (the lexicographically first modulus, given
+by _Model.field_at, which every model inherits), so a closed point is
+always represented over its own minimal field and no cross-field coercion
+is ever needed during enumeration.  Connectivity
 findings are evidence at finitely many q, never proofs: the underlying
 statements quantify over all finite extensions.
 """
@@ -18,6 +19,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import PrimeField, Rationals, standard_extension
+from .linalg import rref
 from .poly import Poly
 from .quadrics import (
     QuadraticForm, enumerate_rref_subspaces, normalize_point, points_on_quadric,
@@ -29,30 +31,34 @@ SCOPE_NOTE = ("desk-scale evidence: checked over finitely many finite fields, "
               "extensions")
 
 
-def _require_prime_base(field):
-    if not isinstance(field, PrimeField):
-        raise UnsupportedFieldError(
-            "enumeration models need a prime base field; extensions of "
-            "extensions would require an embedding tower")
-
-
 # ---------------------------------------------------------------------------
 # variety models
 
 
-class QuadricModel:
+class _Model:
+    """A variety model over a prime base field F_p; its points of degree d
+    live in the canonical extension field_at(d)."""
+
+    def __init__(self, field):
+        if not isinstance(field, PrimeField):
+            raise UnsupportedFieldError(
+                "enumeration models need a prime base field; extensions of "
+                "extensions would require an embedding tower")
+        self.base_field = field
+
+    def field_at(self, d):
+        return self.base_field if d == 1 else standard_extension(self.base_field.p, d)
+
+
+class QuadricModel(_Model):
     """A quadric hypersurface in P^(nvars-1) given by an exact form."""
 
     kind = "quadric"
 
     def __init__(self, form):
-        _require_prime_base(form.field)
+        super().__init__(form.field)
         self.form = form
-        self.base_field = form.field
         self.ambient = form.nvars
-
-    def field_at(self, d):
-        return self.base_field if d == 1 else standard_extension(self.base_field.p, d)
 
     def form_at(self, field):
         if field == self.base_field:
@@ -74,36 +80,27 @@ class QuadricModel:
         return {"kind": self.kind, "form": self.form.to_json()}
 
 
-class GrassmannianModel:
+class GrassmannianModel(_Model):
     """Gr(k, m): points are canonical rref matrices, flattened."""
 
     kind = "grassmannian"
 
     def __init__(self, field, k, m):
-        _require_prime_base(field)
+        super().__init__(field)
         if not 0 < k < m:
             raise InvalidInputError("need 0 < k < m")
-        self.base_field = field
         self.k = k
         self.m = m
         self.ambient = k * m
-
-    def field_at(self, d):
-        return self.base_field if d == 1 else standard_extension(self.base_field.p, d)
 
     def points_over(self, field):
         return [tuple(c for row in mat for c in row)
                 for mat in enumerate_rref_subspaces(field, self.k, self.m)]
 
     def contains(self, field, coords):
-        from .linalg import rref
-        mat = [list(coords[r * self.m:(r + 1) * self.m]) for r in range(self.k)]
-        basis, _ = rref(field, mat)
-        return len(basis) == self.k and \
-            tuple(c for row in basis for c in row) == tuple(coords)
+        return self.normalize(field, coords) == tuple(coords)
 
     def normalize(self, field, coords):
-        from .linalg import rref
         mat = [list(coords[r * self.m:(r + 1) * self.m]) for r in range(self.k)]
         basis, _ = rref(field, mat)
         if len(basis) != self.k:
@@ -114,29 +111,16 @@ class GrassmannianModel:
         return {"kind": self.kind, "k": self.k, "m": self.m}
 
 
-class InvolutionQuadricModel:
+class InvolutionQuadricModel(QuadricModel):
     """A quadric intersected with a hyperplane (the isotropic-plane model)."""
 
     kind = "involution_quadric"
 
     def __init__(self, form, hyperplane):
-        _require_prime_base(form.field)
+        super().__init__(form)
         if len(hyperplane) != form.nvars:
             raise InvalidInputError("hyperplane length does not match the form")
-        self.form = form
         self.hyperplane = tuple(hyperplane)
-        self.base_field = form.field
-        self.ambient = form.nvars
-
-    def field_at(self, d):
-        return self.base_field if d == 1 else standard_extension(self.base_field.p, d)
-
-    def form_at(self, field):
-        if field == self.base_field:
-            return self.form
-        lift = field.lift
-        return QuadraticForm(field, self.form.nvars,
-                             {k: lift(c) for k, c in self.form.coeffs.items()})
 
     def _hyperplane_at(self, field):
         if field == self.base_field:
@@ -150,15 +134,12 @@ class InvolutionQuadricModel:
         return acc
 
     def points_over(self, field):
-        return [p for p in points_on_quadric(self.form_at(field))
+        return [p for p in super().points_over(field)
                 if field.is_zero(self._lin(field, p))]
 
     def contains(self, field, coords):
-        return (field.is_zero(self.form_at(field).eval(coords))
+        return (super().contains(field, coords)
                 and field.is_zero(self._lin(field, coords)))
-
-    def normalize(self, field, coords):
-        return normalize_point(field, coords)
 
     def to_json(self):
         return {"kind": self.kind, "form": self.form.to_json(),
@@ -451,10 +432,7 @@ class QPointSearch:
         polys = list(coord_polys)
         if all((p % modulus).is_zero() for p in polys):
             raise InvalidInputError("coordinates vanish modulo the modulus")
-        acc = Poly.zero(self.form.field)
-        for (i, j), c in self.form.coeffs.items():
-            acc = acc + (polys[i] * polys[j]).scale(c)
-        if not (acc % modulus).is_zero():
+        if not (self.form.eval_polys(polys) % modulus).is_zero():
             raise InvalidInputError("point does not satisfy the form")
         return modulus.degree
 

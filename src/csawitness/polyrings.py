@@ -155,13 +155,9 @@ def eval_coords(coord_polys, t):
     return tuple(p.eval(t) for p in coord_polys)
 
 
-def line_coords(A, start, end):
+def line_coords(field, start, end):
     """Coordinates of t*start + (1-t)*end as degree-1 polynomials."""
-    base = A.field
-    out = []
-    for s, e in zip(start, end):
-        out.append(Poly(base, [e, base.sub(s, e)]))
-    return tuple(out)
+    return tuple(Poly(field, [e, field.sub(s, e)]) for s, e in zip(start, end))
 
 
 def pencil_min_poly(A, coord_polys, d):

@@ -7,6 +7,7 @@ symmetric matrix does not determine a quadratic form.
 """
 
 from .errors import InvalidFormError, InvalidInputError
+from .fields import json_get
 from .linalg import rref
 from .poly import Poly
 
@@ -70,10 +71,13 @@ class QuadraticForm:
     @classmethod
     def from_json(cls, field, data):
         coeffs = {}
-        for key, val in data["coeffs"].items():
-            i, j = (int(s) for s in key.split(","))
+        for key, val in json_get(data, "coeffs", dict).items():
+            try:
+                i, j = (int(s) for s in key.split(","))
+            except ValueError:
+                raise InvalidInputError(f"bad monomial {key!r} in 'coeffs'") from None
             coeffs[(i, j)] = field.parse(val)
-        return cls(field, int(data["nvars"]), coeffs)
+        return cls(field, json_get(data, "nvars", int), coeffs)
 
 
 def normalize_point(field, vec):

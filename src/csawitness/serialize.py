@@ -13,7 +13,7 @@ import os
 from .algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
 from .errors import InvalidInputError
 from .etale import EtaleSubalgebra, generate_etale
-from .fields import field_from_spec
+from .fields import field_from_spec, json_get, json_int
 from .ideals import Flag, RightIdeal
 from .involutions import Involution, involution_from_matrix
 from .poly import Poly
@@ -46,8 +46,28 @@ def _vec_to_json(field, vec):
     return [field.to_json(c) for c in vec]
 
 
-def _vec_from_json(field, data):
-    return tuple(field.parse(c) for c in data)
+def _list(value, key):
+    """value, checked to be a JSON list; key names where it was read."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{key!r} must hold lists")
+    return value
+
+
+def _vec_from_json(field, data, key):
+    return tuple(field.parse(c) for c in _list(data, key))
+
+
+def _vec_at(field, data, key):
+    """The vector stored under key in the JSON object data."""
+    return _vec_from_json(field, json_get(data, key, list), key)
+
+
+def _vecs_at(field, data, key):
+    return [_vec_from_json(field, v, key) for v in json_get(data, key, list)]
+
+
+def _poly_from_json(field, data, key):
+    return Poly.from_json(field, _list(data, key))
 
 
 # ---------------------------------------------------------------------------
@@ -75,33 +95,51 @@ def algebra_to_json(A):
 
 
 def algebra_from_json(data):
-    field = field_from_spec(data["field"])
-    preset = data.get("preset", "explicit")
+    field = field_from_spec(json_get(data, "field", dict))
+    preset = json_get(data, "preset", str, "explicit")
     if preset == "matrix":
-        return make_matrix_algebra(field, int(data["params"]["n"]))
+        params = json_get(data, "params", dict)
+        return make_matrix_algebra(field, json_get(params, "n", int))
     if preset == "quaternion":
-        return make_quaternion(field, field.parse(data["params"]["a"]),
-                               field.parse(data["params"]["b"]))
+        params = json_get(data, "params", dict)
+        return make_quaternion(field, field.parse(json_get(params, "a", object)),
+                               field.parse(json_get(params, "b", object)))
     if preset == "tensor":
-        return tensor_product(algebra_from_json(data["params"]["left"]),
-                              algebra_from_json(data["params"]["right"]))
+        params = json_get(data, "params", dict)
+        return tensor_product(algebra_from_json(json_get(params, "left", dict)),
+                              algebra_from_json(json_get(params, "right", dict)))
     if preset == "explicit":
-        table = [[tuple((int(k), field.parse(c)) for k, c in entry)
-                  for entry in row]
-                 for row in data["structure_constants"]]
-        unit = _vec_from_json(field, data["unit"]) if "unit" in data else None
-        return Algebra(field, table, int(data["degree"]), unit=unit)
+        table = [[_product_from_json(field, entry)
+                  for entry in _list(row, "structure_constants")]
+                 for row in json_get(data, "structure_constants", list)]
+        unit = json_get(data, "unit", list, None)
+        if unit is not None:
+            unit = _vec_from_json(field, unit, "unit")
+        return Algebra(field, table, json_get(data, "degree", int), unit=unit)
     raise InvalidInputError(f"unknown algebra preset {preset!r}")
 
 
+def _product_from_json(field, entry):
+    """One product e_i e_j: a list of [basis index, scalar] pairs."""
+    pairs = []
+    for pair in _list(entry, "structure_constants"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InvalidInputError(
+                "'structure_constants' terms must be [index, scalar] pairs")
+        pairs.append((json_int(pair[0], "structure_constants"), field.parse(pair[1])))
+    return tuple(pairs)
+
+
 def _resolve_algebra(data, algebra=None, base_dir="."):
-    """Inline algebra dict, or {"file": path} reference, or a caller-supplied
-    object."""
+    """A caller-supplied algebra, else the "algebra" entry of data: an inline
+    algebra or a {"file": path} reference."""
     if algebra is not None:
         return algebra
-    if isinstance(data, dict) and "file" in data:
-        return algebra_from_json(load_json(os.path.join(base_dir, data["file"])))
-    return algebra_from_json(data)
+    ref = json_get(data, "algebra", dict)
+    if "file" in ref:
+        path = json_get(ref, "file", str)
+        return algebra_from_json(load_json(os.path.join(base_dir, path)))
+    return algebra_from_json(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +154,8 @@ def ideal_to_json(I, inline_algebra=True):
 
 
 def ideal_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data.get("algebra"), algebra, base_dir)
-    rows = [_vec_from_json(A.field, b) for b in data["basis"]]
-    return RightIdeal(A, rows)
+    A = _resolve_algebra(data, algebra, base_dir)
+    return RightIdeal(A, _vecs_at(A.field, data, "basis"))
 
 
 def flag_to_json(flag, inline_algebra=True):
@@ -130,10 +167,11 @@ def flag_to_json(flag, inline_algebra=True):
 
 
 def flag_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data.get("algebra"), algebra, base_dir)
-    ideals = [ideal_from_json(d, algebra=A) for d in data["ideals"]]
+    A = _resolve_algebra(data, algebra, base_dir)
+    ideals = [ideal_from_json(d, algebra=A)
+              for d in json_get(data, "ideals", list)]
     flag = Flag(ideals)
-    if flag.signature != tuple(data.get("signature", flag.signature)):
+    if flag.signature != tuple(json_get(data, "signature", list, flag.signature)):
         raise InvalidInputError("stored signature does not match the ideals")
     return flag
 
@@ -149,11 +187,11 @@ def etale_to_json(E, inline_algebra=True):
 
 
 def etale_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data.get("algebra"), algebra, base_dir)
-    gen = A.element(_vec_from_json(A.field, data["generator"]))
-    factors = None
-    if "minpoly_factors" in data:
-        factors = [Poly.from_json(A.field, g) for g in data["minpoly_factors"]]
+    A = _resolve_algebra(data, algebra, base_dir)
+    gen = A.element(_vec_at(A.field, data, "generator"))
+    factors = json_get(data, "minpoly_factors", list, None)
+    if factors is not None:
+        factors = [_poly_from_json(A.field, g, "minpoly_factors") for g in factors]
     return generate_etale(gen, minpoly_factors=factors)
 
 
@@ -167,9 +205,9 @@ def involution_to_json(sigma, inline_algebra=True):
 
 
 def involution_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data.get("algebra"), algebra, base_dir)
-    mat = [_vec_from_json(A.field, row) for row in data["matrix"]]
-    return involution_from_matrix(A, mat, expected_kind=data.get("type"))
+    A = _resolve_algebra(data, algebra, base_dir)
+    return involution_from_matrix(A, _vecs_at(A.field, data, "matrix"),
+                                  expected_kind=json_get(data, "type", str, None))
 
 
 def form_to_json(form):
@@ -179,7 +217,7 @@ def form_to_json(form):
 
 
 def form_from_json(data):
-    field = field_from_spec(data["field"])
+    field = field_from_spec(json_get(data, "field", dict))
     return QuadraticForm.from_json(field, data)
 
 
@@ -204,7 +242,7 @@ def _endpoint_from_json(kind, data, algebra, field):
         return flag_from_json(data, algebra=algebra)
     if kind == ETALE_LINE:
         return etale_from_json(data, algebra=algebra)
-    return _vec_from_json(field, data)
+    return _vec_from_json(field, data, "start/end")
 
 
 def _segment_to_json(w):
@@ -230,27 +268,34 @@ def _segment_to_json(w):
 
 
 def _segment_from_json(seg, algebra, form):
-    kind = seg["kind"]
-    field = algebra.field if algebra is not None else form.field
-    start = _endpoint_from_json(kind, seg["start"], algebra, field)
-    end = _endpoint_from_json(kind, seg["end"], algebra, field)
-    validity = Poly.from_json(field, seg["validity"])
-    meta = seg.get("meta", {})
-    if kind in (IDEAL_PENCIL, FLAG_PENCIL):
-        data = {"pencil_w": [_vec_from_json(field, v) for v in seg["pencil_w"]],
-                "pencil_w_prime": [_vec_from_json(field, v)
-                                   for v in seg["pencil_w_prime"]]}
-        if kind == FLAG_PENCIL:
-            data["levels"] = [int(x) for x in seg["levels"]]
-    elif kind == ETALE_LINE:
-        data = {"gen_start": _vec_from_json(field, seg["gen_start"]),
-                "gen_end": _vec_from_json(field, seg["gen_end"])}
+    kind = json_get(seg, "kind", str)
+    if kind in (IDEAL_PENCIL, FLAG_PENCIL, ETALE_LINE):
+        if algebra is None:
+            raise InvalidInputError(f"a {kind} segment needs an algebra")
+        field = algebra.field
     elif kind == QUADRIC_LINE:
-        data = {"coord_polys": [Poly.from_json(field, p)
-                                for p in seg["coord_polys"]],
-                "aux": _vec_from_json(field, seg["aux"])}
+        if form is None:
+            raise InvalidInputError(f"a {kind} segment needs a form")
+        field = form.field
     else:
         raise InvalidInputError(f"unknown segment kind {kind!r}")
+    start = _endpoint_from_json(kind, json_get(seg, "start", object), algebra, field)
+    end = _endpoint_from_json(kind, json_get(seg, "end", object), algebra, field)
+    validity = Poly.from_json(field, json_get(seg, "validity", list))
+    meta = json_get(seg, "meta", dict, {})
+    if kind in (IDEAL_PENCIL, FLAG_PENCIL):
+        data = {"pencil_w": _vecs_at(field, seg, "pencil_w"),
+                "pencil_w_prime": _vecs_at(field, seg, "pencil_w_prime")}
+        if kind == FLAG_PENCIL:
+            data["levels"] = [json_int(x, "levels")
+                              for x in json_get(seg, "levels", list)]
+    elif kind == ETALE_LINE:
+        data = {"gen_start": _vec_at(field, seg, "gen_start"),
+                "gen_end": _vec_at(field, seg, "gen_end")}
+    else:
+        data = {"coord_polys": [_poly_from_json(field, p, "coord_polys")
+                                for p in json_get(seg, "coord_polys", list)],
+                "aux": _vec_at(field, seg, "aux")}
     return PencilWitness(kind, start, end, validity, data,
                          algebra=algebra, form=form, meta=meta)
 
@@ -284,13 +329,20 @@ def witness_from_json(data):
             f"unsupported parameter convention {data.get('param_convention')!r}")
     if "algebra" not in data and "form" not in data:
         raise InvalidInputError("witness has neither an algebra nor a form")
-    algebra = algebra_from_json(data["algebra"]) if "algebra" in data else None
-    form = form_from_json(data["form"]) if "form" in data else None
+    algebra = json_get(data, "algebra", dict, None)
+    if algebra is not None:
+        algebra = algebra_from_json(algebra)
+    form = json_get(data, "form", dict, None)
+    if form is not None:
+        form = form_from_json(form)
     if data.get("kind") == "empty":
-        start = _vec_from_json(form.field, data["start"])
-        end = _vec_from_json(form.field, data["end"])
+        if form is None:
+            raise InvalidInputError("an empty chain needs a form")
+        start = _vec_at(form.field, data, "start")
+        end = _vec_at(form.field, data, "end")
         return WitnessChain([], start=start, end=end)
-    segments = [_segment_from_json(s, algebra, form) for s in data["segments"]]
+    segments = [_segment_from_json(s, algebra, form)
+                for s in json_get(data, "segments", list)]
     if len(segments) == 1:
         return segments[0]
     return WitnessChain(segments)

@@ -26,7 +26,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import kernel, rank, rref
+from .linalg import kernel, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_squarefree
 from .polyrings import (
     eval_coords, line_coords, pencil_min_poly, polymat_det, xpoly_discriminant,
@@ -116,10 +116,8 @@ class PencilWitness:
         return Flag(ideals)
 
     def _etale_generator_at(self, t):
-        f = self.field
-        s = f.sub(f.one, t)
-        coords = tuple(f.add(f.mul(t, a), f.mul(s, b))
-                       for a, b in zip(self.data["gen_start"], self.data["gen_end"]))
+        coords, = self._pencil_vectors_at([self.data["gen_start"]],
+                                          [self.data["gen_end"]], t)
         return AlgebraElement(self.algebra, coords)
 
     def _eval_etale(self, t):
@@ -310,10 +308,8 @@ def _pencil_validity(pres, wvecs, wpvecs):
     rows = []
     for w, wp in zip(wvecs, wpvecs):
         for dco in dbasis:
-            wd = pres.vec_times_d(w, dco)
-            wpd = pres.vec_times_d(wp, dco)
-            rows.append([Poly(field, [b, field.sub(a, b)])
-                         for a, b in zip(wd, wpd)])
+            rows.append(line_coords(field, pres.vec_times_d(w, dco),
+                                    pres.vec_times_d(wp, dco)))
 
     def minor(cols):
         sub = [[row[c] for c in cols] for row in rows]
@@ -413,7 +409,7 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
     """An etale_line segment with validity = discriminant of the pencil
     minimal polynomial (a polynomial in t), or None if the line is
     degenerate for this degree."""
-    coord_polys = line_coords(A, gen_start.coords, gen_end.coords)
+    coord_polys = line_coords(A.field, gen_start.coords, gen_end.coords)
     mp = pencil_min_poly(A, coord_polys, degree)
     if mp is None:
         return None
@@ -429,18 +425,19 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
                          algebra=A, meta=meta, open_set=open_set)
 
 
+def _random_combination(A, basis, rng):
+    """sum c_i b_i over a nonempty basis, with one f.random(rng) draw per
+    basis row, in order."""
+    f = A.field
+    return tuple(mat_vec(f, transpose(basis), [f.random(rng) for _ in basis]))
+
+
 def _redraw_generator(E, rng):
     """A fresh generator of the same subalgebra: a random combination of the
     basis whose minimal polynomial still has full degree."""
     A = E.algebra
-    f = A.field
     for _ in range(64):
-        coords = [f.zero] * A.dim
-        for b in E.basis:
-            c = f.random(rng)
-            for i, x in enumerate(b):
-                coords[i] = f.add(coords[i], f.mul(c, x))
-        cand = AlgebraElement(A, tuple(coords))
+        cand = AlgebraElement(A, _random_combination(A, E.basis, rng))
         if minimal_polynomial(cand).degree == E.dim:
             try:
                 if generate_etale(cand) == E:
@@ -507,14 +504,7 @@ def _search_invertible(A, space, rng, budget, also_require=None):
                 continue
             if A.inverse(cand) is not None:
                 return cand
-        candidates = []
-        for _ in range(8):
-            coords = [f.zero] * A.dim
-            for v in space:
-                c = f.random(rng)
-                for i, x in enumerate(v):
-                    coords[i] = f.add(coords[i], f.mul(c, x))
-            candidates.append(tuple(coords))
+        candidates = [_random_combination(A, space, rng) for _ in range(8)]
     return None
 
 
@@ -576,7 +566,6 @@ def symplectic_fixing_involution(L, tau, rng_seed=0, budget=32):
             f"a subalgebra of dimension {L.dim} cannot be fixed by a "
             f"symplectic involution on a degree-{A.degree} algebra")
     a = L.generator
-    f = A.field
     ta = tau.apply_coords(a.coords)
     space = _intertwiner_space(A, [(ta, a.coords)])
     if not space:
@@ -598,14 +587,7 @@ def symplectic_fixing_involution(L, tau, rng_seed=0, budget=32):
                 break
         if v is not None:
             break
-        candidates = []
-        for _ in range(8):
-            coords = [f.zero] * A.dim
-            for w in cent:
-                c = f.random(rng)
-                for i, x in enumerate(w):
-                    coords[i] = f.add(coords[i], f.mul(c, x))
-            candidates.append(tuple(coords))
+        candidates = [_random_combination(A, cent, rng) for _ in range(8)]
     if v is None:
         raise FieldTooSmallError("no invertible symmetrization found within budget")
     v_inv = A.inverse(v)
@@ -649,16 +631,6 @@ def default_orthogonal_involution(A):
         return tensor_involution(default_orthogonal_involution(left),
                                  default_orthogonal_involution(right), A)
     raise UnsupportedFieldError(f"no canonical orthogonal involution for preset {kind!r}")
-
-
-def _random_symmetric(A, sigma_basis, rng):
-    f = A.field
-    coords = [f.zero] * A.dim
-    for b in sigma_basis:
-        c = f.random(rng)
-        for i, x in enumerate(b):
-            coords[i] = f.add(coords[i], f.mul(c, x))
-    return A.element(tuple(coords))
 
 
 def connect_exp2(L1, L2, open_set=None, rng_seed=0, retry_budget=64):
@@ -707,7 +679,7 @@ def connect_exp2(L1, L2, open_set=None, rng_seed=0, retry_budget=64):
     basis1 = sym_basis(sigma1)
     beta1, beta2 = L1.generator, L2.generator
     for _ in range(retry_budget):
-        alpha1 = _random_symmetric(A, basis1, rng)
+        alpha1 = A.element(_random_combination(A, basis1, rng))
         alpha2 = u * alpha1
         if sigma2.apply_coords(alpha2.coords) != alpha2.coords:
             raise StructuralError("u alpha1 is not symmetric for sigma2")
@@ -748,7 +720,7 @@ def _quadric_segment(form, p1, p2, aux):
     """The conic through p1 and p2 swept by the secant pencil through aux:
     phi(t) = b(w(t), aux) w(t) - q(w(t)) aux with w(t) = t p1 + (1-t) p2."""
     field = form.field
-    w_polys = [Poly(field, [b, field.sub(a, b)]) for a, b in zip(p1, p2)]
+    w_polys = line_coords(field, p1, p2)
     lam = Poly(field, [form.bilinear(p2, aux),
                        field.sub(form.bilinear(p1, aux), form.bilinear(p2, aux))])
     qw = form.eval_polys(w_polys)

@@ -347,3 +347,24 @@ def test_structure_constants_must_fit_the_dimension():
         _explicit([[((0, 1, 2),)]])
     with pytest.raises(InvalidInputError, match="unit has 2 coordinates"):
         _explicit([[((0, 1),)]], unit=(1, 0))
+
+
+_MULT_MATRIX_ALGEBRAS = {
+    "M3(F7)": make_matrix_algebra(F7, 3),
+    "(-1,-1)/Q": make_quaternion(QQ, Fraction(-1), Fraction(-1)),
+    "M2x(1,1)/F3": tensor_product(make_matrix_algebra(F3, 2), make_quaternion(F3, 1, 1)),
+    "M3(F9)": make_matrix_algebra(standard_extension(3, 2), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULT_MATRIX_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_mult_matrices_have_product_columns(name, seed):
+    A = _MULT_MATRIX_ALGEBRAS[name]
+    x = _sparse_random(A, random.Random(seed))
+    left, right = A.left_mult_matrix(x), A.right_mult_matrix(x)
+    for j in range(A.dim):
+        e = A.basis_coords(j)
+        assert tuple(row[j] for row in left) == A.mul(x, e)
+        assert tuple(row[j] for row in right) == A.mul(e, x)

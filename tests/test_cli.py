@@ -236,3 +236,69 @@ def test_malformed_structure_constants_exit_2(runner, tmp_path, case):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert message in r.stderr
+
+
+def test_extension_modulus_irreducible_over_f5(runner, tmp_path):
+    # x^3 + 4x^2 + x + 1 is irreducible over F_5
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"field": {"kind": "extension", "p": 5,
+                                       "modulus": ["1", "1", "4", "1"]},
+                             "preset": "matrix", "degree": 2, "params": {"n": 2}}))
+    r = invoke(runner, ["algebra", "show", "--algebra", str(a)])
+    assert r.exit_code == 0, r.output
+
+
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+        return data
+    return mutate
+
+
+def _set_in_segment(key, value):
+    def mutate(data):
+        data["segments"][0][key] = value
+        return data
+    return mutate
+
+
+_MALFORMED_SHAPES = {
+    "field_string": ("algebra", _set("field", "q"), "'field'"),
+    "field_list": ("algebra", _set("field", []), "'field'"),
+    "params_list": ("algebra", _set("params", [2]), "'params'"),
+    "algebra_top_level_list": ("algebra", lambda data: [], "'field'"),
+    "segments_string": ("witness", _set("segments", "x"), "'segments'"),
+    "segment_list": ("witness", _set("segments", [[]]), "'kind'"),
+    "validity_number": ("witness", _set_in_segment("validity", 5), "'validity'"),
+    "pencil_w_number": ("witness", _set_in_segment("pencil_w", 3), "'pencil_w'"),
+    "algebra_string": ("witness", _set("algebra", "x"), "'algebra'"),
+    "empty_without_form": ("witness", _set("kind", "empty"), "form"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SHAPES))
+def test_malformed_json_shapes_exit_2(runner, tmp_path, case):
+    target, mutate, message = _MALFORMED_SHAPES[case]
+    a = tmp_path / "a.json"
+    i1 = tmp_path / "i1.json"
+    i2 = tmp_path / "i2.json"
+    w = tmp_path / "w.json"
+    for args in (["algebra", "new", "--preset", "matrix", "--n", "2",
+                  "--field", "fp:5", "--out", str(a)],
+                 ["ideal", "random", "--algebra", str(a), "--rdim", "1",
+                  "--seed", "1", "--out", str(i1)],
+                 ["ideal", "random", "--algebra", str(a), "--rdim", "1",
+                  "--seed", "5", "--out", str(i2)],
+                 ["witness", "connect-ideals", "--algebra", str(a),
+                  "--from", str(i1), "--to", str(i2), "--out", str(w)]):
+        assert invoke(runner, args).exit_code == 0
+    path = a if target == "algebra" else w
+    path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    if target == "algebra":
+        r = invoke(runner, ["algebra", "show", "--algebra", str(a)])
+    else:
+        r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert message in r.stderr

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,3 +110,59 @@ def test_standard_extension_is_deterministic():
     a = standard_extension(2, 2)
     b = standard_extension(2, 2)
     assert a.modulus == b.modulus == (1, 1, 1)
+
+
+def _has_monic_factor_of_degree(f, d, p):
+    """Brute force: some monic g of degree d divides f over F_p."""
+    for lower in itertools.product(range(p), repeat=d):
+        r = list(f)
+        g = list(lower) + [1]
+        for s in range(len(r) - len(g), -1, -1):
+            c = r[s + d]
+            if c:
+                for i, gi in enumerate(g):
+                    r[s + i] = (r[s + i] - c * gi) % p
+        if not any(r[:d]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 5), (3, 4), (5, 3), (7, 3)])
+def test_extension_accepts_exactly_the_irreducible_moduli(p, max_degree):
+    # the modulus is irreducible iff no monic factor of degree <= k/2
+    # exists; this covers every monic f of degree <= max_degree
+    for k in range(1, max_degree + 1):
+        for lower in itertools.product(range(p), repeat=k):
+            f = list(lower) + [1]
+            irreducible = not any(_has_monic_factor_of_degree(f, d, p)
+                                  for d in range(1, k // 2 + 1))
+            try:
+                ExtensionField(p, f)
+                accepted = True
+            except InvalidInputError:
+                accepted = False
+            assert accepted == irreducible, (p, f)
+
+
+# the lexicographically first monic irreducible, as the fq:<p>:<k> flag picks it
+_STANDARD_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1), (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1), (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1), (17, 3): (3, 1, 0, 1),
+    (19, 2): (1, 0, 1), (19, 3): (2, 0, 0, 1),
+    (23, 2): (1, 0, 1), (23, 3): (3, 1, 0, 1),
+    (29, 2): (2, 0, 1), (29, 3): (4, 1, 0, 1),
+    (31, 2): (1, 0, 1), (31, 3): (3, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p, k", sorted(_STANDARD_MODULI))
+def test_standard_extension_moduli_are_pinned(p, k):
+    assert standard_extension(p, k).modulus == _STANDARD_MODULI[(p, k)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    Matrix, charpoly, det, identity, in_row_space, intersect_row_spaces,
+    charpoly, det, identity, in_row_space, intersect_row_spaces,
     inverse, kernel, mat_mul, mat_vec, rank, reduce_vector, rref,
     row_space_rref, solve,
 )
@@ -165,12 +165,6 @@ def test_intersect_row_spaces():
         inter = intersect_row_spaces(F5, x, y)
         union_rank = rank(F5, x + y)
         assert len(inter) == rank(F5, x) + rank(F5, y) - union_rank
-
-
-def test_matrix_wrapper_roundtrip():
-    m = Matrix(F5, [[1, 2], [3, 4]])
-    assert Matrix.from_json(F5, m.to_json()) == m
-    assert m.rref().rows == ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from csawitness import serialize
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
+from csawitness.errors import InvalidInputError
 from csawitness.etale import generate_etale
 from csawitness.fields import QQ, PrimeField
 from csawitness.ideals import Flag, ideal_generated, random_flag, random_ideal
@@ -118,3 +122,73 @@ def test_empty_chain_roundtrip():
     data = serialize.witness_to_json(chain, form=q)
     back = serialize.witness_from_json(data)
     assert back.start == p and back.end == p and len(back.segments) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed shapes: a JSON node of the wrong type is bad input, never a crash
+
+
+def _fuzz_targets():
+    F3 = PrimeField(3)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    A2, A3 = make_matrix_algebra(F5, 2), make_matrix_algebra(F5, 3)
+    from csawitness.algebra import Algebra
+    from csawitness.fields import standard_extension
+    F49 = standard_extension(7, 2)
+    from csawitness.quadrics import points_on_quadric
+    rng = random.Random(4)
+    q = QuadraticForm(F5, 4, {(0, 3): F5.one, (1, 2): F5.neg(F5.one)})
+    pts = points_on_quadric(q)
+    witnesses = [
+        connect_ideals(random_ideal(A2, 1, rng), random_ideal(A2, 1, rng)),
+        connect_flags(random_flag(A3, (1, 2), rng), random_flag(A3, (1, 2), rng)),
+        connect_max_etale(generate_etale(A2.element([1, 0, 0, 3])),
+                          generate_etale(A2.element([0, 1, 1, 0]))),
+        connect_quadric_points(q, pts[0], pts[5]),
+    ]
+    algebras = [Algebra(F3, make_matrix_algebra(F3, 2).table, 2),
+                tensor_product(make_matrix_algebra(QQ, 2), H),
+                make_quaternion(F49, F49.from_int(3), F49.gen)]
+    return ([("witness", serialize.witness_to_json(w)) for w in witnesses]
+            + [("algebra", serialize.algebra_to_json(A)) for A in algebras])
+
+
+_FUZZ_TARGETS = _fuzz_targets()
+_WRONG_TYPES = (None, True, "x", [[]], {"x": []})
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    out = copy.copy(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_swapped_json_types_raise_invalid_input(data):
+    kind, doc = data.draw(st.sampled_from(_FUZZ_TARGETS))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    original = _at(doc, path)
+    value = data.draw(st.sampled_from(
+        [v for v in _WRONG_TYPES if type(v) is not type(original)]))
+    load = serialize.witness_from_json if kind == "witness" else serialize.algebra_from_json
+    try:
+        load(_replaced(doc, path, value))
+    except InvalidInputError:
+        pass
