@@ -105,6 +105,9 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
     f = algebra.field
     n = algebra.dim
     mat = [list(r) for r in mat]
+    if len(mat) != n or any(len(r) != n for r in mat):
+        raise InvalidInputError(
+            f"matrix must be {n} x {n}, not rows of lengths {[len(r) for r in mat]}")
     if mat_mul(f, mat, mat) != identity(f, n):
         raise InvalidInputError("map is not of order two")
 

@@ -302,3 +302,43 @@ def test_malformed_json_shapes_exit_2(runner, tmp_path, case):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert message in r.stderr
+
+
+@pytest.mark.parametrize("flag", ["fq:5:-1", "fq:5:0"])
+def test_extension_degree_below_one_exits_2(runner, tmp_path, flag):
+    r = invoke(runner, ["algebra", "new", "--preset", "matrix", "--n", "2",
+                        "--field", flag, "--out", str(tmp_path / "a.json")])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert "extension degree k" in r.stderr
+
+
+def _shorten_row_0(matrix):
+    matrix[0].pop()
+
+
+def _lengthen_row_1(matrix):
+    matrix[1].append("0")
+
+
+def _drop_last_row(matrix):
+    matrix.pop()
+
+
+@pytest.mark.parametrize("mutate", [_shorten_row_0, _lengthen_row_1, _drop_last_row])
+def test_involution_matrix_not_square_exits_2(runner, tmp_path, mutate):
+    h = tmp_path / "h.json"
+    s = tmp_path / "s.json"
+    assert invoke(runner, ["algebra", "new", "--preset", "quaternion", "--field", "fp:5",
+                           "--a", "2", "--b", "3", "--out", str(h)]).exit_code == 0
+    assert invoke(runner, ["involution", "new", "--algebra", str(h),
+                           "--form", "conjugation", "--out", str(s)]).exit_code == 0
+    data = json.loads(s.read_text())
+    mutate(data["matrix"])
+    s.write_text(json.dumps(data))
+    r = invoke(runner, ["involution", "type", "--involution", str(s)])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert "matrix must be 4 x 4" in r.stderr

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from csawitness import fields
 from csawitness.errors import InvalidInputError
 from csawitness.fields import (
     QQ, ExtensionField, PrimeField, field_from_spec, is_prime,
@@ -166,3 +168,159 @@ _STANDARD_MODULI = {
 @pytest.mark.parametrize("p, k", sorted(_STANDARD_MODULI))
 def test_standard_extension_moduli_are_pinned(p, k):
     assert standard_extension(p, k).modulus == _STANDARD_MODULI[(p, k)]
+
+
+# ---------------------------------------------------------------------------
+# log/antilog and Zech tables against the polynomial path
+
+
+def _polynomial_twin(field):
+    """The same field with its tables dropped: every method then runs the
+    polynomial multiply and the extended Euclid inverse."""
+    twin = copy.copy(field)
+    twin._log = None
+    return twin
+
+
+def _assert_ops_agree(F, R, a, b):
+    assert F.add(a, b) == R.add(a, b)
+    assert F.sub(a, b) == R.sub(a, b)
+    assert F.mul(a, b) == R.mul(a, b)
+    if not R.is_zero(b):
+        assert F.div(a, b) == R.div(a, b)
+
+
+_TABLED = {"F4": (2, 2), "F8": (2, 3), "F9": (3, 2), "F25": (5, 2), "F27": (3, 3),
+           "F49": (7, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLED))
+def test_tables_match_polynomial_path_on_every_pair(name):
+    F = standard_extension(*_TABLED[name])
+    R = _polynomial_twin(F)
+    assert F._log is not None
+    q = F.size
+    elems = list(F.elements())
+    for a, b in itertools.product(elems, elems):
+        _assert_ops_agree(F, R, a, b)
+    for a in elems:
+        assert F.neg(a) == R.neg(a)
+        assert F.is_zero(a) == (not any(a))
+        if a != R.zero:
+            assert F.inv(a) == R.inv(a)
+        for n in range(-q, 2 * q + 1):
+            if n >= 0 or a != R.zero:
+                assert F.pow(a, n) == R.pow(a, n)
+
+
+_F256 = standard_extension(2, 8)
+_F4096 = standard_extension(2, 12)  # the largest tabled field, q = TABLE_MAX_Q
+
+
+def _elements_of(field):
+    return st.tuples(*[st.integers(0, field.p - 1)] * field.k)
+
+
+@pytest.mark.parametrize("F", [_F256, _F4096], ids=["F256", "F4096"])
+def test_large_tables_match_polynomial_path(F):
+    assert F.size <= fields.TABLE_MAX_Q and F._log is not None
+    R = _polynomial_twin(F)
+
+    @given(_elements_of(F), _elements_of(F), st.integers(-2 * F.size, 2 * F.size))
+    def check(a, b, n):
+        _assert_ops_agree(F, R, a, b)
+        assert F.neg(a) == R.neg(a)
+        if a != F.zero:
+            assert F.inv(a) == R.inv(a)
+            assert F.pow(a, n) == R.pow(a, n)
+
+    check()
+
+
+def _schoolbook_mul(a, b, modulus, p):
+    """a*b mod (modulus, p) on coefficient lists, lowest degree first."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    k = len(modulus) - 1
+    for d in range(len(prod) - 1, k - 1, -1):
+        c = prod[d] % p
+        for i, m in enumerate(modulus):
+            prod[d - k + i] -= c * m
+    return tuple(c % p for c in prod[:k])
+
+
+def test_field_above_the_bound_keeps_polynomial_path():
+    F = standard_extension(67, 2)  # 4489 elements, the first p^k (k > 1) above 4096
+    assert F.size > fields.TABLE_MAX_Q and F._log is None
+    rng = random.Random(3)
+    for _ in range(300):
+        a, b = F.random(rng), F.random(rng)
+        assert F.mul(a, b) == _schoolbook_mul(a, b, F.modulus, F.p)
+        assert F.add(a, b) == tuple((x + y) % F.p for x, y in zip(a, b))
+        assert F.sub(F.add(a, b), b) == a
+        if a != F.zero:
+            assert F.mul(a, F.inv(a)) == F.one
+            assert F.div(b, a) == F.mul(b, F.inv(a))
+            assert F.pow(a, -3) == F.inv(F.mul(a, F.mul(a, a)))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+@pytest.mark.parametrize("F", [standard_extension(5, 2), standard_extension(67, 2)],
+                         ids=["tabled", "polynomial"])
+def test_zero_has_no_inverse(F):
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+    with pytest.raises(ZeroDivisionError):
+        F.div(F.one, F.zero)
+    with pytest.raises(ZeroDivisionError):
+        F.pow(F.zero, -1)
+    assert F.pow(F.zero, 0) == F.one and F.pow(F.zero, 3) == F.zero
+
+
+@pytest.mark.parametrize("bad", [(5, 0), (1, 0, 0), (1,), [1, 0]])
+def test_tabled_field_rejects_non_canonical_elements(bad):
+    F = standard_extension(5, 2)
+    for op in (F.add, F.sub, F.mul, F.div):
+        with pytest.raises((KeyError, TypeError)):
+            op(bad, F.one)
+        with pytest.raises((KeyError, TypeError)):
+            op(F.one, bad)
+    for op in (F.neg, F.inv):
+        with pytest.raises((KeyError, TypeError)):
+            op(bad)
+    with pytest.raises((KeyError, TypeError)):
+        F.pow(bad, 2)
+
+
+@pytest.mark.parametrize("F, pairs", [(standard_extension(5, 2), None),
+                                      (_F256, 2000)], ids=["F25", "F256"])
+def test_mul_matches_sympy_galoistools(F, pairs):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem
+
+    def dense(a):  # sympy's order: highest degree first
+        return [ZZ(c) for c in reversed(a)]
+
+    modulus = dense(F.modulus)
+    elems = list(F.elements())
+    if pairs is None:
+        cases = list(itertools.product(elems, elems))
+    else:
+        rng = random.Random(5)
+        cases = [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
+    for a, b in cases:
+        rem = gf_rem(gf_mul(dense(a), dense(b), F.p, ZZ), modulus, F.p, ZZ)
+        expected = tuple(int(c) for c in reversed(rem)) + (0,) * (F.k - len(rem))
+        assert F.mul(a, b) == expected
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_standard_extension_rejects_degree_below_one(k):
+    with pytest.raises(InvalidInputError, match="degree k"):
+        standard_extension(5, k)
+    with pytest.raises(InvalidInputError, match="degree k"):
+        parse_field_flag(f"fq:5:{k}")
