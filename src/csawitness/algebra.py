@@ -12,7 +12,7 @@ dimension 256, by seeded sampling above that).
 import random
 
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
-from .fields import PrimeField, ExtensionField, Rationals
+from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import kernel, rank, rref, solve
 from .poly import Poly, poly_nth_root
@@ -38,10 +38,10 @@ def _mult_matrix(f, x, table):
 
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
-                 "_closure_gens", "_flat")
+                 "_closure_gens", "_preset_gens", "_flat", "_flat_scale", "_lift")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
-                 preset=None, _trusted=False):
+                 preset=None, _trusted=False, _preset_gens=False):
         dim = len(table)
         if degree * degree != dim:
             raise InvalidInputError(f"dimension {dim} is not degree^2 = {degree * degree}")
@@ -53,14 +53,26 @@ class Algebra:
         self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
-        # Over F_p, mul walks the nonzero structure constants, flattened per
-        # left index i into (j, k, c) triples: e_i e_j has coordinate c at k.
-        self._flat = None
-        if isinstance(field, PrimeField):
-            self._flat = tuple(
-                tuple((j, k, c) for j, entry in enumerate(row) for k, c in entry
-                      if c % field.p)
-                for row in self.table)
+        # the preset constructors pass True: their algebra_generators are
+        # known to generate (tests/test_algebra.py proves it for each family)
+        self._preset_gens = _preset_gens
+        # Over F_p and Q, mul walks the nonzero structure constants lifted to
+        # ints over one scale, flattened per left index i into (j, k, c)
+        # triples: e_i e_j has coordinate c / _flat_scale at k.  Over Q it
+        # lifts its operands with _lift; over F_p the scalars are ints
+        # already and _lift is None.
+        self._flat = self._flat_scale = self._lift = None
+        if isinstance(field, INTEGER_CORE):
+            self._lift = None if field.int_modulus else field.lift_vector
+            terms = [(i, j, k, c) for i, row in enumerate(self.table)
+                     for j, entry in enumerate(row) for k, c in entry]
+            consts, self._flat_scale = field.lift_vector([t[3] for t in terms])
+            p = field.int_modulus
+            flat = [[] for _ in range(dim)]
+            for (i, j, k, _), c in zip(terms, consts):
+                if c % p if p else c:
+                    flat[i].append((j, k, c))
+            self._flat = tuple(map(tuple, flat))
         if not _trusted:
             self._check_associativity()
         if unit is None:
@@ -164,14 +176,24 @@ class Algebra:
     def mul(self, x, y):
         """The product x y of two coordinate tuples.
 
-        Over F_p the terms x_i y_j c are summed as ints over the flat table
-        and each coordinate is reduced mod p once at the end.  Python ints
-        cannot overflow and each partial sum is congruent mod p to the exact
-        one, so the result is the canonical product for any int inputs
-        congruent to x and y; a literal 0 is skipped, since it adds nothing.
+        Over F_p and Q this is one integer loop over the flat table.  Over Q
+        each operand is lifted once to ints over the lcm of its denominators,
+        the terms x_i y_j c are summed as exact ints, and each output
+        coordinate is lowered once, as the one canonical Fraction equal to
+        the sum over the product of the three scales: the result is exact
+        and equal to the Fraction path's, with no Fraction arithmetic on the
+        way.  Over F_p the scalars are ints already and each coordinate is
+        reduced mod p once at the end; every partial sum is congruent to the
+        exact one, so the result is the canonical product for any int
+        inputs congruent to x and y.  A literal 0 is skipped, since it adds
+        nothing.
         """
         flat = self._flat
         if flat is not None:
+            lift = self._lift
+            if lift is not None:
+                x, xscale = lift(x)
+                y, yscale = lift(y)
             out = [0] * self.dim
             for i, xi in enumerate(x):
                 if xi:
@@ -179,8 +201,11 @@ class Algebra:
                         yj = y[j]
                         if yj:
                             out[k] += xi * yj * c
-            p = self.field.p
-            return tuple([v % p for v in out])
+            if lift is None:
+                # F_p: the scalars are ints already and every scale is 1
+                p = self.field.int_modulus
+                return tuple([v % p for v in out])
+            return tuple(self.field.lower_vector(out, xscale * yscale * self._flat_scale))
         f = self.field
         add, mulf, is_zero = f.add, f.mul, f.is_zero
         out = [f.zero] * self.dim
@@ -217,16 +242,19 @@ class Algebra:
         return _mult_matrix(self.field, x, tuple(zip(*self.table)))
 
     def closure_generators(self):
-        """Coordinates of a unital generating set, verified on this table.
+        """Coordinates of a unital generating set of A.  Cached.
 
-        The preset's candidates (algebra_generators) are kept only if the
-        closure of span{1} under right multiplication by them is all of A;
-        otherwise the whole basis is used, so a preset that does not match
-        the structure constants cannot weaken a closure check.  Cached.
+        Tables built by make_matrix_algebra, make_quaternion and
+        tensor_product (and extend_scalars of those) use their preset's
+        candidates (algebra_generators) as they are.  On any other table
+        they are kept only if the closure of span{1} under right
+        multiplication by them is all of A; otherwise the whole basis is
+        used, so a preset that does not match the structure constants
+        cannot weaken a closure check.
         """
         if self._closure_gens is None:
             gens = [g.coords for g in algebra_generators(self)]
-            if not self._right_closure_is_everything(gens):
+            if not self._preset_gens and not self._right_closure_is_everything(gens):
                 gens = [self.basis_coords(i) for i in range(self.dim)]
             self._closure_gens = tuple(gens)
         return self._closure_gens
@@ -404,7 +432,7 @@ def make_matrix_algebra(field, n):
     labels = [f"E{r + 1}{c + 1}" for r in range(n) for c in range(n)]
     unit = [one if divmod(i, n)[0] == divmod(i, n)[1] else field.zero for i in range(dim)]
     return Algebra(field, table, n, labels=labels, unit=unit,
-                   preset={"kind": "matrix", "n": n}, _trusted=True)
+                   preset={"kind": "matrix", "n": n}, _trusted=True, _preset_gens=True)
 
 
 def make_quaternion(field, a, b):
@@ -426,7 +454,7 @@ def make_quaternion(field, a, b):
     table = [[(t[(i, j)],) for j in range(4)] for i in range(4)]
     return Algebra(field, table, 2, labels=["1", "i", "j", "k"],
                    unit=[one, zero, zero, zero],
-                   preset={"kind": "quaternion", "a": a, "b": b})
+                   preset={"kind": "quaternion", "a": a, "b": b}, _preset_gens=True)
 
 
 def tensor_product(A, B):
@@ -450,7 +478,8 @@ def tensor_product(A, B):
     labels = [f"{la}.{lb}" for la in A.labels for lb in B.labels]
     unit = [f.mul(ca, cb) for ca in A.unit for cb in B.unit]
     return Algebra(f, table, A.degree * B.degree, labels=labels, unit=unit,
-                   preset={"kind": "tensor", "left": A, "right": B})
+                   preset={"kind": "tensor", "left": A, "right": B},
+                   _preset_gens=A._preset_gens and B._preset_gens)
 
 
 def extend_scalars(A, new_field, lift):
@@ -468,8 +497,10 @@ def extend_scalars(A, new_field, lift):
         preset = {"kind": "tensor",
                   "left": extend_scalars(A.preset["left"], new_field, lift),
                   "right": extend_scalars(A.preset["right"], new_field, lift)}
+    # scalars mapped by a field embedding: words in the generators still
+    # span, so a trusted preset stays trusted
     return Algebra(new_field, table, A.degree, labels=A.labels, unit=unit,
-                   preset=preset, _trusted=True)
+                   preset=preset, _trusted=True, _preset_gens=A._preset_gens)
 
 
 def algebra_generators(A):
@@ -480,7 +511,8 @@ def algebra_generators(A):
     every word w, hence I A lies in I.  Matrix presets give E_{i,i+1} and
     E_{i+1,i}, quaternions i and j, tensor products g(x)1 and 1(x)g over the
     generators g of each factor; anything else the whole basis.  The list is
-    only as good as the preset; Algebra.closure_generators verifies it.
+    only as good as the preset; Algebra.closure_generators verifies it on
+    tables that the preset constructors did not build.
     """
     kind = A.preset.get("kind")
     if kind == "matrix":
@@ -605,14 +637,15 @@ def _quaternion_norm_search_fq(A):
 
 def _quaternion_norm_search_q(A, bound):
     from fractions import Fraction
-    a, b = A.preset["a"], A.preset["b"]
-    # integer solutions suffice by homogeneity; x^2 = a y^2 + b z^2
+    (a, b), scale = A.field.lift_vector([A.preset["a"], A.preset["b"]])
+    # integer solutions suffice by homogeneity; x^2 = a y^2 + b z^2 over Q
+    # is scale x^2 = a y^2 + b z^2 on the lifted a, b
     for x in range(0, bound + 1):
+        lhs = scale * x * x
         for y in range(-bound, bound + 1):
+            rest = lhs - a * y * y
             for z in range(-bound, bound + 1):
-                if x == 0 and y == 0 and z == 0:
-                    continue
-                if Fraction(x * x) == a * y * y + b * z * z:
+                if rest == b * z * z and (x or y or z):
                     return Fraction(x), Fraction(y), Fraction(z)
     return None
 
@@ -625,6 +658,8 @@ def index_evidence(A, search_bound=50):
     searched, by bounded-height isotropy of the ternary norm form; a negative
     answer is evidence only, never a proof of division.
     """
+    if search_bound < 0:
+        raise InvalidInputError(f"search bound must be >= 0, not {search_bound}")
     field = A.field
     if A.preset.get("kind") == "quaternion":
         if isinstance(field, (PrimeField, ExtensionField)):

@@ -10,11 +10,22 @@ naturally:
 
 A field object carries the operations; elements do not know their field.
 All arithmetic is exact.  Fields are immutable and safe to share.
+
+Q and F_p also carry the integer core that linalg and Algebra.mul run on
+(INTEGER_CORE).  A vector is lifted to ints and one scale, lift_vector(v) =
+(ints, s) with v[i] = ints[i] / s, worked on as ints, and lowered back to
+canonical scalars by lower_vector.  int_modulus tells the two apart.  Over
+F_p it is p: the scalars are ints already, so the lift is the identity with
+scale 1 (hot loops skip it), the ints may be unreduced, an entry is zero
+when it is 0 mod p, and lowering reduces mod p.  Over Q it is 0: the scale
+is the lcm of the denominators, an entry is zero when the int is, and
+lowering makes one Fraction per entry.
 """
 
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError, StructuralError
 
@@ -102,6 +113,32 @@ class Rationals:
     def random(self, rng, height=9):
         return Fraction(rng.randint(-height, height), rng.randint(1, 4))
 
+    # -- integer core --------------------------------------------------------
+
+    int_modulus = 0
+
+    def lift_vector(self, vec):
+        """(ints, scale): scale is the lcm of the denominators of vec."""
+        scale = lcm(*[c.denominator for c in vec])
+        if scale == 1:
+            return [c.numerator for c in vec], 1
+        return [c.numerator * (scale // c.denominator) for c in vec], scale
+
+    def lift_rows(self, rows):
+        """(int rows, scale) with one scale for the whole matrix."""
+        scale = lcm(*[c.denominator for row in rows for c in row])
+        if scale == 1:
+            return [[c.numerator for c in row] for row in rows], 1
+        return [[c.numerator * (scale // c.denominator) for c in row]
+                for row in rows], scale
+
+    def lower_vector(self, ints, scale=1):
+        """The canonical Fractions ints[i] / scale."""
+        zero = self.zero
+        if scale == 1:
+            return [Fraction(n) if n else zero for n in ints]
+        return [Fraction(n, scale) if n else zero for n in ints]
+
     def sort_key(self, a):
         return a
 
@@ -142,6 +179,7 @@ class PrimeField:
         self.size = p
         self.zero = 0
         self.one = 1 % p
+        self.int_modulus = p
 
     def from_int(self, n):
         return n % self.p
@@ -179,6 +217,19 @@ class PrimeField:
 
     def random(self, rng):
         return rng.randrange(self.p)
+
+    # -- integer core (int_modulus = p, set in __init__) ---------------------
+
+    def lift_vector(self, vec):
+        return vec, 1
+
+    def lift_rows(self, rows):
+        return rows, 1
+
+    def lower_vector(self, ints, scale=1):
+        """ints reduced mod p; the scale of a lifted F_p vector is always 1."""
+        p = self.p
+        return [n % p for n in ints]
 
     def sort_key(self, a):
         return a
@@ -511,6 +562,9 @@ class ExtensionField:
 
 
 QQ = Rationals()
+
+# the fields whose vectors linalg and Algebra.mul lift to ints
+INTEGER_CORE = (PrimeField, Rationals)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ under all of A) and integrality of the reduced dimension.
 from .algebra import Algebra, AlgebraElement
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, intersect_row_spaces, kernel, mat_vec, rank, reduce_vector,
-    rref, transpose,
+    in_row_space, intersect_row_spaces, kernel, lift_matrix, mat_vec, rank,
+    reduce_vector, rref, transpose,
 )
 
 
 class RightIdeal:
-    __slots__ = ("algebra", "basis", "pivots", "rdim")
+    __slots__ = ("algebra", "basis", "pivots", "rdim", "_lifted")
 
     def __init__(self, algebra, rows, _skip_closure_check=False):
         basis, pivots = rref(algebra.field, rows)
@@ -27,6 +27,8 @@ class RightIdeal:
             raise StructuralError(
                 f"subspace dimension {len(self.basis)} is not a multiple of the degree")
         self.rdim = len(self.basis) // algebra.degree
+        # the basis lifted once for every membership test (linalg.lift_matrix)
+        self._lifted = lift_matrix(algebra.field, self.basis)
         if not _skip_closure_check:
             self._check_closed()
 
@@ -35,15 +37,16 @@ class RightIdeal:
         gens = alg.closure_generators()
         for b in self.basis:
             for g in gens:
-                prod = alg.mul(b, g)
-                if not in_row_space(alg.field, self.basis, self.pivots, prod):
+                if not in_row_space(alg.field, self.basis, self.pivots,
+                                    alg.mul(b, g), self._lifted):
                     raise StructuralError("subspace is not a right ideal")
 
     def dim(self):
         return len(self.basis)
 
     def contains(self, coords):
-        return in_row_space(self.algebra.field, self.basis, self.pivots, coords)
+        return in_row_space(self.algebra.field, self.basis, self.pivots, coords,
+                            self._lifted)
 
     def contains_ideal(self, other):
         return all(self.contains(b) for b in other.basis)

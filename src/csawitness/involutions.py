@@ -19,7 +19,8 @@ from .errors import (
     InvalidFormError, InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from .linalg import (
-    identity, inverse, kernel, mat_mul, mat_vec, rank, rref, transpose,
+    identity, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank, rref,
+    transpose,
 )
 from .poly import poly_nth_root
 
@@ -28,15 +29,16 @@ SYMPLECTIC = "symplectic"
 
 
 class Involution:
-    __slots__ = ("algebra", "mat", "kind")
+    __slots__ = ("algebra", "mat", "kind", "_lifted")
 
     def __init__(self, algebra, mat, kind):
         self.algebra = algebra
         self.mat = tuple(tuple(r) for r in mat)
         self.kind = kind
+        self._lifted = lift_matrix(algebra.field, self.mat)
 
     def apply_coords(self, coords):
-        return tuple(mat_vec(self.algebra.field, self.mat, coords))
+        return tuple(mat_vec(self.algebra.field, self.mat, coords, self._lifted))
 
     def __call__(self, x):
         if isinstance(x, AlgebraElement):
@@ -111,8 +113,10 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
     if mat_mul(f, mat, mat) != identity(f, n):
         raise InvalidInputError("map is not of order two")
 
+    lifted = lift_matrix(f, mat)
+
     def sigma(coords):
-        return tuple(mat_vec(f, mat, coords))
+        return tuple(mat_vec(f, mat, coords, lifted))
 
     if sigma(algebra.unit) != algebra.unit:
         raise InvalidInputError("map does not fix the unit")

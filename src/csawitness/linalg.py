@@ -5,21 +5,38 @@ deterministic: columns are processed left to right and the first row with a
 nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
 
-Over a PrimeField, mat_vec, rref, reduce_vector and in_row_space work on
-plain ints with delayed reduction (Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
-TOMS 2008).  Products are summed as Python ints, which cannot overflow, and
-reduced mod p once per output entry, or before an entry is tested for zero.
-Every intermediate int is congruent mod p to the value the field operations
-would produce, and every returned scalar is reduced to [0, p).  So the
-results equal those of the field-method path entry by entry, for inputs
-given by any ints congruent to the true scalars.
+Over F_p and Q (fields.INTEGER_CORE), mat_vec, rref, reduce_vector and
+in_row_space run one integer loop on lifted data: each operand is lifted
+once to ints and a scale (fields' lift_vector and lift_rows; lift_matrix
+lifts a matrix used by many calls once), the loop does exact int
+arithmetic, and each output entry is lowered once to its canonical scalar
+(lower_vector).  The fields differ only where int_modulus says so: in the
+zero test, in how a row is normalised, and in the final lowering.
+
+* Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
+  linear algebra over word-size prime fields: the FFLAS and FFPACK
+  packages", ACM TOMS 2008).  Products are summed as Python ints, which
+  cannot overflow, every intermediate int is congruent mod p to the value
+  the field operations would produce, and an entry is reduced mod p only
+  before it is tested for zero and once on output.  So the results equal
+  those of the field-method path for inputs given by any ints congruent to
+  the true scalars.
+* Over Q this is fraction-free elimination (Bareiss, Math. Comp. 1968) with
+  content reduction: a row is updated as a*row - f*pivot_row, a the pivot,
+  and divided by the gcd of its entries.  Each int row is a nonzero
+  rational multiple of the row the Fraction path would hold, so dividing
+  each reduced row by its pivot gives the same rref; a vector is lifted over
+  the lcm of its denominators and each output entry is one canonical
+  Fraction.  The output is exact and equal to the Fraction path's.
+
+Other fields (F_{p^k}) take the field-method path.
 """
 
 import operator
+from math import gcd
 
 from .errors import InvalidInputError
-from .fields import PrimeField
+from .fields import INTEGER_CORE
 
 
 def identity(field, n):
@@ -51,10 +68,26 @@ def mat_mul(field, a, b):
     return out
 
 
-def mat_vec(field, a, v):
-    if isinstance(field, PrimeField):
-        p = field.p
-        return [sum(map(operator.mul, row, v)) % p for row in a]
+def lift_matrix(field, a):
+    """(int rows, scale) with a = rows / scale over F_p and Q, else None.
+
+    Pass it as lifted= to mat_vec, reduce_vector or in_row_space to lift a
+    matrix that is used more than once only once.
+    """
+    if isinstance(field, INTEGER_CORE):
+        return field.lift_rows(a)
+    return None
+
+
+def mat_vec(field, a, v, lifted=None):
+    if lifted is None:
+        lifted = lift_matrix(field, a)
+    if lifted is not None:
+        rows, scale = lifted
+        if not field.int_modulus:
+            v, vscale = field.lift_vector(v)
+            scale *= vscale
+        return field.lower_vector([sum(map(operator.mul, row, v)) for row in rows], scale)
     add, mul, zero = field.add, field.mul, field.zero
     out = []
     for row in a:
@@ -72,35 +105,11 @@ def transpose(a):
 
 def rref(field, rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    if isinstance(field, PrimeField):
-        # Only the pivot row is reduced before it is used; the other rows
-        # collect unreduced updates, each adding less than p^2 in size.
-        p = field.p
-        nrows = len(m)
-        pivots = []
-        r = 0
-        for c in range(len(m[0])):
-            for pr in range(r, nrows):
-                if m[pr][c] % p:
-                    break
-            else:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = pow(m[r][c], p - 2, p)
-            mr = m[r] = [inv * x % p for x in m[r]]
-            for i in range(nrows):
-                if i != r:
-                    f = m[i][c] % p
-                    if f:
-                        m[i] = [x - f * y for x, y in zip(m[i], mr)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return [[x % p for x in m[i]] for i in range(r)], pivots
+    if isinstance(field, INTEGER_CORE):
+        return _int_rref(field, list(field.lift_rows(rows)[0]))
+    m = [list(r) for r in rows]
     ncols = len(m[0])
     sub, mul, div = field.sub, field.mul, field.div
     is_zero = field.is_zero
@@ -131,22 +140,94 @@ def rref(field, rows):
     return [m[i] for i in range(r)], pivots
 
 
+def _primitive(row):
+    """An int row divided by its content."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_rref(field, m):
+    """rref on lifted rows (scaling a row does not change the row space).
+
+    Only the pivot row is normalised before it is used: over F_p it is
+    scaled by the modular inverse of its pivot, over Q divided by its
+    content.  Every other row is updated as a*row - f*pivot_row, with a the
+    pivot (1 over F_p).  Over F_p it collects the update unreduced, each
+    adding less than p^2 in size, and is tested for zero mod p; over Q it is
+    divided by its content.  A pivot row keeps its pivot, which later
+    updates only multiply, so at the end a row is reduced mod p over F_p and
+    divided by its pivot over Q.
+    """
+    p = field.int_modulus
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        for pr in range(r, nrows):
+            if (m[pr][c] % p if p else m[pr][c]):
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if p:
+            inv = pow(m[r][c], p - 2, p)
+            mr = m[r] = [inv * x % p for x in m[r]]
+        else:
+            mr = m[r] = _primitive(m[r])
+        a = mr[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c] % p if p else m[i][c]
+                if f:
+                    if p:
+                        m[i] = [x - f * y for x, y in zip(m[i], mr)]
+                    else:
+                        m[i] = _primitive([a * x - f * y for x, y in zip(m[i], mr)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if p:
+        return [[x % p for x in m[i]] for i in range(r)], pivots
+    return [field.lower_vector(m[i], m[i][c]) for i, c in enumerate(pivots)], pivots
+
+
 def rank(field, rows):
     return len(rref(field, rows)[0])
 
 
-def reduce_vector(field, basis, pivots, vec):
-    """Reduce vec against an rref basis; returns (residual, coefficients)."""
+def _int_reduce(field, lifted, pivots, vec):
+    """vec lifted and reduced against a lifted rref basis: (ints, scale).
+    Every lifted row has the common scale a at its pivot (1 over F_p)."""
+    rows, a = lifted
+    p = field.int_modulus
+    v, scale = (vec, 1) if p else field.lift_vector(vec)
+    for row, piv in zip(rows, pivots):
+        f = v[piv] % p if p else v[piv]
+        if f:
+            if a == 1:
+                v = [x - f * y for x, y in zip(v, row)]
+            else:
+                v = [a * x - f * y for x, y in zip(v, row)]
+                scale *= a
+    return v, scale
+
+
+def reduce_vector(field, basis, pivots, vec, lifted=None):
+    """Reduce vec against an rref basis; returns (residual, coefficients).
+
+    The basis is a reduced row echelon basis with its pivot columns, as rref
+    returns them; lifted is lift_matrix(field, basis) when already made.
+    """
+    if lifted is None:
+        lifted = lift_matrix(field, basis)
+    if lifted is not None:
+        # the other basis rows vanish in each pivot column, so the
+        # coefficient of a row is the entry of vec in its pivot column
+        coeffs = field.lower_vector(*field.lift_vector([vec[piv] for piv in pivots]))
+        return field.lower_vector(*_int_reduce(field, lifted, pivots, vec)), coeffs
     v = list(vec)
     coeffs = []
-    if isinstance(field, PrimeField):
-        p = field.p
-        for row, piv in zip(basis, pivots):
-            c = v[piv] % p
-            coeffs.append(c)
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return [x % p for x in v], coeffs
     sub, mul = field.sub, field.mul
     for row, p in zip(basis, pivots):
         c = v[p]
@@ -157,9 +238,13 @@ def reduce_vector(field, basis, pivots, vec):
     return v, coeffs
 
 
-def in_row_space(field, basis, pivots, vec):
-    if isinstance(field, PrimeField):
-        return not any(reduce_vector(field, basis, pivots, vec)[0])
+def in_row_space(field, basis, pivots, vec, lifted=None):
+    if lifted is None:
+        lifted = lift_matrix(field, basis)
+    if lifted is not None:
+        v, _ = _int_reduce(field, lifted, pivots, vec)
+        p = field.int_modulus
+        return not any([x % p for x in v] if p else v)
     residual, _ = reduce_vector(field, basis, pivots, vec)
     return all(field.is_zero(x) for x in residual)
 

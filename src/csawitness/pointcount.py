@@ -315,6 +315,8 @@ def enumerate_points(model, d, budget=10 ** 7):
 def symmetric_power_points(model, n, budget=10 ** 7):
     """All multiplicity-free effective cycles of degree n: multisets of
     distinct closed points with degrees summing to n."""
+    if n < 0:
+        raise InvalidInputError(f"cycle degree must be >= 0, not {n}")
     if n == 0:
         return [ZeroCycle([])]
     points = enumerate_points(model, 1, budget)
@@ -406,6 +408,8 @@ class QPointSearch:
 
     def search_rational_point(self, height_bound):
         """The first primitive integer zero with |coords| <= bound, or None."""
+        if height_bound < 0:
+            raise InvalidInputError(f"height bound must be >= 0, not {height_bound}")
         coeffs = self._integer_form()
         nv = self.form.nvars
         rng0 = range(0, height_bound + 1)

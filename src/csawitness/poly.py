@@ -465,9 +465,8 @@ def rational_roots(f):
             for p in _divisors(abs(a0)):
                 for q in _divisors(abs(an)):
                     for sign in (1, -1):
-                        cand = Fraction(sign * p, q)
-                        if rest.eval(cand) == 0:
-                            found = cand
+                        if _vanishes_at(ints, sign * p, q):
+                            found = Fraction(sign * p, q)
                             break
                     if found is not None:
                         break
@@ -486,6 +485,17 @@ def rational_roots(f):
         roots.append((found, mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, rest
+
+
+def _vanishes_at(ints, num, den):
+    """Whether sum ints[i] x^i vanishes at x = num / den, den > 0: Horner on
+    the homogenised den^n f(num / den), in ints."""
+    acc = 0
+    den_power = 1
+    for c in reversed(ints):
+        acc = acc * num + c * den_power
+        den_power *= den
+    return acc == 0
 
 
 def _divisors(n):

@@ -166,6 +166,37 @@ def test_index_evidence_hamilton_negative():
     assert isinstance(w, NoWitnessFound) and w.bound == 50
 
 
+def test_index_evidence_rejects_a_negative_bound():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    with pytest.raises(InvalidInputError, match="search bound"):
+        index_evidence(H, search_bound=-1)
+    assert isinstance(index_evidence(H, search_bound=0), NoWitnessFound)
+
+
+def _norm_search_by_fractions(a, b, bound):
+    """The norm search x^2 = a y^2 + b z^2 over Fractions, in the same order."""
+    for x in range(0, bound + 1):
+        for y in range(-bound, bound + 1):
+            for z in range(-bound, bound + 1):
+                if (x, y, z) != (0, 0, 0) and Fraction(x * x) == a * y * y + b * z * z:
+                    return Fraction(x), Fraction(y), Fraction(z)
+    return None
+
+
+def test_quaternion_norm_search_over_q_matches_the_fraction_search():
+    rng = random.Random(8)
+    for _ in range(30):
+        a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        A = make_quaternion(QQ, a, b)
+        want = _norm_search_by_fractions(a, b, 6)
+        w = index_evidence(A, search_bound=6)
+        if want is None:
+            assert isinstance(w, NoWitnessFound)
+        else:
+            assert w.x.coords == (*want, Fraction(0))
+
+
 def test_index_evidence_finite_field_quaternion():
     A = make_quaternion(F5, 2, 3)
     w = index_evidence(A)
@@ -228,17 +259,65 @@ def _preset_algebras():
             ("M2x(1,1)/F3->F9",
              extend_scalars(tensor_product(make_matrix_algebra(F3, 2),
                                            make_quaternion(F3, 1, 1)), F9, F9.lift))]
+    # with the above, each family at each size that the tests, the demos
+    # and the benchmark build: the preset constructors' generators are used
+    # unchecked, so this is their proof
+    F49 = standard_extension(7, 2)
+    out += [(f"M{n}({F!r})", make_matrix_algebra(F, n))
+            for F, sizes in ((F2, range(1, 7)), (F3, range(1, 7)), (F5, (5, 6)),
+                             (F7, range(1, 7)), (QQ, range(1, 5)), (F9, range(1, 5)))
+            for n in sizes]
+    out += [(f"({a},{b})/{F!r}", make_quaternion(F, a, b)) for F, a, b in (
+        (QQ, Fraction(1), Fraction(1)), (QQ, Fraction(-3, 2), Fraction(5)),
+        (F3, 1, 1), (F3, 1, 2), (F3, 2, 2), (F5, 2, 3), (F7, 3, 6),
+        (F49, F49.from_int(3), F49.gen))]
+    out += [("HxH", tensor_product(H, H)),
+            ("M2(F3)x(1,1)", tensor_product(make_matrix_algebra(F3, 2),
+                                            make_quaternion(F3, 1, 1))),
+            ("M2(F5)x(2,3)", tensor_product(make_matrix_algebra(F5, 2),
+                                            make_quaternion(F5, 2, 3))),
+            ("(M2(Q)xH)xH", tensor_product(tensor_product(make_matrix_algebra(QQ, 2), H),
+                                           H))]
     return out
 
 
 @pytest.mark.parametrize("name, A", _preset_algebras())
-def test_closure_generators_span_every_preset(name, A):
+def test_closure_generators_span_every_preset(name, A, monkeypatch):
+    def unexpected(self, gens):
+        raise AssertionError("a preset table re-verified its generators")
+
+    monkeypatch.setattr(Algebra, "_right_closure_is_everything", unexpected)
     gens = A.closure_generators()
     # the preset's own candidates pass verification and are kept
     assert gens == tuple(g.coords for g in algebra_generators(A))
     assert len(gens) < A.dim or A.dim == 1
     assert _word_span_rank(A, gens) == A.dim
     assert A.closure_generators() is gens  # cached
+
+
+def test_rebuilt_presets_stay_trusted_and_explicit_tables_are_checked(monkeypatch):
+    from csawitness.serialize import algebra_from_json, algebra_to_json
+    calls = []
+    check = Algebra._right_closure_is_everything
+
+    def counted(self, gens):
+        calls.append(self.preset.get("kind"))
+        return check(self, gens)
+
+    monkeypatch.setattr(Algebra, "_right_closure_is_everything", counted)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    M2H = tensor_product(make_matrix_algebra(QQ, 2), H)
+    assert algebra_from_json(algebra_to_json(M2H)).closure_generators() \
+        == M2H.closure_generators()
+    assert calls == []
+    explicit = Algebra(QQ, M2H.table, 4, unit=M2H.unit)
+    assert explicit.closure_generators() == tuple(explicit.basis_coords(i)
+                                                  for i in range(16))
+    assert calls == ["explicit"]
+    # a tensor factor with an unchecked preset makes the product checked too
+    assert _reordered_m2(F3).closure_generators()
+    tensor_product(_reordered_m2(F3), make_quaternion(F3, 1, 1)).closure_generators()
+    assert calls[1:] == ["matrix", "tensor"]
 
 
 def _reordered_m2(field):

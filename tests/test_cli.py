@@ -342,3 +342,35 @@ def test_involution_matrix_not_square_exits_2(runner, tmp_path, mutate):
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
     assert "matrix must be 4 x 4" in r.stderr
+
+
+def _one_error_line(r):
+    return (r.exit_code == 2 and r.stdout == "" and len(r.stderr.splitlines()) == 1
+            and r.stderr.startswith("error: "))
+
+
+def test_negative_index_evidence_bound_exits_2(runner, tmp_path):
+    h = tmp_path / "h.json"
+    assert invoke(runner, ["algebra", "new", "--preset", "quaternion", "--field", "q",
+                           "--a", "-1", "--b", "-1", "--out", str(h)]).exit_code == 0
+    r = invoke(runner, ["algebra", "index-evidence", "--algebra", str(h), "--bound", "-1"])
+    assert _one_error_line(r) and "search bound" in r.stderr
+    # bound 0 is a valid, empty search: "verified, and false" as before
+    r = invoke(runner, ["algebra", "index-evidence", "--algebra", str(h), "--bound", "0"])
+    assert r.exit_code == 1
+    assert r.stdout == "no splitting witness up to height 0 (not a proof of division)\n"
+
+
+def test_negative_hgraph_degree_exits_2(runner, tmp_path):
+    form = tmp_path / "q.json"
+    rep = tmp_path / "graph.json"
+    form.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 3}, "nvars": 3,
+        "coeffs": {"0,2": "1", "1,1": "2"}}))
+    r = invoke(runner, ["hgraph", "--model", "quadric", "--form", str(form),
+                        "--n", "-1", "--out", str(rep)])
+    assert _one_error_line(r) and "cycle degree" in r.stderr
+    assert not rep.exists()
+    r = invoke(runner, ["hgraph", "--model", "quadric", "--form", str(form),
+                        "--n", "0", "--out", str(rep)])
+    assert r.exit_code == 0 and r.stdout == "1 vertices, 0 edges, 1 component(s)\n"

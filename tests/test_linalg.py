@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
     charpoly, det, identity, in_row_space, intersect_row_spaces,
-    inverse, kernel, mat_mul, mat_vec, rank, reduce_vector, rref,
+    inverse, kernel, lift_matrix, mat_mul, mat_vec, rank, reduce_vector, rref,
     row_space_rref, solve,
 )
 
@@ -255,3 +255,110 @@ def test_rref_and_rank_match_sympy(case):
     want = [[K.to_int(x) % p for x in r] for r in sym_rows.to_list()[:len(sym_pivots)]]
     assert rref(PrimeField(p), rows) == (want, list(sym_pivots))
     assert rank(PrimeField(p), rows) == dm.rank()
+
+
+# ---------------------------------------------------------------------------
+# the integer core over Q against the Fraction method path and sympy
+
+
+class MethodPathQ:
+    """Q through Rationals' methods, but not a Rationals instance, so linalg
+    and Algebra.mul take the Fraction method path on it."""
+
+    def __init__(self):
+        self._f = QQ
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def q_matrices(draw, max_rows=6, max_cols=7):
+    """Rational matrices, about a third of the entries zero, so that rank
+    drops and zero pivots occur."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_matrices())
+def test_rref_over_q_matches_the_method_path_and_sympy(rows):
+    got = rref(QQ, rows)
+    assert got == rref(MethodPathQ(), rows)
+    assert all(type(x) is Fraction for r in got[0] for x in r)
+    pytest.importorskip("sympy")
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+    dm = DomainMatrix([[SQQ(x.numerator, x.denominator) for x in r] for r in rows],
+                      (len(rows), len(rows[0])), SQQ)
+    sym_rows, sym_pivots = dm.rref()
+    want = [[Fraction(int(SQQ.numer(x)), int(SQQ.denom(x))) for x in r]
+            for r in sym_rows.to_list()[:len(sym_pivots)]]
+    assert got == (want, list(sym_pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_matrices(), st.data())
+def test_mat_vec_over_q_matches_the_method_path_and_sympy(rows, data):
+    v = data.draw(st.lists(rationals, min_size=len(rows[0]), max_size=len(rows[0])))
+    got = mat_vec(QQ, rows, v)
+    assert got == mat_vec(MethodPathQ(), rows, v)
+    assert mat_vec(QQ, rows, v, lift_matrix(QQ, rows)) == got
+    pytest.importorskip("sympy")
+    import sympy
+    want = sympy.Matrix(rows) * sympy.Matrix(v)
+    assert got == [Fraction(int(x.p), int(x.q)) for x in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_matrices(), st.data())
+def test_reduce_vector_over_q_matches_the_method_path(rows, data):
+    basis, pivots = rref(QQ, rows)
+    coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+              for j in range(len(rows[0]))]
+    other = data.draw(st.lists(rationals, min_size=len(rows[0]), max_size=len(rows[0])))
+    lifted = lift_matrix(QQ, basis)
+    for v in (inside, other):
+        want = reduce_vector(MethodPathQ(), basis, pivots, v)
+        assert reduce_vector(QQ, basis, pivots, v) == want
+        assert reduce_vector(QQ, basis, pivots, v, lifted) == want
+        member = in_row_space(QQ, basis, pivots, v)
+        assert member == in_row_space(MethodPathQ(), basis, pivots, v)
+        assert member == in_row_space(QQ, basis, pivots, v, lifted)
+        assert member == (rank(QQ, rows + [v]) == len(basis))
+    assert in_row_space(QQ, basis, pivots, inside)
+
+
+def _q_algebras():
+    from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    return {"M2(Q)": make_matrix_algebra(QQ, 2), "(-1,-1)/Q": H,
+            "M2(Q)x(-1,-1)": tensor_product(make_matrix_algebra(QQ, 2), H),
+            "(-3/2,5/7)/Q": make_quaternion(QQ, Fraction(-3, 2), Fraction(5, 7))}
+
+
+_Q_ALGEBRAS = _q_algebras()
+
+
+@pytest.mark.parametrize("name", sorted(_Q_ALGEBRAS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_algebra_mul_over_q_matches_the_method_path(name, data):
+    from csawitness.algebra import Algebra
+    A = _Q_ALGEBRAS[name]
+    ref = Algebra(MethodPathQ(), A.table, A.degree, unit=A.unit, _trusted=True)
+    assert ref._flat is None and A._flat is not None
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    vec = st.lists(entry, min_size=A.dim, max_size=A.dim).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    got = A.mul(x, y)
+    assert got == ref.mul(x, y)
+    assert all(type(c) is Fraction for c in got)
+    assert A.left_mult_matrix(x) == ref.left_mult_matrix(x)

@@ -217,3 +217,14 @@ def test_closed_point_representatives_are_minimal():
             assert len(orbit) == 2
             assert pt.coords == min(orbit, key=lambda c: tuple(
                 tuple(x) if isinstance(x, tuple) else (x,) for x in c))
+
+
+def test_negative_search_sizes_are_invalid():
+    q = QuadraticForm.diagonal(QQ, [Fraction(1), Fraction(1), Fraction(-2)])
+    for call in (lambda: QPointSearch(q).search_rational_point(-1),
+                 lambda: QPointSearch(q).run(height_bound=-1),
+                 lambda: symmetric_power_points(conic(F3), -1),
+                 lambda: link_graph(conic(F3), -1, QuadricCurves(conic(F3)))):
+        with pytest.raises(InvalidInputError):
+            call()
+    assert QPointSearch(q).search_rational_point(0) is None

@@ -190,3 +190,20 @@ def test_discriminant_detects_repeated_roots_seeded():
     for _ in range(100):
         f = Poly(F5, [F5.random(rng) for _ in range(rng.randint(1, 5))] + [F5.one])
         assert poly_squarefree(f) == (not F5.is_zero(discriminant(f)) if f.degree >= 1 else True)
+
+
+def test_rational_roots_match_a_product_of_known_linear_factors():
+    # roots with denominators, multiplicities and a rootless cofactor: the
+    # integer Horner test must find exactly the roots put in
+    rng = random.Random(11)
+    for _ in range(40):
+        roots = {}
+        f = Poly(QQ, [Fraction(rng.randint(1, 5), rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 4)):
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            roots[r] = roots.get(r, 0) + 1
+            f = f * Poly(QQ, [-r, Fraction(1)])
+        f = f * Poly(QQ, [Fraction(rng.randint(1, 3)), Fraction(0), Fraction(1)])  # x^2 + c
+        got, rest = rational_roots(f)
+        assert got == sorted(roots.items())
+        assert rest.degree == 2 and rest.is_monic()
