@@ -540,12 +540,15 @@ def _cycle_diff(alpha, beta):
 
 
 def _irreducible_quadratics(field):
-    from .poly import is_irreducible
+    """The monic irreducible quadratics x^2 + c1 x + c0 over a finite field,
+    c0 outer and c1 inner in `elements()` order.  A quadratic is irreducible
+    exactly when it has no root in the field."""
+    elements = list(field.elements())
     out = []
-    for c0 in field.elements():
-        for c1 in field.elements():
+    for c0 in elements:
+        for c1 in elements:
             f = Poly(field, [c0, c1, field.one])
-            if is_irreducible(f):
+            if not any(field.is_zero(f.eval(t)) for t in elements):
                 out.append(f)
     return out
 
@@ -558,9 +561,11 @@ def link_graph(model, n, curves, budget=10 ** 7):
     another whose F_{q^d} representatives are linked by a curve over that
     extension; (fiber) trade a pair of rational points on a verified curve
     for the closed point swept out at a conjugate parameter pair, via a
-    pencil of degree-2 parameter divisors.  Every edge re-verifies its
-    witness before insertion.  One component is evidence consistent with
-    cycle triviality, never a proof.
+    pencil of degree-2 parameter divisors.  Each distinct witness, one per
+    ordered (degree, point, point) link, is verified over every element of
+    `curves.field_at(degree)` once, before its first edge; a link that fails
+    or does not verify adds no edge.  One component is evidence consistent
+    with cycle triviality, never a proof.
     """
     if curves is None:
         raise InvalidInputError("a curve supplier is required")
@@ -582,6 +587,19 @@ def link_graph(model, n, curves, budget=10 ** 7):
         edges.append(GraphEdge(i, j, move, witness, data))
         union(i, j)
 
+    links = {}
+
+    def verified_link(d, x, y):
+        """The curve linking x to y over F_{q^d}, verified, or None."""
+        key = (d, x, y)
+        if key not in links:
+            w = curves.link(d, x, y)
+            if w is not None and not verify_witness(
+                    w, list(curves.field_at(d).elements())).passed:
+                w = None
+            links[key] = w
+        return links[key]
+
     base = model.base_field
 
     # moves (point) and (transfer): vertices differing in one closed point
@@ -595,12 +613,8 @@ def link_graph(model, n, curves, budget=10 ** 7):
             if pa.degree != pb.degree:
                 continue
             d = pa.degree
-            w = curves.link(d, pa.coords, pb.coords)
+            w = verified_link(d, pa.coords, pb.coords)
             if w is None:
-                continue
-            field = curves.field_at(d)
-            rep = verify_witness(w, list(field.elements()))
-            if not rep.passed:
                 continue
             move = "point" if d == 1 else "transfer"
             add_edge(i, j, move, w, {"degree": d})
@@ -623,13 +637,10 @@ def link_graph(model, n, curves, budget=10 ** 7):
             for (j, q1, q2) in pairs_by_gamma.get(gamma, ()):
                 if find(i) == find(j):
                     continue  # already linked; keep the graph lean
-                w = curves.link(1, q1.coords, q2.coords)
+                w = verified_link(1, q1.coords, q2.coords)
                 if w is None or len(w.segments) != 1:
                     continue
                 seg = w.segments[0]
-                rep = verify_witness(w, list(base.elements()))
-                if not rep.passed:
-                    continue
                 hit = _fiber_hit(model, seg, quadratics, ext, P)
                 if hit is None:
                     continue

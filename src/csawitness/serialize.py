@@ -267,6 +267,14 @@ def _segment_to_json(w):
     return seg
 
 
+def _check_nvars(form, what, **lists):
+    """Raise unless each named list has one entry per variable of the form."""
+    for key, value in lists.items():
+        if len(value) != form.nvars:
+            raise InvalidInputError(f"{what} {key} has {len(value)} entries, "
+                                    f"but the form has {form.nvars} variables")
+
+
 def _segment_from_json(seg, algebra, form):
     kind = json_get(seg, "kind", str)
     if kind in (IDEAL_PENCIL, FLAG_PENCIL, ETALE_LINE):
@@ -296,6 +304,8 @@ def _segment_from_json(seg, algebra, form):
         data = {"coord_polys": [_poly_from_json(field, p, "coord_polys")
                                 for p in json_get(seg, "coord_polys", list)],
                 "aux": _vec_at(field, seg, "aux")}
+        _check_nvars(form, kind, coord_polys=data["coord_polys"], start=start,
+                     end=end, aux=data["aux"])
     return PencilWitness(kind, start, end, validity, data,
                          algebra=algebra, form=form, meta=meta)
 
@@ -340,6 +350,7 @@ def witness_from_json(data):
             raise InvalidInputError("an empty chain needs a form")
         start = _vec_at(form.field, data, "start")
         end = _vec_at(form.field, data, "end")
+        _check_nvars(form, "empty chain", start=start, end=end)
         return WitnessChain([], start=start, end=end)
     segments = [_segment_from_json(s, algebra, form)
                 for s in json_get(data, "segments", list)]

@@ -759,6 +759,10 @@ def connect_quadric_points(form, p1, p2, points=None, search_bound=3):
     """A chain of at most two conic segments on the quadric linking two
     rational points, through auxiliary points off both tangent hyperplanes."""
     field = form.field
+    for p in (p1, p2):
+        if len(p) != form.nvars:
+            raise InvalidInputError(f"endpoint has {len(p)} coordinates, "
+                                    f"but the form has {form.nvars} variables")
     p1 = normalize_point(field, p1)
     p2 = normalize_point(field, p2)
     for p in (p1, p2):
@@ -768,17 +772,24 @@ def connect_quadric_points(form, p1, p2, points=None, search_bound=3):
         return WitnessChain([], start=p1, end=p2)
 
     def good_aux(p, a, b):
-        if p is None or p == a or p == b:
-            return False
-        if not field.is_zero(form.eval(p)):
+        """Whether the quadric point p is off both tangent hyperplanes at a
+        and b and off the line through them."""
+        if p == a or p == b:
             return False
         if field.is_zero(form.bilinear(p, a)) or field.is_zero(form.bilinear(p, b)):
             return False
         return rank(field, [list(a), list(b), list(p)]) == 3
 
-    candidates = [p for p in _aux_candidates(form, points, search_bound)
-                  if p is not None and field.is_zero(form.eval(p))]
-    for p in candidates:
+    # One lazy pass in candidate order returns the first good point as soon
+    # as it is seen, which is the first good point of the filtered list:
+    # only None and off-quadric points, which are never good, are skipped.
+    # If no point is good, the pass has seen every candidate, so the
+    # fallback below walks the whole filtered list.
+    candidates = []
+    for p in _aux_candidates(form, points, search_bound):
+        if p is None or not field.is_zero(form.eval(p)):
+            continue
+        candidates.append(p)
         if good_aux(p, p1, p2):
             return WitnessChain([_quadric_segment(form, p1, p2, p)])
     # two segments through an intermediate point

@@ -374,3 +374,60 @@ def test_negative_hgraph_degree_exits_2(runner, tmp_path):
     r = invoke(runner, ["hgraph", "--model", "quadric", "--form", str(form),
                         "--n", "0", "--out", str(rep)])
     assert r.exit_code == 0 and r.stdout == "1 vertices, 0 edges, 1 component(s)\n"
+
+
+def _conic_f3(tmp_path):
+    form = tmp_path / "q.json"
+    form.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 3}, "nvars": 3,
+        "coeffs": {"0,2": "1", "1,1": "2"}}))
+    return form
+
+
+@pytest.mark.parametrize("p1", ["0,1", "0,0,1,0"], ids=["short", "long"])
+def test_connect_quadric_wrong_length_endpoint_exits_2(runner, tmp_path, p1):
+    w = tmp_path / "w.json"
+    r = invoke(runner, ["witness", "connect-quadric", "--form", str(_conic_f3(tmp_path)),
+                        "--p1", p1, "--p2", "0,0,1", "--out", str(w)])
+    assert _one_error_line(r)
+    assert f"endpoint has {len(p1.split(','))} coordinates" in r.stderr
+    assert "3 variables" in r.stderr
+    assert not w.exists()
+
+
+_SEGMENT_TAMPERS = {
+    "drop_coord_poly": (lambda s: s["coord_polys"].pop(), "coord_polys has 2 entries"),
+    "no_coord_polys": (lambda s: s["coord_polys"].clear(), "coord_polys has 0 entries"),
+    "short_start": (lambda s: s["start"].pop(), "start has 2 entries"),
+    "long_end": (lambda s: s["end"].append("0"), "end has 4 entries"),
+    "short_aux": (lambda s: s["aux"].pop(), "aux has 2 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEGMENT_TAMPERS))
+def test_malformed_quadric_segment_exits_2(runner, tmp_path, case):
+    w = tmp_path / "w.json"
+    assert invoke(runner, ["witness", "connect-quadric", "--form", str(_conic_f3(tmp_path)),
+                           "--p1", "1,0,0", "--p2", "0,0,1",
+                           "--out", str(w)]).exit_code == 0
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0 and r.stdout == "pass: 7 checks\n"
+    tamper, message = _SEGMENT_TAMPERS[case]
+    data = json.loads(w.read_text())
+    tamper(data["segments"][0])
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r)
+    assert f"quadric_line {message}, but the form has 3 variables" in r.stderr
+
+
+def test_malformed_empty_chain_exits_2(runner, tmp_path):
+    w = tmp_path / "w.json"
+    assert invoke(runner, ["witness", "connect-quadric", "--form", str(_conic_f3(tmp_path)),
+                           "--p1", "1,0,0", "--p2", "1,0,0",
+                           "--out", str(w)]).exit_code == 0
+    data = json.loads(w.read_text())
+    data["start"].pop()
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r) and "empty chain start has 2 entries" in r.stderr

@@ -6,7 +6,9 @@ change that alters any output byte fails here.
 """
 
 import hashlib
+import json
 
+import pytest
 from click.testing import CliRunner
 
 from csawitness.cli import main
@@ -203,3 +205,33 @@ def test_golden_etale_m3f7(tmp_path, monkeypatch):
 
 def test_golden_exp2_m4f7(tmp_path, monkeypatch):
     _check("exp2_m4f7", EXP2_M4F7, tmp_path, monkeypatch)
+
+
+# `csaw hgraph --n 2` on one form of each size the benchmark draws from
+HGRAPH_FORMS = {
+    "f2_surface": ({"field": {"kind": "prime", "p": 2}, "nvars": 4,
+                    "coeffs": {"0,1": "1", "0,2": "1", "1,2": "1", "1,3": "1",
+                               "2,2": "1"}},
+                   "3c3a6549d4e7a56a91927db9b69982325e44faaf76cbb700a1ddb7d0e7a316bb",
+                   "6838eb510483e7de886aa2f3a53423a93b7dd1ae89cd3f92f8027d9bbc6b61e7"),
+    "f3_conic": ({"field": {"kind": "prime", "p": 3}, "nvars": 3,
+                  "coeffs": {"0,1": "2", "0,2": "1", "1,1": "1", "2,2": "1"}},
+                 "fef7a113d8c22bb03f4199fdd8b55d76d79575b6edc3dc62c4755be0f9966547",
+                 "87b3022d9ab76fc92c01cb38ba0ca3a24132637b69acd914dbb5cea43c60cb69"),
+    "f5_conic": ({"field": {"kind": "prime", "p": 5}, "nvars": 3,
+                  "coeffs": {"0,1": "3", "0,2": "4", "1,1": "3", "2,2": "2"}},
+                 "ceb5cb29c253c4b2a6085fa284830d3c4d94d6f7df4313f75451a30d90dfb27d",
+                 "6dafd8c8ec18fa63ac36b8f308666db35703ff53bd9911a143d6293aebae14bf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HGRAPH_FORMS))
+def test_golden_hgraph(tmp_path, monkeypatch, name):
+    form, stdout_sha, graph_sha = HGRAPH_FORMS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(json.dumps(form))
+    r = CliRunner().invoke(main, ["hgraph", "--model", "quadric", "--form", "q.json",
+                                  "--n", "2", "--out", "g.json"], catch_exceptions=False)
+    assert r.exit_code == 0, r.output
+    assert (_sha(r.stdout.encode()), _sha((tmp_path / "g.json").read_bytes())) == \
+        (stdout_sha, graph_sha)

@@ -1,16 +1,18 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from csawitness import pointcount
 from csawitness.arith import gaussian_binomial
 from csawitness.errors import BudgetExceededError, InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.poly import Poly
+from csawitness.poly import Poly, is_irreducible
 from csawitness.pointcount import (
     ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
     QuadricCurves, QuadricModel, ZeroCycle, enumerate_points, frobenius_coords,
     frobenius_orbit, link_graph, scheme_index_bound, symmetric_power_points,
-    transfer_cycle,
+    _irreducible_quadratics, transfer_cycle,
 )
 from csawitness.quadrics import QuadraticForm
 
@@ -228,3 +230,80 @@ def test_negative_search_sizes_are_invalid():
         with pytest.raises(InvalidInputError):
             call()
     assert QPointSearch(q).search_rational_point(0) is None
+
+
+# ---------------------------------------------------------------------------
+# link_graph: each ordered point pair is linked and verified once per graph
+
+
+class CountingCurves(QuadricCurves):
+    """QuadricCurves that counts its link calls per ordered (d, x, y)."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.calls = Counter()
+
+    def link(self, d, x, y):
+        self.calls[(d, x, y)] += 1
+        return super().link(d, x, y)
+
+
+@pytest.mark.parametrize("model, expected", [
+    # vertices, edges, components and edges by move of each graph
+    (conic(F3), (9, 16, 1, {"fiber": 1, "point": 12, "transfer": 3})),
+    (conic(F5), (25, 106, 1, {"fiber": 1, "point": 60, "transfer": 45})),
+    (split_surface(F2), (44, 281, 1, {"fiber": 1, "point": 252, "transfer": 28})),
+], ids=["conic_f3", "conic_f5", "surface_f2"])
+def test_link_graph_links_and_verifies_each_pair_once(monkeypatch, model, expected):
+    verified = Counter()
+    real_verify = pointcount.verify_witness
+
+    def counting_verify(w, samples=None):
+        verified[id(w)] += 1
+        return real_verify(w, samples)
+
+    monkeypatch.setattr(pointcount, "verify_witness", counting_verify)
+    curves = CountingCurves(model)
+    report = link_graph(model, 2, curves)
+    moves = Counter(e.move for e in report.edges)
+    assert (len(report.vertices), len(report.edges), report.components,
+            dict(moves)) == expected
+    assert set(curves.calls.values()) == {1}
+    assert set(verified.values()) == {1}
+    assert {id(e.witness) for e in report.edges} <= set(verified)
+
+
+class BrokenCurves(QuadricCurves):
+    """Links whose first coordinate polynomial is shifted by 1 at the given
+    degrees: the curve no longer starts at x, so verification fails."""
+
+    def __init__(self, model, degrees):
+        super().__init__(model)
+        self.degrees = degrees
+
+    def link(self, d, x, y):
+        w = super().link(d, x, y)
+        if w is not None and d in self.degrees:
+            for seg in w.segments:
+                polys = seg.data["coord_polys"]
+                polys[0] = polys[0] + Poly(polys[0].field, [polys[0].field.one])
+        return w
+
+
+def test_link_graph_adds_no_edge_for_unverified_witnesses():
+    model = conic(F3)
+    report = link_graph(model, 2, BrokenCurves(model, {1}))
+    # without verified rational links neither point nor fiber moves exist
+    assert {e.move for e in report.edges} == {"transfer"}
+    report = link_graph(model, 2, BrokenCurves(model, {1, 2}))
+    assert report.edges == [] and report.components == len(report.vertices)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, PrimeField(7)], ids=str)
+def test_irreducible_quadratics_match_factorization(field):
+    expected = [Poly(field, [c0, c1, field.one])
+                for c0 in field.elements() for c1 in field.elements()
+                if is_irreducible(Poly(field, [c0, c1, field.one]))]
+    got = _irreducible_quadratics(field)
+    assert [g.coeffs for g in got] == [f.coeffs for f in expected]
+    assert len(got) == (field.p ** 2 - field.p) // 2

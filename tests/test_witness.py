@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from csawitness.algebra import (
     make_matrix_algebra, make_quaternion, tensor_product,
 )
-from csawitness.errors import InvalidInputError
+from csawitness.errors import FieldTooSmallError, InvalidInputError
 from csawitness.etale import (
     generate_etale, is_et_m_point, random_balanced_pair_subalgebra,
     random_maximal_etale,
@@ -19,6 +20,7 @@ from csawitness.involutions import (
     SYMPLECTIC, adjoint_involution, quaternion_conjugation,
     standard_alternating_matrix, transpose_involution,
 )
+from csawitness.linalg import rank
 from csawitness.poly import Poly
 from csawitness.quadrics import QuadraticForm, normalize_point
 from csawitness.witness import (
@@ -439,6 +441,68 @@ def test_quadric_rejects_off_quadric_points():
     q = QuadraticForm.diagonal(F5, [F5.one, F5.one, F5.one])
     with pytest.raises(InvalidInputError):
         connect_quadric_points(q, (1, 0, 0), (0, 1, 0))
+
+
+def _eager_chain(form, p1, p2, points):
+    """(start, end, aux) per segment of the chain connect_quadric_points
+    built when it filtered every candidate before the first pass; None where
+    it raised FieldTooSmallError."""
+    field = form.field
+    p1, p2 = normalize_point(field, p1), normalize_point(field, p2)
+    if p1 == p2:
+        return []
+
+    def good_aux(p, a, b):
+        if p is None or p == a or p == b:
+            return False
+        if not field.is_zero(form.eval(p)):
+            return False
+        if field.is_zero(form.bilinear(p, a)) or field.is_zero(form.bilinear(p, b)):
+            return False
+        return rank(field, [list(a), list(b), list(p)]) == 3
+
+    candidates = [p for p in (normalize_point(field, v) for v in points)
+                  if p is not None and field.is_zero(form.eval(p))]
+    for p in candidates:
+        if good_aux(p, p1, p2):
+            return [(p1, p2, p)]
+    for r in candidates:
+        if r in (p1, p2):
+            continue
+        aux1 = next((p for p in candidates if good_aux(p, p1, r)), None)
+        if aux1 is None:
+            continue
+        aux2 = next((p for p in candidates if good_aux(p, r, p2)), None)
+        if aux2 is None:
+            continue
+        return [(p1, r, aux1), (r, p2, aux2)]
+    return None
+
+
+def test_quadric_lazy_candidates_match_eager_filter():
+    # xw = yz over F_3; supplied lists mix quadric points with the endpoints,
+    # zero vectors and points off the quadric, in random order
+    q = QuadraticForm(F3, 4, {(0, 3): F3.one, (1, 2): F3.neg(F3.one)})
+    from csawitness.quadrics import points_on_quadric
+    on = points_on_quadric(q)
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(200):
+        p1, p2 = rng.choice(on), rng.choice(on)
+        junk = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(3)]
+        points = rng.sample(on, rng.randrange(6)) + junk + [(0, 0, 0, 0), p1, p2]
+        rng.shuffle(points)
+        expected = _eager_chain(q, p1, p2, points)
+        try:
+            chain = connect_quadric_points(q, p1, p2, points=points)
+        except FieldTooSmallError:
+            got = None
+        else:
+            got = [(s.start, s.end, s.data["aux"]) for s in chain.segments]
+        assert got == expected
+        outcomes[None if got is None else len(got)] += 1
+    # every branch ran: trivial, one segment, two segments, too few points
+    assert set(outcomes) == {0, 1, 2, None}
 
 
 def test_default_symplectic_involution_presets():
