@@ -1,11 +1,14 @@
-"""Exact linear algebra and resultants over the polynomial ring F[t].
+"""Polynomials in the pencil parameter t: exact computations over F[t].
 
 Witness constructors certify membership along a pencil by a single
-polynomial in the parameter; everything here is fraction-free (Bareiss
-elimination, Sylvester determinants, cross-multiplied solves with exact
-back substitution), so no rational-function arithmetic is ever needed.
+polynomial in t.  Determinants and resultants with entries in F[t] use one
+fraction-free kernel, Bareiss elimination (polymat_det); the minimal
+polynomial of a line t*a + (1-t)*b is one linear solve over F (rref) for the
+coefficients of its coefficients.  No rational-function arithmetic is ever
+needed.
 """
 
+from .linalg import rref
 from .poly import Poly
 
 
@@ -84,100 +87,54 @@ def xpoly_discriminant(fc):
     return res
 
 
-def solve_poly_linear(rows, rhs):
-    """Solve rows . x = rhs for polynomial unknowns, or None.
-
-    Cross-multiplied forward elimination keeps everything in F[t]; back
-    substitution divides exactly (a nonzero remainder means there is no
-    polynomial solution).  All original equations are re-verified.
-    """
-    base = rhs[0].field
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    cur = 0
-    for col in range(ncols):
-        piv = next((i for i in range(cur, len(aug)) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            return None  # the unknowns are linearly dependent: degenerate pencil
-        aug[cur], aug[piv] = aug[piv], aug[cur]
-        pr = aug[cur]
-        for i in range(cur + 1, len(aug)):
-            if aug[i][col].is_zero():
-                continue
-            fi = aug[i][col]
-            aug[i] = [pr[col] * aug[i][j] - fi * pr[j] for j in range(len(pr))]
-        cur += 1
-        if cur == ncols:
-            break
-    xs = [None] * ncols
-    for r in range(ncols - 1, -1, -1):
-        row = aug[r]
-        acc = row[-1]
-        for j in range(r + 1, ncols):
-            acc = acc - row[j] * xs[j]
-        try:
-            xs[r] = acc.exact_div(row[r])
-        except Exception:
-            return None
-    for r, b in zip(rows, rhs):
-        acc = Poly.zero(base)
-        for c, x in zip(r, xs):
-            acc = acc + c * x
-        if acc != b:
-            return None
-    return xs
-
-
-def algebra_mul_polys(A, x, y):
-    """Multiply two elements of A (x) F[t]; coordinates are Polys in t."""
-    base = A.field
-    zero = Poly.zero(base)
-    out = [zero] * A.dim
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        ti = A.table[i]
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            prod = xi * yj
-            for k, c in ti[j]:
-                out[k] = out[k] + prod.scale(c)
-    return tuple(out)
-
-
-def constant_coords(A, coords):
-    base = A.field
-    return tuple(Poly.constant(base, c) for c in coords)
-
-
-def eval_coords(coord_polys, t):
-    return tuple(p.eval(t) for p in coord_polys)
-
-
 def line_coords(field, start, end):
     """Coordinates of t*start + (1-t)*end as degree-1 polynomials."""
     return tuple(Poly(field, [e, field.sub(s, e)]) for s, e in zip(start, end))
 
 
-def pencil_min_poly(A, coord_polys, d):
-    """Monic degree-d annihilator of a pencil element, coefficients in F[t].
+def pencil_min_poly(A, start, end, d):
+    """Monic degree-d minimal polynomial of x(t) = t*start + (1-t)*end over F(t).
 
-    Returns the coefficient list [c_0(t), ..., c_{d-1}(t), 1] or None when
-    the powers 1, x(t), ..., x(t)^{d-1} are generically dependent or no
-    polynomial solution exists (the pencil is degenerate for this degree).
-    Full column rank of the power matrix makes the result the minimal
-    polynomial of x(t) over F(t).
+    Returns the coefficient list [c_0(t), ..., c_{d-1}(t), 1] of Polys in t,
+    or None when x(t) has no minimal polynomial of degree d over F(t) (the
+    line is degenerate for this degree).
+
+    x(t) = end + t*(start - end) is linear in t, so the coefficient of t^i
+    in x(t)^j is a constant vector of A.  The identity
+    sum_{j<d} c_j(t) x(t)^j = -x(t)^d, read coefficient by coefficient in t,
+    is one linear system over F whose unknowns are the coefficients of the
+    c_j, with deg c_j <= d - j.  The system is exact:
+
+    * x(t) is integral over F[t], so its minimal polynomial over F(t) is
+      monic with coefficients in F[t] (Gauss's lemma), and its roots have
+      valuation >= -1 at t = infinity, so deg c_j <= d - j.  When that
+      polynomial has degree d it solves the system, and it is the only
+      solution because 1, ..., x(t)^{d-1} are independent over F(t).
+    * If the minimal polynomial has degree m < d, its coefficients (with
+      c_m = 1) are a nonzero solution of the homogeneous system within the
+      same bounds, so some unknown is free; if it has degree > d, the
+      system is inconsistent.  Either way the result is None.
     """
-    base = A.field
-    powers = [constant_coords(A, A.unit)]
+    f = A.field
+    step = A.sub(start, end)
+    # powers[j][i]: coefficient of t^i in x(t)^j
+    powers = [[A.unit]]
     for _ in range(d):
-        powers.append(algebra_mul_polys(A, powers[-1], coord_polys))
-    rows, rhs = [], []
-    for m in range(A.dim):
-        rows.append([powers[j][m] for j in range(d)])
-        rhs.append(-powers[d][m])
-    sol = solve_poly_linear(rows, rhs)
-    if sol is None:
+        prev = powers[-1]
+        cur = [A.mul(prev[0], end)]
+        for i in range(1, len(prev)):
+            cur.append(A.add(A.mul(prev[i], end), A.mul(prev[i - 1], step)))
+        cur.append(A.mul(prev[-1], step))
+        powers.append(cur)
+    unknowns = [(j, k) for j in range(d) for k in range(d - j + 1)]
+    rows = []
+    for i in range(d + 1):
+        terms = [powers[j][i - k] if 0 <= i - k <= j else None for j, k in unknowns]
+        for m in range(A.dim):
+            rows.append([f.zero if v is None else v[m] for v in terms]
+                        + [f.neg(powers[d][i][m])])
+    basis, pivots = rref(f, rows)
+    if pivots != list(range(len(unknowns))):
         return None
-    return sol + [Poly.one(base)]
+    sol = iter(row[-1] for row in basis)
+    return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]

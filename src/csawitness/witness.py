@@ -28,9 +28,7 @@ from .involutions import (
 )
 from .linalg import kernel, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_squarefree
-from .polyrings import (
-    eval_coords, line_coords, pencil_min_poly, polymat_det, xpoly_discriminant,
-)
+from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
 
 PARAM_CONVENTION = "t1_start_t0_end"
@@ -124,7 +122,7 @@ class PencilWitness:
         return generate_etale(self._etale_generator_at(t))
 
     def _eval_quadric(self, t):
-        pt = normalize_point(self.field, eval_coords(self.data["coord_polys"], t))
+        pt = normalize_point(self.field, tuple(p.eval(t) for p in self.data["coord_polys"]))
         if pt is None:
             raise StructuralError(f"curve coordinates vanish at t={t}")
         return pt
@@ -296,9 +294,12 @@ def _pencil_validity(pres, wvecs, wpvecs):
     Candidate column subsets come from the rref pivots at t = 1 and t = 0; a
     minor that is nonzero at both endpoints is preferred, otherwise the one
     from t = 1 is used (it cannot vanish identically, and the endpoints are
-    verified exactly anyway).
+    verified exactly anyway).  A zero level (no vectors) is constant along
+    the pencil; its minor is the empty one, 1.
     """
     field = pres.field
+    if not wvecs:
+        return Poly.one(field)
     dbasis = pres.d_basis_coords()
     base_rows_t1 = [pres.vec_times_d(v, d) for v in wvecs for d in dbasis]
     base_rows_t0 = [pres.vec_times_d(v, d) for v in wpvecs for d in dbasis]
@@ -385,10 +386,8 @@ def connect_flags(flag, flag_prime):
         wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
         wpb = pres.d_basis_of(pres.image_subspace(Ip), extend_from=wpb)
     levels = [rd // pres.ind for rd in sig]
-    if flag == flag_prime:
-        validity = Poly.one(A.field)
-    else:
-        validity = Poly.one(A.field)
+    validity = Poly.one(A.field)
+    if flag != flag_prime:
         for lvl in levels:
             validity = validity * _pencil_validity(pres, wb[:lvl], wpb[:lvl])
     w = PencilWitness(FLAG_PENCIL, flag, flag_prime, validity,
@@ -409,8 +408,7 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
     """An etale_line segment with validity = discriminant of the pencil
     minimal polynomial (a polynomial in t), or None if the line is
     degenerate for this degree."""
-    coord_polys = line_coords(A.field, gen_start.coords, gen_end.coords)
-    mp = pencil_min_poly(A, coord_polys, degree)
+    mp = pencil_min_poly(A, gen_start.coords, gen_end.coords, degree)
     if mp is None:
         return None
     validity = xpoly_discriminant(mp)

@@ -1,11 +1,16 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
+from csawitness import serialize
+from csawitness.algebra import make_matrix_algebra
 from csawitness.cli import main
+from csawitness.fields import PrimeField
+from csawitness.ideals import Flag, random_ideal, zero_ideal
 
 
 @pytest.fixture
@@ -431,3 +436,22 @@ def test_malformed_empty_chain_exits_2(runner, tmp_path):
     w.write_text(json.dumps(data))
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert _one_error_line(r) and "empty chain start has 2 entries" in r.stderr
+
+
+def test_connect_flags_with_zero_level(runner, tmp_path):
+    # signature (0, 1): the zero level is constant along the pencil
+    A = make_matrix_algebra(PrimeField(5), 3)
+    a = tmp_path / "a.json"
+    serialize.save_json(serialize.algebra_to_json(A), a)
+    paths = []
+    for seed in (1, 2):
+        fl = Flag([zero_ideal(A), random_ideal(A, 1, random.Random(seed))])
+        paths.append(tmp_path / f"f{seed}.json")
+        serialize.save_json(serialize.flag_to_json(fl), paths[-1])
+    w = tmp_path / "w.json"
+    r = invoke(runner, ["witness", "connect-flags", "--algebra", str(a),
+                        "--from", str(paths[0]), "--to", str(paths[1]), "--out", str(w)])
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("pass")

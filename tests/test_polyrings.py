@@ -1,0 +1,209 @@
+"""The F[t] kernels: Bareiss determinants, pencil discriminants and the
+pencil minimal polynomial, each checked against its specialisation at t."""
+
+import hashlib
+import json
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from csawitness.algebra import (
+    make_matrix_algebra, make_quaternion, poly_eval_at_element,
+    reduced_char_poly, tensor_product,
+)
+from csawitness.fields import QQ, PrimeField, standard_extension
+from csawitness.involutions import sym_basis
+from csawitness.linalg import det
+from csawitness.poly import Poly, discriminant
+from csawitness.polyrings import pencil_min_poly, polymat_det, xpoly_discriminant
+from csawitness.witness import default_samples, default_symplectic_involution
+
+F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
+
+
+def random_poly(field, rng, degree):
+    return Poly(field, [field.random(rng) for _ in range(degree + 1)])
+
+
+# ---------------------------------------------------------------------------
+# polymat_det
+
+
+def test_polymat_det_matches_det_at_every_sample():
+    rng = random.Random(31)
+    for field in (F7, QQ):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = [[random_poly(field, rng, 1) for _ in range(n)] for _ in range(n)]
+            d = polymat_det(m)
+            for t in default_samples(field):
+                at_t = [[p.eval(t) for p in row] for row in m]
+                assert d.eval(t) == det(field, at_t)
+
+
+def test_polymat_det_singular_pencil_is_zero():
+    rng = random.Random(5)
+    row = [random_poly(F7, rng, 1) for _ in range(3)]
+    m = [row, [random_poly(F7, rng, 1) for _ in range(3)], row]
+    assert polymat_det(m).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# xpoly_discriminant
+
+
+def check_discriminant(field, fc):
+    disc = xpoly_discriminant(fc)
+    for t in default_samples(field):
+        assert disc.eval(t) == discriminant(Poly(field, [c.eval(t) for c in fc]))
+
+
+def test_xpoly_discriminant_matches_specialisation():
+    rng = random.Random(17)
+    for field in (F7, QQ):
+        for _ in range(30):
+            d = rng.randint(1, 4)
+            fc = [random_poly(field, rng, rng.randint(0, d - j)) for j in range(d)]
+            check_discriminant(field, fc + [Poly.one(field)])
+
+
+def test_xpoly_discriminant_degree_one_is_one():
+    fc = [Poly(F7, [3, 5]), Poly.one(F7)]
+    assert xpoly_discriminant(fc) == Poly.one(F7)
+    check_discriminant(F7, fc)
+
+
+def test_xpoly_discriminant_char_divides_degree():
+    # over F_3 the x^2 term of f' = 3x^2 + ... vanishes, so the Sylvester
+    # matrix is built from a derivative of lower degree
+    rng = random.Random(23)
+    for _ in range(30):
+        fc = [random_poly(F3, rng, 3 - j) for j in range(3)] + [Poly.one(F3)]
+        check_discriminant(F3, fc)
+    # x^3 + c(t) is inseparable at every t: its discriminant is 0
+    assert xpoly_discriminant([Poly(F3, [1, 2]), Poly.zero(F3), Poly.zero(F3),
+                               Poly.one(F3)]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# pencil_min_poly
+
+def encode(mp):
+    return None if mp is None else [c.to_json() for c in mp]
+
+
+def pinned_algebras():
+    H = make_quaternion(QQ, -1, -1)
+    return {
+        "m3f7": make_matrix_algebra(F7, 3),
+        "m4f5": make_matrix_algebra(F5, 4),
+        "m2f9": make_matrix_algebra(standard_extension(3, 2), 2),
+        "hq": H,
+        "m2hq": tensor_product(make_matrix_algebra(QQ, 2), H),
+    }
+
+
+def seeded_lines(name, A):
+    """Three lines between random elements, drawn from Random(name)."""
+    rng = random.Random(name)
+    out = []
+    for _ in range(3):
+        s = A.random_element(rng).coords
+        e = A.random_element(rng).coords
+        out.append(encode(pencil_min_poly(A, s, e, A.degree)))
+    return out
+
+
+# sha256 of the JSON of seeded_lines, recorded with the earlier
+# implementation (a Poly-entry elimination over F[t])
+PINNED = {
+    "m3f7": "bb4615ab1d52910ba3df34dbfab910eb28dc201b28a9b1449603b0049e509592",
+    "m4f5": "e8ea0944bf1888c8cfb395a3230caa5916d113f043bee32fa6b7f1e92e8d5adb",
+    "m2f9": "ac575939f91e14ca968a7936b90fe0674782c194cc3f1eb394c5ca1650c4fa1b",
+    "hq": "2c55a57d7332c7a9e3b4770328c672acd3b6623464a5945ed5604ff08bf374a5",
+    "m2hq": "4fb6178431da917ba9f8ed20665a4d7a6afa9734ea1864a06bc959e803c133ac",
+}
+
+
+def test_pencil_min_poly_pinned():
+    for name, A in pinned_algebras().items():
+        lines = seeded_lines(name, A)
+        digest = hashlib.sha256(json.dumps(lines).encode()).hexdigest()
+        assert digest == PINNED[name], (name, lines)
+
+
+def test_pencil_min_poly_pinned_values():
+    A = pinned_algebras()["hq"]
+    assert seeded_lines("hq", A)[0] == [["429/8", "-353/4", "587/16"], ["-5/2", "19/6"], ["1"]]
+    A = pinned_algebras()["m2f9"]
+    assert seeded_lines("m2f9", A)[1] == [[["0", "0"], ["0", "0"], ["2", "2"]],
+                                          [["2", "1"], ["1", "1"]], [["1", "0"]]]
+
+
+def test_pencil_min_poly_half_degree_line():
+    # symmetric elements of a symplectic involution on M4 have degree-2
+    # minimal polynomials, and so does every point of a line between two
+    A = make_matrix_algebra(F5, 4)
+    basis = sym_basis(default_symplectic_involution(A))
+    rng = random.Random("half")
+
+    def combination():
+        acc = A.zero_coords()
+        for b in basis:
+            acc = A.add(acc, A.smul(F5.random(rng), b))
+        return acc
+
+    s, e = combination(), combination()
+    assert encode(pencil_min_poly(A, s, e, 2)) == [["3", "3", "1"], ["4", "3"], ["1"]]
+    # a generic line has a degree-4 minimal polynomial, so degree 2 fails
+    rng = random.Random(3)
+    s, e = A.random_element(rng).coords, A.random_element(rng).coords
+    assert pencil_min_poly(A, s, e, 4) is not None
+    assert pencil_min_poly(A, s, e, 2) is None
+
+
+def test_pencil_min_poly_scalar_line():
+    for A in (make_matrix_algebra(F7, 3), make_quaternion(QQ, -1, -1)):
+        f = A.field
+        c = A.smul(f.from_int(3), A.unit)
+        for d in range(2, A.degree + 1):
+            assert pencil_min_poly(A, c, c, d) is None
+        assert pencil_min_poly(A, c, c, 1) == [Poly.constant(f, f.from_int(-3)), Poly.one(f)]
+
+
+@st.composite
+def f7_lines(draw):
+    """(A, start, end, d) on M2 or M3 over F_7.  A structured line runs
+    between diagonal matrices with at most d distinct entries, so its
+    minimal polynomial has degree at most d."""
+    n = draw(st.sampled_from([2, 3]))
+    A = make_matrix_algebra(F7, n)
+    d = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        ends = []
+        for _ in range(2):
+            vals = draw(st.lists(st.integers(0, 6), min_size=d, max_size=d))
+            diag = [vals[min(i, d - 1)] for i in range(n)]
+            ends.append(tuple(diag[i] if i == j else 0
+                              for i in range(n) for j in range(n)))
+        return A, ends[0], ends[1], d
+    coords = st.lists(st.integers(0, 6), min_size=n * n, max_size=n * n).map(tuple)
+    return A, draw(coords), draw(coords), d
+
+
+@settings(max_examples=80, deadline=None)
+@given(f7_lines())
+def test_pencil_min_poly_annihilates_every_point(line):
+    A, s, e, d = line
+    mp = pencil_min_poly(A, s, e, d)
+    if mp is None:
+        return
+    assert len(mp) == d + 1 and mp[-1] == Poly.one(F7)
+    for j, c in enumerate(mp):
+        assert c.degree <= d - j
+    for t in F7.elements():
+        x = A.element(A.add(A.smul(t, s), A.smul(F7.sub(1, t), e)))
+        at_t = Poly(F7, [c.eval(t) for c in mp])
+        assert poly_eval_at_element(at_t, x).is_zero()
+        if d == A.degree:
+            assert at_t == reduced_char_poly(x)
