@@ -14,7 +14,9 @@ import random
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
-from .linalg import kernel, rank, rref, solve
+from .linalg import (
+    intertwiner_mismatch, kernel, lift_matrix, mat_vec, rref, solve,
+)
 from .poly import Poly, poly_nth_root
 
 _ASSOC_FULL_LIMIT = 256
@@ -23,7 +25,8 @@ _ASSOC_SAMPLES_PER_DIM = 10
 
 def _mult_matrix(f, x, table):
     """The matrix with column j equal to sum_i x_i table[i][j]: table is the
-    structure constants for x y, or their transpose for y x."""
+    structure constants for x y, or their transpose for y x.  The
+    field-method path, for algebras without a flat table (over F_{p^k})."""
     dim = len(table)
     add, mul = f.add, f.mul
     m = [[f.zero] * dim for _ in range(dim)]
@@ -188,24 +191,11 @@ class Algebra:
         inputs congruent to x and y.  A literal 0 is skipped, since it adds
         nothing.
         """
-        flat = self._flat
-        if flat is not None:
-            lift = self._lift
-            if lift is not None:
-                x, xscale = lift(x)
-                y, yscale = lift(y)
-            out = [0] * self.dim
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, k, c in flat[i]:
-                        yj = y[j]
-                        if yj:
-                            out[k] += xi * yj * c
-            if lift is None:
-                # F_p: the scalars are ints already and every scale is 1
-                p = self.field.int_modulus
-                return tuple([v % p for v in out])
-            return tuple(self.field.lower_vector(out, xscale * yscale * self._flat_scale))
+        if self._flat is not None:
+            x, xscale = self._lifted(x)
+            y, yscale = self._lifted(y)
+            return tuple(self.field.lower_vector(self._int_mul(x, y),
+                                                 xscale * yscale * self._flat_scale))
         f = self.field
         add, mulf, is_zero = f.add, f.mul, f.is_zero
         out = [f.zero] * self.dim
@@ -221,6 +211,43 @@ class Algebra:
                     out[k] = add(out[k], mulf(c, ck))
         return tuple(out)
 
+    # -- the integer core (only when _flat is set: over F_p and Q) ------------
+
+    def _lifted(self, x):
+        """(ints, scale) with x = ints / scale."""
+        return (x, 1) if self._lift is None else self._lift(x)
+
+    def _int_mul(self, x, y):
+        """The ints of x y for lifted x and y, at the product of their scales
+        and _flat_scale."""
+        flat = self._flat
+        out = [0] * self.dim
+        for i, xi in enumerate(x):
+            if xi:
+                for j, k, c in flat[i]:
+                    yj = y[j]
+                    if yj:
+                        out[k] += xi * yj * c
+        return out
+
+    def _int_mult_matrix(self, x, right=False):
+        """(int rows, scale) of left multiplication by x, or of right
+        multiplication if right, walking the flat table with x lifted once:
+        L[k][j] += x_i c and R[k][i] += x_j c over (j, k, c) in _flat[i]."""
+        x, scale = self._lifted(x)
+        m = [[0] * self.dim for _ in range(self.dim)]
+        for i, terms in enumerate(self._flat):
+            if right:
+                for j, k, c in terms:
+                    xj = x[j]
+                    if xj:
+                        m[k][i] += xj * c
+            elif x[i]:
+                xi = x[i]
+                for j, k, c in terms:
+                    m[k][j] += xi * c
+        return m, scale * self._flat_scale
+
     def add(self, x, y):
         f = self.field
         return tuple(f.add(a, b) for a, b in zip(x, y))
@@ -235,11 +262,52 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x y on the coordinate basis (rows act on columns)."""
-        return _mult_matrix(self.field, x, self.table)
+        if self._flat is None:
+            return _mult_matrix(self.field, x, self.table)
+        return self._lower_rows(*self._int_mult_matrix(x))
 
     def right_mult_matrix(self, x):
         """Matrix of y -> y x."""
-        return _mult_matrix(self.field, x, tuple(zip(*self.table)))
+        if self._flat is None:
+            return _mult_matrix(self.field, x, tuple(zip(*self.table)))
+        return self._lower_rows(*self._int_mult_matrix(x, right=True))
+
+    def _lower_rows(self, rows, scale):
+        lower = self.field.lower_vector
+        return [lower(r, scale) for r in rows]
+
+    def left_minus_right_matrix(self, x, y):
+        """Matrix of u -> x u - u y; over F_p and Q each entry is lowered
+        once from the int difference at the common scale."""
+        if self._flat is None:
+            sub = self.field.sub
+            return [[sub(a, b) for a, b in zip(r, q)]
+                    for r, q in zip(self.left_mult_matrix(x), self.right_mult_matrix(y))]
+        (lm, sl), (rm, sr) = self._int_mult_matrix(x), self._int_mult_matrix(y, right=True)
+        return self._lower_rows([[a * sr - b * sl for a, b in zip(r, q)]
+                                 for r, q in zip(lm, rm)], sl * sr)
+
+    def anti_automorphism_mismatch(self, mat):
+        """The first (i, g), over g in closure_generators() and then basis
+        indices i, with sigma(e_i g) != sigma(g) sigma(e_i) for the linear
+        map sigma of matrix mat; None if there is none.  For each g this is
+        mat R_g = L_sigma(g) mat, whose column i is that equation; over F_p
+        and Q it is compared on the int multiplication matrices.
+        """
+        f = self.field
+        lifted = lift_matrix(f, mat)
+        for g in self.closure_generators():
+            sigma_g = mat_vec(f, mat, g, lifted)
+            if self._flat is None:
+                i = intertwiner_mismatch(f, mat, self.right_mult_matrix(g),
+                                         self.left_mult_matrix(sigma_g))
+            else:
+                i = intertwiner_mismatch(f, mat, None, None, (
+                    lifted, self._int_mult_matrix(g, right=True),
+                    self._int_mult_matrix(sigma_g)))
+            if i is not None:
+                return i, g
+        return None
 
     def closure_generators(self):
         """Coordinates of a unital generating set of A.  Cached.
@@ -297,9 +365,6 @@ class Algebra:
     def random_element(self, rng):
         f = self.field
         return AlgebraElement(self, tuple(f.random(rng) for _ in range(self.dim)))
-
-    def is_invertible(self, x):
-        return rank(self.field, self.left_mult_matrix(x)) == self.dim
 
     def inverse(self, x):
         """Two-sided inverse of x, or None."""

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .etale import etale_type, generate_etale, random_maximal_etale
 from .fields import json_get, parse_field_flag
-from .ideals import Flag, ideal_generated, random_flag, random_ideal
+from .ideals import ideal_generated, random_ideal
 from .involutions import (
     adjoint_involution, involution_type, quaternion_conjugation,
     standard_alternating_matrix, transpose_involution,

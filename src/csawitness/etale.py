@@ -8,7 +8,7 @@ minimal polynomial via the orbit-quotient formula rdim(e_i A) / deg(f_i),
 which avoids explicit splitting fields.
 """
 
-from .algebra import AlgebraElement, poly_eval_at_element
+from .algebra import poly_eval_at_element
 from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )

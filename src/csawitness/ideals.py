@@ -7,11 +7,11 @@ the algebra (Algebra.closure_generators; closure under generators is closure
 under all of A) and integrality of the reduced dimension.
 """
 
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, intersect_row_spaces, kernel, lift_matrix, mat_vec, rank,
-    reduce_vector, rref, transpose,
+    in_row_space, int_in_row_space, intersect_row_spaces, kernel, lift_matrix,
+    mat_vec, rank, reduce_vector, rref, transpose,
 )
 
 
@@ -34,12 +34,19 @@ class RightIdeal:
 
     def _check_closed(self):
         alg = self.algebra
+        f = alg.field
         gens = alg.closure_generators()
-        for b in self.basis:
-            for g in gens:
-                if not in_row_space(alg.field, self.basis, self.pivots,
-                                    alg.mul(b, g), self._lifted):
-                    raise StructuralError("subspace is not a right ideal")
+        if self._lifted is None:
+            closed = all(in_row_space(f, self.basis, self.pivots, alg.mul(b, g))
+                         for g in gens for b in self.basis)
+        else:
+            # the lifted basis rows times each lifted generator, kept as ints
+            # (membership does not depend on their scale)
+            rows = self._lifted[0]
+            closed = all(int_in_row_space(f, self._lifted, self.pivots, alg._int_mul(b, lg))
+                         for lg, _ in map(alg._lifted, gens) for b in rows)
+        if not closed:
+            raise StructuralError("subspace is not a right ideal")
 
     def dim(self):
         return len(self.basis)
@@ -402,9 +409,6 @@ class ModulePresentation:
                     rows.append(self.vec_times_d(v, d))
         basis, _ = rref(self.field, rows)
         return [tuple(r) for r in basis]
-
-    def d_rank(self, f_span_rows):
-        return len(f_span_rows) // self.d2
 
     def d_basis_of(self, f_span_rows, extend_from=()):
         """Greedy right-D basis of a D-stable F-subspace, extending a given

@@ -2,13 +2,19 @@
 
 An involution is stored by the matrix of its linear action on the coordinate
 basis plus an orthogonal/symplectic tag.  Construction verifies exactly that
-the map has order two, that it is an anti-automorphism (checked on 1 and on
-the products e_i g of basis elements with the verified generators of
-Algebra.closure_generators, which implies it on every basis pair), and that
-the tag matches the fixed-space dimension.  Construction and involution_type
-read the tag off dim Sym through one helper, and sym_dimension and sym_basis
-build sigma - 1 through one helper.  Characteristic 2 is rejected
-throughout: the orthogonal/symplectic dichotomy needs 2 invertible.
+the map has order two (mat mat = 1), that it is an anti-automorphism, and
+that the tag matches the fixed-space dimension.  The anti-automorphism
+property is checked on 1 and, for each verified generator g of
+Algebra.closure_generators, as the matrix identity mat R_g = L_sigma(g) mat
+(R_g right multiplication by g, L_x left multiplication by x): column i of
+the left side is sigma(e_i g) and column i of the right side is
+sigma(g) sigma(e_i), so the identity holds exactly when
+sigma(e_i g) = sigma(g) sigma(e_i) for every basis element e_i, which
+implies the property on every basis pair (involution_from_matrix).
+Construction and involution_type read the tag off dim Sym through one
+helper, and sym_dimension and sym_basis build sigma - 1 through one helper.
+Characteristic 2 is rejected throughout: the orthogonal/symplectic
+dichotomy needs 2 invertible.
 """
 
 from .algebra import (
@@ -63,8 +69,10 @@ def _require_odd_char(field):
 
 def _minus_identity(f, mat):
     """mat - 1, whose kernel is the fixed space of mat."""
-    return [[f.sub(c, f.one if i == j else f.zero) for j, c in enumerate(row)]
-            for i, row in enumerate(mat)]
+    out = [list(row) for row in mat]
+    for i, row in enumerate(out):
+        row[i] = f.sub(row[i], f.one)
+    return out
 
 
 def sym_dimension(algebra, mat):
@@ -92,16 +100,19 @@ def _kind_from_sym_dimension(deg, d):
 def involution_from_matrix(algebra, mat, expected_kind=None):
     """Build and fully verify an involution from its coordinate matrix.
 
-    The anti-automorphism property is checked as sigma(1) = 1 and
-    sigma(e_i g) = sigma(g) sigma(e_i) for every basis element e_i and every
-    g in algebra.closure_generators().  That suffices: the set W of w with
-    sigma(x w) = sigma(w) sigma(x) for all x is a subspace, since both sides
-    are linear in w (and in x, so basis elements x are enough).  It contains
-    1, as sigma(1) = 1, and every g.  It is closed under products: for u, w
-    in W, sigma(x u w) = sigma(w) sigma(x u) = sigma(w) sigma(u) sigma(x),
-    and x = 1 gives sigma(u w) = sigma(w) sigma(u), so u w is in W.  Hence
-    W contains every word in the generators, and closure_generators
-    verified that these words span A; so W = A.
+    The anti-automorphism property is checked as sigma(1) = 1 and as
+    mat R_g = L_sigma(g) mat for every g in algebra.closure_generators()
+    (Algebra.anti_automorphism_mismatch), that is, as sigma(e_i g) =
+    sigma(g) sigma(e_i) for every basis element e_i and every such g; the
+    first failing column names the basis element in the error.  That
+    suffices: the set W of w with sigma(x w) = sigma(w) sigma(x) for all x
+    is a subspace, since both sides are linear in w (and in x, so basis
+    elements x are enough).  It contains 1, as sigma(1) = 1, and every g.
+    It is closed under products: for u, w in W, sigma(x u w) =
+    sigma(w) sigma(x u) = sigma(w) sigma(u) sigma(x), and x = 1 gives
+    sigma(u w) = sigma(w) sigma(u), so u w is in W.  Hence W contains every
+    word in the generators, and closure_generators verified that these words
+    span A; so W = A.
     """
     _require_odd_char(algebra.field)
     f = algebra.field
@@ -113,22 +124,14 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
     if mat_mul(f, mat, mat) != identity(f, n):
         raise InvalidInputError("map is not of order two")
 
-    lifted = lift_matrix(f, mat)
-
-    def sigma(coords):
-        return tuple(mat_vec(f, mat, coords, lifted))
-
-    if sigma(algebra.unit) != algebra.unit:
+    if tuple(mat_vec(f, mat, algebra.unit)) != algebra.unit:
         raise InvalidInputError("map does not fix the unit")
-    images = [sigma(algebra.basis_coords(i)) for i in range(n)]
-    for g in algebra.closure_generators():
-        sigma_g = sigma(g)
-        for i in range(n):
-            lhs = sigma(algebra.mul(algebra.basis_coords(i), g))
-            if lhs != algebra.mul(sigma_g, images[i]):
-                raise InvalidInputError(
-                    f"map is not an anti-automorphism at basis element "
-                    f"{algebra.labels[i]} and generator {algebra.element(g)!r}")
+    bad = algebra.anti_automorphism_mismatch(mat)
+    if bad is not None:
+        i, g = bad
+        raise InvalidInputError(
+            f"map is not an anti-automorphism at basis element "
+            f"{algebra.labels[i]} and generator {algebra.element(g)!r}")
     d = sym_dimension(algebra, mat)
     kind = _kind_from_sym_dimension(algebra.degree, d)
     if kind is None:

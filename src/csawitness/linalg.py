@@ -5,13 +5,17 @@ deterministic: columns are processed left to right and the first row with a
 nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
 
-Over F_p and Q (fields.INTEGER_CORE), mat_vec, rref, reduce_vector and
-in_row_space run one integer loop on lifted data: each operand is lifted
-once to ints and a scale (fields' lift_vector and lift_rows; lift_matrix
-lifts a matrix used by many calls once), the loop does exact int
-arithmetic, and each output entry is lowered once to its canonical scalar
-(lower_vector).  The fields differ only where int_modulus says so: in the
-zero test, in how a row is normalised, and in the final lowering.
+Over F_p and Q (fields.INTEGER_CORE), mat_vec, mat_mul, rref,
+reduce_vector, in_row_space and intertwiner_mismatch run one integer loop on
+lifted data, as do Algebra.mul and the Algebra multiplication matrices: each
+operand is lifted once to ints and a scale (fields' lift_vector and
+lift_rows; lift_matrix lifts a matrix used by many calls once), the loop
+does exact int arithmetic, and each output entry is lowered once to its
+canonical scalar (lower_vector).  A result that is only compared or tested
+for membership is not lowered at all: intertwiner_mismatch compares two
+products up to their scales, and int_in_row_space tests an int vector at any
+scale.  The fields differ only where int_modulus says so: in the zero test,
+in how a row is normalised, and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -44,12 +48,11 @@ def identity(field, n):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(field, m, n):
-    z = field.zero
-    return [[z] * n for _ in range(m)]
-
-
 def mat_mul(field, a, b):
+    la = lift_matrix(field, a)
+    if la is not None:
+        (a, sa), (b, sb) = la, la if b is a else field.lift_rows(b)
+        return [field.lower_vector(r, sa * sb) for r in _int_mat_mul(a, b)]
     add, mul, zero = field.add, field.mul, field.zero
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -66,6 +69,40 @@ def mat_mul(field, a, b):
                 row[j] = add(row[j], mul(c, bt[j]))
         out.append(row)
     return out
+
+
+def _int_mat_mul(a, b):
+    """The int product of int matrices, each row a combination of the rows
+    of b over the nonzero entries of the row of a."""
+    m = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        row = [0] * m
+        for c, bt in zip(ai, b):
+            if c:
+                row = [x + c * y for x, y in zip(row, bt)]
+        out.append(row)
+    return out
+
+
+def intertwiner_mismatch(field, a, b, c, lifted=None):
+    """The first column j in which a b and c a differ, or None if a b = c a.
+
+    Given lifted = (lift_matrix of a, of b, of c), over F_p and Q, the
+    matrices themselves are not read: the int products are compared as
+    (a b) s_c against (c a) s_b, the common scale s_a cancelled, with no
+    entry lowered.
+    """
+    if lifted is None:
+        cols = zip(zip(*mat_mul(field, a, b)), zip(*mat_mul(field, c, a)))
+        return next((j for j, (u, v) in enumerate(cols) if u != v), None)
+    (a, _), (b, sb), (c, sc) = lifted
+    p = field.int_modulus
+    for j, (u, v) in enumerate(zip(zip(*_int_mat_mul(a, b)), zip(*_int_mat_mul(c, a)))):
+        diff = [x * sc - y * sb for x, y in zip(u, v)]
+        if any([x % p for x in diff] if p else diff):
+            return j
+    return None
 
 
 def lift_matrix(field, a):
@@ -196,12 +233,12 @@ def rank(field, rows):
     return len(rref(field, rows)[0])
 
 
-def _int_reduce(field, lifted, pivots, vec):
-    """vec lifted and reduced against a lifted rref basis: (ints, scale).
-    Every lifted row has the common scale a at its pivot (1 over F_p)."""
+def _int_reduce(field, lifted, pivots, v, scale=1):
+    """Lifted v (ints at scale) reduced against a lifted rref basis:
+    (ints, scale).  Every lifted row has the common scale a at its pivot
+    (1 over F_p)."""
     rows, a = lifted
     p = field.int_modulus
-    v, scale = (vec, 1) if p else field.lift_vector(vec)
     for row, piv in zip(rows, pivots):
         f = v[piv] % p if p else v[piv]
         if f:
@@ -225,7 +262,8 @@ def reduce_vector(field, basis, pivots, vec, lifted=None):
         # the other basis rows vanish in each pivot column, so the
         # coefficient of a row is the entry of vec in its pivot column
         coeffs = field.lower_vector(*field.lift_vector([vec[piv] for piv in pivots]))
-        return field.lower_vector(*_int_reduce(field, lifted, pivots, vec)), coeffs
+        return field.lower_vector(*_int_reduce(field, lifted, pivots,
+                                               *field.lift_vector(vec))), coeffs
     v = list(vec)
     coeffs = []
     sub, mul = field.sub, field.mul
@@ -242,11 +280,18 @@ def in_row_space(field, basis, pivots, vec, lifted=None):
     if lifted is None:
         lifted = lift_matrix(field, basis)
     if lifted is not None:
-        v, _ = _int_reduce(field, lifted, pivots, vec)
-        p = field.int_modulus
-        return not any([x % p for x in v] if p else v)
+        return int_in_row_space(field, lifted, pivots, field.lift_vector(vec)[0])
     residual, _ = reduce_vector(field, basis, pivots, vec)
     return all(field.is_zero(x) for x in residual)
+
+
+def int_in_row_space(field, lifted, pivots, ints):
+    """in_row_space over F_p and Q for a vector given only as ints, at any
+    nonzero scale (membership does not depend on it); lifted is
+    lift_matrix of the rref basis."""
+    v, _ = _int_reduce(field, lifted, pivots, ints)
+    p = field.int_modulus
+    return not any([x % p for x in v] if p else v)
 
 
 def kernel(field, rows):

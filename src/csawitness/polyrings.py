@@ -12,10 +12,12 @@ from .linalg import rref
 from .poly import Poly
 
 
-def polymat_det(rows):
-    """Bareiss fraction-free determinant of a square matrix of Poly entries."""
+def polymat_det(base, rows):
+    """Bareiss fraction-free determinant of a square matrix of Poly entries
+    over the field base; the empty matrix has determinant 1."""
     n = len(rows)
-    base = rows[0][0].field
+    if n == 0:
+        return Poly.one(base)
     m = [[p for p in r] for r in rows]
     sign = False
     prev = Poly.one(base)
@@ -54,8 +56,6 @@ def sylvester_resultant(fc, gc):
     if not fc or not gc:
         return zero
     m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 and n == 0:
-        return Poly.one(base)
     if m == 0:
         return fc[0] ** n
     if n == 0:
@@ -68,7 +68,7 @@ def sylvester_resultant(fc, gc):
     grev = gc[::-1]
     for i in range(m):
         rows.append([zero] * i + grev + [zero] * (size - n - 1 - i))
-    return polymat_det(rows)
+    return polymat_det(base, rows)
 
 
 def xpoly_derivative(fc):

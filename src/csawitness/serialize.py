@@ -12,10 +12,10 @@ import os
 
 from .algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
 from .errors import InvalidInputError
-from .etale import EtaleSubalgebra, generate_etale
+from .etale import generate_etale
 from .fields import field_from_spec, json_get, json_int
 from .ideals import Flag, RightIdeal
-from .involutions import Involution, involution_from_matrix
+from .involutions import involution_from_matrix
 from .poly import Poly
 from .quadrics import QuadraticForm
 from .witness import (

@@ -80,12 +80,11 @@ class PencilWitness:
         raise InvalidInputError(f"unknown witness kind {self.kind!r}")
 
     def _pencil_vectors_at(self, vecs, vecs_prime, t):
+        """t w + (1 - t) w' for each pair, as the matrix with rows (w_i, w'_i)
+        times (t, 1 - t): over F_p and Q one integer mat_vec per pair."""
         f = self.field
-        s = f.sub(f.one, t)
-        out = []
-        for w, wp in zip(vecs, vecs_prime):
-            out.append(tuple(f.add(f.mul(t, a), f.mul(s, b)) for a, b in zip(w, wp)))
-        return out
+        tv = (t, f.sub(f.one, t))
+        return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
 
     def _eval_ideal(self, t):
         pres = module_presentation(self.algebra)
@@ -298,8 +297,6 @@ def _pencil_validity(pres, wvecs, wpvecs):
     the pencil; its minor is the empty one, 1.
     """
     field = pres.field
-    if not wvecs:
-        return Poly.one(field)
     dbasis = pres.d_basis_coords()
     base_rows_t1 = [pres.vec_times_d(v, d) for v in wvecs for d in dbasis]
     base_rows_t0 = [pres.vec_times_d(v, d) for v in wpvecs for d in dbasis]
@@ -314,7 +311,7 @@ def _pencil_validity(pres, wvecs, wpvecs):
 
     def minor(cols):
         sub = [[row[c] for c in cols] for row in rows]
-        return polymat_det(sub)
+        return polymat_det(field, sub)
 
     v1 = minor(piv1)
     if field.is_zero(v1.eval(field.one)):
@@ -479,14 +476,8 @@ def connect_max_etale(E1, E2, retry_budget=16, rng_seed=0):
 
 def _intertwiner_space(A, pairs):
     """Kernel of the conditions L(x) u = u R(x) for the (L(x), R(x)) pairs."""
-    f = A.field
-    rows = []
-    for lx, rx in pairs:
-        lm = A.left_mult_matrix(lx)
-        rm = A.right_mult_matrix(rx)
-        for r in range(A.dim):
-            rows.append([f.sub(lm[r][c], rm[r][c]) for c in range(A.dim)])
-    return kernel(f, rows)
+    rows = [row for lx, rx in pairs for row in A.left_minus_right_matrix(lx, rx)]
+    return kernel(A.field, rows)
 
 
 def _search_invertible(A, space, rng, budget, also_require=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import (
-    Algebra, NoWitnessFound, SplitWitness, algebra_generators,
+    Algebra, NoWitnessFound, _mult_matrix, SplitWitness, algebra_generators,
     certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, reduced_trace,
     tensor_product,
@@ -441,9 +441,47 @@ _MULT_MATRIX_ALGEBRAS = {
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_mult_matrices_have_product_columns(name, seed):
     A = _MULT_MATRIX_ALGEBRAS[name]
-    x = _sparse_random(A, random.Random(seed))
+    rng = random.Random(seed)
+    x, y = _sparse_random(A, rng), _sparse_random(A, rng)
     left, right = A.left_mult_matrix(x), A.right_mult_matrix(x)
+    commutator = A.left_minus_right_matrix(x, y)
     for j in range(A.dim):
         e = A.basis_coords(j)
         assert tuple(row[j] for row in left) == A.mul(x, e)
         assert tuple(row[j] for row in right) == A.mul(e, x)
+        assert tuple(row[j] for row in commutator) == A.sub(A.mul(x, e), A.mul(e, y))
+
+
+# ---------------------------------------------------------------------------
+# the integer multiplication matrices against the field-method path
+
+
+def _int_core_algebras():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    return {
+        "(-1,-1)/Q": H,
+        "M2x(-1,-1)/Q": tensor_product(make_matrix_algebra(QQ, 2), H),
+        "(-3/2,5/7)/Q": make_quaternion(QQ, Fraction(-3, 2), Fraction(5, 7)),
+        "M3(F7)": make_matrix_algebra(F7, 3),
+        "M4(F5)": make_matrix_algebra(F5, 4),
+    }
+
+
+_INT_CORE_ALGEBRAS = _int_core_algebras()
+
+
+@pytest.mark.parametrize("name", sorted(_INT_CORE_ALGEBRAS))
+def test_mult_matrices_match_the_field_method_path(name):
+    A = _INT_CORE_ALGEBRAS[name]
+    f = A.field
+    assert A._flat is not None
+    rng = random.Random(name)
+    for _ in range(25):
+        x, y = _sparse_random(A, rng), _sparse_random(A, rng)
+        left, right = A.left_mult_matrix(x), A.right_mult_matrix(y)
+        assert left == _mult_matrix(f, x, A.table)
+        assert right == _mult_matrix(f, y, tuple(zip(*A.table)))
+        assert A.left_minus_right_matrix(x, y) == [
+            [f.sub(a, b) for a, b in zip(r, q)] for r, q in zip(left, right)]
+        if f == QQ:
+            assert all(type(c) is Fraction for r in left + right for c in r)

@@ -18,7 +18,7 @@ from csawitness.involutions import (
     adjoint_involution, standard_alternating_matrix, transpose_involution,
 )
 
-F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
 def test_ideal_generated_examples():
@@ -239,6 +239,58 @@ def test_right_ideal_accepts_what_the_basis_definition_accepts(name, data):
     js = data.draw(st.sets(st.integers(0, A.dim - 1)))
     extra = data.draw(st.lists(elem, max_size=2))
     rows = [A.mul(g, A.basis_coords(j)) for g in gens for j in sorted(js)] + extra
+    try:
+        RightIdeal(A, rows)
+        accepted = True
+    except StructuralError:
+        accepted = False
+    assert accepted == _closed_under_every_basis_element(A, rows)
+
+
+# ---------------------------------------------------------------------------
+# the closure check on lifted rows, over Q and F_p
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7])
+def test_right_ideal_rejects_a_left_ideal(field):
+    for n in (2, 3):
+        A = make_matrix_algebra(field, n)
+        # for the idempotent e = E11 + c E12, A e is the left ideal of the
+        # matrices whose rows are multiples of (1, c, 0, ...), and e A the
+        # right ideal of the matrices that vanish below the first row
+        c = field.from_int(3) if field.char else Fraction(-3, 2)
+        e = [field.zero] * A.dim
+        e[0], e[1] = field.one, c
+        e = tuple(e)
+        left = [A.mul(A.basis_coords(j), e) for j in range(A.dim)]
+        with pytest.raises(StructuralError, match="^subspace is not a right ideal$"):
+            RightIdeal(A, left)
+        right = [A.mul(e, A.basis_coords(j)) for j in range(A.dim)]
+        assert RightIdeal(A, right).rdim == 1
+
+
+_SMALL_Q = {
+    "M2(Q)": make_matrix_algebra(QQ, 2),
+    "(-3/2,5/7)/Q": make_quaternion(QQ, Fraction(-3, 2), Fraction(5, 7)),
+    "(1,1)/Q": make_quaternion(QQ, Fraction(1), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_Q))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_right_ideal_over_q_accepts_what_the_basis_definition_accepts(name, data):
+    A = _SMALL_Q[name]
+    scalar = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+    elem = st.tuples(*[scalar] * A.dim)
+    # products g e_j (a right ideal when J is everything), e_j g (a left
+    # ideal) and extra rows, which may or may not break closure
+    gens = data.draw(st.lists(elem, max_size=2))
+    js = sorted(data.draw(st.sets(st.integers(0, A.dim - 1))))
+    left = data.draw(st.booleans())
+    rows = [A.mul(A.basis_coords(j), g) if left else A.mul(g, A.basis_coords(j))
+            for g in gens for j in js] + data.draw(st.lists(elem, max_size=1))
     try:
         RightIdeal(A, rows)
         accepted = True

@@ -302,3 +302,144 @@ def test_anti_automorphism_error_names_the_basis_element_and_generator():
     with pytest.raises(InvalidInputError,
                        match="at basis element E11 and generator 1[*]E12"):
         involution_from_matrix(A, identity(F3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the matrix-identity check against the generator loop, over Q and F_p
+
+
+def _generator_loop_message(A, mat):
+    """The check as a loop: the message for the first generator g and then
+    basis element e_i with sigma(e_i g) != sigma(g) sigma(e_i), after the
+    order-two and unit checks; None if every one of them passes."""
+    f, n = A.field, A.dim
+    if mat_mul(f, mat, mat) != identity(f, n):
+        return "map is not of order two"
+
+    def sigma(x):
+        return tuple(mat_vec(f, mat, x))
+
+    if sigma(A.unit) != A.unit:
+        return "map does not fix the unit"
+    for g in A.closure_generators():
+        for i in range(n):
+            e = A.basis_coords(i)
+            if sigma(A.mul(e, g)) != A.mul(sigma(g), sigma(e)):
+                return (f"map is not an anti-automorphism at basis element "
+                        f"{A.labels[i]} and generator {A.element(g)!r}")
+    return None
+
+
+def _rejection(A, mat):
+    try:
+        involution_from_matrix(A, mat)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+def _tensor_with(sigma1, phi):
+    f = sigma1.algebra.field
+    m, k = len(sigma1.mat), len(phi)
+    return [[f.mul(sigma1.mat[i1][j1], phi[i2][j2]) for j1 in range(m) for j2 in range(k)]
+            for i1 in range(m) for i2 in range(k)]
+
+
+def _pinned_rejections():
+    """(algebra, map, message), each message as involution_from_matrix gave
+    it when it compared sigma(e_i g) with sigma(g) sigma(e_i) one basis
+    element at a time."""
+    out = []
+    at = "map is not an anti-automorphism at basis element "
+    for f, c in ((QQ, Fraction(3, 2)), (F7, 3)):
+        M = make_matrix_algebra(f, 2)
+        S = make_quaternion(f, f.one, f.one)
+        T = tensor_product(M, S)
+        tr = transpose_involution(M)
+        out.append((M, identity(f, 4), at + "E11 and generator 1*E12"))
+        out.append((M, _elementary_conjugate(tr, 0, 1, c), at + "E12 and generator 1*E12"))
+        phi = _elementary_conjugate(quaternion_reversal(S), 1, 3, c)
+        out.append((T, _tensor_with(tr, phi), at + "E11.j and generator 1*E11.i + 1*E22.i"))
+        phi = _elementary_conjugate(quaternion_conjugation(S), 0, 1, c)
+        out.append((T, _tensor_with(tr, phi), at + "E11.i and generator 1*E11.i + 1*E22.i"))
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    out.append((tensor_product(make_matrix_algebra(QQ, 2), H), identity(QQ, 16),
+                at + "E11.1 and generator 1*E12.1"))
+    out.append((make_quaternion(QQ, Fraction(-3, 2), Fraction(5, 7)), identity(QQ, 4),
+                at + "j and generator 1*i"))
+    out.append((make_quaternion(F7, 3, 5), identity(F7, 4), at + "j and generator 1*i"))
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(_pinned_rejections())))
+def test_rejection_messages_are_the_generator_loop_messages(case):
+    A, mat, message = _pinned_rejections()[case]
+    assert _generator_loop_message(A, mat) == message
+    assert _rejection(A, mat) == message
+
+
+def _involutions_q_f7():
+    out = {}
+    for f in (QQ, F7):
+        M = make_matrix_algebra(f, 2)
+        S = make_quaternion(f, f.one, f.one)
+        D = make_quaternion(f, f.div(f.from_int(-3), f.from_int(2)),
+                           f.div(f.from_int(5), f.from_int(3)))
+        out[f"M2({f})"] = [transpose_involution(M),
+                           adjoint_involution(M, standard_alternating_matrix(f, 2))]
+        out[f"quaternion({f})"] = [quaternion_conjugation(D), quaternion_reversal(D)]
+        out[f"M2x(1,1)({f})"] = [tensor_involution(transpose_involution(M),
+                                                   quaternion_conjugation(S),
+                                                   tensor_product(M, S))]
+    return out
+
+
+_INVOLUTIONS_Q_F7 = _involutions_q_f7()
+
+
+@pytest.mark.parametrize("name", sorted(_INVOLUTIONS_Q_F7))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_identity_check_rejects_as_the_generator_loop(name, data):
+    sigma = data.draw(st.sampled_from(_INVOLUTIONS_Q_F7[name]))
+    A = sigma.algebra
+    f, n = A.field, A.dim
+    scalar = (st.integers(1, 6).map(f.from_int) if f.char else
+              st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5)))
+    off_unit = [k for k in range(n) if f.is_zero(A.unit[k])]
+    how = data.draw(st.sampled_from(["as is", "identity", "elementary", "twist"]))
+    mat = [list(r) for r in sigma.mat]
+    if how == "identity":
+        mat = identity(f, n)
+    elif how == "elementary":
+        b = data.draw(st.sampled_from(off_unit))
+        a = data.draw(st.sampled_from([k for k in range(n) if k != b]))
+        mat = _elementary_conjugate(sigma, a, b, data.draw(scalar))
+    elif how == "twist":
+        # x -> u sigma(x) u^-1 for u = 1 + c e_k: order two or not
+        u = list(A.unit)
+        k = data.draw(st.integers(0, n - 1))
+        u[k] = f.add(u[k], data.draw(scalar))
+        u_inv = A.inverse(tuple(u))
+        if u_inv is not None:
+            mat = _matrix_of_map(
+                A, lambda x: A.mul(A.mul(tuple(u), sigma.apply_coords(x)), u_inv))
+    want = _generator_loop_message(A, mat)
+    got = _rejection(A, mat)
+    if want is None:
+        assert got is None or got.startswith("fixed space has dimension")
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_every_closure_generator_is_checked(field):
+    # the identity map fails at g exactly when g is not central, so on a
+    # generator list that ends in the only noncentral one it fails there
+    for j in (1, 2):
+        A = make_matrix_algebra(field, 2)
+        A._closure_gens = (A.unit, A.smul(field.from_int(2), A.unit), A.basis_coords(j))
+        # E11 E12 = E12 but E12 E11 = 0; E11 E21 = 0 but E21 E11 = E21
+        assert A.anti_automorphism_mismatch(identity(field, 4)) == (0, A.basis_coords(j))
+        A._closure_gens = A._closure_gens[:2]
+        assert A.anti_automorphism_mismatch(identity(field, 4)) is None

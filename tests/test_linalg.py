@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
     charpoly, det, identity, in_row_space, intersect_row_spaces,
-    inverse, kernel, lift_matrix, mat_mul, mat_vec, rank, reduce_vector, rref,
-    row_space_rref, solve,
+    intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
+    reduce_vector, rref, row_space_rref, solve,
 )
 
 F5 = PrimeField(5)
@@ -362,3 +362,79 @@ def test_algebra_mul_over_q_matches_the_method_path(name, data):
     assert got == ref.mul(x, y)
     assert all(type(c) is Fraction for c in got)
     assert A.left_mult_matrix(x) == ref.left_mult_matrix(x)
+
+
+# ---------------------------------------------------------------------------
+# mat_mul and intertwiner_mismatch on the integer core
+
+
+@st.composite
+def products(draw, entry, max_dim=5):
+    """(a, b, c): a square, b and c of its size; entries drawn from entry."""
+    n = draw(st.integers(1, max_dim))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square), draw(square)
+
+
+def _first_unequal_column(lhs, rhs):
+    return next((j for j, (u, v) in enumerate(zip(zip(*lhs), zip(*rhs))) if u != v), None)
+
+
+def _check_intertwiner(field, ref, a, b, c):
+    """intertwiner_mismatch on (a, b, c) and on (a, b, a b a^-1) (where a is
+    invertible), lifted and not, against the column-by-column comparison of
+    the reference field's products."""
+    cases = [c]
+    a_inv = inverse(ref, a)
+    if a_inv is not None:
+        cases.append(mat_mul(ref, mat_mul(ref, a, b), a_inv))
+    for c in cases:
+        want = _first_unequal_column(mat_mul(ref, a, b), mat_mul(ref, c, a))
+        assert intertwiner_mismatch(field, a, b, c) == want
+        lifted = tuple(lift_matrix(field, m) for m in (a, b, c))
+        assert intertwiner_mismatch(field, None, None, None, lifted) == want
+    if a_inv is not None:
+        assert want is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((3, 7)).flatmap(
+    lambda p: st.tuples(st.just(p), products(st.integers(-2 * p, 2 * p)))))
+def test_mat_mul_and_intertwiner_over_fp_match_the_method_path(case):
+    p, (a, b, c) = case
+    f, ref = PrimeField(p), MethodPathField(p)
+    ra, rb, rc = (_reduced(p, m) for m in (a, b, c))
+    assert mat_mul(f, a, b) == mat_mul(ref, ra, rb)
+    _check_intertwiner(f, ref, ra, rb, rc)
+
+
+q_entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(products(q_entries))
+def test_mat_mul_and_intertwiner_over_q_match_the_method_path_and_sympy(case):
+    a, b, c = case
+    got = mat_mul(QQ, a, b)
+    assert got == mat_mul(MethodPathQ(), a, b)
+    assert all(type(x) is Fraction for r in got for x in r)
+    _check_intertwiner(QQ, MethodPathQ(), a, b, c)
+    pytest.importorskip("sympy")
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    def dm(m):
+        return DomainMatrix([[SQQ(x.numerator, x.denominator) for x in r] for r in m],
+                            (len(m), len(m[0])), SQQ)
+
+    want = [[Fraction(int(SQQ.numer(x)), int(SQQ.denom(x))) for x in r]
+            for r in (dm(a) * dm(b)).to_list()]
+    assert got == want
+
+
+def test_mat_mul_of_non_square_matrices():
+    rng = random.Random(11)
+    for f, ref in ((F7, MethodPathField(7)), (QQ, MethodPathQ())):
+        for _ in range(20):
+            a, b = random_matrix(f, rng, 2, 3), random_matrix(f, rng, 3, 4)
+            assert mat_mul(f, a, b) == mat_mul(ref, a, b)

@@ -15,7 +15,9 @@ from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import sym_basis
 from csawitness.linalg import det
 from csawitness.poly import Poly, discriminant
-from csawitness.polyrings import pencil_min_poly, polymat_det, xpoly_discriminant
+from csawitness.polyrings import (
+    pencil_min_poly, polymat_det, sylvester_resultant, xpoly_discriminant,
+)
 from csawitness.witness import default_samples, default_symplectic_involution
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -35,17 +37,28 @@ def test_polymat_det_matches_det_at_every_sample():
         for _ in range(40):
             n = rng.randint(1, 4)
             m = [[random_poly(field, rng, 1) for _ in range(n)] for _ in range(n)]
-            d = polymat_det(m)
+            d = polymat_det(field, m)
             for t in default_samples(field):
                 at_t = [[p.eval(t) for p in row] for row in m]
                 assert d.eval(t) == det(field, at_t)
+
+
+def test_polymat_det_of_the_empty_matrix_is_one():
+    for field in (F7, QQ):
+        assert polymat_det(field, []) == Poly.one(field)
+
+
+def test_sylvester_resultant_of_two_constants_is_one():
+    for field in (F7, QQ):
+        c = Poly(field, [field.from_int(3)])
+        assert sylvester_resultant([c], [c]) == Poly.one(field)
 
 
 def test_polymat_det_singular_pencil_is_zero():
     rng = random.Random(5)
     row = [random_poly(F7, rng, 1) for _ in range(3)]
     m = [row, [random_poly(F7, rng, 1) for _ in range(3)], row]
-    assert polymat_det(m).is_zero()
+    assert polymat_det(F7, m).is_zero()
 
 
 # ---------------------------------------------------------------------------
