@@ -5,8 +5,10 @@ basis indices i, j the product e_i e_j is the stored list of (k, scalar)
 pairs.  Elements are coordinate tuples.  Everything is immutable after
 construction.  Every algebra checks that its table is dim x dim with basis
 indices in range(dim) and that its unit has dim coordinates; associativity
-and the unit are verified when an untrusted algebra is built (fully up to
-dimension 256, by seeded sampling above that).
+and the unit are verified when an algebra is built from an explicit table
+(fully up to dimension 256, by seeded sampling above that).  The preset
+constructors build their tables by formula and skip both checks;
+tests/test_algebra.py runs them on every family.
 """
 
 import random
@@ -519,7 +521,8 @@ def make_quaternion(field, a, b):
     table = [[(t[(i, j)],) for j in range(4)] for i in range(4)]
     return Algebra(field, table, 2, labels=["1", "i", "j", "k"],
                    unit=[one, zero, zero, zero],
-                   preset={"kind": "quaternion", "a": a, "b": b}, _preset_gens=True)
+                   preset={"kind": "quaternion", "a": a, "b": b}, _trusted=True,
+                   _preset_gens=True)
 
 
 def tensor_product(A, B):
@@ -543,7 +546,7 @@ def tensor_product(A, B):
     labels = [f"{la}.{lb}" for la in A.labels for lb in B.labels]
     unit = [f.mul(ca, cb) for ca in A.unit for cb in B.unit]
     return Algebra(f, table, A.degree * B.degree, labels=labels, unit=unit,
-                   preset={"kind": "tensor", "left": A, "right": B},
+                   preset={"kind": "tensor", "left": A, "right": B}, _trusted=True,
                    _preset_gens=A._preset_gens and B._preset_gens)
 
 
@@ -573,20 +576,26 @@ def algebra_generators(A):
 
     A subspace I is a right ideal iff I g is contained in I for every g in a
     set whose words span A (the empty word being 1): then I w lies in I for
-    every word w, hence I A lies in I.  Matrix presets give E_{i,i+1} and
-    E_{i+1,i}, quaternions i and j, tensor products g(x)1 and 1(x)g over the
-    generators g of each factor; anything else the whole basis.  The list is
-    only as good as the preset; Algebra.closure_generators verifies it on
-    tables that the preset constructors did not build.
+    every word w, hence I A lies in I.  Matrix presets with n >= 2 give the
+    shift N = sum E_{i,i+1} and its transpose N^T = sum E_{i+1,i} (E12 and
+    E21 at n = 2): N N^T = 1 - E_nn and N^a = sum E_{i,i+a}, so
+    N^a (1 - N N^T) (N^T)^b = E_{n-a,n-b} for 0 <= a, b < n, and every
+    matrix unit is a combination of words.  Quaternions give i and j,
+    tensor products g(x)1 and 1(x)g over the generators g of each factor;
+    anything else the whole basis.  The list is only as good as the preset;
+    Algebra.closure_generators verifies it on tables that the preset
+    constructors did not build.
     """
     kind = A.preset.get("kind")
     if kind == "matrix":
         n = A.preset["n"]
-        idx = []
+        if n == 1:
+            return [A.one]
+        f = A.field
+        shifts = [[f.zero] * A.dim, [f.zero] * A.dim]
         for i in range(n - 1):
-            idx.append(i * n + (i + 1))
-            idx.append((i + 1) * n + i)
-        return [A.basis_element(i) for i in idx] or [A.one]
+            shifts[0][i * n + i + 1] = shifts[1][(i + 1) * n + i] = f.one
+        return [A.element(s) for s in shifts]
     if kind == "quaternion":
         return [A.basis_element(1), A.basis_element(2)]
     if kind == "tensor":

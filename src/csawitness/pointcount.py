@@ -530,13 +530,16 @@ class LinkGraphReport:
                 "scope_note": SCOPE_NOTE, "notes": self.notes}
 
 
-def _cycle_diff(alpha, beta):
-    """(points only in alpha, points only in beta) for multiplicity-free
-    cycles."""
-    a = set(alpha.support())
-    b = set(beta.support())
-    return sorted(a - b, key=lambda p: p.sort_key()), \
-        sorted(b - a, key=lambda p: p.sort_key())
+def _single_swap(a, b):
+    """(p, q) when the point sets a and b differ by trading the one point p
+    of a for the one point q of b; None otherwise."""
+    only_a = a - b
+    if len(only_a) != 1:
+        return None
+    only_b = b - a
+    if len(only_b) != 1:
+        return None
+    return next(iter(only_a)), next(iter(only_b))
 
 
 def _irreducible_quadratics(field):
@@ -603,13 +606,13 @@ def link_graph(model, n, curves, budget=10 ** 7):
     base = model.base_field
 
     # moves (point) and (transfer): vertices differing in one closed point
-    for i, alpha in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            beta = vertices[j]
-            only_a, only_b = _cycle_diff(alpha, beta)
-            if len(only_a) != 1 or len(only_b) != 1:
+    supports = [frozenset(v.support()) for v in vertices]
+    for i, a in enumerate(supports):
+        for j in range(i + 1, len(supports)):
+            swap = _single_swap(a, supports[j])
+            if swap is None:
                 continue
-            pa, pb = only_a[0], only_b[0]
+            pa, pb = swap
             if pa.degree != pb.degree:
                 continue
             d = pa.degree

@@ -348,6 +348,28 @@ def test_false_preset_falls_back_to_the_basis():
         RightIdeal(A, [A.basis_coords(2), A.basis_coords(1)])
 
 
+@pytest.mark.parametrize("name, A", [(name, A) for name, A in _preset_algebras()
+                                     if A.preset.get("kind") == "matrix"
+                                     and A.preset["n"] >= 2])
+def test_matrix_presets_close_against_the_two_shifts(name, A):
+    n, E = A.preset["n"], A.basis_element
+    gens = A.closure_generators()
+    assert len(gens) == 2
+    assert A.element(gens[0]) == sum((E(i * n + i + 1) for i in range(n - 1)), A.zero)
+    assert A.element(gens[1]) == sum((E((i + 1) * n + i) for i in range(n - 1)), A.zero)
+    if n == 2:
+        assert gens == (A.basis_coords(1), A.basis_coords(2))  # E12, E21
+
+
+@pytest.mark.parametrize("name, A", [(name, A) for name, A in _preset_algebras()
+                                     if A.preset.get("kind") in ("quaternion", "tensor")])
+def test_quaternion_and_tensor_tables_are_associative(name, A):
+    # make_quaternion and tensor_product build their tables by formula and
+    # skip these checks at construction; here they run on every family
+    A._check_associativity()
+    A._check_unit()
+
+
 def _dense_mul(A, x, y):
     f = A.field
     out = [f.zero] * A.dim

@@ -297,3 +297,58 @@ def test_right_ideal_over_q_accepts_what_the_basis_definition_accepts(name, data
     except StructuralError:
         accepted = False
     assert accepted == _closed_under_every_basis_element(A, rows)
+
+
+# ---------------------------------------------------------------------------
+# the closure check against the two shift generators of M_n
+
+
+def _oracle_spans(A, rng):
+    """Subspaces of M_n, each labelled: random right ideals, the same with
+    one row replaced, left ideals A x with x singular, and the spans u S of
+    the matrices S supported in the last k columns (closed under the shift
+    N, not under N^T) or in the first k (closed under N^T, not under N)."""
+    f, n = A.field, A.degree
+
+    def element():
+        return tuple(f.random(rng) for _ in range(A.dim))
+
+    def invertible():
+        while True:
+            u = element()
+            if A.inverse(u) is not None:
+                return u
+
+    ideal = random_ideal(A, rng.randint(0, n), rng)
+    yield "right ideal", list(ideal.basis)
+    if ideal.basis:
+        rows = list(ideal.basis)
+        rows[rng.randrange(len(rows))] = element()
+        yield "replaced row", rows
+    k = rng.randint(1, n - 1)
+    # x of rank at most k < n, so that A x is a proper left ideal
+    x = A.mul(element(), tuple(f.one if i == j < k else f.zero
+                               for i in range(n) for j in range(n)))
+    yield "left ideal", [A.mul(A.basis_coords(j), x) for j in range(A.dim)]
+    u = invertible()
+    for cols in (range(n - k, n), range(k)):
+        yield "column band", [A.mul(u, A.basis_coords(i * n + j))
+                              for i in range(n) for j in cols]
+
+
+@pytest.mark.parametrize("field, n", [(F3, 3), (F2, 4), (QQ, 3)])
+def test_right_ideal_on_m_n_accepts_what_the_basis_definition_accepts(field, n):
+    A = make_matrix_algebra(field, n)
+    rng = random.Random(20 + n)
+    seen = set()
+    for _ in range(12):
+        for label, rows in _oracle_spans(A, rng):
+            try:
+                RightIdeal(A, rows)
+                accepted = True
+            except StructuralError:
+                accepted = False
+            assert accepted == _closed_under_every_basis_element(A, rows), label
+            seen.add((label, accepted))
+    assert {("right ideal", True), ("replaced row", False), ("left ideal", False),
+            ("column band", False)} <= seen

@@ -346,12 +346,25 @@ def _tensor_with(sigma1, phi):
 
 
 def _pinned_rejections():
-    """(algebra, map, message), each message as involution_from_matrix gave
-    it when it compared sigma(e_i g) with sigma(g) sigma(e_i) one basis
-    element at a time."""
+    """(algebra, map, message).  On M_2, quaternions and tensor products,
+    each message as involution_from_matrix gave it when it compared
+    sigma(e_i g) with sigma(g) sigma(e_i) one basis element at a time; on
+    M_3 and M_4 the generator named is the shift sum E_{i,i+1}."""
     out = []
     at = "map is not an anti-automorphism at basis element "
+    shifts = {3: "1*E12 + 1*E23", 4: "1*E12 + 1*E23 + 1*E34"}
     for f, c in ((QQ, Fraction(3, 2)), (F7, 3)):
+        for n, shift in shifts.items():
+            M = make_matrix_algebra(f, n)
+            tr = transpose_involution(M)
+            last = n * n - 1
+            out.append((M, identity(f, n * n), at + f"E11 and generator {shift}"))
+            out.append((M, _elementary_conjugate(tr, 0, 1, c),
+                        at + f"E12 and generator {shift}"))
+            out.append((M, _elementary_conjugate(tr, last, last - 1, c),
+                        at + f"E1{n} and generator {shift}"))
+            out.append((M, _elementary_conjugate(tr, n - 1, 1, c),
+                        at + f"E21 and generator {shift}"))
         M = make_matrix_algebra(f, 2)
         S = make_quaternion(f, f.one, f.one)
         T = tensor_product(M, S)

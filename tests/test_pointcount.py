@@ -12,7 +12,7 @@ from csawitness.pointcount import (
     ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
     QuadricCurves, QuadricModel, ZeroCycle, enumerate_points, frobenius_coords,
     frobenius_orbit, link_graph, scheme_index_bound, symmetric_power_points,
-    _irreducible_quadratics, transfer_cycle,
+    _irreducible_quadratics, _single_swap, transfer_cycle,
 )
 from csawitness.quadrics import QuadraticForm
 
@@ -198,6 +198,22 @@ def test_link_graph_split_surface_f2_degree_two():
     # 36 rational pairs + 8 quadratic closed points
     assert len(report.vertices) == 44
     assert report.connected
+
+
+@pytest.mark.parametrize("model, n", [(conic(F3), 2), (conic(F3), 3),
+                                      (split_surface(F2), 2)])
+def test_single_swap_is_the_one_point_difference(model, n):
+    vertices = symmetric_power_points(model, n)
+    swaps = 0
+    for alpha in vertices:
+        for beta in vertices:
+            a, b = set(alpha.support()), set(beta.support())
+            want = None
+            if len(a - b) == 1 and len(b - a) == 1:
+                want = ((a - b).pop(), (b - a).pop())
+                swaps += 1
+            assert _single_swap(frozenset(a), frozenset(b)) == want
+    assert swaps
 
 
 def test_involution_quadric_model_counts():
