@@ -11,6 +11,7 @@ constructors build their tables by formula and skip both checks;
 tests/test_algebra.py runs them on every family.
 """
 
+import itertools
 import random
 
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
@@ -20,6 +21,7 @@ from .linalg import (
     intertwiner_mismatch, kernel, lift_matrix, mat_vec, rref, solve,
 )
 from .poly import Poly, poly_nth_root
+from .quadrics import QuadraticForm, projective_points
 
 _ASSOC_FULL_LIMIT = 256
 _ASSOC_SAMPLES_PER_DIM = 10
@@ -694,19 +696,16 @@ class NoWitnessFound:
 
 
 def _quaternion_norm_search_fq(A):
+    """A nonzero (x, y, z) with x^2 - a y^2 - b z^2 = 0: the first point of
+    the conic <1, -a, -b> on the line x = 0, else with x = 1, in the order of
+    quadrics.projective_points (the first hit of a triple loop over x, y, z
+    in element order, as b != 0).  The scan stops at that point."""
     field = A.field
     a, b = A.preset["a"], A.preset["b"]
-    for x in field.elements():
-        for y in field.elements():
-            for z in field.elements():
-                if field.is_zero(x) and field.is_zero(y) and field.is_zero(z):
-                    continue
-                val = field.sub(field.mul(x, x),
-                                field.add(field.mul(a, field.mul(y, y)),
-                                          field.mul(b, field.mul(z, z))))
-                if field.is_zero(val):
-                    return x, y, z
-    return None
+    conic = QuadraticForm.diagonal(field, [field.one, field.neg(a), field.neg(b)])
+    line = ((field.zero,) + p for p in projective_points(field, 2))
+    points = itertools.chain(line, projective_points(field, 3))
+    return next((p for p in points if field.is_zero(conic.eval(p))), None)
 
 
 def _quaternion_norm_search_q(A, bound):

@@ -32,13 +32,6 @@ class Partition:
     def distinct(self):
         return sorted(set(self.parts), reverse=True)
 
-    def multiplicity(self, i):
-        return self.parts.count(i)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
     @property
     def total(self):
         return sum(self.parts)
@@ -89,9 +82,11 @@ class EtaleSubalgebra:
         return f"EtaleSubalgebra(dim={self.dim} of degree-{self.algebra.degree} algebra)"
 
 
-def minimal_polynomial(x):
-    """Least-degree monic annihilator, from the first linear dependence of
-    the powers 1, x, x^2, ..."""
+def _minimal_polynomial_and_power_basis(x):
+    """The minimal polynomial of x together with the rref basis and pivots
+    of 1, x, ..., x^(d-1), from the first linear dependence of the powers
+    1, x, x^2, ...; the powers before it are independent, so the basis has
+    d = deg(minpoly) rows."""
     alg = x.algebra
     f = alg.field
     powers = [alg.unit]
@@ -102,38 +97,37 @@ def minimal_polynomial(x):
         if in_row_space(f, span, pivots, nxt.coords):
             sol = solve(f, transpose(powers), list(nxt.coords))
             coeffs = [f.neg(c) for c in sol] + [f.one]
-            return Poly(f, coeffs)
+            return Poly(f, coeffs), span, pivots
         powers.append(nxt.coords)
         cur = nxt
+
+
+def minimal_polynomial(x):
+    """Least-degree monic annihilator, from the first linear dependence of
+    the powers 1, x, x^2, ..."""
+    return _minimal_polynomial_and_power_basis(x)[0]
 
 
 def generate_etale(a, minpoly_factors=None):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the
     degree of the ambient algebra."""
-    alg = a.algebra
-    f = alg.field
-    mp = minimal_polynomial(a)
+    mp, basis, pivots = _minimal_polynomial_and_power_basis(a)
     if not poly_squarefree(mp):
         raise NotEtaleError(
             f"minimal polynomial of degree {mp.degree} is not squarefree")
-    rows = []
-    cur = alg.one
-    for _ in range(mp.degree):
-        rows.append(cur.coords)
-        cur = cur * a
-    basis, pivots = rref(f, rows)
-    if len(basis) != mp.degree:
-        raise StructuralError("power span does not match the minimal polynomial degree")
     supplied = None
     if minpoly_factors is not None:
         supplied = _verify_supplied_factors(mp, minpoly_factors)
-    E = EtaleSubalgebra(alg, a, mp, basis, pivots, supplied)
+    E = EtaleSubalgebra(a.algebra, a, mp, basis, pivots, supplied)
     _check_commutative(E)
     return E
 
 
 def _check_commutative(E):
+    """Powers of one element commute when the product is associative; kept
+    because an explicit table above dimension 256 has its associativity
+    checked only on samples."""
     alg = E.algebra
     for i, b in enumerate(E.basis):
         for c in E.basis[i + 1:]:

@@ -7,6 +7,14 @@ multiplication by a generating set of the algebra (Algebra.closure_generators;
 closure under generators is closure under all of A): on M_n the two shift
 matrices, so each basis row costs two products and two membership tests,
 whatever n is.
+
+A module presentation writes A as the D-endomorphisms of D^m (D the
+quaternion factor, or F for a matrix preset); a right ideal is then the set
+of elements with columns in its column space.  The pencils of witness.py (an
+ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
+they need column spaces free over D.  d_basis_of picks its basis greedily
+and raises StructuralError when that choice fails, which only a split
+quaternion factor allows; the column space may still be free.
 """
 
 from .algebra import Algebra
@@ -414,7 +422,10 @@ class ModulePresentation:
 
     def d_basis_of(self, f_span_rows, extend_from=()):
         """Greedy right-D basis of a D-stable F-subspace, extending a given
-        partial D-basis; deterministic (rref rows in order)."""
+        partial D-basis; deterministic (rref rows in order).  Raises
+        StructuralError when a chosen vector's D-span adds fewer than
+        d2 = dim_F D dimensions, which only a split quaternion factor allows
+        (the subspace may still be free: the greedy choice missed a basis)."""
         dbasis = self.d_basis_coords()
         chosen = list(extend_from)
         span_rows = []
@@ -428,7 +439,12 @@ class ModulePresentation:
             chosen.append(tuple(cand))
             for d in dbasis:
                 span_rows.append(self.vec_times_d(cand, d))
+            before = len(span)
             span, pivots = rref(self.field, span_rows)
+            if len(span) - before != self.d2:
+                raise StructuralError(
+                    "greedy D-basis choice failed: a basis vector's D-span adds "
+                    f"{len(span) - before} of {self.d2} dimensions")
         return chosen
 
     def ideal_from_subspace(self, f_span_rows):

@@ -54,9 +54,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if not self.coeffs:
             raise InvalidInputError("zero polynomial has no leading coefficient")

@@ -6,6 +6,12 @@ nonvanishing at t certifies genuine membership there.  The convention is
 fixed globally: t = 1 gives the start object, t = 0 the end.  Validity
 polynomials are derived symbolically (rank minors, pencil minimal
 polynomials, discriminants); sampling is only ever the verifier's job.
+
+An ideal pencil is the one-level flag pencil: one core builds both from
+nested D-bases of the ideals' column spaces (D the quaternion factor, or F
+for a matrix preset), and one evaluator reads both back.  A pencil needs
+each column space to be free over D; when the greedy basis choice of
+ModulePresentation.d_basis_of fails, the constructors raise StructuralError.
 """
 
 import random
@@ -16,9 +22,9 @@ from .algebra import (
 )
 from .errors import (
     ConstructionFailedError, FieldTooSmallError, InvalidInputError,
-    StructuralError, UnsupportedFieldError,
+    NotEtaleError, StructuralError, UnsupportedFieldError,
 )
-from .etale import generate_etale, is_et_m_point, minimal_polynomial
+from .etale import generate_etale, is_et_m_point
 from .fields import Rationals
 from .ideals import Flag, flag_check, module_presentation
 from .involutions import (
@@ -27,7 +33,7 @@ from .involutions import (
     tensor_involution, transpose_involution, twist_by_inner,
 )
 from .linalg import kernel, mat_vec, rank, rref, transpose
-from .poly import Poly, poly_squarefree
+from .poly import Poly
 from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
 
@@ -86,31 +92,28 @@ class PencilWitness:
         tv = (t, f.sub(f.one, t))
         return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
 
-    def _eval_ideal(self, t):
-        pres = module_presentation(self.algebra)
-        vecs = self._pencil_vectors_at(self.data["pencil_w"],
-                                       self.data["pencil_w_prime"], t)
-        dbasis = pres.d_basis_coords()
-        rows = [pres.vec_times_d(v, d) for v in vecs for d in dbasis]
-        basis, _ = rref(self.field, rows)
-        if len(basis) != len(vecs) * pres.d2:
-            raise StructuralError(f"pencil drops rank at t={t}")
-        return pres.ideal_from_subspace([tuple(r) for r in basis])
-
-    def _eval_flag(self, t):
+    def _eval_levels(self, t, levels):
+        """The right ideals of the pencil at t, one per level: the ideal whose
+        column space is the D-span of the first lvl pencil vectors."""
         pres = module_presentation(self.algebra)
         dbasis = pres.d_basis_coords()
         vecs = self._pencil_vectors_at(self.data["pencil_w"],
                                        self.data["pencil_w_prime"], t)
         ideals = []
-        for lvl in self.data["levels"]:
-            sub = vecs[:lvl]
-            rows = [pres.vec_times_d(v, d) for v in sub for d in dbasis]
+        for lvl in levels:
+            rows = [pres.vec_times_d(v, d) for v in vecs[:lvl] for d in dbasis]
             basis, _ = rref(self.field, rows)
             if len(basis) != lvl * pres.d2:
-                raise StructuralError(f"flag pencil drops rank at t={t}")
+                raise StructuralError(f"pencil drops rank at t={t}")
             ideals.append(pres.ideal_from_subspace([tuple(r) for r in basis]))
-        return Flag(ideals)
+        return ideals
+
+    def _eval_ideal(self, t):
+        ideal, = self._eval_levels(t, [len(self.data["pencil_w"])])
+        return ideal
+
+    def _eval_flag(self, t):
+        return Flag(self._eval_levels(t, self.data["levels"]))
 
     def _etale_generator_at(self, t):
         coords, = self._pencil_vectors_at([self.data["gen_start"]],
@@ -325,40 +328,51 @@ def _pencil_validity(pres, wvecs, wpvecs):
     return v1
 
 
+def _subspace_pencil(pres, kind, start, end, ideals, ideals_prime, meta):
+    """The pencil of nested column spaces from the ideals of start (t=1) to
+    those of end (t=0); an ideal pencil is the one-level case.
+
+    Each level's column space gets a D-basis extending the one below it, so
+    containments hold identically in t.  The validity is the product over
+    the levels of their rank minors (1 when start equals end), and the
+    endpoints are re-evaluated from the pencil data, which also rejects an
+    ideal that its column space does not determine.
+    """
+    A = pres.algebra
+    wb, wpb, levels = [], [], []
+    for I, Ip in zip(ideals, ideals_prime):
+        wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
+        wpb = pres.d_basis_of(pres.image_subspace(Ip), extend_from=wpb)
+        levels.append(len(wb))
+    validity = Poly.one(A.field)
+    if ideals != ideals_prime:
+        for lvl in levels:
+            validity = validity * _pencil_validity(pres, wb[:lvl], wpb[:lvl])
+    data = {"pencil_w": wb, "pencil_w_prime": wpb}
+    if kind == FLAG_PENCIL:
+        data["levels"] = levels
+    w = PencilWitness(kind, start, end, validity, data, algebra=A, meta=meta)
+    if w.evaluate(A.field.one) != start or w.evaluate(A.field.zero) != end:
+        raise ConstructionFailedError(
+            "pencil endpoints do not reproduce the inputs; the module "
+            "presentation does not match")
+    return w
+
+
 def connect_ideals(I, Iprime):
     """A degree-1 pencil of right ideals from I (t=1) to I' (t=0).
 
     Needs a module presentation (split matrix algebra or a matrix-by-
-    quaternion tensor preset) and equal reduced dimensions.  The pencil
-    interpolates paired bases of the column-space images of the two ideals.
+    quaternion tensor preset), equal reduced dimensions and column spaces
+    free over D.  The pencil interpolates paired D-bases of the column-space
+    images of the two ideals: the one-level case of connect_flags.
     """
-    A = I.algebra
-    if Iprime.algebra != A:
+    if Iprime.algebra != I.algebra:
         raise InvalidInputError("ideals live in different algebras")
     if I.rdim != Iprime.rdim:
         raise InvalidInputError(f"reduced dimensions differ: {I.rdim} != {Iprime.rdim}")
-    pres = module_presentation(A)
-    if I == Iprime:
-        wb = pres.d_basis_of(pres.image_subspace(I)) if not I.is_zero() else []
-        return PencilWitness(IDEAL_PENCIL, I, Iprime, Poly.one(A.field),
-                             {"pencil_w": [tuple(v) for v in wb],
-                              "pencil_w_prime": [tuple(v) for v in wb]},
-                             algebra=A, meta={"rdim": I.rdim})
-    W = pres.image_subspace(I)
-    Wp = pres.image_subspace(Iprime)
-    if pres.ideal_from_subspace(W) != I or pres.ideal_from_subspace(Wp) != Iprime:
-        raise StructuralError("ideal is not determined by its column space; "
-                              "the module presentation does not match")
-    wb = pres.d_basis_of(W)
-    wpb = pres.d_basis_of(Wp)
-    validity = _pencil_validity(pres, wb, wpb)
-    w = PencilWitness(IDEAL_PENCIL, I, Iprime, validity,
-                      {"pencil_w": [tuple(v) for v in wb],
-                       "pencil_w_prime": [tuple(v) for v in wpb]},
-                      algebra=A, meta={"rdim": I.rdim})
-    if w.evaluate(A.field.one) != I or w.evaluate(A.field.zero) != Iprime:
-        raise ConstructionFailedError("pencil endpoints do not reproduce the ideals")
-    return w
+    return _subspace_pencil(module_presentation(I.algebra), IDEAL_PENCIL, I, Iprime,
+                            (I,), (Iprime,), {"rdim": I.rdim})
 
 
 def connect_flags(flag, flag_prime):
@@ -377,24 +391,8 @@ def connect_flags(flag, flag_prime):
     for rd in sig:
         if rd % pres.ind:
             raise InvalidInputError(f"rdim {rd} is not a multiple of the index")
-    # nested D-bases: extend level by level
-    wb, wpb = [], []
-    for I, Ip in zip(flag.ideals, flag_prime.ideals):
-        wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
-        wpb = pres.d_basis_of(pres.image_subspace(Ip), extend_from=wpb)
-    levels = [rd // pres.ind for rd in sig]
-    validity = Poly.one(A.field)
-    if flag != flag_prime:
-        for lvl in levels:
-            validity = validity * _pencil_validity(pres, wb[:lvl], wpb[:lvl])
-    w = PencilWitness(FLAG_PENCIL, flag, flag_prime, validity,
-                      {"pencil_w": [tuple(v) for v in wb],
-                       "pencil_w_prime": [tuple(v) for v in wpb],
-                       "levels": levels},
-                      algebra=A, meta={"signature": list(sig)})
-    if w.evaluate(A.field.one) != flag or w.evaluate(A.field.zero) != flag_prime:
-        raise ConstructionFailedError("flag pencil endpoints do not match")
-    return w
+    return _subspace_pencil(pres, FLAG_PENCIL, flag, flag_prime, flag.ideals,
+                            flag_prime.ideals, {"signature": list(sig)})
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +431,11 @@ def _redraw_generator(E, rng):
     A = E.algebra
     for _ in range(64):
         cand = AlgebraElement(A, _random_combination(A, E.basis, rng))
-        if minimal_polynomial(cand).degree == E.dim:
-            try:
-                if generate_etale(cand) == E:
-                    return cand
-            except Exception:
-                continue
+        try:
+            if generate_etale(cand) == E:
+                return cand
+        except NotEtaleError:
+            continue
     raise FieldTooSmallError("could not redraw a primitive generator")
 
 
@@ -673,12 +670,6 @@ def connect_exp2(L1, L2, open_set=None, rng_seed=0, retry_budget=64):
         if sigma2.apply_coords(alpha2.coords) != alpha2.coords:
             raise StructuralError("u alpha1 is not symmetric for sigma2")
         try:
-            mp1 = minimal_polynomial(alpha1)
-            mp2 = minimal_polynomial(alpha2)
-            if mp1.degree != m or mp2.degree != m:
-                continue
-            if not poly_squarefree(mp1) or not poly_squarefree(mp2):
-                continue
             E1 = generate_etale(alpha1)
             E2 = generate_etale(alpha2)
             if not is_et_m_point(E1, m) or not is_et_m_point(E2, m):

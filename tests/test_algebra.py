@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import (
-    Algebra, NoWitnessFound, _mult_matrix, SplitWitness, algebra_generators,
+    Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq, SplitWitness,
+    algebra_generators,
     certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, reduced_trace,
     tensor_product,
@@ -16,6 +17,7 @@ from csawitness.errors import (
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import charpoly, kernel, rank, rref
 from csawitness.poly import Poly
+from csawitness.quadrics import QuadraticForm
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -164,6 +166,48 @@ def test_index_evidence_hamilton_negative():
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
     w = index_evidence(H, search_bound=50)
     assert isinstance(w, NoWitnessFound) and w.bound == 50
+
+
+def _norm_search_triple_loop(field, a, b):
+    """The first nonzero (x, y, z), x outermost and z innermost in element
+    order, with x^2 - a y^2 - b z^2 = 0: a reference search that scans the
+    whole q^2 slice x = 0 before any x != 0."""
+    for x in field.elements():
+        for y in field.elements():
+            for z in field.elements():
+                if field.is_zero(x) and field.is_zero(y) and field.is_zero(z):
+                    continue
+                val = field.sub(field.mul(x, x),
+                                field.add(field.mul(a, field.mul(y, y)),
+                                          field.mul(b, field.mul(z, z))))
+                if field.is_zero(val):
+                    return x, y, z
+    return None
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, PrimeField(11), PrimeField(13),
+                                   standard_extension(3, 2), standard_extension(5, 2)],
+                         ids=str)
+def test_norm_search_is_the_first_hit_of_the_triple_loop(field):
+    nonzero = [e for e in field.elements() if not field.is_zero(e)]
+    for a in nonzero:
+        for b in nonzero:
+            got = _quaternion_norm_search_fq(make_quaternion(field, a, b))
+            assert got == _norm_search_triple_loop(field, a, b), (a, b)
+
+
+# q = 10007 = 3 mod 4: -1 is not a square, so (1, 1) has no point with x = 0
+# and the triple loop evaluates q^2 forms; (-1, 1) has the point (0, 1, 1)
+@pytest.mark.parametrize("a, expected, evals", [(1, (1, 0, 1), 10007 + 3),
+                                                (10006, (0, 1, 1), 2)])
+def test_norm_search_stops_at_its_first_hit(monkeypatch, a, expected, evals):
+    field = PrimeField(10007)
+    count = []
+    evaluate = QuadraticForm.eval
+    monkeypatch.setattr(QuadraticForm, "eval",
+                        lambda form, vec: count.append(1) or evaluate(form, vec))
+    assert _quaternion_norm_search_fq(make_quaternion(field, a, 1)) == expected
+    assert len(count) == evals
 
 
 def test_index_evidence_rejects_a_negative_bound():

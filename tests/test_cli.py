@@ -7,10 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 from csawitness import serialize
-from csawitness.algebra import make_matrix_algebra
+from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.cli import main
 from csawitness.fields import PrimeField
-from csawitness.ideals import Flag, random_ideal, zero_ideal
+from csawitness.ideals import Flag, ideal_generated, random_ideal, zero_ideal
 
 
 @pytest.fixture
@@ -455,3 +455,37 @@ def test_connect_flags_with_zero_level(runner, tmp_path):
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert r.exit_code == 0, r.output
     assert r.output.startswith("pass")
+
+
+# Over F_5 the quaternion algebra (2, 3) is split: the greedy choice of
+# d_basis_of fails on the column spaces of i and j, so no pencil is built on
+# them.  The column space of j is free over D, so the j cases pin a known
+# limit of that choice; a better one should make them build verified pencils
+_SPLIT_D_CASES = {
+    "quaternion_rdim_1_to_itself": ("h", "connect-ideals", "i", "i"),
+    "tensor_rdim_2_to_itself": ("t", "connect-ideals", "j", "j"),
+    "tensor_rdim_2_to_free": ("t", "connect-ideals", "j", "r"),
+    "tensor_one_level_flags": ("t", "connect-flags", "jf", "rf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_D_CASES))
+def test_split_d_pencil_exits_2(runner, tmp_path, case):
+    H = make_quaternion(PrimeField(5), 2, 3)
+    T = tensor_product(make_matrix_algebra(PrimeField(5), 2), H)
+    for name, A in (("h", H), ("t", T)):
+        serialize.save_json(serialize.algebra_to_json(A), tmp_path / f"{name}.json")
+    j = ideal_generated([T.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
+    r = random_ideal(T, 2, random.Random(3))
+    files = {"i": serialize.ideal_to_json(ideal_generated([H.element([0, 1, 1, 0])])),
+             "j": serialize.ideal_to_json(j), "r": serialize.ideal_to_json(r),
+             "jf": serialize.flag_to_json(Flag([j])), "rf": serialize.flag_to_json(Flag([r]))}
+    for name, data in files.items():
+        serialize.save_json(data, tmp_path / f"{name}.json")
+    alg, cmd, src, dst = _SPLIT_D_CASES[case]
+    w = tmp_path / "w.json"
+    res = invoke(runner, ["witness", cmd, "--algebra", str(tmp_path / f"{alg}.json"),
+                          "--from", str(tmp_path / f"{src}.json"),
+                          "--to", str(tmp_path / f"{dst}.json"), "--out", str(w)])
+    assert _one_error_line(res)
+    assert not w.exists()

@@ -7,11 +7,17 @@ change that alters any output byte fails here.
 
 import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
+from csawitness import serialize
+from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.cli import main
+from csawitness.fields import QQ, PrimeField
+from csawitness.ideals import random_flag, random_ideal
+from csawitness.witness import connect_flags, connect_ideals
 
 M4F5 = [
     ("a", ["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:5",
@@ -235,3 +241,39 @@ def test_golden_hgraph(tmp_path, monkeypatch, name):
     assert r.exit_code == 0, r.output
     assert (_sha(r.stdout.encode()), _sha((tmp_path / "g.json").read_bytes())) == \
         (stdout_sha, graph_sha)
+
+
+# library witnesses on paths the pipelines above do not reach: a flag pencil
+# over a quaternion factor (d2 = 4), and pencils whose start equals their end
+
+
+def _m2h_q():
+    return tensor_product(make_matrix_algebra(QQ, 2), make_quaternion(QQ, -1, -1))
+
+
+def _flags_m2h_q():
+    rng = random.Random(5)
+    A = _m2h_q()
+    return connect_flags(random_flag(A, (2, 4), rng), random_flag(A, (2, 4), rng))
+
+
+def _same_ideal(A, seed):
+    I = random_ideal(A, 2, random.Random(seed))
+    return connect_ideals(I, I)
+
+
+WITNESS_GOLDEN = {
+    "flags_m2h_q": (_flags_m2h_q,
+                    "8917cdd41e923d52c4b5735753a77ebc400f12a12482a632719e08736db287c1"),
+    "same_ideal_m4f5": (lambda: _same_ideal(make_matrix_algebra(PrimeField(5), 4), 7),
+                        "b91208181af3f06c969810dd42a89f9997bae529973dcdd85a13232626bfefa9"),
+    "same_ideal_m2h_q": (lambda: _same_ideal(_m2h_q(), 3),
+                         "7166fb0a342029f174fa76f1f288038469819fe503f200e40c1cd8ce27a9cd1a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GOLDEN))
+def test_golden_witness(name):
+    build, want = WITNESS_GOLDEN[name]
+    data = serialize.dump_canonical(serialize.witness_to_json(build()))
+    assert _sha(data.encode()) == want

@@ -197,6 +197,21 @@ def test_random_ideal_rdim_constraints():
         random_ideal(T, 1, rng)  # must be a multiple of 2
 
 
+def test_d_basis_of_raises_when_a_greedy_vector_falls_short():
+    # (2, 3) over F_5 is split: the first rref row of this element's column
+    # space spans only 2 dimensions over D, so the greedy basis stops there.
+    # The column space is free (F-dimension 4 over D = M_2(F_5)), so this
+    # pins a known limit of the greedy choice, not a non-free input
+    T = tensor_product(make_matrix_algebra(F5, 2), make_quaternion(F5, 2, 3))
+    pres = module_presentation(T)
+    I = ideal_generated([T.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
+    assert I.rdim == 2
+    with pytest.raises(StructuralError, match="greedy D-basis choice failed"):
+        pres.d_basis_of(pres.image_subspace(I))
+    r = random_ideal(T, 2, random.Random(3))
+    assert len(pres.d_basis_of(pres.image_subspace(r))) == 1
+
+
 def test_quaternion_ideal_has_even_rdim():
     H = make_quaternion(F5, 2, 3)  # split by Wedderburn, but presented as D
     rng = random.Random(7)

@@ -7,14 +7,14 @@ import pytest
 from csawitness.algebra import (
     make_matrix_algebra, make_quaternion, tensor_product,
 )
-from csawitness.errors import FieldTooSmallError, InvalidInputError
+from csawitness.errors import FieldTooSmallError, InvalidInputError, StructuralError
 from csawitness.etale import (
     generate_etale, is_et_m_point, random_balanced_pair_subalgebra,
     random_maximal_etale,
 )
 from csawitness.fields import QQ, PrimeField
 from csawitness.ideals import (
-    ideal_generated, random_flag, random_ideal,
+    Flag, ModulePresentation, ideal_generated, random_flag, random_ideal,
 )
 from csawitness.involutions import (
     SYMPLECTIC, adjoint_involution, quaternion_conjugation,
@@ -110,6 +110,62 @@ def test_tampered_ideal_witness_fails():
     assert any(name == "endpoint_start" for name, _ in rep.failures())
 
 
+def test_ideal_pencil_is_the_one_level_flag_pencil():
+    for A in (make_matrix_algebra(F5, 4),
+              tensor_product(make_matrix_algebra(F5, 2), make_quaternion(F5, 2, 3))):
+        rng = random.Random(13)
+        I1, I2 = random_ideal(A, 2, rng), random_ideal(A, 2, rng)
+        wi = connect_ideals(I1, I2)
+        wf = connect_flags(Flag([I1]), Flag([I2]))
+        assert wf.validity == wi.validity
+        assert wf.data == dict(wi.data, levels=[len(wi.data["pencil_w"])])
+        for t in exhaustive(F5):
+            if not F5.is_zero(wi.validity.eval(t)):
+                assert wf.evaluate(t) == Flag([wi.evaluate(t)])
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["same", "distinct"])
+def test_ideal_pencil_builds_each_endpoint_ideal_once(monkeypatch, same):
+    A = make_matrix_algebra(F5, 4)
+    rng = random.Random(7)
+    I1 = random_ideal(A, 2, rng)
+    I2 = I1 if same else random_ideal(A, 2, rng)
+    calls = []
+    build = ModulePresentation.ideal_from_subspace
+    monkeypatch.setattr(ModulePresentation, "ideal_from_subspace",
+                        lambda pres, rows: calls.append(1) or build(pres, rows))
+    connect_ideals(I1, I2)
+    assert len(calls) == 2
+
+
+# (2, 3) over F_5 is split, so a column space vector can span fewer than 4
+# dimensions over D.  The rdim-1 ideal's column space is not free.  The
+# rdim-2 ideal j's column space is free (F-dimension 4 over D = M_2(F_5)),
+# but the greedy D-basis stops at such a vector: the j cases pin that known
+# limit of d_basis_of, and a better basis choice should turn them into
+# verified pencils.  Either way the pencil ends in StructuralError, never in
+# a witness that fails
+SPLIT_D_CASES = ("quaternion_rdim_1_to_itself", "tensor_rdim_2_to_itself",
+                 "tensor_rdim_2_to_free", "free_to_tensor_rdim_2", "tensor_one_level_flags")
+
+
+@pytest.mark.parametrize("case", SPLIT_D_CASES)
+def test_split_d_pencil_raises(case):
+    H = make_quaternion(F5, 2, 3)
+    A = tensor_product(make_matrix_algebra(F5, 2), H)
+    i = ideal_generated([H.element([0, 1, 1, 0])])
+    j = ideal_generated([A.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
+    r = random_ideal(A, 2, random.Random(3))
+    assert (i.rdim, j.rdim) == (1, 2)
+    build = {"quaternion_rdim_1_to_itself": lambda: connect_ideals(i, i),
+             "tensor_rdim_2_to_itself": lambda: connect_ideals(j, j),
+             "tensor_rdim_2_to_free": lambda: connect_ideals(j, r),
+             "free_to_tensor_rdim_2": lambda: connect_ideals(r, j),
+             "tensor_one_level_flags": lambda: connect_flags(Flag([j]), Flag([r]))}[case]
+    with pytest.raises(StructuralError, match="greedy D-basis choice failed"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # flag pencils
 
@@ -136,6 +192,15 @@ def test_connect_flags_m3_f5_exhaustive():
         for t in exhaustive(F5):
             if not F5.is_zero(w.validity.eval(t)):
                 assert flag_check(w.evaluate(t), (1, 2))
+
+
+def test_connect_flags_quaternionic_module_over_q():
+    A = tensor_product(make_matrix_algebra(QQ, 2), make_quaternion(QQ, -1, -1))
+    rng = random.Random(5)
+    w = connect_flags(random_flag(A, (2, 4), rng), random_flag(A, (2, 4), rng))
+    assert w.data["levels"] == [1, 2]
+    rep = verify_witness(w)
+    assert rep.passed, rep.failures()
 
 
 def test_connect_flags_signature_mismatch():
