@@ -345,7 +345,9 @@ def witness_connect_quadric(form_path, p1, p2, out):
 @main.command("verify")
 @click.option("--witness", "witness_path", required=True, type=click.Path())
 @click.option("--exhaustive", is_flag=True, default=False,
-              help="sample every element of a finite base field")
+              help="check pencils and etale lines at every element of a "
+                   "finite base field; conic segments are certified for "
+                   "every t without samples")
 @click.option("--samples", default=None, help="comma-separated parameters")
 @click.option("--out", default=None, type=click.Path())
 @handle_errors

@@ -565,9 +565,10 @@ def link_graph(model, n, curves, budget=10 ** 7):
     extension; (fiber) trade a pair of rational points on a verified curve
     for the closed point swept out at a conjugate parameter pair, via a
     pencil of degree-2 parameter divisors.  Each distinct witness, one per
-    ordered (degree, point, point) link, is verified over every element of
-    `curves.field_at(degree)` once, before its first edge; a link that fails
-    or does not verify adds no edge.  One component is evidence consistent
+    ordered (degree, point, point) link, is verified once by verify_witness,
+    before its first edge: a conic segment is certified for every parameter,
+    any other witness at every element of its field.  A link that fails or
+    does not verify adds no edge.  One component is evidence consistent
     with cycle triviality, never a proof.
     """
     if curves is None:
@@ -597,8 +598,7 @@ def link_graph(model, n, curves, budget=10 ** 7):
         key = (d, x, y)
         if key not in links:
             w = curves.link(d, x, y)
-            if w is not None and not verify_witness(
-                    w, list(curves.field_at(d).elements())).passed:
+            if w is not None and not verify_witness(w).passed:
                 w = None
             links[key] = w
         return links[key]
@@ -662,7 +662,6 @@ def _fiber_hit(model, seg, quadratics, ext, target):
     lift = ext.lift
     coord_polys_ext = [Poly(ext, [lift(c) for c in p.coeffs])
                        for p in seg.data["coord_polys"]]
-    validity_ext = Poly(ext, [lift(c) for c in seg.validity.coeffs])
     for g in quadratics:
         # the first root of g in the quadratic extension, deterministic
         tau = next((t for t in ext.elements()
@@ -670,8 +669,6 @@ def _fiber_hit(model, seg, quadratics, ext, target):
                    None)
         if tau is None:
             raise StructuralError("irreducible quadratic without a root upstairs")
-        if ext.is_zero(validity_ext.eval(tau)):
-            continue
         coords = tuple(p.eval(tau) for p in coord_polys_ext)
         pt = model.normalize(ext, coords)
         if pt is None or not model.contains(ext, pt):

@@ -5,7 +5,9 @@ data defining the point at parameter t, and a validity polynomial whose
 nonvanishing at t certifies genuine membership there.  The convention is
 fixed globally: t = 1 gives the start object, t = 0 the end.  Validity
 polynomials are derived symbolically (rank minors, pencil minimal
-polynomials, discriminants); sampling is only ever the verifier's job.
+polynomials, discriminants); sampling is only ever the verifier's job, and
+it samples only pencils and etale lines: a conic segment is certified for
+every t by a polynomial identity and a gcd.
 
 An ideal pencil is the one-level flag pencil: one core builds both from
 nested D-bases of the ideals' column spaces (D the quaternion factor, or F
@@ -14,6 +16,7 @@ each column space to be free over D; when the greedy basis choice of
 ModulePresentation.d_basis_of fails, the constructors raise StructuralError.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -33,7 +36,7 @@ from .involutions import (
     tensor_involution, transpose_involution, twist_by_inner,
 )
 from .linalg import kernel, mat_vec, rank, rref, transpose
-from .poly import Poly
+from .poly import Poly, poly_gcd
 from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
 
@@ -92,7 +95,14 @@ class PencilWitness:
         tv = (t, f.sub(f.one, t))
         return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
 
-    def _eval_levels(self, t, levels):
+    def _levels(self):
+        """The pencil vector counts of an ideal or flag pencil's levels; an
+        ideal pencil has one level holding every vector."""
+        if self.kind == FLAG_PENCIL:
+            return self.data["levels"]
+        return [len(self.data["pencil_w"])]
+
+    def _eval_levels(self, t):
         """The right ideals of the pencil at t, one per level: the ideal whose
         column space is the D-span of the first lvl pencil vectors."""
         pres = module_presentation(self.algebra)
@@ -100,7 +110,7 @@ class PencilWitness:
         vecs = self._pencil_vectors_at(self.data["pencil_w"],
                                        self.data["pencil_w_prime"], t)
         ideals = []
-        for lvl in levels:
+        for lvl in self._levels():
             rows = [pres.vec_times_d(v, d) for v in vecs[:lvl] for d in dbasis]
             basis, _ = rref(self.field, rows)
             if len(basis) != lvl * pres.d2:
@@ -109,11 +119,11 @@ class PencilWitness:
         return ideals
 
     def _eval_ideal(self, t):
-        ideal, = self._eval_levels(t, [len(self.data["pencil_w"])])
+        ideal, = self._eval_levels(t)
         return ideal
 
     def _eval_flag(self, t):
-        return Flag(self._eval_levels(t, self.data["levels"]))
+        return Flag(self._eval_levels(t))
 
     def _etale_generator_at(self, t):
         coords, = self._pencil_vectors_at([self.data["gen_start"]],
@@ -199,9 +209,13 @@ def _fmt(field, t):
 def verify_witness(w, samples=None, open_set=None):
     """Re-check a witness or chain from scratch.
 
-    Endpoint matches are exact object equalities; membership is checked at
-    every sample where the validity polynomial is nonzero; chains also get
-    continuity checks.  Failures are report entries, never exceptions.
+    Endpoint matches are exact object equalities.  A conic segment is
+    certified for every t, with no sample: its coordinates satisfy the form
+    identically and each of their common zeros is a zero of the validity.
+    Pencils and etale lines are checked at every sample where the validity
+    is nonzero; an ideal or flag pencil's validity is re-derived from its
+    pencil data and must equal the stored one.  Chains also get continuity
+    checks.  Failures are report entries, never exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
@@ -216,9 +230,18 @@ def verify_witness(w, samples=None, open_set=None):
 
     report = VerificationReport()
     field = w.field
-    if samples is None:
-        samples = default_samples(field)
-    report.add("validity_nonzero", not w.validity.is_zero())
+    validity = w.validity
+    if w.kind in (IDEAL_PENCIL, FLAG_PENCIL):
+        try:
+            validity = _subspace_validity(module_presentation(w.algebra),
+                                          w.data["pencil_w"], w.data["pencil_w_prime"],
+                                          w._levels())
+            detail = "" if validity == w.validity else "stored validity differs"
+        except Exception as exc:
+            validity, detail = None, f"derivation failed: {exc}"
+        report.add("validity_rederived", not detail, detail)
+    else:
+        report.add("validity_nonzero", not validity.is_zero())
 
     for name, t, target in (("endpoint_start", field.one, w.start),
                             ("endpoint_end", field.zero, w.end)):
@@ -229,17 +252,20 @@ def verify_witness(w, samples=None, open_set=None):
             report.add(name, False, f"evaluation failed: {exc}")
 
     if w.kind == QUADRIC_LINE:
-        # on-quadric identity: q(curve(t)) == 0 as a polynomial in t
-        identity = w.form.eval_polys(w.data["coord_polys"])
-        report.add("on_quadric_identity", identity.is_zero())
+        coord_polys = w.data["coord_polys"]
+        report.add("on_quadric_identity", w.form.eval_polys(coord_polys).is_zero())
+        # g | v^deg(g) iff every common zero of the coordinates is a zero of v
+        g = functools.reduce(poly_gcd, coord_polys, Poly.zero(field))
+        report.add("coord_gcd_divides_validity",
+                   not g.is_zero() and w.validity.pow_mod(g.degree, g).is_zero())
+        return report
 
     checker = {IDEAL_PENCIL: _check_ideal_sample,
                FLAG_PENCIL: _check_flag_sample,
-               ETALE_LINE: _check_etale_sample,
-               QUADRIC_LINE: _check_quadric_sample}[w.kind]
+               ETALE_LINE: _check_etale_sample}[w.kind]
     osp = open_set if open_set is not None else w.open_set
-    for t in samples:
-        if field.is_zero(w.validity.eval(t)):
+    for t in default_samples(field) if samples is None else samples:
+        if validity is not None and field.is_zero(validity.eval(t)):
             continue
         try:
             ok, detail = checker(w, t, osp)
@@ -279,11 +305,6 @@ def _check_etale_sample(w, t, open_set):
     if open_set is not None and not open_set(E):
         return False, "open-set predicate failed"
     return True, ""
-
-
-def _check_quadric_sample(w, t, open_set):
-    pt = w.evaluate(t)
-    return w.form.field.is_zero(w.form.eval(pt)), ""
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +349,17 @@ def _pencil_validity(pres, wvecs, wpvecs):
     return v1
 
 
+def _subspace_validity(pres, wvecs, wpvecs, levels):
+    """The validity of a pencil of nested column spaces: the product over the
+    levels of their rank minors, or 1 when the pencil is constant.  The
+    constructor and the verifier both derive it here."""
+    validity = Poly.one(pres.field)
+    if wvecs != wpvecs:
+        for lvl in levels:
+            validity = validity * _pencil_validity(pres, wvecs[:lvl], wpvecs[:lvl])
+    return validity
+
+
 def _subspace_pencil(pres, kind, start, end, ideals, ideals_prime, meta):
     """The pencil of nested column spaces from the ideals of start (t=1) to
     those of end (t=0); an ideal pencil is the one-level case.
@@ -344,14 +376,11 @@ def _subspace_pencil(pres, kind, start, end, ideals, ideals_prime, meta):
         wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
         wpb = pres.d_basis_of(pres.image_subspace(Ip), extend_from=wpb)
         levels.append(len(wb))
-    validity = Poly.one(A.field)
-    if ideals != ideals_prime:
-        for lvl in levels:
-            validity = validity * _pencil_validity(pres, wb[:lvl], wpb[:lvl])
     data = {"pencil_w": wb, "pencil_w_prime": wpb}
     if kind == FLAG_PENCIL:
         data["levels"] = levels
-    w = PencilWitness(kind, start, end, validity, data, algebra=A, meta=meta)
+    w = PencilWitness(kind, start, end, _subspace_validity(pres, wb, wpb, levels),
+                      data, algebra=A, meta=meta)
     if w.evaluate(A.field.one) != start or w.evaluate(A.field.zero) != end:
         raise ConstructionFailedError(
             "pencil endpoints do not reproduce the inputs; the module "
@@ -413,8 +442,7 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
     end = generate_etale(gen_end)
     return PencilWitness(ETALE_LINE, start, end, validity,
                          {"gen_start": gen_start.coords,
-                          "gen_end": gen_end.coords,
-                          "pencil_minpoly": [c.to_json() for c in mp]},
+                          "gen_end": gen_end.coords},
                          algebra=A, meta=meta, open_set=open_set)
 
 

@@ -217,6 +217,51 @@ def test_verify_rederives_rdim(runner, tmp_path):
     assert r.exit_code == 1 and "stored rdim 2 != 1" in r.stderr
 
 
+def test_verify_rederives_pencil_validity(runner, tmp_path):
+    # an ideal pencil whose stored validity vanishes on all of F_5 and whose
+    # rdim is gone: the verifier derives the validity 1 from the pencil data
+    steps = [["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:5",
+              "--out", "a.json"],
+             ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "7",
+              "--out", "i1.json"],
+             ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "8",
+              "--out", "i2.json"],
+             ["witness", "connect-ideals", "--algebra", "a.json", "--from", "i1.json",
+              "--to", "i2.json", "--out", "w.json"]]
+    for args in steps:
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        assert invoke(runner, args).exit_code == 0
+    w = tmp_path / "w.json"
+    data = json.loads(w.read_text())
+    seg = data["segments"][0]
+    assert seg["validity"] == ["1"]
+    seg["validity"] = ["0", "4", "0", "0", "0", "1"]  # t^5 - t
+    del seg["meta"]["rdim"]
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 1 and r.stdout.startswith("FAIL")
+    assert "failed: validity_rederived stored validity differs" in r.stderr
+    assert "membership@t=0 stored rdim None != 2" in r.stderr
+
+
+def test_q_conic_report_ignores_samples(runner, tmp_path):
+    form = tmp_path / "q.json"
+    form.write_text(json.dumps({"field": {"kind": "rationals"}, "nvars": 3,
+                                "coeffs": {"0,2": "1", "1,1": "-1"}}))
+    w = tmp_path / "w.json"
+    assert invoke(runner, ["witness", "connect-quadric", "--form", str(form),
+                           "--p1", "1,0,0", "--p2", "0,0,1",
+                           "--out", str(w)]).exit_code == 0
+    outs = set()
+    for extra in ([], ["--samples", "0"], ["--samples", "1/2,-3,7,2/9"]):
+        v = tmp_path / "v.json"
+        r = invoke(runner, ["verify", "--witness", str(w), "--out", str(v)] + extra)
+        assert r.exit_code == 0 and r.stdout.startswith("pass")
+        outs.add((r.stdout, v.read_bytes()))
+    assert len(outs) == 1
+    assert b"membership" not in next(iter(outs))[1]
+
+
 _F5 = {"kind": "prime", "p": "5"}
 _MALFORMED_ALGEBRAS = {
     "index_out_of_range": ({"field": _F5, "preset": "explicit", "degree": 1,
@@ -416,7 +461,7 @@ def test_malformed_quadric_segment_exits_2(runner, tmp_path, case):
                            "--p1", "1,0,0", "--p2", "0,0,1",
                            "--out", str(w)]).exit_code == 0
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
-    assert r.exit_code == 0 and r.stdout == "pass: 7 checks\n"
+    assert r.exit_code == 0 and r.stdout == "pass: 5 checks\n"
     tamper, message = _SEGMENT_TAMPERS[case]
     data = json.loads(w.read_text())
     tamper(data["segments"][0])

@@ -74,6 +74,15 @@ EXP2_M4F7 = [
     ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
 ]
 
+# the F_3 conic 2y^2 + xz = 0; q.json is written before the steps run
+CONIC_F3_FORM = {"field": {"kind": "prime", "p": 3}, "nvars": 3,
+                 "coeffs": {"0,2": "1", "1,1": "2"}}
+CONIC_F3 = [
+    ("w", ["witness", "connect-quadric", "--form", "q.json", "--p1", "1,0,0",
+           "--p2", "0,0,1", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
+]
+
 GOLDEN = {
     "ideals_m4f5": {
         "a.json":
@@ -89,7 +98,7 @@ GOLDEN = {
         "i2.stdout":
             "8592c1a9b5ecb596023e108644977ffcd9f5f4352c89222a67de00ff8ef20f6d",
         "v.json":
-            "58adc6da4144e0f50b556724f4415345a165981e9cc9af899953b9a5f5462925",
+            "e21fdb038caeafb4d61a56c33fb9821e3f744c6919e8ff7b8f1f03c2ba5d4cce",
         "v.stdout":
             "6a2c7d3f69aac1318285e857aee3e46083219b620726441c9df485085de53dc1",
         "w.json":
@@ -119,7 +128,7 @@ GOLDEN = {
         "m.stdout":
             "023d64d34f3894a9c5be7dcc6c7ddcf6828672b3ed198d83c1bd312993047476",
         "v.json":
-            "f2afafb0c4fe3a1227764012bf3a8c94de78a1e29ece88bdd27f102a812694cd",
+            "9836e3f22c2528abc83a38411f63ebf79b2ced8c981db53aa390ca75d40ae784",
         "v.stdout":
             "6a2c7d3f69aac1318285e857aee3e46083219b620726441c9df485085de53dc1",
         "w.json":
@@ -171,6 +180,18 @@ GOLDEN = {
         "w.stdout":
             "cc9a0d09b7140d990543345b1d5cb4096b8f05f94587429252c1ce2e8f8f95c7",
     },
+    "conic_f3": {
+        "q.json":
+            "81f3c0ec6e6452305d10cc50ae079edaf2f4a8aed7ee6bbb6f406e7e4fee789e",
+        "v.json":
+            "c026e2a453ef0f66919f0b1ea70fdcde6d25f3a3baef683bb1bc1cdc7c7ceb31",
+        "v.stdout":
+            "3cecc778535a79039b3db8e607bdb94d6eeb1ab92b001c50b961f93e5cfeb28f",
+        "w.json":
+            "76cd67568acfbf63ab600ec1dd7b20ef243ce3c99209690af341c6fc4824c4fa",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
 }
 
 
@@ -211,6 +232,11 @@ def test_golden_etale_m3f7(tmp_path, monkeypatch):
 
 def test_golden_exp2_m4f7(tmp_path, monkeypatch):
     _check("exp2_m4f7", EXP2_M4F7, tmp_path, monkeypatch)
+
+
+def test_golden_conic_f3(tmp_path, monkeypatch):
+    (tmp_path / "q.json").write_text(json.dumps(CONIC_F3_FORM))
+    _check("conic_f3", CONIC_F3, tmp_path, monkeypatch)
 
 
 # `csaw hgraph --n 2` on one form of each size the benchmark draws from

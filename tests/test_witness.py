@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ from csawitness.etale import (
     generate_etale, is_et_m_point, random_balanced_pair_subalgebra,
     random_maximal_etale,
 )
-from csawitness.fields import QQ, PrimeField
+from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.ideals import (
     Flag, ModulePresentation, ideal_generated, random_flag, random_ideal,
 )
@@ -21,11 +22,12 @@ from csawitness.involutions import (
     standard_alternating_matrix, transpose_involution,
 )
 from csawitness.linalg import rank
-from csawitness.poly import Poly
-from csawitness.quadrics import QuadraticForm, normalize_point
+from csawitness.poly import Poly, poly_gcd
+from csawitness.quadrics import QuadraticForm, normalize_point, points_on_quadric
 from csawitness.witness import (
     PencilWitness, WitnessChain, connect_exp2, connect_flags, connect_ideals,
-    connect_max_etale, connect_quadric_points, default_symplectic_involution,
+    connect_max_etale, connect_quadric_points, default_samples,
+    default_symplectic_involution,
     solve_inner_twist, symplectic_fixing_involution, verify_witness,
 )
 
@@ -210,6 +212,44 @@ def test_connect_flags_signature_mismatch():
     f2 = random_flag(A, (1,), rng)
     with pytest.raises(InvalidInputError):
         connect_flags(f1, f2)
+
+
+def _flag_pencil_m3f5():
+    A = make_matrix_algebra(F5, 3)
+    rng = random.Random(3)
+    return connect_flags(random_flag(A, (1, 2), rng), random_flag(A, (1, 2), rng))
+
+
+def _with(w, validity=None, **data):
+    """w with its validity or some data fields replaced."""
+    return PencilWitness(w.kind, w.start, w.end,
+                         w.validity if validity is None else validity,
+                         dict(w.data, **data), algebra=w.algebra, form=w.form,
+                         meta=w.meta)
+
+
+def test_flag_pencil_with_replaced_validity_fails():
+    w = _flag_pencil_m3f5()
+    assert w.validity.degree == 1
+    honest = verify_witness(w, exhaustive(F5))
+    assert honest.passed and honest.checks[0] == ("validity_rederived", True, "")
+    t, one = Poly.x(F5), Poly.one(F5)
+    for validity in (t ** 5 - t, one, w.validity * (t - one), w.validity.scale(2)):
+        rep = verify_witness(_with(w, validity), exhaustive(F5))
+        assert rep.failures() == [("validity_rederived", "stored validity differs")]
+        # the sweep skips the roots of the re-derived validity, not the stored one
+        assert rep.checks[1:] == honest.checks[1:]
+
+
+def test_pencil_validity_derivation_failure_is_a_report_entry():
+    w = _flag_pencil_m3f5()
+    zero = tuple(F5.zero for _ in w.data["pencil_w"][0])
+    rep = verify_witness(_with(w, pencil_w=[zero, w.data["pencil_w"][1]]),
+                         exhaustive(F5))
+    name, detail = rep.failures()[0]
+    assert name == "validity_rederived" and detail.startswith("derivation failed")
+    # with no validity to trust, every sample is checked
+    assert sum(n.startswith("membership@") for n, _, _ in rep.checks) == F5.size
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +546,107 @@ def test_quadric_rejects_off_quadric_points():
     q = QuadraticForm.diagonal(F5, [F5.one, F5.one, F5.one])
     with pytest.raises(InvalidInputError):
         connect_quadric_points(q, (1, 0, 0), (0, 1, 0))
+
+
+# the conic certificate: identity plus gcd instead of a per-t sweep
+
+_CONIC_ENTRIES = ["validity_nonzero", "endpoint_start", "endpoint_end",
+                  "on_quadric_identity", "coord_gcd_divides_validity"]
+
+
+def _swept(seg, samples):
+    """The verdict of the per-t sweep the certificate replaced: the endpoints,
+    the on-quadric identity, then at every sample where the validity is
+    nonzero a nonzero point of the quadric."""
+    f, form = seg.field, seg.form
+    try:
+        if seg.evaluate(f.one) != seg.start or seg.evaluate(f.zero) != seg.end:
+            return False
+    except StructuralError:
+        return False
+    if not form.eval_polys(seg.data["coord_polys"]).is_zero():
+        return False
+    for t in samples:
+        if f.is_zero(seg.validity.eval(t)):
+            continue
+        try:
+            pt = seg.evaluate(t)
+        except StructuralError:
+            return False
+        if not f.is_zero(form.eval(pt)):
+            return False
+    return True
+
+
+def _form(field, nvars, coeffs):
+    return QuadraticForm(field, nvars, {ij: field.from_int(c) for ij, c in coeffs.items()})
+
+
+def _conic_segments():
+    """(segment, samples) for the segments linking the first point of each
+    quadric to every other: the F_2 surface of the hgraph goldens over F_4,
+    conics over F_3, F_5 and F_9, and over Q the conic xz = y^2 and the
+    surface xw = yz.  Both surfaces hold lines through their first point."""
+    F4, F9 = standard_extension(2, 2), standard_extension(3, 2)
+    out = []
+    for form in (_form(F4, 4, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 2): 1}),
+                 _form(F3, 3, {(0, 2): 1, (1, 1): 2}),
+                 _form(F5, 3, {(0, 1): 3, (0, 2): 4, (1, 1): 3, (2, 2): 2}),
+                 _form(F9, 3, {(0, 2): 1, (1, 1): -1})):
+        pts = points_on_quadric(form)
+        for p2 in pts[1:]:
+            for seg in connect_quadric_points(form, pts[0], p2, points=pts).segments:
+                out.append((seg, exhaustive(form.field)))
+    for coeffs, pts in (({(0, 2): 1, (1, 1): -1}, ((1, 0, 0), (0, 0, 1), (1, 1, 1), (4, -2, 1))),
+                        ({(0, 3): 1, (1, 2): -1}, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                                   (1, 1, 1, 1)))):
+        form = _form(QQ, len(pts[0]), coeffs)
+        pts = [tuple(map(Fraction, p)) for p in pts]
+        for p2 in pts[1:]:
+            for seg in connect_quadric_points(form, pts[0], p2).segments:
+                out.append((seg, default_samples(QQ)))
+    return out
+
+
+def _coord_gcd(seg):
+    return functools.reduce(poly_gcd, seg.data["coord_polys"], Poly.zero(seg.field))
+
+
+def test_conic_certificate_agrees_with_the_sweep():
+    segments = _conic_segments()
+    lines = [seg for seg, _ in segments if _coord_gcd(seg).degree > 0]
+    assert {str(seg.field) for seg in lines} == {"F_2^2", "Q"}
+    for seg in lines:  # phi = lambda w: the gcd is the validity, made monic
+        assert _coord_gcd(seg) == seg.validity.monic()
+    for seg, samples in segments:
+        f = seg.field
+        cps = seg.data["coord_polys"]
+        bumped = Poly(f, [f.add(cps[0].coeff(0), f.one)] + list(cps[0].coeffs[1:]))
+        # t (1 - t), added to a coordinate, keeps both endpoints; the first
+        # coordinate where it leaves the quadric
+        bend = Poly(f, [f.zero, f.one, f.neg(f.one)])
+        arc = next(arc for arc in ([c + bend if j == i else c for j, c in enumerate(cps)]
+                                   for i in range(len(cps)))
+                   if not seg.form.eval_polys(arc).is_zero())
+        cases = [(seg, True), (_with(seg, coord_polys=[bumped] + cps[1:]), None),
+                 (_with(seg, coord_polys=arc), False)]
+        if _coord_gcd(seg).degree > 0:
+            cases.append((_with(seg, Poly.one(f)), False))
+        for w, want in cases:
+            rep = verify_witness(w)
+            assert [n for n, _, _ in rep.checks] == _CONIC_ENTRIES
+            assert rep.passed == _swept(w, samples), rep.failures()
+            if want is not None:
+                assert rep.passed == want, rep.failures()
+
+
+def test_conic_report_ignores_samples():
+    for seg, _ in _conic_segments():
+        if seg.field is not QQ:
+            continue
+        reps = [verify_witness(seg, samples).to_json()
+                for samples in (None, [], [Fraction(0)], [Fraction(k, 7) for k in range(-9, 9)])]
+        assert reps[0]["pass"] and all(r == reps[0] for r in reps)
 
 
 def _eager_chain(form, p1, p2, points):
