@@ -2,15 +2,21 @@
 
 Ideals are stored as reduced row-echelon bases of coordinate rows, so
 equality is representation-independent and byte-comparable.  Construction
-verifies integrality of the reduced dimension and closure under right
+verifies integrality of the reduced dimension, and closure under right
 multiplication by a generating set of the algebra (Algebra.closure_generators;
-closure under generators is closure under all of A): on M_n the two shift
-matrices, so each basis row costs two products and two membership tests,
-whatever n is.
+closure under generators is closure under all of A) wherever the rows come
+from outside or from another construction: RightIdeal(A, rows), loaded
+ideals, ideal_generated, perp, radicals and restrict_to_corner.  On M_n the
+generators are the two shift matrices, so each basis row costs two products
+and two membership tests, whatever n is.
 
 A module presentation writes A as the D-endomorphisms of D^m (D the
 quaternion factor, or F for a matrix preset); a right ideal is then the set
-of elements with columns in its column space.  The pencils of witness.py (an
+of elements with columns in its column space.  The ideal of any right
+D-submodule W of D^m is closed by construction (column c of x a is
+sum_s col_s(x) a_sc, a right D-combination of the columns of x), so
+ModulePresentation.ideal_from_subspace, which random ideals and flags and
+every pencil evaluation use, skips the check.  The pencils of witness.py (an
 ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
 they need column spaces free over D.  d_basis_of picks its basis greedily
 and raises StructuralError when that choice fails, which only a split
@@ -400,24 +406,20 @@ class ModulePresentation:
             out.extend(self.D.mul(tuple(slot), dcoords))
         return tuple(out)
 
-    def d_basis_coords(self):
-        if self.D is None:
-            return [self.field.one]
-        return [self.D.basis_coords(l) for l in range(4)]
+    def d_rows(self, vecs):
+        """F-spanning rows of the right D-span of vecs: v d for each v in
+        vecs and, inside, each d of the F-basis of D."""
+        dbasis = ([self.field.one] if self.D is None
+                  else [self.D.basis_coords(l) for l in range(4)])
+        return [self.vec_times_d(v, d) for v in vecs for d in dbasis]
 
     # subspaces --------------------------------------------------------------
 
     def image_subspace(self, ideal):
-        """F-basis (rref) of the span of all columns of all elements of I,
-        closed under the right D-action."""
-        rows = []
-        dbasis = self.d_basis_coords()
-        for b in ideal.basis:
-            for col in range(self.m):
-                v = self.column_of(b, col)
-                for d in dbasis:
-                    rows.append(self.vec_times_d(v, d))
-        basis, _ = rref(self.field, rows)
+        """F-basis (rref) of the column space of I: the span of all columns of
+        all elements of I, as the right D-span of the columns of its basis."""
+        cols = [self.column_of(b, col) for b in ideal.basis for col in range(self.m)]
+        basis, _ = rref(self.field, self.d_rows(cols))
         return [tuple(r) for r in basis]
 
     def d_basis_of(self, f_span_rows, extend_from=()):
@@ -426,19 +428,14 @@ class ModulePresentation:
         StructuralError when a chosen vector's D-span adds fewer than
         d2 = dim_F D dimensions, which only a split quaternion factor allows
         (the subspace may still be free: the greedy choice missed a basis)."""
-        dbasis = self.d_basis_coords()
         chosen = list(extend_from)
-        span_rows = []
-        for w in chosen:
-            for d in dbasis:
-                span_rows.append(self.vec_times_d(w, d))
+        span_rows = self.d_rows(chosen)
         span, pivots = rref(self.field, span_rows)
         for cand in f_span_rows:
             if in_row_space(self.field, span, pivots, cand):
                 continue
             chosen.append(tuple(cand))
-            for d in dbasis:
-                span_rows.append(self.vec_times_d(cand, d))
+            span_rows.extend(self.d_rows([cand]))
             before = len(span)
             span, pivots = rref(self.field, span_rows)
             if len(span) - before != self.d2:
@@ -447,13 +444,18 @@ class ModulePresentation:
                     f"{len(span) - before} of {self.d2} dimensions")
         return chosen
 
-    def ideal_from_subspace(self, f_span_rows):
-        """The right ideal of all elements whose columns lie in the span."""
-        rows = []
-        for col in range(self.m):
-            for w in f_span_rows:
-                rows.append(self.place_in_column(w, col))
-        return RightIdeal(self.algebra, rows)
+    def ideal_from_subspace(self, vecs):
+        """The ideal of the right D-span W of vecs: the elements whose columns
+        all lie in W.
+
+        It is a right ideal for every W, so the closure check is skipped:
+        column c of x a is sum_s col_s(x) a_sc, a right D-combination of the
+        columns of x.  Its rows are d_rows(vecs) placed in each column,
+        unreduced, since RightIdeal's rref basis is canonical.
+        """
+        wrows = self.d_rows(vecs)
+        rows = [self.place_in_column(w, col) for col in range(self.m) for w in wrows]
+        return RightIdeal(self.algebra, rows, _skip_closure_check=True)
 
 
 def module_presentation(A):
@@ -472,13 +474,10 @@ def random_ideal(A, rdim, rng):
             f"reduced dimension must be a multiple of {pres.ind} in [0, {A.degree}]")
     r = rdim // pres.ind
     f = A.field
-    dbasis = pres.d_basis_coords()
     while True:
         vecs = [tuple(f.random(rng) for _ in range(pres.vlen)) for _ in range(r)]
-        rows = [pres.vec_times_d(v, d) for v in vecs for d in dbasis]
-        if rank(f, rows) == r * pres.d2:
-            basis, _ = rref(f, rows)
-            return pres.ideal_from_subspace([tuple(x) for x in basis])
+        if rank(f, pres.d_rows(vecs)) == r * pres.d2:
+            return pres.ideal_from_subspace(vecs)
 
 
 def random_flag(A, signature, rng):
@@ -488,7 +487,6 @@ def random_flag(A, signature, rng):
     sig = list(signature)
     if sig != sorted(sig) or len(set(sig)) != len(sig):
         raise InvalidInputError("signature must be strictly increasing")
-    dbasis = pres.d_basis_coords()
     for rd in sig:
         if rd % pres.ind:
             raise InvalidInputError(f"rdim {rd} is not a multiple of {pres.ind}")
@@ -497,13 +495,6 @@ def random_flag(A, signature, rng):
         r = rd // pres.ind
         while len(vecs) < r:
             cand = tuple(f.random(rng) for _ in range(pres.vlen))
-            rows = [pres.vec_times_d(v, d) for v in vecs + [cand] for d in dbasis]
-            if rank(f, rows) == (len(vecs) + 1) * pres.d2:
+            if rank(f, pres.d_rows(vecs + [cand])) == (len(vecs) + 1) * pres.d2:
                 vecs.append(cand)
-    ideals = []
-    for rd in sig:
-        r = rd // pres.ind
-        rows = [pres.vec_times_d(v, d) for v in vecs[:r] for d in dbasis]
-        basis, _ = rref(f, rows)
-        ideals.append(pres.ideal_from_subspace([tuple(x) for x in basis]))
-    return Flag(ideals)
+    return Flag([pres.ideal_from_subspace(vecs[:rd // pres.ind]) for rd in sig])

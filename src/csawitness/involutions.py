@@ -279,19 +279,11 @@ def twist_by_inner(sigma, u):
 
 
 def conjugate_involution(sigma, g):
-    """inn_g . sigma . inn_g^-1; preserves the type."""
-    A = sigma.algebra
+    """inn_g . sigma . inn_g^-1; preserves the type.  It is the twist by the
+    symmetric element g sigma(g): g sigma(g^-1 x g) g^-1 =
+    (g sigma(g)) sigma(x) (g sigma(g))^-1."""
     gc = g.coords if isinstance(g, AlgebraElement) else tuple(g)
-    g_inv = A.inverse(gc)
-    if g_inv is None:
-        raise InvalidInputError("conjugating element is not invertible")
-    images = []
-    for i in range(A.dim):
-        inner = A.mul(A.mul(g_inv, A.basis_coords(i)), gc)
-        img = A.mul(A.mul(gc, sigma.apply_coords(inner)), g_inv)
-        images.append(img)
-    mat = transpose(images)
-    return involution_from_matrix(A, mat)
+    return twist_by_inner(sigma, sigma.algebra.mul(gc, sigma.apply_coords(gc)))
 
 
 def pfaffian_char_poly(sigma, x):

@@ -364,16 +364,22 @@ def test_rebuilt_presets_stay_trusted_and_explicit_tables_are_checked(monkeypatc
     assert calls[1:] == ["matrix", "tensor"]
 
 
+def _false_matrix_preset(field, n, perm):
+    """M_n with basis element i the matrix unit that make_matrix_algebra puts
+    at perm[i], under the matrix preset, whose candidates then name other
+    elements."""
+    M = make_matrix_algebra(field, n)
+    inv = {old: new for new, old in enumerate(perm)}
+    table = [[tuple((inv[k], c) for k, c in M.table[perm[a]][perm[b]])
+              for b in range(n * n)] for a in range(n * n)]
+    return Algebra(field, table, n, preset={"kind": "matrix", "n": n})
+
+
 def _reordered_m2(field):
     """M_2 on the basis E11, E22, E12, E21 under a false matrix preset: the
     preset's candidates (basis 1 and 2, i.e. E22 and E12) only reach the
     upper triangular matrices."""
-    M = make_matrix_algebra(field, 2)
-    perm = [0, 3, 1, 2]
-    inv = {old: new for new, old in enumerate(perm)}
-    table = [[tuple((inv[k], c) for k, c in M.table[perm[a]][perm[b]])
-              for b in range(4)] for a in range(4)]
-    return Algebra(field, table, 2, preset={"kind": "matrix", "n": 2})
+    return _false_matrix_preset(field, 2, [0, 3, 1, 2])
 
 
 def test_false_preset_falls_back_to_the_basis():
@@ -390,6 +396,32 @@ def test_false_preset_falls_back_to_the_basis():
                                    A.basis_coords(2))
     with pytest.raises(StructuralError):
         RightIdeal(A, [A.basis_coords(2), A.basis_coords(1)])
+
+
+# _reordered_m2, and M_3 with the candidates on E11 + E22 and E33 + E12: they
+# span a 4-dimensional subalgebra, on which the intertwiner conditions leave
+# a 3-dimensional space
+@pytest.mark.parametrize("n, perm", [(2, [0, 3, 1, 2]), (3, [2, 0, 3, 8, 5, 4, 6, 1, 7])])
+def test_inner_twist_on_a_false_preset_intertwines_every_basis_element(n, perm):
+    from csawitness.involutions import (
+        involution_from_matrix, transpose_involution, twist_by_inner,
+    )
+    from csawitness.witness import solve_inner_twist
+    F5 = PrimeField(5)
+    A = _false_matrix_preset(F5, n, perm)
+    t = transpose_involution(make_matrix_algebra(F5, n)).mat
+    s1 = involution_from_matrix(A, [[t[a][b] for b in perm] for a in perm])
+    rng = random.Random(1)
+    while True:
+        g = A.random_element(rng).coords
+        u = A.mul(g, s1.apply_coords(g))
+        if A.inverse(u) is not None:
+            break
+    s2 = twist_by_inner(s1, u)
+    v = solve_inner_twist(s1, s2).coords
+    for i in range(A.dim):
+        x = A.basis_coords(i)
+        assert A.mul(s2.apply_coords(x), v) == A.mul(v, s1.apply_coords(x))
 
 
 @pytest.mark.parametrize("name, A", [(name, A) for name, A in _preset_algebras()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError, StructuralError
-from csawitness.fields import QQ, PrimeField
+from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import in_row_space, rref
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
@@ -210,6 +210,47 @@ def test_d_basis_of_raises_when_a_greedy_vector_falls_short():
         pres.d_basis_of(pres.image_subspace(I))
     r = random_ideal(T, 2, random.Random(3))
     assert len(pres.d_basis_of(pres.image_subspace(r))) == 1
+
+
+def _presentation_layouts():
+    """Each module presentation layout, with a nilpotent z of D where D is
+    split ((2, 3) over F_5 and (3, 4) over F_49: (i + j)^2 = a + b = 0)."""
+    H_q = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    H_5 = make_quaternion(F5, 2, 3)
+    F49 = standard_extension(7, 2)
+    H_49 = make_quaternion(F49, F49.from_int(3), F49.from_int(4))
+    z_5, z_49 = ((H.basis_element(1) + H.basis_element(2)).coords for H in (H_5, H_49))
+    return {
+        "m4_f5": (make_matrix_algebra(F5, 4), None),
+        "m3_q": (make_matrix_algebra(QQ, 3), None),
+        "m2_h_q": (tensor_product(make_matrix_algebra(QQ, 2), H_q), None),
+        "h_m2_q": (tensor_product(H_q, make_matrix_algebra(QQ, 2)), None),
+        "split_h_f49": (H_49, z_49),
+        "m2_split_h_f5": (tensor_product(make_matrix_algebra(F5, 2), H_5), z_5),
+        "split_h_m3_f5": (tensor_product(H_5, make_matrix_algebra(F5, 3)), z_5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_presentation_layouts()))
+def test_d_span_ideals_pass_the_closure_check(name):
+    # ideal_from_subspace skips the closure check; the checked constructor
+    # must accept what it builds on every coordinate layout, also for the
+    # D-spans of vectors with slots in z D, which are not free over D
+    A, z = _presentation_layouts()[name]
+    pres, f = module_presentation(A), A.field
+    rng = random.Random(name)
+    for _ in range(25):
+        vecs = []
+        for _ in range(rng.randint(1, pres.m)):
+            slots = [tuple(f.random(rng) for _ in range(pres.d2)) for _ in range(pres.m)]
+            if z is not None and rng.random() < 0.5:
+                slots = [pres.D.mul(z, x) for x in slots]
+            vecs.append(tuple(c for x in slots for c in x))
+        J = pres.ideal_from_subspace(vecs)
+        assert RightIdeal(A, J.basis) == J
+        # and its column space is the D-span of vecs
+        span, _ = rref(f, pres.d_rows(vecs))
+        assert pres.image_subspace(J) == [tuple(r) for r in span]
 
 
 def test_quaternion_ideal_has_even_rdim():

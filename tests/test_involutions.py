@@ -114,6 +114,40 @@ def test_type_invariant_under_conjugation_seeded():
             done += 1
 
 
+def _conjugate_by_the_loop(sigma, g):
+    """The matrix of inn_g . sigma . inn_g^-1, image by image."""
+    A = sigma.algebra
+    g_inv = A.inverse(g)
+    images = []
+    for i in range(A.dim):
+        inner = A.mul(A.mul(g_inv, A.basis_coords(i)), g)
+        images.append(A.mul(A.mul(g, sigma.apply_coords(inner)), g_inv))
+    return tuple(zip(*images))
+
+
+def test_conjugate_involution_is_the_twist_by_g_sigma_g():
+    F5 = PrimeField(5)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    M2H = tensor_product(make_matrix_algebra(QQ, 2), H)
+    cases = [transpose_involution(make_matrix_algebra(F7, 3)),
+             adjoint_involution(make_matrix_algebra(F5, 4), standard_alternating_matrix(F5, 4)),
+             tensor_involution(transpose_involution(make_matrix_algebra(QQ, 2)),
+                               quaternion_conjugation(H), M2H),
+             quaternion_reversal(H)]
+    rng = random.Random(37)
+    for sigma in cases:
+        A = sigma.algebra
+        done = 0
+        while done < 3:
+            g = A.random_element(rng).coords
+            if A.inverse(g) is None:
+                continue
+            assert conjugate_involution(sigma, g).mat == _conjugate_by_the_loop(sigma, g)
+            done += 1
+        with pytest.raises(InvalidInputError, match="twisting element is not invertible"):
+            conjugate_involution(sigma, A.zero)
+
+
 def test_involution_from_matrix_rejects_non_involutions():
     A = make_matrix_algebra(QQ, 2)
     with pytest.raises(InvalidInputError):

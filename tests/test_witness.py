@@ -140,6 +140,31 @@ def test_ideal_pencil_builds_each_endpoint_ideal_once(monkeypatch, same):
     assert len(calls) == 2
 
 
+def test_closure_is_checked_only_where_rows_enter(monkeypatch):
+    from csawitness.ideals import RightIdeal
+    from csawitness.serialize import ideal_from_json, ideal_to_json
+    calls = []
+    check = RightIdeal._check_closed
+    monkeypatch.setattr(RightIdeal, "_check_closed",
+                        lambda self: calls.append(1) or check(self))
+    # D-span ideals: random ideals and flags, pencil builds and every
+    # evaluation of the verifier's sweep
+    A = make_matrix_algebra(F5, 4)
+    rng = random.Random(7)
+    w = connect_ideals(random_ideal(A, 2, rng), random_ideal(A, 2, rng))
+    assert verify_witness(w, exhaustive(F5)).passed
+    B = make_matrix_algebra(F7, 4)
+    rng = random.Random(8)
+    connect_flags(random_flag(B, [1, 2, 3], rng), random_flag(B, [1, 2, 3], rng))
+    assert calls == []
+    # rows from outside: a loaded ideal, and the checked constructor
+    for ideal in (w.start, w.end):
+        ideal_from_json(ideal_to_json(ideal))
+    assert len(calls) == 2
+    RightIdeal(A, w.start.basis)
+    assert len(calls) == 3
+
+
 # (2, 3) over F_5 is split, so a column space vector can span fewer than 4
 # dimensions over D.  The rdim-1 ideal's column space is not free.  The
 # rdim-2 ideal j's column space is free (F-dimension 4 over D = M_2(F_5)),
