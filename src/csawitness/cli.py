@@ -358,14 +358,10 @@ def verify_cmd(witness_path, exhaustive, samples, out):
         return
     seg0 = w.segments[0] if hasattr(w, "segments") else w
     field = seg0.field
-    if samples is not None:
-        ts = [field.parse(tok) for tok in samples.split(",")]
-    elif exhaustive:
-        if field.size is None:
-            raise InvalidInputError("--exhaustive needs a finite base field")
-        ts = list(field.elements())
-    else:
-        ts = default_samples(field)
+    if exhaustive and samples is None and field.size is None:
+        raise InvalidInputError("--exhaustive needs a finite base field")
+    ts = ([field.parse(tok) for tok in samples.split(",")] if samples is not None
+          else default_samples(field))
     report = verify_witness(w, ts)
     if out:
         serialize.save_json(report.to_json(), out)

@@ -416,15 +416,18 @@ class ModulePresentation:
     # subspaces --------------------------------------------------------------
 
     def image_subspace(self, ideal):
-        """F-basis (rref) of the column space of I: the span of all columns of
-        all elements of I, as the right D-span of the columns of its basis."""
-        cols = [self.column_of(b, col) for b in ideal.basis for col in range(self.m)]
-        basis, _ = rref(self.field, self.d_rows(cols))
+        """F-basis (rref) of the column space W of I, read off column 0 of
+        its basis.  I is {x : every column of x lies in W}, so each w in W
+        placed in column 0 is in I, and column 0 alone maps I onto W; W is
+        D-stable, so neither its D-span nor the other columns add a row."""
+        basis, _ = rref(self.field, [self.column_of(b, 0) for b in ideal.basis])
         return [tuple(r) for r in basis]
 
     def d_basis_of(self, f_span_rows, extend_from=()):
-        """Greedy right-D basis of a D-stable F-subspace, extending a given
-        partial D-basis; deterministic (rref rows in order).  Raises
+        """Greedy right-D basis of a D-stable F-subspace given by F-spanning
+        rows (image_subspace gives such rows for the column space of a
+        right ideal), extending a given partial D-basis; deterministic
+        (rref rows in order).  Raises
         StructuralError when a chosen vector's D-span adds fewer than
         d2 = dim_F D dimensions, which only a split quaternion factor allows
         (the subspace may still be free: the greedy choice missed a basis)."""

@@ -5,7 +5,10 @@ Models live over a prime base field; points of degree d are computed inside
 the canonical extension F_{p^d} (the lexicographically first modulus, given
 by _Model.field_at, which every model inherits), so a closed point is
 always represented over its own minimal field and no cross-field coercion
-is ever needed during enumeration.  Connectivity
+is ever needed during enumeration.  The model owns the one point list of
+each degree (_Model.points): closed points are read off it, and
+QuadricCurves links through it, so every curve of a linkage graph takes its
+auxiliary points from the model itself.  Connectivity
 findings are evidence at finitely many q, never proofs: the underlying
 statements quantify over all finite extensions.
 """
@@ -15,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    BudgetExceededError, InvalidInputError, StructuralError,
-    UnsupportedFieldError,
+    BudgetExceededError, FieldTooSmallError, InvalidInputError,
+    StructuralError, UnsupportedFieldError,
 )
 from .fields import PrimeField, Rationals, standard_extension
 from .linalg import rref
@@ -24,7 +27,7 @@ from .poly import Poly
 from .quadrics import (
     QuadraticForm, enumerate_rref_subspaces, normalize_point, points_on_quadric,
 )
-from .witness import verify_witness
+from .witness import connect_quadric_points, verify_witness
 
 SCOPE_NOTE = ("desk-scale evidence: checked over finitely many finite fields, "
               "while the corresponding statements quantify over all finite "
@@ -45,9 +48,16 @@ class _Model:
                 "enumeration models need a prime base field; extensions of "
                 "extensions would require an embedding tower")
         self.base_field = field
+        self._points = {}
 
     def field_at(self, d):
         return self.base_field if d == 1 else standard_extension(self.base_field.p, d)
+
+    def points(self, d):
+        """The points over field_at(d), enumerated once per degree."""
+        if d not in self._points:
+            self._points[d] = self.points_over(self.field_at(d))
+        return self._points[d]
 
 
 class QuadricModel(_Model):
@@ -59,13 +69,16 @@ class QuadricModel(_Model):
         super().__init__(form.field)
         self.form = form
         self.ambient = form.nvars
+        self._forms = {form.field: form}
 
     def form_at(self, field):
-        if field == self.base_field:
-            return self.form
-        lift = field.lift
-        return QuadraticForm(field, self.form.nvars,
-                             {k: lift(c) for k, c in self.form.coeffs.items()})
+        """The form over field, built once per field."""
+        if field not in self._forms:
+            lift = field.lift
+            self._forms[field] = QuadraticForm(
+                field, self.form.nvars,
+                {k: lift(c) for k, c in self.form.coeffs.items()})
+        return self._forms[field]
 
     def points_over(self, field):
         return points_on_quadric(self.form_at(field))
@@ -287,44 +300,44 @@ def transfer_cycle(model, coords, ext_degree):
     return ZeroCycle([(pt, ext_degree // d)])
 
 
-def enumerate_points(model, d, budget=10 ** 7):
-    """All closed points of degree dividing d, each once, sorted."""
-    if d < 1:
-        raise InvalidInputError("degree must be >= 1")
-    divisors = [e for e in range(1, d + 1) if d % e == 0]
+def _closed_points(model, e, budget=10 ** 7):
+    """The closed points of exact degree e, each once, sorted: the Frobenius
+    orbits of size e in model.points(e)."""
+    field = model.field_at(e)
+    if field.size ** model.ambient > budget:
+        raise BudgetExceededError(
+            f"enumerating degree {e} needs {field.size ** model.ambient} states")
+    seen = set()
     out = []
-    for e in divisors:
-        field = model.field_at(e)
-        if field.size ** model.ambient > budget:
-            raise BudgetExceededError(
-                f"enumerating degree {e} needs {field.size ** model.ambient} states")
-        seen = set()
-        for coords in model.points_over(field):
-            if coords in seen:
-                continue
-            orbit = frobenius_orbit(field, model.base_field.p, coords)
-            seen.update(orbit)
-            if len(orbit) != e:
-                continue  # lives in a proper subfield; found at its own level
-            rep = min(orbit, key=lambda c: tuple(_scalar_key(x) for x in c))
-            out.append(ClosedPoint(e, rep))
+    for coords in model.points(e):
+        if coords in seen:
+            continue
+        orbit = frobenius_orbit(field, model.base_field.p, coords)
+        seen.update(orbit)
+        if len(orbit) != e:
+            continue  # lives in a proper subfield; found at its own level
+        rep = min(orbit, key=lambda c: tuple(_scalar_key(x) for x in c))
+        out.append(ClosedPoint(e, rep))
     out.sort(key=lambda pt: pt.sort_key())
     return out
 
 
-def symmetric_power_points(model, n, budget=10 ** 7):
+def enumerate_points(model, d, budget=10 ** 7):
+    """All closed points of degree dividing d, each once, sorted."""
+    if d < 1:
+        raise InvalidInputError("degree must be >= 1")
+    return [pt for e in range(1, d + 1) if d % e == 0
+            for pt in _closed_points(model, e, budget)]
+
+
+def symmetric_power_points(model, n):
     """All multiplicity-free effective cycles of degree n: multisets of
     distinct closed points with degrees summing to n."""
     if n < 0:
         raise InvalidInputError(f"cycle degree must be >= 0, not {n}")
     if n == 0:
         return [ZeroCycle([])]
-    points = enumerate_points(model, 1, budget)
-    for e in range(2, n + 1):
-        for pt in enumerate_points(model, e, budget):
-            if pt.degree == e:
-                points.append(pt)
-    points = [pt for pt in points if pt.degree <= n]
+    points = [pt for e in range(1, n + 1) for pt in _closed_points(model, e)]
     out = []
 
     def rec(start, remaining, chosen):
@@ -374,8 +387,7 @@ def scheme_index_bound(target, degree_bound):
     found = []
     g = 0
     for d in range(1, degree_bound + 1):
-        pts = enumerate_points(target, d)
-        if any(pt.degree == d for pt in pts):
+        if _closed_points(target, d):
             found.append(d)
             g = gcd(g, d)
             if g == 1:
@@ -401,10 +413,8 @@ class QPointSearch:
         self.extension_points = list(extension_points)
 
     def _integer_form(self):
-        lcm = 1
-        for c in self.form.coeffs.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        return {k: int(c * lcm) for k, c in self.form.coeffs.items()}
+        ints, _ = self.form.field.lift_vector(list(self.form.coeffs.values()))
+        return dict(zip(self.form.coeffs, ints))
 
     def search_rational_point(self, height_bound):
         """The first primitive integer zero with |coords| <= bound, or None."""
@@ -467,33 +477,18 @@ class QPointSearch:
 
 class QuadricCurves:
     """Curve supplier for quadric models: verified conic segments over the
-    base field and its canonical extensions."""
+    base field and its canonical extensions, through auxiliary points taken
+    from the model's own point list."""
 
     def __init__(self, model):
         self.model = model
-        self._cache = {}
-
-    def _points(self, d):
-        if d not in self._cache:
-            field = self.model.field_at(d)
-            self._cache[d] = points_on_quadric(self.model.form_at(field))
-        return self._cache[d]
 
     def link(self, d, x, y):
-        from .errors import FieldTooSmallError
-        from .witness import connect_quadric_points
-        field = self.model.field_at(d)
-        form = self.model.form_at(field)
+        form = self.model.form_at(self.model.field_at(d))
         try:
-            return connect_quadric_points(form, x, y, points=self._points(d))
+            return connect_quadric_points(form, x, y, points=self.model.points(d))
         except FieldTooSmallError:
             return None
-
-    def field_at(self, d):
-        return self.model.field_at(d)
-
-    def form_at(self, d):
-        return self.model.form_at(self.model.field_at(d))
 
 
 class GraphEdge:
@@ -556,7 +551,7 @@ def _irreducible_quadratics(field):
     return out
 
 
-def link_graph(model, n, curves, budget=10 ** 7):
+def link_graph(model, n, curves):
     """The graph of degree-n multiplicity-free cycles under verified moves.
 
     Moves: (point) slide one rational support point along a verified curve
@@ -568,12 +563,16 @@ def link_graph(model, n, curves, budget=10 ** 7):
     ordered (degree, point, point) link, is verified once by verify_witness,
     before its first edge: a conic segment is certified for every parameter,
     any other witness at every element of its field.  A link that fails or
-    does not verify adds no edge.  One component is evidence consistent
+    does not verify adds no edge.  verify_witness checks a quadric_line
+    against the form only; the curve stays on a hyperplane-cut model
+    (InvolutionQuadricModel) because its auxiliary points come from the
+    model's point list and the segment is a linear combination of its two
+    endpoints and its auxiliary point.  One component is evidence consistent
     with cycle triviality, never a proof.
     """
     if curves is None:
         raise InvalidInputError("a curve supplier is required")
-    vertices = symmetric_power_points(model, n, budget)
+    vertices = symmetric_power_points(model, n)
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     parent = list(range(len(vertices)))
@@ -623,8 +622,8 @@ def link_graph(model, n, curves, budget=10 ** 7):
             add_edge(i, j, move, w, {"degree": d})
 
     # move (fiber): {Q1, Q2} + gamma <-> {P} + gamma with P quadratic
-    quadratics = _irreducible_quadratics(base)
     ext = model.field_at(2)
+    roots = [(g, _first_root(ext, g)) for g in _irreducible_quadratics(base)]
     pairs_by_gamma = {}
     for i, alpha in enumerate(vertices):
         supp = alpha.support()
@@ -644,7 +643,7 @@ def link_graph(model, n, curves, budget=10 ** 7):
                 if w is None or len(w.segments) != 1:
                     continue
                 seg = w.segments[0]
-                hit = _fiber_hit(model, seg, quadratics, ext, P)
+                hit = _fiber_hit(model, seg, roots, ext, P)
                 if hit is None:
                     continue
                 add_edge(j, i, "fiber", w,
@@ -655,28 +654,24 @@ def link_graph(model, n, curves, budget=10 ** 7):
     return LinkGraphReport(vertices, edges, comp, notes)
 
 
-def _fiber_hit(model, seg, quadratics, ext, target):
-    """An irreducible parameter quadratic whose conjugate pair on the curve
-    sweeps out exactly the target closed point."""
-    base = model.base_field
+def _first_root(ext, g):
+    """The first root, in elements() order, of a base-field polynomial g in
+    the extension ext."""
+    g_ext = Poly(ext, [ext.lift(c) for c in g.coeffs])
+    return next(t for t in ext.elements() if ext.is_zero(g_ext.eval(t)))
+
+
+def _fiber_hit(model, seg, roots, ext, target):
+    """The first irreducible parameter quadratic g, given with a root tau in
+    ext, whose conjugate pair on the curve sweeps out exactly the degree-2
+    target P.  The curve phi has coefficients in F_q[t], so phi(tau^q) is
+    Frob(phi(tau)): the swept closed point is P exactly when phi(tau) is P
+    or its conjugate, whichever root tau is."""
     lift = ext.lift
-    coord_polys_ext = [Poly(ext, [lift(c) for c in p.coeffs])
-                       for p in seg.data["coord_polys"]]
-    for g in quadratics:
-        # the first root of g in the quadratic extension, deterministic
-        tau = next((t for t in ext.elements()
-                    if ext.is_zero(Poly(ext, [lift(c) for c in g.coeffs]).eval(t))),
-                   None)
-        if tau is None:
-            raise StructuralError("irreducible quadratic without a root upstairs")
-        coords = tuple(p.eval(tau) for p in coord_polys_ext)
-        pt = model.normalize(ext, coords)
-        if pt is None or not model.contains(ext, pt):
-            continue
-        cycle = transfer_cycle(model, pt, 2)
-        if not cycle.multiplicity_free():
-            continue
-        (pt_closed, _), = cycle.entries
-        if pt_closed == target:
+    phi = [Poly(ext, [lift(c) for c in p.coeffs]) for p in seg.data["coord_polys"]]
+    hits = {target.coords,
+            frobenius_coords(ext, model.base_field.p, target.coords)}
+    for g, tau in roots:
+        if model.normalize(ext, tuple(p.eval(tau) for p in phi)) in hits:
             return g
     return None

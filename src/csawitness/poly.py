@@ -443,16 +443,12 @@ def rational_roots(f):
     if f.is_zero():
         raise InvalidInputError("zero polynomial")
     from fractions import Fraction
-    from math import gcd
 
     field = f.field
     rest = f.monic()
     roots = []
     while rest.degree > 0:
-        lcm = 1
-        for c in rest.coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in rest.coeffs]
+        ints, _ = field.lift_vector(rest.coeffs)
         a0 = next((c for c in ints if c != 0), 0)
         an = ints[-1]
         found = None

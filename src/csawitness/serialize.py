@@ -8,7 +8,6 @@ axioms, and so on.
 """
 
 import json
-import os
 
 from .algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
 from .errors import InvalidInputError
@@ -130,15 +129,15 @@ def _product_from_json(field, entry):
     return tuple(pairs)
 
 
-def _resolve_algebra(data, algebra=None, base_dir="."):
+def _resolve_algebra(data, algebra=None):
     """A caller-supplied algebra, else the "algebra" entry of data: an inline
-    algebra or a {"file": path} reference."""
+    algebra or a {"file": path} reference, read from the working directory
+    when relative."""
     if algebra is not None:
         return algebra
     ref = json_get(data, "algebra", dict)
     if "file" in ref:
-        path = json_get(ref, "file", str)
-        return algebra_from_json(load_json(os.path.join(base_dir, path)))
+        return algebra_from_json(load_json(json_get(ref, "file", str)))
     return algebra_from_json(ref)
 
 
@@ -153,8 +152,8 @@ def ideal_to_json(I, inline_algebra=True):
     return out
 
 
-def ideal_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data, algebra, base_dir)
+def ideal_from_json(data, algebra=None):
+    A = _resolve_algebra(data, algebra)
     return RightIdeal(A, _vecs_at(A.field, data, "basis"))
 
 
@@ -166,8 +165,8 @@ def flag_to_json(flag, inline_algebra=True):
     return out
 
 
-def flag_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data, algebra, base_dir)
+def flag_from_json(data, algebra=None):
+    A = _resolve_algebra(data, algebra)
     ideals = [ideal_from_json(d, algebra=A)
               for d in json_get(data, "ideals", list)]
     flag = Flag(ideals)
@@ -186,8 +185,8 @@ def etale_to_json(E, inline_algebra=True):
     return out
 
 
-def etale_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data, algebra, base_dir)
+def etale_from_json(data, algebra=None):
+    A = _resolve_algebra(data, algebra)
     gen = A.element(_vec_at(A.field, data, "generator"))
     factors = json_get(data, "minpoly_factors", list, None)
     if factors is not None:
@@ -204,8 +203,8 @@ def involution_to_json(sigma, inline_algebra=True):
     return out
 
 
-def involution_from_json(data, algebra=None, base_dir="."):
-    A = _resolve_algebra(data, algebra, base_dir)
+def involution_from_json(data, algebra=None):
+    A = _resolve_algebra(data, algebra)
     return involution_from_matrix(A, _vecs_at(A.field, data, "matrix"),
                                   expected_kind=json_get(data, "type", str, None))
 

@@ -251,6 +251,10 @@ def test_d_span_ideals_pass_the_closure_check(name):
         # and its column space is the D-span of vecs
         span, _ = rref(f, pres.d_rows(vecs))
         assert pres.image_subspace(J) == [tuple(r) for r in span]
+        # which column 0 alone gives: the D-span of all columns is the same
+        cols = [pres.column_of(b, c) for b in J.basis for c in range(pres.m)]
+        all_cols, _ = rref(f, pres.d_rows(cols))
+        assert pres.image_subspace(J) == [tuple(r) for r in all_cols]
 
 
 def test_quaternion_ideal_has_even_rdim():

@@ -289,6 +289,37 @@ def test_link_graph_links_and_verifies_each_pair_once(monkeypatch, model, expect
     assert {id(e.witness) for e in report.edges} <= set(verified)
 
 
+def involution_model(field):
+    from csawitness.involutions import standard_alternating_matrix
+    from csawitness.quadrics import symp_quadric_model
+    J = standard_alternating_matrix(field, 4)
+    return InvolutionQuadricModel(*symp_quadric_model(field, J))
+
+
+@pytest.mark.parametrize("field, n, expected", [
+    # vertices, edges, components
+    (F2, 1, (15, 105, 1)),
+    (F2, 2, (140, 1961, 1)),
+    (F3, 1, (40, 780, 1)),
+], ids=["f2_n1", "f2_n2", "f3_n1"])
+def test_link_graph_curves_stay_on_the_involution_model(field, n, expected):
+    """verify_witness checks a conic segment against the quadric only; every
+    segment of the graph must also lie on the model's hyperplane, as an
+    identity sum_i h_i phi_i(t) = 0 of polynomials."""
+    model = involution_model(field)
+    report = link_graph(model, n, QuadricCurves(model))
+    assert (len(report.vertices), len(report.edges), report.components) == expected
+    witnesses = {id(e.witness): e.witness for e in report.edges}
+    for w in witnesses.values():
+        for seg in w.segments:
+            polys = seg.data["coord_polys"]
+            ext = polys[0].field
+            lin = Poly(ext, [ext.zero])
+            for h, phi in zip(model.hyperplane, polys):
+                lin = lin + phi.scale(ext.from_int(h))
+            assert lin.is_zero()
+
+
 class BrokenCurves(QuadricCurves):
     """Links whose first coordinate polynomial is shifted by 1 at the given
     degrees: the curve no longer starts at x, so verification fails."""
