@@ -26,7 +26,7 @@ from .errors import (
 )
 from .etale import etale_type, generate_etale, random_maximal_etale
 from .fields import json_get, parse_field_flag
-from .ideals import ideal_generated, random_ideal
+from .ideals import ideal_generated, random_flag, random_ideal
 from .involutions import (
     adjoint_involution, involution_type, quaternion_conjugation,
     standard_alternating_matrix, transpose_involution,
@@ -180,6 +180,34 @@ def ideal_generate(algebra_path, elements, out):
 def ideal_check(ideal_path):
     I = serialize.ideal_from_json(serialize.load_json(ideal_path))
     click.echo(f"valid right ideal, rdim {I.rdim} of degree {I.algebra.degree}")
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+@main.group()
+def flag():
+    """Flags of right ideals."""
+
+
+@flag.command("random")
+@click.option("--algebra", "algebra_path", required=True, type=click.Path())
+@click.option("--signature", required=True,
+              help="strictly increasing reduced dimensions, comma-separated")
+@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--out", required=True, type=click.Path())
+@handle_errors
+def flag_random(algebra_path, signature, seed, out):
+    A = _load_algebra(algebra_path)
+    try:
+        sig = [int(tok) for tok in signature.split(",")]
+    except ValueError:
+        raise InvalidInputError(
+            f"signature {signature!r} is not a comma-separated list of integers") from None
+    fl = random_flag(A, sig, random.Random(seed))
+    serialize.save_json(serialize.flag_to_json(fl), out)
+    click.echo(f"wrote flag of signature {list(fl.signature)} to {out}")
 
 
 # ---------------------------------------------------------------------------

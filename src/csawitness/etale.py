@@ -2,11 +2,18 @@
 
 A subalgebra is stored with a primitive generator, its minimal polynomial
 (required squarefree) and the canonical rref basis of its linear span, so
-subspace equality is exact.  The type of a subalgebra is the multiset of
-geometric idempotent ranks; it is computed from a factorization of the
-minimal polynomial via the orbit-quotient formula rdim(e_i A) / deg(f_i),
-which avoids explicit splitting fields.
+subspace equality is exact.  The minimal polynomial and the basis come
+from one elimination over the powers 1, x, x^2, ... (linalg.first_dependency).
+The type of a subalgebra is the multiset of geometric idempotent ranks; it
+is computed from a factorization of the minimal polynomial via the
+orbit-quotient formula rdim(e_i A) / deg(f_i), which avoids explicit
+splitting fields.  The last factor's rank is read by complement, as the
+degree minus the ranks of the other factors' idempotents, so it needs no
+idempotent of its own.
 """
+
+import functools
+import operator
 
 from .algebra import poly_eval_at_element
 from .errors import (
@@ -14,7 +21,7 @@ from .errors import (
 )
 from .fields import Rationals
 from .ideals import ideal_generated, principal_rdim
-from .linalg import in_row_space, rref, solve, transpose
+from .linalg import first_dependency, in_row_space, rref
 from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
 
 
@@ -83,23 +90,23 @@ class EtaleSubalgebra:
 
 
 def _minimal_polynomial_and_power_basis(x):
-    """The minimal polynomial of x together with the rref basis and pivots
-    of 1, x, ..., x^(d-1), from the first linear dependence of the powers
-    1, x, x^2, ...; the powers before it are independent, so the basis has
-    d = deg(minpoly) rows."""
+    """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
+    d = deg(minpoly), and the rref basis and pivots of their span, from the
+    first linear dependency of the powers 1, x, x^2, ..."""
     alg = x.algebra
     f = alg.field
-    powers = [alg.unit]
-    cur = alg.one
-    while True:
-        span, pivots = rref(f, powers)
-        nxt = cur * x
-        if in_row_space(f, span, pivots, nxt.coords):
-            sol = solve(f, transpose(powers), list(nxt.coords))
-            coeffs = [f.neg(c) for c in sol] + [f.one]
-            return Poly(f, coeffs), span, pivots
-        powers.append(nxt.coords)
-        cur = nxt
+    powers = []
+
+    def walk():
+        cur = alg.unit
+        while True:
+            powers.append(cur)
+            yield cur
+            cur = alg.mul(cur, x.coords)
+
+    coeffs, basis, pivots = first_dependency(f, walk())
+    mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
+    return mp, powers[:len(coeffs)], basis, pivots
 
 
 def minimal_polynomial(x):
@@ -112,26 +119,27 @@ def generate_etale(a, minpoly_factors=None):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the
     degree of the ambient algebra."""
-    mp, basis, pivots = _minimal_polynomial_and_power_basis(a)
+    mp, powers, basis, pivots = _minimal_polynomial_and_power_basis(a)
     if not poly_squarefree(mp):
         raise NotEtaleError(
             f"minimal polynomial of degree {mp.degree} is not squarefree")
     supplied = None
     if minpoly_factors is not None:
         supplied = _verify_supplied_factors(mp, minpoly_factors)
-    E = EtaleSubalgebra(a.algebra, a, mp, basis, pivots, supplied)
-    _check_commutative(E)
-    return E
+    _check_commutative(a.algebra, powers)
+    return EtaleSubalgebra(a.algebra, a, mp, basis, pivots, supplied)
 
 
-def _check_commutative(E):
-    """Powers of one element commute when the product is associative; kept
+def _check_commutative(alg, powers):
+    """x^i x^j = x^j x^i for 1 <= i < j < d, so the span of the powers
+    x^0..x^(d-1) is commutative: the product is bilinear, and x^0 is the
+    unit, two-sided by Algebra's unit check or by preset construction.
+    Powers of one element commute when the product is associative; kept
     because an explicit table above dimension 256 has its associativity
     checked only on samples."""
-    alg = E.algebra
-    for i, b in enumerate(E.basis):
-        for c in E.basis[i + 1:]:
-            if alg.mul(b, c) != alg.mul(c, b):
+    for i in range(1, len(powers)):
+        for c in powers[i + 1:]:
+            if alg.mul(powers[i], c) != alg.mul(c, powers[i]):
                 raise StructuralError("subalgebra basis does not commute")
 
 
@@ -191,28 +199,27 @@ def _irreducible_factors(E):
         f"{rest.degree} over Q; supply minpoly_factors")
 
 
+def _crt_idempotent(E, fi):
+    """The idempotent of E that projects onto the F[x]/(fi) block, built by
+    CRT inside F[x]/(minpoly)."""
+    mp = E.minpoly
+    gi = mp.exact_div(fi)
+    g, s, _ = poly_ext_gcd(gi, fi)
+    if g.degree != 0:
+        raise StructuralError("factors are not coprime")
+    # s*gi = 1 mod fi, = 0 mod f_j: idempotent polynomial mod mp
+    ei = poly_eval_at_element((s * gi) % mp, E.generator)
+    if not (ei * ei - ei).is_zero():
+        raise StructuralError("CRT element is not idempotent")
+    return ei
+
+
 def factor_idempotents(E):
     """[(f_i, e_i)]: for each irreducible factor, the idempotent of E that
-    projects onto the F[x]/(f_i) block, built by CRT inside F[x]/(minpoly)."""
-    mp = E.minpoly
-    field = mp.field
+    projects onto the F[x]/(f_i) block."""
     alg = E.algebra
-    factors = _irreducible_factors(E)
-    out = []
-    total = alg.zero
-    for fi in factors:
-        gi = mp.exact_div(fi)
-        g, s, t = poly_ext_gcd(gi, fi)
-        if g.degree != 0:
-            raise StructuralError("factors are not coprime")
-        # s*gi = 1 mod fi, = 0 mod f_j: idempotent polynomial mod mp
-        ei_poly = (s * gi) % mp
-        ei = poly_eval_at_element(ei_poly, E.generator)
-        if not (ei * ei - ei).is_zero():
-            raise StructuralError("CRT element is not idempotent")
-        out.append((fi, ei))
-        total = total + ei
-    if total != alg.one:
+    out = [(fi, _crt_idempotent(E, fi)) for fi in _irreducible_factors(E)]
+    if sum((ei for _, ei in out), alg.zero) != alg.one:
         raise StructuralError("idempotents do not sum to 1")
     return out
 
@@ -222,24 +229,33 @@ def etale_type(E):
 
     Each irreducible factor of degree d_i contributes d_i equal parts of size
     rdim(e_i A) / d_i; the parts always sum to the degree of the algebra.
-    rdim(e_i A) is rank(L_{e_i}) / deg(A) (ideals.principal_rdim).
+    rdim(e_i A) is rank(L_{e_i}) / deg(A) (ideals.principal_rdim) for every
+    factor but the last.  The e_i A are a direct sum equal to A, so the last
+    factor's rdim is the degree minus the others': an irreducible minimal
+    polynomial needs no idempotent and no rank.
     """
     if E._type is not None:
         return E._type
-    alg = E.algebra
+    n = E.algebra.degree
+    factors = _irreducible_factors(E)
+    # the complement needs the factors' product to be the minimal polynomial
+    if functools.reduce(operator.mul, factors) != E.minpoly:
+        raise StructuralError("factors do not multiply to the minimal polynomial")
+    *rest, last = factors
+    rdims = [(fi, principal_rdim(_crt_idempotent(E, fi))) for fi in rest]
+    r_last = n - sum(r for _, r in rdims)
+    if r_last < 1:
+        raise StructuralError(
+            f"type parts do not sum to the degree: the other factors' parts sum to {n - r_last}")
     parts = []
-    for fi, ei in factor_idempotents(E):
-        r = principal_rdim(ei)
+    for fi, r in rdims + [(last, r_last)]:
         d = fi.degree
         if r % d != 0:
             raise StructuralError(
                 f"rank {r} of a degree-{d} factor idempotent is not divisible by {d}")
         parts.extend([r // d] * d)
-    ptn = Partition(parts)
-    if ptn.total != alg.degree:
-        raise StructuralError("type parts do not sum to the degree")
-    E._type = ptn
-    return ptn
+    E._type = Partition(parts)
+    return E._type
 
 
 def is_et_m_point(E, m):

@@ -18,9 +18,10 @@ sum_s col_s(x) a_sc, a right D-combination of the columns of x), so
 ModulePresentation.ideal_from_subspace, which random ideals and flags and
 every pencil evaluation use, skips the check.  The pencils of witness.py (an
 ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
-they need column spaces free over D.  d_basis_of picks its basis greedily
-and raises StructuralError when that choice fails, which only a split
-quaternion factor allows; the column space may still be free.
+they need column spaces free over D.  d_basis_of picks its basis from the
+rows and, where a row falls short, from sums of two rows, and raises
+StructuralError when that choice fails, which only a split quaternion factor
+allows; the column space may still be free.
 """
 
 from .algebra import Algebra
@@ -424,28 +425,46 @@ class ModulePresentation:
         return [tuple(r) for r in basis]
 
     def d_basis_of(self, f_span_rows, extend_from=()):
-        """Greedy right-D basis of a D-stable F-subspace given by F-spanning
-        rows (image_subspace gives such rows for the column space of a
-        right ideal), extending a given partial D-basis; deterministic
-        (rref rows in order).  Raises
-        StructuralError when a chosen vector's D-span adds fewer than
-        d2 = dim_F D dimensions, which only a split quaternion factor allows
-        (the subspace may still be free: the greedy choice missed a basis)."""
+        """A right-D basis of a D-stable F-subspace given by F-spanning rows
+        (image_subspace gives such rows for the column space of a right
+        ideal), extending a given partial D-basis; deterministic.
+
+        Each row outside the span so far is taken, in order, when its D-span
+        adds d2 = dim_F D dimensions, and passed over when it adds fewer,
+        which only a split quaternion factor allows.  A passed-over row
+        never becomes usable, as the span only grows, so while rows are left
+        outside the span the first sum of two of them that adds d2 is taken.
+        Raises StructuralError when no sum does; the subspace may still be
+        free."""
+        field = self.field
         chosen = list(extend_from)
         span_rows = self.d_rows(chosen)
-        span, pivots = rref(self.field, span_rows)
-        for cand in f_span_rows:
-            if in_row_space(self.field, span, pivots, cand):
-                continue
-            chosen.append(tuple(cand))
+        span, pivots = rref(field, span_rows)
+
+        def take(cand):
+            nonlocal span, pivots
+            grown, grown_pivots = rref(field, span_rows + self.d_rows([cand]))
+            if len(grown) - len(span) != self.d2:
+                return False
+            chosen.append(cand)
             span_rows.extend(self.d_rows([cand]))
-            before = len(span)
-            span, pivots = rref(self.field, span_rows)
-            if len(span) - before != self.d2:
+            span, pivots = grown, grown_pivots
+            return True
+
+        passed = []
+        for cand in map(tuple, f_span_rows):
+            if not in_row_space(field, span, pivots, cand) and not take(cand):
+                passed.append(cand)
+        while True:
+            passed = [r for r in passed if not in_row_space(field, span, pivots, r)]
+            if not passed:
+                return chosen
+            sums = (tuple(field.add(x, y) for x, y in zip(a, b))
+                    for i, a in enumerate(passed) for b in passed[i + 1:])
+            if not any(take(cand) for cand in sums):
                 raise StructuralError(
-                    "greedy D-basis choice failed: a basis vector's D-span adds "
-                    f"{len(span) - before} of {self.d2} dimensions")
-        return chosen
+                    "D-basis choice failed: no row and no sum of two rows "
+                    f"adds {self.d2} dimensions to the D-span")
 
     def ideal_from_subspace(self, vecs):
         """The ideal of the right D-span W of vecs: the elements whose columns
@@ -491,6 +510,8 @@ def random_flag(A, signature, rng):
     if sig != sorted(sig) or len(set(sig)) != len(sig):
         raise InvalidInputError("signature must be strictly increasing")
     for rd in sig:
+        if not 0 <= rd <= A.degree:
+            raise InvalidInputError(f"rdim {rd} is outside [0, {A.degree}]")
         if rd % pres.ind:
             raise InvalidInputError(f"rdim {rd} is not a multiple of {pres.ind}")
     vecs = []

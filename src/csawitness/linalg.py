@@ -6,16 +6,17 @@ nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
 
 Over F_p and Q (fields.INTEGER_CORE), mat_vec, mat_mul, rref,
-reduce_vector, in_row_space and intertwiner_mismatch run one integer loop on
-lifted data, as do Algebra.mul and the Algebra multiplication matrices: each
-operand is lifted once to ints and a scale (fields' lift_vector and
-lift_rows; lift_matrix lifts a matrix used by many calls once), the loop
-does exact int arithmetic, and each output entry is lowered once to its
-canonical scalar (lower_vector).  A result that is only compared or tested
-for membership is not lowered at all: intertwiner_mismatch compares two
-products up to their scales, and int_in_row_space tests an int vector at any
-scale.  The fields differ only where int_modulus says so: in the zero test,
-in how a row is normalised, and in the final lowering.
+reduce_vector, in_row_space, first_dependency and intertwiner_mismatch run
+one integer loop on lifted data, as do Algebra.mul and the Algebra
+multiplication matrices: each operand is lifted once to ints and a scale
+(fields' lift_vector and lift_rows; lift_matrix lifts a matrix used by many
+calls once), the loop does exact int arithmetic, and each output entry is
+lowered once to its canonical scalar (lower_vector).  A result that is only
+compared or tested for membership is not lowered at all:
+intertwiner_mismatch compares two products up to their scales, and
+int_in_row_space tests an int vector at any scale.  The fields differ only
+where int_modulus says so: in the zero test, in how a row is normalised,
+and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -231,6 +232,75 @@ def _int_rref(field, m):
 
 def rank(field, rows):
     return len(rref(field, rows)[0])
+
+
+def first_dependency(field, vectors):
+    """The first linear dependency of a sequence v_0, v_1, ...: at the first
+    v_d in the span of v_0..v_{d-1}, (coeffs, basis, pivots) with
+    v_d = sum coeffs[i] v_i and (basis, pivots) = rref(v_0..v_{d-1}).
+
+    vectors may be lazy; it is read up to v_d only.  This is one incremental
+    elimination: each vector is reduced against the rows kept so far, each
+    carrying after its entries its combination of the v_i; a nonzero
+    residual is kept as the next row and a zero one gives the dependency.
+    The rows stay in the order they were kept, each zero in the pivot
+    columns of those before it, and only the final basis is reduced.
+    Raises InvalidInputError if the sequence ends with no dependency.
+    """
+    if isinstance(field, INTEGER_CORE):
+        return _int_first_dependency(field, vectors)
+    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    rows = []   # (pivot column, entries + combination), pivot entry 1
+    for d, v in enumerate(vectors):
+        n = len(v)
+        # w = entries | combination: entries = sum comb_i v_i, comb_d = 1
+        w = list(v) + [field.zero] * d + [field.one]
+        for piv, row in rows:
+            f = w[piv]
+            if not is_zero(f):
+                w = [sub(x, mul(f, y)) for x, y in zip(w, row)] + w[len(row):]
+        piv = next((c for c in range(n) if not is_zero(w[c])), None)
+        if piv is None:
+            return ([field.neg(c) for c in w[n:n + d]],
+                    *rref(field, [row[:n] for _, row in rows]))
+        inv = field.inv(w[piv])
+        rows.append((piv, [mul(inv, x) for x in w]))
+    raise InvalidInputError("the sequence ends with no linear dependency")
+
+
+def _int_first_dependency(field, vectors):
+    """first_dependency on lifted vectors.  A row w = entries | combination
+    holds ints with entries = sum comb_i v_i.  Over F_p a kept row is scaled
+    to pivot 1 and reduced mod p, so a new vector's own coefficient stays 1;
+    over Q it is made primitive, and a new vector is multiplied by the pivot
+    of each row it is reduced against.  The basis is _int_rref of the kept
+    rows, lowered once."""
+    p = field.int_modulus
+    rows = []   # (pivot column, ints)
+    for d, v in enumerate(vectors):
+        ints, scale = field.lift_vector(v)
+        n = len(ints)
+        w = list(ints) + [0] * d + [scale]
+        for piv, row in rows:
+            f = w[piv] % p if p else w[piv]
+            if f:
+                if p:
+                    w = [x - f * y for x, y in zip(w, row)] + w[len(row):]
+                else:
+                    a = row[piv]
+                    w = ([a * x - f * y for x, y in zip(w, row)]
+                         + [a * x for x in w[len(row):]])
+        piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
+        if piv is None:
+            # 0 = sum comb_i v_i with comb_d = w[n + d], 1 over F_p
+            basis, pivots = _int_rref(field, [row[:n] for _, row in rows]) if rows else ([], [])
+            return field.lower_vector([-c for c in w[n:n + d]], w[n + d]), basis, pivots
+        if p:
+            inv = pow(w[piv], p - 2, p)
+            rows.append((piv, [inv * x % p for x in w]))
+        else:
+            rows.append((piv, _primitive(w)))
+    raise InvalidInputError("the sequence ends with no linear dependency")
 
 
 def _int_reduce(field, lifted, pivots, v, scale=1):

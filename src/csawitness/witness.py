@@ -12,8 +12,8 @@ every t by a polynomial identity and a gcd.
 An ideal pencil is the one-level flag pencil: one core builds both from
 nested D-bases of the ideals' column spaces (D the quaternion factor, or F
 for a matrix preset), and one evaluator reads both back.  A pencil needs
-each column space to be free over D; when the greedy basis choice of
-ModulePresentation.d_basis_of fails, the constructors raise StructuralError.
+each column space to be free over D; when ModulePresentation.d_basis_of
+finds no D-basis, the constructors raise StructuralError.
 """
 
 import functools

@@ -502,10 +502,48 @@ def test_connect_flags_with_zero_level(runner, tmp_path):
     assert r.output.startswith("pass")
 
 
-# Over F_5 the quaternion algebra (2, 3) is split: the greedy choice of
-# d_basis_of fails on the column spaces of i and j, so no pencil is built on
-# them.  The column space of j is free over D, so the j cases pin a known
-# limit of that choice; a better one should make them build verified pencils
+def test_flag_random_feeds_connect_flags(runner, tmp_path):
+    a = tmp_path / "a.json"
+    assert invoke(runner, ["algebra", "new", "--preset", "matrix", "--n", "4",
+                           "--field", "fp:5", "--out", str(a)]).exit_code == 0
+    paths = [tmp_path / "f1.json", tmp_path / "f2.json"]
+    for seed, path in zip((1, 2), paths):
+        r = invoke(runner, ["flag", "random", "--algebra", str(a), "--signature", "1,2,3",
+                            "--seed", str(seed), "--out", str(path)])
+        assert r.exit_code == 0, r.output
+        assert serialize.flag_from_json(serialize.load_json(path)).signature == (1, 2, 3)
+    assert paths[0].read_bytes() != paths[1].read_bytes()
+    w = tmp_path / "w.json"
+    r = invoke(runner, ["witness", "connect-flags", "--algebra", str(a),
+                        "--from", str(paths[0]), "--to", str(paths[1]), "--out", str(w)])
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("pass")
+
+
+@pytest.mark.parametrize("signature, message", [
+    ("1,x", "not a comma-separated list of integers"),
+    ("", "not a comma-separated list of integers"),
+    ("2,1", "strictly increasing"),
+    ("1,1", "strictly increasing"),
+    ("1,5", "outside [0, 4]"),
+    ("-1,2", "outside [0, 4]"),
+])
+def test_flag_random_rejects_a_bad_signature(runner, tmp_path, signature, message):
+    a = tmp_path / "a.json"
+    serialize.save_json(serialize.algebra_to_json(make_matrix_algebra(PrimeField(5), 4)), a)
+    out = tmp_path / "f.json"
+    r = invoke(runner, ["flag", "random", "--algebra", str(a), "--signature", signature,
+                        "--out", str(out)])
+    assert _one_error_line(r) and message in r.stderr
+    assert not out.exists()
+
+
+# Over F_5 the quaternion algebra (2, 3) is split.  The column space of i is
+# not free over D, so no pencil is built on it.  That of j is free, though no
+# single row spans it over D: d_basis_of takes a sum of two rows, and the
+# pencils on j verify
 _SPLIT_D_CASES = {
     "quaternion_rdim_1_to_itself": ("h", "connect-ideals", "i", "i"),
     "tensor_rdim_2_to_itself": ("t", "connect-ideals", "j", "j"),
@@ -514,8 +552,7 @@ _SPLIT_D_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_SPLIT_D_CASES))
-def test_split_d_pencil_exits_2(runner, tmp_path, case):
+def _connect_split_d(runner, tmp_path, case):
     H = make_quaternion(PrimeField(5), 2, 3)
     T = tensor_product(make_matrix_algebra(PrimeField(5), 2), H)
     for name, A in (("h", H), ("t", T)):
@@ -532,5 +569,21 @@ def test_split_d_pencil_exits_2(runner, tmp_path, case):
     res = invoke(runner, ["witness", cmd, "--algebra", str(tmp_path / f"{alg}.json"),
                           "--from", str(tmp_path / f"{src}.json"),
                           "--to", str(tmp_path / f"{dst}.json"), "--out", str(w)])
+    return res, w
+
+
+@pytest.mark.parametrize("case", ["quaternion_rdim_1_to_itself"])
+def test_split_d_pencil_exits_2(runner, tmp_path, case):
+    res, w = _connect_split_d(runner, tmp_path, case)
     assert _one_error_line(res)
     assert not w.exists()
+
+
+@pytest.mark.parametrize("case", ["tensor_one_level_flags", "tensor_rdim_2_to_free",
+                                  "tensor_rdim_2_to_itself"])
+def test_split_d_pencil_verifies(runner, tmp_path, case):
+    res, w = _connect_split_d(runner, tmp_path, case)
+    assert res.exit_code == 0, res.output
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("pass")

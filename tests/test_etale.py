@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from csawitness import etale, linalg
 from csawitness.algebra import (
-    extend_scalars, make_matrix_algebra, make_quaternion,
+    Algebra, coords_of_matrix, extend_scalars, make_matrix_algebra, make_quaternion,
 )
-from csawitness.errors import NotEtaleError, UnsupportedFieldError
+from csawitness.errors import NotEtaleError, StructuralError, UnsupportedFieldError
 from csawitness.etale import (
     EtaleSubalgebra, Partition, etale_type, factor_idempotents, generate_etale,
     independent_ideals_check, is_et_m_point, minimal_polynomial,
@@ -238,3 +240,128 @@ def test_random_balanced_pair_subalgebra():
     E = random_balanced_pair_subalgebra(A, random.Random(2))
     assert is_et_m_point(E, 2)
     assert etale_type(E) == Partition([2, 2])
+
+
+# ---------------------------------------------------------------------------
+# cost guards: one elimination per subalgebra, no rank for the last factor
+
+
+def _count(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs))
+
+
+def _etale_cases():
+    F9 = standard_extension(3, 2)
+    A9 = make_matrix_algebra(F9, 3)
+    return {
+        "diag_m4_f5": diag(make_matrix_algebra(F5, 4), 1, 1, 2, 3),
+        "maximal_m3_f7": random_maximal_etale(make_matrix_algebra(F7, 3),
+                                              random.Random(1)).generator,
+        "diag_m3_q": diag(make_matrix_algebra(QQ, 3), 1, Fraction(1, 2), 3),
+        "subfield_h_q": make_quaternion(QQ, Fraction(-1), Fraction(-1)).basis_element(1),
+        "diag_m3_f9": diag(A9, F9.from_int(1), F9.from_int(2), F9.from_int(2)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_etale_cases()))
+def test_generate_etale_runs_one_elimination(case, monkeypatch):
+    x = _etale_cases()[case]
+    calls = Counter()
+    for name in ("rref", "_int_rref", "solve", "in_row_space"):
+        _count(monkeypatch, calls, linalg, name)
+    for name in ("rref", "in_row_space"):
+        _count(monkeypatch, calls, etale, name)
+    E = generate_etale(x)
+    assert E.dim >= 1
+    assert calls["solve"] == calls["in_row_space"] == 0
+    assert calls["rref"] + calls["_int_rref"] <= 1
+
+
+@pytest.mark.parametrize("case, factors", [
+    ("diag_m4_f5", 3), ("maximal_m3_f7", 2), ("diag_m3_q", 3), ("subfield_h_q", 1),
+    ("diag_m3_f9", 2),
+])
+def test_etale_type_ranks_every_factor_but_the_last(case, factors, monkeypatch):
+    E = generate_etale(_etale_cases()[case])
+    assert len(etale._irreducible_factors(E)) == factors
+    calls = Counter()
+    for name in ("principal_rdim", "poly_eval_at_element"):
+        _count(monkeypatch, calls, etale, name)
+    ptn = etale_type(E)
+    assert calls["principal_rdim"] == calls["poly_eval_at_element"] == factors - 1
+    assert etale_type(E) is ptn and calls["principal_rdim"] == factors - 1
+    # the complement agrees with the rank of the last idempotent
+    want = []
+    for fi, ei in factor_idempotents(E):
+        want += [ideal_generated([ei]).rdim // fi.degree] * fi.degree
+    assert ptn == Partition(want)
+
+
+# ---------------------------------------------------------------------------
+# the checks of generate_etale and etale_type stay reachable
+
+
+def test_generate_etale_rejects_powers_that_do_not_commute():
+    # a trusted unital table that is not power-associative: with x = e1,
+    # x^2 = e1 e1 = e2 and x^3 = x^2 x = e3, but x x^2 = e1 e2 = 0; the
+    # powers 1, x, x^2, x^3 are independent and x^4 = e3 e1 = 1
+    one = F5.one
+    table = [[[] for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        table[0][i] = table[i][0] = [(i, one)]
+    table[1][1], table[2][1], table[3][1] = [(2, one)], [(3, one)], [(0, one)]
+    A = Algebra(F5, table, 2, unit=(one, 0, 0, 0), _trusted=True)
+    assert minimal_polynomial(A.basis_element(1)) == Poly.from_ints(F5, [-1, 0, 0, 0, 1])
+    with pytest.raises(StructuralError, match="does not commute"):
+        generate_etale(A.basis_element(1))
+
+
+def _x2_minus_2_plus_ones():
+    # the companion block of x^2 - 2 (irreducible over F_5) beside diag(1, 1)
+    A = make_matrix_algebra(F5, 4)
+    m = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return generate_etale(A.element(coords_of_matrix(A, m)))
+
+
+def _hand_built(field, rows, minpoly, supplied=None):
+    """An EtaleSubalgebra of a 2 x 2 matrix whose stored minimal polynomial
+    and factors are not checked, as generate_etale would check them."""
+    A = make_matrix_algebra(field, 2)
+    x = A.element(coords_of_matrix(A, rows))
+    basis, pivots = linalg.rref(field, [A.unit, x.coords])
+    return EtaleSubalgebra(A, x, minpoly, basis, pivots, supplied)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("rank_not_divisible", "not divisible by 2"),
+    ("ranks_exceed_the_degree", "do not sum to the degree"),
+    ("repeated_factor", "factored with multiplicity"),
+    ("supplied_factors_not_coprime", "factors are not coprime"),
+    ("supplied_factors_miss_a_factor", "do not multiply to the minimal polynomial"),
+    ("wrong_minimal_polynomial", "not idempotent"),
+])
+def test_etale_type_structural_errors_are_reachable(fault, message, monkeypatch):
+    q = [[Fraction(x) for x in r] for r in ([1, 1], [0, 1])]
+    if fault == "rank_not_divisible":
+        E = _x2_minus_2_plus_ones()
+        monkeypatch.setattr(etale, "principal_rdim", lambda e: 1)
+    elif fault == "ranks_exceed_the_degree":
+        E = _x2_minus_2_plus_ones()
+        monkeypatch.setattr(etale, "principal_rdim", lambda e: 4)
+    elif fault == "repeated_factor":
+        E = _hand_built(F5, [[1, 1], [0, 1]], Poly.from_ints(F5, [1, -2, 1]))
+    elif fault == "supplied_factors_not_coprime":
+        g = Poly.from_ints(QQ, [-1, 1])
+        E = _hand_built(QQ, q, g * g, supplied=(g, g))
+    elif fault == "supplied_factors_miss_a_factor":
+        g = Poly.from_ints(QQ, [-1, 1])
+        E = _hand_built(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],
+                        g * Poly.from_ints(QQ, [-2, 1]), supplied=(g,))
+    else:
+        # diag(1, 2) stored with (x - 1)(x - 3): the CRT element 3 - x is
+        # diag(2, 1), not an idempotent
+        E = _hand_built(F5, [[1, 0], [0, 2]], Poly.from_ints(F5, [3, -4, 1]))
+    with pytest.raises(StructuralError, match=message):
+        etale_type(E)

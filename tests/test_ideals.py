@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError, StructuralError
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import in_row_space, rref
+from csawitness.linalg import in_row_space, rank, rref
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
     induce_from_corner, module_presentation, perp, radical_is_regular_is_isotropic,
@@ -198,18 +198,35 @@ def test_random_ideal_rdim_constraints():
 
 
 def test_d_basis_of_raises_when_a_greedy_vector_falls_short():
-    # (2, 3) over F_5 is split: the first rref row of this element's column
-    # space spans only 2 dimensions over D, so the greedy basis stops there.
-    # The column space is free (F-dimension 4 over D = M_2(F_5)), so this
-    # pins a known limit of the greedy choice, not a non-free input
+    # (2, 3) over F_5 is split: every vector of this rdim-1 ideal's column
+    # space spans only 2 dimensions over D, and so does every sum of two,
+    # since the column space (F-dimension 2) is not free over D
+    H = make_quaternion(F5, 2, 3)
+    pres = module_presentation(H)
+    I = ideal_generated([H.element([0, 1, 1, 0])])
+    assert I.rdim == 1
+    with pytest.raises(StructuralError, match="D-basis choice failed"):
+        pres.d_basis_of(pres.image_subspace(I))
+
+
+def test_d_basis_of_takes_a_sum_of_two_rows_where_each_row_falls_short():
+    # the column space of this rdim-2 ideal is free (F-dimension 4 over
+    # D = M_2(F_5)), but each of its rref rows spans only 2 dimensions over
+    # D; the basis is the first sum of two rows, in order, that spans all 4
     T = tensor_product(make_matrix_algebra(F5, 2), make_quaternion(F5, 2, 3))
     pres = module_presentation(T)
     I = ideal_generated([T.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
     assert I.rdim == 2
-    with pytest.raises(StructuralError, match="greedy D-basis choice failed"):
-        pres.d_basis_of(pres.image_subspace(I))
+    rows = pres.image_subspace(I)
+    assert all(rank(F5, pres.d_rows([v])) == 2 for v in rows)
+    sums = [tuple(F5.add(x, y) for x, y in zip(a, b))
+            for i, a in enumerate(rows) for b in rows[i + 1:]]
+    assert pres.d_basis_of(rows) == [next(w for w in sums
+                                          if rank(F5, pres.d_rows([w])) == 4)]
+    # a column space whose rows each add 4 keeps the first row
     r = random_ideal(T, 2, random.Random(3))
-    assert len(pres.d_basis_of(pres.image_subspace(r))) == 1
+    rows = pres.image_subspace(r)
+    assert pres.d_basis_of(rows) == [rows[0]]
 
 
 def _presentation_layouts():

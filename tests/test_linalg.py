@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    charpoly, det, identity, in_row_space, intersect_row_spaces,
+    charpoly, det, first_dependency, identity, in_row_space, intersect_row_spaces,
     intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
     reduce_vector, rref, row_space_rref, solve,
 )
@@ -438,3 +439,87 @@ def test_mat_mul_of_non_square_matrices():
         for _ in range(20):
             a, b = random_matrix(f, rng, 2, 3), random_matrix(f, rng, 3, 4)
             assert mat_mul(f, a, b) == mat_mul(ref, a, b)
+
+
+# ---------------------------------------------------------------------------
+# first_dependency over F_p, Q and F_{p^k}
+
+
+def _combination(field, coeffs, vecs, n):
+    out = [field.zero] * n
+    for c, v in zip(coeffs, vecs):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, v)]
+    return out
+
+
+def _check_first_dependency(field, vecs):
+    """first_dependency on vecs, read lazily: v_d is a combination of the
+    independent v_0..v_{d-1} with the returned coefficients, the basis is
+    their rref, and nothing after v_d is read."""
+    read = []
+
+    def walk():
+        for v in vecs:
+            read.append(v)
+            yield v
+
+    coeffs, basis, pivots = first_dependency(field, walk())
+    d = len(coeffs)
+    assert len(read) == d + 1
+    # 1 * v_d: v_d in canonical scalars (F_p entries may come unreduced)
+    n = len(vecs[d])
+    assert _combination(field, coeffs, vecs[:d], n) == _combination(field, [field.one],
+                                                                    [vecs[d]], n)
+    assert (basis, pivots) == rref(field, vecs[:d])
+    assert len(basis) == d
+    return coeffs, basis, pivots
+
+
+FIRST_DEPENDENCY_FIELDS = {"F2": PrimeField(2), "F7": F7, "Q": QQ,
+                           "F9": standard_extension(3, 2), "F8": standard_extension(2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_DEPENDENCY_FIELDS))
+def test_first_dependency_seeded(name):
+    field = FIRST_DEPENDENCY_FIELDS[name]
+    rng = random.Random(13)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        vecs = random_matrix(field, rng, rng.randint(0, n), n)
+        # a combination of the vectors so far, then vectors never read
+        vecs.append(_combination(field, [field.random(rng) for _ in vecs], vecs, n))
+        _check_first_dependency(field, vecs + random_matrix(field, rng, 2, n))
+
+
+def test_first_dependency_of_a_zero_first_vector():
+    for field in FIRST_DEPENDENCY_FIELDS.values():
+        zero = [field.zero] * 3
+        assert first_dependency(field, iter([zero, zero])) == ([], [], [])
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_DEPENDENCY_FIELDS))
+def test_first_dependency_raises_when_the_sequence_ends_first(name):
+    field = FIRST_DEPENDENCY_FIELDS[name]
+    with pytest.raises(InvalidInputError, match="no linear dependency"):
+        first_dependency(field, iter(identity(field, 3)))
+    with pytest.raises(InvalidInputError, match="no linear dependency"):
+        first_dependency(field, iter([]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices())
+def test_first_dependency_over_fp_matches_the_method_path(case):
+    # a repeated first row forces a dependency; entries are unreduced ints
+    p, rows = case
+    vecs = rows + [rows[0]]
+    got = _check_first_dependency(PrimeField(p), vecs)
+    assert got == first_dependency(MethodPathField(p), iter(_reduced(p, vecs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_matrices())
+def test_first_dependency_over_q_matches_the_method_path(rows):
+    vecs = rows + [rows[-1]]
+    got = _check_first_dependency(QQ, vecs)
+    assert got == first_dependency(MethodPathQ(), iter(vecs))
+    assert all(type(x) is Fraction for x in got[0])

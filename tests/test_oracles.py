@@ -1,13 +1,17 @@
-"""Differential tests of charpoly, factor, resultant and discriminant
-against sympy, an implementation that shares no code with csawitness.
-They skip when sympy is not installed."""
+"""Differential tests of charpoly, factor, resultant, discriminant and the
+minimal polynomial, power basis and type of an etale subalgebra against
+sympy, an implementation that shares no code with csawitness.  They skip
+when sympy is not installed."""
 
 import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from csawitness.algebra import coords_of_matrix, make_matrix_algebra
+from csawitness.errors import NotEtaleError, UnsupportedFieldError
+from csawitness.etale import etale_type, generate_etale, minimal_polynomial
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
 from csawitness.poly import Poly, discriminant, factor, resultant
@@ -158,3 +162,109 @@ def test_discriminant_over_fp_matches_sympy(case):
 def test_discriminant_over_q_matches_sympy(f):
     want = _to_fraction(_sympy_q(f).discriminant())
     assert discriminant(Poly(QQ, f)) == want
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomial, power basis and type of F[M] in M_n
+#
+# F[M] has the minimal polynomial of M, its dimension d is the rank of the
+# Krylov matrix of the flattened powers I, M, ..., M^n, and its basis is the
+# rref of I, ..., M^(d-1).  For each irreducible factor g of multiplicity m
+# in the characteristic polynomial, the type has deg(g) parts of size m.
+
+
+def _sympy_domain(p):
+    return sympy.GF(p) if p else sympy.QQ
+
+
+def _to_sympy(K, p, x):
+    return K(x) if p else K(x.numerator, x.denominator)
+
+
+def _from_sympy(K, p, c):
+    return K.to_int(c) % p if p else Fraction(int(K.numer(c)), int(K.denom(c)))
+
+
+def _sympy_factor_list(K, p, coeffs_high_first):
+    """[(degree, multiplicity)] of the irreducible factors, and the monic
+    factors themselves, lowest coefficient first."""
+    ints = [K.to_int(c) for c in coeffs_high_first] if p else [
+        sympy.Rational(int(K.numer(c)), int(K.denom(c))) for c in coeffs_high_first]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # sympy sorts modular ints with a deprecated compare
+        if p:
+            _, facs = sympy.factor_list(sympy.Poly(ints, X, modulus=p).as_expr(), X, modulus=p)
+            polys = [sympy.Poly(g, X, modulus=p).monic() for g, _ in facs]
+        else:
+            _, facs = sympy.factor_list(sympy.Poly(ints, X, domain=sympy.QQ).as_expr(), X)
+            polys = [sympy.Poly(g, X, domain=sympy.QQ).monic() for g, _ in facs]
+    field = PrimeField(p) if p else QQ
+    monic = [Poly(field, [int(c) % p if p else _to_fraction(c)
+                          for c in reversed(g.all_coeffs())]) for g in polys]
+    return [(g.degree(), m) for g, (_, m) in zip(polys, facs)], monic
+
+
+def _check_etale_against_sympy(p, rows):
+    field, K = (PrimeField(p) if p else QQ), _sympy_domain(p)
+    n = len(rows)
+    A = make_matrix_algebra(field, n)
+    x = A.element(coords_of_matrix(A, rows))
+    dm = DomainMatrix([[_to_sympy(K, p, c) for c in r] for r in rows], (n, n), K)
+    powers = [[c for r in (dm ** k).to_list() for c in r] for k in range(n + 1)]
+    mp = minimal_polynomial(x)
+    d = mp.degree
+    assert mp.is_monic()
+    assert d == DomainMatrix(powers, (n + 1, n * n), K).rank()
+    acc = DomainMatrix.zeros((n, n), K)
+    for k, c in enumerate(mp.coeffs):
+        acc = acc + (dm ** k) * _to_sympy(K, p, c)
+    assert acc.is_zero_matrix
+    shape, mp_factors = _sympy_factor_list(
+        K, p, [_to_sympy(K, p, c) for c in reversed(mp.coeffs)])
+    try:
+        E = generate_etale(x)
+    except NotEtaleError:
+        assert any(m > 1 for _, m in shape)
+        return
+    assert all(m == 1 for _, m in shape)
+    assert E.minpoly == mp
+    sym_rows, sym_pivots = DomainMatrix(powers[:d], (d, n * n), K).rref()
+    assert [list(r) for r in E.basis] == [
+        [_from_sympy(K, p, c) for c in r] for r in sym_rows.to_list()]
+    assert list(E.pivots) == list(sym_pivots)
+    try:
+        ptn = etale_type(E)
+    except UnsupportedFieldError:
+        # over Q, a factor of degree >= 4 needs a factorization certificate
+        assert not p and max(deg for deg, _ in shape) >= 4
+        ptn = etale_type(generate_etale(x, minpoly_factors=mp_factors))
+    char_shape, _ = _sympy_factor_list(K, p, dm.charpoly())
+    assert list(ptn.parts) == sorted((m for deg, m in char_shape for _ in range(deg)),
+                                     reverse=True)
+
+
+def _diag(*entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_square_matrices(max_n=4))
+@example((5, _diag(1, 1, 2, 3)))
+@example((7, _diag(1, 1, 2, 2)))
+@example((3, [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))  # (x^2 + 1)(x - 1)^2
+@example((2, _diag(1, 1, 1, 1)))
+def test_etale_over_fp_matches_sympy(case):
+    p, rows = case
+    _check_etale_against_sympy(p, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_square_matrices(max_n=4))
+@example([[Fraction(x) for x in r] for r in _diag(1, 1, 2, 3)])
+@example([[Fraction(x) for x in r] for r in
+          [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]])  # (x^2 + 1)^2
+@example([[Fraction(x) for x in r] for r in
+          [[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]])  # x^4 - 2
+def test_etale_over_q_matches_sympy(rows):
+    _check_etale_against_sympy(0, rows)

@@ -166,31 +166,48 @@ def test_closure_is_checked_only_where_rows_enter(monkeypatch):
 
 
 # (2, 3) over F_5 is split, so a column space vector can span fewer than 4
-# dimensions over D.  The rdim-1 ideal's column space is not free.  The
-# rdim-2 ideal j's column space is free (F-dimension 4 over D = M_2(F_5)),
-# but the greedy D-basis stops at such a vector: the j cases pin that known
-# limit of d_basis_of, and a better basis choice should turn them into
-# verified pencils.  Either way the pencil ends in StructuralError, never in
-# a witness that fails
-SPLIT_D_CASES = ("quaternion_rdim_1_to_itself", "tensor_rdim_2_to_itself",
-                 "tensor_rdim_2_to_free", "free_to_tensor_rdim_2", "tensor_one_level_flags")
-
-
-@pytest.mark.parametrize("case", SPLIT_D_CASES)
-def test_split_d_pencil_raises(case):
+# dimensions over D.  The rdim-1 ideal i's column space is not free, so no
+# pencil is built on it.  The rdim-2 ideal j's column space is free
+# (F-dimension 4 over D = M_2(F_5)), but its first row spans only 2
+# dimensions over D: d_basis_of takes a sum of two rows there, and the
+# pencils on j verify
+def _split_d_cases():
     H = make_quaternion(F5, 2, 3)
     A = tensor_product(make_matrix_algebra(F5, 2), H)
     i = ideal_generated([H.element([0, 1, 1, 0])])
     j = ideal_generated([A.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
     r = random_ideal(A, 2, random.Random(3))
     assert (i.rdim, j.rdim) == (1, 2)
-    build = {"quaternion_rdim_1_to_itself": lambda: connect_ideals(i, i),
-             "tensor_rdim_2_to_itself": lambda: connect_ideals(j, j),
-             "tensor_rdim_2_to_free": lambda: connect_ideals(j, r),
-             "free_to_tensor_rdim_2": lambda: connect_ideals(r, j),
-             "tensor_one_level_flags": lambda: connect_flags(Flag([j]), Flag([r]))}[case]
-    with pytest.raises(StructuralError, match="greedy D-basis choice failed"):
-        build()
+    return {"quaternion_rdim_1_to_itself": lambda: connect_ideals(i, i),
+            "tensor_rdim_2_to_itself": lambda: connect_ideals(j, j),
+            "tensor_rdim_2_to_free": lambda: connect_ideals(j, r),
+            "free_to_tensor_rdim_2": lambda: connect_ideals(r, j),
+            "tensor_one_level_flags": lambda: connect_flags(Flag([j]), Flag([r]))}
+
+
+@pytest.mark.parametrize("case", ["quaternion_rdim_1_to_itself"])
+def test_split_d_pencil_raises(case):
+    with pytest.raises(StructuralError, match="D-basis choice failed"):
+        _split_d_cases()[case]()
+
+
+@pytest.mark.parametrize("case", ["tensor_rdim_2_to_itself", "tensor_rdim_2_to_free",
+                                  "free_to_tensor_rdim_2", "tensor_one_level_flags"])
+def test_split_d_pencil_verifies(case):
+    rep = verify_witness(_split_d_cases()[case](), exhaustive(F5))
+    assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+def test_random_split_d_ideals_build_verified_pencils(seed):
+    # the first seeds whose random rdim-2 ideal has a first row that spans
+    # only 2 dimensions over D; its column space is free, so a pencil exists
+    A = tensor_product(make_matrix_algebra(F5, 2), make_quaternion(F5, 2, 3))
+    I = random_ideal(A, 2, random.Random(seed))
+    r = random_ideal(A, 2, random.Random(3))
+    for w in (connect_ideals(I, r), connect_ideals(r, I), connect_ideals(I, I)):
+        rep = verify_witness(w, exhaustive(F5))
+        assert rep.passed, rep.failures()
 
 
 # ---------------------------------------------------------------------------
