@@ -13,7 +13,7 @@ from .algebra import (
     Algebra, AlgebraElement, NoWitnessFound, SplitWitness,
     certified_exponent_divides_2, extend_scalars, index_evidence,
     make_matrix_algebra, make_quaternion, poly_eval_at_element,
-    reduced_char_poly, reduced_trace, tensor_product,
+    reduced_char_poly, tensor_product,
 )
 from .arith import gaussian_binomial, pi_degree_prime_to_p, vp_factorial
 from .errors import (

@@ -657,17 +657,6 @@ def reduced_char_poly(x):
             "the algebra is not central simple as declared") from exc
 
 
-def reduced_trace(x):
-    """Trd(x) = tr(L_x) / deg(A)."""
-    alg = x.algebra
-    f = alg.field
-    lm = alg.left_mult_matrix(x.coords)
-    t = f.zero
-    for i in range(alg.dim):
-        t = f.add(t, lm[i][i])
-    return f.div(t, f.from_int(alg.degree))
-
-
 # ---------------------------------------------------------------------------
 # index evidence
 

@@ -6,18 +6,6 @@ from .errors import InvalidInputError
 from .fields import is_prime
 
 
-def padic_valuation(n, p):
-    """v_p(n) for a nonzero integer n."""
-    if n == 0:
-        raise InvalidInputError("v_p(0) is infinite")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def vp_factorial(p, r):
     """v_p((p^r)!) by Legendre summation: sum of floor(p^r / p^i)."""
     if not is_prime(p):

@@ -283,10 +283,11 @@ class ExtensionField:
     F_256 3 ms and F_4096 65 ms.
 
     Above the bound, mul multiplies polynomials and reduces by a table of
-    x^(k+i) mod f, and inv runs the extended Euclidean algorithm on int
-    lists, which on a 2-core Xeon under Python 3.11 took 1.4-4.4x less time
-    than Fermat's a^(q-2) (F_9 10.5 vs 14.3 us, F_25 12.7 vs 21.3 us,
-    F_256 40.5 vs 178 us).
+    x^(k+i) mod f, and inv is poly.poly_ext_gcd of a and f over F_p, the
+    library's one F_p[x] kernel.  That costs about 4x a private Euclid on
+    int lists (on a shared 2-core Xeon under Python 3.11, F_{67^2} about
+    80 vs 20 us, F_{2^13} about 260 vs 70 us), but only fields above
+    TABLE_MAX_Q take this path.
     """
 
     kind = "extension"
@@ -458,49 +459,13 @@ class ExtensionField:
         return tuple(out)
 
     def _pinv(self, a):
-        # extended Euclid over F_p[x]
-        if all(c == 0 for c in a):
+        from .poly import Poly, poly_ext_gcd
+        base = PrimeField(self.p)
+        # s a + t f = gcd(a, f), which is 1 unless a = 0 as f is irreducible
+        g, s, _ = poly_ext_gcd(Poly(base, a), Poly(base, self.modulus))
+        if g.degree:
             raise ZeroDivisionError("inverse of 0")
-        p = self.p
-        r0, r1 = list(self.modulus), [c % p for c in a]
-        while r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [1]
-        while r1:
-            # divide r0 by r1
-            q = []
-            r = list(r0)
-            dl = len(r1) - 1
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(r) - 1 >= dl and r:
-                coef = r[-1] * inv_lead % p
-                deg = len(r) - 1 - dl
-                if coef:
-                    while len(q) <= deg:
-                        q.append(0)
-                    q[deg] = coef
-                    for i in range(dl + 1):
-                        r[deg + i] = (r[deg + i] - coef * r1[i]) % p
-                r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-            # s0 - q*s1
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            new_s = [( (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0) ) % p
-                     for i in range(max(len(s0), len(qs)) or 1)]
-            while new_s and new_s[-1] == 0:
-                new_s.pop()
-            r0, r1 = r1, r
-            s0, s1 = s1, new_s
-        # r0 = gcd, a unit in F_p since modulus is irreducible
-        c = pow(r0[0], p - 2, p)
-        out = [x * c % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return tuple(out[:self.k])
+        return s.coeffs + (0,) * (self.k - len(s.coeffs))
 
     def elements(self):
         def gen():

@@ -278,14 +278,6 @@ def twist_by_inner(sigma, u):
     return involution_from_matrix(A, mat)
 
 
-def conjugate_involution(sigma, g):
-    """inn_g . sigma . inn_g^-1; preserves the type.  It is the twist by the
-    symmetric element g sigma(g): g sigma(g^-1 x g) g^-1 =
-    (g sigma(g)) sigma(x) (g sigma(g))^-1."""
-    gc = g.coords if isinstance(g, AlgebraElement) else tuple(g)
-    return twist_by_inner(sigma, sigma.algebra.mul(gc, sigma.apply_coords(gc)))
-
-
 def pfaffian_char_poly(sigma, x):
     """The degree-m polynomial whose square is the reduced characteristic
     polynomial of a symmetric element of a symplectic pair (n = 2m).

@@ -172,40 +172,6 @@ def alternating_form_check(field, omega):
         raise InvalidFormError("alternating form is singular")
 
 
-def omega_of_involution(sigma):
-    """Recover the alternating form whose adjoint a symplectic involution on
-    a split degree-4 algebra is: solve B sigma(x) = x^T B on the basis."""
-    from .algebra import matrix_of
-    from .linalg import kernel, transpose
-    A = sigma.algebra
-    if A.preset.get("kind") != "matrix" or A.preset["n"] != 4:
-        raise InvalidInputError("needs a split degree-4 matrix algebra")
-    if sigma.kind != "symplectic":
-        raise InvalidInputError("needs a symplectic involution")
-    f = A.field
-    n = 4
-    rows = []
-    for idx in range(A.dim):
-        x = matrix_of(A, A.basis_coords(idx))
-        sx = matrix_of(A, sigma.apply_coords(A.basis_coords(idx)))
-        xt = transpose(x)
-        # B sx - xt B = 0: a linear condition on the 16 unknowns B[r][c]
-        for r in range(n):
-            for c in range(n):
-                row = [f.zero] * 16
-                for t in range(n):
-                    row[r * 4 + t] = f.add(row[r * 4 + t], sx[t][c])
-                    row[t * 4 + c] = f.sub(row[t * 4 + c], xt[r][t])
-                rows.append(row)
-    ker = kernel(f, rows)
-    if not ker:
-        raise InvalidInputError("involution is not adjoint to any form")
-    b = ker[0]
-    omega = [[b[r * 4 + c] for c in range(4)] for r in range(4)]
-    alternating_form_check(f, omega)
-    return omega
-
-
 def symp_quadric_model(field, omega):
     """The exterior-square quadric plus the hyperplane cut out by an
     alternating form on F^4.

@@ -8,8 +8,7 @@ from csawitness.algebra import (
     Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq, SplitWitness,
     algebra_generators,
     certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
-    matrix_of, poly_eval_at_element, reduced_char_poly, reduced_trace,
-    tensor_product,
+    matrix_of, poly_eval_at_element, reduced_char_poly, tensor_product,
 )
 from csawitness.errors import (
     InvalidInputError, StructuralError, UnsupportedFieldError,
@@ -136,17 +135,6 @@ def test_reduced_char_poly_split_oracle_seeded():
                 assert reduced_char_poly(x) == ordinary
                 cases += 1
     assert cases >= 200
-
-
-def test_reduced_trace():
-    A = make_matrix_algebra(F7, 3)
-    rng = random.Random(1)
-    x = A.random_element(rng)
-    m = matrix_of(A, x.coords)
-    tr = F7.zero
-    for t in range(3):
-        tr = F7.add(tr, m[t][t])
-    assert reduced_trace(x) == tr
 
 
 def test_poly_eval_at_element():

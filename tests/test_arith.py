@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from csawitness.arith import (
-    gaussian_binomial, padic_valuation, pi_degree_prime_to_p, vp_factorial,
+    gaussian_binomial, pi_degree_prime_to_p, vp_factorial,
 )
 from csawitness.errors import InvalidInputError
 
@@ -21,10 +21,18 @@ def test_vp_factorial_closed_form():
             assert vp_factorial(p, r) == (p ** r - 1) // (p - 1)
 
 
+def _trial_division_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def test_vp_factorial_against_trial_division():
     # independent oracle: factor the actual factorial
     for p, r in [(2, 4), (3, 3), (5, 2), (7, 1)]:
-        assert vp_factorial(p, r) == padic_valuation(factorial(p ** r), p)
+        assert vp_factorial(p, r) == _trial_division_valuation(factorial(p ** r), p)
 
 
 def test_vp_factorial_validation():

@@ -5,7 +5,8 @@ perfbench/ and demos/, collects every identifier they mention (names,
 attributes, imported names and identifier-shaped strings) and fails on any
 definition in src/csawitness whose name appears only where it is defined.
 Dunder methods, which Python calls implicitly, and click commands, which the
-CLI reaches through their decorators, are exempt.
+CLI reaches through their decorators, are exempt.  The definitions that only
+tests name are pinned as a literal set, so a new one shows up in a diff.
 """
 
 import ast
@@ -64,6 +65,31 @@ def test_every_definition_is_named():
                for path in sorted((ROOT / top).rglob("*.py"))}
     assert len([p for p in sources if p.parent == PACKAGE]) >= 15
     assert unnamed_definitions(sources) == []
+
+
+def test_only_tests_name_these_definitions():
+    """The definitions in src/csawitness that tests name but no pipeline
+    calls: neither src/ (its package exports aside), perfbench/ nor demos/
+    mentions them.  A new test-only definition, or one that gains a caller,
+    changes this set."""
+    callers, tested = Counter(), Counter()
+    defined = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path.parent == PACKAGE:
+                defined.update(name for name, _ in definitions(tree))
+            if top == "tests":
+                tested.update(mentions(tree))
+            elif path.name != "__init__.py":
+                callers.update(mentions(tree))
+    test_only = {name for name in defined if tested[name] and not callers[name]}
+    assert test_only == {
+        "constant", "discriminant", "distinct", "from_ints", "gaussian_binomial",
+        "independent_ideals_check", "isotropic_two_planes", "minimal_polynomial",
+        "multiplicity_free", "radical_is_regular_is_isotropic", "roots_in_field",
+        "scheme_index_bound", "shift",
+    }
 
 
 def test_unused_definition_is_caught():

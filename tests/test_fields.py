@@ -237,6 +237,13 @@ def test_large_tables_match_polynomial_path(F):
     check()
 
 
+def test_pinv_equals_the_table_inverse_on_all_of_f4096():
+    # the tables are the oracle for the poly_ext_gcd inverse
+    F = _F4096
+    for a in itertools.islice(F.elements(), 1, None):
+        assert F._pinv(a) == F.inv(a)
+
+
 def _schoolbook_mul(a, b, modulus, p):
     """a*b mod (modulus, p) on coefficient lists, lowest degree first."""
     prod = [0] * (len(a) + len(b) - 1)
@@ -252,20 +259,22 @@ def _schoolbook_mul(a, b, modulus, p):
 
 
 def test_field_above_the_bound_keeps_polynomial_path():
-    F = standard_extension(67, 2)  # 4489 elements, the first p^k (k > 1) above 4096
-    assert F.size > fields.TABLE_MAX_Q and F._log is None
-    rng = random.Random(3)
-    for _ in range(300):
-        a, b = F.random(rng), F.random(rng)
-        assert F.mul(a, b) == _schoolbook_mul(a, b, F.modulus, F.p)
-        assert F.add(a, b) == tuple((x + y) % F.p for x, y in zip(a, b))
-        assert F.sub(F.add(a, b), b) == a
-        if a != F.zero:
-            assert F.mul(a, F.inv(a)) == F.one
-            assert F.div(b, a) == F.mul(b, F.inv(a))
-            assert F.pow(a, -3) == F.inv(F.mul(a, F.mul(a, a)))
-    with pytest.raises(ZeroDivisionError):
-        F.inv(F.zero)
+    # 4489 elements, the first p^k (k > 1) above 4096, and the binary field
+    # after the largest tabled one
+    for F in (standard_extension(67, 2), standard_extension(2, 13)):
+        assert F.size > fields.TABLE_MAX_Q and F._log is None
+        rng = random.Random(3)
+        for _ in range(300):
+            a, b = F.random(rng), F.random(rng)
+            assert F.mul(a, b) == _schoolbook_mul(a, b, F.modulus, F.p)
+            assert F.add(a, b) == tuple((x + y) % F.p for x, y in zip(a, b))
+            assert F.sub(F.add(a, b), b) == a
+            if a != F.zero:
+                assert F.mul(a, F.inv(a)) == F.one
+                assert F.div(b, a) == F.mul(b, F.inv(a))
+                assert F.pow(a, -3) == F.inv(F.mul(a, F.mul(a, a)))
+        with pytest.raises(ZeroDivisionError):
+            F.inv(F.zero)
 
 
 @pytest.mark.parametrize("F", [standard_extension(5, 2), standard_extension(67, 2)],

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from csawitness.algebra import make_matrix_algebra
 from csawitness.arith import gaussian_binomial
 from csawitness.errors import InvalidFormError, InvalidInputError
 from csawitness.fields import QQ, PrimeField
-from csawitness.involutions import adjoint_involution, standard_alternating_matrix
+from csawitness.involutions import standard_alternating_matrix
 from csawitness.quadrics import (
     PLUCKER_PAIRS, QuadraticForm, enumerate_rref_subspaces, isotropic_two_planes,
-    normalize_point, omega_of_involution, plucker_coordinates, plucker_embed,
-    plucker_form, plucker_quadric_value, points_on_quadric, projective_points,
+    normalize_point, plucker_coordinates, plucker_embed, plucker_form,
+    plucker_quadric_value, points_on_quadric, projective_points,
     symp_quadric_model,
 )
 
@@ -190,23 +189,16 @@ def test_isotropic_planes_map_onto_the_section():
     assert len(images) == 15
 
 
-def test_omega_recovery_from_involution():
-    A = make_matrix_algebra(F3, 4)
+def test_symp_quadric_model_is_invariant_under_scaling():
+    # a symplectic involution fixes its alternating form only up to a
+    # scalar; every multiple cuts the same quadric and hyperplane
     J = standard_alternating_matrix(F3, 4)
-    s = adjoint_involution(A, J)
-    omega = omega_of_involution(s)
-    # recovered form is a scalar multiple of J
-    ratios = {F3.div(omega[r][c], J[r][c]) for r in range(4) for c in range(4)
-              if not F3.is_zero(J[r][c])}
-    assert len(ratios) == 1
-    for r in range(4):
-        for c in range(4):
-            if F3.is_zero(J[r][c]):
-                assert F3.is_zero(omega[r][c])
-    # and it induces the same model up to that scalar
-    q1, h1 = symp_quadric_model(F3, omega)
-    q2, h2 = symp_quadric_model(F3, J)
-    assert q1 == q2
+    quadric, hyperplane = symp_quadric_model(F3, J)
+    for c in (1, 2):
+        cJ = [[F3.mul(c, x) for x in row] for row in J]
+        q, h = symp_quadric_model(F3, cJ)
+        assert q == quadric
+        assert h == tuple(F3.mul(c, x) for x in hyperplane)
 
 
 def test_symp_quadric_model_rejects_bad_forms():

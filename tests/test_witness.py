@@ -22,8 +22,11 @@ from csawitness.involutions import (
     standard_alternating_matrix, transpose_involution,
 )
 from csawitness.linalg import rank
+from csawitness.pointcount import InvolutionQuadricModel
 from csawitness.poly import Poly, poly_gcd
-from csawitness.quadrics import QuadraticForm, normalize_point, points_on_quadric
+from csawitness.quadrics import (
+    QuadraticForm, normalize_point, points_on_quadric, symp_quadric_model,
+)
 from csawitness.witness import (
     PencilWitness, WitnessChain, connect_exp2, connect_flags, connect_ideals,
     connect_max_etale, connect_quadric_points, default_samples,
@@ -555,20 +558,67 @@ def test_quadric_points_same_point():
     assert len(chain) == 0 and chain.start == p == chain.end
 
 
-def test_quadric_points_f5_seeded():
-    q = QuadraticForm.diagonal(F5, [F5.one, F5.one, F5.neg(F5.one), F5.neg(F5.one)])
-    from csawitness.quadrics import points_on_quadric
-    pts = points_on_quadric(q)
+def _seeded_quadric(name):
+    """(form, pairs of its points, auxiliary points or None) for one case of
+    the conic test: ten seeded pairs over F_2, where b is alternating, F_3,
+    F_5, F_9 and Q, and on the isotropic-plane models of link_graph over F_2
+    and F_3; and every pair on xw = yz over F_3 with seven auxiliary points,
+    where 14 of the 256 chains take two segments."""
+    F2, F9 = PrimeField(2), standard_extension(3, 2)
+    if name == "F3_two_segments":
+        form = _form(F3, 4, {(0, 3): 1, (1, 2): -1})
+        pts = points_on_quadric(form)
+        return form, [(p1, p2) for p1 in pts for p2 in pts], pts[:7]
+    aux = None
+    if name.startswith("model"):
+        F = {"model_F2": F2, "model_F3": F3}[name]
+        model = InvolutionQuadricModel(*symp_quadric_model(F, standard_alternating_matrix(F, 4)))
+        form, pts = model.form, model.points(1)
+        aux = pts  # link_graph passes the model's points
+    elif name == "Q":
+        form = _form(QQ, 4, {(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1})
+        pts = [tuple(map(Fraction, p)) for p in
+               [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1),
+                (1, -1, 1, 1), (3, 4, 5, 0), (5, 0, 3, 4)]]
+    else:
+        form = {"F2": _form(F2, 4, {(0, 1): 1, (2, 3): 1}),
+                "F3": _form(F3, 5, {(i, i): 1 for i in range(5)}),
+                "F5": _form(F5, 4, {(0, 0): 1, (1, 1): 1, (2, 2): -1, (3, 3): -1}),
+                "F9": _form(F9, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})}[name]
+        pts = points_on_quadric(form)
     rng = random.Random(13)
-    for _ in range(10):
-        p1, p2 = rng.choice(pts), rng.choice(pts)
-        chain = connect_quadric_points(q, p1, p2)
+    return form, [(rng.choice(pts), rng.choice(pts)) for _ in range(10)], aux
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F9", "Q", "model_F2", "model_F3",
+                                  "F3_two_segments"])
+def test_quadric_points_seeded(monkeypatch, name):
+    """Every segment lies on the quadric and runs from start to end, though
+    the constructor checks neither: it evaluates q only on the secant w(t),
+    once per segment, and never evaluates the segment."""
+    calls = Counter()
+
+    def counted(method):
+        def wrapper(*args):
+            calls[method.__name__] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(QuadraticForm, "eval_polys", counted(QuadraticForm.eval_polys))
+    monkeypatch.setattr(PencilWitness, "evaluate", counted(PencilWitness.evaluate))
+    q, pairs, aux = _seeded_quadric(name)
+    f = q.field
+    for p1, p2 in pairs:
+        calls.clear()
+        chain = connect_quadric_points(q, p1, p2, points=aux)
+        assert (calls["eval_polys"], calls["evaluate"]) == (len(chain.segments), 0)
         assert len(chain) <= 2
-        rep = verify_witness(chain, exhaustive(F5))
+        assert (chain.start, chain.end) == (normalize_point(f, p1), normalize_point(f, p2))
+        rep = verify_witness(chain, None if f is QQ else exhaustive(f))
         assert rep.passed, rep.failures()
-        # symbolic on-quadric identity for every segment
         for seg in chain.segments:
             assert q.eval_polys(seg.data["coord_polys"]).is_zero()
+            assert seg.evaluate(f.one) == seg.start and seg.evaluate(f.zero) == seg.end
 
 
 def test_quadric_points_hyperbolic_conic_over_q():
