@@ -46,7 +46,7 @@ from .pointcount import (
     QuadricCurves, QuadricModel, ZeroCycle, enumerate_points, link_graph,
     scheme_index_bound, symmetric_power_points, transfer_cycle,
 )
-from .poly import Poly, discriminant, factor, poly_nth_root, poly_squarefree
+from .poly import Poly, factor, poly_nth_root, poly_squarefree
 from .quadrics import (
     QuadraticForm, plucker_embed, plucker_form, plucker_quadric_value,
     points_on_quadric, symp_quadric_model,

@@ -18,7 +18,8 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    intertwiner_mismatch, kernel, lift_matrix, mat_vec, rref, solve,
+    int_rank, int_solve, intertwiner_mismatch, kernel, lift_matrix, mat_vec,
+    rank, rref, solve, transpose,
 )
 from .poly import Poly, poly_nth_root
 from .quadrics import QuadraticForm, projective_points
@@ -45,7 +46,8 @@ def _mult_matrix(f, x, table):
 
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
-                 "_closure_gens", "_preset_gens", "_flat", "_flat_scale", "_lift")
+                 "_closure_gens", "_preset_gens", "_flat", "_flat_scale", "_lift",
+                 "_symplectic")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
                  preset=None, _trusted=False, _preset_gens=False):
@@ -60,6 +62,7 @@ class Algebra:
         self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
+        self._symplectic = None  # witness.default_symplectic_involution
         # the preset constructors pass True: their algebra_generators are
         # known to generate (tests/test_algebra.py proves it for each family)
         self._preset_gens = _preset_gens
@@ -252,6 +255,25 @@ class Algebra:
                     m[k][j] += xi * c
         return m, scale * self._flat_scale
 
+    def int_powers(self, x):
+        """Over F_p and Q, the powers 1, x, x^2, ... of x as (ints, scale)
+        pairs with x^k = ints / scale, x lifted once and every product an
+        int one (reduced mod p over F_p); None over other fields."""
+        if self._flat is None:
+            return None
+        return self._int_powers(*self._lifted(x))
+
+    def _int_powers(self, x, xscale):
+        p = self.field.int_modulus
+        cur, scale = self._lifted(self.unit)
+        step = xscale * self._flat_scale
+        while True:
+            yield cur, scale
+            cur = self._int_mul(cur, x)
+            if p:
+                cur = [c % p for c in cur]
+            scale *= step
+
     def add(self, x, y):
         f = self.field
         return tuple(f.add(a, b) for a, b in zip(x, y))
@@ -290,6 +312,27 @@ class Algebra:
         (lm, sl), (rm, sr) = self._int_mult_matrix(x), self._int_mult_matrix(y, right=True)
         return self._lower_rows([[a * sr - b * sl for a, b in zip(r, q)]
                                  for r, q in zip(lm, rm)], sl * sr)
+
+    def centralizer_dim(self, x):
+        """dim of the centralizer {u : x u = u x}: dim A minus the rank of
+        u -> x u - u x.  Over F_p and Q the rank is taken on the int rows
+        L_x - R_x, both at the scale of x, with no entry lowered."""
+        if self._flat is None:
+            return self.dim - rank(self.field, self.left_minus_right_matrix(x, x))
+        (lm, _), (rm, _) = self._int_mult_matrix(x), self._int_mult_matrix(x, right=True)
+        return self.dim - int_rank(self.field, [[a - b for a, b in zip(r, q)]
+                                                for r, q in zip(lm, rm)])
+
+    def sandwich_matrix(self, u, mat, v):
+        """The matrix of y -> u (mat y) v.  Over F_p and Q, u, v and the
+        columns of mat are lifted once and each column is two int products,
+        lowered once."""
+        if self._flat is None:
+            return transpose([self.mul(self.mul(u, col), v) for col in transpose(mat)])
+        (u, su), (v, sv) = self._lifted(u), self._lifted(v)
+        cols, sm = self.field.lift_rows(transpose(mat))
+        images = [self._int_mul(self._int_mul(u, col), v) for col in cols]
+        return self._lower_rows(transpose(images), su * sm * sv * self._flat_scale ** 2)
 
     def anti_automorphism_mismatch(self, mat):
         """The first (i, g), over g in closure_generators() and then basis
@@ -371,9 +414,15 @@ class Algebra:
         return AlgebraElement(self, tuple(f.random(rng) for _ in range(self.dim)))
 
     def inverse(self, x):
-        """Two-sided inverse of x, or None."""
-        lm = self.left_mult_matrix(x)
-        y = solve(self.field, lm, list(self.unit))
+        """Two-sided inverse of x, or None: the solution y of x y = 1, kept
+        if also y x = 1.  Over F_p and Q, x y = 1 is solved on the int rows
+        of L_x, at scale s, against the lifted unit u / t as t L y = s u."""
+        if self._flat is None:
+            y = solve(self.field, self.left_mult_matrix(x), list(self.unit))
+        else:
+            (lm, s), (u, t) = self._int_mult_matrix(x), self._lifted(self.unit)
+            y = int_solve(self.field, [[t * c for c in row] + [s * b]
+                                       for row, b in zip(lm, u)])
         if y is None:
             return None
         y = tuple(y)

@@ -10,6 +10,14 @@ orbit-quotient formula rdim(e_i A) / deg(f_i), which avoids explicit
 splitting fields.  The last factor's rank is read by complement, as the
 degree minus the ranks of the other factors' idempotents, so it needs no
 idempotent of its own.
+
+Balanced type (is_et_m_point) needs no factorization: it is one centralizer
+rank.  The generator x is semisimple, so over an algebraic closure it has
+dim E = m distinct eigenvalues, of multiplicities m_theta summing to the
+degree n; these are the parts of the type.  dim C_A(x) = sum m_theta^2, and
+by Cauchy-Schwarz n^2 <= m sum m_theta^2 with equality iff every
+m_theta = n/m.  So E is balanced iff n^2 - rank(u -> x u - u x) = n^2 / m.
+etale_type stays for the full partition (csaw etale type, the demos).
 """
 
 import functools
@@ -21,7 +29,7 @@ from .errors import (
 )
 from .fields import Rationals
 from .ideals import ideal_generated, principal_rdim
-from .linalg import first_dependency, in_row_space, rref
+from .linalg import first_dependency, in_row_space, int_first_dependency, rref
 from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
 
 
@@ -35,9 +43,6 @@ class Partition:
         if any(p <= 0 for p in parts):
             raise InvalidInputError("partition parts must be positive")
         self.parts = parts
-
-    def distinct(self):
-        return sorted(set(self.parts), reverse=True)
 
     @property
     def total(self):
@@ -92,21 +97,34 @@ class EtaleSubalgebra:
 def _minimal_polynomial_and_power_basis(x):
     """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
     d = deg(minpoly), and the rref basis and pivots of their span, from the
-    first linear dependency of the powers 1, x, x^2, ..."""
+    first linear dependency of the powers 1, x, x^2, ...  Over F_p and Q the
+    powers are int products of x lifted once (Algebra.int_powers), and only
+    the d kept powers are lowered."""
     alg = x.algebra
     f = alg.field
-    powers = []
+    seen = []
 
-    def walk():
-        cur = alg.unit
-        while True:
-            powers.append(cur)
-            yield cur
-            cur = alg.mul(cur, x.coords)
+    def recorded(vectors):
+        for v in vectors:
+            seen.append(v)
+            yield v
 
-    coeffs, basis, pivots = first_dependency(f, walk())
+    lifted = alg.int_powers(x.coords)
+    if lifted is None:
+        coeffs, basis, pivots = first_dependency(f, recorded(_powers(alg, x.coords)))
+        powers = seen[:len(coeffs)]
+    else:
+        coeffs, basis, pivots = int_first_dependency(f, recorded(lifted))
+        powers = [tuple(f.lower_vector(*v)) for v in seen[:len(coeffs)]]
     mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
-    return mp, powers[:len(coeffs)], basis, pivots
+    return mp, powers, basis, pivots
+
+
+def _powers(alg, x):
+    cur = alg.unit
+    while True:
+        yield cur
+        cur = alg.mul(cur, x)
 
 
 def minimal_polynomial(x):
@@ -260,13 +278,25 @@ def etale_type(E):
 
 def is_et_m_point(E, m):
     """True iff E is an m-dimensional subalgebra of balanced type
-    [n/m, ..., n/m]."""
+    [n/m, ..., n/m], decided by one rank with no factorization.
+
+    The generator x of E has a squarefree minimal polynomial of degree
+    dim E = m, so over an algebraic closure, where A is M_n, x is
+    diagonalizable with m distinct eigenvalues theta, of multiplicities
+    m_theta summing to n; these are the parts of the type (the rank of the
+    idempotent of theta is m_theta).  The centralizer of a diagonal matrix
+    is the block-diagonal matrices, so dim C_A(x) = sum m_theta^2, a
+    dimension that a field extension does not change.  By Cauchy-Schwarz,
+    n^2 = (sum m_theta)^2 <= m sum m_theta^2, with equality exactly when
+    every m_theta = n/m.  So E is balanced iff dim C_A(x) = n^2 / m
+    (Algebra.centralizer_dim: n^2 minus the rank of u -> x u - u x).
+    """
     n = E.algebra.degree
     if m < 1 or n % m != 0:
         return False
     if E.dim != m:
         return False
-    return etale_type(E) == Partition([n // m] * m)
+    return E.algebra.centralizer_dim(E.generator.coords) == n * n // m
 
 
 def independent_ideals_check(ideals):

@@ -227,8 +227,12 @@ class PrimeField:
         return rows, 1
 
     def lower_vector(self, ints, scale=1):
-        """ints reduced mod p; the scale of a lifted F_p vector is always 1."""
+        """The canonical scalars ints[i] / scale mod p.  A lifted F_p vector
+        has scale 1, but int_first_dependency takes vectors at any scale."""
         p = self.p
+        if scale != 1:
+            inv = pow(scale, -1, p)
+            return [n * inv % p for n in ints]
         return [n % p for n in ints]
 
     def sort_key(self, a):

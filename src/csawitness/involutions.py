@@ -1,16 +1,20 @@
 """Involutions of the first kind on structure-constant algebras.
 
 An involution is stored by the matrix of its linear action on the coordinate
-basis plus an orthogonal/symplectic tag.  Construction verifies exactly that
-the map has order two (mat mat = 1), that it is an anti-automorphism, and
-that the tag matches the fixed-space dimension.  The anti-automorphism
+basis plus an orthogonal/symplectic tag.  Construction from a matrix
+(involution_from_matrix) verifies exactly that the map has order two
+(mat mat = 1), that it is an anti-automorphism, and that the tag matches
+the fixed-space dimension.  The anti-automorphism
 property is checked on 1 and, for each verified generator g of
 Algebra.closure_generators, as the matrix identity mat R_g = L_sigma(g) mat
 (R_g right multiplication by g, L_x left multiplication by x): column i of
 the left side is sigma(e_i g) and column i of the right side is
 sigma(g) sigma(e_i), so the identity holds exactly when
 sigma(e_i g) = sigma(g) sigma(e_i) for every basis element e_i, which
-implies the property on every basis pair (involution_from_matrix).
+implies the property on every basis pair.  A twist is certified by its
+formula instead: twist_by_inner checks only sigma(u) = +-u and that u is
+invertible, and then Int(u) o sigma is an involution whose tag the sign
+fixes (its docstring has the proof), so it is not re-verified.
 Construction and involution_type read the tag off dim Sym through one
 helper, and sym_dimension and sym_basis build sigma - 1 through one helper.
 Characteristic 2 is rejected throughout: the orthogonal/symplectic
@@ -264,18 +268,36 @@ def tensor_involution(sigma1, sigma2, product_algebra):
 
 
 def twist_by_inner(sigma, u):
-    """The involution x -> u sigma(x) u^-1 (u invertible, sigma(u) = +-u)."""
+    """The involution Int(u) o sigma: x -> u sigma(x) u^-1, for u invertible
+    with sigma(u) = u or sigma(u) = -u; InvalidInputError otherwise.
+
+    Certified by its formula, so involution_from_matrix is not re-run
+    (Knus-Merkurjev-Rost-Tignol, The Book of Involutions, Prop. 2.7).  Write
+    sigma(u) = eps u, so sigma(u^-1) = eps u^-1, and tau = Int(u) o sigma.
+    tau is linear and tau(1) = 1.  It is an anti-automorphism:
+    tau(x y) = u sigma(y) u^-1 u sigma(x) u^-1 = tau(y) tau(x).  It has
+    order two: tau(tau(x)) = u sigma(u^-1) x sigma(u) u^-1 = u (eps u^-1)
+    x (eps u) u^-1 = x.  Its type: tau(u x) = u sigma(x) sigma(u) u^-1 =
+    eps u sigma(x), so x -> u x maps Sym(sigma) onto Sym(tau) if eps = 1
+    and Skew(sigma) onto Sym(tau) if eps = -1.  In characteristic not 2,
+    A = Sym + Skew, so dim Skew(sigma) = n^2 - dim Sym(sigma) swaps
+    n(n+1)/2 and n(n-1)/2: tau has sigma's type exactly when sigma(u) = u.
+    """
     A = sigma.algebra
-    u_inv = A.inverse(u.coords if isinstance(u, AlgebraElement) else u)
+    f = A.field
+    _require_odd_char(f)
+    uc = u.coords if isinstance(u, AlgebraElement) else tuple(u)
+    su = sigma.apply_coords(uc)
+    if su == uc:
+        kind = sigma.kind
+    elif su == tuple(f.neg(c) for c in uc):
+        kind = SYMPLECTIC if sigma.kind == ORTHOGONAL else ORTHOGONAL
+    else:
+        raise InvalidInputError("twisting element u has sigma(u) != u and != -u")
+    u_inv = A.inverse(uc)
     if u_inv is None:
         raise InvalidInputError("twisting element is not invertible")
-    uc = u.coords if isinstance(u, AlgebraElement) else tuple(u)
-    images = []
-    for i in range(A.dim):
-        img = A.mul(A.mul(uc, sigma.apply_coords(A.basis_coords(i))), u_inv)
-        images.append(img)
-    mat = transpose(images)
-    return involution_from_matrix(A, mat)
+    return Involution(A, A.sandwich_matrix(uc, sigma.mat, u_inv), kind)
 
 
 def pfaffian_char_poly(sigma, x):

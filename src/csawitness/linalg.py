@@ -5,7 +5,7 @@ deterministic: columns are processed left to right and the first row with a
 nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
 
-Over F_p and Q (fields.INTEGER_CORE), mat_vec, mat_mul, rref,
+Over F_p and Q (fields.INTEGER_CORE), mat_vec, mat_mul, rref, rank, solve,
 reduce_vector, in_row_space, first_dependency and intertwiner_mismatch run
 one integer loop on lifted data, as do Algebra.mul and the Algebra
 multiplication matrices: each operand is lifted once to ints and a scale
@@ -14,9 +14,13 @@ calls once), the loop does exact int arithmetic, and each output entry is
 lowered once to its canonical scalar (lower_vector).  A result that is only
 compared or tested for membership is not lowered at all:
 intertwiner_mismatch compares two products up to their scales, and
-int_in_row_space tests an int vector at any scale.  The fields differ only
-where int_modulus says so: in the zero test, in how a row is normalised,
-and in the final lowering.
+int_in_row_space tests an int vector at any scale.  rank and solve lift
+once and run int_rank and int_solve, which read the unlowered echelon form
+(solve lowers only its solution); callers that hold int rows already, at
+any common scale, call these two directly, as int_first_dependency takes
+(ints, scale) pairs, so nothing is lowered only to be lifted back.  The
+fields differ only where int_modulus says so: in the zero test, in how a
+row is normalised, and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -185,7 +189,16 @@ def _primitive(row):
 
 
 def _int_rref(field, m):
-    """rref on lifted rows (scaling a row does not change the row space).
+    """rref on lifted rows (scaling a row does not change the row space),
+    lowered once: each row of _int_echelon over its pivot, which over F_p
+    is 1 mod p."""
+    m, pivots = _int_echelon(field, m)
+    return [field.lower_vector(row, row[c]) for row, c in zip(m, pivots)], pivots
+
+
+def _int_echelon(field, m):
+    """The reduced echelon rows of lifted rows m, not lowered, and their
+    pivot columns.
 
     Only the pivot row is normalised before it is used: over F_p it is
     scaled by the modular inverse of its pivot, over Q divided by its
@@ -193,8 +206,9 @@ def _int_rref(field, m):
     pivot (1 over F_p).  Over F_p it collects the update unreduced, each
     adding less than p^2 in size, and is tested for zero mod p; over Q it is
     divided by its content.  A pivot row keeps its pivot, which later
-    updates only multiply, so at the end a row is reduced mod p over F_p and
-    divided by its pivot over Q.
+    updates only multiply: each returned row is zero (mod p) in the other
+    pivot columns, and its own pivot is 1 mod p over F_p and a nonzero int
+    over Q, so row / pivot is the rref row.
     """
     p = field.int_modulus
     nrows = len(m)
@@ -225,13 +239,35 @@ def _int_rref(field, m):
         r += 1
         if r == nrows:
             break
-    if p:
-        return [[x % p for x in m[i]] for i in range(r)], pivots
-    return [field.lower_vector(m[i], m[i][c]) for i, c in enumerate(pivots)], pivots
+    return m[:r], pivots
 
 
 def rank(field, rows):
+    if isinstance(field, INTEGER_CORE):
+        return int_rank(field, field.lift_rows(rows)[0])
     return len(rref(field, rows)[0])
+
+
+def int_rank(field, rows):
+    """rank over F_p and Q of int rows, at any nonzero scale, with no entry
+    lowered."""
+    return len(_int_echelon(field, list(rows))[1]) if rows else 0
+
+
+def int_solve(field, aug):
+    """solve over F_p and Q for the int augmented matrix aug = [a | b], at
+    any nonzero common scale (it cancels): one x with a x = b, free
+    variables 0, or None if inconsistent.  Only the solution is lowered,
+    each entry once as the last column of its echelon row over the row's
+    pivot."""
+    n = len(aug[0]) - 1
+    m, pivots = _int_echelon(field, list(aug))
+    if pivots and pivots[-1] == n:
+        return None  # 0 = 1 row
+    x = [field.zero] * n
+    for row, c in zip(m, pivots):
+        x[c], = field.lower_vector([row[n]], row[c])
+    return x
 
 
 def first_dependency(field, vectors):
@@ -248,7 +284,7 @@ def first_dependency(field, vectors):
     Raises InvalidInputError if the sequence ends with no dependency.
     """
     if isinstance(field, INTEGER_CORE):
-        return _int_first_dependency(field, vectors)
+        return int_first_dependency(field, map(field.lift_vector, vectors))
     sub, mul, is_zero = field.sub, field.mul, field.is_zero
     rows = []   # (pivot column, entries + combination), pivot entry 1
     for d, v in enumerate(vectors):
@@ -268,17 +304,18 @@ def first_dependency(field, vectors):
     raise InvalidInputError("the sequence ends with no linear dependency")
 
 
-def _int_first_dependency(field, vectors):
-    """first_dependency on lifted vectors.  A row w = entries | combination
-    holds ints with entries = sum comb_i v_i.  Over F_p a kept row is scaled
-    to pivot 1 and reduced mod p, so a new vector's own coefficient stays 1;
-    over Q it is made primitive, and a new vector is multiplied by the pivot
-    of each row it is reduced against.  The basis is _int_rref of the kept
-    rows, lowered once."""
+def int_first_dependency(field, lifted):
+    """first_dependency over F_p and Q on lifted vectors, given as (ints,
+    scale) pairs with v_i = ints / scale, at any scale.  A row w = entries |
+    combination holds ints with entries = sum comb_i v_i.  Over F_p a kept
+    row is scaled to pivot 1 and reduced mod p, so a new vector's own
+    coefficient stays its scale; over Q it is made primitive, and a new
+    vector is multiplied by the pivot of each row it is reduced against.
+    The coefficients and the basis (_int_rref of the kept rows) are the
+    only values lowered."""
     p = field.int_modulus
     rows = []   # (pivot column, ints)
-    for d, v in enumerate(vectors):
-        ints, scale = field.lift_vector(v)
+    for d, (ints, scale) in enumerate(lifted):
         n = len(ints)
         w = list(ints) + [0] * d + [scale]
         for piv, row in rows:
@@ -385,6 +422,8 @@ def kernel(field, rows):
 def solve(field, a, b):
     """One solution x of a x = b, free variables set to 0; None if inconsistent."""
     aug = [list(row) + [bb] for row, bb in zip(a, b)]
+    if aug and isinstance(field, INTEGER_CORE):
+        return int_solve(field, field.lift_rows(aug)[0])
     basis, pivots = rref(field, aug)
     n = len(a[0]) if a else 0
     z = field.zero

@@ -38,10 +38,6 @@ class Poly:
         return cls(field, [field.zero, field.one])
 
     @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
-
-    @classmethod
     def from_ints(cls, field, ints):
         return cls(field, [field.from_int(n) for n in ints])
 
@@ -121,12 +117,6 @@ class Poly:
         if f.is_zero(c):
             return Poly.zero(f)
         return Poly(f, [f.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.field, [self.field.zero] * k + list(self.coeffs))
 
     def monic(self):
         if self.is_zero():
@@ -501,37 +491,3 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def resultant(f, g):
-    """res(f, g) by the Euclidean recurrence (coefficients in a field)."""
-    field = f.field
-    if f.is_zero() or g.is_zero():
-        if f.degree <= 0 and g.degree <= 0:
-            return field.one
-        return field.zero
-    sign = field.one
-    res = field.one
-    while g.degree > 0:
-        r = f % g
-        if r.is_zero():
-            return field.zero  # common factor of positive degree
-        res = field.mul(res, field.pow(g.leading(), f.degree - r.degree))
-        if (f.degree * g.degree) % 2 == 1:
-            sign = field.neg(sign)
-        f, g = g, r
-    # g is now a nonzero constant
-    res = field.mul(res, field.pow(g.coeffs[0], f.degree))
-    return field.mul(sign, res)
-
-
-def discriminant(f):
-    """disc(f) = (-1)^(m(m-1)/2) res(f, f') / lc(f)."""
-    if f.degree < 1:
-        raise InvalidInputError("discriminant needs degree >= 1")
-    field = f.field
-    r = resultant(f, f.derivative())
-    r = field.div(r, f.leading())
-    if (f.degree * (f.degree - 1) // 2) % 2 == 1:
-        r = field.neg(r)
-    return r

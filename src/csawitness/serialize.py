@@ -274,6 +274,43 @@ def _check_nvars(form, what, **lists):
                                     f"but the form has {form.nvars} variables")
 
 
+def _count_from_json(value, key, least):
+    n = json_int(value, key)
+    if n < least:
+        raise InvalidInputError(f"{key!r} must be at least {least}, not {n}")
+    return n
+
+
+def _bool_from_json(value, key):
+    if not isinstance(value, bool):
+        raise InvalidInputError(f"{key!r} must be true or false, not {value!r}")
+    return value
+
+
+def _ints_from_json(value, key):
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{key!r} must be a list of integers, not {value!r}")
+    return [json_int(x, key) for x in value]
+
+
+# The typed metadata keys a segment may carry.  A zero ideal's pencil
+# stores rdim 0; a subalgebra has dimension at least 1.
+_META_READERS = {
+    "etale_dim": lambda v, key: _count_from_json(v, key, 1),
+    "et_m": lambda v, key: _count_from_json(v, key, 1),
+    "rdim": lambda v, key: _count_from_json(v, key, 0),
+    "maximal": _bool_from_json,
+    "signature": _ints_from_json,
+}
+
+
+def _meta_from_json(meta):
+    """meta with each typed key read as its type; InvalidInputError names
+    the first key of the wrong type.  Other keys are kept as they are."""
+    return {key: _META_READERS[key](v, key) if key in _META_READERS else v
+            for key, v in meta.items()}
+
+
 def _segment_from_json(seg, algebra, form):
     kind = json_get(seg, "kind", str)
     if kind in (IDEAL_PENCIL, FLAG_PENCIL, ETALE_LINE):
@@ -289,7 +326,7 @@ def _segment_from_json(seg, algebra, form):
     start = _endpoint_from_json(kind, json_get(seg, "start", object), algebra, field)
     end = _endpoint_from_json(kind, json_get(seg, "end", object), algebra, field)
     validity = Poly.from_json(field, json_get(seg, "validity", list))
-    meta = json_get(seg, "meta", dict, {})
+    meta = _meta_from_json(json_get(seg, "meta", dict, {}))
     if kind in (IDEAL_PENCIL, FLAG_PENCIL):
         data = {"pencil_w": _vecs_at(field, seg, "pencil_w"),
                 "pencil_w_prime": _vecs_at(field, seg, "pencil_w_prime")}

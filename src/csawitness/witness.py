@@ -599,7 +599,14 @@ def symplectic_fixing_involution(L, tau, rng_seed=0, budget=32):
 
 
 def default_symplectic_involution(A):
-    """A canonical symplectic involution for exponent-2 presets."""
+    """A canonical symplectic involution for exponent-2 presets, built and
+    verified once per algebra object."""
+    if A._symplectic is None:
+        A._symplectic = _default_symplectic_involution(A)
+    return A._symplectic
+
+
+def _default_symplectic_involution(A):
     kind = A.preset.get("kind")
     if kind == "matrix":
         n = A.preset["n"]

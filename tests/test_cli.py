@@ -587,3 +587,22 @@ def test_split_d_pencil_verifies(runner, tmp_path, case):
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert r.exit_code == 0, r.output
     assert r.output.startswith("pass")
+
+
+@pytest.mark.parametrize("value", [2.0, "two", 0])
+def test_mistyped_exp2_meta_exits_2(runner, tmp_path, value):
+    from csawitness.etale import random_balanced_pair_subalgebra
+    from csawitness.witness import connect_exp2
+    A = make_matrix_algebra(PrimeField(5), 4)
+    rng = random.Random(3)
+    L1 = random_balanced_pair_subalgebra(A, rng)
+    L2 = random_balanced_pair_subalgebra(A, rng)
+    data = serialize.witness_to_json(connect_exp2(L1, L2))
+    w = tmp_path / "w.json"
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0 and r.output.startswith("pass"), r.output
+    data["segments"][1]["meta"]["et_m"] = value
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r) and "'et_m' must be" in r.stderr

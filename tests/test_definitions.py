@@ -85,10 +85,9 @@ def test_only_tests_name_these_definitions():
                 callers.update(mentions(tree))
     test_only = {name for name in defined if tested[name] and not callers[name]}
     assert test_only == {
-        "constant", "discriminant", "distinct", "from_ints", "gaussian_binomial",
-        "independent_ideals_check", "isotropic_two_planes", "minimal_polynomial",
-        "multiplicity_free", "radical_is_regular_is_isotropic", "roots_in_field",
-        "scheme_index_bound", "shift",
+        "from_ints", "gaussian_binomial", "independent_ideals_check",
+        "isotropic_two_planes", "minimal_polynomial", "multiplicity_free",
+        "radical_is_regular_is_isotropic", "roots_in_field", "scheme_index_bound",
     }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from csawitness import etale, linalg
 from csawitness.algebra import (
     Algebra, coords_of_matrix, extend_scalars, make_matrix_algebra, make_quaternion,
+    tensor_product,
 )
 from csawitness.errors import NotEtaleError, StructuralError, UnsupportedFieldError
 from csawitness.etale import (
@@ -175,7 +177,7 @@ def test_subfield_has_single_distinct_rank():
             continue
         if not is_irreducible(E.minpoly):
             continue
-        assert len(etale_type(E).distinct()) == 1
+        assert len(set(etale_type(E).parts)) == 1
         found += 1
 
 
@@ -365,3 +367,135 @@ def test_etale_type_structural_errors_are_reachable(fault, message, monkeypatch)
         E = _hand_built(F5, [[1, 0], [0, 2]], Poly.from_ints(F5, [3, -4, 1]))
     with pytest.raises(StructuralError, match=message):
         etale_type(E)
+
+
+# ---------------------------------------------------------------------------
+# the balanced-type rank criterion against etale_type
+
+
+def _divisors(n):
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+def _census(elements, checks):
+    """For each element that generates an etale subalgebra E, and every m
+    dividing the degree n: is_et_m_point(E, m) iff etale_type(E) is
+    [n/m] * m, wherever etale_type is defined."""
+    for x in elements:
+        try:
+            E = generate_etale(x)
+            ptn = etale_type(E)
+        except (NotEtaleError, UnsupportedFieldError):
+            continue
+        n = E.algebra.degree
+        for m in _divisors(n):
+            assert is_et_m_point(E, m) == (ptn == Partition([n // m] * m)), (x, m, ptn)
+            checks[is_et_m_point(E, m)] += 1
+
+
+def _every_element(A):
+    f = A.field
+    for coords in itertools.product(list(f.elements()), repeat=A.dim):
+        yield A.element(coords)
+
+
+def _conjugated_diagonals(A, rng, eigenvalue_lists, count):
+    """g diag(e) g^-1 for random invertible g, so that repeated eigenvalues
+    give unbalanced and balanced types off the diagonal basis."""
+    for eigs in eigenvalue_lists:
+        done = 0
+        while done < count:
+            g = A.random_element(rng)
+            g_inv = A.inverse(g.coords)
+            if g_inv is None:
+                continue
+            yield g * diag(A, *eigs) * A.element(g_inv)
+            done += 1
+
+
+F4, F9 = standard_extension(2, 2), standard_extension(3, 2)
+EVERY_ELEMENT = {"M2(F3)": (F3, 2), "M3(F2)": (F2, 3), "M2(F4)": (F4, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_ELEMENT))
+def test_rank_criterion_agrees_with_etale_type_on_every_element(name):
+    A = make_matrix_algebra(*EVERY_ELEMENT[name])
+    checks = Counter()
+    _census(_every_element(A), checks)
+    assert checks[True] and checks[False]
+
+
+W = (0, 1)  # a generator of F9 = F3[w], not in F3
+
+
+@pytest.mark.parametrize("field, n, elements, eigenvalue_lists", [
+    (F3, 4, 150, [(1, 1, 2, 2), (1, 1, 1, 2), (0, 1, 1, 2), (1, 1, 1, 1)]),
+    (F5, 4, 150, [(1, 1, 2, 2), (1, 1, 1, 2), (1, 2, 3, 3), (1, 2, 3, 4)]),
+    (F7, 6, 100, [(1, 1, 1, 2, 2, 2), (1, 1, 2, 2, 3, 3), (1, 1, 1, 1, 2, 2),
+                  (1, 2, 3, 4, 4, 4)]),
+    # F_{p^k} takes the field-method path of centralizer_dim
+    (F9, 3, 60, [(1, 1, 2), (W, W, 1), (0, 1, W)]),
+    (F9, 4, 30, [(W, W, 1, 1), (1, 1, 1, W), (0, 1, W, W), (1, 2, W, 0)]),
+], ids=["M4(F3)", "M4(F5)", "M6(F7)", "M3(F9)", "M4(F9)"])
+def test_rank_criterion_agrees_with_etale_type_seeded(field, n, elements, eigenvalue_lists):
+    A = make_matrix_algebra(field, n)
+    rng = random.Random(field.size * n)
+    checks = Counter()
+    _census([A.random_element(rng) for _ in range(elements)], checks)
+    _census(_conjugated_diagonals(A, rng, eigenvalue_lists, 10), checks)
+    assert checks[True] and checks[False]
+
+
+def test_rank_criterion_agrees_with_etale_type_over_q():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    S = make_quaternion(QQ, Fraction(1), Fraction(1))
+    rng = random.Random(11)
+    checks = Counter()
+    for A in (tensor_product(H, S), tensor_product(make_matrix_algebra(QQ, 2), H)):
+        small = [A.element([Fraction(rng.randint(-1, 1)) for _ in range(A.dim)])
+                 for _ in range(60)]
+        _census([A.basis_element(i) for i in range(A.dim)] + small, checks)
+    assert checks[True] and checks[False]
+
+
+def _block_companions(A, *quadratics):
+    """The block-diagonal matrix of the companions of x^2 - c, one 2 x 2
+    block per c."""
+    f = A.field
+    n = A.preset["n"]
+    m = [[f.zero] * n for _ in range(n)]
+    for b, c in enumerate(quadratics):
+        m[2 * b][2 * b + 1] = f.one
+        m[2 * b + 1][2 * b] = f.from_int(c)
+    return A.element(coords_of_matrix(A, m))
+
+
+@pytest.mark.parametrize("blocks, balanced", [((2, 2, 3, 3), True), ((2, 2, 2, 3), False)])
+def test_rank_criterion_decides_where_etale_type_cannot(blocks, balanced):
+    # minimal polynomial (x^2 - 2)(x^2 - 3): no rational root and degree 4,
+    # so etale_type needs a factor certificate; the rank does not
+    A = make_matrix_algebra(QQ, 8)
+    x = _block_companions(A, *blocks)
+    E = generate_etale(x)
+    assert E.minpoly == Poly.from_ints(QQ, [6, 0, -5, 0, 1])
+    with pytest.raises(UnsupportedFieldError):
+        etale_type(E)
+    assert is_et_m_point(E, 4) == balanced
+    certified = generate_etale(x, minpoly_factors=[Poly.from_ints(QQ, [-2, 0, 1]),
+                                                   Poly.from_ints(QQ, [-3, 0, 1])])
+    want = Partition([2] * 4) if balanced else Partition([3, 3, 1, 1])
+    assert etale_type(certified) == want
+
+
+def test_verifying_an_exp2_chain_neither_factors_nor_ranks_idempotents(monkeypatch):
+    from csawitness.witness import connect_exp2, verify_witness
+    A = make_matrix_algebra(F7, 4)
+    rng = random.Random(6)
+    chain = connect_exp2(random_balanced_pair_subalgebra(A, rng),
+                         random_balanced_pair_subalgebra(A, rng))
+    calls = Counter()
+    for name in ("factor", "principal_rdim"):
+        _count(monkeypatch, calls, etale, name)
+    report = verify_witness(chain)
+    assert report.passed and len(report.checks) > 3 * 7
+    assert calls["factor"] == calls["principal_rdim"] == 0

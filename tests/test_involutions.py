@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from csawitness.algebra import (
 from csawitness.errors import (
     InvalidFormError, InvalidInputError, UnsupportedFieldError,
 )
-from csawitness.fields import QQ, PrimeField
+from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import (
     ORTHOGONAL, SYMPLECTIC, adjoint_involution, involution_from_matrix,
     involution_type, pfaffian_char_poly, quaternion_conjugation,
@@ -22,6 +23,7 @@ from csawitness.linalg import identity, mat_mul, mat_vec
 from csawitness.poly import Poly
 
 F3, F7 = PrimeField(3), PrimeField(7)
+F9 = standard_extension(3, 2)
 
 
 def test_transpose_on_m3_is_orthogonal():
@@ -225,6 +227,94 @@ def test_twist_by_inner():
     d = A.element([(3 if divmod(t, 3)[0] == divmod(t, 3)[1] else 0) for t in range(9)])
     t = twist_by_inner(s, d)
     assert t.kind == ORTHOGONAL
+
+
+# ---------------------------------------------------------------------------
+# twists are certified by their formula: an oracle that re-verifies them
+
+
+def _twist_cases():
+    F5 = PrimeField(5)
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    M2 = make_matrix_algebra(QQ, 2)
+    M2H = tensor_product(M2, H)
+    cases = []
+    for f in (F5, F7):
+        M3, M4 = make_matrix_algebra(f, 3), make_matrix_algebra(f, 4)
+        cases += [transpose_involution(M3), transpose_involution(M4),
+                  adjoint_involution(M4, standard_alternating_matrix(f, 4)),
+                  quaternion_conjugation(make_quaternion(f, f.from_int(2), f.from_int(3)))]
+    # F_{p^k} takes the field-method path of Algebra.sandwich_matrix
+    M4F9 = make_matrix_algebra(F9, 4)
+    cases += [transpose_involution(M4F9),
+              adjoint_involution(M4F9, standard_alternating_matrix(F9, 4))]
+    cases += [tensor_involution(transpose_involution(M2), quaternion_conjugation(H), M2H),
+              tensor_involution(adjoint_involution(M2, standard_alternating_matrix(QQ, 2)),
+                                quaternion_conjugation(H), M2H)]
+    return cases
+
+
+def _twisting_elements(sigma, g):
+    """g + sigma(g), g - sigma(g) and g sigma(g): sigma(u) = u, -u and u."""
+    A = sigma.algebra
+    sg = sigma.apply_coords(g)
+    return [A.add(g, sg), A.sub(g, sg), A.mul(g, sg)]
+
+
+def test_twists_are_the_involutions_their_sign_says():
+    rng = random.Random(41)
+    checked = Counter()
+    for sigma in _twist_cases():
+        A = sigma.algebra
+        for _ in range(6):
+            g = A.random_element(rng).coords
+            for u in _twisting_elements(sigma, g):
+                if A.inverse(u) is None:
+                    continue
+                t = twist_by_inner(sigma, u)
+                assert involution_from_matrix(A, t.mat).kind == t.kind
+                assert involution_type(t) == t.kind
+                symmetric = sigma.apply_coords(u) == tuple(u)
+                assert (t.kind == sigma.kind) == symmetric
+                checked[symmetric] += 1
+    # both signs occur on every field, so both tags are exercised
+    assert checked[True] >= 40 and checked[False] >= 20
+
+
+def test_twist_by_an_element_neither_symmetric_nor_skew_raises():
+    rng = random.Random(43)
+    for sigma in _twist_cases():
+        A = sigma.algebra
+        f = A.field
+        while True:
+            u = A.random_element(rng).coords
+            su = sigma.apply_coords(u)
+            if su != u and su != tuple(f.neg(c) for c in u) and A.inverse(u) is not None:
+                break
+        with pytest.raises(InvalidInputError, match="sigma\\(u\\) != u and != -u"):
+            twist_by_inner(sigma, u)
+
+
+def test_a_second_exp2_chain_verifies_no_involution(monkeypatch):
+    from csawitness import involutions, witness
+    from csawitness.etale import random_balanced_pair_subalgebra
+    A = make_matrix_algebra(F7, 4)
+    rng = random.Random(8)
+    pairs = [(random_balanced_pair_subalgebra(A, rng), random_balanced_pair_subalgebra(A, rng))
+             for _ in range(2)]
+    calls = Counter()
+    real = involutions.involution_from_matrix
+
+    def counted(*args, **kwargs):
+        calls["involution_from_matrix"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(involutions, "involution_from_matrix", counted)
+    witness.connect_exp2(*pairs[0], rng_seed=1)
+    first = calls["involution_from_matrix"]
+    assert first >= 1  # the default symplectic involution, built once
+    witness.connect_exp2(*pairs[1], rng_seed=2)
+    assert calls["involution_from_matrix"] == first
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    charpoly, det, first_dependency, identity, in_row_space, intersect_row_spaces,
+    charpoly, det, first_dependency, identity, in_row_space, int_first_dependency,
+    intersect_row_spaces,
     intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
     reduce_vector, rref, row_space_rref, solve,
 )
@@ -209,6 +210,10 @@ def test_rref_and_rank_match_the_method_path(case):
     want = rref(MethodPathField(p), _reduced(p, rows))
     assert rref(PrimeField(p), rows) == want
     assert rank(PrimeField(p), rows) == len(want[0])
+    # the last column as the right-hand side
+    a, b = [r[:-1] for r in rows], [r[-1] for r in rows]
+    assert solve(PrimeField(p), a, b) == solve(MethodPathField(p), _reduced(p, a),
+                                                [x % p for x in b])
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,6 +297,11 @@ def q_matrices(draw, max_rows=6, max_cols=7):
 def test_rref_over_q_matches_the_method_path_and_sympy(rows):
     got = rref(QQ, rows)
     assert got == rref(MethodPathQ(), rows)
+    assert rank(QQ, rows) == len(got[0])
+    a, b = [r[:-1] for r in rows], [r[-1] for r in rows]
+    x = solve(QQ, a, b)
+    assert x == solve(MethodPathQ(), a, b)
+    assert x is None or all(type(c) is Fraction for c in x)
     assert all(type(x) is Fraction for r in got[0] for x in r)
     pytest.importorskip("sympy")
     from sympy import QQ as SQQ
@@ -504,6 +514,17 @@ def test_first_dependency_raises_when_the_sequence_ends_first(name):
         first_dependency(field, iter(identity(field, 3)))
     with pytest.raises(InvalidInputError, match="no linear dependency"):
         first_dependency(field, iter([]))
+
+
+def test_int_first_dependency_reads_each_vector_at_its_scale():
+    # v = ints / scale: over F_7, (2, 0) / 2 = (1, 0), (0, 6) / 3 = (0, 2)
+    # and (4, 6) / 2 = (2, 3) = 2 (1, 0) + 3/2 (0, 2), and 3/2 = 5 mod 7
+    lifted = [([2, 0], 2), ([0, 6], 3), ([4, 6], 2)]
+    assert int_first_dependency(F7, iter(lifted)) == ([2, 5], [[1, 0], [0, 1]], [0, 1])
+    assert int_first_dependency(QQ, iter(lifted)) == (
+        [Fraction(2), Fraction(3, 2)], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
+        [0, 1])
+    assert F7.lower_vector([4, 6, 9], 2) == [2, 3, 1]
 
 
 @settings(max_examples=300, deadline=None)

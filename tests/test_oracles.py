@@ -1,7 +1,7 @@
-"""Differential tests of charpoly, factor, resultant, discriminant and the
-minimal polynomial, power basis and type of an etale subalgebra against
-sympy, an implementation that shares no code with csawitness.  They skip
-when sympy is not installed."""
+"""Differential tests of charpoly, factor, the F[t] resultant and
+discriminant (at constant coefficients) and the minimal polynomial, power
+basis and type of an etale subalgebra against sympy, an implementation that
+shares no code with csawitness.  They skip when sympy is not installed."""
 
 import warnings
 from fractions import Fraction
@@ -14,7 +14,8 @@ from csawitness.errors import NotEtaleError, UnsupportedFieldError
 from csawitness.etale import etale_type, generate_etale, minimal_polynomial
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
-from csawitness.poly import Poly, discriminant, factor, resultant
+from csawitness.poly import Poly, factor
+from csawitness.polyrings import sylvester_resultant, xpoly_discriminant
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -123,13 +124,27 @@ def test_factor_over_fp_matches_sympy(case):
 # ---------------------------------------------------------------------------
 # resultant and discriminant
 #
-# The resultant oracle is its definition, the determinant of sympy's
-# Sylvester matrix: sympy.resultant itself returns the wrong sign for some
-# degree pairs (resultant(x + 1, x**3) is 1, det Syl(x + 1, x**3) is -1).
+# polyrings.sylvester_resultant and xpoly_discriminant take polynomials in x
+# whose coefficients lie in F[t]; at constant coefficients they are the
+# resultant and discriminant over F.  The resultant oracle is its
+# definition, the determinant of sympy's Sylvester matrix: sympy.resultant
+# itself returns the wrong sign for some degree pairs (resultant(x + 1, x**3)
+# is 1, det Syl(x + 1, x**3) is -1).
 
 
 def _sylvester_det(f, g):
     return sylvester(f.as_expr(), g.as_expr(), X).det()
+
+
+def _at_constants(field, coeffs):
+    """The polynomial in x with these coefficients, each a constant in F[t]."""
+    return [Poly(field, [c]) for c in coeffs]
+
+
+def _value(field, p):
+    """The constant a polynomial in t computed from constants takes."""
+    assert p.degree <= 0
+    return p.eval(field.zero)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,29 +154,34 @@ def test_resultant_over_fp_matches_sympy(case):
     (p, f), (_, g) = case
     F = PrimeField(p)
     want = int(_sylvester_det(_sympy_fp(p, f), _sympy_fp(p, g))) % p
-    assert resultant(Poly(F, f), Poly(F, g)) == want
+    got = sylvester_resultant(_at_constants(F, f), _at_constants(F, g))
+    assert _value(F, got) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(q_polys(), q_polys(min_degree=0, max_degree=5))
 def test_resultant_over_q_matches_sympy(f, g):
     want = _to_fraction(_sylvester_det(_sympy_q(f), _sympy_q(g)))
-    assert resultant(Poly(QQ, f), Poly(QQ, g)) == want
+    got = sylvester_resultant(_at_constants(QQ, f), _at_constants(QQ, g))
+    assert _value(QQ, got) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(fp_polys())
 def test_discriminant_over_fp_matches_sympy(case):
     p, f = case
+    F = PrimeField(p)
+    f = Poly(F, f).monic().coeffs
     want = int(_sympy_fp(p, f).discriminant()) % p
-    assert discriminant(Poly(PrimeField(p), f)) == want
+    assert _value(F, xpoly_discriminant(_at_constants(F, f))) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(q_polys())
 def test_discriminant_over_q_matches_sympy(f):
+    f = Poly(QQ, f).monic().coeffs
     want = _to_fraction(_sympy_q(f).discriminant())
-    assert discriminant(Poly(QQ, f)) == want
+    assert _value(QQ, xpoly_discriminant(_at_constants(QQ, f))) == want
 
 
 # ---------------------------------------------------------------------------

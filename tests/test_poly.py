@@ -8,10 +8,10 @@ from csawitness.errors import (
 )
 from csawitness.fields import QQ, ExtensionField, PrimeField, standard_extension
 from csawitness.poly import (
-    Poly, discriminant, factor, is_irreducible, poly_gcd, poly_nth_root,
-    poly_squarefree, rational_roots, resultant, roots_in_field,
-    squarefree_decomposition,
+    Poly, factor, is_irreducible, poly_gcd, poly_nth_root, poly_squarefree,
+    rational_roots, roots_in_field, squarefree_decomposition,
 )
+from csawitness.polyrings import sylvester_resultant, xpoly_discriminant
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -121,7 +121,7 @@ def test_factor_remultiplies_seeded():
             if f.is_zero() or f.degree < 1:
                 continue
             lead, factors = factor(f, random.Random(count))
-            prod = Poly.constant(field, lead)
+            prod = Poly(field, [lead])
             for g, m in factors:
                 assert g.is_monic()
                 prod = prod * g ** m
@@ -168,7 +168,21 @@ def test_rational_roots():
     assert rest == P(QQ, 1, 0, 1)
 
 
+def _at_constants(f):
+    """f as a polynomial in x whose coefficients are constants in F[t]."""
+    return [Poly(f.field, [c]) for c in f.coeffs]
+
+
+def resultant(f, g):
+    return sylvester_resultant(_at_constants(f), _at_constants(g)).eval(f.field.zero)
+
+
+def discriminant(f):
+    return xpoly_discriminant(_at_constants(f)).eval(f.field.zero)
+
+
 def test_resultant_and_discriminant():
+    # the F[t] kernels at constant coefficients
     # disc(x^2 + bx + c) = b^2 - 4c
     for b, c in [(0, -1), (3, 2), (1, 1)]:
         f = P(QQ, c, b, 1)

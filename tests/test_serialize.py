@@ -2,19 +2,22 @@ import copy
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness import serialize
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError
-from csawitness.etale import generate_etale
+from csawitness.etale import generate_etale, random_balanced_pair_subalgebra
 from csawitness.fields import QQ, PrimeField
-from csawitness.ideals import Flag, ideal_generated, random_flag, random_ideal
+from csawitness.ideals import (
+    Flag, ideal_generated, random_flag, random_ideal, zero_ideal,
+)
 from csawitness.involutions import adjoint_involution, standard_alternating_matrix
 from csawitness.quadrics import QuadraticForm
 from csawitness.witness import (
-    connect_flags, connect_ideals, connect_max_etale, connect_quadric_points,
-    verify_witness,
+    connect_exp2, connect_flags, connect_ideals, connect_max_etale,
+    connect_quadric_points, verify_witness,
 )
 
 F5 = PrimeField(5)
@@ -128,6 +131,59 @@ def test_empty_chain_roundtrip():
 # malformed shapes: a JSON node of the wrong type is bad input, never a crash
 
 
+def _witness_docs():
+    A = make_matrix_algebra(F5, 2)
+    rng = random.Random(2)
+    return {
+        "et_m": connect_exp2(*_balanced_pair(make_matrix_algebra(F5, 4), rng)),
+        "etale_dim": connect_max_etale(generate_etale(A.element([1, 0, 0, 3])),
+                                       generate_etale(A.element([0, 1, 1, 0]))),
+        "rdim": connect_ideals(random_ideal(A, 1, rng), random_ideal(A, 1, rng)),
+        "signature": connect_flags(random_flag(make_matrix_algebra(F5, 3), (1, 2), rng),
+                                   random_flag(make_matrix_algebra(F5, 3), (1, 2), rng)),
+    }
+
+
+@pytest.mark.parametrize("key, value", [
+    ("et_m", 2.0), ("et_m", "2.5"), ("et_m", 0), ("et_m", True), ("et_m", [2]),
+    ("etale_dim", 2.0), ("etale_dim", -1), ("maximal", 1), ("maximal", "true"),
+    ("rdim", 1.0), ("rdim", -1), ("signature", 12), ("signature", [1, 2.0]),
+    ("signature", "1,2"),
+])
+def test_mistyped_segment_meta_raises_invalid_input(key, value):
+    docs = _witness_docs()
+    w = docs["etale_dim" if key == "maximal" else key]
+    data = serialize.witness_to_json(w)
+    seg = data["segments"][-1]
+    assert key in seg["meta"]
+    seg["meta"][key] = value
+    with pytest.raises(InvalidInputError, match=repr(key)):
+        serialize.witness_from_json(data)
+
+
+def test_segment_meta_reads_decimal_strings_and_a_zero_rdim():
+    data = serialize.witness_to_json(_witness_docs()["et_m"])
+    for seg in data["segments"]:
+        seg["meta"]["et_m"] = "2"
+    back = serialize.witness_from_json(data)
+    assert all(seg.meta["et_m"] == 2 for seg in back.segments)
+    assert verify_witness(back, list(F5.elements())).passed
+    # the pencil between zero ideals stores rdim 0 and verifies
+    A = make_matrix_algebra(F5, 2)
+    w = connect_ideals(zero_ideal(A), zero_ideal(A))
+    back = roundtrip(w, serialize.witness_to_json, serialize.witness_from_json)
+    assert back.meta["rdim"] == 0 and verify_witness(back).passed
+
+
+def _balanced_pair(A, rng):
+    """Two distinct half-degree subalgebras of balanced type."""
+    L1 = random_balanced_pair_subalgebra(A, rng)
+    L2 = random_balanced_pair_subalgebra(A, rng)
+    while L2 == L1:
+        L2 = random_balanced_pair_subalgebra(A, rng)
+    return L1, L2
+
+
 def _fuzz_targets():
     F3 = PrimeField(3)
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
@@ -145,6 +201,7 @@ def _fuzz_targets():
         connect_max_etale(generate_etale(A2.element([1, 0, 0, 3])),
                           generate_etale(A2.element([0, 1, 1, 0]))),
         connect_quadric_points(q, pts[0], pts[5]),
+        connect_exp2(*_balanced_pair(make_matrix_algebra(F3, 4), random.Random(1))),
     ]
     algebras = [Algebra(F3, make_matrix_algebra(F3, 2).table, 2),
                 tensor_product(make_matrix_algebra(QQ, 2), H),
