@@ -292,6 +292,13 @@ def witness():
     """Rational-curve witness constructors."""
 
 
+def _load_endpoints(algebra_path, from_path, to_path, reader):
+    """The two endpoint files, each read by reader against the one algebra."""
+    A = _load_algebra(algebra_path)
+    return (reader(serialize.load_json(from_path), algebra=A),
+            reader(serialize.load_json(to_path), algebra=A))
+
+
 def _write_witness(w, out, form=None):
     serialize.save_json(serialize.witness_to_json(w, form=form), out)
     nseg = len(w.segments) if hasattr(w, "segments") else 1
@@ -305,9 +312,8 @@ def _write_witness(w, out, form=None):
 @click.option("--out", required=True, type=click.Path())
 @handle_errors
 def witness_connect_ideals(algebra_path, from_path, to_path, out):
-    A = _load_algebra(algebra_path)
-    I1 = serialize.ideal_from_json(serialize.load_json(from_path), algebra=A)
-    I2 = serialize.ideal_from_json(serialize.load_json(to_path), algebra=A)
+    I1, I2 = _load_endpoints(algebra_path, from_path, to_path,
+                             serialize.ideal_from_json)
     _write_witness(connect_ideals(I1, I2), out)
 
 
@@ -318,9 +324,8 @@ def witness_connect_ideals(algebra_path, from_path, to_path, out):
 @click.option("--out", required=True, type=click.Path())
 @handle_errors
 def witness_connect_flags(algebra_path, from_path, to_path, out):
-    A = _load_algebra(algebra_path)
-    f1 = serialize.flag_from_json(serialize.load_json(from_path), algebra=A)
-    f2 = serialize.flag_from_json(serialize.load_json(to_path), algebra=A)
+    f1, f2 = _load_endpoints(algebra_path, from_path, to_path,
+                             serialize.flag_from_json)
     _write_witness(connect_flags(f1, f2), out)
 
 
@@ -332,9 +337,8 @@ def witness_connect_flags(algebra_path, from_path, to_path, out):
 @click.option("--out", required=True, type=click.Path())
 @handle_errors
 def witness_connect_etale(algebra_path, from_path, to_path, seed, out):
-    A = _load_algebra(algebra_path)
-    E1 = serialize.etale_from_json(serialize.load_json(from_path), algebra=A)
-    E2 = serialize.etale_from_json(serialize.load_json(to_path), algebra=A)
+    E1, E2 = _load_endpoints(algebra_path, from_path, to_path,
+                             serialize.etale_from_json)
     _write_witness(connect_max_etale(E1, E2, rng_seed=seed), out)
 
 
@@ -346,9 +350,8 @@ def witness_connect_etale(algebra_path, from_path, to_path, seed, out):
 @click.option("--out", required=True, type=click.Path())
 @handle_errors
 def witness_connect_exp2(algebra_path, from_path, to_path, seed, out):
-    A = _load_algebra(algebra_path)
-    E1 = serialize.etale_from_json(serialize.load_json(from_path), algebra=A)
-    E2 = serialize.etale_from_json(serialize.load_json(to_path), algebra=A)
+    E1, E2 = _load_endpoints(algebra_path, from_path, to_path,
+                             serialize.etale_from_json)
     _write_witness(connect_exp2(E1, E2, rng_seed=seed), out)
 
 
@@ -407,8 +410,9 @@ def verify_cmd(witness_path, exhaustive, samples, out):
 
 def _build_model(kind, form_path, field_flag, k, m):
     if kind == "grassmannian":
-        field = parse_field_flag(field_flag)
-        return GrassmannianModel(field, k, m)
+        if field_flag is None:
+            raise InvalidInputError("--field is required for grassmannian models")
+        return GrassmannianModel(parse_field_flag(field_flag), k, m)
     if form_path is None:
         raise InvalidInputError("--form is required for quadric models")
     data = serialize.load_json(form_path)

@@ -327,9 +327,9 @@ def subalgebra_to_ideal_tuple(E):
 # seeded generators used by tests and the CLI
 
 
-def random_maximal_etale(A, rng, budget=200):
+def random_maximal_etale(A, rng):
     from .errors import FieldTooSmallError
-    for _ in range(budget):
+    for _ in range(200):
         a = A.random_element(rng)
         try:
             E = generate_etale(a)
@@ -340,7 +340,7 @@ def random_maximal_etale(A, rng, budget=200):
     raise FieldTooSmallError("no maximal separable element found within budget")
 
 
-def random_balanced_pair_subalgebra(A, rng, budget=400):
+def random_balanced_pair_subalgebra(A, rng):
     """A random member of the type-[n/2, n/2] stratum of a matrix-preset
     algebra, built by conjugating a two-eigenvalue diagonal element."""
     from .algebra import coords_of_matrix
@@ -351,7 +351,7 @@ def random_balanced_pair_subalgebra(A, rng, budget=400):
     if n % 2:
         raise InvalidInputError("degree must be even")
     f = A.field
-    for _ in range(budget):
+    for _ in range(400):
         c1, c2 = f.random(rng), f.random(rng)
         if c1 == c2:
             continue

@@ -110,8 +110,8 @@ class Rationals:
             return self.inv(a) ** (-n)
         return a ** n
 
-    def random(self, rng, height=9):
-        return Fraction(rng.randint(-height, height), rng.randint(1, 4))
+    def random(self, rng):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
     # -- integer core --------------------------------------------------------
 

@@ -113,8 +113,8 @@ def intertwiner_mismatch(field, a, b, c, lifted=None):
 def lift_matrix(field, a):
     """(int rows, scale) with a = rows / scale over F_p and Q, else None.
 
-    Pass it as lifted= to mat_vec, reduce_vector or in_row_space to lift a
-    matrix that is used more than once only once.
+    Pass it as lifted= to mat_vec or in_row_space (intertwiner_mismatch
+    takes three), so that a matrix used by many calls is lifted once.
     """
     if isinstance(field, INTEGER_CORE):
         return field.lift_rows(a)
@@ -357,14 +357,13 @@ def _int_reduce(field, lifted, pivots, v, scale=1):
     return v, scale
 
 
-def reduce_vector(field, basis, pivots, vec, lifted=None):
+def reduce_vector(field, basis, pivots, vec):
     """Reduce vec against an rref basis; returns (residual, coefficients).
 
     The basis is a reduced row echelon basis with its pivot columns, as rref
-    returns them; lifted is lift_matrix(field, basis) when already made.
+    returns them.
     """
-    if lifted is None:
-        lifted = lift_matrix(field, basis)
+    lifted = lift_matrix(field, basis)
     if lifted is not None:
         # the other basis rows vanish in each pivot column, so the
         # coefficient of a row is the entry of vec in its pivot column
@@ -433,39 +432,6 @@ def solve(field, a, b):
             return None  # 0 = 1 row
         x[p] = row[n]
     return x
-
-
-def det(field, rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise InvalidInputError("determinant needs a square matrix")
-    sub, mul = field.sub, field.mul
-    sign_flip = False
-    result = field.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return field.zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign_flip = not sign_flip
-        piv = m[c][c]
-        result = mul(result, piv)
-        inv = field.inv(piv)
-        for i in range(c + 1, n):
-            if not field.is_zero(m[i][c]):
-                f = mul(m[i][c], inv)
-                mi, mc = m[i], m[c]
-                for j in range(c, n):
-                    mi[j] = sub(mi[j], mul(f, mc[j]))
-    if sign_flip:
-        result = field.neg(result)
-    return result
 
 
 def inverse(field, rows):

@@ -5,12 +5,16 @@ Models live over a prime base field; points of degree d are computed inside
 the canonical extension F_{p^d} (the lexicographically first modulus, given
 by _Model.field_at, which every model inherits), so a closed point is
 always represented over its own minimal field and no cross-field coercion
-is ever needed during enumeration.  The model owns the one point list of
-each degree (_Model.points): closed points are read off it, and
-QuadricCurves links through it, so every curve of a linkage graph takes its
-auxiliary points from the model itself.  Connectivity
-findings are evidence at finitely many q, never proofs: the underlying
-statements quantify over all finite extensions.
+is ever needed during enumeration.  The closed-point rule: a closed point
+of degree d is the Frobenius orbit of a point over F_{p^d}, stored by the
+orbit's least member under _scalar_key; enumeration and transfer_cycle
+(which first maps a point over F_{p^n} into F_{p^d}) both apply it, so equal
+cycles compare equal.  The model owns the one point list of each degree
+(_Model.points): closed points are read off it, and QuadricCurves links
+through it, so every curve of a linkage graph takes its auxiliary points
+from the model itself.  Connectivity findings are evidence at finitely many
+q, never proofs: the underlying statements quantify over all finite
+extensions.
 """
 
 import itertools
@@ -164,6 +168,7 @@ class InvolutionQuadricModel(QuadricModel):
 
 
 def _scalar_key(c):
+    """A scalar's coefficients over F_p, as a tuple: its sort key."""
     return tuple(c) if isinstance(c, tuple) else (c,)
 
 
@@ -240,63 +245,53 @@ def frobenius_orbit(field, q, coords):
     return orbit
 
 
-def _subfield_coords(p, coords, big_field, d):
-    """Re-represent coordinates known to generate a degree-d subfield of
-    F_{p^n} over the canonical F_{p^d}."""
-    if d == 1:
-        out = []
-        for c in coords:
-            if isinstance(c, tuple):
-                if any(x != 0 for x in c[1:]):
-                    raise StructuralError("coordinate is not a base-field constant")
-                out.append(c[0])
-            else:
-                out.append(c)
-        return tuple(out)
-    small = standard_extension(p, d)
-    from .poly import factor
-    modulus = Poly(big_field, [big_field.from_int(c) for c in small.modulus])
-    _, factors = factor(modulus)
-    roots = sorted((g for g, _ in factors if g.degree == 1),
-                   key=lambda g: g.sort_key())
-    if not roots:
-        raise StructuralError("canonical subfield modulus has no root upstairs")
-    root = big_field.neg(roots[0].coeffs[0])
-    # power-basis embedding matrix over F_p: columns are coords of root^j
-    from .linalg import solve
-    n = big_field.k
-    cols = []
-    acc = big_field.one
-    for _ in range(d):
-        cols.append(acc)
-        acc = big_field.mul(acc, root)
-    mat = [[cols[j][i] for j in range(d)] for i in range(n)]
-    base = PrimeField(p)
-    out = []
-    for c in coords:
-        vec = list(c) if isinstance(c, tuple) else [c] + [0] * (n - 1)
-        sol = solve(base, mat, vec)
-        if sol is None:
-            raise StructuralError("coordinate does not lie in the subfield")
-        out.append(tuple(sol))
-    return tuple(out)
+def _least(orbit):
+    """The representative of a closed point: the least member of its
+    Frobenius orbit in the point's own field, by _scalar_key."""
+    return min(orbit, key=lambda c: tuple(_scalar_key(x) for x in c))
+
+
+def _subfield_table(model, d, n):
+    """F_{p^d} inside F_{p^n}, for d | n: a dict from the image of each
+    element of field_at(d) to that element.  The embedding sends the
+    generator x to theta, the first root of field_at(d)'s modulus in
+    field_at(n) (for d | n every irreducible of degree d splits there).  Any
+    root would do: the roots are Frobenius conjugates, so another choice
+    moves each orbit to itself and leaves its least member unchanged."""
+    big, small = model.field_at(n), model.field_at(d)
+    powers = [big.one]
+    if d > 1:
+        theta = _first_root(big, Poly(model.base_field, list(small.modulus)))
+        for _ in range(d - 1):
+            powers.append(big.mul(powers[-1], theta))
+    table = {}
+    for a in small.elements():
+        image = big.zero
+        for c, t in zip(_scalar_key(a), powers):
+            image = big.add(image, big.mul(big.from_int(c), t))
+        table[image] = a
+    return table
 
 
 def transfer_cycle(model, coords, ext_degree):
     """Push a point over F_{q^n} down to a zero cycle of total degree n: the
-    orbit closed point of degree d = orbit size, with multiplicity n/d."""
+    orbit closed point of degree d = orbit size, with multiplicity n/d.  A
+    point whose orbit is shorter than n is first mapped into F_{q^d}, so the
+    closed point is the one enumerate_points lists."""
     field = model.field_at(ext_degree)
     coords = model.normalize(field, coords)
     if coords is None or not model.contains(field, coords):
         raise InvalidInputError("not a point of the model over this extension")
-    orbit = frobenius_orbit(field, model.base_field.p, coords)
+    p = model.base_field.p
+    orbit = frobenius_orbit(field, p, coords)
     d = len(orbit)
     if ext_degree % d != 0:
         raise StructuralError("orbit size does not divide the extension degree")
-    rep = min(orbit, key=lambda c: tuple(_scalar_key(x) for x in c))
     if d < ext_degree:
-        rep = _subfield_coords(model.base_field.p, rep, field, d)
-    pt = ClosedPoint(d, rep)
+        table = _subfield_table(model, d, ext_degree)
+        orbit = frobenius_orbit(model.field_at(d), p,
+                                tuple(table[c] for c in coords))
+    pt = ClosedPoint(d, _least(orbit))
     return ZeroCycle([(pt, ext_degree // d)])
 
 
@@ -316,8 +311,7 @@ def _closed_points(model, e, budget=10 ** 7):
         seen.update(orbit)
         if len(orbit) != e:
             continue  # lives in a proper subfield; found at its own level
-        rep = min(orbit, key=lambda c: tuple(_scalar_key(x) for x in c))
-        out.append(ClosedPoint(e, rep))
+        out.append(ClosedPoint(e, _least(orbit)))
     out.sort(key=lambda pt: pt.sort_key())
     return out
 

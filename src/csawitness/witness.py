@@ -461,12 +461,12 @@ def _redraw_generator(E, rng):
     raise FieldTooSmallError("could not redraw a primitive generator")
 
 
-def connect_max_etale(E1, E2, retry_budget=16, rng_seed=0):
+def connect_max_etale(E1, E2, rng_seed=0):
     """A line of generators linking two maximal separable subalgebras.
 
     The pencil minimal polynomial always has full degree here, and its
     discriminant is nonzero at t=1, so the first attempt succeeds whenever
-    the generators are honest; redraws are kept as a safety valve.
+    the generators are honest; up to 15 redraws are kept as a safety valve.
     """
     A = E1.algebra
     if E2.algebra != A:
@@ -477,7 +477,7 @@ def connect_max_etale(E1, E2, retry_budget=16, rng_seed=0):
     rng = random.Random(rng_seed)
     a1, a2 = E1.generator, E2.generator
     meta = {"etale_dim": n, "maximal": True}
-    for _ in range(max(1, retry_budget)):
+    for _ in range(16):
         w = _etale_line_witness(A, a1, a2, n, meta)
         if w is not None:
             if w.start != E1 or w.end != E2:
@@ -499,22 +499,21 @@ def _intertwiner_space(A, pairs):
     return kernel(A.field, rows)
 
 
-def _search_invertible(A, space, rng, budget):
-    """An invertible element of a subspace: basis vectors first, then seeded
-    combinations."""
-    f = A.field
-    candidates = [tuple(v) for v in space]
-    for _ in range(budget):
+def _search_invertible(A, space, rng, first, image=tuple):
+    """The first invertible image(c), c running over the candidates first
+    and then over rounds of eight seeded combinations of space, 64 rounds in
+    all (first is the first round); None if none is invertible."""
+    candidates = first
+    for _ in range(64):
         for cand in candidates:
-            if all(f.is_zero(c) for c in cand):
-                continue
-            if A.inverse(cand) is not None:
-                return cand
+            v = image(cand)
+            if A.inverse(v) is not None:
+                return v
         candidates = [_random_combination(A, space, rng) for _ in range(8)]
     return None
 
 
-def solve_inner_twist(sigma1, sigma2, rng_seed=0, budget=32):
+def solve_inner_twist(sigma1, sigma2, rng_seed=0):
     """u with sigma2(x) u = u sigma1(x) for all x, invertible, normalized so
     its first nonzero coordinate is 1.  For same-type involutions on a
     central simple algebra the solution space is a line, and u is symmetric
@@ -532,8 +531,7 @@ def solve_inner_twist(sigma1, sigma2, rng_seed=0, budget=32):
     if not space:
         raise StructuralError("no intertwiner exists; the involutions are not "
                               "inner twists of each other")
-    rng = random.Random(rng_seed)
-    u = _search_invertible(A, space, rng, budget)
+    u = _search_invertible(A, space, random.Random(rng_seed), space)
     if u is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
     f = A.field
@@ -545,7 +543,7 @@ def solve_inner_twist(sigma1, sigma2, rng_seed=0, budget=32):
     return A.element(u)
 
 
-def symplectic_fixing_involution(L, tau, rng_seed=0, budget=32):
+def symplectic_fixing_involution(L, tau, rng_seed=0):
     """A symplectic involution fixing a separable subalgebra pointwise.
 
     Solve u l = tau(l) u on the generator, then adjust u by a centralizer
@@ -570,23 +568,17 @@ def symplectic_fixing_involution(L, tau, rng_seed=0, budget=32):
     if not space:
         raise StructuralError("no intertwiner with the conjugate embedding")
     rng = random.Random(rng_seed)
-    u = _search_invertible(A, space, rng, budget)
+    u = _search_invertible(A, space, rng, space)
     if u is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
     # centralizer of L = commutant of the generator
     cent = _intertwiner_space(A, [(a.coords, a.coords)])
-    candidates = [A.unit] + [tuple(v) for v in cent]
-    v = None
-    for attempt in range(budget):
-        for q in candidates:
-            uq = A.mul(u, q)
-            cand = A.add(tau.apply_coords(uq), uq)
-            if A.inverse(cand) is not None:
-                v = cand
-                break
-        if v is not None:
-            break
-        candidates = [_random_combination(A, cent, rng) for _ in range(8)]
+
+    def symmetrize(q):
+        uq = A.mul(u, q)
+        return A.add(tau.apply_coords(uq), uq)
+
+    v = _search_invertible(A, cent, rng, [A.unit] + cent, symmetrize)
     if v is None:
         raise FieldTooSmallError("no invertible symmetrization found within budget")
     v_inv = A.inverse(v)
@@ -639,7 +631,7 @@ def default_orthogonal_involution(A):
     raise UnsupportedFieldError(f"no canonical orthogonal involution for preset {kind!r}")
 
 
-def connect_exp2(L1, L2, open_set=None, rng_seed=0, retry_budget=64):
+def connect_exp2(L1, L2, open_set=None, rng_seed=0):
     """A chain of at most three generator lines between two half-degree
     separable subalgebras of an exponent-2 algebra.
 
@@ -676,15 +668,12 @@ def connect_exp2(L1, L2, open_set=None, rng_seed=0, retry_budget=64):
         return WitnessChain([w])
     rng = random.Random(rng_seed)
     tau = default_symplectic_involution(A)
-    sigma1 = symplectic_fixing_involution(L1, tau, rng_seed=rng_seed,
-                                          budget=retry_budget)
-    sigma2 = symplectic_fixing_involution(L2, tau, rng_seed=rng_seed + 1,
-                                          budget=retry_budget)
-    u = solve_inner_twist(sigma1, sigma2, rng_seed=rng_seed + 2,
-                          budget=retry_budget)
+    sigma1 = symplectic_fixing_involution(L1, tau, rng_seed=rng_seed)
+    sigma2 = symplectic_fixing_involution(L2, tau, rng_seed=rng_seed + 1)
+    u = solve_inner_twist(sigma1, sigma2, rng_seed=rng_seed + 2)
     basis1 = sym_basis(sigma1)
     beta1, beta2 = L1.generator, L2.generator
-    for _ in range(retry_budget):
+    for _ in range(64):
         alpha1 = A.element(_random_combination(A, basis1, rng))
         alpha2 = u * alpha1
         if sigma2.apply_coords(alpha2.coords) != alpha2.coords:
@@ -739,7 +728,7 @@ def _quadric_segment(form, p1, p2, aux):
                          form=form)
 
 
-def _aux_candidates(form, supplied, search_bound):
+def _aux_candidates(form, supplied):
     if supplied is not None:
         for p in supplied:
             yield normalize_point(form.field, p)
@@ -747,7 +736,7 @@ def _aux_candidates(form, supplied, search_bound):
     field = form.field
     if isinstance(field, Rationals):
         import itertools
-        vals = [Fraction(v) for v in range(-search_bound, search_bound + 1)]
+        vals = [Fraction(v) for v in range(-3, 4)]
         for vec in itertools.product(vals, repeat=form.nvars):
             p = normalize_point(field, vec)
             if p is not None and field.is_zero(form.eval(p)):
@@ -758,9 +747,11 @@ def _aux_candidates(form, supplied, search_bound):
             yield p
 
 
-def connect_quadric_points(form, p1, p2, points=None, search_bound=3):
+def connect_quadric_points(form, p1, p2, points=None):
     """A chain of at most two conic segments on the quadric linking two
-    rational points, through auxiliary points off both tangent hyperplanes."""
+    rational points, through auxiliary points off both tangent hyperplanes:
+    the points given, else the quadric's points (over Q, those with
+    coordinates in [-3, 3])."""
     field = form.field
     for p in (p1, p2):
         if len(p) != form.nvars:
@@ -789,7 +780,7 @@ def connect_quadric_points(form, p1, p2, points=None, search_bound=3):
     # If no point is good, the pass has seen every candidate, so the
     # fallback below walks the whole filtered list.
     candidates = []
-    for p in _aux_candidates(form, points, search_bound):
+    for p in _aux_candidates(form, points):
         if p is None or not field.is_zero(form.eval(p)):
             continue
         candidates.append(p)

@@ -155,6 +155,14 @@ def test_hgraph_and_enumerate(runner, tmp_path):
     assert graph["components"] == 1 and graph["vertices"] == 9
 
 
+def test_enumerate_grassmannian_without_field_exits_2(runner, tmp_path):
+    r = invoke(runner, ["enumerate", "--model", "grassmannian",
+                        "--out", str(tmp_path / "pts.json")])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: --field is required for grassmannian models\n"
+
+
 def test_arith_commands(runner):
     r = invoke(runner, ["arith", "vp", "--p", "2", "--r", "2"])
     assert r.exit_code == 0 and r.output.strip() == "3"

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    charpoly, det, first_dependency, identity, in_row_space, int_first_dependency,
+    charpoly, first_dependency, identity, in_row_space, int_first_dependency,
     intersect_row_spaces,
     intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
     reduce_vector, rref, row_space_rref, solve,
@@ -60,33 +59,6 @@ def test_solve_verifies():
     assert solve(F5, [[1, 0], [1, 0]], [1, 2]) is None
 
 
-def _det_by_permutations(field, m):
-    n = len(m)
-    total = field.zero
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = field.one
-        for i in range(n):
-            term = field.mul(term, m[i][perm[i]])
-        if sign < 0:
-            term = field.neg(term)
-        total = field.add(total, term)
-    return total
-
-
-def test_det_matches_permanent_expansion():
-    rng = random.Random(13)
-    for field in (F5, QQ):
-        for _ in range(50):
-            n = rng.randint(1, 4)
-            m = random_matrix(field, rng, n, n)
-            assert det(field, m) == _det_by_permutations(field, m)
-
-
 def test_inverse():
     rng = random.Random(17)
     ok = 0
@@ -95,7 +67,7 @@ def test_inverse():
         m = random_matrix(F7, rng, n, n)
         inv = inverse(F7, m)
         if inv is None:
-            assert F7.is_zero(det(F7, m))
+            assert rank(F7, m) < n
             continue
         assert mat_mul(F7, m, inv) == identity(F7, n)
         ok += 1
@@ -339,7 +311,6 @@ def test_reduce_vector_over_q_matches_the_method_path(rows, data):
     for v in (inside, other):
         want = reduce_vector(MethodPathQ(), basis, pivots, v)
         assert reduce_vector(QQ, basis, pivots, v) == want
-        assert reduce_vector(QQ, basis, pivots, v, lifted) == want
         member = in_row_space(QQ, basis, pivots, v)
         assert member == in_row_space(MethodPathQ(), basis, pivots, v)
         assert member == in_row_space(QQ, basis, pivots, v, lifted)

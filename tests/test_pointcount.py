@@ -102,6 +102,31 @@ def test_transfer_frobenius_invariance():
         assert transfer_cycle(model, p, 2) == transfer_cycle(model, frob, 2)
 
 
+def test_transfer_lands_on_an_enumerated_point():
+    """Oracle: for every point P over F_{p^n} with p^(n * nvars) <= 10^6,
+    transfer_cycle gives one closed point that enumerate_points lists, with
+    multiplicity n/d, and Frob(P) gives the same cycle."""
+    bad = []
+    checked = 0
+    for make, field in ((conic, F2), (conic, F3), (split_surface, F2), (conic, F5)):
+        model = make(field)
+        for n in (2, 3, 4, 6):
+            if field.p ** (n * model.ambient) > 10 ** 6:
+                continue
+            listed = set(enumerate_points(model, n))
+            ext = model.field_at(n)
+            for p in model.points(n):
+                z = transfer_cycle(model, p, n)
+                (pt, mult), = z.entries
+                frob = frobenius_coords(ext, field.p, p)
+                if (pt not in listed or mult * pt.degree != n
+                        or transfer_cycle(model, frob, n) != z):
+                    bad.append((make.__name__, field.p, n, pt))
+                checked += 1
+    assert checked == 637
+    assert bad == []
+
+
 def test_symmetric_power_points():
     model = conic(F3)
     assert len(symmetric_power_points(model, 0)) == 1

@@ -208,6 +208,12 @@ def test_symp_quadric_model_rejects_bad_forms():
     singular[0][1], singular[1][0] = F3.one, F3.neg(F3.one)
     with pytest.raises(InvalidFormError):
         symp_quadric_model(F3, singular)
+    # a nonsingular alternating 4x4 block with a fifth column, or with a
+    # short last row, is not a form
+    J = standard_alternating_matrix(F3, 4)
+    for bad in ([list(row) + [F3.zero] for row in J], J[:3] + [J[3][:2]]):
+        with pytest.raises(InvalidFormError, match="not square"):
+            symp_quadric_model(F3, bad)
 
 
 def test_zero_form_rejected():
