@@ -3,12 +3,23 @@
 
 Forms are stored upper-triangular (coefficients of x_i x_j for i <= j), which
 is the characteristic-free encoding: it works verbatim over F_2, where a
-symmetric matrix does not determine a quadratic form.
+symmetric matrix does not determine a quadratic form.  The polar form
+b(u, v) = q(u+v) - q(u) - q(v) = sum u_i (B v)_i is read through one kernel,
+QuadraticForm.polar (B v), and so is q on polynomial coordinates: with
+coefficient vectors v_k, q(sum t^k v_k) = sum t^2k q(v_k)
++ sum_{k<l} t^(k+l) b(v_k, v_l), so eval_polys multiplies no polynomials.
+The polar values also pick the auxiliary points of conic segments
+(witness.connect_quadric_points) with no rank test: for distinct quadric
+points a, b and a quadric point p = alpha a + beta b, q(p) = alpha beta
+b(a, b), b(p, a) = beta b(a, b) and b(p, b) = alpha b(a, b), so b(p, a) and
+b(p, b) both nonzero put p off the line through a and b.
+points_on_quadric enumerates by fibers: over each prefix of the first n-1
+coordinates q is a quadratic in the last one, expanded once per prefix.
 """
 
 from .errors import InvalidFormError, InvalidInputError
 from .fields import json_get
-from .linalg import rank, rref
+from .linalg import mat_vec, rank, rref
 from .poly import Poly
 
 
@@ -39,21 +50,41 @@ class QuadraticForm:
             acc = f.add(acc, f.mul(c, f.mul(vec[i], vec[j])))
         return acc
 
+    def polar(self, v):
+        """The vector B v with b(u, v) = sum u_i (B v)_i.  B is symmetric,
+        with B_ij = B_ji = c_ij for i < j and B_ii = 2 c_ii, which is 0 in
+        characteristic 2."""
+        f = self.field
+        add, mul = f.add, f.mul
+        out = [f.zero] * self.nvars
+        for (i, j), c in self.coeffs.items():
+            if i == j:
+                cv = mul(c, v[i])
+                out[i] = add(out[i], add(cv, cv))
+            else:
+                out[i] = add(out[i], mul(c, v[j]))
+                out[j] = add(out[j], mul(c, v[i]))
+        return out
+
     def bilinear(self, u, v):
         """b(u, v) = q(u+v) - q(u) - q(v); alternating in characteristic 2."""
-        f = self.field
-        acc = f.zero
-        for (i, j), c in self.coeffs.items():
-            acc = f.add(acc, f.mul(c, f.add(f.mul(u[i], v[j]), f.mul(u[j], v[i]))))
-        return acc
+        return mat_vec(self.field, [self.polar(v)], u)[0]
 
     def eval_polys(self, coord_polys):
-        """q applied to a tuple of Poly coordinates: a Poly identity check."""
-        base = coord_polys[0].field
-        acc = Poly.zero(base)
-        for (i, j), c in self.coeffs.items():
-            acc = acc + (coord_polys[i] * coord_polys[j]).scale(c)
-        return acc
+        """q applied to a tuple of Poly coordinates: a Poly identity check.
+        With v_k the vector of t^k coefficients, q(sum t^k v_k) =
+        sum t^2k q(v_k) + sum_{k<l} t^(k+l) b(v_k, v_l)."""
+        f = self.field
+        deg = max(p.degree for p in coord_polys)
+        vecs = [[p.coeff(k) for p in coord_polys] for k in range(deg + 1)]
+        polars = [self.polar(v) for v in vecs[1:]]
+        out = [f.zero] * (2 * deg + 1)
+        for k, v in enumerate(vecs):
+            out[2 * k] = f.add(out[2 * k], self.eval(v))
+            if k < deg:
+                for l, b in enumerate(mat_vec(f, polars[k:], v), k + 1):
+                    out[k + l] = f.add(out[k + l], b)
+        return Poly(coord_polys[0].field, out)
 
     def __eq__(self, other):
         return (isinstance(other, QuadraticForm) and other.field == self.field
@@ -109,9 +140,32 @@ def projective_points(field, nvars):
 
 
 def points_on_quadric(form):
-    """Canonical representatives of the F_q-points of the quadric."""
-    return [p for p in projective_points(form.field, form.nvars)
-            if form.field.is_zero(form.eval(p))]
+    """Canonical representatives of the F_q-points of the quadric, in the
+    order of projective_points.  That order runs the last coordinate x
+    fastest under each prefix of the first n-1, and the prefixes come in the
+    order of P^(n-2) before the point (0, ..., 0, 1).  On a prefix, q is
+    a x^2 + b x + c, expanded once and scanned over the field."""
+    f = form.field
+    add, mul, is_zero = f.add, f.mul, f.is_zero
+    last = form.nvars - 1
+    a = form.coeffs.get((last, last), f.zero)
+    linear = [(i, c) for (i, j), c in form.coeffs.items() if i < j == last]
+    rest = [(i, j, c) for (i, j), c in form.coeffs.items() if j < last]
+    elems = list(f.elements())
+    out = []
+    for prefix in projective_points(f, last):
+        b = f.zero
+        for i, c in linear:
+            b = add(b, mul(c, prefix[i]))
+        c0 = f.zero
+        for i, j, c in rest:
+            c0 = add(c0, mul(c, mul(prefix[i], prefix[j])))
+        for x in elems:
+            if is_zero(add(mul(add(mul(a, x), b), x), c0)):
+                out.append(prefix + (x,))
+    if is_zero(a):
+        out.append((f.zero,) * last + (f.one,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +214,13 @@ def plucker_embed(field, rows):
 
 
 def alternating_form_check(field, omega):
+    """Raise InvalidFormError unless omega is a nonsingular alternating
+    form on F^4, the only size the models of 2-planes in 4-space take."""
     n = len(omega)
     if any(len(row) != n for row in omega):
         raise InvalidFormError("form matrix is not square")
+    if n != 4:
+        raise InvalidFormError(f"form matrix is {n}x{n}, not 4x4")
     for i in range(n):
         if not field.is_zero(omega[i][i]):
             raise InvalidFormError("form has nonzero diagonal")

@@ -18,7 +18,6 @@ each column space to be free over D; when ModulePresentation.d_basis_of
 finds no D-basis, the constructors raise StructuralError.
 """
 
-import functools
 import random
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import kernel, mat_vec, rank, rref, transpose
+from .linalg import kernel, mat_vec, rref, transpose
 from .poly import Poly, poly_gcd
 from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
@@ -254,8 +253,13 @@ def verify_witness(w, samples=None, open_set=None):
     if w.kind == QUADRIC_LINE:
         coord_polys = w.data["coord_polys"]
         report.add("on_quadric_identity", w.form.eval_polys(coord_polys).is_zero())
-        # g | v^deg(g) iff every common zero of the coordinates is a zero of v
-        g = functools.reduce(poly_gcd, coord_polys, Poly.zero(field))
+        # g | v^deg(g) iff every common zero of the coordinates is a zero of v;
+        # a constant gcd stays constant, so the loop stops at the first one
+        g = Poly.zero(field)
+        for p in coord_polys:
+            g = poly_gcd(g, p)
+            if g.degree == 0:
+                break
         report.add("coord_gcd_divides_validity",
                    not g.is_zero() and w.validity.pow_mod(g.degree, g).is_zero())
         return report
@@ -716,14 +720,26 @@ def _quadric_segment(form, p1, p2, aux):
     identically.  As q(p1) = q(p2) = 0, phi(1) = b(p1, aux) p1 and
     phi(0) = b(p2, aux) p2; the caller picks aux off both tangent
     hyperplanes, so both scalars are nonzero, and p1, p2 are normalized, so
-    the segment's ends are p1 and p2."""
+    the segment's ends are p1 and p2.
+
+    phi's coefficients are read off directly: with w = w0 + w1 t,
+    lam = l0 + l1 t and q(w) = q0 + q1 t + q2 t^2, phi = (l0 w0 - q0 aux)
+    + (l0 w1 + l1 w0 - q1 aux) t + (l1 w1 - q2 aux) t^2."""
     field = form.field
+    add, sub, mul = field.add, field.sub, field.mul
     w_polys = line_coords(field, p1, p2)
-    lam = Poly(field, [form.bilinear(p2, aux),
-                       field.sub(form.bilinear(p1, aux), form.bilinear(p2, aux))])
+    b2, b1 = mat_vec(field, [p2, p1], form.polar(aux))
+    l0, l1 = b2, sub(b1, b2)
     qw = form.eval_polys(w_polys)
-    coord_polys = [lam * wp - qw.scale(c) for wp, c in zip(w_polys, aux)]
-    return PencilWitness(QUADRIC_LINE, p1, p2, lam,
+    q0, q1, q2 = qw.coeff(0), qw.coeff(1), qw.coeff(2)
+    coord_polys = []
+    for wp, c in zip(w_polys, aux):
+        w0, w1 = wp.coeff(0), wp.coeff(1)
+        coord_polys.append(Poly(field, [
+            sub(mul(l0, w0), mul(q0, c)),
+            sub(add(mul(l0, w1), mul(l1, w0)), mul(q1, c)),
+            sub(mul(l1, w1), mul(q2, c))]))
+    return PencilWitness(QUADRIC_LINE, p1, p2, Poly(field, [l0, l1]),
                          {"coord_polys": coord_polys, "aux": aux},
                          form=form)
 
@@ -767,12 +783,17 @@ def connect_quadric_points(form, p1, p2, points=None):
 
     def good_aux(p, a, b):
         """Whether the quadric point p is off both tangent hyperplanes at a
-        and b and off the line through them."""
-        if p == a or p == b:
-            return False
-        if field.is_zero(form.bilinear(p, a)) or field.is_zero(form.bilinear(p, b)):
-            return False
-        return rank(field, [list(a), list(b), list(p)]) == 3
+        and b, two distinct quadric points.  Then p is also off the line
+        through a and b, so rank(a, b, p) = 3 and p is neither a nor b: if
+        p = alpha a + beta b, then q(p) = alpha beta b(a, b),
+        b(p, a) = beta b(a, b) and b(p, b) = alpha b(a, b), so both polar
+        values nonzero would make q(p) nonzero.  This uses only
+        q(a) = q(b) = 0 and b(a, a) = 2 q(a), so it holds over any field and
+        for any form, degenerate or in characteristic 2."""
+        return not any(field.is_zero(x) for x in mat_vec(field, [polar[a], polar[b]], p))
+
+    # the polar B e of each endpoint, computed once per link
+    polar = {p1: form.polar(p1), p2: form.polar(p2)}
 
     # One lazy pass in candidate order returns the first good point as soon
     # as it is seen, which is the first good point of the filtered list:
@@ -790,6 +811,7 @@ def connect_quadric_points(form, p1, p2, points=None):
     for r in candidates:
         if r in (p1, p2):
             continue
+        polar[r] = form.polar(r)
         aux1 = next((p for p in candidates if good_aux(p, p1, r)), None)
         if aux1 is None:
             continue

@@ -30,7 +30,7 @@ from csawitness.involutions import (
 from csawitness.linalg import rank, rref
 from csawitness.algebra import index_evidence, poly_eval_at_element, reduced_char_poly
 from csawitness.pointcount import (
-    QPointSearch, QuadricCurves, QuadricModel, link_graph, scheme_index_bound,
+    QPointSearch, QuadricCurves, QuadricModel, link_graph,
 )
 from csawitness.poly import Poly
 from csawitness.quadrics import (

@@ -126,7 +126,7 @@ def test_only_tests_name_these_definitions():
     everyone = [u for found in by_file.values() for u in found]
     test_only = unreached(defined, callers) - unreached(defined, everyone)
     assert test_only == {
-        "extend_scalars", "from_ints", "gaussian_binomial",
+        "bilinear", "extend_scalars", "from_ints", "gaussian_binomial",
         "independent_ideals_check", "intersect_row_spaces",
         "isotropic_two_planes", "minimal_polynomial", "multiplicity_free",
         "perp", "radical_is_regular_is_isotropic", "roots_in_field",

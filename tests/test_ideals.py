@@ -15,7 +15,7 @@ from csawitness.ideals import (
     zero_ideal,
 )
 from csawitness.involutions import (
-    adjoint_involution, standard_alternating_matrix, transpose_involution,
+    adjoint_involution, transpose_involution,
 )
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)

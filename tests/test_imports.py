@@ -1,8 +1,8 @@
-"""No module of csawitness imports a name it never uses.
+"""No module of csawitness, test or demo imports a name it never uses.
 
 No linter runs on this code, so this parses each module (the package
-__init__, which re-exports, aside) and fails on any imported name that is
-not referenced in the module's code.
+__init__, which re-exports, aside), each file of tests/ and each demo, and
+fails on any imported name that is not referenced in the file's code.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csawitness"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "csawitness"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source):
@@ -28,9 +30,15 @@ def unused_imports(source):
 
 def test_modules_found():
     assert len(MODULES) >= 15
+    assert len(SCRIPTS) >= 25
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _file_id(path):
+    """A module by its name, a test or demo by its path from the root."""
+    return str(path.relative_to(PACKAGE if path.parent == PACKAGE else ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_file_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

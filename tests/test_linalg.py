@@ -10,7 +10,7 @@ from csawitness.linalg import (
     charpoly, first_dependency, identity, in_row_space, int_first_dependency,
     intersect_row_spaces,
     intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
-    reduce_vector, rref, row_space_rref, solve,
+    reduce_vector, rref, solve,
 )
 
 F5 = PrimeField(5)

@@ -6,11 +6,11 @@ import pytest
 from csawitness import pointcount
 from csawitness.arith import gaussian_binomial
 from csawitness.errors import BudgetExceededError, InvalidInputError
-from csawitness.fields import QQ, PrimeField, standard_extension
+from csawitness.fields import QQ, PrimeField
 from csawitness.poly import Poly, is_irreducible
 from csawitness.pointcount import (
-    ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
-    QuadricCurves, QuadricModel, ZeroCycle, enumerate_points, frobenius_coords,
+    GrassmannianModel, InvolutionQuadricModel, QPointSearch,
+    QuadricCurves, QuadricModel, enumerate_points, frobenius_coords,
     frobenius_orbit, link_graph, scheme_index_bound, symmetric_power_points,
     _irreducible_quadratics, _single_swap, transfer_cycle,
 )
@@ -243,7 +243,7 @@ def test_single_swap_is_the_one_point_difference(model, n):
 
 def test_involution_quadric_model_counts():
     from csawitness.involutions import standard_alternating_matrix
-    from csawitness.quadrics import plucker_form, symp_quadric_model
+    from csawitness.quadrics import symp_quadric_model
     for field, expected in ((F2, 15), (F3, 40)):
         J = standard_alternating_matrix(field, 4)
         quadric, hyper = symp_quadric_model(field, J)

@@ -8,7 +8,7 @@ from csawitness.errors import (
 )
 from csawitness.fields import QQ, ExtensionField, PrimeField, standard_extension
 from csawitness.poly import (
-    Poly, factor, is_irreducible, poly_gcd, poly_nth_root, poly_squarefree,
+    Poly, factor, is_irreducible, poly_nth_root, poly_squarefree,
     rational_roots, roots_in_field, squarefree_decomposition,
 )
 from csawitness.polyrings import sylvester_resultant, xpoly_discriminant

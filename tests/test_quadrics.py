@@ -1,12 +1,13 @@
-import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from csawitness.arith import gaussian_binomial
 from csawitness.errors import InvalidFormError, InvalidInputError
-from csawitness.fields import QQ, PrimeField
+from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import standard_alternating_matrix
+from csawitness.poly import Poly
 from csawitness.quadrics import (
     PLUCKER_PAIRS, QuadraticForm, enumerate_rref_subspaces, isotropic_two_planes,
     normalize_point, plucker_coordinates, plucker_embed, plucker_form,
@@ -214,6 +215,85 @@ def test_symp_quadric_model_rejects_bad_forms():
     for bad in ([list(row) + [F3.zero] for row in J], J[:3] + [J[3][:2]]):
         with pytest.raises(InvalidFormError, match="not square"):
             symp_quadric_model(F3, bad)
+
+
+def test_symp_models_reject_forms_off_4_space():
+    # a nonsingular alternating form of any other size is no form on F^4:
+    # 2x2 used to end in IndexError, 6x6 was cut to its top-left 4x4 block
+    for n in (2, 6):
+        omega = standard_alternating_matrix(F3, n)
+        for model in (symp_quadric_model, isotropic_two_planes):
+            with pytest.raises(InvalidFormError, match="not 4x4"):
+                model(F3, omega)
+
+
+def _random_form(field, elems, nvars, rng, last_square=True, last_var=True):
+    """A random nonzero form with coefficients from elems; optionally
+    without the x_(n-1)^2 term, or not involving the last variable at all."""
+    while True:
+        coeffs = {}
+        for i in range(nvars):
+            for j in range(i, nvars):
+                if j == nvars - 1 and not (last_var and (i < j or last_square)):
+                    continue
+                if rng.random() < 0.6:
+                    coeffs[(i, j)] = rng.choice(elems)
+        if any(not field.is_zero(c) for c in coeffs.values()):
+            return QuadraticForm(field, nvars, coeffs)
+
+
+def test_points_on_quadric_matches_brute_force(monkeypatch):
+    """Enumeration by fibers equals the filter of projective_points, in the
+    same order, and never evaluates q on a point.  Field sizes and nvars up
+    to 5 with at most 20000 points of P^(n-1)."""
+    fields = [F2, F3, standard_extension(2, 2), F5, standard_extension(3, 2),
+              standard_extension(5, 2)]
+    rng = random.Random(19)
+    cases = []
+    for field in fields:
+        for nvars in range(1, 6):
+            if field.size ** (nvars - 1) > 20000:
+                continue
+            for kind in ((True, True), (False, True), (False, False)) * 3:
+                if nvars == 1 and kind != (True, True):
+                    continue  # the only form on one variable is c x^2
+                form = _random_form(field, list(field.elements()), nvars, rng, *kind)
+                brute = [p for p in projective_points(field, nvars)
+                         if field.is_zero(form.eval(p))]
+                cases.append((form, brute))
+    evals = []
+    monkeypatch.setattr(QuadraticForm, "eval", lambda self, vec: evals.append(vec))
+    for form, brute in cases:
+        assert points_on_quadric(form) == brute
+    assert evals == []
+    assert len(cases) > 200 and any(brute for _, brute in cases)
+
+
+def _product_eval_polys(form, coord_polys):
+    """q on Poly coordinates by Poly products, the expansion eval_polys
+    replaces."""
+    acc = Poly.zero(coord_polys[0].field)
+    for (i, j), c in form.coeffs.items():
+        acc = acc + (coord_polys[i] * coord_polys[j]).scale(c)
+    return acc
+
+
+def test_eval_polys_and_polar_match_products():
+    rng = random.Random(23)
+    F4, F7 = standard_extension(2, 2), PrimeField(7)
+    rationals = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 5)]
+    for field, elems in ((F2, [0, 1]), (F4, list(F4.elements())),
+                         (F7, list(range(7))), (QQ, rationals)):
+        for _ in range(60):
+            nvars = rng.randrange(1, 6)
+            form = _random_form(field, elems, nvars, rng)
+            degrees = [rng.randrange(-1, 5) for _ in range(nvars)]
+            polys = [Poly(field, [rng.choice(elems) for _ in range(d + 1)]) for d in degrees]
+            assert form.eval_polys(polys) == _product_eval_polys(form, polys)
+            u, v = ([rng.choice(elems) for _ in range(nvars)] for _ in range(2))
+            uv = [field.add(a, b) for a, b in zip(u, v)]
+            b = field.sub(form.eval(uv), field.add(form.eval(u), form.eval(v)))
+            assert form.bilinear(u, v) == b == form.bilinear(v, u)
 
 
 def test_zero_form_rejected():

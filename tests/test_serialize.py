@@ -11,7 +11,7 @@ from csawitness.errors import InvalidInputError
 from csawitness.etale import generate_etale, random_balanced_pair_subalgebra
 from csawitness.fields import QQ, PrimeField
 from csawitness.ideals import (
-    Flag, ideal_generated, random_flag, random_ideal, zero_ideal,
+    random_flag, random_ideal, zero_ideal,
 )
 from csawitness.involutions import adjoint_involution, standard_alternating_matrix
 from csawitness.quadrics import QuadraticForm

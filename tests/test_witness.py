@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -801,6 +802,66 @@ def test_quadric_lazy_candidates_match_eager_filter():
         outcomes[None if got is None else len(got)] += 1
     # every branch ran: trivial, one segment, two segments, too few points
     assert set(outcomes) == {0, 1, 2, None}
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F5", "F9", "Q", "model_F2", "model_F3",
+                                  "F3_two_segments"])
+def test_quadric_points_make_no_rank_test(monkeypatch, name):
+    """The auxiliary points are chosen by two polar values alone."""
+    q, pairs, aux = _seeded_quadric(name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("csawitness") and getattr(mod, "rank", None) is rank:
+            monkeypatch.setattr(mod, "rank", counted)
+    chains = [connect_quadric_points(q, p1, p2, points=aux) for p1, p2 in pairs]
+    assert calls == [] and any(chains)
+
+
+def _small_forms(field, rng):
+    """Forms in three and four variables: smooth ones, a line pair, a plane
+    pair, a double line (and, in characteristic 2, the diagonal conic, a
+    double line too, and the plane pair, a double plane) and three random
+    ones."""
+    shapes = [(4, {(0, 1): 1, (2, 3): 1}), (3, {(0, 0): 1, (1, 2): 1}),
+              (3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}), (3, {(0, 1): 1}),
+              (4, {(0, 0): 1, (1, 1): -1}), (3, {(0, 0): 1})]
+    forms = [_form(field, n, coeffs) for n, coeffs in shapes]
+    elems = list(field.elements())
+    while len(forms) < len(shapes) + 3:
+        coeffs = {(i, j): rng.choice(elems) for i in range(3) for j in range(i, 3)}
+        if any(not field.is_zero(c) for c in coeffs.values()):
+            forms.append(QuadraticForm(field, 3, coeffs))
+    return forms
+
+
+def test_polar_tests_imply_rank_three():
+    """connect_quadric_points keeps an auxiliary point p for distinct quadric
+    points a, b when b(p, a) and b(p, b) are nonzero, with no test of
+    rank(a, b, p) = 3 or of p not in {a, b}: the polar values imply both.
+    Checked on every on-quadric triple of small forms over F_2, F_3 and F_4,
+    degenerate forms included."""
+    rng = random.Random(29)
+    seen = Counter()
+    for field in (PrimeField(2), F3, standard_extension(2, 2)):
+        for form in _small_forms(field, rng):
+            pts = points_on_quadric(form)
+            for a in pts:
+                for b in pts:
+                    if a == b:
+                        continue
+                    for p in pts:
+                        good = not (field.is_zero(form.bilinear(p, a))
+                                    or field.is_zero(form.bilinear(p, b)))
+                        independent = (p not in (a, b)
+                                       and rank(field, [list(a), list(b), list(p)]) == 3)
+                        assert independent or not good
+                        seen[good, independent] += 1
+    assert set(seen) == {(True, True), (False, True), (False, False)}
 
 
 def test_default_symplectic_involution_presets():
