@@ -14,6 +14,7 @@ tests/test_algebra.py runs them on every family.
 import itertools
 import random
 
+from .arith import first_int_root
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
@@ -747,17 +748,21 @@ def _quaternion_norm_search_fq(A):
 
 
 def _quaternion_norm_search_q(A, bound):
+    """The first nonzero integer (x, y, z) with |x|, |y|, |z| <= bound and
+    x^2 = a y^2 + b z^2, x >= 0, in the order of a triple loop over x, y, z;
+    z is the first root of its fiber (arith.first_int_root)."""
     from fractions import Fraction
     (a, b), scale = A.field.lift_vector([A.preset["a"], A.preset["b"]])
     # integer solutions suffice by homogeneity; x^2 = a y^2 + b z^2 over Q
-    # is scale x^2 = a y^2 + b z^2 on the lifted a, b
+    # is scale x^2 = a y^2 + b z^2 on the lifted a, b.  At x = y = 0 the
+    # fiber b z^2 = 0 has the root 0 only, unless b = 0 and its first root
+    # is -bound, so skipping the zero vector skips no other root.
     for x in range(0, bound + 1):
         lhs = scale * x * x
         for y in range(-bound, bound + 1):
-            rest = lhs - a * y * y
-            for z in range(-bound, bound + 1):
-                if rest == b * z * z and (x or y or z):
-                    return Fraction(x), Fraction(y), Fraction(z)
+            z = first_int_root(b, 0, a * y * y - lhs, bound)
+            if z is not None and (x or y or z):
+                return Fraction(x), Fraction(y), Fraction(z)
     return None
 
 

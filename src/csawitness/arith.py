@@ -1,6 +1,7 @@
-"""Big-integer combinatorics used by the index arguments."""
+"""Big-integer combinatorics used by the index arguments, and the integer
+root of a quadratic that the height-bounded searches over Q share."""
 
-from math import factorial
+from math import factorial, isqrt
 
 from .errors import InvalidInputError
 from .fields import is_prime
@@ -50,3 +51,23 @@ def gaussian_binomial(m, k, q):
     val, rem = divmod(num, den)
     assert rem == 0
     return val
+
+
+def first_int_root(a, b, c, bound):
+    """The least integer z in [-bound, bound] with a z^2 + b z + c = 0, or
+    None; a, b, c are ints.  A quadratic has an integer root only when its
+    discriminant is a square, and then the roots are (-b +- isqrt) / 2a; a
+    linear one only at -c / b; the zero polynomial vanishes at -bound."""
+    if a:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return None
+        s = isqrt(disc)
+        if s * s != disc:
+            return None
+        roots = [num // (2 * a) for num in (-b - s, -b + s) if num % (2 * a) == 0]
+    elif b:
+        roots = [-c // b] if c % b == 0 else []
+    else:
+        roots = [] if c else [-bound]
+    return min((z for z in roots if -bound <= z <= bound), default=None)

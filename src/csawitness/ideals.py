@@ -27,8 +27,8 @@ allows; the column space may still be free.
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, int_in_row_space, intersect_row_spaces, kernel, lift_matrix,
-    mat_vec, rank, reduce_vector, rref, transpose,
+    in_row_space, int_in_row_space, int_solve, intersect_row_spaces, kernel,
+    lift_matrix, mat_vec, rank, reduce_vector, rref, solve, transpose,
 )
 
 
@@ -133,27 +133,46 @@ def splitting_idempotent(ideal):
     row), which is the closed form of choosing a right-module projection
     A -> I and taking the image of 1.  Any solution works: e^2 = e because
     e lies in I, and e I = I forces e A = I.
+
+    Over F_p and Q the system is built on the basis the ideal holds lifted
+    (RightIdeal._lifted, b_s = ints_s / s): b_s b_r is Algebra._int_mul of
+    ints_s and ints_r over s^2 t, t = Algebra._flat_scale, so block r reads
+    sum_s mu_s _int_mul(ints_s, ints_r) = ints_r s t, one int system for
+    linalg.int_solve.  The self-check e^2 = e compares _int_mul(e, e) with
+    e at the same scale.  No operand is lifted twice, and only mu and e are
+    lowered.  F_{p^k} takes the method path.
     """
     alg = ideal.algebra
     f = alg.field
-    m = len(ideal.basis)
-    if m == 0:
+    if not ideal.basis:
         return alg.zero
-    cols = list(ideal.basis)
-    rows, rhs = [], []
-    # products b_s * b_r; equation block r: sum_s mu_s (b_s b_r) = b_r
-    for b_r in ideal.basis:
-        prods = [alg.mul(b_s, b_r) for b_s in cols]
-        for coord in range(alg.dim):
-            rows.append([prods[s][coord] for s in range(m)])
-            rhs.append(b_r[coord])
-    from .linalg import solve
-    mu = solve(f, rows, rhs)
+    if ideal._lifted is None:
+        rows, rhs = [], []
+        for b_r in ideal.basis:
+            # block r: sum_s mu_s (b_s b_r) = b_r, one equation per coordinate
+            rows.extend(zip(*[alg.mul(b_s, b_r) for b_s in ideal.basis]))
+            rhs.extend(b_r)
+        mu = solve(f, rows, rhs)
+    else:
+        ints, s = ideal._lifted
+        scale = s * alg._flat_scale
+        aug = []
+        for b_r in ints:
+            prods = [alg._int_mul(b_s, b_r) for b_s in ints]
+            aug.extend([*row, x * scale] for row, x in zip(zip(*prods), b_r))
+        mu = int_solve(f, aug)
     if mu is None:
         raise StructuralError("no left unit exists; the input is not a right "
                               "ideal of a semisimple algebra")
-    elem = alg.element(mat_vec(f, transpose(cols), mu))
-    if not (elem * elem - elem).is_zero():
+    elem = alg.element(mat_vec(f, transpose(ideal.basis), mu))
+    if ideal._lifted is None:
+        idempotent = (elem * elem - elem).is_zero()
+    else:
+        x, s = alg._lifted(elem.coords)
+        p = f.int_modulus
+        diff = [u - v * s * alg._flat_scale for u, v in zip(alg._int_mul(x, x), x)]
+        idempotent = not any([d % p for d in diff] if p else diff)
+    if not idempotent:
         raise StructuralError("solved element is not idempotent")  # pragma: no cover
     return elem
 

@@ -16,7 +16,8 @@ compared or tested for membership is not lowered at all:
 intertwiner_mismatch compares two products up to their scales, and
 int_in_row_space tests an int vector at any scale.  rank and solve lift
 once and run int_rank and int_solve, which read the unlowered echelon form
-(solve lowers only its solution); callers that hold int rows already, at
+of _int_echelon, int_rank after forward elimination only (solve lowers
+only its solution); callers that hold int rows already, at
 any common scale, call these two directly, as int_first_dependency takes
 (ints, scale) pairs, so nothing is lowered only to be lifted back.  The
 fields differ only where int_modulus says so: in the zero test, in how a
@@ -196,9 +197,10 @@ def _int_rref(field, m):
     return [field.lower_vector(row, row[c]) for row, c in zip(m, pivots)], pivots
 
 
-def _int_echelon(field, m):
+def _int_echelon(field, m, _reduce=True):
     """The reduced echelon rows of lifted rows m, not lowered, and their
-    pivot columns.
+    pivot columns; with _reduce=False only the rows below each pivot are
+    updated (forward elimination), which is all a rank needs.
 
     Only the pivot row is normalised before it is used: over F_p it is
     scaled by the modular inverse of its pivot, over Q divided by its
@@ -227,7 +229,7 @@ def _int_echelon(field, m):
         else:
             mr = m[r] = _primitive(m[r])
         a = mr[c]
-        for i in range(nrows):
+        for i in range(0 if _reduce else r + 1, nrows):
             if i != r:
                 f = m[i][c] % p if p else m[i][c]
                 if f:
@@ -250,8 +252,8 @@ def rank(field, rows):
 
 def int_rank(field, rows):
     """rank over F_p and Q of int rows, at any nonzero scale, with no entry
-    lowered."""
-    return len(_int_echelon(field, list(rows))[1]) if rows else 0
+    lowered, by forward elimination."""
+    return len(_int_echelon(field, list(rows), _reduce=False)[1]) if rows else 0
 
 
 def int_solve(field, aug):

@@ -21,6 +21,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
+from .arith import first_int_root
 from .errors import (
     BudgetExceededError, FieldTooSmallError, InvalidInputError,
     StructuralError, UnsupportedFieldError,
@@ -396,8 +397,13 @@ class QPointSearch:
     """A rational-point search problem for a quadric over Q.
 
     Height-bounded exhaustive search over primitive integer vectors, plus
-    optional extension points given as (modulus, coordinate polynomials) and
-    checked by exact substitution modulo the modulus.
+    optional extension points given as (modulus, coordinate polynomials)
+    and checked by exact substitution modulo the modulus.  The search runs
+    by fibers: for each prefix of all but the last coordinate z, the form is
+    one quadratic a z^2 + b z + c in ints, and arith.first_int_root gives
+    the first z of that fiber.  So it expands O(B^(n-1)) prefixes rather
+    than evaluating O(B^n) vectors, and returns the same first zero in the
+    same order.
     """
 
     def __init__(self, form, extension_points=()):
@@ -411,25 +417,32 @@ class QPointSearch:
         return dict(zip(self.form.coeffs, ints))
 
     def search_rational_point(self, height_bound):
-        """The first primitive integer zero with |coords| <= bound, or None."""
+        """The first integer zero with |coords| <= bound, or None, in the
+        canonical order: leading zeros, then a positive first coordinate,
+        then the remaining coordinates lexicographically in [-bound, bound].
+        It is primitive: a zero k w with k > 1 comes after w, whose first
+        coordinate is smaller."""
         if height_bound < 0:
             raise InvalidInputError(f"height bound must be >= 0, not {height_bound}")
         coeffs = self._integer_form()
-        nv = self.form.nvars
-        rng0 = range(0, height_bound + 1)
+        last = self.form.nvars - 1
+        # q(v, z) = a z^2 + (sum of cross terms v_i z) + q(v, 0)
+        a = coeffs.get((last, last), 0)
+        cross = [(i, c) for (i, j), c in coeffs.items() if i != j == last]
+        rest = [(i, j, c) for (i, j), c in coeffs.items() if j != last]
         rng = range(-height_bound, height_bound + 1)
-        for first in range(nv):
-            # canonical: leading zeros, then a positive first coordinate
-            for head in rng0:
-                if head == 0:
-                    continue
-                for tail in itertools.product(rng, repeat=nv - first - 1):
-                    vec = (0,) * first + (head,) + tail
-                    acc = 0
-                    for (i, j), c in coeffs.items():
-                        acc += c * vec[i] * vec[j]
-                    if acc == 0:
-                        return tuple(Fraction(v) for v in vec)
+        for first in range(last):
+            for head in range(1, height_bound + 1):
+                for middle in itertools.product(rng, repeat=last - first - 1):
+                    vec = (0,) * first + (head,) + middle
+                    z = first_int_root(a, sum(c * vec[i] for i, c in cross),
+                                       sum(c * vec[i] * vec[j] for i, j, c in rest),
+                                       height_bound)
+                    if z is not None:
+                        return tuple(Fraction(v) for v in vec + (z,))
+        # the vectors (0, ..., 0, head) with head > 0, where q = a head^2
+        if height_bound and not a:
+            return (Fraction(0),) * last + (Fraction(1),)
         return None
 
     def verify_extension_point(self, modulus, coord_polys):

@@ -5,12 +5,32 @@ polynomial has an empty coefficient tuple and degree -1.  Factorization is
 available over finite fields only (squarefree + distinct-degree + equal-degree
 splitting); over Q we provide squarefree testing and rational-root extraction,
 and accept caller-supplied factorizations elsewhere.
+
+poly_gcd over F_p (fields.INTEGER_CORE with an int_modulus) is one Euclid
+on int coefficient lists, each remainder step reduced mod p and each
+divisor made monic by pow(lead, -1, p); it returns the same monic gcd as
+the field-method path, which F_{p^k} and Q keep.
+
+The squarefree certificate over Q.  poly_squarefree lifts f to ints
+(fields' lift_vector) and, when the fixed prime P = SQUAREFREE_PRIME does
+not divide the leading int, runs that F_p gcd on f mod P and its
+derivative.  A constant gcd proves f squarefree over Q: if f = g^2 h with
+deg g >= 1, then by Gauss's lemma the lifted f is c G^2 H with c an int and
+G, H primitive in Z[x], G of degree deg g.  The leading int is
+c lead(G)^2 lead(H), so P divides neither c nor lead(G); G mod P keeps its
+degree, and (G mod P)^2 divides f mod P, so G mod P divides gcd(f mod P,
+(f mod P)').  Any other outcome (P dividing the lead, or a non-constant gcd
+mod P, which an unlucky P can give a squarefree f) falls back to the exact
+Fraction gcd, the only source of "not squarefree" over Q.
 """
 
 import random
 
 from .errors import InvalidInputError, NotAPowerError, UnsupportedFieldError
-from .fields import PrimeField, ExtensionField, Rationals
+from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
+
+# the certificate prime of poly_squarefree over Q, 2^61 - 1
+SQUAREFREE_PRIME = (1 << 61) - 1
 
 
 class Poly:
@@ -200,10 +220,43 @@ class Poly:
 
 
 def poly_gcd(a, b):
-    """Monic gcd."""
+    """Monic gcd; over F_p by _int_gcd."""
+    field = a.field
+    if isinstance(field, INTEGER_CORE) and field.int_modulus:
+        return Poly(field, _int_gcd(a.coeffs, b.coeffs, field.int_modulus))
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
+
+
+def _int_gcd(a, b, p):
+    """The monic gcd mod p of int coefficient lists a and b (lowest degree
+    first): Euclid with the divisor made monic at each step, so a remainder
+    step subtracts c x^k b for each leading c of the dividend."""
+    a, b = _reduced(a, p), _reduced(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        low = [x * inv % p for x in b[:-1]]
+        n = len(low)
+        while len(a) > n:
+            c = a.pop()
+            if c:
+                k = len(a) - n
+                a[k:] = [(x - c * y) % p for x, y in zip(a[k:], low)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = low + [1], a
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [x * inv % p for x in a]
+    return a
+
+
+def _reduced(coeffs, p):
+    out = [x % p for x in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def poly_ext_gcd(a, b):
@@ -228,11 +281,19 @@ def poly_squarefree(f):
 
     gcd(f, f') must be constant; a vanishing derivative (possible only in
     characteristic p) makes f a p-th power and therefore not squarefree.
+    Over Q a constant gcd mod SQUAREFREE_PRIME certifies squarefree first
+    (the module docstring has the proof); the exact gcd decides otherwise.
     """
     if f.is_zero():
         raise InvalidInputError("squarefree test of the zero polynomial")
     if f.degree == 0:
         return True
+    field = f.field
+    if isinstance(field, INTEGER_CORE) and not field.int_modulus:
+        ints, _ = field.lift_vector(f.coeffs)
+        derivative = [i * c for i, c in enumerate(ints)][1:]
+        if ints[-1] % SQUAREFREE_PRIME and len(_int_gcd(ints, derivative, SQUAREFREE_PRIME)) == 1:
+            return True
     g = poly_gcd(f, f.derivative())
     return g.degree == 0
 

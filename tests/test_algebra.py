@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csawitness import algebra as algebra_module
 from csawitness.algebra import (
-    Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq, SplitWitness,
+    Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq,
+    _quaternion_norm_search_q, SplitWitness,
     algebra_generators,
     certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, tensor_product,
@@ -154,6 +156,40 @@ def test_index_evidence_hamilton_negative():
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
     w = index_evidence(H, search_bound=50)
     assert isinstance(w, NoWitnessFound) and w.bound == 50
+
+
+def _norm_search_q_triple_loop(a, b, bound):
+    """The first nonzero integer (x, y, z), x in [0, bound] outermost and
+    y, z in [-bound, bound], with x^2 = a y^2 + b z^2, by evaluating each."""
+    for x in range(bound + 1):
+        for y in range(-bound, bound + 1):
+            for z in range(-bound, bound + 1):
+                if (x or y or z) and x * x == a * y * y + b * z * z:
+                    return Fraction(x), Fraction(y), Fraction(z)
+    return None
+
+
+def test_norm_search_q_equals_the_triple_loop_seeded():
+    rng = random.Random(19)
+    found = 0
+    for _ in range(500):
+        a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 3))
+                for _ in range(2))
+        bound = rng.randint(0, 8)
+        got = _quaternion_norm_search_q(make_quaternion(QQ, a, b), bound)
+        assert got == _norm_search_q_triple_loop(a, b, bound), (a, b, bound)
+        found += got is not None
+    assert 80 <= found <= 450
+
+
+def test_norm_search_q_expands_one_fiber_per_x_and_y(monkeypatch):
+    fibers = []
+    root = algebra_module.first_int_root
+    monkeypatch.setattr(algebra_module, "first_int_root",
+                        lambda *args: fibers.append(args) or root(*args))
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    assert isinstance(index_evidence(H, search_bound=12), NoWitnessFound)
+    assert len(fibers) == 13 * 25
 
 
 def _norm_search_triple_loop(field, a, b):

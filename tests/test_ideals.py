@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
+from csawitness.algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError, StructuralError
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import in_row_space, rank, rref
+from csawitness.linalg import in_row_space, mat_vec, rank, rref, solve, transpose
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
     induce_from_corner, module_presentation, perp, radical_is_regular_is_isotropic,
@@ -53,6 +53,49 @@ def test_splitting_idempotent_row_ideal():
     assert (e * e - e).is_zero()
     assert I.contains(e.coords)
     assert ideal_generated([e]) == I
+
+
+def _idempotent_by_the_method_path(I):
+    """splitting_idempotent as one Algebra.mul per pair of basis rows and a
+    solve of the stacked system sum_s mu_s (b_s b_r) = b_r."""
+    A, f = I.algebra, I.algebra.field
+    rows, rhs = [], []
+    for b_r in I.basis:
+        prods = [A.mul(b_s, b_r) for b_s in I.basis]
+        rows.extend([p[k] for p in prods] for k in range(A.dim))
+        rhs.extend(b_r)
+    return A.element(mat_vec(f, transpose(I.basis), solve(f, rows, rhs)))
+
+
+def _idempotent_cases():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    return [(make_matrix_algebra(QQ, 2), [1]), (make_matrix_algebra(QQ, 3), [1, 2]),
+            (tensor_product(make_matrix_algebra(QQ, 2), H), [2]),
+            (make_matrix_algebra(F5, 3), [1, 2]), (make_matrix_algebra(F2, 3), [1, 2]),
+            (make_matrix_algebra(standard_extension(3, 2), 2), [1])]
+
+
+def test_splitting_idempotent_equals_the_method_path_solve():
+    rng = random.Random(23)
+    for A, rdims in _idempotent_cases():
+        for rd in rdims:
+            for _ in range(4):
+                I = random_ideal(A, rd, rng)
+                e = splitting_idempotent(I)
+                assert e == _idempotent_by_the_method_path(I), (A, rd)
+                assert (e * e - e).is_zero() and I.contains(e.coords)
+
+
+def test_splitting_idempotent_makes_no_algebra_products_over_q_and_fp(monkeypatch):
+    rng = random.Random(29)
+    ideals = [random_ideal(A, rd, rng) for A, rdims in _idempotent_cases()[:5]
+              for rd in rdims]
+    calls = []
+    mul = Algebra.mul
+    monkeypatch.setattr(Algebra, "mul", lambda A, x, y: calls.append(1) or mul(A, x, y))
+    for I in ideals:
+        splitting_idempotent(I)
+    assert calls == []
 
 
 def test_splitting_idempotent_seeded_all_presets():

@@ -8,7 +8,7 @@ from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
     charpoly, first_dependency, identity, in_row_space, int_first_dependency,
-    intersect_row_spaces,
+    int_rank, intersect_row_spaces,
     intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
     reduce_vector, rref, solve,
 )
@@ -515,3 +515,23 @@ def test_first_dependency_over_q_matches_the_method_path(rows):
     got = _check_first_dependency(QQ, vecs)
     assert got == first_dependency(MethodPathQ(), iter(vecs))
     assert all(type(x) is Fraction for x in got[0])
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F7, QQ], ids=["F2", "F7", "Q"])
+def test_int_rank_by_forward_elimination_equals_the_rref_length(field):
+    # int_rank stops at forward elimination; rref reduces fully.  Products
+    # of an m x r and an r x n matrix give rank-deficient cases.
+    rng = random.Random(17)
+    deficient = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = random_matrix(field, rng, m, n)
+        if rng.random() < 0.5:
+            r = rng.randint(1, min(m, n))
+            rows = mat_mul(field, random_matrix(field, rng, m, r),
+                           random_matrix(field, rng, r, n))
+        want = len(rref(field, rows)[0])
+        deficient += want < min(m, n)
+        assert int_rank(field, field.lift_rows(rows)[0]) == want
+        assert rank(field, rows) == want
+    assert deficient >= 30

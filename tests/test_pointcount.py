@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -185,6 +187,58 @@ def test_qpoint_search_empty_is_unknown():
     q = QuadraticForm.diagonal(QQ, [Fraction(1)] * 3)
     report = QPointSearch(q).run(height_bound=5)
     assert report.value is None and report.status == "unknown"
+
+
+def _pointwise_search(form, bound):
+    """search_rational_point as a loop over every vector: leading zeros,
+    a positive head, then the tail in lexicographic order, each vector
+    evaluated on the integer form."""
+    ints, _ = QQ.lift_vector(list(form.coeffs.values()))
+    coeffs = dict(zip(form.coeffs, ints))
+    nv = form.nvars
+    for first in range(nv):
+        for head in range(1, bound + 1):
+            for tail in itertools.product(range(-bound, bound + 1), repeat=nv - first - 1):
+                vec = (0,) * first + (head,) + tail
+                if sum(c * vec[i] * vec[j] for (i, j), c in coeffs.items()) == 0:
+                    return tuple(Fraction(v) for v in vec)
+    return None
+
+
+def _random_q_form(rng, nv, diagonal):
+    while True:
+        coeffs = {(i, j): Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                  for i in range(nv) for j in range(i, nv)
+                  if (i == j or not diagonal) and rng.random() < 0.8}
+        if any(coeffs.values()):
+            return QuadraticForm(QQ, nv, coeffs)
+
+
+def test_search_rational_point_by_fibers_equals_the_pointwise_loop_seeded():
+    # bounds 0-8, 0-5 in four variables, where the pointwise loop is slow
+    rng = random.Random(44)
+    found = 0
+    for k in range(800):
+        nv = rng.randint(1, 4)
+        form = _random_q_form(rng, nv, diagonal=k % 2 == 0)
+        bound = rng.randint(0, 5 if nv == 4 else 8)
+        got = QPointSearch(form).search_rational_point(bound)
+        assert got == _pointwise_search(form, bound), (form, bound)
+        found += got is not None
+    assert 200 <= found <= 700
+
+
+def test_search_rational_point_expands_one_fiber_per_prefix(monkeypatch):
+    # the definite x^2 + y^2 + z^2 has no zero: every prefix (x, y) with
+    # x > 0, then every (0, y) with y > 0, is expanded once, and no vector
+    # is evaluated on its own
+    fibers = []
+    root = pointcount.first_int_root
+    monkeypatch.setattr(pointcount, "first_int_root",
+                        lambda *args: fibers.append(args) or root(*args))
+    q = QuadraticForm.diagonal(QQ, [Fraction(1)] * 3)
+    assert QPointSearch(q).search_rational_point(12) is None
+    assert len(fibers) == 12 * 25 + 12
 
 
 def test_link_graph_degree_zero_is_trivially_connected():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from csawitness.errors import (
 )
 from csawitness.fields import QQ, ExtensionField, PrimeField, standard_extension
 from csawitness.poly import (
-    Poly, factor, is_irreducible, poly_nth_root, poly_squarefree,
-    rational_roots, roots_in_field, squarefree_decomposition,
+    SQUAREFREE_PRIME, Poly, factor, is_irreducible, poly_gcd, poly_nth_root,
+    poly_squarefree, rational_roots, roots_in_field, squarefree_decomposition,
 )
 from csawitness.polyrings import sylvester_resultant, xpoly_discriminant
 
@@ -221,3 +222,106 @@ def test_rational_roots_match_a_product_of_known_linear_factors():
         got, rest = rational_roots(f)
         assert got == sorted(roots.items())
         assert rest.degree == 2 and rest.is_monic()
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd by the Poly method path, as poly_gcd ran before its
+    F_p kernel."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else a
+
+
+def _euclid_squarefree(f):
+    return _euclid_gcd(f, f.derivative()).degree == 0
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["F2", "F3", "F5"])
+def test_squarefree_matches_euclid_on_every_small_monic(field):
+    p = field.p
+    for deg in range(5):
+        for low in itertools.product(range(p), repeat=deg):
+            f = P(field, *low, 1)
+            assert poly_squarefree(f) == _euclid_squarefree(f), f
+
+
+def test_poly_gcd_over_fp_matches_euclid_seeded():
+    rng = random.Random(8)
+    for field in (F2, F5, PrimeField(101)):
+        for _ in range(300):
+            a, b, c = (Poly(field, [field.random(rng) for _ in range(rng.randint(0, n))])
+                       for n in (6, 6, 3))
+            if rng.random() < 0.5:
+                a, b = a * c, b * c
+            assert poly_gcd(a, b) == _euclid_gcd(a, b)
+
+
+def _random_q_poly(rng, deg):
+    return Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(deg)] + [Fraction(rng.choice([-3, -1, 1, 2, 7]))])
+
+
+def test_squarefree_over_q_matches_euclid_seeded():
+    rng = random.Random(12)
+    repeated = 0
+    for _ in range(300):
+        f = _random_q_poly(rng, rng.randint(0, 6))
+        if rng.random() < 0.5:
+            g = _random_q_poly(rng, rng.randint(1, 2))
+            f = g * g * _random_q_poly(rng, rng.randint(0, 3))
+        want = _euclid_squarefree(f)
+        repeated += not want
+        assert poly_squarefree(f) == want, f
+    assert repeated >= 100
+
+
+def _count_q_divmods(monkeypatch):
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counted(self, other):
+        if self.field == QQ:
+            calls.append(1)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    return calls
+
+
+def test_squarefree_over_q_is_certified_mod_p_without_fraction_division(monkeypatch):
+    calls = _count_q_divmods(monkeypatch)
+    for f in (P(QQ, -1, 0, 1), P(QQ, 5, -3, 0, 1, 2), P(QQ, 1, 1, 1, 1, 1, 1, 1),
+              Poly(QQ, [Fraction(1, 3), Fraction(-7, 2), Fraction(0), Fraction(5, 4)])):
+        assert poly_squarefree(f) is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("ints", [
+    (-1, 0, SQUAREFREE_PRIME),       # P x^2 - 1: P divides the lead
+    (0, -SQUAREFREE_PRIME, 1),       # x (x - P): x^2 mod P is a square
+], ids=["P-divides-lead", "gcd-mod-P-not-constant"])
+def test_squarefree_over_q_falls_back_to_the_exact_gcd(ints, monkeypatch):
+    calls = _count_q_divmods(monkeypatch)
+    assert poly_squarefree(P(QQ, *ints)) is True
+    assert calls, "the exact Fraction gcd decided"
+
+
+def test_squarefree_over_q_answers_not_squarefree_only_by_the_exact_gcd(monkeypatch):
+    calls = _count_q_divmods(monkeypatch)
+    g = P(QQ, 3, -1, 2)
+    assert poly_squarefree(g * g * P(QQ, 1, 5)) is False
+    assert calls
+
+
+def test_squarefree_over_q_matches_sympy_seeded():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for _ in range(200):
+        f = _random_q_poly(rng, rng.randint(1, 5))
+        if rng.random() < 0.4:
+            g = _random_q_poly(rng, 1)
+            f = f * g * g
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(f.coeffs))
+        assert poly_squarefree(f) == sympy.Poly(expr, x).is_sqf, f
