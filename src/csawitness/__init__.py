@@ -11,9 +11,8 @@ validity polynomial and every object re-verifies on load.
 
 from .algebra import (
     Algebra, AlgebraElement, NoWitnessFound, SplitWitness,
-    certified_exponent_divides_2, extend_scalars, index_evidence,
-    make_matrix_algebra, make_quaternion, poly_eval_at_element,
-    reduced_char_poly, tensor_product,
+    certified_exponent_divides_2, index_evidence, make_matrix_algebra,
+    make_quaternion, poly_eval_at_element, reduced_char_poly, tensor_product,
 )
 from .arith import gaussian_binomial, pi_degree_prime_to_p, vp_factorial
 from .errors import (
@@ -23,8 +22,7 @@ from .errors import (
 )
 from .etale import (
     EtaleSubalgebra, Partition, etale_type, generate_etale,
-    independent_ideals_check, is_et_m_point, minimal_polynomial,
-    subalgebra_to_ideal_tuple,
+    independent_ideals_check, is_et_m_point, subalgebra_to_ideal_tuple,
 )
 from .fields import (
     QQ, ExtensionField, PrimeField, Rationals, field_from_spec,
@@ -32,8 +30,7 @@ from .fields import (
 )
 from .ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
-    induce_from_corner, module_presentation, perp,
-    radical_is_regular_is_isotropic, random_flag, random_ideal,
+    induce_from_corner, module_presentation, random_flag, random_ideal,
     restrict_to_corner, splitting_idempotent, zero_ideal,
 )
 from .involutions import (
@@ -44,7 +41,7 @@ from .involutions import (
 from .pointcount import (
     ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
     QuadricCurves, QuadricModel, ZeroCycle, enumerate_points, link_graph,
-    scheme_index_bound, symmetric_power_points, transfer_cycle,
+    symmetric_power_points, transfer_cycle,
 )
 from .poly import Poly, factor, poly_nth_root, poly_squarefree
 from .quadrics import (

@@ -361,12 +361,11 @@ class Algebra:
         """Coordinates of a unital generating set of A.  Cached.
 
         Tables built by make_matrix_algebra, make_quaternion and
-        tensor_product (and extend_scalars of those) use their preset's
-        candidates (algebra_generators) as they are.  On any other table
-        they are kept only if the closure of span{1} under right
-        multiplication by them is all of A; otherwise the whole basis is
-        used, so a preset that does not match the structure constants
-        cannot weaken a closure check.
+        tensor_product use their preset's candidates (algebra_generators)
+        as they are.  On any other table they are kept only if the closure
+        of span{1} under right multiplication by them is all of A;
+        otherwise the whole basis is used, so a preset that does not match
+        the structure constants cannot weaken a closure check.
         """
         if self._closure_gens is None:
             gens = [g.coords for g in algebra_generators(self)]
@@ -600,27 +599,6 @@ def tensor_product(A, B):
     return Algebra(f, table, A.degree * B.degree, labels=labels, unit=unit,
                    preset={"kind": "tensor", "left": A, "right": B}, _trusted=True,
                    _preset_gens=A._preset_gens and B._preset_gens)
-
-
-def extend_scalars(A, new_field, lift):
-    """Same structure constants with scalars mapped through lift."""
-    table = [[tuple((k, lift(c)) for k, c in entry) for entry in row]
-             for row in A.table]
-    unit = [lift(c) for c in A.unit]
-    preset = {"kind": "explicit"}
-    kind = A.preset.get("kind")
-    if kind == "matrix":
-        preset = dict(A.preset)
-    elif kind == "quaternion":
-        preset = {"kind": "quaternion", "a": lift(A.preset["a"]), "b": lift(A.preset["b"])}
-    elif kind == "tensor":
-        preset = {"kind": "tensor",
-                  "left": extend_scalars(A.preset["left"], new_field, lift),
-                  "right": extend_scalars(A.preset["right"], new_field, lift)}
-    # scalars mapped by a field embedding: words in the generators still
-    # span, so a trusted preset stays trusted
-    return Algebra(new_field, table, A.degree, labels=A.labels, unit=unit,
-                   preset=preset, _trusted=True, _preset_gens=A._preset_gens)
 
 
 def algebra_generators(A):

@@ -40,4 +40,4 @@ class ConstructionFailedError(CsawError):
 
 
 class BudgetExceededError(CsawError):
-    """An enumeration would exceed the configured state budget."""
+    """An enumeration would exceed pointcount.ENUMERATION_BUDGET states."""

@@ -127,12 +127,6 @@ def _powers(alg, x):
         cur = alg.mul(cur, x)
 
 
-def minimal_polynomial(x):
-    """Least-degree monic annihilator, from the first linear dependence of
-    the powers 1, x, x^2, ..."""
-    return _minimal_polynomial_and_power_basis(x)[0]
-
-
 def generate_etale(a, minpoly_factors=None):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the

@@ -6,9 +6,9 @@ verifies integrality of the reduced dimension, and closure under right
 multiplication by a generating set of the algebra (Algebra.closure_generators;
 closure under generators is closure under all of A) wherever the rows come
 from outside or from another construction: RightIdeal(A, rows), loaded
-ideals, ideal_generated, perp, radicals and restrict_to_corner.  On M_n the
-generators are the two shift matrices, so each basis row costs two products
-and two membership tests, whatever n is.
+ideals, ideal_generated and restrict_to_corner.  On M_n the generators are
+the two shift matrices, so each basis row costs two products and two
+membership tests, whatever n is.
 
 A module presentation writes A as the D-endomorphisms of D^m (D the
 quaternion factor, or F for a matrix preset); a right ideal is then the set
@@ -27,8 +27,8 @@ allows; the column space may still be free.
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, int_in_row_space, int_solve, intersect_row_spaces, kernel,
-    lift_matrix, mat_vec, rank, reduce_vector, rref, solve, transpose,
+    in_row_space, int_in_row_space, int_solve, lift_matrix, mat_vec, rank,
+    reduce_vector, rref, solve, transpose,
 )
 
 
@@ -253,44 +253,6 @@ def induce_from_corner(K):
     if not gens:
         return zero_ideal(parent)
     return ideal_generated(gens)
-
-
-def perp(I, sigma):
-    """I^perp = right annihilator of sigma(I)."""
-    alg = I.algebra
-    if sigma.algebra != alg:
-        raise InvalidInputError("involution lives on a different algebra")
-    if I.is_zero():
-        return full_ideal(alg)
-    stacked = []
-    for b in I.basis:
-        stacked.extend(alg.left_mult_matrix(sigma.apply_coords(b)))
-    return RightIdeal(alg, kernel(alg.field, stacked))
-
-
-def radical_is_regular_is_isotropic(I, sigma):
-    """(rad(I) = I ∩ I^perp, rad = 0, sigma(I) I = 0)."""
-    alg = I.algebra
-    f = alg.field
-    ip = perp(I, sigma)
-    rad_rows = intersect_row_spaces(f, list(I.basis), list(ip.basis))
-    rad = RightIdeal(alg, list(rad_rows))
-    regular = rad.is_zero()
-    if regular:
-        # the equivalent direct-sum characterization must agree
-        if len(I.basis) + len(ip.basis) != alg.dim:
-            raise StructuralError("rad(I) = 0 but dim I + dim I^perp != dim A")
-    isotropic = True
-    for b in I.basis:
-        sb = sigma.apply_coords(b)
-        for c in I.basis:
-            prod = alg.mul(sb, c)
-            if any(not f.is_zero(x) for x in prod):
-                isotropic = False
-                break
-        if not isotropic:
-            break
-    return rad, regular, isotropic
 
 
 class Flag:

@@ -502,21 +502,3 @@ def charpoly(field, rows):
                 cur[t] = sub(cur[t], mul(coef, ct))
         p.append(cur)
     return p[n]
-
-
-def row_space_rref(field, rows):
-    """Canonical basis of the row space (rref rows as tuples)."""
-    basis, _ = rref(field, rows)
-    return tuple(tuple(r) for r in basis)
-
-
-def intersect_row_spaces(field, a_rows, b_rows):
-    """Canonical basis of span(a) ∩ span(b)."""
-    if not a_rows or not b_rows:
-        return ()
-    stacked = [list(r) for r in a_rows] + [list(r) for r in b_rows]
-    left_kernel = kernel(field, transpose(stacked))
-    a_cols = transpose(a_rows)
-    vecs = [mat_vec(field, a_cols, coeffs[:len(a_rows)]) for coeffs in left_kernel]
-    return row_space_rref(field, vecs)
-

@@ -1,5 +1,6 @@
 """Finite-field enumeration of variety models, zero cycles, the transfer map,
-index bounds, and linkage graphs of degree-n cycles at desk scale.
+rational-point searches over Q, and linkage graphs of degree-n cycles at
+desk scale.
 
 Models live over a prime base field; points of degree d are computed inside
 the canonical extension F_{p^d} (the lexicographically first modulus, given
@@ -34,6 +35,9 @@ from .quadrics import (
 )
 from .witness import connect_quadric_points, verify_witness
 
+# the most coordinate vectors a degree-e enumeration may visit
+ENUMERATION_BUDGET = 10 ** 7
+
 SCOPE_NOTE = ("desk-scale evidence: checked over finitely many finite fields, "
               "while the corresponding statements quantify over all finite "
               "extensions")
@@ -50,8 +54,7 @@ class _Model:
     def __init__(self, field):
         if not isinstance(field, PrimeField):
             raise UnsupportedFieldError(
-                "enumeration models need a prime base field; extensions of "
-                "extensions would require an embedding tower")
+                f"enumeration models need a prime base field F_p, not {field!r}")
         self.base_field = field
         self._points = {}
 
@@ -296,11 +299,11 @@ def transfer_cycle(model, coords, ext_degree):
     return ZeroCycle([(pt, ext_degree // d)])
 
 
-def _closed_points(model, e, budget=10 ** 7):
+def _closed_points(model, e):
     """The closed points of exact degree e, each once, sorted: the Frobenius
     orbits of size e in model.points(e)."""
     field = model.field_at(e)
-    if field.size ** model.ambient > budget:
+    if field.size ** model.ambient > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"enumerating degree {e} needs {field.size ** model.ambient} states")
     seen = set()
@@ -317,12 +320,12 @@ def _closed_points(model, e, budget=10 ** 7):
     return out
 
 
-def enumerate_points(model, d, budget=10 ** 7):
+def enumerate_points(model, d):
     """All closed points of degree dividing d, each once, sorted."""
     if d < 1:
         raise InvalidInputError("degree must be >= 1")
     return [pt for e in range(1, d + 1) if d % e == 0
-            for pt in _closed_points(model, e, budget)]
+            for pt in _closed_points(model, e)]
 
 
 def symmetric_power_points(model, n):
@@ -367,30 +370,6 @@ class IndexBound:
                 "found_degrees": list(self.found_degrees),
                 "divides_only_caveat": "the true index divides this value",
                 "detail": self.detail}
-
-
-def scheme_index_bound(target, degree_bound):
-    """gcd of degrees of closed points found up to the bound.
-
-    The true index always divides the result.  For finite-field models the
-    search is exhaustive per degree; for rational search specs it is
-    height-bounded plus caller-supplied extension points (verified by
-    substitution).  Nothing found gives status "unknown" instead of a number.
-    """
-    if isinstance(target, QPointSearch):
-        return target.run(degree_bound)
-    found = []
-    g = 0
-    for d in range(1, degree_bound + 1):
-        if _closed_points(target, d):
-            found.append(d)
-            g = gcd(g, d)
-            if g == 1:
-                break
-    if not found:
-        return IndexBound(None, "unknown", [],
-                          f"no closed points of degree <= {degree_bound}")
-    return IndexBound(g, "divides", found)
 
 
 class QPointSearch:

@@ -66,10 +66,6 @@ class QuadraticForm:
                 out[j] = add(out[j], mul(c, v[i]))
         return out
 
-    def bilinear(self, u, v):
-        """b(u, v) = q(u+v) - q(u) - q(v); alternating in characteristic 2."""
-        return mat_vec(self.field, [self.polar(v)], u)[0]
-
     def eval_polys(self, coord_polys):
         """q applied to a tuple of Poly coordinates: a Poly identity check.
         With v_k the vector of t^k coefficients, q(sum t^k v_k) =

@@ -51,10 +51,10 @@ class PencilWitness:
     """One parametrized segment with endpoints and a validity certificate."""
 
     __slots__ = ("kind", "algebra", "form", "data", "start", "end",
-                 "validity", "meta", "open_set")
+                 "validity", "meta")
 
     def __init__(self, kind, start, end, validity, data, algebra=None,
-                 form=None, meta=None, open_set=None):
+                 form=None, meta=None):
         if validity.is_zero():
             raise ConstructionFailedError("validity polynomial is identically zero")
         self.kind = kind
@@ -65,7 +65,6 @@ class PencilWitness:
         self.end = end
         self.validity = validity
         self.meta = dict(meta or {})
-        self.open_set = open_set
 
     @property
     def field(self):
@@ -205,7 +204,7 @@ def _fmt(field, t):
     return v if isinstance(v, str) else ",".join(v)
 
 
-def verify_witness(w, samples=None, open_set=None):
+def verify_witness(w, samples=None):
     """Re-check a witness or chain from scratch.
 
     Endpoint matches are exact object equalities.  A conic segment is
@@ -219,7 +218,7 @@ def verify_witness(w, samples=None, open_set=None):
     if isinstance(w, WitnessChain):
         report = VerificationReport()
         for idx, seg in enumerate(w.segments):
-            sub = verify_witness(seg, samples, open_set)
+            sub = verify_witness(seg, samples)
             for name, ok, detail in sub.checks:
                 report.add(f"segment{idx}.{name}", ok, detail)
         for idx in range(len(w.segments) - 1):
@@ -267,19 +266,18 @@ def verify_witness(w, samples=None, open_set=None):
     checker = {IDEAL_PENCIL: _check_ideal_sample,
                FLAG_PENCIL: _check_flag_sample,
                ETALE_LINE: _check_etale_sample}[w.kind]
-    osp = open_set if open_set is not None else w.open_set
     for t in default_samples(field) if samples is None else samples:
         if validity is not None and field.is_zero(validity.eval(t)):
             continue
         try:
-            ok, detail = checker(w, t, osp)
+            ok, detail = checker(w, t)
         except Exception as exc:
             ok, detail = False, str(exc)
         report.add(f"membership@t={_fmt(field, t)}", ok, detail)
     return report
 
 
-def _check_ideal_sample(w, t, open_set):
+def _check_ideal_sample(w, t):
     # the start endpoint was closure-checked when it was built or loaded
     want = w.start.rdim
     if w.meta.get("rdim") != want:
@@ -290,13 +288,13 @@ def _check_ideal_sample(w, t, open_set):
     return True, ""
 
 
-def _check_flag_sample(w, t, open_set):
+def _check_flag_sample(w, t):
     flag = w.evaluate(t)
     sig = tuple(w.meta.get("signature", ()))
     return flag_check(flag, sig), ""
 
 
-def _check_etale_sample(w, t, open_set):
+def _check_etale_sample(w, t):
     E = w.evaluate(t)
     d = w.meta.get("etale_dim")
     if d is not None and E.dim != d:
@@ -306,8 +304,6 @@ def _check_etale_sample(w, t, open_set):
     m = w.meta.get("et_m")
     if m is not None and not is_et_m_point(E, m):
         return False, f"not a balanced type-m={m} subalgebra"
-    if open_set is not None and not open_set(E):
-        return False, "open-set predicate failed"
     return True, ""
 
 
@@ -426,7 +422,7 @@ def connect_flags(flag, flag_prime):
 # etale lines
 
 
-def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
+def _etale_line_witness(A, gen_start, gen_end, degree, meta):
     """An etale_line segment with validity = discriminant of the pencil
     minimal polynomial (a polynomial in t), or None if the line is
     degenerate for this degree."""
@@ -441,7 +437,7 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, open_set=None):
     return PencilWitness(ETALE_LINE, start, end, validity,
                          {"gen_start": gen_start.coords,
                           "gen_end": gen_end.coords},
-                         algebra=A, meta=meta, open_set=open_set)
+                         algebra=A, meta=meta)
 
 
 def _random_combination(A, basis, rng):
@@ -635,7 +631,7 @@ def default_orthogonal_involution(A):
     raise UnsupportedFieldError(f"no canonical orthogonal involution for preset {kind!r}")
 
 
-def connect_exp2(L1, L2, open_set=None, rng_seed=0):
+def connect_exp2(L1, L2, rng_seed=0):
     """A chain of at most three generator lines between two half-degree
     separable subalgebras of an exponent-2 algebra.
 
@@ -662,11 +658,9 @@ def connect_exp2(L1, L2, open_set=None, rng_seed=0):
         if L.dim != m or not is_et_m_point(L, m):
             raise InvalidInputError(
                 "endpoints must be half-degree subalgebras of balanced type")
-    if open_set is not None and (not open_set(L1) or not open_set(L2)):
-        raise InvalidInputError("an endpoint violates the open-set predicate")
     meta = {"etale_dim": m, "et_m": m}
     if L1 == L2:
-        w = _etale_line_witness(A, L1.generator, L1.generator, m, meta, open_set)
+        w = _etale_line_witness(A, L1.generator, L1.generator, m, meta)
         if w is None:
             raise ConstructionFailedError("constant segment failed")
         return WitnessChain([w])
@@ -687,13 +681,11 @@ def connect_exp2(L1, L2, open_set=None, rng_seed=0):
             E2 = generate_etale(alpha2)
             if not is_et_m_point(E1, m) or not is_et_m_point(E2, m):
                 continue
-            if open_set is not None and (not open_set(E1) or not open_set(E2)):
-                continue
         except Exception:
             continue
-        seg1 = _etale_line_witness(A, beta1, alpha1, m, meta, open_set)
-        seg2 = _etale_line_witness(A, alpha1, alpha2, m, meta, open_set)
-        seg3 = _etale_line_witness(A, alpha2, beta2, m, meta, open_set)
+        seg1 = _etale_line_witness(A, beta1, alpha1, m, meta)
+        seg2 = _etale_line_witness(A, alpha1, alpha2, m, meta)
+        seg3 = _etale_line_witness(A, alpha2, beta2, m, meta)
         if seg1 is None or seg2 is None or seg3 is None:
             continue
         chain = WitnessChain([seg1, seg2, seg3])

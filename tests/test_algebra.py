@@ -9,7 +9,7 @@ from csawitness.algebra import (
     Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq,
     _quaternion_norm_search_q, SplitWitness,
     algebra_generators,
-    certified_exponent_divides_2, extend_scalars, index_evidence, make_matrix_algebra, make_quaternion,
+    certified_exponent_divides_2, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, tensor_product,
 )
 from csawitness.errors import (
@@ -289,15 +289,6 @@ def test_certified_exponent():
     assert not certified_exponent_divides_2(explicit)
 
 
-def test_extend_scalars():
-    A = make_matrix_algebra(F2, 2)
-    F4 = standard_extension(2, 2)
-    B = extend_scalars(A, F4, F4.lift)
-    assert B.field == F4 and B.degree == 2
-    x = B.element([F4.gen, F4.zero, F4.zero, F4.one])
-    assert reduced_char_poly(x).degree == 2
-
-
 # ---------------------------------------------------------------------------
 # closure generators and the product
 
@@ -322,11 +313,11 @@ def _preset_algebras():
     out += [("(-1,-1)/Q", H), ("(3,5)/F7", make_quaternion(F7, 3, 5)),
             ("M2(Q)xH", tensor_product(make_matrix_algebra(QQ, 2), H)),
             ("Hx(1,1)/Q", tensor_product(H, S)),
-            ("M3(F2)->F4", extend_scalars(make_matrix_algebra(F2, 3), F4, F4.lift)),
-            ("(1,2)/F3->F9", extend_scalars(make_quaternion(F3, 1, 2), F9, F9.lift)),
+            ("M3(F2)->F4", make_matrix_algebra(F4, 3)),
+            ("(1,2)/F3->F9", make_quaternion(F9, F9.lift(1), F9.lift(2))),
             ("M2x(1,1)/F3->F9",
-             extend_scalars(tensor_product(make_matrix_algebra(F3, 2),
-                                           make_quaternion(F3, 1, 1)), F9, F9.lift))]
+             tensor_product(make_matrix_algebra(F9, 2),
+                            make_quaternion(F9, F9.lift(1), F9.lift(1))))]
     # with the above, each family at each size that the tests, the demos
     # and the benchmark build: the preset constructors' generators are used
     # unchecked, so this is their proof
@@ -493,7 +484,7 @@ def test_mul_matches_dense_reference():
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
     algebras = [tensor_product(make_matrix_algebra(QQ, 2), H),
                 make_matrix_algebra(F7, 3),
-                extend_scalars(make_quaternion(F3, 1, 2), F9, F9.lift),
+                make_quaternion(F9, F9.lift(1), F9.lift(2)),
                 make_matrix_algebra(F9, 2)]
     rng = random.Random(4)
     for A in algebras:

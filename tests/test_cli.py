@@ -163,6 +163,17 @@ def test_enumerate_grassmannian_without_field_exits_2(runner, tmp_path):
     assert r.stderr == "error: --field is required for grassmannian models\n"
 
 
+@pytest.mark.parametrize("flag, name", [("q", "Q"), ("fq:3:2", "F_3^2")])
+def test_enumerate_grassmannian_over_non_prime_field_exits_2(runner, tmp_path,
+                                                            flag, name):
+    r = invoke(runner, ["enumerate", "--model", "grassmannian", "--field", flag,
+                        "--out", str(tmp_path / "pts.json")])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr == (f"error: enumeration models need a prime base field "
+                        f"F_p, not {name}\n")
+
+
 def test_arith_commands(runner):
     r = invoke(runner, ["arith", "vp", "--p", "2", "--r", "2"])
     assert r.exit_code == 0 and r.output.strip() == "3"

@@ -125,13 +125,15 @@ def test_only_tests_name_these_definitions():
                and path.name != "__init__.py" for u in found]
     everyone = [u for found in by_file.values() for u in found]
     test_only = unreached(defined, callers) - unreached(defined, everyone)
-    assert test_only == {
-        "bilinear", "extend_scalars", "from_ints", "gaussian_binomial",
-        "independent_ideals_check", "intersect_row_spaces",
-        "isotropic_two_planes", "minimal_polynomial", "multiplicity_free",
-        "perp", "radical_is_regular_is_isotropic", "roots_in_field",
-        "row_space_rref", "scheme_index_bound",
+    reasons = {
+        "roots_in_field": "ROADMAP item 7 decides splitting over Q with it",
+        "multiplicity_free": "ROADMAP item 6's graph certificates use it",
+        "gaussian_binomial": "ROADMAP item 5 matches Grassmannian vertex counts",
+        "independent_ideals_check": "ROADMAP item 3's independence test for Psi",
+        "isotropic_two_planes": "acceptance criterion 08's brute-force oracle",
+        "from_ints": "a constructor that about 30 test lines use",
     }
+    assert test_only == set(reasons)
 
 
 def test_unused_definition_is_caught():

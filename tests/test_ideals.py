@@ -10,12 +10,8 @@ from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import in_row_space, mat_vec, rank, rref, solve, transpose
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
-    induce_from_corner, module_presentation, perp, radical_is_regular_is_isotropic,
-    random_flag, random_ideal, restrict_to_corner, splitting_idempotent,
-    zero_ideal,
-)
-from csawitness.involutions import (
-    adjoint_involution, transpose_involution,
+    induce_from_corner, module_presentation, random_flag, random_ideal,
+    restrict_to_corner, splitting_idempotent, zero_ideal,
 )
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -187,36 +183,6 @@ def test_restrict_induce_round_trip_seeded():
         assert back == J
         # and the other composition is the identity on corner ideals
         assert restrict_to_corner(back, D) == K
-
-
-def test_perp_trivial_and_dimension():
-    A = make_matrix_algebra(QQ, 2)
-    s = transpose_involution(A)
-    assert perp(zero_ideal(A), s) == full_ideal(A)
-    assert perp(full_ideal(A), s) == zero_ideal(A)
-    rng = random.Random(23)
-    B = make_matrix_algebra(F5, 3)
-    t = transpose_involution(B)
-    for _ in range(20):
-        I = random_ideal(B, rng.choice([0, 1, 2, 3]), rng)
-        assert I.rdim + perp(I, t).rdim == B.degree
-
-
-def test_radical_regular_isotropic():
-    A = make_matrix_algebra(QQ, 2)
-    s = transpose_involution(A)
-    I = ideal_generated([A.basis_element(0)])  # E11 A
-    rad, regular, isotropic = radical_is_regular_is_isotropic(I, s)
-    assert rad.is_zero() and regular and not isotropic
-
-    # isotropic line on a hyperbolic plane: B antidiagonal symmetric
-    B = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    h = adjoint_involution(A, B)
-    rad, regular, isotropic = radical_is_regular_is_isotropic(I, h)
-    assert isotropic and not regular and rad == I
-
-    rad, regular, isotropic = radical_is_regular_is_isotropic(full_ideal(A), s)
-    assert rad.is_zero() and regular and not isotropic
 
 
 def test_flag_check():

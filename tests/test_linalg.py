@@ -8,9 +8,8 @@ from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
     charpoly, first_dependency, identity, in_row_space, int_first_dependency,
-    int_rank, intersect_row_spaces,
-    intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
-    reduce_vector, rref, solve,
+    int_rank, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul,
+    mat_vec, rank, reduce_vector, rref, solve,
 )
 
 F5 = PrimeField(5)
@@ -123,22 +122,6 @@ def test_charpoly_cayley_hamilton():
                     acc[i][j] = F7.add(acc[i][j], F7.mul(c, power[i][j]))
             power = mat_mul(F7, power, m)
         assert acc == [[0] * n for _ in range(n)]
-
-
-def test_intersect_row_spaces():
-    a = [[1, 0, 0], [0, 1, 0]]
-    b = [[0, 1, 0], [0, 0, 1]]
-    inter = intersect_row_spaces(QQ, [[Fraction(x) for x in r] for r in a],
-                                 [[Fraction(x) for x in r] for r in b])
-    assert inter == ((Fraction(0), Fraction(1), Fraction(0)),)
-    # generic check: intersection dims satisfy the dimension formula
-    rng = random.Random(29)
-    for _ in range(40):
-        x = random_matrix(F5, rng, 2, 4)
-        y = random_matrix(F5, rng, 2, 4)
-        inter = intersect_row_spaces(F5, x, y)
-        union_rank = rank(F5, x + y)
-        assert len(inter) == rank(F5, x) + rank(F5, y) - union_rank
 
 
 # ---------------------------------------------------------------------------

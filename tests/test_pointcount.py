@@ -11,9 +11,9 @@ from csawitness.errors import BudgetExceededError, InvalidInputError
 from csawitness.fields import QQ, PrimeField
 from csawitness.poly import Poly, is_irreducible
 from csawitness.pointcount import (
-    GrassmannianModel, InvolutionQuadricModel, QPointSearch,
+    ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
     QuadricCurves, QuadricModel, enumerate_points, frobenius_coords,
-    frobenius_orbit, link_graph, scheme_index_bound, symmetric_power_points,
+    frobenius_orbit, link_graph, symmetric_power_points,
     _irreducible_quadratics, _single_swap, transfer_cycle,
 )
 from csawitness.quadrics import QuadraticForm
@@ -59,8 +59,9 @@ def test_enumerate_degree_two():
 
 
 def test_enumerate_budget():
+    # degree 3 would visit 125^4 > 10^7 coordinate vectors of F_125
     with pytest.raises(BudgetExceededError):
-        enumerate_points(split_surface(F5), 6, budget=10 ** 4)
+        enumerate_points(split_surface(F5), 3)
 
 
 def test_transfer_rational_point():
@@ -142,18 +143,12 @@ def test_symmetric_power_points():
     assert len(pair_type) == 6 and len(quad_type) == 3
 
 
-def test_scheme_index_split_conic():
-    report = scheme_index_bound(conic(F3), 2)
-    assert report.value == 1 and report.status == "divides"
-
-
 def test_scheme_index_conjugate_point_pair():
     # x^2 + y^2 on P^1 over F_3: no rational zero (-1 is not a square), but
-    # a conjugate pair over F_9, so the bound is 2
-    q = QuadraticForm.diagonal(F3, [F3.one, F3.one])
-    report = scheme_index_bound(QuadricModel(q), 2)
-    assert report.value == 2 and report.status == "divides"
-    assert 1 not in report.found_degrees
+    # one conjugate pair over F_9, one closed point of degree 2: index 2
+    model = QuadricModel(QuadraticForm.diagonal(F3, [F3.one, F3.one]))
+    assert enumerate_points(model, 1) == []
+    assert enumerate_points(model, 2) == [ClosedPoint(2, ((1, 0), (0, 1)))]
 
 
 def test_qpoint_search_hamilton_conic():
