@@ -16,7 +16,7 @@ of elements with columns in its column space.  The ideal of any right
 D-submodule W of D^m is closed by construction (column c of x a is
 sum_s col_s(x) a_sc, a right D-combination of the columns of x), so
 ModulePresentation.ideal_from_subspace, which random ideals and flags and
-every pencil evaluation use, skips the check.  The pencils of witness.py (an
+the endpoints of every pencil use, skips the check.  The pencils of witness.py (an
 ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
 they need column spaces free over D.  d_basis_of picks its basis from the
 rows and, where a row falls short, from sums of two rows, and raises

@@ -1,11 +1,12 @@
 """Polynomials in the pencil parameter t: exact computations over F[t].
 
 Witness constructors certify membership along a pencil by a single
-polynomial in t.  Determinants and resultants with entries in F[t] use one
-fraction-free kernel, Bareiss elimination (polymat_det); the minimal
-polynomial of a line t*a + (1-t)*b is one linear solve over F (rref) for the
-coefficients of its coefficients.  No rational-function arithmetic is ever
-needed.
+polynomial in t.  Determinants with entries in F[t] use one fraction-free
+kernel, Bareiss elimination (polymat_det): a rank minor of an ideal pencil,
+and the discriminant of an etale line as the d x d Hankel determinant of the
+power sums of its minimal polynomial's roots.  The minimal polynomial of a
+line t*a + (1-t)*b is one linear solve over F (rref) for the coefficients of
+its coefficients.  No rational-function arithmetic is ever needed.
 """
 
 from .linalg import rref
@@ -38,53 +39,33 @@ def polymat_det(base, rows):
     return -d if sign else d
 
 
-def _trim_xpoly(coeffs):
-    out = list(coeffs)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def sylvester_resultant(fc, gc):
-    """Resultant in x of two polynomials whose coefficients live in F[t].
-
-    fc, gc are coefficient lists (lowest x-degree first) of Poly-in-t values.
-    """
-    fc, gc = _trim_xpoly(fc), _trim_xpoly(gc)
-    base = (fc or gc)[0].field
-    zero = Poly.zero(base)
-    if not fc or not gc:
-        return zero
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0:
-        return fc[0] ** n
-    if n == 0:
-        return gc[0] ** m
-    size = m + n
-    rows = []
-    frev = fc[::-1]
-    for i in range(n):
-        rows.append([zero] * i + frev + [zero] * (size - m - 1 - i))
-    grev = gc[::-1]
-    for i in range(m):
-        rows.append([zero] * i + grev + [zero] * (size - n - 1 - i))
-    return polymat_det(base, rows)
-
-
-def xpoly_derivative(fc):
-    base = fc[0].field
-    return [fc[i].scale(base.from_int(i)) for i in range(1, len(fc))]
-
-
 def xpoly_discriminant(fc):
     """Discriminant in x of a monic polynomial with F[t] coefficients,
-    itself a polynomial in t."""
-    fc = _trim_xpoly(fc)
+    itself a polynomial in t.
+
+    fc = [a_0, ..., a_{d-1}, 1] lists the coefficients, lowest x-degree
+    first.  With roots r_1, ..., r_d, disc f = prod_{i<j} (r_i - r_j)^2 =
+    det(V)^2 for the Vandermonde matrix V = [r_j^i], and det(V)^2 =
+    det(V V^T), where V V^T is the d x d Hankel matrix [p_{i+j}] of the power
+    sums p_k = sum_j r_j^k.  Newton's identities give them with no division:
+    p_0 = d and
+
+        p_k = -(k a_{d-k} + sum_{0 < i < k, i <= d} a_{d-i} p_{k-i}),
+
+    the term k a_{d-k} only for k <= d.  Both are polynomial identities over
+    Z, so they hold in every characteristic, also where it divides d.  The
+    discriminant is one Bareiss determinant of that d x d matrix.  A
+    constant (d = 0) gives the empty determinant, 1.
+    """
+    base = fc[0].field
     d = len(fc) - 1
-    res = sylvester_resultant(fc, xpoly_derivative(fc))
-    if (d * (d - 1) // 2) % 2 == 1:
-        res = -res
-    return res
+    p = [Poly(base, [base.from_int(d)])]
+    for k in range(1, 2 * d - 1):
+        s = fc[d - k].scale(base.from_int(k)) if k <= d else Poly.zero(base)
+        for i in range(1, min(k, d + 1)):
+            s = s + fc[d - i] * p[k - i]
+        p.append(-s)
+    return polymat_det(base, [p[i:i + d] for i in range(d)])
 
 
 def line_coords(field, start, end):

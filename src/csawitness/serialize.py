@@ -13,7 +13,7 @@ from .algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_produ
 from .errors import InvalidInputError
 from .etale import generate_etale
 from .fields import field_from_spec, json_get, json_int
-from .ideals import Flag, RightIdeal
+from .ideals import Flag, RightIdeal, module_presentation
 from .involutions import involution_from_matrix
 from .poly import Poly
 from .quadrics import QuadraticForm
@@ -293,6 +293,30 @@ def _ints_from_json(value, key):
     return [json_int(x, key) for x in value]
 
 
+def _check_pencil_data(algebra, data):
+    """Raise unless the pencil vectors come in pairs, each of length m * dim D
+    of the algebra's module presentation, and the flag levels are the vector
+    counts connect_flags writes: non-empty, at least 0, strictly increasing,
+    the last one the number of vectors."""
+    w, wp = data["pencil_w"], data["pencil_w_prime"]
+    if len(w) != len(wp):
+        raise InvalidInputError(f"'pencil_w' has {len(w)} vectors but "
+                                f"'pencil_w_prime' has {len(wp)}")
+    vlen = module_presentation(algebra).vlen
+    for key, vecs in (("pencil_w", w), ("pencil_w_prime", wp)):
+        for v in vecs:
+            if len(v) != vlen:
+                raise InvalidInputError(
+                    f"{key!r} holds a vector of length {len(v)}, not {vlen}")
+    levels = data.get("levels")
+    if levels is not None and (
+            not levels or levels[0] < 0 or levels[-1] != len(w)
+            or any(a >= b for a, b in zip(levels, levels[1:]))):
+        raise InvalidInputError(
+            f"'levels' {levels} must be non-empty, at least 0 and strictly "
+            f"increasing, and end at the vector count {len(w)}")
+
+
 # The typed metadata keys a segment may carry.  A zero ideal's pencil
 # stores rdim 0; a subalgebra has dimension at least 1.
 _META_READERS = {
@@ -333,6 +357,7 @@ def _segment_from_json(seg, algebra, form):
         if kind == FLAG_PENCIL:
             data["levels"] = [json_int(x, "levels")
                               for x in json_get(seg, "levels", list)]
+        _check_pencil_data(algebra, data)
     elif kind == ETALE_LINE:
         data = {"gen_start": _vec_at(field, seg, "gen_start"),
                 "gen_end": _vec_at(field, seg, "gen_end")}

@@ -34,7 +34,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import kernel, mat_vec, rref, transpose
+from .linalg import kernel, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_gcd
 from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
@@ -100,21 +100,45 @@ class PencilWitness:
             return self.data["levels"]
         return [len(self.data["pencil_w"])]
 
+    def _pencil_at(self, t):
+        """The module presentation and the pencil vectors at t."""
+        pres = module_presentation(self.algebra)
+        return pres, self._pencil_vectors_at(self.data["pencil_w"],
+                                             self.data["pencil_w_prime"], t)
+
+    def _level_rdims(self, t, pres, vecs):
+        """The reduced dimension of each level's ideal at t, from one rank per
+        level.
+
+        The ideal of a level is the set of elements whose columns lie in the
+        D-span W of its lvl pencil vectors.  It is spanned by d_rows(vecs)
+        placed in each of the m columns; the placements have disjoint
+        supports, so it has dimension m * rank(d_rows), and no ideal need be
+        built.  Raises what building them raises, in the same order: a
+        dimension that is not a multiple of the degree, then a span short of
+        full rank lvl * dim_F D.
+        """
+        A = self.algebra
+        rdims = []
+        for lvl in self._levels():
+            dim = pres.m * rank(A.field, pres.d_rows(vecs[:lvl]))
+            if dim % A.degree:
+                raise StructuralError(
+                    f"subspace dimension {dim} is not a multiple of the degree")
+            if dim != pres.m * lvl * pres.d2:
+                raise StructuralError(f"pencil drops rank at t={t}")
+            rdims.append(dim // A.degree)
+        return rdims
+
     def _eval_levels(self, t):
         """The right ideals of the pencil at t, one per level: the ideal whose
         column space is the D-span of the first lvl pencil vectors, closed by
-        construction (ModulePresentation.ideal_from_subspace).  The span has
-        full rank iff the ideal has dimension m * lvl * dim_F D."""
-        pres = module_presentation(self.algebra)
-        vecs = self._pencil_vectors_at(self.data["pencil_w"],
-                                       self.data["pencil_w_prime"], t)
-        ideals = []
-        for lvl in self._levels():
-            ideal = pres.ideal_from_subspace(vecs[:lvl])
-            if ideal.dim() != pres.m * lvl * pres.d2:
-                raise StructuralError(f"pencil drops rank at t={t}")
-            ideals.append(ideal)
-        return ideals
+        construction (ModulePresentation.ideal_from_subspace), once
+        _level_rdims finds every span of full rank.  Only the endpoints are
+        built; a sample needs only the ranks."""
+        pres, vecs = self._pencil_at(t)
+        self._level_rdims(t, pres, vecs)
+        return [pres.ideal_from_subspace(vecs[:lvl]) for lvl in self._levels()]
 
     def _eval_ideal(self, t):
         ideal, = self._eval_levels(t)
@@ -212,8 +236,12 @@ def verify_witness(w, samples=None):
     identically and each of their common zeros is a zero of the validity.
     Pencils and etale lines are checked at every sample where the validity
     is nonzero; an ideal or flag pencil's validity is re-derived from its
-    pencil data and must equal the stored one.  Chains also get continuity
-    checks.  Failures are report entries, never exceptions.
+    pencil data and must equal the stored one.  A pencil sample is checked by
+    rank alone: the D-rows of each level's pencil vectors must have full rank,
+    which is the condition the re-derived minor certifies, and the rank gives
+    the level's rdim, so no ideal is built between the endpoints.  Chains
+    also get continuity checks.  Failures are report entries, never
+    exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
@@ -282,16 +310,25 @@ def _check_ideal_sample(w, t):
     want = w.start.rdim
     if w.meta.get("rdim") != want:
         return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
-    ideal = w.evaluate(t)
-    if ideal.rdim != want:
-        return False, f"rdim {ideal.rdim} != {want}"
+    rdim, = w._level_rdims(t, *w._pencil_at(t))
+    if rdim != want:
+        return False, f"rdim {rdim} != {want}"
     return True, ""
 
 
 def _check_flag_sample(w, t):
-    flag = w.evaluate(t)
+    """flag_check of the flag at t, from the level ranks alone.
+
+    Once _level_rdims passes, level l has D-rank exactly lvl_l, so its rdim
+    m * lvl_l * dim_F D / deg grows strictly with lvl_l.  A strictly
+    increasing signature therefore has strictly increasing levels, so each
+    level's vectors are a prefix of the next level's, its D-span W_l lies in
+    W_(l+1), and its ideal {x : every column of x in W_l} lies in the next
+    one.  The containments flag_check tests are implied.
+    """
     sig = tuple(w.meta.get("signature", ()))
-    return flag_check(flag, sig), ""
+    rdims = tuple(w._level_rdims(t, *w._pencil_at(t)))
+    return rdims == sig and all(a < b for a, b in zip(sig, sig[1:])), ""
 
 
 def _check_etale_sample(w, t):
@@ -500,15 +537,17 @@ def _intertwiner_space(A, pairs):
 
 
 def _search_invertible(A, space, rng, first, image=tuple):
-    """The first invertible image(c), c running over the candidates first
-    and then over rounds of eight seeded combinations of space, 64 rounds in
-    all (first is the first round); None if none is invertible."""
+    """The first invertible image(c) and its inverse, c running over the
+    candidates first and then over rounds of eight seeded combinations of
+    space, 64 rounds in all (first is the first round); None if none is
+    invertible."""
     candidates = first
     for _ in range(64):
         for cand in candidates:
             v = image(cand)
-            if A.inverse(v) is not None:
-                return v
+            v_inv = A.inverse(v)
+            if v_inv is not None:
+                return v, v_inv
         candidates = [_random_combination(A, space, rng) for _ in range(8)]
     return None
 
@@ -531,9 +570,10 @@ def solve_inner_twist(sigma1, sigma2, rng_seed=0):
     if not space:
         raise StructuralError("no intertwiner exists; the involutions are not "
                               "inner twists of each other")
-    u = _search_invertible(A, space, random.Random(rng_seed), space)
-    if u is None:
+    found = _search_invertible(A, space, random.Random(rng_seed), space)
+    if found is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
+    u = found[0]
     f = A.field
     first = next(c for c in u if not f.is_zero(c))
     u = tuple(f.div(c, first) for c in u)
@@ -568,9 +608,10 @@ def symplectic_fixing_involution(L, tau, rng_seed=0):
     if not space:
         raise StructuralError("no intertwiner with the conjugate embedding")
     rng = random.Random(rng_seed)
-    u = _search_invertible(A, space, rng, space)
-    if u is None:
+    found = _search_invertible(A, space, rng, space)
+    if found is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
+    u = found[0]
     # centralizer of L = commutant of the generator
     cent = _intertwiner_space(A, [(a.coords, a.coords)])
 
@@ -578,10 +619,10 @@ def symplectic_fixing_involution(L, tau, rng_seed=0):
         uq = A.mul(u, q)
         return A.add(tau.apply_coords(uq), uq)
 
-    v = _search_invertible(A, cent, rng, [A.unit] + cent, symmetrize)
-    if v is None:
+    found = _search_invertible(A, cent, rng, [A.unit] + cent, symmetrize)
+    if found is None:
         raise FieldTooSmallError("no invertible symmetrization found within budget")
-    v_inv = A.inverse(v)
+    v_inv = found[1]
     sigma = twist_by_inner(tau, A.element(v_inv))
     if sigma.kind != SYMPLECTIC:
         raise StructuralError("twisted involution lost symplecticity")

@@ -625,3 +625,51 @@ def test_mistyped_exp2_meta_exits_2(runner, tmp_path, value):
     serialize.save_json(data, w)
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert _one_error_line(r) and "'et_m' must be" in r.stderr
+
+
+def _pencil_file(tmp_path, kind):
+    """A canonical M4(F_5) ideal pencil (rdim 2) or flag pencil (signature
+    1, 2, 3), as witness JSON."""
+    from csawitness.ideals import random_flag
+    from csawitness.witness import connect_flags, connect_ideals
+    A = make_matrix_algebra(PrimeField(5), 4)
+    rng = random.Random(9)
+    if kind == "ideal":
+        w = connect_ideals(random_ideal(A, 2, rng), random_ideal(A, 2, rng))
+    else:
+        w = connect_flags(random_flag(A, [1, 2, 3], rng), random_flag(A, [1, 2, 3], rng))
+    return serialize.witness_to_json(w)
+
+
+def _drop_last_prime_vector(seg):
+    seg["pencil_w_prime"].pop()
+
+
+def _shorten_first_vector(seg):
+    seg["pencil_w"][0] = seg["pencil_w"][0][:3]
+
+
+# malformed pencil data is bad input, not a pencil that fails verification
+_MALFORMED_PENCILS = {
+    "negative_level": ("flag", lambda seg: seg.update(levels=[-1, 2, 3]), "'levels'"),
+    "level_past_the_vectors": ("flag", lambda seg: seg.update(levels=[1, 2, 9]), "'levels'"),
+    "no_levels": ("flag", lambda seg: seg.update(levels=[]), "'levels'"),
+    "fewer_prime_vectors": ("ideal", _drop_last_prime_vector,
+                            "'pencil_w' has 2 vectors but 'pencil_w_prime' has 1"),
+    "short_vector": ("ideal", _shorten_first_vector,
+                     "'pencil_w' holds a vector of length 3, not 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PENCILS))
+def test_malformed_pencil_data_exits_2(runner, tmp_path, case):
+    kind, mutate, message = _MALFORMED_PENCILS[case]
+    data = _pencil_file(tmp_path, kind)
+    w = tmp_path / "w.json"
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0 and r.output.startswith("pass"), r.output
+    mutate(data["segments"][0])
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r) and message in r.stderr, r.output

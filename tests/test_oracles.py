@@ -1,5 +1,5 @@
-"""Differential tests of charpoly, factor, the F[t] resultant and
-discriminant (at constant coefficients) and the minimal polynomial, power
+"""Differential tests of charpoly, factor, the F[t] discriminant (at
+constant coefficients) and the minimal polynomial, power
 basis and type of an etale subalgebra against sympy, an implementation that
 shares no code with csawitness.  They skip when sympy is not installed."""
 
@@ -17,11 +17,10 @@ from csawitness.etale import (
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
 from csawitness.poly import Poly, factor
-from csawitness.polyrings import sylvester_resultant, xpoly_discriminant
+from csawitness.polyrings import xpoly_discriminant
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
-from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 11)
 X = sympy.Symbol("x")
@@ -124,18 +123,11 @@ def test_factor_over_fp_matches_sympy(case):
 
 
 # ---------------------------------------------------------------------------
-# resultant and discriminant
+# discriminant
 #
-# polyrings.sylvester_resultant and xpoly_discriminant take polynomials in x
-# whose coefficients lie in F[t]; at constant coefficients they are the
-# resultant and discriminant over F.  The resultant oracle is its
-# definition, the determinant of sympy's Sylvester matrix: sympy.resultant
-# itself returns the wrong sign for some degree pairs (resultant(x + 1, x**3)
-# is 1, det Syl(x + 1, x**3) is -1).
-
-
-def _sylvester_det(f, g):
-    return sylvester(f.as_expr(), g.as_expr(), X).det()
+# polyrings.xpoly_discriminant takes a monic polynomial in x whose
+# coefficients lie in F[t]; at constant coefficients it is the discriminant
+# over F, here checked against sympy's.
 
 
 def _at_constants(field, coeffs):
@@ -147,25 +139,6 @@ def _value(field, p):
     """The constant a polynomial in t computed from constants takes."""
     assert p.degree <= 0
     return p.eval(field.zero)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(PRIMES).flatmap(
-    lambda p: st.tuples(fp_polys(p=p), fp_polys(min_degree=0, max_degree=6, p=p))))
-def test_resultant_over_fp_matches_sympy(case):
-    (p, f), (_, g) = case
-    F = PrimeField(p)
-    want = int(_sylvester_det(_sympy_fp(p, f), _sympy_fp(p, g))) % p
-    got = sylvester_resultant(_at_constants(F, f), _at_constants(F, g))
-    assert _value(F, got) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(q_polys(), q_polys(min_degree=0, max_degree=5))
-def test_resultant_over_q_matches_sympy(f, g):
-    want = _to_fraction(_sylvester_det(_sympy_q(f), _sympy_q(g)))
-    got = sylvester_resultant(_at_constants(QQ, f), _at_constants(QQ, g))
-    assert _value(QQ, got) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from csawitness import polyrings
 from csawitness.algebra import (
     make_matrix_algebra, make_quaternion, poly_eval_at_element,
     reduced_char_poly, tensor_product,
@@ -15,9 +16,7 @@ from csawitness.algebra import (
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import sym_basis
 from csawitness.poly import Poly
-from csawitness.polyrings import (
-    pencil_min_poly, polymat_det, sylvester_resultant, xpoly_discriminant,
-)
+from csawitness.polyrings import pencil_min_poly, polymat_det, xpoly_discriminant
 from csawitness.witness import default_samples, default_symplectic_involution
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -60,12 +59,6 @@ def test_polymat_det_of_the_empty_matrix_is_one():
         assert polymat_det(field, []) == Poly.one(field)
 
 
-def test_sylvester_resultant_of_two_constants_is_one():
-    for field in (F7, QQ):
-        c = Poly(field, [field.from_int(3)])
-        assert sylvester_resultant([c], [c]) == Poly.one(field)
-
-
 def test_polymat_det_singular_pencil_is_zero():
     rng = random.Random(5)
     row = [random_poly(F7, rng, 1) for _ in range(3)]
@@ -79,7 +72,7 @@ def test_polymat_det_singular_pencil_is_zero():
 
 def discriminant(f):
     """disc(f) = (-1)^(m(m-1)/2) res(f, f') / lc(f), the resultant by the
-    Euclidean recurrence: an oracle that shares no code with the Sylvester
+    Euclidean recurrence: an oracle that shares no code with the Hankel
     determinant of xpoly_discriminant."""
     field = f.field
     a, b = f, f.derivative()
@@ -122,8 +115,8 @@ def test_xpoly_discriminant_degree_one_is_one():
 
 
 def test_xpoly_discriminant_char_divides_degree():
-    # over F_3 the x^2 term of f' = 3x^2 + ... vanishes, so the Sylvester
-    # matrix is built from a derivative of lower degree
+    # over F_3 the power sum p_0 = 3 vanishes, and Newton's identities still
+    # give every p_k, since they hold over Z
     rng = random.Random(23)
     for _ in range(30):
         fc = [random_poly(F3, rng, 3 - j) for j in range(3)] + [Poly.one(F3)]
@@ -131,6 +124,63 @@ def test_xpoly_discriminant_char_divides_degree():
     # x^3 + c(t) is inseparable at every t: its discriminant is 0
     assert xpoly_discriminant([Poly(F3, [1, 2]), Poly.zero(F3), Poly.zero(F3),
                                Poly.one(F3)]).is_zero()
+
+
+def _sylvester_discriminant(fc):
+    """(-1)^(d(d-1)/2) res(f, f') of a monic f with F[t] coefficients, as one
+    polymat_det of the (2d - 1) x (2d - 1) Sylvester matrix of f and f': the
+    same polynomial from a matrix that shares no entry with the Hankel one."""
+    base = fc[0].field
+    zero = Poly.zero(base)
+    g = [fc[i].scale(base.from_int(i)) for i in range(1, len(fc))]
+    while g and g[-1].is_zero():
+        g.pop()
+    if not g:
+        return zero
+    d, e = len(fc) - 1, len(g) - 1
+    if e == 0:
+        res = g[0] ** d
+    else:
+        size = d + e
+        rows = [[zero] * i + fc[::-1] + [zero] * (size - d - 1 - i) for i in range(e)]
+        rows += [[zero] * i + g[::-1] + [zero] * (size - e - 1 - i) for i in range(d)]
+        res = polymat_det(base, rows)
+    return -res if (d * (d - 1) // 2) % 2 else res
+
+
+def test_xpoly_discriminant_equals_the_sylvester_determinant():
+    # F_2 and F_3 include char | d, F_9 the method path of F_{p^k}
+    rng = random.Random(41)
+    fields = (PrimeField(2), F3, F5, standard_extension(3, 2), QQ)
+    for field in fields:
+        for d in range(1, 7):
+            for _ in range(8):
+                fc = [random_poly(field, rng, rng.randint(0, d - j)) for j in range(d)]
+                fc.append(Poly.one(field))
+                assert xpoly_discriminant(fc) == _sylvester_discriminant(fc)
+
+
+def test_xpoly_discriminant_takes_one_d_by_d_determinant(monkeypatch):
+    shapes = []
+
+    def recording_det(base, rows):
+        shapes.append((len(rows), {len(r) for r in rows}))
+        return polymat_det(base, rows)
+
+    monkeypatch.setattr(polyrings, "polymat_det", recording_det)
+    rng = random.Random(43)
+    for d in range(1, 7):
+        fc = [random_poly(F7, rng, d - j) for j in range(d)] + [Poly.one(F7)]
+        shapes.clear()
+        xpoly_discriminant(fc)
+        assert shapes == [(d, {d})]
+
+
+def test_xpoly_discriminant_of_a_constant_is_one():
+    # d = 0: no roots, so the empty product, the determinant of the empty
+    # Hankel matrix (no caller passes a constant)
+    for field in (F7, QQ):
+        assert xpoly_discriminant([Poly.one(field)]) == Poly.one(field)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from csawitness import witness
 from csawitness.algebra import (
-    make_matrix_algebra, make_quaternion, tensor_product,
+    Algebra, make_matrix_algebra, make_quaternion, tensor_product,
 )
 from csawitness.errors import FieldTooSmallError, InvalidInputError, StructuralError
 from csawitness.etale import (
@@ -16,7 +17,8 @@ from csawitness.etale import (
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.ideals import (
-    Flag, ModulePresentation, ideal_generated, random_flag, random_ideal,
+    Flag, ModulePresentation, flag_check, ideal_generated, module_presentation,
+    random_flag, random_ideal,
 )
 from csawitness.involutions import (
     SYMPLECTIC, adjoint_involution, quaternion_conjugation,
@@ -29,8 +31,8 @@ from csawitness.quadrics import (
     QuadraticForm, normalize_point, points_on_quadric, symp_quadric_model,
 )
 from csawitness.witness import (
-    PencilWitness, WitnessChain, connect_exp2, connect_flags, connect_ideals,
-    connect_max_etale, connect_quadric_points, default_samples,
+    PencilWitness, WitnessChain, _check_flag_sample, _check_ideal_sample,
+    connect_exp2, connect_flags, connect_ideals, connect_max_etale, connect_quadric_points, default_samples,
     default_symplectic_involution,
     solve_inner_twist, symplectic_fixing_involution, verify_witness,
 )
@@ -299,6 +301,138 @@ def test_pencil_validity_derivation_failure_is_a_report_entry():
 
 
 # ---------------------------------------------------------------------------
+# pencil samples by rank
+#
+# A sample of an ideal or flag pencil is checked by the rank of each level's
+# D-rows.  The reference checkers below build each level's ideal instead,
+# compare its dimension and run flag_check on the flag.  Both must give the
+# same (ok, detail) at every sample.
+
+
+def _built_levels(w, t):
+    pres = module_presentation(w.algebra)
+    vecs = w._pencil_vectors_at(w.data["pencil_w"], w.data["pencil_w_prime"], t)
+    ideals = []
+    for lvl in w._levels():
+        ideal = pres.ideal_from_subspace(vecs[:lvl])
+        if ideal.dim() != pres.m * lvl * pres.d2:
+            raise StructuralError(f"pencil drops rank at t={t}")
+        ideals.append(ideal)
+    return ideals
+
+
+def _built_ideal_sample(w, t):
+    want = w.start.rdim
+    if w.meta.get("rdim") != want:
+        return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
+    ideal, = _built_levels(w, t)
+    if ideal.rdim != want:
+        return False, f"rdim {ideal.rdim} != {want}"
+    return True, ""
+
+
+def _built_flag_sample(w, t):
+    return flag_check(Flag(_built_levels(w, t)), tuple(w.meta.get("signature", ()))), ""
+
+
+def _outcome(check, w, t):
+    """check(w, t) as verify_witness records it: an exception is a failure
+    whose detail is its message."""
+    try:
+        return check(w, t)
+    except Exception as exc:
+        return False, str(exc)
+
+
+def _rank_cases():
+    """(witness, samples): honest pencils over F_5, F_7, F_9, Q and M2(H).
+    Over a finite field the samples are every element, so they include the
+    roots of the validity."""
+    F9 = standard_extension(3, 2)
+    M2H_F5 = tensor_product(make_matrix_algebra(F5, 2), make_quaternion(F5, 2, 3))
+    M2H_Q = tensor_product(make_matrix_algebra(QQ, 2), make_quaternion(QQ, -1, -1))
+    rng = random.Random(29)
+    cases = []
+    for A, rdims in ((make_matrix_algebra(F5, 4), (1, 2)), (make_matrix_algebra(F7, 3), (1,)),
+                     (make_matrix_algebra(F9, 2), (1,)), (make_matrix_algebra(QQ, 3), (1, 2)),
+                     (M2H_F5, (2,)), (M2H_Q, (2,))):
+        for rd in rdims:
+            cases.append(connect_ideals(random_ideal(A, rd, rng), random_ideal(A, rd, rng)))
+    for A, sig in ((make_matrix_algebra(F5, 3), (1, 2)), (make_matrix_algebra(F7, 4), (1, 2, 3)),
+                   (make_matrix_algebra(F9, 3), (0, 1, 2)), (make_matrix_algebra(QQ, 3), (1, 2)),
+                   (M2H_F5, (2, 4)), (M2H_Q, (2, 4))):
+        cases.append(connect_flags(random_flag(A, sig, rng), random_flag(A, sig, rng)))
+    out = []
+    for w in cases:
+        f = w.field
+        if f == QQ:
+            # the root of a linear validity, where the pencil drops rank
+            c = w.validity.coeffs
+            samples = default_samples(f) + ([-c[0] / c[1]] if len(c) == 2 else [])
+        else:
+            samples = exhaustive(f)
+        out.append((w, samples))
+    return out
+
+
+def _tampered(w):
+    """w with a wrong stored rdim or signature, with a zero first vector,
+    whose pencil drops rank everywhere, and, for a flag, with its levels and
+    signature both reversed, which only the strict increase rejects."""
+    def with_meta(meta, **data):
+        return PencilWitness(w.kind, w.start, w.end, w.validity, dict(w.data, **data),
+                             algebra=w.algebra, meta=meta)
+
+    zero = tuple(w.field.zero for _ in w.data["pencil_w"][0])
+    out = [_with(w, pencil_w=[zero] + list(w.data["pencil_w"][1:]))]
+    if w.kind == witness.IDEAL_PENCIL:
+        return out + [with_meta({"rdim": w.meta["rdim"] + 1})]
+    sig = list(w.meta["signature"])[::-1]
+    return out + [with_meta({"signature": sig}),
+                  with_meta({"signature": sig}, levels=w.data["levels"][::-1])]
+
+
+def test_rank_samples_agree_with_built_ideals():
+    fires = Counter()
+    for w, samples in _rank_cases():
+        new, old = ((_check_ideal_sample, _built_ideal_sample)
+                    if w.kind == witness.IDEAL_PENCIL else (_check_flag_sample, _built_flag_sample))
+        for v in [w] + _tampered(w):
+            for t in samples:
+                got = _outcome(new, v, t)
+                assert got == _outcome(old, v, t), (v, t)
+                fires[got[1].startswith("pencil drops rank")] += 1
+    # every sample is checked, so the roots of the validity drop rank
+    assert fires[True] > 0 and fires[False] > 0
+
+
+def test_rank_samples_give_the_same_reports(monkeypatch):
+    for w, samples in _rank_cases()[::3]:
+        for v in [w] + _tampered(w):
+            new = verify_witness(v, samples).checks
+            with monkeypatch.context() as m:
+                m.setattr(witness, "_check_ideal_sample", _built_ideal_sample)
+                m.setattr(witness, "_check_flag_sample", _built_flag_sample)
+                assert verify_witness(v, samples).checks == new
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
+def test_pencil_samples_build_no_ideal(monkeypatch, field):
+    A = make_matrix_algebra(field, 4)
+    rng = random.Random(7)
+    w = connect_ideals(random_ideal(A, 2, rng), random_ideal(A, 2, rng))
+    calls = []
+    build = ModulePresentation.ideal_from_subspace
+    monkeypatch.setattr(ModulePresentation, "ideal_from_subspace",
+                        lambda pres, rows: calls.append(1) or build(pres, rows))
+    rep = verify_witness(w, exhaustive(field))
+    assert rep.passed, rep.failures()
+    assert sum(n.startswith("membership@") for n, _, _ in rep.checks) >= field.size - 2
+    # the two endpoints, whatever the number of samples
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
 # maximal etale lines
 
 
@@ -461,6 +595,34 @@ def test_symplectic_fixing_m4_f7():
     s = symplectic_fixing_involution(E, tau, rng_seed=8)
     assert s.kind == SYMPLECTIC
     assert s(E.generator) == E.generator
+
+
+def test_symplectic_fixing_inverts_the_winner_once(monkeypatch):
+    # each search inverts its candidates; the symmetrization's inverse is
+    # reused, so the one inversion outside the searches is twist_by_inner's
+    A = make_matrix_algebra(F7, 4)
+    tau = adjoint_involution(A, standard_alternating_matrix(F7, 4))
+    E = random_balanced_pair_subalgebra(A, random.Random(8))
+    calls = Counter()
+    searching = []
+    inverse, search = Algebra.inverse, witness._search_invertible
+
+    def counting_inverse(self, x):
+        calls["search" if searching else "outside"] += 1
+        return inverse(self, x)
+
+    def counting_search(*args):
+        searching.append(1)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(Algebra, "inverse", counting_inverse)
+    monkeypatch.setattr(witness, "_search_invertible", counting_search)
+    s = symplectic_fixing_involution(E, tau, rng_seed=8)
+    assert s(E.generator) == E.generator
+    assert calls["search"] >= 2 and calls["outside"] == 1
 
 
 # ---------------------------------------------------------------------------
