@@ -19,8 +19,8 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    int_rank, int_solve, intertwiner_mismatch, kernel, lift_matrix, mat_vec,
-    rank, rref, solve, transpose,
+    first_dependency, int_first_dependency, int_rank, intertwiner_mismatch,
+    kernel, lift_matrix, mat_vec, rank, rref, solve, transpose,
 )
 from .poly import Poly, poly_nth_root
 from .quadrics import QuadraticForm, projective_points
@@ -414,18 +414,22 @@ class Algebra:
         return AlgebraElement(self, tuple(f.random(rng) for _ in range(self.dim)))
 
     def inverse(self, x):
-        """Two-sided inverse of x, or None: the solution y of x y = 1, kept
-        if also y x = 1.  Over F_p and Q, x y = 1 is solved on the int rows
-        of L_x, at scale s, against the lifted unit u / t as t L y = s u."""
-        if self._flat is None:
-            y = solve(self.field, self.left_mult_matrix(x), list(self.unit))
-        else:
-            (lm, s), (u, t) = self._int_mult_matrix(x), self._lifted(self.unit)
-            y = int_solve(self.field, [[t * c for c in row] + [s * b]
-                                       for row, b in zip(lm, u)])
-        if y is None:
+        """Two-sided inverse of x, or None, from the first dependency
+        x^d = sum_(i<d) c_i x^i of 1, x, x^2, ...
+        (minimal_polynomial_and_power_basis).  Then
+        x (x^(d-1) - c_(d-1) x^(d-2) - ... - c_1) = c_0.
+        If c_0 = 0, x times that polynomial, which is nonzero because
+        1, ..., x^(d-1) are independent, is 0, so x is a zero divisor and has
+        no inverse; otherwise the polynomial over c_0 is the inverse.  The
+        check y x = 1 is kept."""
+        mp, powers, _, _ = minimal_polynomial_and_power_basis(AlgebraElement(self, x))
+        f = self.field
+        a0 = mp.coeff(0)   # mp = x^d + a_(d-1) x^(d-1) + ... + a_0, a_i = -c_i
+        if f.is_zero(a0):
             return None
-        y = tuple(y)
+        scale = f.neg(f.inv(a0))
+        y = tuple(mat_vec(f, transpose(powers),
+                          [f.mul(scale, a) for a in mp.coeffs[1:]]))
         if self.mul(y, x) != self.unit:
             return None
         return y
@@ -512,6 +516,39 @@ def poly_eval_at_element(f, x):
     for c in reversed(f.coeffs):
         acc = acc * x + alg.from_scalar(c)
     return acc
+
+
+def minimal_polynomial_and_power_basis(x):
+    """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
+    d = deg(minpoly), and the rref basis and pivots of their span, from the
+    first linear dependency of the powers 1, x, x^2, ...  Over F_p and Q the
+    powers are int products of x lifted once (Algebra.int_powers), and only
+    the d kept powers are lowered."""
+    alg = x.algebra
+    f = alg.field
+    seen = []
+
+    def recorded(vectors):
+        for v in vectors:
+            seen.append(v)
+            yield v
+
+    lifted = alg.int_powers(x.coords)
+    if lifted is None:
+        coeffs, basis, pivots = first_dependency(f, recorded(_powers(alg, x.coords)))
+        powers = seen[:len(coeffs)]
+    else:
+        coeffs, basis, pivots = int_first_dependency(f, recorded(lifted))
+        powers = [tuple(f.lower_vector(*v)) for v in seen[:len(coeffs)]]
+    mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
+    return mp, powers, basis, pivots
+
+
+def _powers(alg, x):
+    cur = alg.unit
+    while True:
+        yield cur
+        cur = alg.mul(cur, x)
 
 
 def matrix_of(A, coords):

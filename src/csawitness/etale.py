@@ -3,7 +3,8 @@
 A subalgebra is stored with a primitive generator, its minimal polynomial
 (required squarefree) and the canonical rref basis of its linear span, so
 subspace equality is exact.  The minimal polynomial and the basis come
-from one elimination over the powers 1, x, x^2, ... (linalg.first_dependency).
+from one elimination over the powers 1, x, x^2, ...
+(algebra.minimal_polynomial_and_power_basis).
 The type of a subalgebra is the multiset of geometric idempotent ranks; it
 is computed from a factorization of the minimal polynomial via the
 orbit-quotient formula rdim(e_i A) / deg(f_i), which avoids explicit
@@ -23,13 +24,13 @@ etale_type stays for the full partition (csaw etale type, the demos).
 import functools
 import operator
 
-from .algebra import poly_eval_at_element
+from .algebra import minimal_polynomial_and_power_basis, poly_eval_at_element
 from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )
 from .fields import Rationals
 from .ideals import ideal_generated, principal_rdim
-from .linalg import first_dependency, in_row_space, int_first_dependency, rref
+from .linalg import in_row_space, rref
 from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
 
 
@@ -94,44 +95,11 @@ class EtaleSubalgebra:
         return f"EtaleSubalgebra(dim={self.dim} of degree-{self.algebra.degree} algebra)"
 
 
-def _minimal_polynomial_and_power_basis(x):
-    """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
-    d = deg(minpoly), and the rref basis and pivots of their span, from the
-    first linear dependency of the powers 1, x, x^2, ...  Over F_p and Q the
-    powers are int products of x lifted once (Algebra.int_powers), and only
-    the d kept powers are lowered."""
-    alg = x.algebra
-    f = alg.field
-    seen = []
-
-    def recorded(vectors):
-        for v in vectors:
-            seen.append(v)
-            yield v
-
-    lifted = alg.int_powers(x.coords)
-    if lifted is None:
-        coeffs, basis, pivots = first_dependency(f, recorded(_powers(alg, x.coords)))
-        powers = seen[:len(coeffs)]
-    else:
-        coeffs, basis, pivots = int_first_dependency(f, recorded(lifted))
-        powers = [tuple(f.lower_vector(*v)) for v in seen[:len(coeffs)]]
-    mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
-    return mp, powers, basis, pivots
-
-
-def _powers(alg, x):
-    cur = alg.unit
-    while True:
-        yield cur
-        cur = alg.mul(cur, x)
-
-
 def generate_etale(a, minpoly_factors=None):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the
     degree of the ambient algebra."""
-    mp, powers, basis, pivots = _minimal_polynomial_and_power_basis(a)
+    mp, powers, basis, pivots = minimal_polynomial_and_power_basis(a)
     if not poly_squarefree(mp):
         raise NotEtaleError(
             f"minimal polynomial of degree {mp.degree} is not squarefree")

@@ -5,11 +5,13 @@ data defining the point at parameter t, and a validity polynomial whose
 nonvanishing at t certifies genuine membership there.  The convention is
 fixed globally: t = 1 gives the start object, t = 0 the end.  Validity
 polynomials are derived symbolically (rank minors, pencil minimal
-polynomials, discriminants); sampling is only ever the verifier's job, and
-it samples only pencils and etale lines: a conic segment is certified for
-every t by a polynomial identity and a gcd.  Constructors do not re-check
-what verify_witness certifies: a conic segment's identity and endpoints
-hold by its formula, and the verifier re-derives them.
+polynomials, discriminants), and the verifier re-derives each one.  Only
+ideal and flag pencils are computed on at each sample, by one rank per
+level.  An etale line is certified once per segment, from its re-derived
+discriminant and E(1), for every t where the discriminant is nonzero; a
+conic segment for every t by a polynomial identity and a gcd.  Constructors
+do not re-check what verify_witness certifies: a conic segment's identity
+and endpoints hold by its formula, and the verifier re-derives them.
 
 An ideal pencil is the one-level flag pencil: one core builds both from
 nested D-bases of the ideals' column spaces (D the quaternion factor, or F
@@ -234,14 +236,18 @@ def verify_witness(w, samples=None):
     Endpoint matches are exact object equalities.  A conic segment is
     certified for every t, with no sample: its coordinates satisfy the form
     identically and each of their common zeros is a zero of the validity.
-    Pencils and etale lines are checked at every sample where the validity
-    is nonzero; an ideal or flag pencil's validity is re-derived from its
-    pencil data and must equal the stored one.  A pencil sample is checked by
-    rank alone: the D-rows of each level's pencil vectors must have full rank,
-    which is the condition the re-derived minor certifies, and the rank gives
-    the level's rdim, so no ideal is built between the endpoints.  Chains
-    also get continuity checks.  Failures are report entries, never
-    exceptions.
+    Pencils and etale lines get one membership entry per sample where the
+    re-derived validity is nonzero, and the stored validity must equal it.
+    An ideal or flag pencil's validity is derived from its pencil data, and
+    a sample is checked by rank alone: the D-rows of each level's pencil
+    vectors must have full rank, which is the condition the re-derived minor
+    certifies, and the rank gives the level's rdim, so no ideal is built
+    between the endpoints.  An etale line's validity is the discriminant of
+    its pencil minimal polynomial of degree d = dim E(1), and its meta is
+    checked once, on E(1); every sample entry carries that one outcome,
+    which holds wherever the discriminant is nonzero (_etale_certificate),
+    so no subalgebra is built between the endpoints either.  Chains also get
+    continuity checks.  Failures are report entries, never exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
@@ -257,6 +263,16 @@ def verify_witness(w, samples=None):
     report = VerificationReport()
     field = w.field
     validity = w.validity
+    # (name, ok, detail, object at t); the etale certificate reads E(1)
+    ends = []
+    for name, t, target in (("endpoint_start", field.one, w.start),
+                            ("endpoint_end", field.zero, w.end)):
+        try:
+            got = w.evaluate(t)
+            ends.append((name, got == target, "", got))
+        except Exception as exc:
+            ends.append((name, False, f"evaluation failed: {exc}", None))
+
     if w.kind in (IDEAL_PENCIL, FLAG_PENCIL):
         try:
             validity = _subspace_validity(module_presentation(w.algebra),
@@ -266,16 +282,14 @@ def verify_witness(w, samples=None):
         except Exception as exc:
             validity, detail = None, f"derivation failed: {exc}"
         report.add("validity_rederived", not detail, detail)
+    elif w.kind == ETALE_LINE:
+        _, _, failure, start = ends[0]
+        validity, detail, segment = _etale_certificate(w, start, failure)
+        report.add("validity_nonzero", not detail, detail)
     else:
         report.add("validity_nonzero", not validity.is_zero())
-
-    for name, t, target in (("endpoint_start", field.one, w.start),
-                            ("endpoint_end", field.zero, w.end)):
-        try:
-            got = w.evaluate(t)
-            report.add(name, got == target)
-        except Exception as exc:
-            report.add(name, False, f"evaluation failed: {exc}")
+    for name, ok, detail, _ in ends:
+        report.add(name, ok, detail)
 
     if w.kind == QUADRIC_LINE:
         coord_polys = w.data["coord_polys"]
@@ -293,7 +307,7 @@ def verify_witness(w, samples=None):
 
     checker = {IDEAL_PENCIL: _check_ideal_sample,
                FLAG_PENCIL: _check_flag_sample,
-               ETALE_LINE: _check_etale_sample}[w.kind]
+               ETALE_LINE: lambda w, t: segment}[w.kind]
     for t in default_samples(field) if samples is None else samples:
         if validity is not None and field.is_zero(validity.eval(t)):
             continue
@@ -331,13 +345,66 @@ def _check_flag_sample(w, t):
     return rdims == sig and all(a < b for a, b in zip(sig, sig[1:])), ""
 
 
-def _check_etale_sample(w, t):
-    E = w.evaluate(t)
+def _etale_certificate(w, start, failure):
+    """(validity, detail, segment) for an etale line, from start = E(1) as
+    endpoint_start evaluated it, or None with the evaluation's failure.
+
+    The validity is re-derived as the discriminant of the degree-d pencil
+    minimal polynomial mp(t) of x(t) = t gen_start + (1 - t) gen_end, with
+    d = dim E(1); detail is "" when it equals the stored validity.  segment
+    is the (ok, detail) of every sample t with validity(t) != 0: the stored
+    meta checked once, on E(1).  If the derivation fails, validity is None
+    and every sample fails with its detail.
+
+    Why E(1) speaks for every such t.  mp(1) is monic of degree d and kills
+    x(1), whose minimal polynomial has degree d = dim E(1), so it is that
+    squarefree minimal polynomial, and t = 1 is such a point.  Let R be
+    F[t][1/disc] with the roots theta_1..theta_d of mp adjoined (an integral
+    extension of F[t][1/disc], in which every theta_i - theta_j is a unit),
+    and K its fraction field.  The Lagrange idempotents
+    e_i = prod_(j != i) (x - theta_j) / (theta_i - theta_j) have coordinates
+    in R; since mp(x) = 0 they are orthogonal idempotents summing to 1 in
+    A (x) R, and x = sum theta_i e_i.  Over K each e_i is nonzero, or a
+    polynomial of degree d - 1 would kill x.  A point t0 with disc(t0) != 0
+    extends to a homomorphism R -> Fbar (lying over), under which the
+    theta_i become the d distinct roots of mp(t0) and the e_i orthogonal
+    idempotents of A (x) Fbar summing to 1.  The maps P_ij: u -> e_i u e_j
+    have matrices over R, so their ranks can only drop at t0; but
+    A = sum_ij e_i A e_j is a direct sum both over K and at t0, so the ranks
+    sum to dim A on both sides and none drops.  P_ii(1) = e_i != 0 over K,
+    so e_i(t0) != 0, and g(x(t0)) = 0 forces g(theta_i(t0)) = 0 for each i:
+    the minimal polynomial of x(t0) is mp(t0), squarefree of degree d, so
+    E(t0) is etale of dim d.  As the theta_i(t0) are distinct, u commutes
+    with x(t0) iff e_i u e_j = 0 for all i != j, so dim C_A(x(t0)) =
+    sum_i rank P_ii(t0), the dimension over K.  Dimension, maximality and
+    is_et_m_point (one centralizer rank) are therefore the same at t0 as at
+    t = 1.  This uses only an associative unital table, and holds in every
+    characteristic: the discriminant is the squared Vandermonde determinant
+    (polyrings.xpoly_discriminant).
+    """
+    try:
+        if start is None:
+            raise StructuralError(failure)
+        d = start.dim
+        mp = pencil_min_poly(w.algebra, w.data["gen_start"], w.data["gen_end"], d)
+        if mp is None:
+            raise StructuralError(f"no degree-{d} pencil minimal polynomial")
+        validity = xpoly_discriminant(mp)
+    except Exception as exc:
+        detail = f"derivation failed: {exc}"
+        return None, detail, (False, detail)
+    detail = "" if validity == w.validity else "stored validity differs"
+    return validity, detail, _check_etale_meta(w, start)
+
+
+def _check_etale_meta(w, E):
+    """The stored meta of an etale line against E = E(1)."""
     d = w.meta.get("etale_dim")
     if d is not None and E.dim != d:
         return False, f"dim {E.dim} != {d}"
-    if w.meta.get("maximal") and not E.is_maximal():
-        return False, "not maximal"
+    maximal = w.meta.get("maximal")
+    if maximal is not None and maximal != E.is_maximal():
+        return False, f"maximal is {maximal}, but dim {E.dim} in degree {E.algebra.degree}"
     m = w.meta.get("et_m")
     if m is not None and not is_et_m_point(E, m):
         return False, f"not a balanced type-m={m} subalgebra"

@@ -16,7 +16,7 @@ from csawitness.errors import (
     InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import charpoly, kernel, rank, rref
+from csawitness.linalg import charpoly, kernel, rank, rref, solve
 from csawitness.poly import Poly
 from csawitness.quadrics import QuadraticForm
 
@@ -459,6 +459,27 @@ def test_quaternion_and_tensor_tables_are_associative(name, A):
     # skip these checks at construction; here they run on every family
     A._check_associativity()
     A._check_unit()
+
+
+@pytest.mark.parametrize("name, A", [(name, A) for name, A in _preset_algebras()
+                                     if 1 < A.dim <= 16])
+def test_inverse_agrees_with_solving_x_y_equals_1(name, A):
+    # the reference is the linear solve Algebra.inverse made before it read
+    # the inverse off the minimal polynomial: L_x y = 1, kept if y x = 1
+    rng = random.Random(6)
+    # 1 +- e for a basis element e squaring to 1 is a zero divisor
+    candidates = [op(A.unit, A.basis_coords(i)) for i in range(A.dim) for op in (A.add, A.sub)]
+    candidates += [A.random_element(rng).coords if k % 2 else _sparse_random(A, rng)
+                   for k in range(24)]
+    found = set()
+    for x in candidates:
+        y = solve(A.field, A.left_mult_matrix(x), list(A.unit))
+        want = None if y is None or A.mul(tuple(y), x) != A.unit else tuple(y)
+        assert A.inverse(x) == want, x
+        found.add(want is None)
+    assert A.inverse(A.zero_coords()) is None
+    assert A.inverse(A.unit) == A.unit
+    assert found == {True, False} or A.preset.get("kind") == "quaternion"
 
 
 def _dense_mul(A, x, y):

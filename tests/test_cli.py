@@ -627,6 +627,89 @@ def test_mistyped_exp2_meta_exits_2(runner, tmp_path, value):
     assert _one_error_line(r) and "'et_m' must be" in r.stderr
 
 
+# the etale_m3f7 and exp2_m4f7 golden pipelines of tests/test_golden.py
+_ETALE_PIPELINES = {
+    "etale_m3f7": [
+        ["algebra", "new", "--preset", "matrix", "--n", "3", "--field", "fp:7",
+         "--out", "a.json"],
+        ["etale", "generate", "--algebra", "a.json", "--random-maximal", "--seed", "3",
+         "--out", "e1.json"],
+        ["etale", "generate", "--algebra", "a.json", "--random-maximal", "--seed", "4",
+         "--out", "e2.json"],
+        ["witness", "connect-etale", "--algebra", "a.json", "--from", "e1.json",
+         "--to", "e2.json", "--seed", "5", "--out", "w.json"]],
+    "exp2_m4f7": [
+        ["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:7",
+         "--out", "a.json"],
+        ["etale", "generate", "--algebra", "a.json",
+         "--element", "1,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0", "--out", "e1.json"],
+        ["etale", "generate", "--algebra", "a.json",
+         "--element", "1,0,1,0,0,1,0,0,0,0,2,0,0,0,0,2", "--out", "e2.json"],
+        ["witness", "connect-exp2", "--algebra", "a.json", "--from", "e1.json",
+         "--to", "e2.json", "--seed", "11", "--out", "w.json"]],
+}
+
+
+def _etale_witness_file(runner, tmp_path, name):
+    for args in _ETALE_PIPELINES[name]:
+        args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+        assert invoke(runner, args).exit_code == 0
+    return tmp_path / "w.json"
+
+
+def test_etale_line_with_replaced_validity_fails(runner, tmp_path):
+    # validity t^7 - t vanishes on all of F_7, so a verifier that trusted it
+    # would check no sample; the re-derived discriminant differs from it
+    w = _etale_witness_file(runner, tmp_path, "etale_m3f7")
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0 and r.stdout == "pass: 9 checks\n"
+    data = json.loads(w.read_text())
+    seg = data["segments"][0]
+    seg["validity"] = ["0", "6", "0", "0", "0", "0", "0", "1"]
+    del seg["meta"]["etale_dim"], seg["meta"]["maximal"]
+    w.write_text(json.dumps(data))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 1 and r.stdout.startswith("FAIL")
+    assert "failed: validity_nonzero stored validity differs" in r.stderr
+
+
+def _bump(c):
+    return str((int(c) + 1) % 7)
+
+
+# (tamper of one segment, the check that must fail)
+_ETALE_TAMPERS = {
+    "validity": (lambda seg: seg["validity"].__setitem__(0, _bump(seg["validity"][0])),
+                 "validity_nonzero"),
+    "etale_dim": (lambda seg: seg["meta"].__setitem__("etale_dim", seg["meta"]["etale_dim"] + 1),
+                  "membership@"),
+    "maximal": (lambda seg: seg["meta"].__setitem__("maximal", not seg["meta"].get("maximal")),
+                "membership@"),
+    "et_m": (lambda seg: seg["meta"].__setitem__("et_m", seg["meta"].get("et_m", 1) + 1),
+             "membership@"),
+    "gen_start": (lambda seg: seg["gen_start"].__setitem__(0, _bump(seg["gen_start"][0])),
+                  "endpoint_start"),
+    "gen_end": (lambda seg: seg["gen_end"].__setitem__(0, _bump(seg["gen_end"][0])),
+                "endpoint_end"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ETALE_PIPELINES))
+@pytest.mark.parametrize("case", sorted(_ETALE_TAMPERS))
+def test_each_etale_field_tamper_fails(runner, tmp_path, name, case):
+    w = _etale_witness_file(runner, tmp_path, name)
+    honest = json.loads(w.read_text())
+    tamper, check = _ETALE_TAMPERS[case]
+    for idx in range(len(honest["segments"])):
+        data = json.loads(json.dumps(honest))
+        tamper(data["segments"][idx])
+        w.write_text(json.dumps(data))
+        r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+        prefix = f"segment{idx}." if len(honest["segments"]) > 1 else ""
+        assert r.exit_code == 2 or (r.exit_code == 1 and r.stdout.startswith("FAIL")
+                                    and f"failed: {prefix}{check}" in r.stderr), r.output
+
+
 def _pencil_file(tmp_path, kind):
     """A canonical M4(F_5) ideal pencil (rdim 2) or flag pencil (signature
     1, 2, 3), as witness JSON."""

@@ -7,7 +7,8 @@ import pytest
 
 from csawitness import etale, linalg
 from csawitness.algebra import (
-    Algebra, coords_of_matrix, make_matrix_algebra, make_quaternion, tensor_product,
+    Algebra, coords_of_matrix, make_matrix_algebra, make_quaternion,
+    minimal_polynomial_and_power_basis, tensor_product,
 )
 from csawitness.errors import NotEtaleError, StructuralError, UnsupportedFieldError
 from csawitness.etale import (
@@ -55,7 +56,7 @@ def test_generate_etale_quaternion_subfield():
 
 def test_minimal_polynomial_of_scalar():
     A = make_matrix_algebra(F5, 3)
-    mp = etale._minimal_polynomial_and_power_basis(A.from_scalar(3))[0]
+    mp = minimal_polynomial_and_power_basis(A.from_scalar(3))[0]
     assert mp == Poly.from_ints(F5, [-3, 1])
 
 
@@ -314,7 +315,7 @@ def test_generate_etale_rejects_powers_that_do_not_commute():
         table[0][i] = table[i][0] = [(i, one)]
     table[1][1], table[2][1], table[3][1] = [(2, one)], [(3, one)], [(0, one)]
     A = Algebra(F5, table, 2, unit=(one, 0, 0, 0), _trusted=True)
-    mp = etale._minimal_polynomial_and_power_basis(A.basis_element(1))[0]
+    mp = minimal_polynomial_and_power_basis(A.basis_element(1))[0]
     assert mp == Poly.from_ints(F5, [-1, 0, 0, 0, 1])
     with pytest.raises(StructuralError, match="does not commute"):
         generate_etale(A.basis_element(1))

@@ -60,6 +60,20 @@ ETALE_M3F7 = [
     ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
 ]
 
+# an etale line over Q; as with M2H_Q, verify uses the default samples, since
+# --exhaustive needs a finite field
+ETALE_M2Q = [
+    ("a", ["algebra", "new", "--preset", "matrix", "--n", "2", "--field", "q",
+           "--out", "a.json"]),
+    ("e1", ["etale", "generate", "--algebra", "a.json", "--random-maximal",
+            "--seed", "3", "--out", "e1.json"]),
+    ("e2", ["etale", "generate", "--algebra", "a.json", "--random-maximal",
+            "--seed", "4", "--out", "e2.json"]),
+    ("w", ["witness", "connect-etale", "--algebra", "a.json", "--from", "e1.json",
+           "--to", "e2.json", "--seed", "5", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--out", "v.json"]),
+]
+
 # elements with minimal polynomial x(x - 1) and (x - 1)(x - 2), each
 # eigenvalue of multiplicity 2, generate balanced quadratic subalgebras
 EXP2_M4F7 = [
@@ -158,6 +172,28 @@ GOLDEN = {
         "w.stdout":
             "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
     },
+    "etale_m2q": {
+        "a.json":
+            "08f4e3f1ef0f576f40f41689ad57593db7994afcfc16767b169b304ef9253239",
+        "a.stdout":
+            "d37a09c3b6f60f82d4010c4bcf0e7700f91743ceefe36d11db42f6297d3ec7ad",
+        "e1.json":
+            "c802d32605bbb52cae293d3d3d3fba364e69d02cb40cf657b3ac17eac438d592",
+        "e1.stdout":
+            "61eda48b281d7139120b38a58e0f0a93dfdc1d07fa96c3f25fb816829cdf3987",
+        "e2.json":
+            "a1eabf8bf68172896250171829a524d7e5294a041d0e685d01ff8cbaf38eea08",
+        "e2.stdout":
+            "dc2d5fa45d8c3b3ddaee9f0acf6d3603df3211636a945f3d78cc5daa245ca186",
+        "v.json":
+            "f2afafb0c4fe3a1227764012bf3a8c94de78a1e29ece88bdd27f102a812694cd",
+        "v.stdout":
+            "6a2c7d3f69aac1318285e857aee3e46083219b620726441c9df485085de53dc1",
+        "w.json":
+            "a361b62a4fb8b67fa5d34f043bbbea1d3b9de195b44df3dc3c1f7d5a8b7acd8e",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
     "exp2_m4f7": {
         "a.json":
             "389c4085d216b35996601bdbb803a3bcb1d76b17ef39bf42bd18d8cabbc8760f",
@@ -228,6 +264,10 @@ def test_golden_ideals_m2h_q(tmp_path, monkeypatch):
 
 def test_golden_etale_m3f7(tmp_path, monkeypatch):
     _check("etale_m3f7", ETALE_M3F7, tmp_path, monkeypatch)
+
+
+def test_golden_etale_m2q(tmp_path, monkeypatch):
+    _check("etale_m2q", ETALE_M2Q, tmp_path, monkeypatch)
 
 
 def test_golden_exp2_m4f7(tmp_path, monkeypatch):

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from csawitness.algebra import coords_of_matrix, make_matrix_algebra
-from csawitness.errors import NotEtaleError, UnsupportedFieldError
-from csawitness.etale import (
-    _minimal_polynomial_and_power_basis, etale_type, generate_etale,
+from csawitness.algebra import (
+    coords_of_matrix, make_matrix_algebra, minimal_polynomial_and_power_basis,
 )
+from csawitness.errors import NotEtaleError, UnsupportedFieldError
+from csawitness.etale import etale_type, generate_etale
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
 from csawitness.poly import Poly, factor
@@ -206,7 +206,7 @@ def _check_etale_against_sympy(p, rows):
     x = A.element(coords_of_matrix(A, rows))
     dm = DomainMatrix([[_to_sympy(K, p, c) for c in r] for r in rows], (n, n), K)
     powers = [[c for r in (dm ** k).to_list() for c in r] for k in range(n + 1)]
-    mp = _minimal_polynomial_and_power_basis(x)[0]
+    mp = minimal_polynomial_and_power_basis(x)[0]
     d = mp.degree
     assert mp.is_monic()
     assert d == DomainMatrix(powers, (n + 1, n * n), K).rank()

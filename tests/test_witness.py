@@ -10,7 +10,9 @@ from csawitness import witness
 from csawitness.algebra import (
     Algebra, make_matrix_algebra, make_quaternion, tensor_product,
 )
-from csawitness.errors import FieldTooSmallError, InvalidInputError, StructuralError
+from csawitness.errors import (
+    FieldTooSmallError, InvalidInputError, NotEtaleError, StructuralError,
+)
 from csawitness.etale import (
     generate_etale, is_et_m_point, random_balanced_pair_subalgebra,
     random_maximal_etale,
@@ -483,6 +485,188 @@ def test_max_etale_requires_maximal():
     E = generate_etale(A.element(coords))
     with pytest.raises(InvalidInputError):
         connect_max_etale(E, E)
+
+
+# ---------------------------------------------------------------------------
+# the etale line certificate against a per-sample rebuild
+
+
+def _per_sample_outcomes(w, samples):
+    """The reference the certificate replaced: at each sample where the
+    validity is nonzero, E(t) rebuilt by generate_etale, its meta checked,
+    and balance decided by centralizer_dim at t."""
+    A, f = w.algebra, w.field
+    n = A.degree
+    out = {}
+    for t in samples:
+        if f.is_zero(w.validity.eval(t)):
+            continue
+        try:
+            E = generate_etale(w._etale_generator_at(t))
+        except NotEtaleError:
+            out[f"membership@t={witness._fmt(f, t)}"] = False
+            continue
+        m = w.meta.get("et_m")
+        out[f"membership@t={witness._fmt(f, t)}"] = (
+            E.dim == w.meta.get("etale_dim", E.dim)
+            and w.meta.get("maximal", E.is_maximal()) == E.is_maximal()
+            and (m is None or (E.dim == m and A.centralizer_dim(E.generator.coords) * m == n * n)))
+    return out
+
+
+def _line(A, a, b, d, meta):
+    """The etale line from a to b of degree d, or None unless both ends are
+    etale and E(a) has dim d."""
+    try:
+        w = witness._etale_line_witness(A, a, b, d, meta)
+    except NotEtaleError:
+        return None
+    return w if w is not None and w.start.dim == d else None
+
+
+def _rank_one_line(A, rng, meta):
+    """alpha(t) I + v w(t)^T: every point has minimal polynomial of degree at
+    most 2, and of type (n - 1, 1) where it is squarefree."""
+    f, n = A.field, A.degree
+    v = [f.random(rng) for _ in range(n)]
+    ends = []
+    for _ in range(2):
+        w, alpha = [f.random(rng) for _ in range(n)], f.random(rng)
+        ends.append(A.element([f.add(f.mul(v[r], w[c]), alpha if r == c else f.zero)
+                               for r in range(n) for c in range(n)]))
+    return _line(A, *ends, 2, meta)
+
+
+def _doubled(A, rng):
+    """X (x) I_2 for a random 2 x 2 matrix X: on a line of these, conjugated
+    by one g, every point has minimal polynomial of degree at most 2, and
+    balanced type (2, 2) where it is squarefree."""
+    f = A.field
+    X = [[f.random(rng) for _ in range(2)] for _ in range(2)]
+    return A.element([X[r // 2][c // 2] if r % 2 == c % 2 else f.zero
+                      for r in range(4) for c in range(4)])
+
+
+def _oracle_lines(field, rng):
+    """Random etale lines over field: maximal lines in M2 and M3, and in M4
+    quadratic lines of balanced type (2, 2) and of type (3, 1), the latter
+    half of the time with a false et_m claim."""
+    lines = []
+    for n in (2, 3):
+        A = make_matrix_algebra(field, n)
+        for _ in range(16):
+            lines.append(_line(A, A.random_element(rng), A.random_element(rng), n,
+                               {"etale_dim": n, "maximal": True}))
+    A = make_matrix_algebra(field, 4)
+    balanced = {"etale_dim": 2, "et_m": 2}
+    for k in range(24):
+        g = A.random_element(rng)
+        g_inv = A.inverse(g.coords)
+        if g_inv is None:
+            continue
+        a, b = (g * _doubled(A, rng) * A.element(g_inv) for _ in range(2))
+        lines.append(_line(A, a, b, 2, balanced))
+        lines.append(_rank_one_line(A, rng, balanced if k % 2 else {"etale_dim": 2}))
+    return [w for w in lines if w is not None]
+
+
+def _q_oracle_lines(rng):
+    """M3(Q) lines with small integer entries, and the lines between basis
+    elements of H(-1,-1) (x) (1,1) whose points stay quadratic."""
+    A = make_matrix_algebra(QQ, 3)
+    lines = [_line(A, *(A.element([Fraction(rng.randint(-3, 3)) for _ in range(9)])
+                        for _ in range(2)), 3, {"etale_dim": 3, "maximal": True})
+             for _ in range(12)]
+    B = tensor_product(make_quaternion(QQ, Fraction(-1), Fraction(-1)),
+                       make_quaternion(QQ, Fraction(1), Fraction(1)))
+    for i in range(1, B.dim):
+        for j in range(1, B.dim):
+            if i != j:
+                lines.append(_line(B, B.basis_element(i), B.basis_element(j), 2,
+                                   {"etale_dim": 2, "et_m": 2}))
+    return [w for w in lines if w is not None]
+
+
+@functools.cache
+def _oracle_cases():
+    rng = random.Random(24)
+    cases = [(w, exhaustive(f)) for f in (PrimeField(2), F3, F5, F7, standard_extension(3, 2))
+             for w in _oracle_lines(f, rng)]
+    q_samples = default_samples(QQ) + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                       for _ in range(5)]
+    return cases + [(w, q_samples) for w in _q_oracle_lines(rng)]
+
+
+def _certificate_disagreements():
+    """(line, entry) pairs where the report and the per-sample reference
+    differ, and the number of samples compared."""
+    bad, compared = [], 0
+    for w, samples in _oracle_cases():
+        rep = verify_witness(w, samples)
+        assert rep.checks[0] == ("validity_nonzero", True, "")
+        got = {n: ok for n, ok, _ in rep.checks if n.startswith("membership@")}
+        want = _per_sample_outcomes(w, samples)
+        assert got.keys() == want.keys()
+        bad += [(w, n) for n in got if got[n] != want[n]]
+        compared += len(got)
+    return bad, compared
+
+
+def test_etale_certificate_agrees_with_the_per_sample_rebuild():
+    bad, compared = _certificate_disagreements()
+    assert bad == []
+    assert len(_oracle_cases()) >= 300 and compared >= 1500
+    outcomes = Counter(ok for w, samples in _oracle_cases()
+                       for ok in _per_sample_outcomes(w, samples).values())
+    # the false et_m claims on (3, 1) lines fail at every sample
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def test_etale_oracle_catches_a_skipped_et_m_check(monkeypatch):
+    monkeypatch.setattr(witness, "is_et_m_point", lambda E, m: True)
+    bad, _ = _certificate_disagreements()
+    assert bad and all(w.meta.get("et_m") == 2 for w, _ in bad)
+
+
+@pytest.mark.parametrize("start, detail", [
+    # E(1) = F is 1-dimensional, but the line's points are 2-dimensional
+    # elsewhere: no degree-1 pencil minimal polynomial exists
+    ((3, 0, 0, 3), "no degree-1 pencil minimal polynomial"),
+    # a nilpotent start has no etale E(1) to read d from
+    ((0, 1, 0, 0), "evaluation failed: minimal polynomial of degree 2 is not squarefree"),
+])
+def test_etale_line_without_a_derivable_validity_fails(start, detail):
+    A = make_matrix_algebra(F5, 2)
+    end = generate_etale(A.element([1, 0, 0, 2]))
+    w = PencilWitness(witness.ETALE_LINE, end, end, Poly.one(F5),
+                      {"gen_start": start, "gen_end": end.generator.coords}, algebra=A)
+    rep = verify_witness(w, exhaustive(F5))
+    detail = f"derivation failed: {detail}"
+    assert rep.checks[0] == ("validity_nonzero", False, detail)
+    samples = [c for c in rep.checks if c[0].startswith("membership@")]
+    assert len(samples) == 5 and all(c[1:] == (False, detail) for c in samples)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_etale_verify_rebuilds_only_the_endpoints(monkeypatch, p):
+    F = PrimeField(p)
+    A = make_matrix_algebra(F, 4)
+    rng = random.Random(p)
+    chain = connect_exp2(random_balanced_pair_subalgebra(A, rng),
+                         random_balanced_pair_subalgebra(A, rng), rng_seed=p)
+    calls = Counter()
+    build, centralizer_dim = witness.generate_etale, Algebra.centralizer_dim
+    monkeypatch.setattr(witness, "generate_etale",
+                        lambda a: calls.update(["generate_etale"]) or build(a))
+    monkeypatch.setattr(Algebra, "centralizer_dim",
+                        lambda self, x: calls.update(["centralizer_dim"])
+                        or centralizer_dim(self, x))
+    for seg in chain.segments:
+        calls.clear()
+        rep = verify_witness(seg, exhaustive(F))
+        assert rep.passed, rep.failures()
+        assert sum(n.startswith("membership@") for n, _, _ in rep.checks) >= p - 4
+        assert calls == {"generate_etale": 2, "centralizer_dim": 1}
 
 
 # ---------------------------------------------------------------------------
