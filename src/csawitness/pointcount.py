@@ -33,7 +33,7 @@ from .poly import Poly
 from .quadrics import (
     QuadraticForm, enumerate_rref_subspaces, normalize_point, points_on_quadric,
 )
-from .witness import connect_quadric_points, verify_witness
+from .witness import _link_quadric_points, verify_witness
 
 # the most coordinate vectors a degree-e enumeration may visit
 ENUMERATION_BUDGET = 10 ** 7
@@ -464,15 +464,22 @@ class QPointSearch:
 class QuadricCurves:
     """Curve supplier for quadric models: verified conic segments over the
     base field and its canonical extensions, through auxiliary points taken
-    from the model's own point list."""
+    from the model's own point list.  The endpoints (closed-point
+    coordinates, Frobenius images of model points) and the model's points
+    are normalized points of the quadric, so they enter the link search as
+    trusted data, with one polar table per degree: each point's B p is
+    computed at most once per graph."""
 
     def __init__(self, model):
         self.model = model
+        self._polar = {}
 
     def link(self, d, x, y):
-        form = self.model.form_at(self.model.field_at(d))
+        model = self.model
+        form = model.form_at(model.field_at(d))
         try:
-            return connect_quadric_points(form, x, y, points=self.model.points(d))
+            return _link_quadric_points(form, x, y, model.points(d),
+                                        self._polar.setdefault(d, {}))
         except FieldTooSmallError:
             return None
 

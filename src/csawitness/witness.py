@@ -36,7 +36,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import kernel, mat_vec, rank, rref, transpose
+from .linalg import kernel, lift_matrix, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_gcd
 from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
 from .quadrics import normalize_point
@@ -295,14 +295,16 @@ def verify_witness(w, samples=None):
         coord_polys = w.data["coord_polys"]
         report.add("on_quadric_identity", w.form.eval_polys(coord_polys).is_zero())
         # g | v^deg(g) iff every common zero of the coordinates is a zero of v;
-        # a constant gcd stays constant, so the loop stops at the first one
+        # a constant gcd stays constant, so the loop stops at the first one,
+        # and a nonzero constant divides everything
         g = Poly.zero(field)
         for p in coord_polys:
             g = poly_gcd(g, p)
             if g.degree == 0:
                 break
         report.add("coord_gcd_divides_validity",
-                   not g.is_zero() and w.validity.pow_mod(g.degree, g).is_zero())
+                   not g.is_zero() and (g.degree == 0
+                                        or w.validity.pow_mod(g.degree, g).is_zero()))
         return report
 
     checker = {IDEAL_PENCIL: _check_ideal_sample,
@@ -809,47 +811,49 @@ def connect_exp2(L1, L2, rng_seed=0):
 # quadric linkage
 
 
-def _quadric_segment(form, p1, p2, aux):
-    """The conic through p1 and p2 swept by the secant pencil through aux:
-    phi(t) = lam(t) w(t) - q(w(t)) aux with w(t) = t p1 + (1-t) p2 and
-    lam(t) = b(w(t), aux).
+def _quadric_segment(form, p1, p2, aux, b1, b2, b12):
+    """The conic through p1 and p2 swept by the secant pencil through aux,
+    read off three polar values: b1 = b(p1, aux), b2 = b(p2, aux) and
+    b12 = b(p1, p2).  It is phi(t) = lam(t) w(t) - q(w(t)) aux with
+    w(t) = p2 + t (p1 - p2) and lam(t) = b(w(t), aux) = b2 + (b1 - b2) t.
 
     The formula guarantees what verify_witness certifies, so nothing is
     re-checked here.  With b(u, v) = q(u+v) - q(u) - q(v) and q(aux) = 0,
     q(lam w - q(w) aux) = lam^2 q(w) - lam q(w) b(w, aux) + q(w)^2 q(aux) = 0
-    identically.  As q(p1) = q(p2) = 0, phi(1) = b(p1, aux) p1 and
-    phi(0) = b(p2, aux) p2; the caller picks aux off both tangent
-    hyperplanes, so both scalars are nonzero, and p1, p2 are normalized, so
-    the segment's ends are p1 and p2.
-
-    phi's coefficients are read off directly: with w = w0 + w1 t,
-    lam = l0 + l1 t and q(w) = q0 + q1 t + q2 t^2, phi = (l0 w0 - q0 aux)
-    + (l0 w1 + l1 w0 - q1 aux) t + (l1 w1 - q2 aux) t^2."""
+    identically.  As q(p1) = q(p2) = 0 and b(p, p) = 2 q(p),
+    q(w) = t b(p2, p1 - p2) + t^2 q(p1 - p2) = b12 t - b12 t^2, which uses
+    nothing else, so it holds in every characteristic and for degenerate
+    forms.  Hence
+    phi = b2 p2 + (b2 p1 + (b1 - 2 b2) p2 - b12 aux) t
+          + ((b1 - b2)(p1 - p2) + b12 aux) t^2,
+    with no polynomial evaluated, and phi(1) = b1 p1, phi(0) = b2 p2.  The
+    caller picks aux off both tangent hyperplanes, so b1 and b2 are nonzero,
+    and p1, p2 are normalized, so the segment's ends are p1 and p2; the
+    validity is lam."""
     field = form.field
     add, sub, mul = field.add, field.sub, field.mul
-    w_polys = line_coords(field, p1, p2)
-    b2, b1 = mat_vec(field, [p2, p1], form.polar(aux))
-    l0, l1 = b2, sub(b1, b2)
-    qw = form.eval_polys(w_polys)
-    q0, q1, q2 = qw.coeff(0), qw.coeff(1), qw.coeff(2)
-    coord_polys = []
-    for wp, c in zip(w_polys, aux):
-        w0, w1 = wp.coeff(0), wp.coeff(1)
-        coord_polys.append(Poly(field, [
-            sub(mul(l0, w0), mul(q0, c)),
-            sub(add(mul(l0, w1), mul(l1, w0)), mul(q1, c)),
-            sub(mul(l1, w1), mul(q2, c))]))
-    return PencilWitness(QUADRIC_LINE, p1, p2, Poly(field, [l0, l1]),
+    l1 = sub(b1, b2)
+    c1 = sub(b1, add(b2, b2))
+    coord_polys = [Poly(field, [mul(b2, y),
+                                sub(add(mul(b2, x), mul(c1, y)), mul(b12, a)),
+                                add(mul(l1, sub(x, y)), mul(b12, a))])
+                   for x, y, a in zip(p1, p2, aux)]
+    return PencilWitness(QUADRIC_LINE, p1, p2, Poly(field, [b2, l1]),
                          {"coord_polys": coord_polys, "aux": aux},
                          form=form)
 
 
 def _aux_candidates(form, supplied):
-    if supplied is not None:
-        for p in supplied:
-            yield normalize_point(form.field, p)
-        return
+    """Normalized quadric points, lazily: the supplied points that are on the
+    quadric, else the quadric's points (over Q, those with coordinates in
+    [-3, 3])."""
     field = form.field
+    if supplied is not None:
+        for v in supplied:
+            p = normalize_point(field, v)
+            if p is not None and field.is_zero(form.eval(p)):
+                yield p
+        return
     if isinstance(field, Rationals):
         import itertools
         vals = [Fraction(v) for v in range(-3, 4)]
@@ -859,15 +863,15 @@ def _aux_candidates(form, supplied):
                 yield p
     else:
         from .quadrics import points_on_quadric
-        for p in points_on_quadric(form):
-            yield p
+        yield from points_on_quadric(form)
 
 
 def connect_quadric_points(form, p1, p2, points=None):
     """A chain of at most two conic segments on the quadric linking two
     rational points, through auxiliary points off both tangent hyperplanes:
     the points given, else the quadric's points (over Q, those with
-    coordinates in [-3, 3])."""
+    coordinates in [-3, 3]).  Here untrusted data enters: the endpoints are
+    checked and normalized, and the candidates filtered, before the search."""
     field = form.field
     for p in (p1, p2):
         if len(p) != form.nvars:
@@ -878,47 +882,67 @@ def connect_quadric_points(form, p1, p2, points=None):
     for p in (p1, p2):
         if p is None or not field.is_zero(form.eval(p)):
             raise InvalidInputError("endpoints must be points of the quadric")
+    return _link_quadric_points(form, p1, p2, _aux_candidates(form, points), {})
+
+
+def _link_quadric_points(form, p1, p2, candidates, polar):
+    """connect_quadric_points on trusted data: p1, p2 and every candidate are
+    normalized points of the quadric.  candidates may be lazy; polar maps a
+    point to its polar vector B p and is filled here as needed, so a caller
+    that links many pairs computes each B p once."""
     if p1 == p2:
         return WitnessChain([], start=p1, end=p2)
+    field = form.field
+    is_zero = field.is_zero
 
-    def good_aux(p, a, b):
-        """Whether the quadric point p is off both tangent hyperplanes at a
-        and b, two distinct quadric points.  Then p is also off the line
-        through a and b, so rank(a, b, p) = 3 and p is neither a nor b: if
-        p = alpha a + beta b, then q(p) = alpha beta b(a, b),
-        b(p, a) = beta b(a, b) and b(p, b) = alpha b(a, b), so both polar
-        values nonzero would make q(p) nonzero.  This uses only
-        q(a) = q(b) = 0 and b(a, a) = 2 q(a), so it holds over any field and
-        for any form, degenerate or in characteristic 2."""
-        return not any(field.is_zero(x) for x in mat_vec(field, [polar[a], polar[b]], p))
+    def polar_of(p):
+        v = polar.get(p)
+        if v is None:
+            v = polar[p] = form.polar(p)
+        return v
 
-    # the polar B e of each endpoint, computed once per link
-    polar = {p1: form.polar(p1), p2: form.polar(p2)}
+    def segment(a, b, pool):
+        """The segment from a to b through the first p of pool off both
+        tangent hyperplanes at a and b, two distinct quadric points, or None.
+        Such a p is also off the line through a and b, so rank(a, b, p) = 3
+        and p is neither a nor b: if p = alpha a + beta b, then
+        q(p) = alpha beta b(a, b), b(p, a) = beta b(a, b) and
+        b(p, b) = alpha b(a, b), so both polar values nonzero would make
+        q(p) nonzero.  This uses only q(a) = q(b) = 0 and b(a, a) = 2 q(a),
+        so it holds over any field and for any form, degenerate or in
+        characteristic 2."""
+        rows = [polar_of(a), polar_of(b)]
+        lifted = lift_matrix(field, rows)
+        for p in pool:
+            ba, bb = mat_vec(field, rows, p, lifted)
+            if not (is_zero(ba) or is_zero(bb)):
+                return _quadric_segment(form, a, b, p, ba, bb,
+                                        mat_vec(field, rows[:1], b)[0])
+        return None
 
     # One lazy pass in candidate order returns the first good point as soon
-    # as it is seen, which is the first good point of the filtered list:
-    # only None and off-quadric points, which are never good, are skipped.
-    # If no point is good, the pass has seen every candidate, so the
-    # fallback below walks the whole filtered list.
-    candidates = []
-    for p in _aux_candidates(form, points):
-        if p is None or not field.is_zero(form.eval(p)):
-            continue
-        candidates.append(p)
-        if good_aux(p, p1, p2):
-            return WitnessChain([_quadric_segment(form, p1, p2, p)])
+    # as it is seen.  If no point is good, the pass has seen every
+    # candidate, so the fallback below walks the whole list.
+    seen = []
+
+    def first_pass():
+        for p in candidates:
+            seen.append(p)
+            yield p
+
+    seg = segment(p1, p2, first_pass())
+    if seg is not None:
+        return WitnessChain([seg])
     # two segments through an intermediate point
-    for r in candidates:
+    for r in seen:
         if r in (p1, p2):
             continue
-        polar[r] = form.polar(r)
-        aux1 = next((p for p in candidates if good_aux(p, p1, r)), None)
-        if aux1 is None:
+        seg1 = segment(p1, r, seen)
+        if seg1 is None:
             continue
-        aux2 = next((p for p in candidates if good_aux(p, r, p2)), None)
-        if aux2 is None:
+        seg2 = segment(r, p2, seen)
+        if seg2 is None:
             continue
-        return WitnessChain([_quadric_segment(form, p1, r, aux1),
-                             _quadric_segment(form, r, p2, aux2)])
+        return WitnessChain([seg1, seg2])
     raise FieldTooSmallError(
         "no auxiliary point off both tangent hyperplanes; too few points")

@@ -8,6 +8,7 @@ change that alters any output byte fails here.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,8 @@ from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_prod
 from csawitness.cli import main
 from csawitness.fields import QQ, PrimeField
 from csawitness.ideals import random_flag, random_ideal
+from csawitness.pointcount import QuadricCurves
+from csawitness.quadrics import QuadraticForm
 from csawitness.witness import connect_flags, connect_ideals
 
 M4F5 = [
@@ -297,16 +300,64 @@ HGRAPH_FORMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HGRAPH_FORMS))
-def test_golden_hgraph(tmp_path, monkeypatch, name):
-    form, stdout_sha, graph_sha = HGRAPH_FORMS[name]
+def _hgraph(tmp_path, monkeypatch, form):
+    """(exit code, stdout sha, graph file sha) of `csaw hgraph --n 2` on form."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q.json").write_text(json.dumps(form))
     r = CliRunner().invoke(main, ["hgraph", "--model", "quadric", "--form", "q.json",
                                   "--n", "2", "--out", "g.json"], catch_exceptions=False)
-    assert r.exit_code == 0, r.output
-    assert (_sha(r.stdout.encode()), _sha((tmp_path / "g.json").read_bytes())) == \
-        (stdout_sha, graph_sha)
+    return r.exit_code, _sha(r.stdout.encode()), _sha((tmp_path / "g.json").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(HGRAPH_FORMS))
+def test_golden_hgraph(tmp_path, monkeypatch, name):
+    form, stdout_sha, graph_sha = HGRAPH_FORMS[name]
+    assert _hgraph(tmp_path, monkeypatch, form) == (0, stdout_sha, graph_sha)
+
+
+def test_golden_hgraph_line_pair(tmp_path, monkeypatch):
+    # the degenerate F_3 conic x0 x1, a pair of lines: the run prints
+    # "27 vertices, 38 edges, 5 component(s)" and exits 1
+    form = {"field": {"kind": "prime", "p": 3}, "nvars": 3, "coeffs": {"0,1": "1"}}
+    assert _hgraph(tmp_path, monkeypatch, form) == (
+        1, "d62064ea4055417f4889b6f148f0186d12c253e61120111ed0677180ba2e1e3c",
+        "6abd048e73c8ce56507f20ebf30ac5bb4dbc855f60fb5dd7a48b7e48bbd911e4")
+
+
+@pytest.mark.parametrize("name", sorted(HGRAPH_FORMS))
+def test_hgraph_links_from_one_polar_table(tmp_path, monkeypatch, name):
+    """QuadricCurves.link evaluates q at no point, since the model's points
+    and the cycles' coordinates are on the quadric by construction, and it
+    computes each point's polar vector at most once per degree in a graph;
+    the outputs stay the goldens."""
+    degrees = []  # the degree of each QuadricCurves.link call in progress
+    evals, polars = Counter(), Counter()
+    link, evaluate, polar = QuadricCurves.link, QuadraticForm.eval, QuadraticForm.polar
+
+    def counted_link(self, d, x, y):
+        degrees.append(d)
+        try:
+            return link(self, d, x, y)
+        finally:
+            degrees.pop()
+
+    def counted_eval(self, vec):
+        if degrees:
+            evals[degrees[-1]] += 1
+        return evaluate(self, vec)
+
+    def counted_polar(self, v):
+        if degrees:
+            polars[degrees[-1], tuple(v)] += 1
+        return polar(self, v)
+
+    monkeypatch.setattr(QuadricCurves, "link", counted_link)
+    monkeypatch.setattr(QuadraticForm, "eval", counted_eval)
+    monkeypatch.setattr(QuadraticForm, "polar", counted_polar)
+    form, stdout_sha, graph_sha = HGRAPH_FORMS[name]
+    assert _hgraph(tmp_path, monkeypatch, form) == (0, stdout_sha, graph_sha)
+    assert evals == Counter()
+    assert {d for d, _ in polars} == {1, 2} and set(polars.values()) == {1}
 
 
 # library witnesses on paths the pipelines above do not reach: a flag pencil

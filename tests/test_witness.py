@@ -27,8 +27,9 @@ from csawitness.involutions import (
     standard_alternating_matrix, transpose_involution,
 )
 from csawitness.linalg import mat_vec, rank
-from csawitness.pointcount import InvolutionQuadricModel
+from csawitness.pointcount import InvolutionQuadricModel, QuadricCurves, QuadricModel
 from csawitness.poly import Poly, poly_gcd
+from csawitness.polyrings import line_coords
 from csawitness.quadrics import (
     QuadraticForm, normalize_point, points_on_quadric, symp_quadric_model,
 )
@@ -924,8 +925,8 @@ def _seeded_quadric(name):
                                   "F3_two_segments"])
 def test_quadric_points_seeded(monkeypatch, name):
     """Every segment lies on the quadric and runs from start to end, though
-    the constructor checks neither: it evaluates q only on the secant w(t),
-    once per segment, and never evaluates the segment."""
+    the constructor checks neither: it reads each segment off polar values,
+    with no polynomial evaluated, and never evaluates the segment."""
     calls = Counter()
 
     def counted(method):
@@ -941,7 +942,7 @@ def test_quadric_points_seeded(monkeypatch, name):
     for p1, p2 in pairs:
         calls.clear()
         chain = connect_quadric_points(q, p1, p2, points=aux)
-        assert (calls["eval_polys"], calls["evaluate"]) == (len(chain.segments), 0)
+        assert (calls["eval_polys"], calls["evaluate"]) == (0, 0)
         assert len(chain) <= 2
         assert (chain.start, chain.end) == (normalize_point(f, p1), normalize_point(f, p2))
         rep = verify_witness(chain, None if f is QQ else exhaustive(f))
@@ -1205,3 +1206,95 @@ def test_default_symplectic_involution_presets():
     assert default_symplectic_involution(H).kind == SYMPLECTIC
     S = make_quaternion(QQ, Fraction(1), Fraction(1))
     assert default_symplectic_involution(tensor_product(H, S)).kind == SYMPLECTIC
+
+
+def _secant_segment(form, p1, p2, aux):
+    """(coord_polys, validity) of the conic segment from p1 to p2 through aux
+    as it was built before it was read off polar values: with the secant
+    w = t p1 + (1-t) p2, lam = b(w, aux) and q(w) expanded by eval_polys,
+    phi = lam w - q(w) aux.  The oracle of the differential test below."""
+    field = form.field
+    add, sub, mul = field.add, field.sub, field.mul
+    w_polys = line_coords(field, p1, p2)
+    b2, b1 = mat_vec(field, [p2, p1], form.polar(aux))
+    l0, l1 = b2, sub(b1, b2)
+    qw = form.eval_polys(w_polys)
+    q0, q1, q2 = qw.coeff(0), qw.coeff(1), qw.coeff(2)
+    coord_polys = []
+    for wp, c in zip(w_polys, aux):
+        w0, w1 = wp.coeff(0), wp.coeff(1)
+        coord_polys.append(Poly(field, [
+            sub(mul(l0, w0), mul(q0, c)),
+            sub(add(mul(l0, w1), mul(l1, w0)), mul(q1, c)),
+            sub(mul(l1, w1), mul(q2, c))]))
+    return coord_polys, Poly(field, [l0, l1])
+
+
+def _prime_model(form):
+    """(QuadricCurves, d) on a model over the prime field whose form over
+    F_{p^d} is form, or None when a coefficient of form lies outside the
+    prime field."""
+    field = form.field
+    if isinstance(field, PrimeField):
+        return QuadricCurves(QuadricModel(form)), 1
+    if any(any(c[1:]) for c in form.coeffs.values()):
+        return None
+    model = QuadricModel(QuadraticForm(PrimeField(field.p), form.nvars,
+                                       {ij: c[0] for ij, c in form.coeffs.items()}))
+    assert model.form_at(model.field_at(field.k)) == form
+    return QuadricCurves(model), field.k
+
+
+def test_quadric_segment_matches_the_secant_oracle():
+    """Segments read off polar values equal the eval_polys-based oracle, for
+    every ordered pair of distinct points and every good auxiliary point of
+    small forms over F_2, F_3 and F_4 (degenerate and characteristic-2
+    shapes included) and of conics over F_5 and F_9.  Each goes through the
+    public constructor, through the trusted core with one polar table per
+    form, and, where the form is defined over the prime field, through
+    QuadricCurves.link, whose chains may take two segments."""
+    rng = random.Random(29)
+    F4, F9 = standard_extension(2, 2), standard_extension(3, 2)
+    forms = [form for field in (PrimeField(2), F3, F4) for form in _small_forms(field, rng)]
+    forms += [_form(F5, 3, {(0, 1): 3, (0, 2): 4, (1, 1): 3, (2, 2): 2}),
+              _form(F5, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}),
+              _form(F9, 3, {(0, 2): 1, (1, 1): -1}),
+              _form(F9, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 2})]
+    seen = Counter()
+
+    def check(form, seg):
+        """seg equals the oracle's segment, and it verifies."""
+        coord_polys, validity = _secant_segment(form, seg.start, seg.end, seg.data["aux"])
+        assert (seg.data["coord_polys"], seg.validity) == (coord_polys, validity)
+        rep = verify_witness(seg)
+        assert rep.passed, rep.failures()
+
+    for form in forms:
+        field = form.field
+        pts = points_on_quadric(form)
+        polar = {}
+        model = _prime_model(form)
+        for p1 in pts:
+            for p2 in pts:
+                if p1 == p2:
+                    continue
+                for aux in pts:
+                    if (field.is_zero(_polar_value(form, p1, aux))
+                            or field.is_zero(_polar_value(form, p2, aux))):
+                        continue
+                    seg, = connect_quadric_points(form, p1, p2, points=[aux]).segments
+                    assert (seg.start, seg.end, seg.data["aux"]) == (p1, p2, aux)
+                    check(form, seg)
+                    core, = witness._link_quadric_points(form, p1, p2, [aux], polar).segments
+                    assert (core.start, core.end, core.data, core.validity) == \
+                        (seg.start, seg.end, seg.data, seg.validity)
+                    seen["aux", field.char] += 1
+                if model is not None:
+                    curves, d = model
+                    chain = curves.link(d, p1, p2)
+                    for seg in chain.segments if chain is not None else ():
+                        check(form, seg)
+                    seen["model", len(chain) if chain is not None else None] += 1
+    assert {key for key in seen if key[0] == "aux"} == {("aux", 2), ("aux", 3), ("aux", 5)}
+    # QuadricCurves.link found one segment, or none on degenerate forms
+    assert {key for key in seen if key[0] == "model"} == {("model", 1), ("model", None)}
