@@ -13,12 +13,12 @@ from .algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_produ
 from .errors import InvalidInputError
 from .etale import generate_etale
 from .fields import field_from_spec, json_get, json_int
-from .ideals import Flag, RightIdeal, module_presentation
+from .ideals import Flag, RightIdeal
 from .involutions import involution_from_matrix
 from .poly import Poly
 from .quadrics import QuadraticForm
 from .witness import (
-    ETALE_LINE, FLAG_PENCIL, IDEAL_PENCIL, PARAM_CONVENTION, QUADRIC_LINE,
+    FLAG, IDEAL, KINDS, PARAM_CONVENTION, POLYS, SUBALGEBRA, VECTOR, VECTORS,
     PencilWitness, WitnessChain,
 )
 
@@ -54,11 +54,6 @@ def _list(value, key):
 
 def _vec_from_json(field, data, key):
     return tuple(field.parse(c) for c in _list(data, key))
-
-
-def _vec_at(field, data, key):
-    """The vector stored under key in the JSON object data."""
-    return _vec_from_json(field, json_get(data, key, list), key)
 
 
 def _vecs_at(field, data, key):
@@ -187,7 +182,7 @@ def etale_to_json(E, inline_algebra=True):
 
 def etale_from_json(data, algebra=None):
     A = _resolve_algebra(data, algebra)
-    gen = A.element(_vec_at(A.field, data, "generator"))
+    gen = A.element(_vec_from_json(A.field, json_get(data, "generator", list), "generator"))
     factors = json_get(data, "minpoly_factors", list, None)
     if factors is not None:
         factors = [_poly_from_json(A.field, g, "minpoly_factors") for g in factors]
@@ -224,54 +219,62 @@ def form_from_json(data):
 # witnesses
 
 
-def _endpoint_to_json(kind, obj, field):
-    if kind == IDEAL_PENCIL:
-        return ideal_to_json(obj, inline_algebra=False)
-    if kind == FLAG_PENCIL:
-        return flag_to_json(obj, inline_algebra=False)
-    if kind == ETALE_LINE:
-        return etale_to_json(obj, inline_algebra=False)
-    return _vec_to_json(field, obj)  # projective point
+def _value_to_json(shape, value, field):
+    if shape == IDEAL:
+        return ideal_to_json(value, inline_algebra=False)
+    if shape == FLAG:
+        return flag_to_json(value, inline_algebra=False)
+    if shape == SUBALGEBRA:
+        return etale_to_json(value, inline_algebra=False)
+    if shape == VECTOR:
+        return _vec_to_json(field, value)
+    if shape == VECTORS:
+        return [_vec_to_json(field, v) for v in value]
+    if shape == POLYS:
+        return [p.to_json() for p in value]
+    return list(value)  # INTS
 
 
-def _endpoint_from_json(kind, data, algebra, field):
-    if kind == IDEAL_PENCIL:
-        return ideal_from_json(data, algebra=algebra)
-    if kind == FLAG_PENCIL:
-        return flag_from_json(data, algebra=algebra)
-    if kind == ETALE_LINE:
-        return etale_from_json(data, algebra=algebra)
-    return _vec_from_json(field, data, "start/end")
+def _value_from_json(shape, value, key, ctx):
+    if shape == IDEAL:
+        return ideal_from_json(value, algebra=ctx)
+    if shape == FLAG:
+        return flag_from_json(value, algebra=ctx)
+    if shape == SUBALGEBRA:
+        return etale_from_json(value, algebra=ctx)
+    if shape == VECTOR:
+        return _vec_from_json(ctx.field, value, key)
+    if shape == VECTORS:
+        return [_vec_from_json(ctx.field, v, key) for v in _list(value, key)]
+    if shape == POLYS:
+        return [_poly_from_json(ctx.field, p, key) for p in _list(value, key)]
+    return _ints_from_json(value, key)  # INTS
+
+
+def _values_from_json(src, keys, ctx, size, what):
+    """{key: value} for the (key, shape) pairs keys of the JSON object src.
+    A vector, each vector of a list, and a polynomial list must have size
+    entries; what names src in the message over a form."""
+    out = {}
+    for key, shape in keys:
+        value = out[key] = _value_from_json(shape, json_get(src, key, object), key, ctx)
+        for n in ([len(value)] if shape in (VECTOR, POLYS)
+                  else [len(v) for v in value] if shape == VECTORS else []):
+            if n != size:
+                raise InvalidInputError(
+                    f"{what} {key} has {n} entries, but the form has {size} variables"
+                    if isinstance(ctx, QuadraticForm)
+                    else f"{key!r} holds a vector of length {n}, not {size}")
+    return out
 
 
 def _segment_to_json(w):
-    f = w.field
-    seg = {"kind": w.kind,
-           "start": _endpoint_to_json(w.kind, w.start, f),
-           "end": _endpoint_to_json(w.kind, w.end, f),
-           "validity": w.validity.to_json(),
-           "meta": {k: v for k, v in w.meta.items()}}
-    if w.kind in (IDEAL_PENCIL, FLAG_PENCIL):
-        seg["pencil_w"] = [_vec_to_json(f, v) for v in w.data["pencil_w"]]
-        seg["pencil_w_prime"] = [_vec_to_json(f, v)
-                                 for v in w.data["pencil_w_prime"]]
-        if w.kind == FLAG_PENCIL:
-            seg["levels"] = list(w.data["levels"])
-    elif w.kind == ETALE_LINE:
-        seg["gen_start"] = _vec_to_json(f, w.data["gen_start"])
-        seg["gen_end"] = _vec_to_json(f, w.data["gen_end"])
-    elif w.kind == QUADRIC_LINE:
-        seg["coord_polys"] = [p.to_json() for p in w.data["coord_polys"]]
-        seg["aux"] = _vec_to_json(f, w.data["aux"])
+    kind, f = w.record, w.field
+    seg = {key: _value_to_json(shape, w.data[key], f) for key, shape in kind.keys}
+    seg.update(kind=w.kind, start=_value_to_json(kind.endpoint, w.start, f),
+               end=_value_to_json(kind.endpoint, w.end, f),
+               validity=w.validity.to_json(), meta=dict(w.meta))
     return seg
-
-
-def _check_nvars(form, what, **lists):
-    """Raise unless each named list has one entry per variable of the form."""
-    for key, value in lists.items():
-        if len(value) != form.nvars:
-            raise InvalidInputError(f"{what} {key} has {len(value)} entries, "
-                                    f"but the form has {form.nvars} variables")
 
 
 def _count_from_json(value, key, least):
@@ -293,30 +296,6 @@ def _ints_from_json(value, key):
     return [json_int(x, key) for x in value]
 
 
-def _check_pencil_data(algebra, data):
-    """Raise unless the pencil vectors come in pairs, each of length m * dim D
-    of the algebra's module presentation, and the flag levels are the vector
-    counts connect_flags writes: non-empty, at least 0, strictly increasing,
-    the last one the number of vectors."""
-    w, wp = data["pencil_w"], data["pencil_w_prime"]
-    if len(w) != len(wp):
-        raise InvalidInputError(f"'pencil_w' has {len(w)} vectors but "
-                                f"'pencil_w_prime' has {len(wp)}")
-    vlen = module_presentation(algebra).vlen
-    for key, vecs in (("pencil_w", w), ("pencil_w_prime", wp)):
-        for v in vecs:
-            if len(v) != vlen:
-                raise InvalidInputError(
-                    f"{key!r} holds a vector of length {len(v)}, not {vlen}")
-    levels = data.get("levels")
-    if levels is not None and (
-            not levels or levels[0] < 0 or levels[-1] != len(w)
-            or any(a >= b for a, b in zip(levels, levels[1:]))):
-        raise InvalidInputError(
-            f"'levels' {levels} must be non-empty, at least 0 and strictly "
-            f"increasing, and end at the vector count {len(w)}")
-
-
 # The typed metadata keys a segment may carry.  A zero ideal's pencil
 # stores rdim 0; a subalgebra has dimension at least 1.
 _META_READERS = {
@@ -335,40 +314,21 @@ def _meta_from_json(meta):
             for key, v in meta.items()}
 
 
-def _segment_from_json(seg, algebra, form):
-    kind = json_get(seg, "kind", str)
-    if kind in (IDEAL_PENCIL, FLAG_PENCIL, ETALE_LINE):
-        if algebra is None:
-            raise InvalidInputError(f"a {kind} segment needs an algebra")
-        field = algebra.field
-    elif kind == QUADRIC_LINE:
-        if form is None:
-            raise InvalidInputError(f"a {kind} segment needs a form")
-        field = form.field
-    else:
-        raise InvalidInputError(f"unknown segment kind {kind!r}")
-    start = _endpoint_from_json(kind, json_get(seg, "start", object), algebra, field)
-    end = _endpoint_from_json(kind, json_get(seg, "end", object), algebra, field)
-    validity = Poly.from_json(field, json_get(seg, "validity", list))
-    meta = _meta_from_json(json_get(seg, "meta", dict, {}))
-    if kind in (IDEAL_PENCIL, FLAG_PENCIL):
-        data = {"pencil_w": _vecs_at(field, seg, "pencil_w"),
-                "pencil_w_prime": _vecs_at(field, seg, "pencil_w_prime")}
-        if kind == FLAG_PENCIL:
-            data["levels"] = [json_int(x, "levels")
-                              for x in json_get(seg, "levels", list)]
-        _check_pencil_data(algebra, data)
-    elif kind == ETALE_LINE:
-        data = {"gen_start": _vec_at(field, seg, "gen_start"),
-                "gen_end": _vec_at(field, seg, "gen_end")}
-    else:
-        data = {"coord_polys": [_poly_from_json(field, p, "coord_polys")
-                                for p in json_get(seg, "coord_polys", list)],
-                "aux": _vec_at(field, seg, "aux")}
-        _check_nvars(form, kind, coord_polys=data["coord_polys"], start=start,
-                     end=end, aux=data["aux"])
-    return PencilWitness(kind, start, end, validity, data,
-                         algebra=algebra, form=form, meta=meta)
+def _segment_from_json(seg, context, ctx):
+    tag = json_get(seg, "kind", str)
+    kind = KINDS.get(tag)
+    if kind is None:
+        raise InvalidInputError(f"unknown segment kind {tag!r}")
+    if kind.context != context:
+        raise InvalidInputError(f"a {tag} segment needs the witness's {kind.context}")
+    data = _values_from_json(seg, (("start", kind.endpoint), ("end", kind.endpoint)) + kind.keys,
+                             ctx, kind.size(ctx), tag)
+    start, end = data.pop("start"), data.pop("end")
+    kind.check_data(data)
+    return PencilWitness(tag, start, end,
+                         Poly.from_json(ctx.field, json_get(seg, "validity", list)), data,
+                         meta=_meta_from_json(json_get(seg, "meta", dict, {})),
+                         **{context: ctx})
 
 
 def witness_to_json(w, form=None):
@@ -382,39 +342,35 @@ def witness_to_json(w, form=None):
                 "start": _vec_to_json(form.field, w.start),
                 "end": _vec_to_json(form.field, w.end)}
     first = segments[0]
-    out = {"kind": first.kind,
-           "param_convention": PARAM_CONVENTION,
-           "segments": [_segment_to_json(s) for s in segments]}
-    if first.algebra is not None:
-        out["algebra"] = algebra_to_json(first.algebra)
-    if first.form is not None:
-        out["form"] = form_to_json(first.form)
-    return out
+    context = first.record.context
+    ctx = getattr(first, context)
+    return {"kind": first.kind, "param_convention": PARAM_CONVENTION,
+            "segments": [_segment_to_json(s) for s in segments],
+            context: form_to_json(ctx) if context == "form" else algebra_to_json(ctx)}
 
 
 def witness_from_json(data):
+    """A witness file holds one context, an algebra or a form, and segments
+    unless its kind is "empty", and then the kind of its first segment."""
     if not isinstance(data, dict):
         raise InvalidInputError("a witness file must hold a JSON object")
     if data.get("param_convention") != PARAM_CONVENTION:
         raise InvalidInputError(
             f"unsupported parameter convention {data.get('param_convention')!r}")
-    if "algebra" not in data and "form" not in data:
-        raise InvalidInputError("witness has neither an algebra nor a form")
-    algebra = json_get(data, "algebra", dict, None)
-    if algebra is not None:
-        algebra = algebra_from_json(algebra)
-    form = json_get(data, "form", dict, None)
-    if form is not None:
-        form = form_from_json(form)
-    if data.get("kind") == "empty":
-        if form is None:
+    if ("algebra" in data) == ("form" in data):
+        raise InvalidInputError("a witness holds one context: an algebra or a form")
+    context = "form" if "form" in data else "algebra"
+    ctx = (form_from_json if "form" in data else algebra_from_json)(json_get(data, context, dict))
+    kind = data.get("kind")
+    if kind == "empty":
+        if context != "form":
             raise InvalidInputError("an empty chain needs a form")
-        start = _vec_at(form.field, data, "start")
-        end = _vec_at(form.field, data, "end")
-        _check_nvars(form, "empty chain", start=start, end=end)
-        return WitnessChain([], start=start, end=end)
-    segments = [_segment_from_json(s, algebra, form)
+        return WitnessChain([], **_values_from_json(
+            data, (("start", VECTOR), ("end", VECTOR)), ctx, ctx.nvars, "empty chain"))
+    segments = [_segment_from_json(s, context, ctx)
                 for s in json_get(data, "segments", list)]
-    if len(segments) == 1:
-        return segments[0]
-    return WitnessChain(segments)
+    want = segments[0].kind if segments else "empty"
+    if kind != want:
+        raise InvalidInputError(f"witness kind {kind!r} should be {want!r}: the kind of "
+                                f"its first segment, or 'empty' when it has none")
+    return segments[0] if len(segments) == 1 else WitnessChain(segments)

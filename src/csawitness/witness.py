@@ -5,13 +5,15 @@ data defining the point at parameter t, and a validity polynomial whose
 nonvanishing at t certifies genuine membership there.  The convention is
 fixed globally: t = 1 gives the start object, t = 0 the end.  Validity
 polynomials are derived symbolically (rank minors, pencil minimal
-polynomials, discriminants), and the verifier re-derives each one.  Only
-ideal and flag pencils are computed on at each sample, by one rank per
-level.  An etale line is certified once per segment, from its re-derived
-discriminant and E(1), for every t where the discriminant is nonzero; a
-conic segment for every t by a polynomial identity and a gcd.  Constructors
-do not re-check what verify_witness certifies: a conic segment's identity
-and endpoints hold by its formula, and the verifier re-derives them.
+polynomials, discriminants), and the verifier re-derives each one.
+Constructors do not re-check what verify_witness certifies.
+
+Each witness kind has one record in KINDS, keyed by its JSON tag, holding
+all the kind is: its context (the PencilWitness attribute, and JSON key, of
+its algebra or form), the JSON shapes of its endpoints and data keys, the
+size serialize holds its vectors and polynomial lists to, evaluate(w, t),
+derive (the validity re-derivation) and certify (its certificate, per
+sample or for every t).
 
 An ideal pencil is the one-level flag pencil: one core builds both from
 nested D-bases of the ideals' column spaces (D the quaternion factor, or F
@@ -43,16 +45,15 @@ from .quadrics import normalize_point
 
 PARAM_CONVENTION = "t1_start_t0_end"
 
-IDEAL_PENCIL = "ideal_pencil"
-FLAG_PENCIL = "flag_pencil"
-ETALE_LINE = "etale_line"
-QUADRIC_LINE = "quadric_line"
+# the JSON shapes of segment values; the last three are endpoint objects
+VECTOR, VECTORS, INTS, POLYS, IDEAL, FLAG, SUBALGEBRA = (
+    "vector", "vectors", "ints", "polys", "ideal", "flag", "subalgebra")
 
 
 class PencilWitness:
     """One parametrized segment with endpoints and a validity certificate."""
 
-    __slots__ = ("kind", "algebra", "form", "data", "start", "end",
+    __slots__ = ("kind", "record", "algebra", "form", "data", "start", "end",
                  "validity", "meta")
 
     def __init__(self, kind, start, end, validity, data, algebra=None,
@@ -60,6 +61,7 @@ class PencilWitness:
         if validity.is_zero():
             raise ConstructionFailedError("validity polynomial is identically zero")
         self.kind = kind
+        self.record = KINDS[kind]
         self.algebra = algebra
         self.form = form
         self.data = data
@@ -70,98 +72,13 @@ class PencilWitness:
 
     @property
     def field(self):
-        return self.algebra.field if self.algebra is not None else self.form.field
-
-    # -- evaluation -----------------------------------------------------------
+        return getattr(self, self.record.context).field
 
     def evaluate(self, t):
         """The domain object at parameter t; raises on degenerate parameters
         (the verifier only calls this where the validity polynomial is
         nonzero)."""
-        if self.kind == IDEAL_PENCIL:
-            return self._eval_ideal(t)
-        if self.kind == FLAG_PENCIL:
-            return self._eval_flag(t)
-        if self.kind == ETALE_LINE:
-            return self._eval_etale(t)
-        if self.kind == QUADRIC_LINE:
-            return self._eval_quadric(t)
-        raise InvalidInputError(f"unknown witness kind {self.kind!r}")
-
-    def _pencil_vectors_at(self, vecs, vecs_prime, t):
-        """t w + (1 - t) w' for each pair, as the matrix with rows (w_i, w'_i)
-        times (t, 1 - t): over F_p and Q one integer mat_vec per pair."""
-        f = self.field
-        tv = (t, f.sub(f.one, t))
-        return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
-
-    def _levels(self):
-        """The pencil vector counts of an ideal or flag pencil's levels; an
-        ideal pencil has one level holding every vector."""
-        if self.kind == FLAG_PENCIL:
-            return self.data["levels"]
-        return [len(self.data["pencil_w"])]
-
-    def _pencil_at(self, t):
-        """The module presentation and the pencil vectors at t."""
-        pres = module_presentation(self.algebra)
-        return pres, self._pencil_vectors_at(self.data["pencil_w"],
-                                             self.data["pencil_w_prime"], t)
-
-    def _level_rdims(self, t, pres, vecs):
-        """The reduced dimension of each level's ideal at t, from one rank per
-        level.
-
-        The ideal of a level is the set of elements whose columns lie in the
-        D-span W of its lvl pencil vectors.  It is spanned by d_rows(vecs)
-        placed in each of the m columns; the placements have disjoint
-        supports, so it has dimension m * rank(d_rows), and no ideal need be
-        built.  Raises what building them raises, in the same order: a
-        dimension that is not a multiple of the degree, then a span short of
-        full rank lvl * dim_F D.
-        """
-        A = self.algebra
-        rdims = []
-        for lvl in self._levels():
-            dim = pres.m * rank(A.field, pres.d_rows(vecs[:lvl]))
-            if dim % A.degree:
-                raise StructuralError(
-                    f"subspace dimension {dim} is not a multiple of the degree")
-            if dim != pres.m * lvl * pres.d2:
-                raise StructuralError(f"pencil drops rank at t={t}")
-            rdims.append(dim // A.degree)
-        return rdims
-
-    def _eval_levels(self, t):
-        """The right ideals of the pencil at t, one per level: the ideal whose
-        column space is the D-span of the first lvl pencil vectors, closed by
-        construction (ModulePresentation.ideal_from_subspace), once
-        _level_rdims finds every span of full rank.  Only the endpoints are
-        built; a sample needs only the ranks."""
-        pres, vecs = self._pencil_at(t)
-        self._level_rdims(t, pres, vecs)
-        return [pres.ideal_from_subspace(vecs[:lvl]) for lvl in self._levels()]
-
-    def _eval_ideal(self, t):
-        ideal, = self._eval_levels(t)
-        return ideal
-
-    def _eval_flag(self, t):
-        return Flag(self._eval_levels(t))
-
-    def _etale_generator_at(self, t):
-        coords, = self._pencil_vectors_at([self.data["gen_start"]],
-                                          [self.data["gen_end"]], t)
-        return AlgebraElement(self.algebra, coords)
-
-    def _eval_etale(self, t):
-        return generate_etale(self._etale_generator_at(t))
-
-    def _eval_quadric(self, t):
-        pt = normalize_point(self.field, tuple(p.eval(t) for p in self.data["coord_polys"]))
-        if pt is None:
-            raise StructuralError(f"curve coordinates vanish at t={t}")
-        return pt
+        return self.record.evaluate(self, t)
 
     def __repr__(self):
         return f"PencilWitness({self.kind}, validity degree {self.validity.degree})"
@@ -190,6 +107,254 @@ class WitnessChain:
 
     def __repr__(self):
         return f"WitnessChain({len(self.segments)} segments)"
+
+
+# ---------------------------------------------------------------------------
+# witness kinds
+
+
+def _pencil_vectors_at(f, vecs, vecs_prime, t):
+    """t w + (1 - t) w' for each pair, as the matrix with rows (w_i, w'_i)
+    times (t, 1 - t): over F_p and Q one integer mat_vec per pair."""
+    tv = (t, f.sub(f.one, t))
+    return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
+
+
+class _Kind:
+    """The defaults of a witness kind's record (see KINDS)."""
+
+    context = "algebra"
+    validity_entry = "validity_nonzero"
+
+    def check_data(self, data):
+        pass
+
+
+class _Pencil(_Kind):
+    """Ideal and flag pencils: one right ideal per level, whose column space
+    is the D-span of the level's first pencil vectors t w + (1 - t) w'.  A
+    sample where the re-derived minor is nonzero is checked by rank alone."""
+
+    validity_entry = "validity_rederived"
+
+    def size(self, A):
+        return module_presentation(A).vlen
+
+    def check_data(self, data):
+        w, wp = data["pencil_w"], data["pencil_w_prime"]
+        if len(w) != len(wp):
+            raise InvalidInputError(f"'pencil_w' has {len(w)} vectors but "
+                                    f"'pencil_w_prime' has {len(wp)}")
+
+    def levels(self, w):
+        # the vector count of each level; an ideal pencil has one, of them all
+        return w.data.get("levels", [len(w.data["pencil_w"])])
+
+    def _level_rdims(self, w, t):
+        """The module presentation, the pencil vectors at t and the reduced
+        dimension of each level's ideal there, from one rank per level.
+
+        The ideal of a level is the set of elements whose columns lie in the
+        D-span W of its lvl pencil vectors.  It is spanned by d_rows(vecs)
+        placed in each of the m columns; the placements have disjoint
+        supports, so it has dimension m * rank(d_rows), and no ideal need be
+        built.  Raises what building them raises, in the same order: a
+        dimension that is not a multiple of the degree, then a span short of
+        full rank lvl * dim_F D.
+        """
+        A = w.algebra
+        pres = module_presentation(A)
+        vecs = _pencil_vectors_at(A.field, w.data["pencil_w"], w.data["pencil_w_prime"], t)
+        rdims = []
+        for lvl in self.levels(w):
+            dim = pres.m * rank(A.field, pres.d_rows(vecs[:lvl]))
+            if dim % A.degree:
+                raise StructuralError(
+                    f"subspace dimension {dim} is not a multiple of the degree")
+            if dim != pres.m * lvl * pres.d2:
+                raise StructuralError(f"pencil drops rank at t={t}")
+            rdims.append(dim // A.degree)
+        return pres, vecs, rdims
+
+    def _ideals_at(self, w, t):
+        """The right ideals of the pencil at t, one per level: the ideal whose
+        column space is the D-span of the first lvl pencil vectors, closed by
+        construction (ModulePresentation.ideal_from_subspace), once
+        _level_rdims finds every span of full rank.  Only the endpoints are
+        built; a sample needs only the ranks."""
+        pres, vecs, _ = self._level_rdims(w, t)
+        return [pres.ideal_from_subspace(vecs[:lvl]) for lvl in self.levels(w)]
+
+    def derive(self, w, start, failure):
+        return _subspace_validity(module_presentation(w.algebra), w.data["pencil_w"],
+                                  w.data["pencil_w_prime"], self.levels(w))
+
+    def certify(self, w, validity, detail, start, samples):
+        return _sampled(w, validity, samples, lambda t: self.check_sample(w, t))
+
+
+class IdealPencil(_Pencil):
+    tag = "ideal_pencil"
+    endpoint = IDEAL
+    keys = (("pencil_w", VECTORS), ("pencil_w_prime", VECTORS))
+
+    def evaluate(self, w, t):
+        return self._ideals_at(w, t)[0]
+
+    def check_sample(self, w, t):
+        # the start endpoint was closure-checked when it was built or loaded
+        want = w.start.rdim
+        if w.meta.get("rdim") != want:
+            return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
+        rdim, = self._level_rdims(w, t)[2]
+        if rdim != want:
+            return False, f"rdim {rdim} != {want}"
+        return True, ""
+
+
+class FlagPencil(_Pencil):
+    tag = "flag_pencil"
+    endpoint = FLAG
+    keys = IdealPencil.keys + (("levels", INTS),)
+
+    def check_data(self, data):
+        super().check_data(data)
+        levels, n = data["levels"], len(data["pencil_w"])
+        if (not levels or levels[0] < 0 or levels[-1] != n
+                or any(a >= b for a, b in zip(levels, levels[1:]))):
+            raise InvalidInputError(
+                f"'levels' {levels} must be non-empty, at least 0 and strictly "
+                f"increasing, and end at the vector count {n}")
+
+    def evaluate(self, w, t):
+        return Flag(self._ideals_at(w, t))
+
+    def check_sample(self, w, t):
+        """flag_check of the flag at t, from the level ranks alone.
+
+        Once _level_rdims passes, level l has D-rank exactly lvl_l, so its
+        rdim m * lvl_l * dim_F D / deg grows strictly with lvl_l.  A strictly
+        increasing signature therefore has strictly increasing levels, so
+        each level's vectors are a prefix of the next level's, its D-span W_l
+        lies in W_(l+1), and its ideal {x : every column of x in W_l} lies in
+        the next one.  The containments flag_check tests are implied.
+        """
+        sig = tuple(w.meta.get("signature", ()))
+        rdims = tuple(self._level_rdims(w, t)[2])
+        return rdims == sig and all(a < b for a, b in zip(sig, sig[1:])), ""
+
+
+class EtaleLine(_Kind):
+    """The etale subalgebra E(t) generated by t gen_start + (1 - t) gen_end."""
+
+    tag = "etale_line"
+    endpoint = SUBALGEBRA
+    keys = (("gen_start", VECTOR), ("gen_end", VECTOR))
+
+    def size(self, A):
+        return A.dim
+
+    def evaluate(self, w, t):
+        coords, = _pencil_vectors_at(w.field, [w.data["gen_start"]], [w.data["gen_end"]], t)
+        return generate_etale(AlgebraElement(w.algebra, coords))
+
+    def derive(self, w, start, failure):
+        """The discriminant of the degree-d pencil minimal polynomial mp(t) of
+        x(t) = t gen_start + (1 - t) gen_end, with d = dim E(1), from
+        start = E(1) as endpoint_start evaluated it, or None with the
+        evaluation's failure.  Each sample t where it is nonzero carries the
+        stored meta checked once, on E(1) (certify).
+
+        Why E(1) speaks for every such t.  mp(1) is monic of degree d and
+        kills x(1), whose minimal polynomial has degree d = dim E(1), so it
+        is that squarefree minimal polynomial, and t = 1 is such a point.
+        Let R be F[t][1/disc] with the roots theta_1..theta_d of mp adjoined
+        (an integral extension of F[t][1/disc], in which every
+        theta_i - theta_j is a unit), and K its fraction field.  The Lagrange
+        idempotents e_i = prod_(j != i) (x - theta_j) / (theta_i - theta_j)
+        have coordinates in R; since mp(x) = 0 they are orthogonal
+        idempotents summing to 1 in A (x) R, and x = sum theta_i e_i.  Over K
+        each e_i is nonzero, or a polynomial of degree d - 1 would kill x.  A
+        point t0 with disc(t0) != 0 extends to a homomorphism R -> Fbar
+        (lying over), under which the theta_i become the d distinct roots of
+        mp(t0) and the e_i orthogonal idempotents of A (x) Fbar summing to 1.
+        The maps P_ij: u -> e_i u e_j have matrices over R, so their ranks
+        can only drop at t0; but A = sum_ij e_i A e_j is a direct sum both
+        over K and at t0, so the ranks sum to dim A on both sides and none
+        drops.  P_ii(1) = e_i != 0 over K, so e_i(t0) != 0, and g(x(t0)) = 0
+        forces g(theta_i(t0)) = 0 for each i: the minimal polynomial of x(t0)
+        is mp(t0), squarefree of degree d, so E(t0) is etale of dim d.  As
+        the theta_i(t0) are distinct, u commutes with x(t0) iff e_i u e_j = 0
+        for all i != j, so dim C_A(x(t0)) = sum_i rank P_ii(t0), the
+        dimension over K.  Dimension, maximality and is_et_m_point (one
+        centralizer rank) are therefore the same at t0 as at t = 1.  This
+        uses only an associative unital table, and holds in every
+        characteristic: the discriminant is the squared Vandermonde
+        determinant (polyrings.xpoly_discriminant).
+        """
+        if start is None:
+            raise StructuralError(failure)
+        mp = pencil_min_poly(w.algebra, w.data["gen_start"], w.data["gen_end"], start.dim)
+        if mp is None:
+            raise StructuralError(f"no degree-{start.dim} pencil minimal polynomial")
+        return xpoly_discriminant(mp)
+
+    def _check_meta(self, w, E):
+        """The stored meta of an etale line against E = E(1)."""
+        d = w.meta.get("etale_dim")
+        if d is not None and E.dim != d:
+            return False, f"dim {E.dim} != {d}"
+        maximal = w.meta.get("maximal")
+        if maximal is not None and maximal != E.is_maximal():
+            return False, f"maximal is {maximal}, but dim {E.dim} in degree {E.algebra.degree}"
+        m = w.meta.get("et_m")
+        if m is not None and not is_et_m_point(E, m):
+            return False, f"not a balanced type-m={m} subalgebra"
+        return True, ""
+
+    def certify(self, w, validity, detail, start, samples):
+        outcome = (False, detail) if validity is None else self._check_meta(w, start)
+        return _sampled(w, validity, samples, lambda t: outcome)
+
+
+class QuadricLine(_Kind):
+    """A conic segment through aux, certified for every t with no sample:
+    its coordinates satisfy the form identically, and each of their common
+    zeros is a zero of the validity."""
+
+    tag = "quadric_line"
+    context = "form"
+    endpoint = VECTOR
+    keys = (("coord_polys", POLYS), ("aux", VECTOR))
+
+    def size(self, form):
+        return form.nvars
+
+    def evaluate(self, w, t):
+        pt = normalize_point(w.field, tuple(p.eval(t) for p in w.data["coord_polys"]))
+        if pt is None:
+            raise StructuralError(f"curve coordinates vanish at t={t}")
+        return pt
+
+    def derive(self, w, start, failure):
+        return w.validity  # which the certificate ties to the coordinates
+
+    def certify(self, w, validity, detail, start, samples):
+        coord_polys = w.data["coord_polys"]
+        # g | v^deg(g) iff every common zero of the coordinates is a zero of v;
+        # a constant gcd stays constant, so the loop stops at the first one,
+        # and a nonzero constant divides everything
+        g = Poly.zero(w.field)
+        for p in coord_polys:
+            g = poly_gcd(g, p)
+            if g.degree == 0:
+                break
+        return [("on_quadric_identity", w.form.eval_polys(coord_polys).is_zero(), ""),
+                ("coord_gcd_divides_validity", not g.is_zero() and (
+                    g.degree == 0 or validity.pow_mod(g.degree, g).is_zero()), "")]
+
+
+KINDS = {kind.tag: kind for kind in (IdealPencil(), FlagPencil(), EtaleLine(), QuadricLine())}
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +395,31 @@ def _fmt(field, t):
     return v if isinstance(v, str) else ",".join(v)
 
 
+def _sampled(w, validity, samples, check):
+    """A membership entry (check(t), or False and an exception's message)
+    per sample t where validity, if there is one, is nonzero."""
+    field = w.field
+    entries = []
+    for t in default_samples(field) if samples is None else samples:
+        if validity is not None and field.is_zero(validity.eval(t)):
+            continue
+        try:
+            ok, detail = check(t)
+        except Exception as exc:
+            ok, detail = False, str(exc)
+        entries.append((f"membership@t={_fmt(field, t)}", ok, detail))
+    return entries
+
+
 def verify_witness(w, samples=None):
     """Re-check a witness or chain from scratch.
 
-    Endpoint matches are exact object equalities.  A conic segment is
-    certified for every t, with no sample: its coordinates satisfy the form
-    identically and each of their common zeros is a zero of the validity.
-    Pencils and etale lines get one membership entry per sample where the
-    re-derived validity is nonzero, and the stored validity must equal it.
-    An ideal or flag pencil's validity is derived from its pencil data, and
-    a sample is checked by rank alone: the D-rows of each level's pencil
-    vectors must have full rank, which is the condition the re-derived minor
-    certifies, and the rank gives the level's rdim, so no ideal is built
-    between the endpoints.  An etale line's validity is the discriminant of
-    its pencil minimal polynomial of degree d = dim E(1), and its meta is
-    checked once, on E(1); every sample entry carries that one outcome,
-    which holds wherever the discriminant is nonzero (_etale_certificate),
-    so no subalgebra is built between the endpoints either.  Chains also get
-    continuity checks.  Failures are report entries, never exceptions.
+    Each segment gets the same steps from its kind's record: the endpoints
+    evaluated, the validity re-derived (derive), for which the stored one
+    must equal it, the endpoint matches as exact object equalities, then the
+    kind's certificate (certify), which builds no ideal or subalgebra
+    between the endpoints.  Chains also get continuity checks.  Failures
+    are report entries, never exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
@@ -261,10 +433,8 @@ def verify_witness(w, samples=None):
         return report
 
     report = VerificationReport()
-    field = w.field
-    validity = w.validity
-    # (name, ok, detail, object at t); the etale certificate reads E(1)
-    ends = []
+    kind, field = w.record, w.field
+    ends = []  # (name, ok, detail, object at t)
     for name, t, target in (("endpoint_start", field.one, w.start),
                             ("endpoint_end", field.zero, w.end)):
         try:
@@ -272,145 +442,17 @@ def verify_witness(w, samples=None):
             ends.append((name, got == target, "", got))
         except Exception as exc:
             ends.append((name, False, f"evaluation failed: {exc}", None))
-
-    if w.kind in (IDEAL_PENCIL, FLAG_PENCIL):
-        try:
-            validity = _subspace_validity(module_presentation(w.algebra),
-                                          w.data["pencil_w"], w.data["pencil_w_prime"],
-                                          w._levels())
-            detail = "" if validity == w.validity else "stored validity differs"
-        except Exception as exc:
-            validity, detail = None, f"derivation failed: {exc}"
-        report.add("validity_rederived", not detail, detail)
-    elif w.kind == ETALE_LINE:
-        _, _, failure, start = ends[0]
-        validity, detail, segment = _etale_certificate(w, start, failure)
-        report.add("validity_nonzero", not detail, detail)
-    else:
-        report.add("validity_nonzero", not validity.is_zero())
-    for name, ok, detail, _ in ends:
-        report.add(name, ok, detail)
-
-    if w.kind == QUADRIC_LINE:
-        coord_polys = w.data["coord_polys"]
-        report.add("on_quadric_identity", w.form.eval_polys(coord_polys).is_zero())
-        # g | v^deg(g) iff every common zero of the coordinates is a zero of v;
-        # a constant gcd stays constant, so the loop stops at the first one,
-        # and a nonzero constant divides everything
-        g = Poly.zero(field)
-        for p in coord_polys:
-            g = poly_gcd(g, p)
-            if g.degree == 0:
-                break
-        report.add("coord_gcd_divides_validity",
-                   not g.is_zero() and (g.degree == 0
-                                        or w.validity.pow_mod(g.degree, g).is_zero()))
-        return report
-
-    checker = {IDEAL_PENCIL: _check_ideal_sample,
-               FLAG_PENCIL: _check_flag_sample,
-               ETALE_LINE: lambda w, t: segment}[w.kind]
-    for t in default_samples(field) if samples is None else samples:
-        if validity is not None and field.is_zero(validity.eval(t)):
-            continue
-        try:
-            ok, detail = checker(w, t)
-        except Exception as exc:
-            ok, detail = False, str(exc)
-        report.add(f"membership@t={_fmt(field, t)}", ok, detail)
-    return report
-
-
-def _check_ideal_sample(w, t):
-    # the start endpoint was closure-checked when it was built or loaded
-    want = w.start.rdim
-    if w.meta.get("rdim") != want:
-        return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
-    rdim, = w._level_rdims(t, *w._pencil_at(t))
-    if rdim != want:
-        return False, f"rdim {rdim} != {want}"
-    return True, ""
-
-
-def _check_flag_sample(w, t):
-    """flag_check of the flag at t, from the level ranks alone.
-
-    Once _level_rdims passes, level l has D-rank exactly lvl_l, so its rdim
-    m * lvl_l * dim_F D / deg grows strictly with lvl_l.  A strictly
-    increasing signature therefore has strictly increasing levels, so each
-    level's vectors are a prefix of the next level's, its D-span W_l lies in
-    W_(l+1), and its ideal {x : every column of x in W_l} lies in the next
-    one.  The containments flag_check tests are implied.
-    """
-    sig = tuple(w.meta.get("signature", ()))
-    rdims = tuple(w._level_rdims(t, *w._pencil_at(t)))
-    return rdims == sig and all(a < b for a, b in zip(sig, sig[1:])), ""
-
-
-def _etale_certificate(w, start, failure):
-    """(validity, detail, segment) for an etale line, from start = E(1) as
-    endpoint_start evaluated it, or None with the evaluation's failure.
-
-    The validity is re-derived as the discriminant of the degree-d pencil
-    minimal polynomial mp(t) of x(t) = t gen_start + (1 - t) gen_end, with
-    d = dim E(1); detail is "" when it equals the stored validity.  segment
-    is the (ok, detail) of every sample t with validity(t) != 0: the stored
-    meta checked once, on E(1).  If the derivation fails, validity is None
-    and every sample fails with its detail.
-
-    Why E(1) speaks for every such t.  mp(1) is monic of degree d and kills
-    x(1), whose minimal polynomial has degree d = dim E(1), so it is that
-    squarefree minimal polynomial, and t = 1 is such a point.  Let R be
-    F[t][1/disc] with the roots theta_1..theta_d of mp adjoined (an integral
-    extension of F[t][1/disc], in which every theta_i - theta_j is a unit),
-    and K its fraction field.  The Lagrange idempotents
-    e_i = prod_(j != i) (x - theta_j) / (theta_i - theta_j) have coordinates
-    in R; since mp(x) = 0 they are orthogonal idempotents summing to 1 in
-    A (x) R, and x = sum theta_i e_i.  Over K each e_i is nonzero, or a
-    polynomial of degree d - 1 would kill x.  A point t0 with disc(t0) != 0
-    extends to a homomorphism R -> Fbar (lying over), under which the
-    theta_i become the d distinct roots of mp(t0) and the e_i orthogonal
-    idempotents of A (x) Fbar summing to 1.  The maps P_ij: u -> e_i u e_j
-    have matrices over R, so their ranks can only drop at t0; but
-    A = sum_ij e_i A e_j is a direct sum both over K and at t0, so the ranks
-    sum to dim A on both sides and none drops.  P_ii(1) = e_i != 0 over K,
-    so e_i(t0) != 0, and g(x(t0)) = 0 forces g(theta_i(t0)) = 0 for each i:
-    the minimal polynomial of x(t0) is mp(t0), squarefree of degree d, so
-    E(t0) is etale of dim d.  As the theta_i(t0) are distinct, u commutes
-    with x(t0) iff e_i u e_j = 0 for all i != j, so dim C_A(x(t0)) =
-    sum_i rank P_ii(t0), the dimension over K.  Dimension, maximality and
-    is_et_m_point (one centralizer rank) are therefore the same at t0 as at
-    t = 1.  This uses only an associative unital table, and holds in every
-    characteristic: the discriminant is the squared Vandermonde determinant
-    (polyrings.xpoly_discriminant).
-    """
+    _, _, failure, start = ends[0]
     try:
-        if start is None:
-            raise StructuralError(failure)
-        d = start.dim
-        mp = pencil_min_poly(w.algebra, w.data["gen_start"], w.data["gen_end"], d)
-        if mp is None:
-            raise StructuralError(f"no degree-{d} pencil minimal polynomial")
-        validity = xpoly_discriminant(mp)
+        validity = kind.derive(w, start, failure)
+        detail = "" if validity == w.validity else "stored validity differs"
     except Exception as exc:
-        detail = f"derivation failed: {exc}"
-        return None, detail, (False, detail)
-    detail = "" if validity == w.validity else "stored validity differs"
-    return validity, detail, _check_etale_meta(w, start)
-
-
-def _check_etale_meta(w, E):
-    """The stored meta of an etale line against E = E(1)."""
-    d = w.meta.get("etale_dim")
-    if d is not None and E.dim != d:
-        return False, f"dim {E.dim} != {d}"
-    maximal = w.meta.get("maximal")
-    if maximal is not None and maximal != E.is_maximal():
-        return False, f"maximal is {maximal}, but dim {E.dim} in degree {E.algebra.degree}"
-    m = w.meta.get("et_m")
-    if m is not None and not is_et_m_point(E, m):
-        return False, f"not a balanced type-m={m} subalgebra"
-    return True, ""
+        validity, detail = None, f"derivation failed: {exc}"
+    report.add(kind.validity_entry, not detail, detail)
+    for name, ok, entry_detail in ([end[:3] for end in ends]
+                                   + kind.certify(w, validity, detail, start, samples)):
+        report.add(name, ok, entry_detail)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +518,9 @@ def _subspace_pencil(pres, kind, start, end, ideals, ideals_prime, meta):
         wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
         wpb = pres.d_basis_of(pres.image_subspace(Ip), extend_from=wpb)
         levels.append(len(wb))
-    data = {"pencil_w": wb, "pencil_w_prime": wpb}
-    if kind == FLAG_PENCIL:
-        data["levels"] = levels
+    data = {"pencil_w": wb, "pencil_w_prime": wpb, "levels": levels}
     w = PencilWitness(kind, start, end, _subspace_validity(pres, wb, wpb, levels),
-                      data, algebra=A, meta=meta)
+                      {key: data[key] for key, _ in KINDS[kind].keys}, algebra=A, meta=meta)
     if w.evaluate(A.field.one) != start or w.evaluate(A.field.zero) != end:
         raise ConstructionFailedError(
             "pencil endpoints do not reproduce the inputs; the module "
@@ -500,7 +540,7 @@ def connect_ideals(I, Iprime):
         raise InvalidInputError("ideals live in different algebras")
     if I.rdim != Iprime.rdim:
         raise InvalidInputError(f"reduced dimensions differ: {I.rdim} != {Iprime.rdim}")
-    return _subspace_pencil(module_presentation(I.algebra), IDEAL_PENCIL, I, Iprime,
+    return _subspace_pencil(module_presentation(I.algebra), IdealPencil.tag, I, Iprime,
                             (I,), (Iprime,), {"rdim": I.rdim})
 
 
@@ -520,7 +560,7 @@ def connect_flags(flag, flag_prime):
     for rd in sig:
         if rd % pres.ind:
             raise InvalidInputError(f"rdim {rd} is not a multiple of the index")
-    return _subspace_pencil(pres, FLAG_PENCIL, flag, flag_prime, flag.ideals,
+    return _subspace_pencil(pres, FlagPencil.tag, flag, flag_prime, flag.ideals,
                             flag_prime.ideals, {"signature": list(sig)})
 
 
@@ -540,7 +580,7 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta):
         return None
     start = generate_etale(gen_start)
     end = generate_etale(gen_end)
-    return PencilWitness(ETALE_LINE, start, end, validity,
+    return PencilWitness(EtaleLine.tag, start, end, validity,
                          {"gen_start": gen_start.coords,
                           "gen_end": gen_end.coords},
                          algebra=A, meta=meta)
@@ -838,7 +878,7 @@ def _quadric_segment(form, p1, p2, aux, b1, b2, b12):
                                 sub(add(mul(b2, x), mul(c1, y)), mul(b12, a)),
                                 add(mul(l1, sub(x, y)), mul(b12, a))])
                    for x, y, a in zip(p1, p2, aux)]
-    return PencilWitness(QUADRIC_LINE, p1, p2, Poly(field, [b2, l1]),
+    return PencilWitness(QuadricLine.tag, p1, p2, Poly(field, [b2, l1]),
                          {"coord_polys": coord_polys, "aux": aux},
                          form=form)
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from csawitness import serialize
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.cli import main
-from csawitness.fields import PrimeField
+from csawitness.fields import QQ, PrimeField
 from csawitness.ideals import Flag, ideal_generated, random_ideal, zero_ideal
 
 
@@ -712,15 +712,19 @@ def test_each_etale_field_tamper_fails(runner, tmp_path, name, case):
 
 def _pencil_file(tmp_path, kind):
     """A canonical M4(F_5) ideal pencil (rdim 2) or flag pencil (signature
-    1, 2, 3), as witness JSON."""
+    1, 2, 3), or an M2(F_5) maximal etale line, as witness JSON."""
+    from csawitness.etale import random_maximal_etale
     from csawitness.ideals import random_flag
-    from csawitness.witness import connect_flags, connect_ideals
+    from csawitness.witness import connect_flags, connect_ideals, connect_max_etale
     A = make_matrix_algebra(PrimeField(5), 4)
     rng = random.Random(9)
     if kind == "ideal":
         w = connect_ideals(random_ideal(A, 2, rng), random_ideal(A, 2, rng))
-    else:
+    elif kind == "flag":
         w = connect_flags(random_flag(A, [1, 2, 3], rng), random_flag(A, [1, 2, 3], rng))
+    else:
+        A = make_matrix_algebra(PrimeField(5), 2)
+        w = connect_max_etale(random_maximal_etale(A, rng), random_maximal_etale(A, rng))
     return serialize.witness_to_json(w)
 
 
@@ -741,6 +745,13 @@ _MALFORMED_PENCILS = {
                             "'pencil_w' has 2 vectors but 'pencil_w_prime' has 1"),
     "short_vector": ("ideal", _shorten_first_vector,
                      "'pencil_w' holds a vector of length 3, not 4"),
+    # an etale line's generators have one coordinate per basis element of A
+    "long_gen_start": ("etale", lambda seg: seg["gen_start"].append("0"),
+                       "'gen_start' holds a vector of length 5, not 4"),
+    "short_gen_start": ("etale", lambda seg: seg["gen_start"].pop(),
+                        "'gen_start' holds a vector of length 3, not 4"),
+    "short_gen_end": ("etale", lambda seg: seg["gen_end"].pop(),
+                      "'gen_end' holds a vector of length 3, not 4"),
 }
 
 
@@ -754,5 +765,55 @@ def test_malformed_pencil_data_exits_2(runner, tmp_path, case):
     assert r.exit_code == 0 and r.output.startswith("pass"), r.output
     mutate(data["segments"][0])
     serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r) and message in r.stderr, r.output
+
+
+
+def _honest_witness(runner, tmp_path, name):
+    """The witness file of the etale_m3f7 or exp2_m4f7 pipeline, or of the
+    F_3 conic pipeline, checked to verify."""
+    if name == "conic":
+        w = tmp_path / "w.json"
+        assert invoke(runner, ["witness", "connect-quadric", "--form", str(_conic_f3(tmp_path)),
+                               "--p1", "1,0,0", "--p2", "0,0,1", "--out", str(w)]).exit_code == 0
+    else:
+        w = _etale_witness_file(runner, tmp_path, name)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 0 and r.stdout.startswith("pass"), r.output
+    return w
+
+
+# what `csaw algebra new --preset matrix --n 2 --field q` writes
+_M2Q = serialize.algebra_to_json(make_matrix_algebra(QQ, 2))
+
+# (honest witness, its change, a part of the one-line message)
+_MISLABELED_WITNESSES = {
+    "no_segments": ("etale_m3f7", lambda d: d.update(segments=[]),
+                    "witness kind 'etale_line' should be 'empty'"),
+    "no_segments_made_up_kind": ("etale_m3f7", lambda d: d.update(segments=[], kind="bogus"),
+                                 "witness kind 'bogus' should be 'empty'"),
+    "kind_of_another_segment": ("etale_m3f7", lambda d: d.update(kind="quadric_line"),
+                                "witness kind 'quadric_line' should be 'etale_line'"),
+    "chain_without_kind": ("exp2_m4f7", lambda d: d.pop("kind"),
+                           "witness kind None should be 'etale_line'"),
+    "conic_with_an_algebra": ("conic", lambda d: d.update(algebra=_M2Q), "one context"),
+    "conic_over_an_algebra": ("conic", lambda d: _replace_form(d, _M2Q),
+                              "a quadric_line segment needs the witness's form"),
+}
+
+
+def _replace_form(data, algebra):
+    del data["form"]
+    data["algebra"] = algebra
+
+
+@pytest.mark.parametrize("case", sorted(_MISLABELED_WITNESSES))
+def test_mislabeled_witness_exits_2(runner, tmp_path, case):
+    name, change, message = _MISLABELED_WITNESSES[case]
+    w = _honest_witness(runner, tmp_path, name)
+    data = json.loads(w.read_text())
+    change(data)
+    w.write_text(json.dumps(data))
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert _one_error_line(r) and message in r.stderr, r.output

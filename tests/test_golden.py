@@ -100,6 +100,20 @@ CONIC_F3 = [
     ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
 ]
 
+# a flag pencil of signature (1, 2, 3); its verify report is the one report
+# of a witness kind the pipelines above do not pin
+FLAGS_M4F5 = [
+    ("a", ["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:5",
+           "--out", "a.json"]),
+    ("f1", ["flag", "random", "--algebra", "a.json", "--signature", "1,2,3",
+            "--seed", "7", "--out", "f1.json"]),
+    ("f2", ["flag", "random", "--algebra", "a.json", "--signature", "1,2,3",
+            "--seed", "8", "--out", "f2.json"]),
+    ("w", ["witness", "connect-flags", "--algebra", "a.json", "--from", "f1.json",
+           "--to", "f2.json", "--out", "w.json"]),
+    ("v", ["verify", "--witness", "w.json", "--exhaustive", "--out", "v.json"]),
+]
+
 GOLDEN = {
     "ideals_m4f5": {
         "a.json":
@@ -231,6 +245,28 @@ GOLDEN = {
         "w.stdout":
             "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
     },
+    "flags_m4f5": {
+        "a.json":
+            "18f654e256e640a96e6f3c4923294433efa0927c17062ca44e7bc934054539c3",
+        "a.stdout":
+            "b04e9ce2f117e7cdad1e15d8667ead990c235cd87d2083ef048342ef4bf4b429",
+        "f1.json":
+            "60804669b4d3d5c4d27bba6624ae29920bb452b1b9f3e64e66c41d05c4160732",
+        "f1.stdout":
+            "2b3911c3990231e976cf9562dc5c1c59189b0c097d4ee260bc23633a220139a3",
+        "f2.json":
+            "79520d6af6290a46d158db58f04e084129a4b7cad986279a71caa69717f7e038",
+        "f2.stdout":
+            "9288b04e35edd48273ad8eb061ab39cd6eaffb0695aeb13af10d2cfbf339bc9a",
+        "v.json":
+            "778c943c1922044c315a36bbeac7e0437061d3ad4d7475068cdabf2b2d1d60cb",
+        "v.stdout":
+            "dbf4d0e97de8de754a207563a6c82021d67961f52cbcc810911efca5f58f9d30",
+        "w.json":
+            "6ca555204efe2e28b30e30caad027af11701f6749eea549c32b6ba8fe7c9459a",
+        "w.stdout":
+            "81b0c3f4d0db7178d788a25fe644b6bebe1e7bc803f2ca6020d4f7b3d566ac0b",
+    },
 }
 
 
@@ -280,6 +316,10 @@ def test_golden_exp2_m4f7(tmp_path, monkeypatch):
 def test_golden_conic_f3(tmp_path, monkeypatch):
     (tmp_path / "q.json").write_text(json.dumps(CONIC_F3_FORM))
     _check("conic_f3", CONIC_F3, tmp_path, monkeypatch)
+
+
+def test_golden_flags_m4f5(tmp_path, monkeypatch):
+    _check("flags_m4f5", FLAGS_M4F5, tmp_path, monkeypatch)
 
 
 # `csaw hgraph --n 2` on one form of each size the benchmark draws from

@@ -16,7 +16,7 @@ from csawitness.ideals import (
 from csawitness.involutions import adjoint_involution, standard_alternating_matrix
 from csawitness.quadrics import QuadraticForm
 from csawitness.witness import (
-    connect_exp2, connect_flags, connect_ideals, connect_max_etale,
+    PencilWitness, connect_exp2, connect_flags, connect_ideals, connect_max_etale,
     connect_quadric_points, verify_witness,
 )
 
@@ -115,6 +115,18 @@ def test_quadric_witness_roundtrip():
     chain = connect_quadric_points(q, pts[0], pts[5])
     back = roundtrip(chain, serialize.witness_to_json, serialize.witness_from_json)
     assert verify_witness(back, list(F5.elements())).passed
+
+
+def test_a_segment_reads_and_writes_only_its_own_context():
+    q = QuadraticForm(F5, 4, {(0, 3): F5.one, (1, 2): F5.neg(F5.one)})
+    from csawitness.quadrics import points_on_quadric
+    pts = points_on_quadric(q)
+    seg, = connect_quadric_points(q, pts[0], pts[5]).segments
+    stray = PencilWitness(seg.kind, seg.start, seg.end, seg.validity, seg.data,
+                          algebra=make_matrix_algebra(QQ, 2), form=q)
+    assert stray.field == F5
+    assert verify_witness(stray).checks == verify_witness(seg).checks
+    assert serialize.witness_to_json(stray) == serialize.witness_to_json(seg)
 
 
 def test_empty_chain_roundtrip():

@@ -1,8 +1,10 @@
+import ast
 import functools
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,8 +36,7 @@ from csawitness.quadrics import (
     QuadraticForm, normalize_point, points_on_quadric, symp_quadric_model,
 )
 from csawitness.witness import (
-    PencilWitness, WitnessChain, _check_flag_sample, _check_ideal_sample,
-    connect_exp2, connect_flags, connect_ideals, connect_max_etale, connect_quadric_points, default_samples,
+    PencilWitness, WitnessChain, connect_exp2, connect_flags, connect_ideals, connect_max_etale, connect_quadric_points, default_samples,
     default_symplectic_involution,
     solve_inner_twist, symplectic_fixing_involution, verify_witness,
 )
@@ -45,6 +46,47 @@ F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 def exhaustive(field):
     return list(field.elements())
+
+
+# ---------------------------------------------------------------------------
+# one home per witness kind
+
+
+def _kind_tag_sites(sources):
+    """(file, top-level definition or None, tag) for each kind tag in
+    sources, a dict of file name to Python source: a string literal equal to
+    a tag of witness.KINDS, or a name, attribute or import of its constant
+    (IDEAL_PENCIL for ideal_pencil)."""
+    constants = {tag.upper(): tag for tag in witness.KINDS}
+    found = []
+    for fname, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                names = ([node.id] if isinstance(node, ast.Name)
+                         else [node.attr] if isinstance(node, ast.Attribute)
+                         else [node.name, node.asname] if isinstance(node, ast.alias) else [])
+                tags = [constants[n] for n in names if n in constants]
+                if isinstance(node, ast.Constant) and node.value in witness.KINDS:
+                    tags.append(node.value)
+                found += [(fname, getattr(top, "name", None), tag) for tag in tags]
+    return found
+
+
+def test_each_kind_tag_appears_only_in_its_record():
+    src = Path(witness.__file__).resolve().parent
+    sources = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    assert sorted(_kind_tag_sites(sources)) == sorted(
+        ("witness.py", type(kind).__name__, tag) for tag, kind in witness.KINDS.items())
+    assert sorted(witness.KINDS) == ["etale_line", "flag_pencil", "ideal_pencil", "quadric_line"]
+
+
+def test_a_stray_kind_tag_is_caught():
+    source = ("from .witness import ETALE_LINE\n\n"
+              "class EtaleLine:\n    tag = 'etale_line'\n\n"
+              "def is_conic(w):\n    return w.kind == 'quadric_line' or w.kind == mod.FLAG_PENCIL\n")
+    assert _kind_tag_sites({"m.py": source}) == [
+        ("m.py", None, "etale_line"), ("m.py", "EtaleLine", "etale_line"),
+        ("m.py", "is_conic", "quadric_line"), ("m.py", "is_conic", "flag_pencil")]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +356,9 @@ def test_pencil_validity_derivation_failure_is_a_report_entry():
 
 def _built_levels(w, t):
     pres = module_presentation(w.algebra)
-    vecs = w._pencil_vectors_at(w.data["pencil_w"], w.data["pencil_w_prime"], t)
+    vecs = witness._pencil_vectors_at(w.field, w.data["pencil_w"], w.data["pencil_w_prime"], t)
     ideals = []
-    for lvl in w._levels():
+    for lvl in w.record.levels(w):
         ideal = pres.ideal_from_subspace(vecs[:lvl])
         if ideal.dim() != pres.m * lvl * pres.d2:
             raise StructuralError(f"pencil drops rank at t={t}")
@@ -388,7 +430,7 @@ def _tampered(w):
 
     zero = tuple(w.field.zero for _ in w.data["pencil_w"][0])
     out = [_with(w, pencil_w=[zero] + list(w.data["pencil_w"][1:]))]
-    if w.kind == witness.IDEAL_PENCIL:
+    if isinstance(w.record, witness.IdealPencil):
         return out + [with_meta({"rdim": w.meta["rdim"] + 1})]
     sig = list(w.meta["signature"])[::-1]
     return out + [with_meta({"signature": sig}),
@@ -398,11 +440,10 @@ def _tampered(w):
 def test_rank_samples_agree_with_built_ideals():
     fires = Counter()
     for w, samples in _rank_cases():
-        new, old = ((_check_ideal_sample, _built_ideal_sample)
-                    if w.kind == witness.IDEAL_PENCIL else (_check_flag_sample, _built_flag_sample))
+        old = _built_ideal_sample if isinstance(w.record, witness.IdealPencil) else _built_flag_sample
         for v in [w] + _tampered(w):
             for t in samples:
-                got = _outcome(new, v, t)
+                got = _outcome(v.record.check_sample, v, t)
                 assert got == _outcome(old, v, t), (v, t)
                 fires[got[1].startswith("pencil drops rank")] += 1
     # every sample is checked, so the roots of the validity drop rank
@@ -414,8 +455,10 @@ def test_rank_samples_give_the_same_reports(monkeypatch):
         for v in [w] + _tampered(w):
             new = verify_witness(v, samples).checks
             with monkeypatch.context() as m:
-                m.setattr(witness, "_check_ideal_sample", _built_ideal_sample)
-                m.setattr(witness, "_check_flag_sample", _built_flag_sample)
+                m.setattr(witness.IdealPencil, "check_sample",
+                          lambda self, w, t: _built_ideal_sample(w, t))
+                m.setattr(witness.FlagPencil, "check_sample",
+                          lambda self, w, t: _built_flag_sample(w, t))
                 assert verify_witness(v, samples).checks == new
 
 
@@ -503,7 +546,7 @@ def _per_sample_outcomes(w, samples):
         if f.is_zero(w.validity.eval(t)):
             continue
         try:
-            E = generate_etale(w._etale_generator_at(t))
+            E = w.evaluate(t)
         except NotEtaleError:
             out[f"membership@t={witness._fmt(f, t)}"] = False
             continue
@@ -639,7 +682,7 @@ def test_etale_oracle_catches_a_skipped_et_m_check(monkeypatch):
 def test_etale_line_without_a_derivable_validity_fails(start, detail):
     A = make_matrix_algebra(F5, 2)
     end = generate_etale(A.element([1, 0, 0, 2]))
-    w = PencilWitness(witness.ETALE_LINE, end, end, Poly.one(F5),
+    w = PencilWitness(witness.EtaleLine.tag, end, end, Poly.one(F5),
                       {"gen_start": start, "gen_end": end.generator.coords}, algebra=A)
     rep = verify_witness(w, exhaustive(F5))
     detail = f"derivation failed: {detail}"
