@@ -19,8 +19,9 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    first_dependency, int_first_dependency, int_rank, intertwiner_mismatch,
-    kernel, lift_matrix, mat_vec, rank, rref, solve, transpose,
+    first_dependency, int_dependency, int_first_dependency, int_rank,
+    intertwiner_mismatch, kernel, lift_matrix, mat_vec, rank, rref, solve,
+    transpose,
 )
 from .poly import Poly, poly_nth_root
 from .quadrics import QuadraticForm, projective_points
@@ -415,21 +416,40 @@ class Algebra:
 
     def inverse(self, x):
         """Two-sided inverse of x, or None, from the first dependency
-        x^d = sum_(i<d) c_i x^i of 1, x, x^2, ...
-        (minimal_polynomial_and_power_basis).  Then
-        x (x^(d-1) - c_(d-1) x^(d-2) - ... - c_1) = c_0.
-        If c_0 = 0, x times that polynomial, which is nonzero because
-        1, ..., x^(d-1) are independent, is 0, so x is a zero divisor and has
-        no inverse; otherwise the polynomial over c_0 is the inverse.  The
-        check y x = 1 is kept."""
-        mp, powers, _, _ = minimal_polynomial_and_power_basis(AlgebraElement(self, x))
+        c'_0 + c'_1 x + ... + c'_d x^d = 0 of 1, x, x^2, ... (c'_d != 0).
+        Then x (c'_1 + c'_2 x + ... + c'_d x^(d-1)) = -c'_0.  If c'_0 = 0,
+        x times that polynomial, which is nonzero because 1, ..., x^(d-1)
+        are independent, is 0, so x is a zero divisor and has no inverse;
+        otherwise the polynomial over -c'_0 is the inverse.  The check
+        y x = 1 is kept.
+
+        Over F_p and Q the dependency is linalg.int_dependency on the int
+        powers (int_powers): no rref basis is built, a zero divisor returns
+        None with nothing lowered, and the inverse is summed from the kept
+        powers as ints at the scale of x^(d-1), then lowered once.  Over
+        other fields it is read off minimal_polynomial_and_power_basis."""
         f = self.field
-        a0 = mp.coeff(0)   # mp = x^d + a_(d-1) x^(d-1) + ... + a_0, a_i = -c_i
-        if f.is_zero(a0):
-            return None
-        scale = f.neg(f.inv(a0))
-        y = tuple(mat_vec(f, transpose(powers),
-                          [f.mul(scale, a) for a in mp.coeffs[1:]]))
+        lifted = self.int_powers(x)
+        if lifted is None:
+            mp, powers, _, _ = minimal_polynomial_and_power_basis(AlgebraElement(self, x))
+            comb = mp.coeffs
+            if f.is_zero(comb[0]):
+                return None
+            scale = f.neg(f.inv(comb[0]))
+            y = tuple(mat_vec(f, transpose(powers), [f.mul(scale, a) for a in comb[1:]]))
+        else:
+            powers = []
+            comb, _ = int_dependency(f, _recorded(lifted, powers))
+            p = f.int_modulus
+            if not (comb[0] % p if p else comb[0]):
+                return None
+            top = powers[len(comb) - 2][1]   # the scale of x^(d-1)
+            acc = [0] * self.dim
+            for c, (ints, scale) in zip(comb[1:], powers):
+                if c:
+                    c *= top // scale
+                    acc = [a + c * v for a, v in zip(acc, ints)]
+            y = tuple(f.lower_vector([-a for a in acc], comb[0] * top))
         if self.mul(y, x) != self.unit:
             return None
         return y
@@ -527,21 +547,22 @@ def minimal_polynomial_and_power_basis(x):
     alg = x.algebra
     f = alg.field
     seen = []
-
-    def recorded(vectors):
-        for v in vectors:
-            seen.append(v)
-            yield v
-
     lifted = alg.int_powers(x.coords)
     if lifted is None:
-        coeffs, basis, pivots = first_dependency(f, recorded(_powers(alg, x.coords)))
+        coeffs, basis, pivots = first_dependency(f, _recorded(_powers(alg, x.coords), seen))
         powers = seen[:len(coeffs)]
     else:
-        coeffs, basis, pivots = int_first_dependency(f, recorded(lifted))
+        coeffs, basis, pivots = int_first_dependency(f, _recorded(lifted, seen))
         powers = [tuple(f.lower_vector(*v)) for v in seen[:len(coeffs)]]
     mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
     return mp, powers, basis, pivots
+
+
+def _recorded(vectors, seen):
+    """vectors, each appended to seen as it is read."""
+    for v in vectors:
+        seen.append(v)
+        yield v
 
 
 def _powers(alg, x):

@@ -19,9 +19,12 @@ once and run int_rank and int_solve, which read the unlowered echelon form
 of _int_echelon, int_rank after forward elimination only (solve lowers
 only its solution); callers that hold int rows already, at
 any common scale, call these two directly, as int_first_dependency takes
-(ints, scale) pairs, so nothing is lowered only to be lifted back.  The
-fields differ only where int_modulus says so: in the zero test, in how a
-row is normalised, and in the final lowering.
+(ints, scale) pairs, so nothing is lowered only to be lifted back.
+int_dependency is its elimination alone, with no basis built and nothing
+lowered, and int_prefix_solve solves a lazily read int system from the
+first rows that pin every unknown.  The fields differ only where
+int_modulus says so: in the zero test, in how a row is normalised, and in
+the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -308,13 +311,25 @@ def first_dependency(field, vectors):
 
 def int_first_dependency(field, lifted):
     """first_dependency over F_p and Q on lifted vectors, given as (ints,
-    scale) pairs with v_i = ints / scale, at any scale.  A row w = entries |
-    combination holds ints with entries = sum comb_i v_i.  Over F_p a kept
-    row is scaled to pivot 1 and reduced mod p, so a new vector's own
-    coefficient stays its scale; over Q it is made primitive, and a new
-    vector is multiplied by the pivot of each row it is reduced against.
-    The coefficients and the basis (_int_rref of the kept rows) are the
-    only values lowered."""
+    scale) pairs with v_i = ints / scale, at any scale: int_dependency, then
+    the coefficients lowered and the basis, _int_rref of the kept rows."""
+    comb, kept = int_dependency(field, lifted)
+    d = len(comb) - 1
+    basis, pivots = _int_rref(field, kept) if kept else ([], [])
+    return field.lower_vector([-c for c in comb[:d]], comb[d]), basis, pivots
+
+
+def int_dependency(field, lifted):
+    """The elimination of int_first_dependency, with nothing lowered and no
+    basis built: at the first v_d in the span of v_0..v_{d-1}, (comb, kept)
+    with 0 = sum comb_i v_i over i <= d as ints, comb_d nonzero (mod p),
+    and kept the int rows of v_0..v_{d-1} in echelon form.
+
+    A row w = entries | combination holds ints with entries = sum comb_i
+    v_i.  Over F_p a kept row is scaled to pivot 1 and reduced mod p, so a
+    new vector's own coefficient stays its scale; over Q it is made
+    primitive, and a new vector is multiplied by the pivot of each row it
+    is reduced against."""
     p = field.int_modulus
     rows = []   # (pivot column, ints)
     for d, (ints, scale) in enumerate(lifted):
@@ -331,15 +346,70 @@ def int_first_dependency(field, lifted):
                          + [a * x for x in w[len(row):]])
         piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
         if piv is None:
-            # 0 = sum comb_i v_i with comb_d = w[n + d], 1 over F_p
-            basis, pivots = _int_rref(field, [row[:n] for _, row in rows]) if rows else ([], [])
-            return field.lower_vector([-c for c in w[n:n + d]], w[n + d]), basis, pivots
+            return w[n:], [row[:n] for _, row in rows]
         if p:
             inv = pow(w[piv], p - 2, p)
             rows.append((piv, [inv * x % p for x in w]))
         else:
             rows.append((piv, _primitive(w)))
     raise InvalidInputError("the sequence ends with no linear dependency")
+
+
+def int_prefix_solve(field, rows, n):
+    """The unique solution of the int system [a | b] in n unknowns, read
+    from its first rows: (ints, den) with x = ints / den, or None.
+
+    rows may be lazy, each at any nonzero scale of its own.  Each row is
+    reduced against the rows kept so far as it is read.  A row that
+    reduces to 0 = b with b != 0 (mod p) makes the system inconsistent,
+    and rows that run out before every unknown has a pivot leave one free:
+    both give None.  Once all n unknowns have pivots no further row is
+    read; the rows read have full column rank, so the whole system has at
+    most the returned solution, and the caller decides whether the unread
+    rows hold it too.  Over F_p den is 1 and the ints are reduced mod p;
+    over Q the kept rows are primitive and back-substitution keeps one
+    common denominator."""
+    p = field.int_modulus
+    kept = []   # (pivot column, ints), zero in the pivot columns kept before it
+    rows = iter(rows)
+    while len(kept) < n:
+        w = next(rows, None)
+        if w is None:
+            return None
+        for piv, row in kept:
+            f = w[piv] % p if p else w[piv]
+            if f:
+                if p:
+                    w = [x - f * y for x, y in zip(w, row)]
+                else:
+                    a = row[piv]
+                    w = [a * x - f * y for x, y in zip(w, row)]
+        piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
+        if piv is None:
+            if w[n] % p if p else w[n]:
+                return None
+        elif p:
+            inv = pow(w[piv], p - 2, p)
+            kept.append((piv, [inv * x % p for x in w]))
+        else:
+            kept.append((piv, _primitive(w)))
+    # the last row kept is zero in every pivot column but its own, and each
+    # earlier one in the pivot columns kept before it, so the unknowns come
+    # out last row first
+    x, den = [0] * n, 1
+    for piv, row in reversed(kept):
+        s = row[n] * den - sum(row[c] * v for c, v in enumerate(x) if v)
+        if p:
+            x[piv] = s % p
+        else:
+            a = row[piv]
+            x = [a * v for v in x]
+            x[piv] = s
+            den *= a
+            g = gcd(den, *x)
+            if g > 1:
+                x, den = [v // g for v in x], den // g
+    return x, den
 
 
 def _int_reduce(field, lifted, pivots, v, scale=1):

@@ -5,11 +5,14 @@ polynomial in t.  Determinants with entries in F[t] use one fraction-free
 kernel, Bareiss elimination (polymat_det): a rank minor of an ideal pencil,
 and the discriminant of an etale line as the d x d Hankel determinant of the
 power sums of its minimal polynomial's roots.  The minimal polynomial of a
-line t*a + (1-t)*b is one linear solve over F (rref) for the coefficients of
-its coefficients.  No rational-function arithmetic is ever needed.
+line t*a + (1-t)*b is one linear system over F for the coefficients of its
+coefficients.  Over F_p and Q it is solved on ints from the rows that pin
+every unknown (linalg.int_prefix_solve) and the candidate is accepted by one
+identity in F[t] (x(t) is a root); over F_{p^k} the whole system is
+eliminated by rref.  No rational-function arithmetic is ever needed.
 """
 
-from .linalg import rref
+from .linalg import int_prefix_solve, rref
 from .poly import Poly
 
 
@@ -83,8 +86,8 @@ def pencil_min_poly(A, start, end, d):
     x(t) = end + t*(start - end) is linear in t, so the coefficient of t^i
     in x(t)^j is a constant vector of A.  The identity
     sum_{j<d} c_j(t) x(t)^j = -x(t)^d, read coefficient by coefficient in t,
-    is one linear system over F whose unknowns are the coefficients of the
-    c_j, with deg c_j <= d - j.  The system is exact:
+    is one linear system over F whose unknowns are the coefficients c_jk of
+    the c_j, with deg c_j <= d - j.  The system is exact:
 
     * x(t) is integral over F[t], so its minimal polynomial over F(t) is
       monic with coefficients in F[t] (Gauss's lemma), and its roots have
@@ -95,7 +98,73 @@ def pencil_min_poly(A, start, end, d):
       c_m = 1) are a nonzero solution of the homogeneous system within the
       same bounds, so some unknown is free; if it has degree > d, the
       system is inconsistent.  Either way the result is None.
+
+    So the result is the system's unique solution, and None when it has
+    none or more than one.  Over F_p and Q the system is solved from the
+    rows it needs (linalg.int_prefix_solve), coordinate by coordinate of A,
+    all t-degrees of a coordinate together.  A row read so far that is
+    inconsistent, or rows that run out before every unknown has a pivot,
+    give None, as the whole system then has no solution or a free unknown.
+    Once every unknown has a pivot, the rows read have full column rank, so
+    the whole system has at most the one candidate they give, and it has
+    that one iff the candidate satisfies every row, that is iff
+    sum_jk c_jk t^k x(t)^j + x(t)^d = 0 in every t-degree.  That identity
+    is checked on int vectors, and only the solution is lowered.  The
+    result is therefore the same as from eliminating the whole system,
+    None cases included.
+
+    start and end are lifted once, to one scale s, and the coefficient
+    vectors of the powers are int products (Algebra._int_mul, reduced mod p
+    over F_p): with u the unit's scale and a the table's, x(t)^j sits at
+    scale u (s a)^j, so weighting the unknowns c_jk by (s a)^(d-j) makes
+    the identity, times u (s a)^d, one int system.  Over F_{p^k} the whole
+    system is eliminated with field methods (rref).
     """
+    if A._flat is None:
+        return _pencil_min_poly_rref(A, start, end, d)
+    f = A.field
+    p = f.int_modulus
+    n = A.dim
+    ints, s = f.lift_vector(list(start) + list(end))
+    e = ints[n:]
+    step = [a - b for a, b in zip(ints, e)]
+    mul = A._int_mul
+    # powers[j][i]: the ints of the coefficient of t^i in x(t)^j
+    powers = [[A._lifted(A.unit)[0]]]
+    for _ in range(d):
+        prev = powers[-1]
+        cur = [mul(prev[0], e)]
+        for i in range(1, len(prev)):
+            cur.append([a + b for a, b in zip(mul(prev[i], e), mul(prev[i - 1], step))])
+        cur.append(mul(prev[-1], step))
+        powers.append([[c % p for c in v] for v in cur] if p else cur)
+    weight = [(s * A._flat_scale) ** (d - j) for j in range(d)]
+    unknowns = [(j, k) for j in range(d) for k in range(d - j + 1)]
+
+    def rows():
+        for m in range(n):
+            for i in range(d + 1):
+                yield ([weight[j] * powers[j][i - k][m] if 0 <= i - k <= j else 0
+                        for j, k in unknowns] + [-powers[d][i][m]])
+
+    solved = int_prefix_solve(f, rows(), len(unknowns))
+    if solved is None:
+        return None
+    c, den = solved
+    for i in range(d + 1):
+        acc = [den * v for v in powers[d][i]]
+        for (j, k), cjk in zip(unknowns, c):
+            if cjk and 0 <= i - k <= j:
+                cw = cjk * weight[j]
+                acc = [a + cw * v for a, v in zip(acc, powers[j][i - k])]
+        if any(a % p for a in acc) if p else any(acc):
+            return None
+    sol = iter(f.lower_vector(c, den))
+    return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
+
+
+def _pencil_min_poly_rref(A, start, end, d):
+    """pencil_min_poly over F_{p^k}: the whole system, eliminated by rref."""
     f = A.field
     step = A.sub(start, end)
     # powers[j][i]: coefficient of t^i in x(t)^j

@@ -296,8 +296,9 @@ def _ints_from_json(value, key):
     return [json_int(x, key) for x in value]
 
 
-# The typed metadata keys a segment may carry.  A zero ideal's pencil
-# stores rdim 0; a subalgebra has dimension at least 1.
+# The typed metadata keys a segment may carry; each kind's record names
+# the ones it reads (meta_keys).  A zero ideal's pencil stores rdim 0; a
+# subalgebra has dimension at least 1.
 _META_READERS = {
     "etale_dim": lambda v, key: _count_from_json(v, key, 1),
     "et_m": lambda v, key: _count_from_json(v, key, 1),
@@ -307,11 +308,16 @@ _META_READERS = {
 }
 
 
-def _meta_from_json(meta):
-    """meta with each typed key read as its type; InvalidInputError names
-    the first key of the wrong type.  Other keys are kept as they are."""
-    return {key: _META_READERS[key](v, key) if key in _META_READERS else v
-            for key, v in meta.items()}
+def _meta_from_json(meta, kind):
+    """meta with each key read as its type; InvalidInputError names the
+    first key that kind's record does not declare, or that has the wrong
+    type."""
+    for key in meta:
+        if key not in kind.meta_keys:
+            raise InvalidInputError(
+                f"a {kind.tag} segment's meta has no key {key!r}"
+                f" (it may hold {', '.join(kind.meta_keys) or 'none'})")
+    return {key: _META_READERS[key](v, key) for key, v in meta.items()}
 
 
 def _segment_from_json(seg, context, ctx):
@@ -327,7 +333,7 @@ def _segment_from_json(seg, context, ctx):
     kind.check_data(data)
     return PencilWitness(tag, start, end,
                          Poly.from_json(ctx.field, json_get(seg, "validity", list)), data,
-                         meta=_meta_from_json(json_get(seg, "meta", dict, {})),
+                         meta=_meta_from_json(json_get(seg, "meta", dict, {}), kind),
                          **{context: ctx})
 
 

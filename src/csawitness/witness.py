@@ -125,6 +125,7 @@ class _Kind:
 
     context = "algebra"
     validity_entry = "validity_nonzero"
+    meta_keys = ()
 
     def check_data(self, data):
         pass
@@ -197,6 +198,7 @@ class IdealPencil(_Pencil):
     tag = "ideal_pencil"
     endpoint = IDEAL
     keys = (("pencil_w", VECTORS), ("pencil_w_prime", VECTORS))
+    meta_keys = ("rdim",)
 
     def evaluate(self, w, t):
         return self._ideals_at(w, t)[0]
@@ -216,6 +218,7 @@ class FlagPencil(_Pencil):
     tag = "flag_pencil"
     endpoint = FLAG
     keys = IdealPencil.keys + (("levels", INTS),)
+    meta_keys = ("signature",)
 
     def check_data(self, data):
         super().check_data(data)
@@ -250,6 +253,7 @@ class EtaleLine(_Kind):
     tag = "etale_line"
     endpoint = SUBALGEBRA
     keys = (("gen_start", VECTOR), ("gen_end", VECTOR))
+    meta_keys = ("etale_dim", "maximal", "et_m")
 
     def size(self, A):
         return A.dim
@@ -568,18 +572,19 @@ def connect_flags(flag, flag_prime):
 # etale lines
 
 
-def _etale_line_witness(A, gen_start, gen_end, degree, meta):
+def _etale_line_witness(A, gen_start, gen_end, degree, meta, start=None, end=None):
     """An etale_line segment with validity = discriminant of the pencil
     minimal polynomial (a polynomial in t), or None if the line is
-    degenerate for this degree."""
+    degenerate for this degree.  start and end, when given, are the
+    subalgebras the caller has generated from gen_start and gen_end."""
     mp = pencil_min_poly(A, gen_start.coords, gen_end.coords, degree)
     if mp is None:
         return None
     validity = xpoly_discriminant(mp)
     if validity.is_zero():
         return None
-    start = generate_etale(gen_start)
-    end = generate_etale(gen_end)
+    start = generate_etale(gen_start) if start is None else start
+    end = generate_etale(gen_end) if end is None else end
     return PencilWitness(EtaleLine.tag, start, end, validity,
                          {"gen_start": gen_start.coords,
                           "gen_end": gen_end.coords},
@@ -833,9 +838,11 @@ def connect_exp2(L1, L2, rng_seed=0):
                 continue
         except Exception:
             continue
-        seg1 = _etale_line_witness(A, beta1, alpha1, m, meta)
-        seg2 = _etale_line_witness(A, alpha1, alpha2, m, meta)
-        seg3 = _etale_line_witness(A, alpha2, beta2, m, meta)
+        # the inner ends are E1 and E2; the outer ones are generated from
+        # the inputs' generators, so the endpoint check below still tests them
+        seg1 = _etale_line_witness(A, beta1, alpha1, m, meta, end=E1)
+        seg2 = _etale_line_witness(A, alpha1, alpha2, m, meta, start=E1, end=E2)
+        seg3 = _etale_line_witness(A, alpha2, beta2, m, meta, start=E2)
         if seg1 is None or seg2 is None or seg3 is None:
             continue
         chain = WitnessChain([seg1, seg2, seg3])

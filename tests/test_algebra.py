@@ -482,6 +482,43 @@ def test_inverse_agrees_with_solving_x_y_equals_1(name, A):
     assert found == {True, False} or A.preset.get("kind") == "quaternion"
 
 
+@pytest.mark.parametrize("A", [make_matrix_algebra(F7, 4),
+                               tensor_product(make_matrix_algebra(QQ, 2),
+                                              make_quaternion(QQ, Fraction(-1), Fraction(-1)))],
+                         ids=["M4(F7)", "M2(Q)xH"])
+def test_inverse_builds_no_basis_and_lowers_nothing_on_a_zero_divisor(A, monkeypatch):
+    from csawitness import linalg
+    calls = {"_int_rref": 0, "lower_vector": 0}
+    int_rref, lower = linalg._int_rref, A.field.lower_vector
+
+    def counted_rref(*args):
+        calls["_int_rref"] += 1
+        return int_rref(*args)
+
+    def counted_lower(*args):
+        calls["lower_vector"] += 1
+        return lower(*args)
+
+    rng = random.Random(3)
+    # E_11 (x) 1 is an idempotent, so e, 1 - e and their products with
+    # anything are zero divisors
+    e = A.basis_coords(0)
+    singular = [A.zero_coords(), e, A.sub(A.unit, e)]
+    singular += [A.mul(A.random_element(rng).coords, e) for _ in range(6)]
+    monkeypatch.setattr(linalg, "_int_rref", counted_rref)
+    monkeypatch.setattr(A.field, "lower_vector", counted_lower)
+    for x in singular:
+        assert A.inverse(x) is None
+    assert calls == {"_int_rref": 0, "lower_vector": 0}
+    found = 0
+    for _ in range(12):
+        x = A.random_element(rng).coords
+        y = A.inverse(x)
+        found += y is not None
+        assert y is None or A.mul(x, y) == A.unit
+    assert found and calls["_int_rref"] == 0
+
+
 def _dense_mul(A, x, y):
     f = A.field
     out = [f.zero] * A.dim

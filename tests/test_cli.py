@@ -236,9 +236,8 @@ def test_verify_rederives_rdim(runner, tmp_path):
     assert r.exit_code == 1 and "stored rdim 2 != 1" in r.stderr
 
 
-def test_verify_rederives_pencil_validity(runner, tmp_path):
-    # an ideal pencil whose stored validity vanishes on all of F_5 and whose
-    # rdim is gone: the verifier derives the validity 1 from the pencil data
+def _m4f5_ideal_pencil(runner, tmp_path):
+    """The file of an ideal pencil between two rdim-2 ideals of M4(F_5)."""
     steps = [["algebra", "new", "--preset", "matrix", "--n", "4", "--field", "fp:5",
               "--out", "a.json"],
              ["ideal", "random", "--algebra", "a.json", "--rdim", "2", "--seed", "7",
@@ -250,7 +249,13 @@ def test_verify_rederives_pencil_validity(runner, tmp_path):
     for args in steps:
         args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
         assert invoke(runner, args).exit_code == 0
-    w = tmp_path / "w.json"
+    return tmp_path / "w.json"
+
+
+def test_verify_rederives_pencil_validity(runner, tmp_path):
+    # an ideal pencil whose stored validity vanishes on all of F_5 and whose
+    # rdim is gone: the verifier derives the validity 1 from the pencil data
+    w = _m4f5_ideal_pencil(runner, tmp_path)
     data = json.loads(w.read_text())
     seg = data["segments"][0]
     assert seg["validity"] == ["1"]
@@ -261,6 +266,24 @@ def test_verify_rederives_pencil_validity(runner, tmp_path):
     assert r.exit_code == 1 and r.stdout.startswith("FAIL")
     assert "failed: validity_rederived stored validity differs" in r.stderr
     assert "membership@t=0 stored rdim None != 2" in r.stderr
+
+
+def test_meta_keys_of_another_kind_exit_2(runner, tmp_path):
+    # an ideal pencil reads rdim only: the etale and flag keys added to its
+    # meta, which it would carry unchecked, are refused when the file is read
+    w = _m4f5_ideal_pencil(runner, tmp_path)
+    data = json.loads(w.read_text())
+    meta = data["segments"][0]["meta"]
+    assert invoke(runner, ["verify", "--witness", str(w), "--exhaustive"]).exit_code == 0
+    added = {"et_m": 3, "maximal": True, "signature": [7]}
+    # all three at once, as in the report, then each alone
+    for keys in [list(added)] + [[key] for key in added]:
+        w.write_text(json.dumps(dict(data, segments=[
+            dict(data["segments"][0], meta=dict(meta, **{k: added[k] for k in keys}))])))
+        r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"error: a ideal_pencil segment's meta has no key {keys[0]!r} (it may hold rdim)"]
 
 
 def test_q_conic_report_ignores_samples(runner, tmp_path):

@@ -8,7 +8,7 @@ from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
     charpoly, first_dependency, identity, in_row_space, int_first_dependency,
-    int_rank, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul,
+    int_prefix_solve, int_rank, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul,
     mat_vec, rank, reduce_vector, rref, solve,
 )
 
@@ -518,3 +518,57 @@ def test_int_rank_by_forward_elimination_equals_the_rref_length(field):
         assert int_rank(field, field.lift_rows(rows)[0]) == want
         assert rank(field, rows) == want
     assert deficient >= 30
+
+
+# ---------------------------------------------------------------------------
+# int_prefix_solve
+
+
+def _prefix_reference(field, aug, n):
+    """By rref on the lowered rows, the shortest prefix of aug that is
+    inconsistent or whose coefficient part has rank n: (None, its length)
+    or (its unique solution, its length); (None, len(aug)) if there is
+    none."""
+    if n == 0:
+        return [], 0
+    for k in range(1, len(aug) + 1):
+        basis, pivots = rref(field, [field.lower_vector(*field.lift_vector(r)) for r in aug[:k]])
+        if pivots[-1:] == [n]:
+            return None, k
+        if len(pivots) == n:
+            return [r[n] for r in basis], k
+    return None, len(aug)
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=["F7", "Q"])
+def test_int_prefix_solve_solves_the_first_full_rank_prefix(field):
+    """On int rows, some of them combinations of others with the right side
+    kept or moved, the result is read off the shortest prefix that is
+    inconsistent (None) or of full column rank (its unique solution), or
+    is None when there is no such prefix; no row after it is read."""
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(rng.randint(0, 7))]
+        for _ in range(rng.randint(0, 3)):   # a combination, its right side kept or moved
+            if rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                c = [x + 2 * y for x, y in zip(a, b)]
+                c[n] += rng.choice([0, 0, 1])
+                rows.insert(rng.randint(0, len(rows)), c)
+        want, k = _prefix_reference(field, rows, n)
+        read = []
+
+        def walk():
+            for r in rows:
+                read.append(r)
+                yield list(r)
+
+        got = int_prefix_solve(field, walk(), n)
+        if got is not None:
+            got = field.lower_vector(*got)
+        assert got == want, (rows, n)
+        assert len(read) == k
+        seen.add((want is None, k == len(rows)))
+    assert seen == {(True, True), (False, True), (True, False), (False, False)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csawitness import serialize
+from csawitness import serialize, witness
 from csawitness.algebra import make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError
 from csawitness.etale import generate_etale, random_balanced_pair_subalgebra
@@ -185,6 +185,30 @@ def test_segment_meta_reads_decimal_strings_and_a_zero_rdim():
     w = connect_ideals(zero_ideal(A), zero_ideal(A))
     back = roundtrip(w, serialize.witness_to_json, serialize.witness_from_json)
     assert back.meta["rdim"] == 0 and verify_witness(back).passed
+
+
+def test_each_kind_reads_only_its_own_meta_keys():
+    q = QuadraticForm(F5, 4, {(0, 3): F5.one, (1, 2): F5.neg(F5.one)})
+    from csawitness.quadrics import points_on_quadric
+    pts = points_on_quadric(q)
+    docs = dict(_witness_docs(), conic=connect_quadric_points(q, pts[0], pts[5]))
+    values = {"rdim": 1, "signature": [1, 2], "etale_dim": 2, "maximal": True, "et_m": 2,
+              "note": "x"}
+    declared = {}
+    for name, w in docs.items():
+        data = serialize.witness_to_json(w)
+        seg = data["segments"][-1]
+        kind = witness.KINDS[seg["kind"]]
+        declared[seg["kind"]] = kind.meta_keys
+        assert set(seg["meta"]) <= set(kind.meta_keys)
+        for key in set(values) - set(kind.meta_keys):
+            bad = copy.deepcopy(data)
+            bad["segments"][-1]["meta"][key] = values[key]
+            with pytest.raises(InvalidInputError, match=f"meta has no key {key!r}"):
+                serialize.witness_from_json(bad)
+    assert declared == {"etale_line": ("etale_dim", "maximal", "et_m"),
+                        "ideal_pencil": ("rdim",), "flag_pencil": ("signature",),
+                        "quadric_line": ()}
 
 
 def _balanced_pair(A, rng):

@@ -882,6 +882,36 @@ def test_connect_exp2_m4_f7():
                 assert is_et_m_point(seg.evaluate(t), 2)
 
 
+def _exp2_inputs():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    HS = tensor_product(H, make_quaternion(QQ, Fraction(1), Fraction(1)))
+    out = {"q_hxs": (generate_etale(HS.basis_element(4)),
+                     generate_etale(HS.basis_element(2)), 5)}
+    for p in (7, 11):
+        rng = random.Random(p)
+        A = make_matrix_algebra(PrimeField(p), 4)
+        out[f"m4f{p}"] = (random_balanced_pair_subalgebra(A, rng),
+                          random_balanced_pair_subalgebra(A, rng), p)
+    return out
+
+
+@pytest.mark.parametrize("name", ["m4f7", "m4f11", "q_hxs"])
+def test_connect_exp2_generates_each_kept_subalgebra_once(monkeypatch, name):
+    L1, L2, seed = _exp2_inputs()[name]
+    made = []
+    build = witness.generate_etale
+    monkeypatch.setattr(witness, "generate_etale", lambda a: made.append(a.coords) or build(a))
+    chain = connect_exp2(L1, L2, rng_seed=seed)
+    seg1, seg2, seg3 = chain.segments
+    # the inner subalgebras are shared by the segments that meet there ...
+    assert seg1.end is seg2.start and seg2.end is seg3.start
+    for inner in (seg1.end, seg2.end):
+        assert made.count(inner.generator.coords) == 1
+    # ... and the outer ones are generated again from the inputs' generators
+    assert seg1.start == L1 and seg1.start is not L1 and seg3.end == L2 and seg3.end is not L2
+    assert made.count(L1.generator.coords) == made.count(L2.generator.coords) == 1
+
+
 def test_connect_exp2_split_biquaternion_over_q():
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
     S = make_quaternion(QQ, Fraction(1), Fraction(1))
