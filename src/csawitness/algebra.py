@@ -19,7 +19,7 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    first_dependency, int_dependency, int_first_dependency, int_rank,
+    dependency, first_dependency, int_dependency, int_first_dependency, int_rank,
     intertwiner_mismatch, kernel, lift_matrix, mat_vec, rank, rref, solve,
     transpose,
 )
@@ -423,22 +423,21 @@ class Algebra:
         otherwise the polynomial over -c'_0 is the inverse.  The check
         y x = 1 is kept.
 
-        Over F_p and Q the dependency is linalg.int_dependency on the int
-        powers (int_powers): no rref basis is built, a zero divisor returns
-        None with nothing lowered, and the inverse is summed from the kept
-        powers as ints at the scale of x^(d-1), then lowered once.  Over
-        other fields it is read off minimal_polynomial_and_power_basis."""
+        The dependency is linalg.dependency on the powers, and over F_p and
+        Q linalg.int_dependency on the int powers (int_powers); no rref
+        basis is built.  Over F_p and Q a zero divisor returns None with
+        nothing lowered, and the inverse is summed from the kept powers as
+        ints at the scale of x^(d-1), then lowered once."""
         f = self.field
         lifted = self.int_powers(x)
+        powers = []
         if lifted is None:
-            mp, powers, _, _ = minimal_polynomial_and_power_basis(AlgebraElement(self, x))
-            comb = mp.coeffs
+            comb, _ = dependency(f, _recorded(_powers(self, x), powers))
             if f.is_zero(comb[0]):
                 return None
             scale = f.neg(f.inv(comb[0]))
-            y = tuple(mat_vec(f, transpose(powers), [f.mul(scale, a) for a in comb[1:]]))
+            y = tuple(mat_vec(f, transpose(powers[:-1]), [f.mul(scale, a) for a in comb[1:]]))
         else:
-            powers = []
             comb, _ = int_dependency(f, _recorded(lifted, powers))
             p = f.int_modulus
             if not (comb[0] % p if p else comb[0]):

@@ -5,26 +5,23 @@ deterministic: columns are processed left to right and the first row with a
 nonzero entry becomes the pivot, so reduced forms are canonical and
 byte-comparable.
 
-Over F_p and Q (fields.INTEGER_CORE), mat_vec, mat_mul, rref, rank, solve,
-reduce_vector, in_row_space, first_dependency and intertwiner_mismatch run
-one integer loop on lifted data, as do Algebra.mul and the Algebra
-multiplication matrices: each operand is lifted once to ints and a scale
+The functions on scalars run on field methods.  Over F_p and Q
+(fields.INTEGER_CORE) the ones a workload spends time in branch to an
+integer core instead: rref, rank (so kernel and inverse), mat_vec,
+in_row_space and intertwiner_mismatch.  Each operand is lifted once to ints and a scale
 (fields' lift_vector and lift_rows; lift_matrix lifts a matrix used by many
 calls once), the loop does exact int arithmetic, and each output entry is
-lowered once to its canonical scalar (lower_vector).  A result that is only
-compared or tested for membership is not lowered at all:
-intertwiner_mismatch compares two products up to their scales, and
-int_in_row_space tests an int vector at any scale.  rank and solve lift
-once and run int_rank and int_solve, which read the unlowered echelon form
-of _int_echelon, int_rank after forward elimination only (solve lowers
-only its solution); callers that hold int rows already, at
-any common scale, call these two directly, as int_first_dependency takes
-(ints, scale) pairs, so nothing is lowered only to be lifted back.
-int_dependency is its elimination alone, with no basis built and nothing
-lowered, and int_prefix_solve solves a lazily read int system from the
-first rows that pin every unknown.  The fields differ only where
-int_modulus says so: in the zero test, in how a row is normalised, and in
-the final lowering.
+lowered once (lower_vector), or not at all where a result is only compared
+or tested for membership.  int_rank, int_solve, int_in_row_space,
+int_first_dependency, int_dependency and int_prefix_solve take int rows, at
+any scale, from callers that hold them, so nothing is lowered only to be
+lifted back.  mat_mul, reduce_vector, solve, dependency and
+first_dependency keep the field-method path alone: no workload spends
+measurable time in them over F_p or Q.  rref, rank and int_solve read the
+column-wise echelon form of _int_echelon; the incremental eliminations
+int_dependency and int_prefix_solve share one step, _reduce_and_keep.  The
+fields differ only where int_modulus says so: in the zero test, in how a
+row is normalised, and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -40,9 +37,7 @@ the final lowering.
   rational multiple of the row the Fraction path would hold, so dividing
   each reduced row by its pivot gives the same rref; a vector is lifted over
   the lcm of its denominators and each output entry is one canonical
-  Fraction.  The output is exact and equal to the Fraction path's.
-
-Other fields (F_{p^k}) take the field-method path.
+  Fraction.
 """
 
 import operator
@@ -58,10 +53,6 @@ def identity(field, n):
 
 
 def mat_mul(field, a, b):
-    la = lift_matrix(field, a)
-    if la is not None:
-        (a, sa), (b, sb) = la, la if b is a else field.lift_rows(b)
-        return [field.lower_vector(r, sa * sb) for r in _int_mat_mul(a, b)]
     add, mul, zero = field.add, field.mul, field.zero
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -278,18 +269,20 @@ def int_solve(field, aug):
 def first_dependency(field, vectors):
     """The first linear dependency of a sequence v_0, v_1, ...: at the first
     v_d in the span of v_0..v_{d-1}, (coeffs, basis, pivots) with
-    v_d = sum coeffs[i] v_i and (basis, pivots) = rref(v_0..v_{d-1}).
+    v_d = sum coeffs[i] v_i and (basis, pivots) = rref(v_0..v_{d-1}):
+    dependency, then rref of the kept rows."""
+    comb, kept = dependency(field, vectors)
+    return ([field.neg(c) for c in comb[:-1]], *rref(field, kept))
 
-    vectors may be lazy; it is read up to v_d only.  This is one incremental
-    elimination: each vector is reduced against the rows kept so far, each
-    carrying after its entries its combination of the v_i; a nonzero
-    residual is kept as the next row and a zero one gives the dependency.
-    The rows stay in the order they were kept, each zero in the pivot
-    columns of those before it, and only the final basis is reduced.
-    Raises InvalidInputError if the sequence ends with no dependency.
-    """
-    if isinstance(field, INTEGER_CORE):
-        return int_first_dependency(field, map(field.lift_vector, vectors))
+
+def dependency(field, vectors):
+    """The elimination of first_dependency, with no basis built: at the
+    first v_d in the span of v_0..v_{d-1}, (comb, kept) with
+    0 = sum comb_i v_i over i <= d, comb_d = 1, and kept the rows of
+    v_0..v_{d-1} in echelon form.  vectors may be lazy and is read up to
+    v_d only: each vector is reduced against the rows kept so far, which
+    carry their combination of the v_i after their entries, and kept if
+    nonzero.  Raises InvalidInputError if the sequence ends first."""
     sub, mul, is_zero = field.sub, field.mul, field.is_zero
     rows = []   # (pivot column, entries + combination), pivot entry 1
     for d, v in enumerate(vectors):
@@ -302,8 +295,7 @@ def first_dependency(field, vectors):
                 w = [sub(x, mul(f, y)) for x, y in zip(w, row)] + w[len(row):]
         piv = next((c for c in range(n) if not is_zero(w[c])), None)
         if piv is None:
-            return ([field.neg(c) for c in w[n:n + d]],
-                    *rref(field, [row[:n] for _, row in rows]))
+            return w[n:], [row[:n] for _, row in rows]
         inv = field.inv(w[piv])
         rows.append((piv, [mul(inv, x) for x in w]))
     raise InvalidInputError("the sequence ends with no linear dependency")
@@ -319,39 +311,50 @@ def int_first_dependency(field, lifted):
     return field.lower_vector([-c for c in comb[:d]], comb[d]), basis, pivots
 
 
-def int_dependency(field, lifted):
-    """The elimination of int_first_dependency, with nothing lowered and no
-    basis built: at the first v_d in the span of v_0..v_{d-1}, (comb, kept)
-    with 0 = sum comb_i v_i over i <= d as ints, comb_d nonzero (mod p),
-    and kept the int rows of v_0..v_{d-1} in echelon form.
+def _reduce_and_keep(p, kept, w, n):
+    """One step of an incremental elimination over F_p (p) or Q (p = 0):
+    the int row w reduced against kept, (pivot column, row) pairs of rows
+    as long as w, each zero (mod p) in the pivot columns before it.  A
+    residual nonzero (mod p) in its first n entries is kept, normalised,
+    and None returned; otherwise the residual is.  Over F_p a kept row has
+    pivot 1 and w becomes w - f*row; over Q a kept row is primitive and w
+    becomes a*w - f*row, a the pivot."""
+    for piv, row in kept:
+        f = w[piv] % p if p else w[piv]
+        if f:
+            if p:
+                w = [x - f * y for x, y in zip(w, row)]
+            else:
+                a = row[piv]
+                w = [a * x - f * y for x, y in zip(w, row)]
+    piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
+    if piv is None:
+        return w
+    if p:
+        inv = pow(w[piv], p - 2, p)
+        kept.append((piv, [inv * x % p for x in w]))
+    else:
+        kept.append((piv, _primitive(w)))
+    return None
 
-    A row w = entries | combination holds ints with entries = sum comb_i
-    v_i.  Over F_p a kept row is scaled to pivot 1 and reduced mod p, so a
-    new vector's own coefficient stays its scale; over Q it is made
-    primitive, and a new vector is multiplied by the pivot of each row it
-    is reduced against."""
+
+def int_dependency(field, lifted):
+    """dependency over F_p and Q on lifted vectors, with nothing lowered: at
+    the first v_d in the span of v_0..v_{d-1}, (comb, kept) with
+    0 = sum comb_i v_i over i <= d as ints, comb_d nonzero (mod p), and kept
+    the int rows of v_0..v_{d-1} in echelon form.
+
+    v_d enters _reduce_and_keep as w = ints | 0 .. 0 | scale, entries =
+    sum comb_i v_i, once each kept row has a zero coefficient for v_d."""
     p = field.int_modulus
-    rows = []   # (pivot column, ints)
+    kept = []
     for d, (ints, scale) in enumerate(lifted):
         n = len(ints)
-        w = list(ints) + [0] * d + [scale]
-        for piv, row in rows:
-            f = w[piv] % p if p else w[piv]
-            if f:
-                if p:
-                    w = [x - f * y for x, y in zip(w, row)] + w[len(row):]
-                else:
-                    a = row[piv]
-                    w = ([a * x - f * y for x, y in zip(w, row)]
-                         + [a * x for x in w[len(row):]])
-        piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
-        if piv is None:
-            return w[n:], [row[:n] for _, row in rows]
-        if p:
-            inv = pow(w[piv], p - 2, p)
-            rows.append((piv, [inv * x % p for x in w]))
-        else:
-            rows.append((piv, _primitive(w)))
+        for _, row in kept:
+            row.append(0)
+        w = _reduce_and_keep(p, kept, list(ints) + [0] * d + [scale], n)
+        if w is not None:
+            return w[n:], [row[:n] for _, row in kept]
     raise InvalidInputError("the sequence ends with no linear dependency")
 
 
@@ -360,39 +363,25 @@ def int_prefix_solve(field, rows, n):
     from its first rows: (ints, den) with x = ints / den, or None.
 
     rows may be lazy, each at any nonzero scale of its own.  Each row is
-    reduced against the rows kept so far as it is read.  A row that
-    reduces to 0 = b with b != 0 (mod p) makes the system inconsistent,
-    and rows that run out before every unknown has a pivot leave one free:
-    both give None.  Once all n unknowns have pivots no further row is
-    read; the rows read have full column rank, so the whole system has at
-    most the returned solution, and the caller decides whether the unread
-    rows hold it too.  Over F_p den is 1 and the ints are reduced mod p;
-    over Q the kept rows are primitive and back-substitution keeps one
-    common denominator."""
+    reduced against the rows kept so far as it is read (_reduce_and_keep).
+    A row that reduces to 0 = b with b != 0 (mod p) makes the system
+    inconsistent, and rows that run out before every unknown has a pivot
+    leave one free: both give None.  Once all n unknowns have pivots no
+    further row is read; the rows read have full column rank, so the whole
+    system has at most the returned solution, and the caller decides
+    whether the unread rows hold it too.  Over F_p den is 1 and the ints
+    are reduced mod p; over Q back-substitution keeps one common
+    denominator."""
     p = field.int_modulus
-    kept = []   # (pivot column, ints), zero in the pivot columns kept before it
+    kept = []
     rows = iter(rows)
     while len(kept) < n:
         w = next(rows, None)
         if w is None:
             return None
-        for piv, row in kept:
-            f = w[piv] % p if p else w[piv]
-            if f:
-                if p:
-                    w = [x - f * y for x, y in zip(w, row)]
-                else:
-                    a = row[piv]
-                    w = [a * x - f * y for x, y in zip(w, row)]
-        piv = next((c for c in range(n) if (w[c] % p if p else w[c])), None)
-        if piv is None:
-            if w[n] % p if p else w[n]:
-                return None
-        elif p:
-            inv = pow(w[piv], p - 2, p)
-            kept.append((piv, [inv * x % p for x in w]))
-        else:
-            kept.append((piv, _primitive(w)))
+        w = _reduce_and_keep(p, kept, w, n)
+        if w is not None and (w[n] % p if p else w[n]):
+            return None
     # the last row kept is zero in every pivot column but its own, and each
     # earlier one in the pivot columns kept before it, so the unknowns come
     # out last row first
@@ -412,36 +401,12 @@ def int_prefix_solve(field, rows, n):
     return x, den
 
 
-def _int_reduce(field, lifted, pivots, v, scale=1):
-    """Lifted v (ints at scale) reduced against a lifted rref basis:
-    (ints, scale).  Every lifted row has the common scale a at its pivot
-    (1 over F_p)."""
-    rows, a = lifted
-    p = field.int_modulus
-    for row, piv in zip(rows, pivots):
-        f = v[piv] % p if p else v[piv]
-        if f:
-            if a == 1:
-                v = [x - f * y for x, y in zip(v, row)]
-            else:
-                v = [a * x - f * y for x, y in zip(v, row)]
-                scale *= a
-    return v, scale
-
-
 def reduce_vector(field, basis, pivots, vec):
     """Reduce vec against an rref basis; returns (residual, coefficients).
 
     The basis is a reduced row echelon basis with its pivot columns, as rref
     returns them.
     """
-    lifted = lift_matrix(field, basis)
-    if lifted is not None:
-        # the other basis rows vanish in each pivot column, so the
-        # coefficient of a row is the entry of vec in its pivot column
-        coeffs = field.lower_vector(*field.lift_vector([vec[piv] for piv in pivots]))
-        return field.lower_vector(*_int_reduce(field, lifted, pivots,
-                                               *field.lift_vector(vec))), coeffs
     v = list(vec)
     coeffs = []
     sub, mul = field.sub, field.mul
@@ -466,10 +431,16 @@ def in_row_space(field, basis, pivots, vec, lifted=None):
 def int_in_row_space(field, lifted, pivots, ints):
     """in_row_space over F_p and Q for a vector given only as ints, at any
     nonzero scale (membership does not depend on it); lifted is
-    lift_matrix of the rref basis."""
-    v, _ = _int_reduce(field, lifted, pivots, ints)
+    lift_matrix of the rref basis, every row of which has the common scale
+    a at its pivot (1 over F_p)."""
+    rows, a = lifted
     p = field.int_modulus
-    return not any([x % p for x in v] if p else v)
+    for row, piv in zip(rows, pivots):
+        f = ints[piv] % p if p else ints[piv]
+        if f:
+            ints = ([x - f * y for x, y in zip(ints, row)] if a == 1
+                    else [a * x - f * y for x, y in zip(ints, row)])
+    return not any([x % p for x in ints] if p else ints)
 
 
 def kernel(field, rows):
@@ -493,8 +464,6 @@ def kernel(field, rows):
 def solve(field, a, b):
     """One solution x of a x = b, free variables set to 0; None if inconsistent."""
     aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    if aug and isinstance(field, INTEGER_CORE):
-        return int_solve(field, field.lift_rows(aug)[0])
     basis, pivots = rref(field, aug)
     n = len(a[0]) if a else 0
     z = field.zero

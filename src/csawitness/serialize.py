@@ -91,17 +91,6 @@ def algebra_to_json(A):
 def algebra_from_json(data):
     field = field_from_spec(json_get(data, "field", dict))
     preset = json_get(data, "preset", str, "explicit")
-    if preset == "matrix":
-        params = json_get(data, "params", dict)
-        return make_matrix_algebra(field, json_get(params, "n", int))
-    if preset == "quaternion":
-        params = json_get(data, "params", dict)
-        return make_quaternion(field, field.parse(json_get(params, "a", object)),
-                               field.parse(json_get(params, "b", object)))
-    if preset == "tensor":
-        params = json_get(data, "params", dict)
-        return tensor_product(algebra_from_json(json_get(params, "left", dict)),
-                              algebra_from_json(json_get(params, "right", dict)))
     if preset == "explicit":
         table = [[_product_from_json(field, entry)
                   for entry in _list(row, "structure_constants")]
@@ -110,7 +99,24 @@ def algebra_from_json(data):
         if unit is not None:
             unit = _vec_from_json(field, unit, "unit")
         return Algebra(field, table, json_get(data, "degree", int), unit=unit)
-    raise InvalidInputError(f"unknown algebra preset {preset!r}")
+    if preset == "matrix":
+        params = json_get(data, "params", dict)
+        A = make_matrix_algebra(field, json_get(params, "n", int))
+    elif preset == "quaternion":
+        params = json_get(data, "params", dict)
+        A = make_quaternion(field, field.parse(json_get(params, "a", object)),
+                            field.parse(json_get(params, "b", object)))
+    elif preset == "tensor":
+        params = json_get(data, "params", dict)
+        A = tensor_product(algebra_from_json(json_get(params, "left", dict)),
+                           algebra_from_json(json_get(params, "right", dict)))
+    else:
+        raise InvalidInputError(f"unknown algebra preset {preset!r}")
+    degree = json_get(data, "degree", int, A.degree)
+    if degree != A.degree:
+        raise InvalidInputError(
+            f"'degree' {degree} does not match the {preset} preset's degree {A.degree}")
+    return A
 
 
 def _product_from_json(field, entry):

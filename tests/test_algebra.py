@@ -519,6 +519,30 @@ def test_inverse_builds_no_basis_and_lowers_nothing_on_a_zero_divisor(A, monkeyp
     assert found and calls["_int_rref"] == 0
 
 
+
+def test_inverse_over_f9_builds_no_basis(monkeypatch):
+    # over F_{p^k} the inverse reads linalg.dependency alone; the reference
+    # is the linear solve L_x y = 1, taken before rref is counted
+    from csawitness import linalg
+    A = make_matrix_algebra(standard_extension(3, 2), 3)
+    rng = random.Random(9)
+    xs = [A.random_element(rng).coords for _ in range(20)]
+    want = []
+    for x in xs:
+        y = solve(A.field, A.left_mult_matrix(x), list(A.unit))
+        want.append(None if y is None or A.mul(tuple(y), x) != A.unit else tuple(y))
+    calls = []
+    counted = linalg.rref
+
+    def counted_rref(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(algebra_module, "rref", counted_rref)
+    assert [A.inverse(x) for x in xs] == want
+    assert len(calls) == 0 and any(want)
+
 def _dense_mul(A, x, y):
     f = A.field
     out = [f.zero] * A.dim

@@ -358,6 +358,7 @@ _MALFORMED_SHAPES = {
     "field_string": ("algebra", _set("field", "q"), "'field'"),
     "field_list": ("algebra", _set("field", []), "'field'"),
     "params_list": ("algebra", _set("params", [2]), "'params'"),
+    "degree_of_another_preset": ("algebra", _set("degree", 3), "'degree' 3"),
     "algebra_top_level_list": ("algebra", lambda data: [], "'field'"),
     "segments_string": ("witness", _set("segments", "x"), "'segments'"),
     "segment_list": ("witness", _set("segments", [[]]), "'kind'"),

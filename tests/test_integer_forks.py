@@ -1,0 +1,111 @@
+"""The functions of linalg and algebra that fork to the integer core.
+
+Over F_p and Q a function may branch to an int loop instead of the field
+methods.  Each such fork is a second implementation of one concept, kept
+only where a workload spends time in it, so the forks are pinned as a
+literal set and a new one, or one deleted, shows up in a diff.  A function
+forks when an `if` (statement or expression) of its own, outside nested
+definitions, tests `INTEGER_CORE`, tests `lifted` or a name assigned from
+`lift_matrix(...)` against None, or tests an attribute `_flat` against
+None.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csawitness"
+NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
+def functions(body, prefix=""):
+    """(qualified name, node) of the functions and methods in body."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+
+
+def own_nodes(fn):
+    """The nodes of fn's body and arguments, outside nested definitions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, NESTED):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_none_test(node, names):
+    """node is `x is None` or `x is not None`, x one of names or `._flat`."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None):
+        return False
+    x = node.left
+    return ((isinstance(x, ast.Name) and x.id in names)
+            or (isinstance(x, ast.Attribute) and x.attr == "_flat"))
+
+
+def forks(fn):
+    nodes = list(own_nodes(fn))
+    names = {"lifted"} | {
+        target.id for node in nodes if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "lift_matrix"
+        for target in node.targets if isinstance(target, ast.Name)}
+    return any((isinstance(sub, ast.Name) and sub.id == "INTEGER_CORE")
+               or _is_none_test(sub, names)
+               for node in nodes if isinstance(node, (ast.If, ast.IfExp))
+               for sub in ast.walk(node.test))
+
+
+def forking_functions(source, module):
+    return {f"{module}.{name}" for name, fn in functions(ast.parse(source).body)
+            if forks(fn)}
+
+
+def test_integer_forks_are_these():
+    found = set()
+    for module in ("linalg", "algebra"):
+        found |= forking_functions((PACKAGE / f"{module}.py").read_text(), module)
+    assert found == {
+        # linalg: the elimination, membership and product workloads time
+        "linalg.lift_matrix", "linalg.rref", "linalg.rank", "linalg.mat_vec",
+        "linalg.in_row_space", "linalg.intertwiner_mismatch",
+        # algebra: the product, its matrices and the Krylov eliminations
+        "algebra.Algebra.__init__", "algebra.Algebra.mul", "algebra.Algebra.int_powers",
+        "algebra.Algebra.left_mult_matrix", "algebra.Algebra.right_mult_matrix",
+        "algebra.Algebra.left_minus_right_matrix", "algebra.Algebra.centralizer_dim",
+        "algebra.Algebra.sandwich_matrix", "algebra.Algebra.anti_automorphism_mismatch",
+        "algebra.Algebra.inverse", "algebra.minimal_polynomial_and_power_basis",
+    }
+
+
+def test_a_fork_is_caught():
+    source = (
+        "def by_type(f):\n"
+        "    return 1 if isinstance(f, INTEGER_CORE) else 2\n"
+        "def by_lift(f, a):\n"
+        "    la = lift_matrix(f, a)\n"
+        "    if la is not None:\n"
+        "        return la\n"
+        "class A:\n"
+        "    def by_table(self):\n"
+        "        if self._flat is None:\n"
+        "            return 0\n"
+        "    def by_argument(self, lifted=None):\n"
+        "        if lifted is None:\n"
+        "            return 0\n"
+        "def other_none(x):\n"
+        "    if x is None:\n"
+        "        return 0\n"
+        "def only_nested():\n"
+        "    def inner(lifted):\n"
+        "        return 0 if lifted is None else 1\n"
+        "    return inner\n"
+        "def unbranched(f):\n"
+        "    return INTEGER_CORE\n")
+    assert forking_functions(source, "m") == {
+        "m.by_type", "m.by_lift", "m.A.by_table", "m.A.by_argument"}

@@ -194,11 +194,16 @@ def test_reduce_vector_matches_the_method_path(case, data):
     other = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows[0]),
                                max_size=len(rows[0])))
     for v in (inside, other):
-        want = reduce_vector(MethodPathField(p), basis, pivots, [x % p for x in v])
-        assert reduce_vector(f, basis, pivots, v) == want
+        # reduce_vector takes canonical scalars, in_row_space unreduced ints
+        reduced = [x % p for x in v]
+        residual, coeffs = reduce_vector(f, basis, pivots, reduced)
+        assert (residual, coeffs) == reduce_vector(MethodPathField(p), basis, pivots, reduced)
+        assert all(residual[c] == 0 for c in pivots)
+        assert [(r + sum(c * b[j] for c, b in zip(coeffs, basis))) % p
+                for j, r in enumerate(residual)] == reduced
         member = in_row_space(f, basis, pivots, v)
-        assert member == in_row_space(MethodPathField(p), basis, pivots,
-                                      [x % p for x in v])
+        assert member == in_row_space(MethodPathField(p), basis, pivots, reduced)
+        assert member == (not any(residual))
         assert member == (rank(f, rows + [v]) == len(basis))
     assert in_row_space(f, basis, pivots, inside)
 
@@ -416,10 +421,15 @@ def _combination(field, coeffs, vecs, n):
     return out
 
 
-def _check_first_dependency(field, vecs):
-    """first_dependency on vecs, read lazily: v_d is a combination of the
-    independent v_0..v_{d-1} with the returned coefficients, the basis is
-    their rref, and nothing after v_d is read."""
+def _lifted_first_dependency(field, vectors):
+    return int_first_dependency(field, map(field.lift_vector, vectors))
+
+
+def _check_first_dependency(field, vecs, first=first_dependency):
+    """first (first_dependency or _lifted_first_dependency) on vecs, read
+    lazily: v_d is a combination of the independent v_0..v_{d-1} with the
+    returned coefficients, the basis is their rref, and nothing after v_d
+    is read."""
     read = []
 
     def walk():
@@ -427,7 +437,7 @@ def _check_first_dependency(field, vecs):
             read.append(v)
             yield v
 
-    coeffs, basis, pivots = first_dependency(field, walk())
+    coeffs, basis, pivots = first(field, walk())
     d = len(coeffs)
     assert len(read) == d + 1
     # 1 * v_d: v_d in canonical scalars (F_p entries may come unreduced)
@@ -487,7 +497,7 @@ def test_first_dependency_over_fp_matches_the_method_path(case):
     # a repeated first row forces a dependency; entries are unreduced ints
     p, rows = case
     vecs = rows + [rows[0]]
-    got = _check_first_dependency(PrimeField(p), vecs)
+    got = _check_first_dependency(PrimeField(p), vecs, _lifted_first_dependency)
     assert got == first_dependency(MethodPathField(p), iter(_reduced(p, vecs)))
 
 
@@ -495,7 +505,7 @@ def test_first_dependency_over_fp_matches_the_method_path(case):
 @given(q_matrices())
 def test_first_dependency_over_q_matches_the_method_path(rows):
     vecs = rows + [rows[-1]]
-    got = _check_first_dependency(QQ, vecs)
+    got = _check_first_dependency(QQ, vecs, _lifted_first_dependency)
     assert got == first_dependency(MethodPathQ(), iter(vecs))
     assert all(type(x) is Fraction for x in got[0])
 
