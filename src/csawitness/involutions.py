@@ -12,9 +12,10 @@ the left side is sigma(e_i g) and column i of the right side is
 sigma(g) sigma(e_i), so the identity holds exactly when
 sigma(e_i g) = sigma(g) sigma(e_i) for every basis element e_i, which
 implies the property on every basis pair.  A twist is certified by its
-formula instead: twist_by_inner checks only sigma(u) = +-u and that u is
-invertible, and then Int(u) o sigma is an involution whose tag the sign
-fixes (its docstring has the proof), so it is not re-verified.
+formula instead: twist_by_inner checks only sigma(u) = +-u and that the
+inverse it is handed satisfies u u_inv = 1, and then Int(u) o sigma is an
+involution whose tag the sign fixes (its docstring has the proof), so it is
+not re-verified.
 Construction and involution_type read the tag off dim Sym through one
 helper, and sym_dimension and sym_basis build sigma - 1 through one helper.
 Characteristic 2 is rejected throughout: the orthogonal/symplectic
@@ -267,9 +268,16 @@ def tensor_involution(sigma1, sigma2, product_algebra):
     return involution_from_matrix(A, mat)
 
 
-def twist_by_inner(sigma, u):
+def twist_by_inner(sigma, u, u_inv):
     """The involution Int(u) o sigma: x -> u sigma(x) u^-1, for u invertible
     with sigma(u) = u or sigma(u) = -u; InvalidInputError otherwise.
+
+    The caller hands the coordinates of u^-1 as u_inv, and the one product
+    u u_inv = 1 is checked in place of inverting u.  That suffices, because
+    in a finite-dimensional algebra a one-sided inverse is two-sided:
+    y -> u y is onto, so injective, and u (u_inv u - 1) = 0 gives
+    u_inv u = 1.  A u_inv with u u_inv != 1 (the zero vector always) raises
+    "twisting element is not invertible"; the test on sigma(u) runs first.
 
     Certified by its formula, so involution_from_matrix is not re-run
     (Knus-Merkurjev-Rost-Tignol, The Book of Involutions, Prop. 2.7).  Write
@@ -294,8 +302,7 @@ def twist_by_inner(sigma, u):
         kind = SYMPLECTIC if sigma.kind == ORTHOGONAL else ORTHOGONAL
     else:
         raise InvalidInputError("twisting element u has sigma(u) != u and != -u")
-    u_inv = A.inverse(uc)
-    if u_inv is None:
+    if A.mul(uc, u_inv) != A.unit:
         raise InvalidInputError("twisting element is not invertible")
     return Involution(A, A.sandwich_matrix(uc, sigma.mat, u_inv), kind)
 

@@ -687,7 +687,13 @@ def solve_inner_twist(sigma1, sigma2, rng_seed=0):
     found = _search_invertible(A, space, random.Random(rng_seed), space)
     if found is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
-    u = found[0]
+    return _symmetric_intertwiner(sigma1, found[0])
+
+
+def _symmetric_intertwiner(sigma1, u):
+    """u normalized so its first nonzero coordinate is 1, as an element,
+    after checking that it is symmetric for sigma1."""
+    A = sigma1.algebra
     f = A.field
     first = next(c for c in u if not f.is_zero(c))
     u = tuple(f.div(c, first) for c in u)
@@ -698,12 +704,22 @@ def solve_inner_twist(sigma1, sigma2, rng_seed=0):
 
 
 def symplectic_fixing_involution(L, tau, rng_seed=0):
-    """A symplectic involution fixing a separable subalgebra pointwise.
+    """A symplectic involution fixing a separable subalgebra pointwise."""
+    cent = _intertwiner_space(L.algebra, [(L.generator.coords,) * 2])
+    return _symplectic_fixing(L, tau, rng_seed, cent)[0]
+
+
+def _symplectic_fixing(L, tau, rng_seed, cent):
+    """(sigma, v, v^-1): a symplectic involution sigma = Int(v^-1) o tau
+    fixing the separable subalgebra L pointwise, with v tau-symmetric.
 
     Solve u l = tau(l) u on the generator, then adjust u by a centralizer
     element q until v = tau(u q) + u q is invertible; conjugating tau by
-    v^{-1} fixes the subalgebra and stays symplectic because v is
-    tau-symmetric.
+    v^-1 fixes the subalgebra and stays symplectic because v is
+    tau-symmetric.  The twist is twist_by_inner(tau, v^-1, v), handed the v
+    the search already holds, so nothing is inverted outside the searches.
+    cent is the centralizer basis of L's generator a, the kernel of
+    x -> a x - x a, which every caller has already solved.
     """
     A = tau.algebra
     if tau.kind != SYMPLECTIC:
@@ -726,8 +742,6 @@ def symplectic_fixing_involution(L, tau, rng_seed=0):
     if found is None:
         raise FieldTooSmallError("no invertible intertwiner found within budget")
     u = found[0]
-    # centralizer of L = commutant of the generator
-    cent = _intertwiner_space(A, [(a.coords, a.coords)])
 
     def symmetrize(q):
         uq = A.mul(u, q)
@@ -736,13 +750,13 @@ def symplectic_fixing_involution(L, tau, rng_seed=0):
     found = _search_invertible(A, cent, rng, [A.unit] + cent, symmetrize)
     if found is None:
         raise FieldTooSmallError("no invertible symmetrization found within budget")
-    v_inv = found[1]
-    sigma = twist_by_inner(tau, A.element(v_inv))
+    v, v_inv = found
+    sigma = twist_by_inner(tau, v_inv, v)
     if sigma.kind != SYMPLECTIC:
         raise StructuralError("twisted involution lost symplecticity")
     if sigma.apply_coords(a.coords) != a.coords:
         raise StructuralError("twisted involution does not fix the subalgebra")
-    return sigma
+    return sigma, v, v_inv
 
 
 def default_symplectic_involution(A):
@@ -795,6 +809,21 @@ def connect_exp2(L1, L2, rng_seed=0):
     polynomial (and that of u a1) is squarefree, and link through the
     subalgebras generated by a1 and u a1.  Every segment's validity is the
     discriminant in t of the degree-m pencil minimal polynomial.
+
+    Both involutions come from one tau, as sigma_i = Int(v_i^-1) o tau with
+    v_i tau-symmetric (_symplectic_fixing), so the twist is read off them
+    rather than solved for: u = v2^-1 v1 gives
+    sigma2(x) u = v2^-1 tau(x) v2 v2^-1 v1 = v2^-1 tau(x) v1 = u sigma1(x).
+    A is central simple for every certified exponent-2 preset, so by
+    Skolem-Noether the intertwiners of sigma1 and sigma2 form a line, and u
+    normalized to first nonzero coordinate 1 is exactly what
+    solve_inner_twist(sigma1, sigma2) returns.  u is sigma1-symmetric,
+    sigma1(u) = v1^-1 tau(v1) tau(v2^-1) v1 = u, since tau(v_i) = v_i; that
+    is checked, as is the sigma2-symmetry of each u a1.  Each distinct
+    endpoint's centralizer basis is solved once, and only after its
+    dimension passes: its size is the balance test of is_et_m_point
+    (dim C(a) = n^2 - rank), and the same basis seeds the symmetrization
+    search.
     """
     A = L1.algebra
     if L2.algebra != A:
@@ -809,10 +838,13 @@ def connect_exp2(L1, L2, rng_seed=0):
     if n % 2:
         raise InvalidInputError("the degree must be even")
     m = n // 2
-    for L in (L1, L2):
-        if L.dim != m or not is_et_m_point(L, m):
+    cents = []
+    for L in (L1,) if L1 == L2 else (L1, L2):
+        cent = _intertwiner_space(A, [(L.generator.coords,) * 2]) if L.dim == m else ()
+        if len(cent) != n * n // m:
             raise InvalidInputError(
                 "endpoints must be half-degree subalgebras of balanced type")
+        cents.append(cent)
     meta = {"etale_dim": m, "et_m": m}
     if L1 == L2:
         w = _etale_line_witness(A, L1.generator, L1.generator, m, meta)
@@ -821,9 +853,9 @@ def connect_exp2(L1, L2, rng_seed=0):
         return WitnessChain([w])
     rng = random.Random(rng_seed)
     tau = default_symplectic_involution(A)
-    sigma1 = symplectic_fixing_involution(L1, tau, rng_seed=rng_seed)
-    sigma2 = symplectic_fixing_involution(L2, tau, rng_seed=rng_seed + 1)
-    u = solve_inner_twist(sigma1, sigma2, rng_seed=rng_seed + 2)
+    sigma1, v1, _ = _symplectic_fixing(L1, tau, rng_seed, cents[0])
+    sigma2, _, v2_inv = _symplectic_fixing(L2, tau, rng_seed + 1, cents[1])
+    u = _symmetric_intertwiner(sigma1, A.mul(v2_inv, v1))
     basis1 = sym_basis(sigma1)
     beta1, beta2 = L1.generator, L2.generator
     for _ in range(64):

@@ -432,7 +432,7 @@ def test_inner_twist_on_a_false_preset_intertwines_every_basis_element(n, perm):
         u = A.mul(g, s1.apply_coords(g))
         if A.inverse(u) is not None:
             break
-    s2 = twist_by_inner(s1, u)
+    s2 = twist_by_inner(s1, u, A.inverse(u))
     v = solve_inner_twist(s1, s2).coords
     for i in range(A.dim):
         x = A.basis_coords(i)

@@ -117,7 +117,8 @@ def test_type_invariant_under_conjugation_seeded():
             g = alg.random_element(rng)
             if alg.inverse(g.coords) is None:
                 continue
-            assert twist_by_inner(sigma, _g_sigma_g(sigma, g.coords)).kind == sigma.kind
+            u = _g_sigma_g(sigma, g.coords)
+            assert twist_by_inner(sigma, u, alg.inverse(u)).kind == sigma.kind
             done += 1
 
 
@@ -149,11 +150,12 @@ def test_conjugate_involution_is_the_twist_by_g_sigma_g():
             g = A.random_element(rng).coords
             if A.inverse(g) is None:
                 continue
-            assert (twist_by_inner(sigma, _g_sigma_g(sigma, g)).mat
+            u = _g_sigma_g(sigma, g)
+            assert (twist_by_inner(sigma, u, A.inverse(u)).mat
                     == _conjugate_by_the_loop(sigma, g))
             done += 1
         with pytest.raises(InvalidInputError, match="twisting element is not invertible"):
-            twist_by_inner(sigma, A.zero)
+            twist_by_inner(sigma, A.zero, A.unit)
 
 
 def test_involution_from_matrix_rejects_non_involutions():
@@ -225,7 +227,7 @@ def test_twist_by_inner():
     s = transpose_involution(A)
     # twisting by an invertible symmetric element keeps the type
     d = A.element([(3 if divmod(t, 3)[0] == divmod(t, 3)[1] else 0) for t in range(9)])
-    t = twist_by_inner(s, d)
+    t = twist_by_inner(s, d, A.inverse(d.coords))
     assert t.kind == ORTHOGONAL
 
 
@@ -271,7 +273,7 @@ def test_twists_are_the_involutions_their_sign_says():
             for u in _twisting_elements(sigma, g):
                 if A.inverse(u) is None:
                     continue
-                t = twist_by_inner(sigma, u)
+                t = twist_by_inner(sigma, u, A.inverse(u))
                 assert involution_from_matrix(A, t.mat).kind == t.kind
                 assert involution_type(t) == t.kind
                 symmetric = sigma.apply_coords(u) == tuple(u)
@@ -292,7 +294,36 @@ def test_twist_by_an_element_neither_symmetric_nor_skew_raises():
             if su != u and su != tuple(f.neg(c) for c in u) and A.inverse(u) is not None:
                 break
         with pytest.raises(InvalidInputError, match="sigma\\(u\\) != u and != -u"):
-            twist_by_inner(sigma, u)
+            twist_by_inner(sigma, u, A.inverse(u))
+
+
+def test_twist_handed_its_inverse_checks_one_product():
+    rng = random.Random(47)
+    for sigma in _twist_cases():
+        A = sigma.algebra
+        f = A.field
+        while True:
+            g = A.random_element(rng).coords
+            u = A.mul(g, sigma.apply_coords(g))
+            u_inv = A.inverse(u)
+            if u_inv is not None and A.mul(u, u) != A.unit:
+                break
+        # a correct inverse gives x -> u sigma(x) u^-1, image by image
+        images = [A.mul(A.mul(u, sigma.apply_coords(A.basis_coords(i))), u_inv)
+                  for i in range(A.dim)]
+        assert twist_by_inner(sigma, u, u_inv).mat == tuple(zip(*images))
+        for wrong in (u, A.zero_coords()):
+            with pytest.raises(InvalidInputError, match="twisting element is not invertible"):
+                twist_by_inner(sigma, u, wrong)
+        # the sign test runs before the inverse is looked at
+        while True:
+            w = A.random_element(rng).coords
+            sw = sigma.apply_coords(w)
+            if sw != w and sw != tuple(f.neg(c) for c in w):
+                break
+        for wrong in (w, A.zero_coords()):
+            with pytest.raises(InvalidInputError, match="sigma\\(u\\) != u and != -u"):
+                twist_by_inner(sigma, w, wrong)
 
 
 def test_a_second_exp2_chain_verifies_no_involution(monkeypatch):

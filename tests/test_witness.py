@@ -10,7 +10,8 @@ import pytest
 
 from csawitness import witness
 from csawitness.algebra import (
-    Algebra, make_matrix_algebra, make_quaternion, tensor_product,
+    Algebra, coords_of_matrix, make_matrix_algebra, make_quaternion,
+    tensor_product,
 )
 from csawitness.errors import (
     FieldTooSmallError, InvalidInputError, NotEtaleError, StructuralError,
@@ -826,8 +827,8 @@ def test_symplectic_fixing_m4_f7():
 
 
 def test_symplectic_fixing_inverts_the_winner_once(monkeypatch):
-    # each search inverts its candidates; the symmetrization's inverse is
-    # reused, so the one inversion outside the searches is twist_by_inner's
+    # each search inverts its candidates; the symmetrization and its inverse
+    # are both handed to twist_by_inner, so nothing is inverted outside them
     A = make_matrix_algebra(F7, 4)
     tau = adjoint_involution(A, standard_alternating_matrix(F7, 4))
     E = random_balanced_pair_subalgebra(A, random.Random(8))
@@ -850,7 +851,64 @@ def test_symplectic_fixing_inverts_the_winner_once(monkeypatch):
     monkeypatch.setattr(witness, "_search_invertible", counting_search)
     s = symplectic_fixing_involution(E, tau, rng_seed=8)
     assert s(E.generator) == E.generator
-    assert calls["search"] >= 2 and calls["outside"] == 1
+    assert calls["search"] >= 2 and calls["outside"] == 0
+
+
+def _random_half_degree(A, rng):
+    """A random half-degree subalgebra of balanced type, generated by a
+    random conjugate of diag(c_1, c_1, c_2, c_2, ...) on a matrix preset and
+    of a basis element (a square root of a nonzero scalar) otherwise."""
+    f = A.field
+    m = A.degree // 2
+    while True:
+        if A.preset["kind"] == "matrix":
+            cs = [f.random(rng) for _ in range(m)]
+            if len(set(cs)) < m:
+                continue
+            x0 = A.element(coords_of_matrix(
+                A, [[cs[i // 2] if i == j else f.zero for j in range(2 * m)]
+                    for i in range(2 * m)]))
+        else:
+            x0 = A.basis_element(rng.choice([1, 2, 3, 4, 8, 12]))
+        g = A.random_element(rng)
+        g_inv = A.inverse(g.coords)
+        if g_inv is not None:
+            L = generate_etale(g * x0 * A.element(g_inv))
+            assert is_et_m_point(L, m)
+            return L
+
+
+def _centralizer(L):
+    return witness._intertwiner_space(L.algebra, [(L.generator.coords,) * 2])
+
+
+def _biquaternion_hxs():
+    return tensor_product(make_quaternion(QQ, Fraction(-1), Fraction(-1)),
+                          make_quaternion(QQ, Fraction(1), Fraction(1)))
+
+
+@pytest.mark.parametrize("name, A, pairs", [
+    ("M4(F5)", make_matrix_algebra(F5, 4), 40),
+    ("M4(F7)", make_matrix_algebra(F7, 4), 40),
+    ("M4(F11)", make_matrix_algebra(PrimeField(11), 4), 40),
+    ("M6(F7)", make_matrix_algebra(F7, 6), 40),
+    ("M4(Q)", make_matrix_algebra(QQ, 4), 15),
+    ("Hx(1,1)", _biquaternion_hxs(), 15),
+])
+def test_closed_form_twist_matches_the_solved_one(name, A, pairs):
+    # both involutions twist one tau, sigma_i = Int(v_i^-1) o tau, so
+    # v2^-1 v1 spans the line of intertwiners that solve_inner_twist solves
+    f = A.field
+    tau = default_symplectic_involution(A)
+    rng = random.Random(29)
+    for k in range(pairs):
+        L1, L2 = _random_half_degree(A, rng), _random_half_degree(A, rng)
+        s1, v1, _ = witness._symplectic_fixing(L1, tau, k, _centralizer(L1))
+        s2, _, v2_inv = witness._symplectic_fixing(L2, tau, k + 1, _centralizer(L2))
+        u = A.mul(v2_inv, v1)
+        first = next(c for c in u if not f.is_zero(c))
+        u = tuple(f.div(c, first) for c in u)
+        assert solve_inner_twist(s1, s2, rng_seed=k + 2).coords == u, (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +968,32 @@ def test_connect_exp2_generates_each_kept_subalgebra_once(monkeypatch, name):
     # ... and the outer ones are generated again from the inputs' generators
     assert seg1.start == L1 and seg1.start is not L1 and seg3.end == L2 and seg3.end is not L2
     assert made.count(L1.generator.coords) == made.count(L2.generator.coords) == 1
+
+
+@pytest.mark.parametrize("name", ["m4f7", "q_hxs"])
+def test_connect_exp2_solves_each_centralizer_once_and_no_twist(monkeypatch, name):
+    L1, L2, seed = _exp2_inputs()[name]
+    A = L1.algebra
+    rows, dims = [], []
+    space, centralizer_dim = witness._intertwiner_space, Algebra.centralizer_dim
+
+    def counting_space(B, pairs):
+        rows.append(len(pairs) * B.dim)
+        return space(B, pairs)
+
+    def refused_twist(*args, **kwargs):
+        raise AssertionError("connect_exp2 solved an inner twist")
+
+    monkeypatch.setattr(witness, "_intertwiner_space", counting_space)
+    monkeypatch.setattr(witness, "solve_inner_twist", refused_twist)
+    monkeypatch.setattr(Algebra, "centralizer_dim",
+                        lambda self, x: dims.append(tuple(x)) or centralizer_dim(self, x))
+    chain = connect_exp2(L1, L2, rng_seed=seed)
+    assert chain.start == L1 and chain.end == L2
+    # one centralizer per endpoint and one conjugate-embedding kernel per
+    # involution, each a single (L(x), R(x)) pair of dim A rows
+    assert len(rows) == 4 and max(rows) <= A.dim
+    assert L1.generator.coords not in dims and L2.generator.coords not in dims
 
 
 def test_connect_exp2_split_biquaternion_over_q():
