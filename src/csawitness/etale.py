@@ -5,12 +5,10 @@ A subalgebra is stored with a primitive generator, its minimal polynomial
 subspace equality is exact.  The minimal polynomial and the basis come
 from one elimination over the powers 1, x, x^2, ...
 (algebra.minimal_polynomial_and_power_basis).
-The type of a subalgebra is the multiset of geometric idempotent ranks; it
-is computed from a factorization of the minimal polynomial via the
-orbit-quotient formula rdim(e_i A) / deg(f_i), which avoids explicit
-splitting fields.  The last factor's rank is read by complement, as the
-degree minus the ranks of the other factors' idempotents, so it needs no
-idempotent of its own.
+The type of a subalgebra is the multiset of geometric idempotent ranks, the
+root multiplicities of the generator's reduced characteristic polynomial.
+etale_type reads them off with gcds against the squarefree minimal
+polynomial, so it factors nothing and works the same way over every field.
 
 Balanced type (is_et_m_point) needs no factorization: it is one centralizer
 rank.  The generator x is semisimple, so over an algebraic closure it has
@@ -18,18 +16,18 @@ dim E = m distinct eigenvalues, of multiplicities m_theta summing to the
 degree n; these are the parts of the type.  dim C_A(x) = sum m_theta^2, and
 by Cauchy-Schwarz n^2 <= m sum m_theta^2 with equality iff every
 m_theta = n/m.  So E is balanced iff n^2 - rank(u -> x u - u x) = n^2 / m.
-etale_type stays for the full partition (csaw etale type, the demos).
+etale_type gives the full partition (csaw etale type,
+witness.symplectic_fixing_involution, the demos).
 """
 
-import functools
-import operator
-
-from .algebra import minimal_polynomial_and_power_basis, poly_eval_at_element
+from .algebra import (
+    minimal_polynomial_and_power_basis, poly_eval_at_element, reduced_char_poly,
+)
 from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )
 from .fields import Rationals
-from .ideals import ideal_generated, principal_rdim
+from .ideals import ideal_generated
 from .linalg import in_row_space, rref
 from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
 
@@ -60,17 +58,14 @@ class Partition:
 
 
 class EtaleSubalgebra:
-    __slots__ = ("algebra", "generator", "minpoly", "basis", "pivots",
-                 "supplied_factors", "_type")
+    __slots__ = ("algebra", "generator", "minpoly", "basis", "pivots", "_type")
 
-    def __init__(self, algebra, generator, minpoly, basis, pivots,
-                 supplied_factors=None):
+    def __init__(self, algebra, generator, minpoly, basis, pivots):
         self.algebra = algebra
         self.generator = generator
         self.minpoly = minpoly
         self.basis = tuple(tuple(r) for r in basis)
         self.pivots = tuple(pivots)
-        self.supplied_factors = supplied_factors
         self._type = None
 
     @property
@@ -95,7 +90,7 @@ class EtaleSubalgebra:
         return f"EtaleSubalgebra(dim={self.dim} of degree-{self.algebra.degree} algebra)"
 
 
-def generate_etale(a, minpoly_factors=None):
+def generate_etale(a):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the
     degree of the ambient algebra."""
@@ -103,11 +98,8 @@ def generate_etale(a, minpoly_factors=None):
     if not poly_squarefree(mp):
         raise NotEtaleError(
             f"minimal polynomial of degree {mp.degree} is not squarefree")
-    supplied = None
-    if minpoly_factors is not None:
-        supplied = _verify_supplied_factors(mp, minpoly_factors)
     _check_commutative(a.algebra, powers)
-    return EtaleSubalgebra(a.algebra, a, mp, basis, pivots, supplied)
+    return EtaleSubalgebra(a.algebra, a, mp, basis, pivots)
 
 
 def _check_commutative(alg, powers):
@@ -123,40 +115,13 @@ def _check_commutative(alg, powers):
                 raise StructuralError("subalgebra basis does not commute")
 
 
-def _verify_supplied_factors(mp, factors):
-    """Certificate check: monic factors multiplying to the minimal polynomial,
-    pairwise coprime; irreducibility is verified where decidable (degree <= 3
-    via rational roots) and trusted above that."""
-    field = mp.field
-    prod = Poly.one(field)
-    for g in factors:
-        if not g.is_monic() or g.degree < 1:
-            raise InvalidInputError("supplied factors must be monic of positive degree")
-        prod = prod * g
-    if prod != mp:
-        raise InvalidInputError("supplied factors do not multiply to the minimal polynomial")
-    for i, g in enumerate(factors):
-        for h in factors[i + 1:]:
-            if poly_gcd(g, h).degree != 0:
-                raise InvalidInputError("supplied factors are not pairwise coprime")
-    if isinstance(field, Rationals):
-        for g in factors:
-            if 2 <= g.degree <= 3:
-                roots, _ = rational_roots(g)
-                if roots:
-                    raise InvalidInputError(
-                        "supplied factor of degree <= 3 has a rational root, "
-                        "so it is not irreducible")
-    return tuple(factors)
-
-
 def _irreducible_factors(E):
-    """Monic irreducible factors of the minimal polynomial, as far as this
-    module can certify them.
+    """Monic irreducible factors of the minimal polynomial, for the rational
+    idempotents of factor_idempotents.
 
-    Finite fields: full factorization.  Q: the supplied certificate if any,
-    else rational roots plus a rootless cofactor of degree <= 3 (which is then
-    irreducible); higher-degree cofactors need a certificate.
+    Finite fields: full factorization.  Q: rational roots plus a rootless
+    cofactor of degree <= 3 (which is then irreducible); a larger cofactor
+    is not factored here.
     """
     mp = E.minpoly
     field = mp.field
@@ -165,8 +130,6 @@ def _irreducible_factors(E):
         if any(m > 1 for _, m in facs):
             raise StructuralError("squarefree minimal polynomial factored with multiplicity")
         return [g for g, _ in facs]
-    if E.supplied_factors is not None:
-        return list(E.supplied_factors)
     roots, rest = rational_roots(mp)
     out = [Poly(field, [-r, field.one]) for r, m in roots]
     if rest.degree == 0:
@@ -175,8 +138,8 @@ def _irreducible_factors(E):
         out.append(rest)
         return out
     raise UnsupportedFieldError(
-        "minimal polynomial has an unfactored part of degree "
-        f"{rest.degree} over Q; supply minpoly_factors")
+        f"over Q, the minimal polynomial's rootless part of degree {rest.degree} "
+        "is not factored, so its rational idempotents are not found")
 
 
 def _crt_idempotent(E, fi):
@@ -205,36 +168,44 @@ def factor_idempotents(E):
 
 
 def etale_type(E):
-    """The multiset of geometric idempotent ranks.
+    """The multiset of geometric idempotent ranks, read off the reduced
+    characteristic polynomial with gcds and no factorization.
 
-    Each irreducible factor of degree d_i contributes d_i equal parts of size
-    rdim(e_i A) / d_i; the parts always sum to the degree of the algebra.
-    rdim(e_i A) is rank(L_{e_i}) / deg(A) (ideals.principal_rdim) for every
-    factor but the last.  The e_i A are a direct sum equal to A, so the last
-    factor's rdim is the degree minus the others': an irreducible minimal
-    polynomial needs no idempotent and no rank.
+    Over an algebraic closure A is M_n, and the generator x, whose minimal
+    polynomial mu is squarefree, is diagonalizable.  Its eigenvalues are the
+    roots theta of mu, of multiplicities m_theta summing to n, and the
+    idempotent of theta has rank m_theta, so the type is [m_theta].  The
+    reduced characteristic polynomial is R_0 = Prd_x = prod (T - theta)^m_theta
+    (Knus-Merkurjev-Rost-Tignol, The Book of Involutions, ch. I).  Put
+    g_k = gcd(R_{k-1}, mu) and R_k = R_{k-1} / g_k.  By induction
+    R_{k-1} = prod (T - theta)^max(m_theta - k + 1, 0), and as mu is
+    squarefree, g_k = prod (T - theta) over the theta with m_theta >= k.  So
+    deg g_k eigenvalues have multiplicity at least k, and the type is the
+    conjugate partition of (deg g_1, deg g_2, ...): deg g_k - deg g_{k+1}
+    parts equal k.  Only gcd and exact division are used, so this holds over
+    Q, F_p and F_{p^k} in every characteristic.
+
+    Two faults, reachable only by hand-built objects, are checked: a minimal
+    polynomial that is not squarefree, where g_k may hold a square; and
+    g_k = 1 while R_{k-1} != 1, where Prd has a root that mu lacks, though
+    every eigenvalue of x is a root of mu.
     """
     if E._type is not None:
         return E._type
-    n = E.algebra.degree
-    factors = _irreducible_factors(E)
-    # the complement needs the factors' product to be the minimal polynomial
-    if functools.reduce(operator.mul, factors) != E.minpoly:
-        raise StructuralError("factors do not multiply to the minimal polynomial")
-    *rest, last = factors
-    rdims = [(fi, principal_rdim(_crt_idempotent(E, fi))) for fi in rest]
-    r_last = n - sum(r for _, r in rdims)
-    if r_last < 1:
-        raise StructuralError(
-            f"type parts do not sum to the degree: the other factors' parts sum to {n - r_last}")
-    parts = []
-    for fi, r in rdims + [(last, r_last)]:
-        d = fi.degree
-        if r % d != 0:
+    mu = E.minpoly
+    if not poly_squarefree(mu):
+        raise StructuralError("the minimal polynomial is not squarefree")
+    rest = reduced_char_poly(E.generator)
+    at_least = []  # at_least[k - 1] = deg g_k
+    while rest.degree > 0:
+        g = poly_gcd(rest, mu)
+        if g.degree == 0:
             raise StructuralError(
-                f"rank {r} of a degree-{d} factor idempotent is not divisible by {d}")
-        parts.extend([r // d] * d)
-    E._type = Partition(parts)
+                "the reduced characteristic polynomial has a root that the "
+                "minimal polynomial lacks")
+        at_least.append(g.degree)
+        rest = rest.exact_div(g)
+    E._type = Partition(sum(d > i for d in at_least) for i in range(at_least[0]))
     return E._type
 
 

@@ -471,18 +471,6 @@ def is_irreducible(f):
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def roots_in_field(f, rng=None):
-    """All roots of f lying in its own coefficient field, with multiplicity."""
-    _require_finite(f)
-    out = []
-    _, factors = factor(f, rng)
-    field = f.field
-    for g, mult in factors:
-        if g.degree == 1:
-            out.append((field.neg(g.coeffs[0]), mult))
-    return out
-
-
 def rational_roots(f):
     """Rational roots with multiplicities plus the rootless cofactor.
 

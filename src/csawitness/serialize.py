@@ -179,8 +179,6 @@ def flag_from_json(data, algebra=None):
 def etale_to_json(E, inline_algebra=True):
     f = E.algebra.field
     out = {"generator": _vec_to_json(f, E.generator.coords)}
-    if E.supplied_factors is not None:
-        out["minpoly_factors"] = [g.to_json() for g in E.supplied_factors]
     if inline_algebra:
         out["algebra"] = algebra_to_json(E.algebra)
     return out
@@ -189,10 +187,7 @@ def etale_to_json(E, inline_algebra=True):
 def etale_from_json(data, algebra=None):
     A = _resolve_algebra(data, algebra)
     gen = A.element(_vec_from_json(A.field, json_get(data, "generator", list), "generator"))
-    factors = json_get(data, "minpoly_factors", list, None)
-    if factors is not None:
-        factors = [_poly_from_json(A.field, g, "minpoly_factors") for g in factors]
-    return generate_etale(gen, minpoly_factors=factors)
+    return generate_etale(gen)
 
 
 def involution_to_json(sigma, inline_algebra=True):

@@ -30,7 +30,7 @@ from .errors import (
     ConstructionFailedError, FieldTooSmallError, InvalidInputError,
     NotEtaleError, StructuralError, UnsupportedFieldError,
 )
-from .etale import generate_etale, is_et_m_point
+from .etale import etale_type, generate_etale, is_et_m_point
 from .fields import Rationals
 from .ideals import Flag, flag_check, module_presentation
 from .involutions import (
@@ -704,7 +704,21 @@ def _symmetric_intertwiner(sigma1, u):
 
 
 def symplectic_fixing_involution(L, tau, rng_seed=0):
-    """A symplectic involution fixing a separable subalgebra pointwise."""
+    """A symplectic involution fixing a separable subalgebra pointwise.
+
+    An element fixed by a symplectic involution has Prd = Prp^2, the square
+    of its Pfaffian characteristic polynomial (Knus-Merkurjev-Rost-Tignol,
+    The Book of Involutions, ch. I; involutions.pfaffian_char_poly), so
+    every root of its reduced characteristic polynomial has even
+    multiplicity.  Those multiplicities are the parts of the type, so a
+    subalgebra whose type has an odd part is rejected before any kernel or
+    search.
+    """
+    parts = etale_type(L).parts
+    if any(part % 2 for part in parts):
+        raise InvalidInputError(
+            f"a subalgebra of type {list(parts)} has an odd part, so no "
+            "symplectic involution fixes it")
     cent = _intertwiner_space(L.algebra, [(L.generator.coords,) * 2])
     return _symplectic_fixing(L, tau, rng_seed, cent)[0]
 

@@ -123,6 +123,53 @@ def test_etale_and_connect_etale(runner, tmp_path):
                            "--exhaustive"]).exit_code == 0
 
 
+def _q_algebra_files(runner, tmp_path):
+    """M4(Q) and M2(Q) (x) (-1, -1), written by csaw algebra new."""
+    m4, m2, h, t = (tmp_path / f"{name}.json" for name in ("m4", "m2", "h", "t"))
+    for args in (["--preset", "matrix", "--n", "4", "--out", str(m4)],
+                 ["--preset", "matrix", "--n", "2", "--out", str(m2)],
+                 ["--preset", "quaternion", "--a", "-1", "--b", "-1", "--out", str(h)],
+                 ["--preset", "tensor", "--left", str(m2), "--right", str(h),
+                  "--out", str(t)]):
+        assert invoke(runner, ["algebra", "new", "--field", "q"] + args).exit_code == 0
+    return {"M4(Q)": m4, "M2(Q)xH": t}
+
+
+@pytest.mark.parametrize("name", ["M2(Q)xH", "M4(Q)"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_etale_type_of_a_random_maximal_subalgebra_over_q(runner, tmp_path, name, seed):
+    # a random maximal subalgebra over Q has a quartic minimal polynomial
+    # with no rational root; the type needs no factors of it
+    a = _q_algebra_files(runner, tmp_path)[name]
+    e = tmp_path / "e.json"
+    assert invoke(runner, ["etale", "generate", "--algebra", str(a), "--random-maximal",
+                           "--seed", str(seed), "--out", str(e)]).exit_code == 0
+    r = invoke(runner, ["etale", "type", "--subalgebra", str(e)])
+    assert r.exit_code == 0 and r.output == "[1, 1, 1, 1]\n"
+
+
+def test_etale_type_ignores_a_stored_factor_list(runner, tmp_path):
+    # subalgebra files once carried the minimal polynomial's factors as
+    # "minpoly_factors"; the key is read like any other unknown key
+    a = tmp_path / "a.json"
+    e = tmp_path / "e.json"
+    assert invoke(runner, ["algebra", "new", "--preset", "matrix", "--n", "4",
+                           "--field", "q", "--out", str(a)]).exit_code == 0
+    x4_plus_1 = [["0", "0", "0", "-1"], ["1", "0", "0", "0"],
+                 ["0", "1", "0", "0"], ["0", "0", "1", "0"]]
+    generator = ",".join(c for row in x4_plus_1 for c in row)
+    assert invoke(runner, ["etale", "generate", "--algebra", str(a), "--element",
+                           generator, "--out", str(e)]).exit_code == 0
+    plain = invoke(runner, ["etale", "type", "--subalgebra", str(e)])
+    assert plain.exit_code == 0 and plain.output == "[1, 1, 1, 1]\n"
+    data = json.loads(e.read_text())
+    assert "minpoly_factors" not in data
+    data["minpoly_factors"] = [["1", "0", "0", "0", "1"]]
+    e.write_text(json.dumps(data))
+    r = invoke(runner, ["etale", "type", "--subalgebra", str(e)])
+    assert r.exit_code == 0 and r.output == plain.output
+
+
 def test_connect_quadric_and_samples(runner, tmp_path):
     form = tmp_path / "q.json"
     w = tmp_path / "w.json"

@@ -126,7 +126,6 @@ def test_only_tests_name_these_definitions():
     everyone = [u for found in by_file.values() for u in found]
     test_only = unreached(defined, callers) - unreached(defined, everyone)
     reasons = {
-        "roots_in_field": "ROADMAP item 11 decides splitting over Q with it",
         "multiplicity_free": "ROADMAP item 10's graph certificates use it",
         "gaussian_binomial": "ROADMAP item 9 matches Grassmannian vertex counts",
         "independent_ideals_check": "ROADMAP item 7's independence test for Psi",

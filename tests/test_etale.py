@@ -1,11 +1,14 @@
+import functools
 import itertools
+import operator
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from csawitness import etale, linalg
+from csawitness import etale, ideals, linalg
 from csawitness.algebra import (
     Algebra, coords_of_matrix, make_matrix_algebra, make_quaternion,
     minimal_polynomial_and_power_basis, tensor_product,
@@ -17,7 +20,7 @@ from csawitness.etale import (
     random_maximal_etale, subalgebra_to_ideal_tuple,
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.ideals import ideal_generated
+from csawitness.ideals import ideal_generated, principal_rdim
 from csawitness.poly import Poly
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -219,22 +222,42 @@ def test_scalar_extension_type_consistency():
         checked += 1
 
 
+def _companion(A, coeffs):
+    """The companion matrix of the monic polynomial with the given lower
+    coefficients, lowest first."""
+    n = len(coeffs)
+    f = A.field
+    m = [[f.zero] * n for _ in range(n)]
+    for r in range(n - 1):
+        m[r + 1][r] = f.one
+    for r, c in enumerate(coeffs):
+        m[r][n - 1] = f.neg(c)
+    return A.element(coords_of_matrix(A, m))
+
+
 def test_etale_type_unfactorable_over_q_raises():
-    # x^4+1 is irreducible over Q but the module cannot certify that
-    A = make_matrix_algebra(QQ, 4)
-    comp = [[Fraction(0)] * 4 for _ in range(4)]
-    for r in range(3):
-        comp[r + 1][r] = Fraction(1)
-    comp[0][3] = Fraction(-1)
-    from csawitness.algebra import coords_of_matrix
-    x = A.element(coords_of_matrix(A, comp))
-    E = generate_etale(x)
+    # x^4+1 is irreducible over Q with no rational root: only the rational
+    # idempotents need its factors, and the type needs none
+    low = [QQ.from_int(c) for c in (1, 0, 0, 0)]
+    E = generate_etale(_companion(make_matrix_algebra(QQ, 4), low))
     assert E.minpoly == Poly.from_ints(QQ, [1, 0, 0, 0, 1])
+    assert etale_type(E) == Partition([1, 1, 1, 1])
     with pytest.raises(UnsupportedFieldError):
-        etale_type(E)
-    # with a certificate it works
-    E2 = generate_etale(x, minpoly_factors=[Poly.from_ints(QQ, [1, 0, 0, 0, 1])])
-    assert etale_type(E2) == Partition([1, 1, 1, 1])
+        factor_idempotents(E)
+
+
+def test_etale_type_of_a_companion_with_a_large_constant_is_quick():
+    # x^4 + x/P + 1 with P = 2 * 3 * ... * 37: a rational root search over
+    # the divisors of P does not return within 30 s, the gcd type needs no
+    # root at all
+    P = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+    A = make_matrix_algebra(QQ, 4)
+    start = time.perf_counter()
+    low = [Fraction(1), Fraction(1, P), Fraction(0), Fraction(0)]
+    E = generate_etale(_companion(A, low))
+    assert E.minpoly == Poly(QQ, low + [Fraction(1)])
+    assert etale_type(E) == Partition([1, 1, 1, 1])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_random_balanced_pair_subalgebra():
@@ -245,7 +268,7 @@ def test_random_balanced_pair_subalgebra():
 
 
 # ---------------------------------------------------------------------------
-# cost guards: one elimination per subalgebra, no rank for the last factor
+# cost guards: one elimination per subalgebra, no factorization for the type
 
 
 def _count(monkeypatch, calls, module, name):
@@ -286,15 +309,16 @@ def test_generate_etale_runs_one_elimination(case, monkeypatch):
     ("diag_m3_f9", 2),
 ])
 def test_etale_type_ranks_every_factor_but_the_last(case, factors, monkeypatch):
+    # the type is read by gcds: no factorization, no idempotent, no rank;
+    # it agrees with the ranks of factor_idempotents
     E = generate_etale(_etale_cases()[case])
     assert len(etale._irreducible_factors(E)) == factors
     calls = Counter()
-    for name in ("principal_rdim", "poly_eval_at_element"):
+    for name in ("factor", "rational_roots", "_crt_idempotent"):
         _count(monkeypatch, calls, etale, name)
+    _count(monkeypatch, calls, ideals, "principal_rdim")
     ptn = etale_type(E)
-    assert calls["principal_rdim"] == calls["poly_eval_at_element"] == factors - 1
-    assert etale_type(E) is ptn and calls["principal_rdim"] == factors - 1
-    # the complement agrees with the rank of the last idempotent
+    assert etale_type(E) is ptn and not calls
     want = []
     for fi, ei in factor_idempotents(E):
         want += [ideal_generated([ei]).rdim // fi.degree] * fi.degree
@@ -321,53 +345,42 @@ def test_generate_etale_rejects_powers_that_do_not_commute():
         generate_etale(A.basis_element(1))
 
 
-def _x2_minus_2_plus_ones():
-    # the companion block of x^2 - 2 (irreducible over F_5) beside diag(1, 1)
-    A = make_matrix_algebra(F5, 4)
-    m = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    return generate_etale(A.element(coords_of_matrix(A, m)))
-
-
-def _hand_built(field, rows, minpoly, supplied=None):
+def _hand_built(field, rows, minpoly):
     """An EtaleSubalgebra of a 2 x 2 matrix whose stored minimal polynomial
-    and factors are not checked, as generate_etale would check them."""
+    is not checked, as generate_etale would check it."""
     A = make_matrix_algebra(field, 2)
     x = A.element(coords_of_matrix(A, rows))
     basis, pivots = linalg.rref(field, [A.unit, x.coords])
-    return EtaleSubalgebra(A, x, minpoly, basis, pivots, supplied)
+    return EtaleSubalgebra(A, x, minpoly, basis, pivots)
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("rank_not_divisible", "not divisible by 2"),
-    ("ranks_exceed_the_degree", "do not sum to the degree"),
+    ("not_squarefree", "not squarefree"),
+    ("prd_root_missing", "polynomial lacks"),
+    # the same hand-built subalgebras reach factor_idempotents' checks
     ("repeated_factor", "factored with multiplicity"),
-    ("supplied_factors_not_coprime", "factors are not coprime"),
-    ("supplied_factors_miss_a_factor", "do not multiply to the minimal polynomial"),
     ("wrong_minimal_polynomial", "not idempotent"),
+    ("repeated_root_over_q", "not coprime"),
 ])
-def test_etale_type_structural_errors_are_reachable(fault, message, monkeypatch):
-    q = [[Fraction(x) for x in r] for r in ([1, 1], [0, 1])]
-    if fault == "rank_not_divisible":
-        E = _x2_minus_2_plus_ones()
-        monkeypatch.setattr(etale, "principal_rdim", lambda e: 1)
-    elif fault == "ranks_exceed_the_degree":
-        E = _x2_minus_2_plus_ones()
-        monkeypatch.setattr(etale, "principal_rdim", lambda e: 4)
-    elif fault == "repeated_factor":
-        E = _hand_built(F5, [[1, 1], [0, 1]], Poly.from_ints(F5, [1, -2, 1]))
-    elif fault == "supplied_factors_not_coprime":
-        g = Poly.from_ints(QQ, [-1, 1])
-        E = _hand_built(QQ, q, g * g, supplied=(g, g))
-    elif fault == "supplied_factors_miss_a_factor":
-        g = Poly.from_ints(QQ, [-1, 1])
-        E = _hand_built(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],
-                        g * Poly.from_ints(QQ, [-2, 1]), supplied=(g,))
-    else:
-        # diag(1, 2) stored with (x - 1)(x - 3): the CRT element 3 - x is
-        # diag(2, 1), not an idempotent
-        E = _hand_built(F5, [[1, 0], [0, 2]], Poly.from_ints(F5, [3, -4, 1]))
+def test_etale_type_structural_errors_are_reachable(fault, message):
+    repeated = _hand_built(F5, [[1, 1], [0, 1]], Poly.from_ints(F5, [1, -2, 1]))
+    # diag(1, 2) stored with (x - 1)(x - 3): Prd = (x - 1)(x - 2) has the
+    # root 2, which the stored polynomial lacks, and the CRT element 3 - x
+    # is diag(2, 1), not an idempotent
+    wrong = _hand_built(F5, [[1, 0], [0, 2]], Poly.from_ints(F5, [3, -4, 1]))
+    # over Q, (x - 1)^2 gives the one factor x - 1, and its cofactor x - 1
+    # is not coprime to it
+    repeated_q = _hand_built(QQ, [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]],
+                             Poly.from_ints(QQ, [1, -2, 1]))
+    E, call = {
+        "not_squarefree": (repeated, etale_type),
+        "prd_root_missing": (wrong, etale_type),
+        "repeated_factor": (repeated, factor_idempotents),
+        "wrong_minimal_polynomial": (wrong, factor_idempotents),
+        "repeated_root_over_q": (repeated_q, factor_idempotents),
+    }[fault]
     with pytest.raises(StructuralError, match=message):
-        etale_type(E)
+        call(E)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +394,13 @@ def _divisors(n):
 def _census(elements, checks):
     """For each element that generates an etale subalgebra E, and every m
     dividing the degree n: is_et_m_point(E, m) iff etale_type(E) is
-    [n/m] * m, wherever etale_type is defined."""
+    [n/m] * m."""
     for x in elements:
         try:
             E = generate_etale(x)
-            ptn = etale_type(E)
-        except (NotEtaleError, UnsupportedFieldError):
+        except NotEtaleError:
             continue
+        ptn = etale_type(E)
         n = E.algebra.degree
         for m in _divisors(n):
             assert is_et_m_point(E, m) == (ptn == Partition([n // m] * m)), (x, m, ptn)
@@ -474,18 +487,104 @@ def _block_companions(A, *quadratics):
 @pytest.mark.parametrize("blocks, balanced", [((2, 2, 3, 3), True), ((2, 2, 2, 3), False)])
 def test_rank_criterion_decides_where_etale_type_cannot(blocks, balanced):
     # minimal polynomial (x^2 - 2)(x^2 - 3): no rational root and degree 4,
-    # so etale_type needs a factor certificate; the rank does not
+    # so its rational idempotents are not found; the rank and the gcd type
+    # need no factors
     A = make_matrix_algebra(QQ, 8)
     x = _block_companions(A, *blocks)
     E = generate_etale(x)
     assert E.minpoly == Poly.from_ints(QQ, [6, 0, -5, 0, 1])
     with pytest.raises(UnsupportedFieldError):
-        etale_type(E)
+        factor_idempotents(E)
     assert is_et_m_point(E, 4) == balanced
-    certified = generate_etale(x, minpoly_factors=[Poly.from_ints(QQ, [-2, 0, 1]),
-                                                   Poly.from_ints(QQ, [-3, 0, 1])])
     want = Partition([2] * 4) if balanced else Partition([3, 3, 1, 1])
-    assert etale_type(certified) == want
+    assert etale_type(E) == want
+
+
+# ---------------------------------------------------------------------------
+# the gcd type against the type read from a factorization
+
+
+def _type_by_factoring(E):
+    """The type from the irreducible factors of the minimal polynomial: a
+    factor of degree d whose idempotent e has rdim(e A) = r gives d parts of
+    r / d, and the last factor's r is the degree minus the others'.  Raises
+    UnsupportedFieldError where the factors are not found over Q."""
+    n = E.algebra.degree
+    factors = etale._irreducible_factors(E)
+    assert functools.reduce(operator.mul, factors) == E.minpoly
+    *rest, last = factors
+    rdims = [(fi, principal_rdim(etale._crt_idempotent(E, fi))) for fi in rest]
+    rdims.append((last, n - sum(r for _, r in rdims)))
+    assert all(r >= 1 and r % fi.degree == 0 for fi, r in rdims)
+    return Partition(r // fi.degree for fi, r in rdims for _ in range(fi.degree))
+
+
+def _differential_elements(A, rng):
+    """Elements of A without end: random ones, and random conjugates of a
+    block-diagonal x0 with repeated eigenvalues, so that every type turns
+    up.  On a matrix preset x0 is diagonal; on M_2 (x) D it is
+    E11 (x) b + E22 (x) c, with b random in D or a scalar, and c a scalar.  Over Q the
+    scalars are small ints, and every element is a conjugate: a random
+    element of M_2(Q) (x) D has a minimal polynomial with no factors found
+    over Q more often than not."""
+    f = A.field
+    over_q = f.char == 0
+
+    def scalar():
+        return f.from_int(rng.randint(-2, 2)) if over_q else f.random(rng)
+
+    while True:
+        if not over_q and rng.random() < 0.4:
+            yield A.element(tuple(scalar() for _ in range(A.dim)))
+            continue
+        coords = [f.zero] * A.dim
+        if A.preset["kind"] == "matrix":
+            n = A.preset["n"]
+            pool = [scalar() for _ in range(rng.randint(1, n))]
+            for t in range(n):
+                coords[t * n + t] = rng.choice(pool)
+        else:
+            d = A.preset["right"].dim
+            k = d if rng.random() < 0.7 else 1
+            coords[:k] = [scalar() for _ in range(k)]
+            coords[3 * d] = scalar()
+        g = A.element(tuple(scalar() for _ in range(A.dim)))
+        g_inv = A.inverse(g.coords)
+        if g_inv is not None:
+            yield g * A.element(coords) * A.element(g_inv)
+
+
+def _differential_algebras():
+    F8 = standard_extension(2, 3)
+    out = {f"M{n}(F{p})": make_matrix_algebra(PrimeField(p), n)
+           for p in (2, 3, 5, 7) for n in (2, 3, 4)}
+    out.update({f"M3({name})": make_matrix_algebra(field, 3)
+                for name, field in (("F4", F4), ("F9", F9), ("F8", F8))})
+    out.update({f"M{n}(Q)": make_matrix_algebra(QQ, n) for n in (2, 3, 4)})
+    out["M2(Q)xH"] = tensor_product(make_matrix_algebra(QQ, 2),
+                                    make_quaternion(QQ, Fraction(-1), Fraction(-1)))
+    out["M2(F7)xH"] = tensor_product(make_matrix_algebra(F7, 2),
+                                     make_quaternion(F7, F7.from_int(-1), F7.from_int(-1)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_differential_algebras()))
+def test_etale_type_agrees_with_the_type_by_factoring(name):
+    # 55 subalgebras on each of 20 algebras: 1,100 in all
+    A = _differential_algebras()[name]
+    rng = random.Random(name)
+    elements = _differential_elements(A, rng)
+    done = tries = 0
+    while done < 55:
+        tries += 1
+        assert tries < 2000
+        try:
+            E = generate_etale(next(elements))
+            want = _type_by_factoring(E)
+        except (NotEtaleError, UnsupportedFieldError):
+            continue
+        assert etale_type(E) == want, (name, E.generator, want)
+        done += 1
 
 
 def test_verifying_an_exp2_chain_neither_factors_nor_ranks_idempotents(monkeypatch):
@@ -495,8 +594,8 @@ def test_verifying_an_exp2_chain_neither_factors_nor_ranks_idempotents(monkeypat
     chain = connect_exp2(random_balanced_pair_subalgebra(A, rng),
                          random_balanced_pair_subalgebra(A, rng))
     calls = Counter()
-    for name in ("factor", "principal_rdim"):
-        _count(monkeypatch, calls, etale, name)
+    _count(monkeypatch, calls, etale, "factor")
+    _count(monkeypatch, calls, ideals, "principal_rdim")
     report = verify_witness(chain)
     assert report.passed and len(report.checks) > 3 * 7
     assert calls["factor"] == calls["principal_rdim"] == 0

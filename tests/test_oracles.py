@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from csawitness.algebra import (
     coords_of_matrix, make_matrix_algebra, minimal_polynomial_and_power_basis,
 )
-from csawitness.errors import NotEtaleError, UnsupportedFieldError
+from csawitness.errors import NotEtaleError
 from csawitness.etale import etale_type, generate_etale
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
@@ -181,22 +181,16 @@ def _from_sympy(K, p, c):
 
 
 def _sympy_factor_list(K, p, coeffs_high_first):
-    """[(degree, multiplicity)] of the irreducible factors, and the monic
-    factors themselves, lowest coefficient first."""
+    """[(degree, multiplicity)] of the irreducible factors."""
     ints = [K.to_int(c) for c in coeffs_high_first] if p else [
         sympy.Rational(int(K.numer(c)), int(K.denom(c))) for c in coeffs_high_first]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # sympy sorts modular ints with a deprecated compare
         if p:
             _, facs = sympy.factor_list(sympy.Poly(ints, X, modulus=p).as_expr(), X, modulus=p)
-            polys = [sympy.Poly(g, X, modulus=p).monic() for g, _ in facs]
         else:
             _, facs = sympy.factor_list(sympy.Poly(ints, X, domain=sympy.QQ).as_expr(), X)
-            polys = [sympy.Poly(g, X, domain=sympy.QQ).monic() for g, _ in facs]
-    field = PrimeField(p) if p else QQ
-    monic = [Poly(field, [int(c) % p if p else _to_fraction(c)
-                          for c in reversed(g.all_coeffs())]) for g in polys]
-    return [(g.degree(), m) for g, (_, m) in zip(polys, facs)], monic
+    return [(sympy.Poly(g, X).degree(), m) for g, m in facs]
 
 
 def _check_etale_against_sympy(p, rows):
@@ -214,7 +208,7 @@ def _check_etale_against_sympy(p, rows):
     for k, c in enumerate(mp.coeffs):
         acc = acc + (dm ** k) * _to_sympy(K, p, c)
     assert acc.is_zero_matrix
-    shape, mp_factors = _sympy_factor_list(
+    shape = _sympy_factor_list(
         K, p, [_to_sympy(K, p, c) for c in reversed(mp.coeffs)])
     try:
         E = generate_etale(x)
@@ -227,13 +221,8 @@ def _check_etale_against_sympy(p, rows):
     assert [list(r) for r in E.basis] == [
         [_from_sympy(K, p, c) for c in r] for r in sym_rows.to_list()]
     assert list(E.pivots) == list(sym_pivots)
-    try:
-        ptn = etale_type(E)
-    except UnsupportedFieldError:
-        # over Q, a factor of degree >= 4 needs a factorization certificate
-        assert not p and max(deg for deg, _ in shape) >= 4
-        ptn = etale_type(generate_etale(x, minpoly_factors=mp_factors))
-    char_shape, _ = _sympy_factor_list(K, p, dm.charpoly())
+    ptn = etale_type(E)
+    char_shape = _sympy_factor_list(K, p, dm.charpoly())
     assert list(ptn.parts) == sorted((m for deg, m in char_shape for _ in range(deg)),
                                      reverse=True)
 

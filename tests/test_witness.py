@@ -854,6 +854,27 @@ def test_symplectic_fixing_inverts_the_winner_once(monkeypatch):
     assert calls["search"] >= 2 and calls["outside"] == 0
 
 
+def test_symplectic_fixing_rejects_an_odd_type_before_any_search(monkeypatch):
+    # a type-[3, 3] subalgebra of M6(F_7): its generator has eigenvalues of
+    # multiplicity 3, and a symplectic involution fixes only elements whose
+    # multiplicities are even
+    A = make_matrix_algebra(F7, 6)
+    tau = adjoint_involution(A, standard_alternating_matrix(F7, 6))
+    E = random_balanced_pair_subalgebra(A, random.Random(3))
+    calls = Counter()
+    inverse = Algebra.inverse
+
+    def counting_inverse(self, x):
+        calls["inverse"] += 1
+        return inverse(self, x)
+
+    monkeypatch.setattr(Algebra, "inverse", counting_inverse)
+    monkeypatch.setattr(witness, "_intertwiner_space", lambda *args: pytest.fail("kernel"))
+    with pytest.raises(InvalidInputError, match="odd part"):
+        symplectic_fixing_involution(E, tau)
+    assert calls["inverse"] == 0
+
+
 def _random_half_degree(A, rng):
     """A random half-degree subalgebra of balanced type, generated by a
     random conjugate of diag(c_1, c_1, c_2, c_2, ...) on a matrix preset and
