@@ -3,12 +3,12 @@
 An Algebra stores a sparse multiplication table over an exact field: for
 basis indices i, j the product e_i e_j is the stored list of (k, scalar)
 pairs.  Elements are coordinate tuples.  Everything is immutable after
-construction.  Every algebra checks that its table is dim x dim with basis
-indices in range(dim) and that its unit has dim coordinates; associativity
-and the unit are verified when an algebra is built from an explicit table
-(fully up to dimension 256, by seeded sampling above that).  The preset
-constructors build their tables by formula and skip both checks;
-tests/test_algebra.py runs them on every family.
+construction.  An algebra built from an explicit table checks that the
+table is dim x dim with basis indices in range(dim) and that its unit has
+dim coordinates, and verifies associativity and the unit (fully up to
+dimension 256, by seeded sampling above that).  The preset constructors
+and ideals.corner_algebra build their tables by formula, as tuples, and
+skip these checks; tests/test_algebra.py runs them on every family.
 """
 
 import itertools
@@ -60,8 +60,13 @@ class Algebra:
         self.dim = dim
         self.degree = degree
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
-        self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
-        self._check_shape(unit)
+        # a trusted table comes from a constructor of this library and is
+        # already a tuple of rows of tuple entries, of the right shape
+        if _trusted:
+            self.table = table
+        else:
+            self.table = tuple(tuple(tuple(entry) for entry in row) for row in table)
+            self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
         self._symplectic = None  # witness.default_symplectic_involution
@@ -596,14 +601,15 @@ def make_matrix_algebra(field, n):
         raise InvalidInputError("n must be >= 1")
     dim = n * n
     one = field.one
+    # the n^3 nonzero products E_rc E_cs = E_rs; every other one is zero
     table = []
-    for i in range(dim):
-        r, c = divmod(i, n)
-        row = []
-        for j in range(dim):
-            r2, c2 = divmod(j, n)
-            row.append(((r * n + c2, one),) if c == r2 else ())
-        table.append(row)
+    for r in range(n):
+        for c in range(n):
+            row = [()] * dim
+            for s in range(n):
+                row[c * n + s] = ((r * n + s, one),)
+            table.append(tuple(row))
+    table = tuple(table)
     labels = [f"E{r + 1}{c + 1}" for r in range(n) for c in range(n)]
     unit = [one if divmod(i, n)[0] == divmod(i, n)[1] else field.zero for i in range(dim)]
     return Algebra(field, table, n, labels=labels, unit=unit,
@@ -626,7 +632,7 @@ def make_quaternion(field, a, b):
         (2, 0): (2, one), (2, 1): (3, field.neg(one)), (2, 2): (0, b), (2, 3): (1, nb),
         (3, 0): (3, one), (3, 1): (2, na), (3, 2): (1, b), (3, 3): (0, nab),
     }
-    table = [[(t[(i, j)],) for j in range(4)] for i in range(4)]
+    table = tuple(tuple((t[(i, j)],) for j in range(4)) for i in range(4))
     return Algebra(field, table, 2, labels=["1", "i", "j", "k"],
                    unit=[one, zero, zero, zero],
                    preset={"kind": "quaternion", "a": a, "b": b}, _trusted=True,
@@ -650,10 +656,10 @@ def tensor_product(A, B):
                         for k2, c2 in B.table[i2][j2]:
                             entries.append((k1 * dim_b + k2, f.mul(c1, c2)))
                     row.append(tuple(entries))
-            table.append(row)
+            table.append(tuple(row))
     labels = [f"{la}.{lb}" for la in A.labels for lb in B.labels]
     unit = [f.mul(ca, cb) for ca in A.unit for cb in B.unit]
-    return Algebra(f, table, A.degree * B.degree, labels=labels, unit=unit,
+    return Algebra(f, tuple(table), A.degree * B.degree, labels=labels, unit=unit,
                    preset={"kind": "tensor", "left": A, "right": B}, _trusted=True,
                    _preset_gens=A._preset_gens and B._preset_gens)
 
@@ -726,12 +732,18 @@ def certified_exponent_divides_2(A):
 def reduced_char_poly(x):
     """The degree-n reduced characteristic polynomial of x.
 
-    Computed as the exact n-th root of the characteristic polynomial of left
-    multiplication on the n^2-dimensional algebra, which avoids any splitting
-    field.  Failure of the root extraction means the algebra is not central
-    simple as declared.
+    On a matrix preset that make_matrix_algebra built, this is the
+    characteristic polynomial of the n x n matrix of x.  Otherwise it is
+    the exact n-th root of the characteristic polynomial of left
+    multiplication on the n^2-dimensional algebra, which avoids any
+    splitting field.  Failure of the root extraction means the algebra is
+    not central simple as declared.
     """
     alg = x.algebra
+    # _preset_gens: the table is the constructor's matrix-unit table, not a
+    # table that only claims the preset
+    if alg.preset.get("kind") == "matrix" and alg._preset_gens:
+        return Poly(alg.field, mat_charpoly(alg.field, matrix_of(alg, x.coords)))
     cp = mat_charpoly(alg.field, alg.left_mult_matrix(x.coords))
     g = Poly(alg.field, cp)
     try:

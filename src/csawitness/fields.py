@@ -588,10 +588,19 @@ def field_from_spec(spec):
     if kind == "prime":
         return PrimeField(json_get(spec, "p", int))
     if kind == "extension":
-        return ExtensionField(json_get(spec, "p", int),
-                              [json_int(c, "modulus")
-                               for c in json_get(spec, "modulus", list)])
+        return _extension_field(json_get(spec, "p", int),
+                                tuple(json_int(c, "modulus")
+                                      for c in json_get(spec, "modulus", list)))
     raise InvalidInputError(f"unknown field kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _extension_field(p, modulus):
+    """ExtensionField(p, modulus), built once per (p, modulus): its
+    irreducibility proof and Zech tables cost more than verifying a small
+    witness.  A rejected modulus raises on every call (no exception is
+    cached); the bound caps what many distinct specs can hold."""
+    return ExtensionField(p, modulus)
 
 
 def parse_field_flag(text):

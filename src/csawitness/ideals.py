@@ -204,11 +204,11 @@ def corner_algebra(e):
             if any(not f.is_zero(x) for x in residual):
                 raise StructuralError("corner subspace is not closed under products")
             row.append(tuple((k, c) for k, c in enumerate(coeffs) if not f.is_zero(c)))
-        table.append(row)
+        table.append(tuple(row))
     residual, unit_coords = reduce_vector(f, embed, pivots, e.coords)
     if any(not f.is_zero(x) for x in residual):
         raise StructuralError("idempotent does not lie in its own corner")
-    return Algebra(f, table, l, unit=unit_coords,
+    return Algebra(f, tuple(table), l, unit=unit_coords,
                    preset={"kind": "corner", "parent": alg,
                            "idempotent": e.coords,
                            "embed": tuple(tuple(r) for r in embed),

@@ -5,6 +5,13 @@ separators, trailing newline) so identical inputs produce byte-identical
 files.  Parsing reconstructs objects through their verifying constructors,
 so a loaded ideal re-checks closure, a loaded involution re-checks its
 axioms, and so on.
+
+The exception is the ideal and flag endpoints of a witness, loaded without
+the closure check: verify_witness certifies them in its endpoint_start and
+endpoint_end entries, which rebuild each endpoint from the pencil, closed by
+construction, and require it to equal the stored one.  So a stored endpoint
+that is not a right ideal fails verification there.  A lone ideal or flag
+still checks closure on load.
 """
 
 import json
@@ -53,7 +60,7 @@ def _list(value, key):
 
 
 def _vec_from_json(field, data, key):
-    return tuple(field.parse(c) for c in _list(data, key))
+    return tuple(map(field.parse, _list(data, key)))
 
 
 def _vecs_at(field, data, key):
@@ -153,9 +160,9 @@ def ideal_to_json(I, inline_algebra=True):
     return out
 
 
-def ideal_from_json(data, algebra=None):
+def ideal_from_json(data, algebra=None, _skip_closure_check=False):
     A = _resolve_algebra(data, algebra)
-    return RightIdeal(A, _vecs_at(A.field, data, "basis"))
+    return RightIdeal(A, _vecs_at(A.field, data, "basis"), _skip_closure_check)
 
 
 def flag_to_json(flag, inline_algebra=True):
@@ -166,9 +173,9 @@ def flag_to_json(flag, inline_algebra=True):
     return out
 
 
-def flag_from_json(data, algebra=None):
+def flag_from_json(data, algebra=None, _skip_closure_check=False):
     A = _resolve_algebra(data, algebra)
-    ideals = [ideal_from_json(d, algebra=A)
+    ideals = [ideal_from_json(d, A, _skip_closure_check)
               for d in json_get(data, "ideals", list)]
     flag = Flag(ideals)
     if flag.signature != tuple(json_get(data, "signature", list, flag.signature)):
@@ -237,10 +244,11 @@ def _value_to_json(shape, value, field):
 
 
 def _value_from_json(shape, value, key, ctx):
+    # ideals and flags here are witness endpoints (see the module docstring)
     if shape == IDEAL:
-        return ideal_from_json(value, algebra=ctx)
+        return ideal_from_json(value, ctx, _skip_closure_check=True)
     if shape == FLAG:
-        return flag_from_json(value, algebra=ctx)
+        return flag_from_json(value, ctx, _skip_closure_check=True)
     if shape == SUBALGEBRA:
         return etale_from_json(value, algebra=ctx)
     if shape == VECTOR:

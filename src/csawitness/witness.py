@@ -204,7 +204,9 @@ class IdealPencil(_Pencil):
         return self._ideals_at(w, t)[0]
 
     def check_sample(self, w, t):
-        # the start endpoint was closure-checked when it was built or loaded
+        # w.start is certified by the endpoint_start entry, not on load: when
+        # that passes, w.start is the pencil's ideal at t = 1, closed by
+        # construction
         want = w.start.rdim
         if w.meta.get("rdim") != want:
             return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
@@ -422,8 +424,10 @@ def verify_witness(w, samples=None):
     evaluated, the validity re-derived (derive), for which the stored one
     must equal it, the endpoint matches as exact object equalities, then the
     kind's certificate (certify), which builds no ideal or subalgebra
-    between the endpoints.  Chains also get continuity checks.  Failures
-    are report entries, never exceptions.
+    between the endpoints.  An ideal or flag evaluation is closed by
+    construction, so a stored endpoint that matches it is a right ideal (or
+    a flag of them); loading does not check that (serialize).  Chains also
+    get continuity checks.  Failures are report entries, never exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
@@ -439,11 +443,13 @@ def verify_witness(w, samples=None):
     report = VerificationReport()
     kind, field = w.record, w.field
     ends = []  # (name, ok, detail, object at t)
-    for name, t, target in (("endpoint_start", field.one, w.start),
-                            ("endpoint_end", field.zero, w.end)):
+    for name, t, target, at in (("endpoint_start", field.one, w.start, "1"),
+                                ("endpoint_end", field.zero, w.end, "0")):
         try:
             got = w.evaluate(t)
-            ends.append((name, got == target, "", got))
+            ok = got == target
+            ends.append((name, ok, "" if ok else
+                         f"the stored endpoint differs from the segment at t = {at}", got))
         except Exception as exc:
             ends.append((name, False, f"evaluation failed: {exc}", None))
     _, _, failure, start = ends[0]

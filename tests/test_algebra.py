@@ -17,7 +17,7 @@ from csawitness.errors import (
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import charpoly, kernel, rank, rref, solve
-from csawitness.poly import Poly
+from csawitness.poly import Poly, poly_nth_root
 from csawitness.quadrics import QuadraticForm
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -291,6 +291,34 @@ def test_certified_exponent():
 
 # ---------------------------------------------------------------------------
 # closure generators and the product
+
+
+def _regular_route(x):
+    """Prd_x as the degree-th root of the characteristic polynomial of left
+    multiplication: reduced_char_poly's route off a matrix preset."""
+    A = x.algebra
+    cp = Poly(A.field, charpoly(A.field, A.left_mult_matrix(x.coords)))
+    return poly_nth_root(cp, A.degree)
+
+
+@pytest.mark.parametrize("field", [F5, standard_extension(3, 2), QQ], ids=repr)
+def test_reduced_char_poly_on_a_matrix_preset_equals_the_regular_route(field, monkeypatch):
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        A = make_matrix_algebra(field, n)
+        for _ in range(8):
+            x = A.random_element(rng)
+            want = _regular_route(x)
+            with monkeypatch.context() as m:
+                # the preset route builds no n^2 x n^2 matrix
+                m.setattr(Algebra, "left_mult_matrix", None)
+                assert reduced_char_poly(x) == want
+    # a table that only claims the matrix preset takes the regular route:
+    # basis element 1 of this reordered M_2 is E22, whose coordinates read
+    # as a matrix would give the nilpotent E12
+    B = _reordered_m2(field)
+    x = B.basis_element(1)
+    assert reduced_char_poly(x) == _regular_route(x) == Poly.from_ints(field, [0, -1, 1])
 
 
 def _word_span_rank(A, gens):
@@ -599,6 +627,44 @@ def test_mul_over_fp_accepts_unreduced_ints(name, data):
     want = _dense_mul(A, [c % p for c in x], [c % p for c in y])
     assert A.mul(x, y) == want
     assert all(0 <= c < p for c in want)
+
+
+def _double_loop_matrix_table(field, n):
+    """M_n's structure constants as a loop over every pair of matrix units:
+    E_rc E_r2c2 = E_rc2 when c = r2, else 0."""
+    table = []
+    for i in range(n * n):
+        r, c = divmod(i, n)
+        row = []
+        for j in range(n * n):
+            r2, c2 = divmod(j, n)
+            row.append(((r * n + c2, field.one),) if c == r2 else ())
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("field", [F5, standard_extension(3, 2), QQ], ids=repr)
+def test_matrix_preset_equals_the_checked_double_loop_table(field):
+    for n in range(1, 6):
+        A = make_matrix_algebra(field, n)
+        # untrusted: shape, associativity and the unit, which it finds, checked
+        labels = [f"E{r + 1}{c + 1}" for r in range(n) for c in range(n)]
+        B = Algebra(field, _double_loop_matrix_table(field, n), n, labels=labels)
+        assert (A.table, A.unit, A.labels) == (B.table, B.unit, B.labels)
+        assert (A._flat, A._flat_scale) == (B._flat, B._flat_scale)
+
+
+def test_trusted_constructors_build_tuple_tables():
+    from csawitness.ideals import corner_algebra
+    M3 = make_matrix_algebra(F5, 3)
+    for A in (M3, make_quaternion(QQ, Fraction(-1), Fraction(-1)),
+              tensor_product(make_matrix_algebra(F3, 2), make_quaternion(F3, 1, 1)),
+              corner_algebra(M3.basis_element(0) + M3.basis_element(4)), corner_algebra(M3.one)):
+        assert type(A.table) is tuple and len(A.table) == A.dim
+        for row in A.table:
+            assert type(row) is tuple and len(row) == A.dim
+            assert all(type(entry) is tuple and all(type(term) is tuple and len(term) == 2
+                                                    for term in entry) for entry in row)
 
 
 def _explicit(table, degree=1, unit=None):

@@ -841,6 +841,35 @@ def test_malformed_pencil_data_exits_2(runner, tmp_path, case):
 
 
 
+def _left_ideal_basis(n, cols):
+    """The basis of the left ideal of M_n(F_5) whose elements vanish outside
+    the first cols columns, as JSON rows: n * cols dimensions, a multiple of
+    n, yet not a right ideal."""
+    return [["1" if i == r * n + c else "0" for i in range(n * n)]
+            for r in range(n) for c in range(cols)]
+
+
+@pytest.mark.parametrize("kind", ["ideal", "flag"])
+def test_a_stored_endpoint_that_is_no_right_ideal_fails_verification(runner, tmp_path, kind):
+    # loading a witness does not check closure; the endpoint_start entry
+    # compares the stored endpoint with the pencil's ideal at t = 1, which is
+    # closed by construction, and fails
+    data = _pencil_file(tmp_path, kind)
+    start, left = data["segments"][0]["start"], _left_ideal_basis(4, 2)
+    (start if kind == "ideal" else start["ideals"][1])["basis"] = left
+    w = tmp_path / "w.json"
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == 1 and r.stdout.startswith("FAIL"), r.output
+    assert r.stderr.splitlines() == [
+        "  failed: endpoint_start the stored endpoint differs from the segment at t = 1"]
+    # the same rows as a lone ideal file are bad input
+    i = tmp_path / "i.json"
+    serialize.save_json({"basis": left, "algebra": data["algebra"]}, i)
+    r = invoke(runner, ["ideal", "check", "--ideal", str(i)])
+    assert _one_error_line(r) and "subspace is not a right ideal" in r.stderr, r.output
+
+
 def _honest_witness(runner, tmp_path, name):
     """The witness file of the etale_m3f7 or exp2_m4f7 pipeline, or of the
     F_3 conic pipeline, checked to verify."""

@@ -99,6 +99,25 @@ def test_field_spec_roundtrip():
         assert field_from_spec(field.spec()) == field
 
 
+def test_extension_fields_from_a_spec_are_built_once(monkeypatch):
+    built = []
+    init = ExtensionField.__init__
+    monkeypatch.setattr(ExtensionField, "__init__",
+                        lambda self, p, mod: built.append(p) or init(self, p, mod))
+    fields._extension_field.cache_clear()
+    F = field_from_spec({"kind": "extension", "p": 5, "modulus": ["2", "0", "1"]})
+    assert field_from_spec(F.spec()) is F
+    assert field_from_spec({"kind": "extension", "p": 5, "modulus": [2, 0, 1]}) is F
+    assert built == [5]
+    # a rejected modulus raises on every load: nothing is cached for it
+    for spec in ({"kind": "extension", "p": 2, "modulus": ["1", "0", "1"]},  # (x+1)^2
+                 {"kind": "extension", "p": 3, "modulus": ["1", "1", "2"]}):  # not monic
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                field_from_spec(spec)
+    assert built == [5, 2, 2, 3, 3]
+
+
 def test_parse_field_flag():
     assert parse_field_flag("q") == QQ
     assert parse_field_flag("fp:7") == PrimeField(7)

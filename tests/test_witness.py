@@ -207,7 +207,15 @@ def test_closure_is_checked_only_where_rows_enter(monkeypatch):
     assert verify_witness(w, exhaustive(F5)).passed
     B = make_matrix_algebra(F7, 4)
     rng = random.Random(8)
-    connect_flags(random_flag(B, [1, 2, 3], rng), random_flag(B, [1, 2, 3], rng))
+    fw = connect_flags(random_flag(B, [1, 2, 3], rng), random_flag(B, [1, 2, 3], rng))
+    assert calls == []
+    # a witness file's endpoints: certified by the verifier's endpoint
+    # entries, not on load
+    from csawitness.serialize import (
+        flag_from_json, flag_to_json, witness_from_json, witness_to_json,
+    )
+    for pencil in (w, fw):
+        witness_from_json(witness_to_json(pencil))
     assert calls == []
     # rows from outside: a loaded ideal, and the checked constructor
     for ideal in (w.start, w.end):
@@ -215,6 +223,9 @@ def test_closure_is_checked_only_where_rows_enter(monkeypatch):
     assert len(calls) == 2
     RightIdeal(A, w.start.basis)
     assert len(calls) == 3
+    # a lone flag checks each of its three ideals
+    flag_from_json(flag_to_json(fw.start))
+    assert len(calls) == 6
 
 
 # (2, 3) over F_5 is split, so a column space vector can span fewer than 4
