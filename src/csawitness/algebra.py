@@ -32,8 +32,8 @@ _ASSOC_SAMPLES_PER_DIM = 10
 
 def _mult_matrix(f, x, table):
     """The matrix with column j equal to sum_i x_i table[i][j]: table is the
-    structure constants for x y, or their transpose for y x.  The
-    field-method path, for algebras without a flat table (over F_{p^k})."""
+    structure constants for x y, or their transpose for y x, built with the
+    field methods over every field."""
     dim = len(table)
     add, mul = f.add, f.mul
     m = [[f.zero] * dim for _ in range(dim)]
@@ -49,7 +49,7 @@ def _mult_matrix(f, x, table):
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
                  "_closure_gens", "_preset_gens", "_flat", "_flat_scale", "_lift",
-                 "_symplectic")
+                 "_symplectic", "_presentation", "__weakref__")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
                  preset=None, _trusted=False, _preset_gens=False):
@@ -70,6 +70,7 @@ class Algebra:
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
         self._symplectic = None  # witness.default_symplectic_involution
+        self._presentation = None  # ideals.module_presentation
         # the preset constructors pass True: their algebra_generators are
         # known to generate (tests/test_algebra.py proves it for each family)
         self._preset_gens = _preset_gens
@@ -295,15 +296,11 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x y on the coordinate basis (rows act on columns)."""
-        if self._flat is None:
-            return _mult_matrix(self.field, x, self.table)
-        return self._lower_rows(*self._int_mult_matrix(x))
+        return _mult_matrix(self.field, x, self.table)
 
     def right_mult_matrix(self, x):
         """Matrix of y -> y x."""
-        if self._flat is None:
-            return _mult_matrix(self.field, x, tuple(zip(*self.table)))
-        return self._lower_rows(*self._int_mult_matrix(x, right=True))
+        return _mult_matrix(self.field, x, tuple(zip(*self.table)))
 
     def _lower_rows(self, rows, scale):
         lower = self.field.lower_vector

@@ -384,18 +384,20 @@ def witness_connect_quadric(form_path, p1, p2, out):
 @handle_errors
 def verify_cmd(witness_path, exhaustive, samples, out):
     w = serialize.witness_from_json(serialize.load_json(witness_path))
-    if hasattr(w, "segments") and not w.segments:
-        click.echo("trivial chain: endpoints coincide; pass")
-        return
-    seg0 = w.segments[0] if hasattr(w, "segments") else w
-    field = seg0.field
-    if exhaustive and samples is None and field.size is None:
-        raise InvalidInputError("--exhaustive needs a finite base field")
-    ts = ([field.parse(tok) for tok in samples.split(",")] if samples is not None
-          else default_samples(field))
+    segments = w.segments if hasattr(w, "segments") else (w,)
+    ts = None  # a trivial chain has no parameter, only its endpoints_equal
+    if segments:
+        field = segments[0].field
+        if exhaustive and samples is None and field.size is None:
+            raise InvalidInputError("--exhaustive needs a finite base field")
+        ts = ([field.parse(tok) for tok in samples.split(",")] if samples is not None
+              else default_samples(field))
     report = verify_witness(w, ts)
     if out:
         serialize.save_json(report.to_json(), out)
+    if not segments and report.passed:
+        click.echo("trivial chain: endpoints coincide; pass")
+        return
     status = "pass" if report.passed else "FAIL"
     click.echo(f"{status}: {len(report.checks)} checks")
     for name, detail in report.failures():

@@ -24,10 +24,12 @@ StructuralError when that choice fails, which only a split quaternion factor
 allows; the column space may still be free.
 """
 
+import weakref
+
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, int_in_row_space, int_solve, lift_matrix, mat_vec, rank,
+    in_row_space, int_solve, lift_matrix, mat_vec, rank,
     reduce_vector, rref, solve, transpose,
 )
 
@@ -51,18 +53,8 @@ class RightIdeal:
 
     def _check_closed(self):
         alg = self.algebra
-        f = alg.field
-        gens = alg.closure_generators()
-        if self._lifted is None:
-            closed = all(in_row_space(f, self.basis, self.pivots, alg.mul(b, g))
-                         for g in gens for b in self.basis)
-        else:
-            # the lifted basis rows times each lifted generator, kept as ints
-            # (membership does not depend on their scale)
-            rows = self._lifted[0]
-            closed = all(int_in_row_space(f, self._lifted, self.pivots, alg._int_mul(b, lg))
-                         for lg, _ in map(alg._lifted, gens) for b in rows)
-        if not closed:
+        if not all(self.contains(alg.mul(b, g))
+                   for g in alg.closure_generators() for b in self.basis):
             raise StructuralError("subspace is not a right ideal")
 
     def dim(self):
@@ -311,89 +303,78 @@ class ModulePresentation:
     """A as m x m matrices over D acting on the column space V = D^m.
 
     Vectors in V are flat tuples of base-field coordinates of length
-    m * dim(D); slot r occupies positions [r*d2, (r+1)*d2).
+    m * dim(D); slot r occupies positions [r*d2, (r+1)*d2).  The algebra
+    coordinate of basis (row, col) x d_l is row*rs + col*cs + l*ls: the
+    matrix unit E_(row,col) sits at row*m + col, and a tensor index is left
+    index * dim(right) + right index (algebra.tensor_product), so the
+    strides (rs, cs, ls) are (m, 1, 0) on M_m, (4m, 4, 1) on M_m x H,
+    (m, 1, m^2) on H x M_m and (0, 0, 1) on H alone.  __init__ stores, for
+    each column, the coordinates of its entries in V's order (_cols).
+    Built once per algebra: use module_presentation(A).  A keeps it, so it
+    refers to A weakly, and reference counting frees the two together.
     """
 
     def __init__(self, algebra):
         kind = algebra.preset.get("kind")
-        self.algebra = algebra
+        self._algebra = weakref.ref(algebra)
         self.field = algebra.field
+        self.D = None
         if kind == "matrix":
-            self.m = algebra.preset["n"]
-            self.D = None
-            self.d2 = 1
-            self.ind = 1
+            m = algebra.preset["n"]
+            strides = (m, 1, 0)
+        elif kind == "quaternion":
+            # D is A itself, held weakly as A is; V = D^1
+            m, self.D, strides = 1, weakref.proxy(algebra), (0, 0, 1)
         elif kind == "tensor":
-            left = algebra.preset["left"]
-            right = algebra.preset["right"]
-            lk, rk = left.preset.get("kind"), right.preset.get("kind")
-            if lk == "matrix" and rk == "quaternion":
-                self.m, self.D, self.matrix_major = left.preset["n"], right, True
-            elif lk == "quaternion" and rk == "matrix":
-                self.m, self.D, self.matrix_major = right.preset["n"], left, False
+            left, right = algebra.preset["left"], algebra.preset["right"]
+            kinds = (left.preset.get("kind"), right.preset.get("kind"))
+            if kinds == ("matrix", "quaternion"):
+                m, self.D = left.preset["n"], right
+                strides = (4 * m, 4, 1)
+            elif kinds == ("quaternion", "matrix"):
+                m, self.D = right.preset["n"], left
+                strides = (m, 1, m * m)
             else:
                 raise UnsupportedFieldError(
                     "no module presentation: tensor preset is not matrix x quaternion")
-            self.d2 = 4
-            self.ind = 2
-        elif kind == "quaternion":
-            # D itself, V = D^1
-            self.m = 1
-            self.D = algebra
-            self.matrix_major = True
-            self.d2 = 4
-            self.ind = 2
         else:
             raise UnsupportedFieldError(
                 f"no module presentation for preset {kind!r}")
-        self.vlen = self.m * self.d2
+        self.m = m
+        self.d2, self.ind = (1, 1) if self.D is None else (4, 2)
+        self.vlen = m * self.d2
+        rs, cs, ls = strides
+        self._cols = tuple(tuple(row * rs + col * cs + l * ls
+                                 for row in range(m) for l in range(self.d2))
+                           for col in range(m))
+        if self.D is not None:
+            self._dbasis = tuple(self.D.basis_coords(l) for l in range(4))
 
     # coordinate layout helpers -------------------------------------------
 
-    def _slot(self, row, col, l):
-        """Algebra coordinate index of basis (row, col) x d_l."""
-        if self.D is None:
-            return row * self.m + col
-        mat_idx = row * self.m + col
-        if self.algebra.preset.get("kind") == "quaternion":
-            return l
-        if self.matrix_major:
-            return mat_idx * 4 + l
-        return l * self.m * self.m + mat_idx
-
     def column_of(self, coords, col):
         """Column col of an algebra element, as a vector in V."""
-        out = [self.field.zero] * self.vlen
-        for row in range(self.m):
-            for l in range(self.d2):
-                out[row * self.d2 + l] = coords[self._slot(row, col, l)]
-        return tuple(out)
+        return tuple(coords[i] for i in self._cols[col])
 
     def place_in_column(self, vec, col):
         """Algebra coordinates of the element with vec in column col."""
-        out = [self.field.zero] * self.algebra.dim
-        for row in range(self.m):
-            for l in range(self.d2):
-                out[self._slot(row, col, l)] = vec[row * self.d2 + l]
+        out = [self.field.zero] * self._algebra().dim
+        for i, x in zip(self._cols[col], vec):
+            out[i] = x
         return tuple(out)
 
     def vec_times_d(self, vec, dcoords):
         """Right multiplication of a vector by an element of D, slotwise."""
-        if self.D is None:
-            c = dcoords
-            return tuple(self.field.mul(x, c) for x in vec)
-        out = []
-        for row in range(self.m):
-            slot = vec[row * self.d2:(row + 1) * self.d2]
-            out.extend(self.D.mul(tuple(slot), dcoords))
-        return tuple(out)
+        return tuple(x for r in range(0, self.vlen, 4)
+                     for x in self.D.mul(tuple(vec[r:r + 4]), dcoords))
 
     def d_rows(self, vecs):
         """F-spanning rows of the right D-span of vecs: v d for each v in
-        vecs and, inside, each d of the F-basis of D."""
-        dbasis = ([self.field.one] if self.D is None
-                  else [self.D.basis_coords(l) for l in range(4)])
-        return [self.vec_times_d(v, d) for v in vecs for d in dbasis]
+        vecs and, inside, each d of the F-basis of D.  Over F (no D) they
+        are the vectors themselves, whose scalars callers keep canonical."""
+        if self.D is None:
+            return [tuple(v) for v in vecs]
+        return [self.vec_times_d(v, d) for v in vecs for d in self._dbasis]
 
     # subspaces --------------------------------------------------------------
 
@@ -458,11 +439,15 @@ class ModulePresentation:
         """
         wrows = self.d_rows(vecs)
         rows = [self.place_in_column(w, col) for col in range(self.m) for w in wrows]
-        return RightIdeal(self.algebra, rows, _skip_closure_check=True)
+        return RightIdeal(self._algebra(), rows, _skip_closure_check=True)
 
 
 def module_presentation(A):
-    return ModulePresentation(A)
+    """The module presentation of A, built on the first call and kept in
+    Algebra._presentation; a preset without one raises at every call."""
+    if A._presentation is None:
+        A._presentation = ModulePresentation(A)
+    return A._presentation
 
 
 def random_ideal(A, rdim, rng):
@@ -471,7 +456,7 @@ def random_ideal(A, rdim, rng):
         return zero_ideal(A)
     if rdim == A.degree:
         return full_ideal(A)
-    pres = ModulePresentation(A)
+    pres = module_presentation(A)
     if rdim % pres.ind != 0 or rdim < 0 or rdim > A.degree:
         raise InvalidInputError(
             f"reduced dimension must be a multiple of {pres.ind} in [0, {A.degree}]")
@@ -485,7 +470,7 @@ def random_ideal(A, rdim, rng):
 
 def random_flag(A, signature, rng):
     """A random flag with the given strictly increasing signature."""
-    pres = ModulePresentation(A)
+    pres = module_presentation(A)
     f = A.field
     sig = list(signature)
     if sig != sorted(sig) or len(set(sig)) != len(sig):

@@ -380,8 +380,11 @@ def witness_from_json(data):
     if kind == "empty":
         if context != "form":
             raise InvalidInputError("an empty chain needs a form")
-        return WitnessChain([], **_values_from_json(
-            data, (("start", VECTOR), ("end", VECTOR)), ctx, ctx.nvars, "empty chain"))
+        ends = _values_from_json(data, (("start", VECTOR), ("end", VECTOR)), ctx,
+                                 ctx.nvars, "empty chain")
+        if not ctx.field.is_zero(ctx.eval(ends["start"])):
+            raise InvalidInputError("empty chain start is not a point of its form")
+        return WitnessChain([], form=ctx, **ends)
     segments = [_segment_from_json(s, context, ctx)
                 for s in json_get(data, "segments", list)]
     want = segments[0].kind if segments else "empty"

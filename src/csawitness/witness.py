@@ -85,14 +85,16 @@ class PencilWitness:
 
 
 class WitnessChain:
-    """Segments with matching intermediate endpoints."""
+    """Segments with matching intermediate endpoints.  A chain without
+    segments, the trivial chain of a quadric point, keeps the point and its form."""
 
-    __slots__ = ("segments", "_start", "_end")
+    __slots__ = ("segments", "_start", "_end", "form")
 
-    def __init__(self, segments, start=None, end=None):
+    def __init__(self, segments, start=None, end=None, form=None):
         self.segments = tuple(segments)
         self._start = start
         self._end = end
+        self.form = form
 
     @property
     def start(self):
@@ -427,10 +429,20 @@ def verify_witness(w, samples=None):
     between the endpoints.  An ideal or flag evaluation is closed by
     construction, so a stored endpoint that matches it is a right ideal (or
     a flag of them); loading does not check that (serialize).  Chains also
-    get continuity checks.  Failures are report entries, never exceptions.
+    get continuity checks.  A chain without segments gets one entry,
+    endpoints_equal: start and end are the same nonzero point after
+    normalize_point over its form's field.  Failures are report entries,
+    never exceptions.
     """
     if isinstance(w, WitnessChain):
         report = VerificationReport()
+        if not w.segments:
+            ends = ({normalize_point(w.form.field, p) for p in (w.start, w.end)}
+                    if w.form is not None else {None})
+            ok = len(ends) == 1 and None not in ends
+            report.add("endpoints_equal", ok, "" if ok else
+                       "start and end are not one nonzero point of the chain's form")
+            return report
         for idx, seg in enumerate(w.segments):
             sub = verify_witness(seg, samples)
             for name, ok, detail in sub.checks:
@@ -522,7 +534,7 @@ def _subspace_pencil(pres, kind, start, end, ideals, ideals_prime, meta):
     endpoints are re-evaluated from the pencil data, which also rejects an
     ideal that its column space does not determine.
     """
-    A = pres.algebra
+    A = start.algebra
     wb, wpb, levels = [], [], []
     for I, Ip in zip(ideals, ideals_prime):
         wb = pres.d_basis_of(pres.image_subspace(I), extend_from=wb)
@@ -990,7 +1002,7 @@ def _link_quadric_points(form, p1, p2, candidates, polar):
     point to its polar vector B p and is filled here as needed, so a caller
     that links many pairs computes each B p once."""
     if p1 == p2:
-        return WitnessChain([], start=p1, end=p2)
+        return WitnessChain([], start=p1, end=p2, form=form)
     field = form.field
     is_zero = field.is_zero
 

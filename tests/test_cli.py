@@ -573,6 +573,39 @@ def test_malformed_empty_chain_exits_2(runner, tmp_path):
     assert _one_error_line(r) and "empty chain start has 2 entries" in r.stderr
 
 
+# the F_5 conic x0 x2 + 4 x1^2 and its trivial chain at (1, 0, 0), with
+# end (or both endpoints) replaced; (0, 0, 1) is another point of the conic
+# and (1, 2, 0) is off it
+_EMPTY_CHAIN_ENDS = {
+    "genuine": ({}, 0),
+    "other_conic_point": ({"end": ["0", "0", "1"]}, 1),
+    "end_off_the_conic": ({"end": ["1", "2", "0"]}, 1),
+    "zero_end": ({"end": ["0", "0", "0"]}, 1),
+    "start_off_the_conic": ({"start": ["1", "2", "0"], "end": ["1", "2", "0"]}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_CHAIN_ENDS))
+def test_empty_chain_endpoints_are_checked(runner, tmp_path, case):
+    form, w = tmp_path / "q.json", tmp_path / "w.json"
+    form.write_text(json.dumps({
+        "field": {"kind": "prime", "p": 5}, "nvars": 3,
+        "coeffs": {"0,2": "1", "1,1": "4"}}))
+    assert invoke(runner, ["witness", "connect-quadric", "--form", str(form),
+                           "--p1", "1,0,0", "--p2", "1,0,0",
+                           "--out", str(w)]).exit_code == 0
+    edits, code = _EMPTY_CHAIN_ENDS[case]
+    w.write_text(json.dumps({**json.loads(w.read_text()), **edits}))
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert r.exit_code == code
+    if code == 0:
+        assert r.stdout == "trivial chain: endpoints coincide; pass\n"
+    elif code == 1:
+        assert r.stdout == "FAIL: 1 checks\n" and "failed: endpoints_equal" in r.stderr
+    else:
+        assert _one_error_line(r) and "empty chain start is not a point" in r.stderr
+
+
 def test_connect_flags_with_zero_level(runner, tmp_path):
     # signature (0, 1): the zero level is constant along the pencil
     A = make_matrix_algebra(PrimeField(5), 3)

@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness.algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
-from csawitness.errors import InvalidInputError, StructuralError
+from csawitness.errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import in_row_space, mat_vec, rank, rref, solve, transpose
 from csawitness.ideals import (
@@ -281,6 +283,88 @@ def test_d_span_ideals_pass_the_closure_check(name):
         cols = [pres.column_of(b, c) for b in J.basis for c in range(pres.m)]
         all_cols, _ = rref(f, pres.d_rows(cols))
         assert pres.image_subspace(J) == [tuple(r) for r in all_cols]
+
+
+def _old_slot(A, pres, row, col, l):
+    """The algebra coordinate of basis (row, col) x d_l, by the per-preset
+    rule ModulePresentation used before it stored its layout: the reference
+    the stored index lists are checked against."""
+    mat_idx = row * pres.m + col
+    if pres.D is None:
+        return mat_idx
+    if A.preset["kind"] == "quaternion":
+        return l
+    if A.preset["left"].preset["kind"] == "matrix":
+        return mat_idx * 4 + l
+    return l * pres.m * pres.m + mat_idx
+
+
+def _coordinate_map_algebra(field_name, layout, n):
+    F9 = standard_extension(3, 2)
+    f, a, b = {"f5": (F5, 2, 3), "f9": (F9, F9.from_int(1), F9.from_int(2)),
+               "q": (QQ, Fraction(-1), Fraction(-1))}[field_name]
+    H = make_quaternion(f, a, b)
+    return {"m": lambda: make_matrix_algebra(f, n),
+            "m_h": lambda: tensor_product(make_matrix_algebra(f, n), H),
+            "h_m": lambda: tensor_product(H, make_matrix_algebra(f, n)),
+            "h": lambda: H}[layout]()
+
+
+@pytest.mark.parametrize("field_name", ["f5", "f9", "q"])
+@pytest.mark.parametrize("layout, n", [("m", n) for n in range(1, 5)]
+                         + [(lay, m) for lay in ("m_h", "h_m") for m in range(1, 4)]
+                         + [("h", 1)])
+def test_coordinate_map_is_the_preset_rule(field_name, layout, n):
+    A = _coordinate_map_algebra(field_name, layout, n)
+    f = A.field
+    pres = module_presentation(A)
+    assert module_presentation(A) is pres
+    # the m column index lists partition the algebra coordinates
+    assert len(pres._cols) == pres.m
+    assert sorted(i for col in pres._cols for i in col) == list(range(A.dim))
+    rng = random.Random(f"{field_name} {layout} {n}")
+    for col in range(pres.m):
+        assert list(pres._cols[col]) == [_old_slot(A, pres, row, col, l)
+                                         for row in range(pres.m) for l in range(pres.d2)]
+        x = A.random_element(rng).coords
+        assert pres.column_of(x, col) == tuple(
+            x[_old_slot(A, pres, row, col, l)] for row in range(pres.m) for l in range(pres.d2))
+        for _ in range(5):
+            v = tuple(f.random(rng) for _ in range(pres.vlen))
+            assert pres.column_of(pres.place_in_column(v, col), col) == v
+    vecs = [tuple(f.random(rng) for _ in range(pres.vlen)) for _ in range(3)]
+    if pres.D is None:
+        # over F the D-rows are the canonical vectors themselves
+        assert pres.d_rows(vecs) == vecs
+    else:
+        assert pres.d_rows(vecs) == [pres.vec_times_d(v, pres.D.basis_coords(l))
+                                     for v in vecs for l in range(4)]
+
+
+@pytest.mark.parametrize("layout, n", [("m", 3), ("m_h", 2), ("h_m", 2), ("h", 1)])
+def test_an_algebra_and_its_presentation_are_freed_by_reference_counting(layout, n):
+    # the presentation that A keeps must not refer back to A strongly: a
+    # cycle would leave every algebra a csaw verify loads to the collector
+    A = _coordinate_map_algebra("f5", layout, n)
+    pres = module_presentation(A)
+    assert pres._algebra() is A
+    alive = weakref.ref(A)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del A, pres
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_preset_without_a_presentation_raises_at_every_call():
+    H = make_quaternion(F5, 2, 3)
+    for A in (tensor_product(H, H), Algebra(F5, H.table, 2, unit=H.unit)):
+        for _ in range(2):
+            with pytest.raises(UnsupportedFieldError):
+                module_presentation(A)
 
 
 def test_quaternion_ideal_has_even_rdim():

@@ -1,13 +1,14 @@
-"""The functions of linalg and algebra that fork to the integer core.
+"""The functions of the package that fork to the integer core.
 
 Over F_p and Q a function may branch to an int loop instead of the field
 methods.  Each such fork is a second implementation of one concept, kept
-only where a workload spends time in it, so the forks are pinned as a
-literal set and a new one, or one deleted, shows up in a diff.  A function
-forks when an `if` (statement or expression) of its own, outside nested
-definitions, tests `INTEGER_CORE`, tests `lifted` or a name assigned from
-`lift_matrix(...)` against None, or tests an attribute `_flat` against
-None.
+only where a workload spends time in it, so the forks of every module of
+the package are pinned as a literal set, and a fork added or deleted shows
+up in a diff.  A function forks when an `if` (statement or expression) of
+its own, outside nested definitions, tests `INTEGER_CORE`, or tests against
+None either `lifted`, a name assigned from `lift_matrix(...)`, or an
+attribute `_flat` or `_lifted` (the flat table of an Algebra, the lifted
+basis of a RightIdeal).
 """
 
 import ast
@@ -37,7 +38,8 @@ def own_nodes(fn):
 
 
 def _is_none_test(node, names):
-    """node is `x is None` or `x is not None`, x one of names or `._flat`."""
+    """node is `x is None` or `x is not None`, x one of names, `._flat` or
+    `._lifted`."""
     if not (isinstance(node, ast.Compare) and len(node.ops) == 1
             and isinstance(node.ops[0], (ast.Is, ast.IsNot))
             and isinstance(node.comparators[0], ast.Constant)
@@ -45,7 +47,7 @@ def _is_none_test(node, names):
         return False
     x = node.left
     return ((isinstance(x, ast.Name) and x.id in names)
-            or (isinstance(x, ast.Attribute) and x.attr == "_flat"))
+            or (isinstance(x, ast.Attribute) and x.attr in ("_flat", "_lifted")))
 
 
 def forks(fn):
@@ -68,18 +70,21 @@ def forking_functions(source, module):
 
 def test_integer_forks_are_these():
     found = set()
-    for module in ("linalg", "algebra"):
-        found |= forking_functions((PACKAGE / f"{module}.py").read_text(), module)
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= forking_functions(path.read_text(), path.stem)
     assert found == {
         # linalg: the elimination, membership and product workloads time
         "linalg.lift_matrix", "linalg.rref", "linalg.rank", "linalg.mat_vec",
         "linalg.in_row_space", "linalg.intertwiner_mismatch",
-        # algebra: the product, its matrices and the Krylov eliminations
+        # algebra: the product, the commutator matrices and the Krylov eliminations
         "algebra.Algebra.__init__", "algebra.Algebra.mul", "algebra.Algebra.int_powers",
-        "algebra.Algebra.left_mult_matrix", "algebra.Algebra.right_mult_matrix",
         "algebra.Algebra.left_minus_right_matrix", "algebra.Algebra.centralizer_dim",
         "algebra.Algebra.sandwich_matrix", "algebra.Algebra.anti_automorphism_mismatch",
         "algebra.Algebra.inverse", "algebra.minimal_polynomial_and_power_basis",
+        # ideals: the left-unit system of a splitting idempotent
+        "ideals.splitting_idempotent",
+        # polyrings and poly: pencil minimal polynomials and F_p[x] gcds
+        "polyrings.pencil_min_poly", "poly.poly_gcd", "poly.poly_squarefree",
     }
 
 
@@ -98,6 +103,8 @@ def test_a_fork_is_caught():
         "    def by_argument(self, lifted=None):\n"
         "        if lifted is None:\n"
         "            return 0\n"
+        "def by_lifted_basis(ideal):\n"
+        "    return 0 if ideal._lifted is None else 1\n"
         "def other_none(x):\n"
         "    if x is None:\n"
         "        return 0\n"
@@ -108,4 +115,5 @@ def test_a_fork_is_caught():
         "def unbranched(f):\n"
         "    return INTEGER_CORE\n")
     assert forking_functions(source, "m") == {
-        "m.by_type", "m.by_lift", "m.A.by_table", "m.A.by_argument"}
+        "m.by_type", "m.by_lift", "m.A.by_table", "m.A.by_argument",
+        "m.by_lifted_basis"}

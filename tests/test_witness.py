@@ -1303,6 +1303,24 @@ def _eager_chain(form, p1, p2, points):
     return None
 
 
+def test_an_empty_chain_verifies_only_one_nonzero_point():
+    # the F_5 conic x0 x2 + 4 x1^2: its trivial chain has one entry, which
+    # compares the endpoints as projective points
+    q = QuadraticForm(F5, 3, {(0, 2): F5.one, (1, 1): F5.from_int(4)})
+    chain = connect_quadric_points(q, (2, 0, 0), (1, 0, 0))
+    assert not chain.segments and chain.form is q
+    assert verify_witness(chain).checks == [("endpoints_equal", True, "")]
+    for start, end, ok in (((1, 0, 0), (3, 0, 0), True),
+                           ((1, 0, 0), (0, 0, 1), False),
+                           ((1, 0, 0), (1, 2, 0), False),
+                           ((0, 0, 0), (0, 0, 0), False)):
+        rep = verify_witness(WitnessChain([], start, end, form=q))
+        assert [name for name, _, _ in rep.checks] == ["endpoints_equal"]
+        assert rep.passed is ok
+    # without its form the point cannot be normalized, so nothing passes
+    assert not verify_witness(WitnessChain([], (1, 0, 0), (1, 0, 0))).passed
+
+
 def test_quadric_lazy_candidates_match_eager_filter():
     # xw = yz over F_3; supplied lists mix quadric points with the endpoints,
     # zero vectors and points off the quadric, in random order
