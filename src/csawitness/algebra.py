@@ -69,7 +69,8 @@ class Algebra:
             self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
-        self._symplectic = None  # witness.default_symplectic_involution
+        # (mat, kind, lifted) of witness.default_symplectic_involution
+        self._symplectic = None
         self._presentation = None  # ideals.module_presentation
         # the preset constructors pass True: their algebra_generators are
         # known to generate (tests/test_algebra.py proves it for each family)

@@ -3,7 +3,8 @@
 An involution is stored by the matrix of its linear action on the coordinate
 basis plus an orthogonal/symplectic tag.  Construction from a matrix
 (involution_from_matrix) verifies exactly that the map has order two
-(mat mat = 1), that it is an anti-automorphism, and that the tag matches
+(mat mat = 1, column by column: mat sends its column j to e_j), that it
+is an anti-automorphism, and that the tag matches
 the fixed-space dimension.  The anti-automorphism
 property is checked on 1 and, for each verified generator g of
 Algebra.closure_generators, as the matrix identity mat R_g = L_sigma(g) mat
@@ -47,6 +48,14 @@ class Involution:
         self.mat = tuple(tuple(r) for r in mat)
         self.kind = kind
         self._lifted = lift_matrix(algebra.field, self.mat)
+
+    @classmethod
+    def _from_parts(cls, algebra, mat, kind, lifted):
+        """The involution of a verified tuple-of-tuples matrix, with
+        lifted = lift_matrix(algebra.field, mat) already taken."""
+        sigma = cls.__new__(cls)
+        sigma.algebra, sigma.mat, sigma.kind, sigma._lifted = algebra, mat, kind, lifted
+        return sigma
 
     def apply_coords(self, coords):
         return tuple(mat_vec(self.algebra.field, self.mat, coords, self._lifted))
@@ -122,14 +131,17 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
     _require_odd_char(algebra.field)
     f = algebra.field
     n = algebra.dim
-    mat = [list(r) for r in mat]
+    mat = tuple(tuple(r) for r in mat)
     if len(mat) != n or any(len(r) != n for r in mat):
         raise InvalidInputError(
             f"matrix must be {n} x {n}, not rows of lengths {[len(r) for r in mat]}")
-    if mat_mul(f, mat, mat) != identity(f, n):
-        raise InvalidInputError("map is not of order two")
+    # sigma^2 = 1 iff sigma maps its own j-th column to e_j for every j
+    lifted = lift_matrix(f, mat)
+    for j, e_j in enumerate(identity(f, n)):
+        if mat_vec(f, mat, [r[j] for r in mat], lifted) != e_j:
+            raise InvalidInputError("map is not of order two")
 
-    if tuple(mat_vec(f, mat, algebra.unit)) != algebra.unit:
+    if tuple(mat_vec(f, mat, algebra.unit, lifted)) != algebra.unit:
         raise InvalidInputError("map does not fix the unit")
     bad = algebra.anti_automorphism_mismatch(mat)
     if bad is not None:
@@ -145,7 +157,7 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
             "not an involution of the first kind over this field")
     if expected_kind is not None and kind != expected_kind:
         raise InvalidInputError(f"involution is {kind}, expected {expected_kind}")
-    return Involution(algebra, mat, kind)
+    return Involution._from_parts(algebra, mat, kind, lifted)
 
 
 def involution_type(sigma):

@@ -1,45 +1,140 @@
 """Polynomials in the pencil parameter t: exact computations over F[t].
 
 Witness constructors certify membership along a pencil by a single
-polynomial in t.  Determinants with entries in F[t] use one fraction-free
-kernel, Bareiss elimination (polymat_det): a rank minor of an ideal pencil,
-and the discriminant of an etale line as the d x d Hankel determinant of the
-power sums of its minimal polynomial's roots.  The minimal polynomial of a
-line t*a + (1-t)*b is one linear system over F for the coefficients of its
+polynomial in t.  Determinants use one fraction-free kernel, Bareiss
+elimination (_bareiss), written once over a coefficient ring: F[t] through
+Poly's operators (polymat_det), and Z[t] on int lists.  It takes a rank
+minor of an ideal pencil, and the discriminant of an etale line as the
+d x d Hankel determinant of the power sums of its minimal polynomial's
+roots (xpoly_discriminant).  The minimal polynomial of a line
+t*a + (1-t)*b is one linear system over F for the coefficients of its
 coefficients.  Over F_p and Q it is solved on ints from the rows that pin
-every unknown (linalg.int_prefix_solve) and the candidate is accepted by one
-identity in F[t] (x(t) is a root); over F_{p^k} the whole system is
-eliminated by rref.  No rational-function arithmetic is ever needed.
+every unknown (linalg.int_prefix_solve) and the candidate is accepted by
+one identity in F[t] (x(t) is a root); over F_{p^k} the whole system is
+eliminated by rref.  Over F_p and Q the etale validity
+(pencil_discriminant) stays on those ints: it is one Z[t] determinant,
+lowered once.  No rational-function arithmetic is ever needed.
 """
+
+from collections import namedtuple
+import operator
 
 from .linalg import int_prefix_solve, rref
 from .poly import Poly
+
+# the operations the Newton and Bareiss loops take from a coefficient ring
+_Ring = namedtuple("_Ring", "const add sub mul neg exact_div is_zero")
+
+
+def _poly_ring(base):
+    """F[t] for the field base, on Polys."""
+    return _Ring(lambda n: Poly(base, [base.from_int(n)]), operator.add, operator.sub,
+                 operator.mul, operator.neg, Poly.exact_div, Poly.is_zero)
+
+
+def _zt_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zt_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _zt_trim(out)
+
+
+def _zt_neg(a):
+    return [-c for c in a]
+
+
+def _zt_sub(a, b):
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _zt_trim(out)
+
+
+def _zt_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zt_exact_div(a, b):
+    """a / b in Z[t] for a division known to be exact: each quotient
+    coefficient is a leading coefficient divided by b's."""
+    a = list(a)
+    lead, n = b[-1], len(b)
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + n - 1] // lead
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return q
+
+
+# Z[t] on int lists, lowest degree first, with no trailing zeros
+_ZT = _Ring(lambda n: [n] if n else [], _zt_add, _zt_sub, _zt_mul, _zt_neg,
+           _zt_exact_div, operator.not_)
+
+
+def _bareiss(ring, rows):
+    """Bareiss fraction-free determinant of a square matrix over ring; each
+    division by the previous pivot is exact (Sylvester's identity), and the
+    empty matrix has determinant 1."""
+    n = len(rows)
+    if n == 0:
+        return ring.const(1)
+    sub, mul, div, is_zero = ring.sub, ring.mul, ring.exact_div, ring.is_zero
+    zero = ring.const(0)
+    m = [list(r) for r in rows]
+    sign = False
+    prev = ring.const(1)
+    for k in range(n - 1):
+        if is_zero(m[k][k]):
+            piv = next((i for i in range(k + 1, n) if not is_zero(m[i][k])), None)
+            if piv is None:
+                return zero
+            m[k], m[piv] = m[piv], m[k]
+            sign = not sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = div(sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j])), prev)
+            m[i][k] = zero
+        prev = m[k][k]
+    d = m[n - 1][n - 1]
+    return ring.neg(d) if sign else d
 
 
 def polymat_det(base, rows):
     """Bareiss fraction-free determinant of a square matrix of Poly entries
     over the field base; the empty matrix has determinant 1."""
-    n = len(rows)
-    if n == 0:
-        return Poly.one(base)
-    m = [[p for p in r] for r in rows]
-    sign = False
-    prev = Poly.one(base)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if piv is None:
-                return Poly.zero(base)
-            m[k], m[piv] = m[piv], m[k]
-            sign = not sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = Poly.zero(base)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign else d
+    return _bareiss(_poly_ring(base), rows)
+
+
+def _power_sum_hankel(ring, fc):
+    """The d x d Hankel matrix [p_{i+j}] of the power sums of the roots of
+    the monic fc = [a_0, ..., a_{d-1}, 1] over ring, by Newton's identities
+    (see xpoly_discriminant), with p_0 = d."""
+    d = len(fc) - 1
+    add, mul, const = ring.add, ring.mul, ring.const
+    p = [const(d)]
+    for k in range(1, 2 * d - 1):
+        s = mul(const(k), fc[d - k]) if k <= d else const(0)
+        for i in range(1, min(k, d + 1)):
+            s = add(s, mul(fc[d - i], p[k - i]))
+        p.append(ring.neg(s))
+    return [p[i:i + d] for i in range(d)]
 
 
 def xpoly_discriminant(fc):
@@ -61,14 +156,7 @@ def xpoly_discriminant(fc):
     constant (d = 0) gives the empty determinant, 1.
     """
     base = fc[0].field
-    d = len(fc) - 1
-    p = [Poly(base, [base.from_int(d)])]
-    for k in range(1, 2 * d - 1):
-        s = fc[d - k].scale(base.from_int(k)) if k <= d else Poly.zero(base)
-        for i in range(1, min(k, d + 1)):
-            s = s + fc[d - i] * p[k - i]
-        p.append(-s)
-    return polymat_det(base, [p[i:i + d] for i in range(d)])
+    return polymat_det(base, _power_sum_hankel(_poly_ring(base), fc))
 
 
 def line_coords(field, start, end):
@@ -122,6 +210,18 @@ def pencil_min_poly(A, start, end, d):
     """
     if A._flat is None:
         return _pencil_min_poly_rref(A, start, end, d)
+    solved = _pencil_min_poly_ints(A, start, end, d)
+    if solved is None:
+        return None
+    f = A.field
+    sol = iter(f.lower_vector(*solved))
+    return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
+
+
+def _pencil_min_poly_ints(A, start, end, d):
+    """pencil_min_poly over F_p and Q, before lowering: (c, den) with the
+    coefficient of t^k in c_j equal to c[i] / den, the unknowns (j, k)
+    numbered j-major, or None."""
     f = A.field
     p = f.int_modulus
     n = A.dim
@@ -159,8 +259,40 @@ def pencil_min_poly(A, start, end, d):
                 acc = [a + cw * v for a, v in zip(acc, powers[j][i - k])]
         if any(a % p for a in acc) if p else any(acc):
             return None
-    sol = iter(f.lower_vector(c, den))
-    return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
+    return c, den
+
+
+def pencil_discriminant(A, start, end, d):
+    """xpoly_discriminant(pencil_min_poly(A, start, end, d)), the validity
+    of an etale line, or None where pencil_min_poly gives None.
+
+    Over F_p and Q it is taken from the minimal polynomial's own ints.
+    With a_j = c_j / den (_pencil_min_poly_ints), g(x) = den^d f(x / den) =
+    x^d + sum_j den^(d-j-1) c_j(t) x^j is monic in Z[t][x], and its roots
+    are den times those of f, so disc g = den^(d(d-1)) disc f.  Newton's
+    identities (with p_0 = d, an unreduced int) and the Bareiss determinant
+    of xpoly_discriminant are identities over Z with exact divisions, so
+    disc g is one d x d determinant in Z[t], lowered once by den^(d(d-1)).
+    Over F_p den is 1 and the c_j are int representatives, so that
+    determinant reduced mod p is the one over F_p.  The determinant is
+    unique, so the result is the same Poly as the two steps give, which
+    F_{p^k} keeps.
+    """
+    if A._flat is None:
+        mp = pencil_min_poly(A, start, end, d)
+        return None if mp is None else xpoly_discriminant(mp)
+    solved = _pencil_min_poly_ints(A, start, end, d)
+    if solved is None:
+        return None
+    c, den = solved
+    g, i = [], 0
+    for j in range(d):
+        w = den ** (d - j - 1)
+        g.append(_zt_trim([w * v for v in c[i:i + d - j + 1]]))
+        i += d - j + 1
+    disc = _bareiss(_ZT, _power_sum_hankel(_ZT, g + [[1]]))
+    f = A.field
+    return Poly(f, f.lower_vector(disc, den ** (d * (d - 1))))
 
 
 def _pencil_min_poly_rref(A, start, end, d):

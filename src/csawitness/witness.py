@@ -34,13 +34,13 @@ from .etale import etale_type, generate_etale, is_et_m_point
 from .fields import Rationals
 from .ideals import Flag, flag_check, module_presentation
 from .involutions import (
-    SYMPLECTIC, adjoint_involution, quaternion_conjugation,
+    SYMPLECTIC, Involution, adjoint_involution, quaternion_conjugation,
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
 from .linalg import kernel, lift_matrix, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_gcd
-from .polyrings import line_coords, pencil_min_poly, polymat_det, xpoly_discriminant
+from .polyrings import line_coords, pencil_discriminant, polymat_det
 from .quadrics import normalize_point
 
 PARAM_CONVENTION = "t1_start_t0_end"
@@ -270,7 +270,8 @@ class EtaleLine(_Kind):
         """The discriminant of the degree-d pencil minimal polynomial mp(t) of
         x(t) = t gen_start + (1 - t) gen_end, with d = dim E(1), from
         start = E(1) as endpoint_start evaluated it, or None with the
-        evaluation's failure.  Each sample t where it is nonzero carries the
+        evaluation's failure.  polyrings.pencil_discriminant takes it, in
+        Z[t] over F_p and Q.  Each sample t where it is nonzero carries the
         stored meta checked once, on E(1) (certify).
 
         Why E(1) speaks for every such t.  mp(1) is monic of degree d and
@@ -298,14 +299,16 @@ class EtaleLine(_Kind):
         centralizer rank) are therefore the same at t0 as at t = 1.  This
         uses only an associative unital table, and holds in every
         characteristic: the discriminant is the squared Vandermonde
-        determinant (polyrings.xpoly_discriminant).
+        determinant (polyrings.xpoly_discriminant, which
+        pencil_discriminant equals).
         """
         if start is None:
             raise StructuralError(failure)
-        mp = pencil_min_poly(w.algebra, w.data["gen_start"], w.data["gen_end"], start.dim)
-        if mp is None:
+        disc = pencil_discriminant(w.algebra, w.data["gen_start"], w.data["gen_end"],
+                                   start.dim)
+        if disc is None:
             raise StructuralError(f"no degree-{start.dim} pencil minimal polynomial")
-        return xpoly_discriminant(mp)
+        return disc
 
     def _check_meta(self, w, E):
         """The stored meta of an etale line against E = E(1)."""
@@ -595,11 +598,8 @@ def _etale_line_witness(A, gen_start, gen_end, degree, meta, start=None, end=Non
     minimal polynomial (a polynomial in t), or None if the line is
     degenerate for this degree.  start and end, when given, are the
     subalgebras the caller has generated from gen_start and gen_end."""
-    mp = pencil_min_poly(A, gen_start.coords, gen_end.coords, degree)
-    if mp is None:
-        return None
-    validity = xpoly_discriminant(mp)
-    if validity.is_zero():
+    validity = pencil_discriminant(A, gen_start.coords, gen_end.coords, degree)
+    if validity is None or validity.is_zero():
         return None
     start = generate_etale(gen_start) if start is None else start
     end = generate_etale(gen_end) if end is None else end
@@ -793,10 +793,13 @@ def _symplectic_fixing(L, tau, rng_seed, cent):
 
 def default_symplectic_involution(A):
     """A canonical symplectic involution for exponent-2 presets, built and
-    verified once per algebra object."""
+    verified once per algebra object.  A keeps its matrix, kind and lifted
+    matrix, not the Involution, which refers to A: that cycle would leave
+    every such algebra to the collector."""
     if A._symplectic is None:
-        A._symplectic = _default_symplectic_involution(A)
-    return A._symplectic
+        sigma = _default_symplectic_involution(A)
+        A._symplectic = sigma.mat, sigma.kind, sigma._lifted
+    return Involution._from_parts(A, *A._symplectic)
 
 
 def _default_symplectic_involution(A):

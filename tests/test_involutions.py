@@ -552,6 +552,27 @@ def test_rejection_messages_are_the_generator_loop_messages(case):
     assert _rejection(A, mat) == message
 
 
+@pytest.mark.parametrize("f", [QQ, F7, F9], ids=["Q", "F7", "F9"])
+def test_order_two_is_checked_column_by_column(f):
+    # sigma^2 = 1 iff sigma maps its j-th column to e_j: a map off by one
+    # entry in any place, or a scalar other than +-1, is rejected, and
+    # every order-two map goes on to the later checks
+    A = make_matrix_algebra(f, 4)
+    tr = transpose_involution(A)
+    n = A.dim
+    rng = random.Random(f"order two/{f!r}")
+    for _ in range(12):
+        mat = [list(r) for r in tr.mat]
+        i, j = rng.randrange(n), rng.randrange(n)
+        mat[i][j] = f.add(mat[i][j], f.one)
+        assert _rejection(A, mat) == _generator_loop_message(A, mat) == "map is not of order two"
+    c = next(c for c in iter(lambda: f.random(rng), None) if f.mul(c, c) != f.one)
+    scaled = [[f.mul(c, x) for x in r] for r in identity(f, n)]
+    assert _rejection(A, scaled) == "map is not of order two"
+    assert _rejection(A, tr.mat) is None
+    assert _rejection(A, identity(f, n)) == _generator_loop_message(A, identity(f, n))
+
+
 def _involutions_q_f7():
     out = {}
     for f in (QQ, F7):

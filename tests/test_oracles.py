@@ -1,8 +1,10 @@
 """Differential tests of charpoly, factor, the F[t] discriminant (at
-constant coefficients) and the minimal polynomial, power
+constant coefficients), the etale-line discriminant (at sampled t) and the
+minimal polynomial, power
 basis and type of an etale subalgebra against sympy, an implementation that
 shares no code with csawitness.  They skip when sympy is not installed."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from csawitness.etale import etale_type, generate_etale
 from csawitness.fields import QQ, PrimeField
 from csawitness.linalg import charpoly
 from csawitness.poly import Poly, factor
-from csawitness.polyrings import xpoly_discriminant
+from csawitness.polyrings import pencil_discriminant, xpoly_discriminant
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -157,6 +159,37 @@ def test_discriminant_over_q_matches_sympy(f):
     f = Poly(QQ, f).monic().coeffs
     want = _to_fraction(_sympy_q(f).discriminant())
     assert _value(QQ, xpoly_discriminant(_at_constants(QQ, f))) == want
+
+
+def test_pencil_discriminant_matches_sympy_at_sampled_t():
+    # on M_n a degree-n line's minimal polynomial is the characteristic
+    # polynomial of t S + (1 - t) E, so at each sampled t its discriminant
+    # is sympy's discriminant of that matrix's characteristic polynomial
+    lam = sympy.Symbol("lam")
+    rng = random.Random("pencil discriminant")
+    q_samples = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3))
+    found = 0
+    for field, samples in ((PrimeField(3), range(3)), (PrimeField(7), range(7)),
+                           (QQ, q_samples)):
+        for n in (2, 3, 4):
+            A = make_matrix_algebra(field, n)
+            for _ in range(3):
+                s, e = A.random_element(rng).coords, A.random_element(rng).coords
+                disc = pencil_discriminant(A, s, e, n)
+                if disc is None:
+                    continue
+                found += 1
+                for t in samples:
+                    at_t = A.add(A.smul(t, s), A.smul(field.sub(field.one, t), e))
+                    m = sympy.Matrix(n, n, lambda r, c: sympy.Rational(str(at_t[r * n + c])))
+                    cp = m.charpoly(lam).all_coeffs()
+                    if field is QQ:
+                        want = _to_fraction(sympy.Poly(cp, lam).discriminant())
+                    else:
+                        p = field.p
+                        want = int(sympy.Poly(cp, lam, modulus=p).discriminant()) % p
+                    assert disc.eval(t) == want, (field, n, s, e, t)
+    assert found >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The F[t] kernels: Bareiss determinants, pencil discriminants and the
-pencil minimal polynomial, each checked against its specialisation at t."""
+pencil minimal polynomial, each checked against its specialisation at t,
+and the Z[t] discriminant of an etale line against the F[t] one."""
 
 import hashlib
 import itertools
@@ -19,7 +20,9 @@ from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import sym_basis
 from csawitness.linalg import rref
 from csawitness.poly import Poly
-from csawitness.polyrings import pencil_min_poly, polymat_det, xpoly_discriminant
+from csawitness.polyrings import (
+    pencil_discriminant, pencil_min_poly, polymat_det, xpoly_discriminant,
+)
 from csawitness.witness import default_samples, default_symplectic_involution
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -414,3 +417,94 @@ def test_pencil_min_poly_is_the_characteristic_polynomial_over_q():
             assert len(got) == len(want) == n + 1
             assert all(sympy.expand(g - w) == 0 for g, w in zip(got, want))
     assert found >= 15
+
+
+# ---------------------------------------------------------------------------
+# pencil_discriminant
+
+
+def _two_step_discriminant(A, s, e, d):
+    mp = pencil_min_poly(A, s, e, d)
+    return None if mp is None else xpoly_discriminant(mp)
+
+
+def sweep_algebras():
+    """M_n over F_2, F_3, F_5, F_7 and F_11 for n = 2..4, M_n(F_9),
+    M2(Q), M4(Q) and M2(Q) (x) (-1, -1)."""
+    out = [make_matrix_algebra(PrimeField(p), n)
+           for p in (2, 3, 5, 7, 11) for n in (2, 3, 4)]
+    F9 = standard_extension(3, 2)
+    out += [make_matrix_algebra(F9, n) for n in (2, 3)]
+    out += [make_matrix_algebra(QQ, 2), make_matrix_algebra(QQ, 4),
+            tensor_product(make_matrix_algebra(QQ, 2), make_quaternion(QQ, -1, -1))]
+    return out
+
+
+@pytest.mark.parametrize("A", sweep_algebras(), ids=lambda A: f"{A.field!r}/{A.degree}")
+def test_pencil_discriminant_equals_the_two_steps(A):
+    """The Z[t] determinant lowered once gives the F[t] Hankel determinant
+    of the lowered minimal polynomial, None included, on 16 lines each:
+    random, constant, scalar (d = 1), degree-2 and non-etale ones, at
+    d = deg A - 1, deg A and deg A + 1."""
+    rng = random.Random(f"discriminant/{A.field!r}/{A.degree}")
+    outcomes = Counter()
+    for s, e, d in differential_lines(A.field, A, rng, 16):
+        got = pencil_discriminant(A, s, e, d)
+        assert got == _two_step_discriminant(A, s, e, d), (s, e, d)
+        outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_pencil_discriminant_edge_cases():
+    # d = 1: the empty Hankel determinant, 1, and the scalar line's only
+    # degree; over Q with a denominator too
+    for A in (make_matrix_algebra(F7, 3), make_matrix_algebra(QQ, 2)):
+        f = A.field
+        c = A.smul(f.div(f.from_int(3), f.from_int(2)), A.unit)
+        assert pencil_discriminant(A, c, c, 1) == Poly.one(f)
+        assert pencil_discriminant(A, c, c, 2) is None
+    # the characteristic divides d: M2 over F_2, M3 over F_3, M4 over F_2
+    for p, n in ((2, 2), (3, 3), (2, 4)):
+        F = PrimeField(p)
+        A = make_matrix_algebra(F, n)
+        rng = random.Random(f"char/{p}/{n}")
+        found = 0
+        for _ in range(12):
+            s, e = A.random_element(rng).coords, A.random_element(rng).coords
+            got = pencil_discriminant(A, s, e, n)
+            assert got == _two_step_discriminant(A, s, e, n)
+            found += got is not None and not got.is_zero()
+        assert found
+    # degenerate: a generic line has no degree-2 minimal polynomial on M4
+    A = make_matrix_algebra(F5, 4)
+    rng = random.Random(3)
+    s, e = A.random_element(rng).coords, A.random_element(rng).coords
+    assert pencil_discriminant(A, s, e, 2) is None
+    assert pencil_discriminant(A, s, e, 4) is not None
+    # a constant line over Q with a denominator: den != 1, constant result
+    H = make_quaternion(QQ, -1, -1)
+    x = tuple(QQ.div(QQ.from_int(k), QQ.from_int(3)) for k in (1, 2, 0, 5))
+    assert pencil_discriminant(H, x, x, 2) == _two_step_discriminant(H, x, x, 2)
+    assert pencil_discriminant(H, x, x, 2).degree == 0
+
+
+def test_pencil_discriminant_takes_one_d_by_d_integer_determinant(monkeypatch):
+    # over F_p and Q: one d x d Bareiss elimination in Z[t] per call, and
+    # no F[t] one
+    calls = []
+    bareiss = polyrings._bareiss
+
+    def recording(ring, rows):
+        calls.append((ring is polyrings._ZT, len(rows), {len(r) for r in rows}))
+        return bareiss(ring, rows)
+
+    monkeypatch.setattr(polyrings, "_bareiss", recording)
+    rng = random.Random(47)
+    for field in (F7, QQ):
+        for n in (2, 3, 4):
+            A = make_matrix_algebra(field, n)
+            for _ in range(3):
+                s, e = A.random_element(rng).coords, A.random_element(rng).coords
+                calls.clear()
+                assert pencil_discriminant(A, s, e, n) is not None
+                assert calls == [(True, n, {n})]

@@ -1,14 +1,16 @@
 import ast
 import functools
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from csawitness import witness
+from csawitness import polyrings, witness
 from csawitness.algebra import (
     Algebra, coords_of_matrix, make_matrix_algebra, make_quaternion,
     tensor_product,
@@ -703,6 +705,35 @@ def test_etale_line_without_a_derivable_validity_fails(start, detail):
     assert len(samples) == 5 and all(c[1:] == (False, detail) for c in samples)
 
 
+@pytest.mark.parametrize("field, n, in_f_t", [
+    (F7, 3, False), (QQ, 2, False), (standard_extension(3, 2), 2, True),
+], ids=["F7", "Q", "F9"])
+def test_etale_validity_takes_no_polynomial_determinant_over_fp_and_q(
+        monkeypatch, field, n, in_f_t):
+    # over F_p and Q the validity is a Z[t] determinant; F_{p^k} keeps one
+    # Hankel determinant over F[t] per derivation
+    calls = Counter()
+
+    def spy(name):
+        fn = getattr(polyrings, name)
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("polymat_det", "xpoly_discriminant"):
+        monkeypatch.setattr(polyrings, name, spy(name))
+    monkeypatch.setattr(witness, "pencil_discriminant", spy("pencil_discriminant"))
+    A = make_matrix_algebra(field, n)
+    rng = random.Random(13)
+    samples = default_samples(field) if field is QQ else exhaustive(field)
+    for _ in range(3):
+        w = connect_max_etale(random_maximal_etale(A, rng), random_maximal_etale(A, rng))
+        assert verify_witness(w, samples).passed
+    derivations = calls["pencil_discriminant"]
+    assert derivations >= 6  # one to construct and one to verify each line
+    each = derivations if in_f_t else 0
+    assert calls == Counter({"pencil_discriminant": derivations, "polymat_det": each,
+                             "xpoly_discriminant": each}) - Counter()
+
+
 @pytest.mark.parametrize("p", [7, 11])
 def test_etale_verify_rebuilds_only_the_endpoints(monkeypatch, p):
     F = PrimeField(p)
@@ -917,6 +948,27 @@ def _centralizer(L):
 def _biquaternion_hxs():
     return tensor_product(make_quaternion(QQ, Fraction(-1), Fraction(-1)),
                           make_quaternion(QQ, Fraction(1), Fraction(1)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_matrix_algebra(F7, 4), _biquaternion_hxs, lambda: make_quaternion(F5, 2, 3),
+], ids=["M4(F7)", "Hx(1,1)", "H(F5)"])
+def test_an_algebra_and_its_symplectic_involution_are_freed_by_reference_counting(make):
+    # A keeps the involution's parts, not the Involution, whose algebra is A:
+    # a cycle would leave every exponent-2 algebra to the collector
+    A = make()
+    sigma = default_symplectic_involution(A)
+    again = default_symplectic_involution(A)
+    assert again == sigma and again.kind == SYMPLECTIC and again._lifted is sigma._lifted
+    alive = weakref.ref(A)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del A, sigma, again
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name, A, pairs", [
