@@ -339,15 +339,18 @@ class Algebra:
         images = [self._int_mul(self._int_mul(u, col), v) for col in cols]
         return self._lower_rows(transpose(images), su * sm * sv * self._flat_scale ** 2)
 
-    def anti_automorphism_mismatch(self, mat):
+    def anti_automorphism_mismatch(self, mat, lifted=None):
         """The first (i, g), over g in closure_generators() and then basis
         indices i, with sigma(e_i g) != sigma(g) sigma(e_i) for the linear
         map sigma of matrix mat; None if there is none.  For each g this is
         mat R_g = L_sigma(g) mat, whose column i is that equation; over F_p
-        and Q it is compared on the int multiplication matrices.
+        and Q it is compared on the int multiplication matrices.  lifted is
+        lift_matrix of mat where the caller holds it; it is lifted here
+        only when None, as mat_vec does.
         """
         f = self.field
-        lifted = lift_matrix(f, mat)
+        if lifted is None:
+            lifted = lift_matrix(f, mat)
         for g in self.closure_generators():
             sigma_g = mat_vec(f, mat, g, lifted)
             if self._flat is None:

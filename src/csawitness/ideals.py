@@ -16,7 +16,11 @@ of elements with columns in its column space.  The ideal of any right
 D-submodule W of D^m is closed by construction (column c of x a is
 sum_s col_s(x) a_sc, a right D-combination of the columns of x), so
 ModulePresentation.ideal_from_subspace, which random ideals and flags and
-the endpoints of every pencil use, skips the check.  The pencils of witness.py (an
+the endpoints of every pencil use, skips the check.  It eliminates once, in
+V: the columns have disjoint supports, so the rref of W placed in each
+column is the rref of the whole ideal, and RightIdeal takes that basis as
+it is.  The D-rows that span W are products by four block-diagonal maps of
+V, lifted once per presentation.  The pencils of witness.py (an
 ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
 they need column spaces free over D.  d_basis_of picks its basis from the
 rows and, where a row falls short, from sums of two rows, and raises
@@ -37,11 +41,14 @@ from .linalg import (
 class RightIdeal:
     __slots__ = ("algebra", "basis", "pivots", "rdim", "_lifted")
 
-    def __init__(self, algebra, rows, _skip_closure_check=False):
-        basis, pivots = rref(algebra.field, rows)
+    def __init__(self, algebra, rows, _skip_closure_check=False, _pivots=None):
+        # _pivots: rows are already the rref basis with these pivot columns
+        # (ModulePresentation.ideal_from_subspace), so no elimination is run
+        if _pivots is None:
+            rows, _pivots = rref(algebra.field, rows)
         self.algebra = algebra
-        self.basis = tuple(tuple(r) for r in basis)
-        self.pivots = tuple(pivots)
+        self.basis = tuple(tuple(r) for r in rows)
+        self.pivots = tuple(_pivots)
         if len(self.basis) % algebra.degree != 0:
             raise StructuralError(
                 f"subspace dimension {len(self.basis)} is not a multiple of the degree")
@@ -310,6 +317,15 @@ class ModulePresentation:
     strides (rs, cs, ls) are (m, 1, 0) on M_m, (4m, 4, 1) on M_m x H,
     (m, 1, m^2) on H x M_m and (0, 0, 1) on H alone.  __init__ stores, for
     each column, the coordinates of its entries in V's order (_cols).
+
+    Column col's coordinates are column 0's shifted by col * cs, so one
+    order of V sorts them all: _order lists V's positions by their
+    coordinate in column 0 (V's own order except on H x M_m, where l runs
+    slowest in A), and _sorted_cols lists each column's coordinates in it.
+    Right multiplication by the basis element d_l of D acts slot by slot,
+    as a block-diagonal vlen x vlen matrix; __init__ builds the four, and
+    lifts each once (linalg.lift_matrix), for d_rows.
+
     Built once per algebra: use module_presentation(A).  A keeps it, so it
     refers to A weakly, and reference counting frees the two together.
     """
@@ -347,8 +363,16 @@ class ModulePresentation:
         self._cols = tuple(tuple(row * rs + col * cs + l * ls
                                  for row in range(m) for l in range(self.d2))
                            for col in range(m))
+        self._order = tuple(sorted(range(self.vlen), key=self._cols[0].__getitem__))
+        self._sorted_cols = tuple(tuple(c[i] for i in self._order) for c in self._cols)
+        self._dmaps = []
         if self.D is not None:
-            self._dbasis = tuple(self.D.basis_coords(l) for l in range(4))
+            zero = self.field.zero
+            for l in range(4):
+                block = self.D.right_mult_matrix(self.D.basis_coords(l))
+                rows = [[zero] * (4 * r) + list(b) + [zero] * (self.vlen - 4 * r - 4)
+                        for r in range(m) for b in block]
+                self._dmaps.append((rows, lift_matrix(self.field, rows)))
 
     # coordinate layout helpers -------------------------------------------
 
@@ -356,25 +380,15 @@ class ModulePresentation:
         """Column col of an algebra element, as a vector in V."""
         return tuple(coords[i] for i in self._cols[col])
 
-    def place_in_column(self, vec, col):
-        """Algebra coordinates of the element with vec in column col."""
-        out = [self.field.zero] * self._algebra().dim
-        for i, x in zip(self._cols[col], vec):
-            out[i] = x
-        return tuple(out)
-
-    def vec_times_d(self, vec, dcoords):
-        """Right multiplication of a vector by an element of D, slotwise."""
-        return tuple(x for r in range(0, self.vlen, 4)
-                     for x in self.D.mul(tuple(vec[r:r + 4]), dcoords))
-
     def d_rows(self, vecs):
         """F-spanning rows of the right D-span of vecs: v d for each v in
-        vecs and, inside, each d of the F-basis of D.  Over F (no D) they
-        are the vectors themselves, whose scalars callers keep canonical."""
+        vecs and, inside, each d of the F-basis of D, each one mat_vec by a
+        lifted block map.  Over F (no D) they are the vectors themselves,
+        whose scalars callers keep canonical."""
         if self.D is None:
             return [tuple(v) for v in vecs]
-        return [self.vec_times_d(v, d) for v in vecs for d in self._dbasis]
+        f = self.field
+        return [tuple(mat_vec(f, rows, v, lifted)) for v in vecs for rows, lifted in self._dmaps]
 
     # subspaces --------------------------------------------------------------
 
@@ -434,12 +448,31 @@ class ModulePresentation:
 
         It is a right ideal for every W, so the closure check is skipped:
         column c of x a is sum_s col_s(x) a_sc, a right D-combination of the
-        columns of x.  Its rows are d_rows(vecs) placed in each column,
-        unreduced, since RightIdeal's rref basis is canonical.
+        columns of x.  It is spanned by an F-basis of W placed in each of
+        the m columns, and its rref comes from one elimination in V: the
+        rref of d_rows(vecs), with V's positions in _order.  In that order
+        the coordinates of every column increase, so a basis row placed in
+        column c has its leading entry at its pivot placed there.  The
+        columns have disjoint supports, so no placed row is nonzero at
+        another's pivot coordinate, and the placed rows sorted by pivot
+        coordinate are the rref of them all.  The rref is unique, so this
+        is the basis that eliminating every placed row gives.  Its
+        dimension is m * dim W; RightIdeal raises StructuralError when that
+        is not a multiple of the degree.
         """
-        wrows = self.d_rows(vecs)
-        rows = [self.place_in_column(w, col) for col in range(self.m) for w in wrows]
-        return RightIdeal(self._algebra(), rows, _skip_closure_check=True)
+        basis, pivots = rref(self.field, [[w[i] for i in self._order]
+                                          for w in self.d_rows(vecs)])
+        zero, dim = self.field.zero, self._algebra().dim
+        placed = []
+        for cols in self._sorted_cols:
+            for row, piv in zip(basis, pivots):
+                out = [zero] * dim
+                for i, x in zip(cols, row):
+                    out[i] = x
+                placed.append((cols[piv], out))
+        placed.sort(key=lambda pair: pair[0])
+        return RightIdeal(self._algebra(), [row for _, row in placed],
+                          _skip_closure_check=True, _pivots=[c for c, _ in placed])
 
 
 def module_presentation(A):

@@ -143,7 +143,7 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
 
     if tuple(mat_vec(f, mat, algebra.unit, lifted)) != algebra.unit:
         raise InvalidInputError("map does not fix the unit")
-    bad = algebra.anti_automorphism_mismatch(mat)
+    bad = algebra.anti_automorphism_mismatch(mat, lifted)
     if bad is not None:
         i, g = bad
         raise InvalidInputError(

@@ -40,7 +40,9 @@ from .involutions import (
 )
 from .linalg import kernel, lift_matrix, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_gcd
-from .polyrings import line_coords, pencil_discriminant, polymat_det
+from .polyrings import (
+    _ZT, _bareiss, _zt_trim, line_coords, pencil_discriminant, polymat_det,
+)
 from .quadrics import normalize_point
 
 PARAM_CONVENTION = "t1_start_t0_end"
@@ -115,6 +117,13 @@ class WitnessChain:
 # witness kinds
 
 
+def _check_full_rank(pres, dim, lvl, t):
+    """Raise unless a level's ideal at t has the dimension m * lvl * dim_F D
+    of lvl pencil vectors free over D."""
+    if dim != pres.m * lvl * pres.d2:
+        raise StructuralError(f"pencil drops rank at t={t}")
+
+
 def _pencil_vectors_at(f, vecs, vecs_prime, t):
     """t w + (1 - t) w' for each pair, as the matrix with rows (w_i, w'_i)
     times (t, 1 - t): over F_p and Q one integer mat_vec per pair."""
@@ -154,16 +163,14 @@ class _Pencil(_Kind):
         return w.data.get("levels", [len(w.data["pencil_w"])])
 
     def _level_rdims(self, w, t):
-        """The module presentation, the pencil vectors at t and the reduced
-        dimension of each level's ideal there, from one rank per level.
+        """The reduced dimension of each level's ideal at t, from one rank per
+        level.
 
         The ideal of a level is the set of elements whose columns lie in the
         D-span W of its lvl pencil vectors.  It is spanned by d_rows(vecs)
         placed in each of the m columns; the placements have disjoint
         supports, so it has dimension m * rank(d_rows), and no ideal need be
-        built.  Raises what building them raises, in the same order: a
-        dimension that is not a multiple of the degree, then a span short of
-        full rank lvl * dim_F D.
+        built.  Raises what _ideals_at raises, in the same order.
         """
         A = w.algebra
         pres = module_presentation(A)
@@ -174,19 +181,25 @@ class _Pencil(_Kind):
             if dim % A.degree:
                 raise StructuralError(
                     f"subspace dimension {dim} is not a multiple of the degree")
-            if dim != pres.m * lvl * pres.d2:
-                raise StructuralError(f"pencil drops rank at t={t}")
+            _check_full_rank(pres, dim, lvl, t)
             rdims.append(dim // A.degree)
-        return pres, vecs, rdims
+        return rdims
 
     def _ideals_at(self, w, t):
         """The right ideals of the pencil at t, one per level: the ideal whose
         column space is the D-span of the first lvl pencil vectors, closed by
-        construction (ModulePresentation.ideal_from_subspace), once
-        _level_rdims finds every span of full rank.  Only the endpoints are
-        built; a sample needs only the ranks."""
-        pres, vecs, _ = self._level_rdims(w, t)
-        return [pres.ideal_from_subspace(vecs[:lvl]) for lvl in self.levels(w)]
+        construction (ModulePresentation.ideal_from_subspace, one
+        elimination in V).  Its dimension is read off that elimination: a
+        dimension that is not a multiple of the degree raises there, then a
+        span short of full rank lvl * dim_F D raises here.  Only the
+        endpoints are built; a sample needs only the ranks."""
+        pres = module_presentation(w.algebra)
+        vecs = _pencil_vectors_at(w.field, w.data["pencil_w"], w.data["pencil_w_prime"], t)
+        ideals = []
+        for lvl in self.levels(w):
+            ideals.append(pres.ideal_from_subspace(vecs[:lvl]))
+            _check_full_rank(pres, ideals[-1].dim(), lvl, t)
+        return ideals
 
     def derive(self, w, start, failure):
         return _subspace_validity(module_presentation(w.algebra), w.data["pencil_w"],
@@ -212,7 +225,7 @@ class IdealPencil(_Pencil):
         want = w.start.rdim
         if w.meta.get("rdim") != want:
             return False, f"stored rdim {w.meta.get('rdim')!r} != {want}"
-        rdim, = self._level_rdims(w, t)[2]
+        rdim, = self._level_rdims(w, t)
         if rdim != want:
             return False, f"rdim {rdim} != {want}"
         return True, ""
@@ -247,7 +260,7 @@ class FlagPencil(_Pencil):
         the next one.  The containments flag_check tests are implied.
         """
         sig = tuple(w.meta.get("signature", ()))
-        rdims = tuple(self._level_rdims(w, t)[2])
+        rdims = tuple(self._level_rdims(w, t))
         return rdims == sig and all(a < b for a, b in zip(sig, sig[1:])), ""
 
 
@@ -492,17 +505,29 @@ def _pencil_validity(pres, wvecs, wpvecs):
     from t = 1 is used (it cannot vanish identically, and the endpoints are
     verified exactly anyway).  A zero level (no vectors) is constant along
     the pencil; its minor is the empty one, 1.
+
+    The minors are minors of the k x vlen matrix t R1 + (1 - t) R0, R1 and
+    R0 the D-rows at t = 1 and t = 0.  Over F_p and Q the 2k rows are lifted
+    once, to one scale s, and each minor is one Bareiss determinant in Z[t]
+    (_zt_line_minor), lowered once by s^k; over F_p s is 1 and that int
+    determinant reduced mod p is the one over F_p.  A determinant is
+    unique, so it is the Poly that polymat_det gives over F[t], which
+    F_{p^k} keeps.
     """
     field = pres.field
     rows_t1, rows_t0 = pres.d_rows(wvecs), pres.d_rows(wpvecs)
     _, piv1 = rref(field, rows_t1)
     _, piv0 = rref(field, rows_t0)
-    # polynomial matrix of the moving span rows
-    rows = [line_coords(field, r1, r0) for r1, r0 in zip(rows_t1, rows_t0)]
+    lifted = lift_matrix(field, rows_t1 + rows_t0)
+    if lifted is None:
+        # polynomial matrix of the moving span rows
+        rows = [line_coords(field, r1, r0) for r1, r0 in zip(rows_t1, rows_t0)]
 
-    def minor(cols):
-        sub = [[row[c] for c in cols] for row in rows]
-        return polymat_det(field, sub)
+        def minor(cols):
+            return polymat_det(field, [[row[c] for c in cols] for row in rows])
+    else:
+        def minor(cols):
+            return _zt_line_minor(field, lifted, cols)
 
     v1 = minor(piv1)
     if field.is_zero(v1.eval(field.one)):
@@ -514,6 +539,18 @@ def _pencil_validity(pres, wvecs, wpvecs):
         if not field.is_zero(v0.eval(field.one)):
             return v0
     return v1
+
+
+def _zt_line_minor(field, lifted, cols):
+    """The minor at columns cols of t R1 + (1 - t) R0 over F_p or Q, from
+    lifted = (int rows of R1 then of R0, scale s): its entries
+    e + (a - e) t are Z[t] int lists, and the k x k minor is one Bareiss
+    determinant in Z[t], lowered once by s^k."""
+    ints, s = lifted
+    k = len(ints) // 2
+    det = _bareiss(_ZT, [[_zt_trim([r0[c], r1[c] - r0[c]]) for c in cols]
+                         for r1, r0 in zip(ints[:k], ints[k:])])
+    return Poly(field, field.lower_vector(det, s ** k))
 
 
 def _subspace_validity(pres, wvecs, wpvecs, levels):

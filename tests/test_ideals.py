@@ -330,15 +330,25 @@ def test_coordinate_map_is_the_preset_rule(field_name, layout, n):
         assert pres.column_of(x, col) == tuple(
             x[_old_slot(A, pres, row, col, l)] for row in range(pres.m) for l in range(pres.d2))
         for _ in range(5):
+            # v placed in column col by the per-preset rule reads back as v
+            # there, and as zero in every other column
             v = tuple(f.random(rng) for _ in range(pres.vlen))
-            assert pres.column_of(pres.place_in_column(v, col), col) == v
+            placed = [f.zero] * A.dim
+            for row in range(pres.m):
+                for l in range(pres.d2):
+                    placed[_old_slot(A, pres, row, col, l)] = v[row * pres.d2 + l]
+            for c in range(pres.m):
+                assert pres.column_of(placed, c) == (v if c == col else (f.zero,) * pres.vlen)
     vecs = [tuple(f.random(rng) for _ in range(pres.vlen)) for _ in range(3)]
     if pres.D is None:
         # over F the D-rows are the canonical vectors themselves
         assert pres.d_rows(vecs) == vecs
     else:
-        assert pres.d_rows(vecs) == [pres.vec_times_d(v, pres.D.basis_coords(l))
-                                     for v in vecs for l in range(4)]
+        # v d_l: each slot of v multiplied on the right by d_l with D.mul
+        assert pres.d_rows(vecs) == [
+            tuple(x for r in range(0, pres.vlen, 4)
+                  for x in pres.D.mul(tuple(v[r:r + 4]), pres.D.basis_coords(l)))
+            for v in vecs for l in range(4)]
 
 
 @pytest.mark.parametrize("layout, n", [("m", 3), ("m_h", 2), ("h_m", 2), ("h", 1)])
@@ -522,3 +532,113 @@ def test_right_ideal_on_m_n_accepts_what_the_basis_definition_accepts(field, n):
             seen.add((label, accepted))
     assert {("right ideal", True), ("replaced row", False), ("left ideal", False),
             ("column band", False)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# ideals of column spaces from one elimination in V
+#
+# ModulePresentation.ideal_from_subspace takes the rref of the D-rows in V
+# and places it in each column.  The reference below is the ideal of every
+# D-row placed in every column, eliminated at the full width of A, with the
+# D-rows taken slot by slot with D.mul.
+
+
+def _slotwise_d_rows(pres, vecs):
+    if pres.D is None:
+        return [tuple(v) for v in vecs]
+    return [tuple(x for r in range(0, pres.vlen, 4)
+                  for x in pres.D.mul(tuple(v[r:r + 4]), pres.D.basis_coords(l)))
+            for v in vecs for l in range(4)]
+
+
+def _placed_everywhere(A, pres, rows):
+    """RightIdeal of each row placed in each column, by the per-preset rule;
+    the closure check is skipped, as ideal_from_subspace skips it."""
+    placed = []
+    for col in range(pres.m):
+        for w in rows:
+            out = [A.field.zero] * A.dim
+            for row in range(pres.m):
+                for l in range(pres.d2):
+                    out[_old_slot(A, pres, row, col, l)] = w[row * pres.d2 + l]
+            placed.append(out)
+    return RightIdeal(A, placed, _skip_closure_check=True)
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except StructuralError as exc:
+        return None, str(exc)
+
+
+def _column_space_presets():
+    F9 = standard_extension(3, 2)
+    out = [make_matrix_algebra(PrimeField(p), n) for p in (2, 3, 5, 7) for n in range(1, 6)]
+    out += [make_matrix_algebra(QQ, n) for n in (1, 2, 3)] + [make_matrix_algebra(F9, 3)]
+    for H in (make_quaternion(QQ, Fraction(-1), Fraction(-1)),
+              make_quaternion(QQ, Fraction(1, 2), Fraction(-3)),
+              make_quaternion(F5, 2, 3), make_quaternion(F5, 1, 1),
+              make_quaternion(F9, F9.from_int(1), F9.from_int(2))):
+        f = H.field
+        out += [H, tensor_product(make_matrix_algebra(f, 2), H),
+                tensor_product(H, make_matrix_algebra(f, 2))]
+    return out
+
+
+def _random_vectors(f, pres, rng):
+    """Up to m + 1 vectors, some zero and some repeated, so that the D-rows
+    are often rank-deficient."""
+    vecs = []
+    for _ in range(rng.randrange(pres.m + 2)):
+        r = rng.random()
+        if r < 0.15:
+            vecs.append(tuple(f.zero for _ in range(pres.vlen)))
+        elif r < 0.3 and vecs:
+            vecs.append(vecs[0])
+        else:
+            vecs.append(tuple(f.random(rng) for _ in range(pres.vlen)))
+    return vecs
+
+
+def test_ideal_from_subspace_is_the_ideal_of_every_placed_row():
+    rng = random.Random(34)
+    deficient = 0
+    for A in _column_space_presets():
+        pres = module_presentation(A)
+        for _ in range(10):
+            vecs = _random_vectors(A.field, pres, rng)
+            rows = _slotwise_d_rows(pres, vecs)
+            got, err = _outcome(lambda: pres.ideal_from_subspace(vecs))
+            want, want_err = _outcome(lambda: _placed_everywhere(A, pres, rows))
+            assert err == want_err
+            assert (got.basis, got.pivots, got.rdim, got._lifted) == (
+                want.basis, want.pivots, want.rdim, want._lifted), (A, vecs)
+            deficient += got.dim() < pres.m * len(rows)
+    assert deficient > 0
+
+
+@pytest.mark.parametrize("layout", ["h", "m_h", "h_m"])
+def test_ideal_from_subspace_raises_as_the_full_width_ideal(monkeypatch, layout):
+    # D-rows are D-stable, so their dimension is a multiple of the degree;
+    # rows that are not give the degree error, with the same message
+    A = _coordinate_map_algebra("q", layout, 2)
+    pres = module_presentation(A)
+    monkeypatch.setattr(pres, "d_rows", lambda vecs: [tuple(v) for v in vecs])
+    rng = random.Random(layout)
+    vecs = [tuple(QQ.random(rng) for _ in range(pres.vlen))]
+    _, err = _outcome(lambda: pres.ideal_from_subspace(vecs))
+    assert err == _outcome(lambda: _placed_everywhere(A, pres, vecs))[1]
+    assert err == f"subspace dimension {pres.m} is not a multiple of the degree"
+
+
+@pytest.mark.parametrize("field_name", ["q", "f5", "f9"])
+@pytest.mark.parametrize("layout, n", [("h", 1), ("m_h", 1), ("m_h", 2), ("h_m", 2), ("h_m", 3)])
+def test_d_rows_are_slotwise_products(field_name, layout, n):
+    A = _coordinate_map_algebra(field_name, layout, n)
+    pres = module_presentation(A)
+    f = A.field
+    rng = random.Random(f"d rows {field_name} {layout} {n}")
+    for _ in range(20):
+        vecs = _random_vectors(f, pres, rng)
+        assert pres.d_rows(vecs) == _slotwise_d_rows(pres, vecs)

@@ -88,6 +88,10 @@ def test_integer_forks_are_these():
         # polyrings: the etale validity as one Z[t] determinant; its F[t] form
         # took 13 % of build_q and 9 % of build_fp operation time
         "polyrings.pencil_discriminant",
+        # witness: the ideal-pencil rank minors as Z[t] determinants; their
+        # F[t] form (_subspace_validity) took 7.5 % of build_fp and 6.1 % of
+        # build_q operation time
+        "witness._pencil_validity",
     }
 
 

@@ -638,3 +638,33 @@ def test_every_closure_generator_is_checked(field):
         assert A.anti_automorphism_mismatch(identity(field, 4)) == (0, A.basis_coords(j))
         A._closure_gens = A._closure_gens[:2]
         assert A.anti_automorphism_mismatch(identity(field, 4)) is None
+
+
+@pytest.mark.parametrize("case", ["H(-1,-1) x (1,1) over Q", "M4(F7)"])
+def test_involution_from_matrix_lifts_its_matrix_once(monkeypatch, case):
+    # involution_from_matrix hands the lift it holds to
+    # Algebra.anti_automorphism_mismatch; accepted and rejected maps are
+    # lifted once, and give the same kinds and messages
+    from csawitness import algebra, involutions, linalg
+    if case == "M4(F7)":
+        A = make_matrix_algebra(F7, 4)
+        sigma = transpose_involution(A)
+        bad = _elementary_conjugate(sigma, 0, 1, 3)
+        message = ("map is not an anti-automorphism at basis element E12 and "
+                   "generator 1*E12 + 1*E23 + 1*E34")
+    else:
+        H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+        S = make_quaternion(QQ, Fraction(1), Fraction(1))
+        A = tensor_product(H, S)
+        sigma = tensor_involution(quaternion_conjugation(H), quaternion_conjugation(S), A)
+        bad = identity(QQ, A.dim)
+        message = _generator_loop_message(A, bad)
+    assert message is not None and message == _rejection(A, bad)
+    lifts = []
+    lift = linalg.lift_matrix
+    for mod in (algebra, involutions, linalg):
+        monkeypatch.setattr(mod, "lift_matrix", lambda f, a: lifts.append(1) or lift(f, a))
+    assert involution_from_matrix(A, sigma.mat).kind == sigma.kind
+    assert len(lifts) == 1
+    assert _rejection(A, bad) == message
+    assert len(lifts) == 2

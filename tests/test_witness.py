@@ -1557,3 +1557,141 @@ def test_quadric_segment_matches_the_secant_oracle():
     assert {key for key in seen if key[0] == "aux"} == {("aux", 2), ("aux", 3), ("aux", 5)}
     # QuadricCurves.link found one segment, or none on degenerate forms
     assert {key for key in seen if key[0] == "model"} == {("model", 1), ("model", None)}
+
+
+# ---------------------------------------------------------------------------
+# ideal-pencil rank minors in Z[t]
+#
+# Over F_p and Q a rank minor of t R1 + (1 - t) R0 is one Bareiss
+# determinant in Z[t] (witness._zt_line_minor); the reference is the F[t]
+# determinant of the line coordinates.
+
+
+def _line_minor_by_polymat_det(field, rows_t1, rows_t0, cols):
+    lines = [line_coords(field, r1, r0) for r1, r0 in zip(rows_t1, rows_t0)]
+    return polyrings.polymat_det(field, [[row[c] for c in cols] for row in lines])
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F5, F7, QQ], ids=["F2", "F5", "F7", "Q"])
+def test_zt_line_minors_equal_the_polynomial_determinant(field):
+    from csawitness.linalg import lift_matrix
+    rng = random.Random(f"zt minors {field}")
+
+    def scalar():
+        # over Q, a denominator up to 4 (QQ.random), so the scale is not 1
+        return field.random(rng)
+
+    seen = Counter()
+    for _ in range(120):
+        k, n = rng.randrange(5), rng.randrange(4, 7)
+        k = min(k, n)
+        rows_t1 = [[scalar() for _ in range(n)] for _ in range(k)]
+        rows_t0 = [[scalar() for _ in range(n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.25:
+            # a repeated row pair: the minor vanishes identically in t
+            rows_t1[1], rows_t0[1] = rows_t1[0], rows_t0[0]
+        cols = sorted(rng.sample(range(n), k))
+        lifted = lift_matrix(field, rows_t1 + rows_t0)
+        got = witness._zt_line_minor(field, lifted, cols)
+        assert got == _line_minor_by_polymat_det(field, rows_t1, rows_t0, cols)
+        seen["empty"] += k == 0 and got == Poly.one(field)
+        seen["zero"] += k > 0 and got.is_zero()
+        seen["scale"] += lifted[1] != 1
+    assert seen["empty"] and seen["zero"]
+    assert seen["scale"] or field is not QQ
+
+
+def _ideal_pencils(field_case):
+    """Ideal and flag pencils on one algebra, by connect_ideals and
+    connect_flags, and its samples."""
+    rng = random.Random(f"pencils {field_case}")
+    if field_case == "F5":
+        A, rds, sig = make_matrix_algebra(F5, 4), (1, 2), (1, 2, 3)
+    elif field_case == "F9":
+        A, rds, sig = make_matrix_algebra(standard_extension(3, 2), 3), (1, 2), (1, 2)
+    else:
+        H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+        A, rds, sig = tensor_product(make_matrix_algebra(QQ, 2), H), (2,), (2, 4)
+    return A, [lambda rd=rd: connect_ideals(random_ideal(A, rd, rng), random_ideal(A, rd, rng))
+               for rd in rds] + [
+        lambda: connect_flags(random_flag(A, sig, rng), random_flag(A, sig, rng))]
+
+
+@pytest.mark.parametrize("field_case", ["F5", "M2(Q) x H", "F9"])
+def test_pencil_minors_take_polymat_det_only_over_fpk(monkeypatch, field_case):
+    A, builds = _ideal_pencils(field_case)
+    det = polyrings.polymat_det
+    calls, validity_args = [], []
+    for mod in (polyrings, witness):
+        monkeypatch.setattr(mod, "polymat_det", lambda *a: calls.append(1) or det(*a))
+    pencil_validity = witness._pencil_validity
+    monkeypatch.setattr(witness, "_pencil_validity",
+                        lambda *a: validity_args.append(a) or pencil_validity(*a))
+    samples = default_samples(A.field)
+    for build in builds:
+        assert verify_witness(build(), samples).passed
+    assert validity_args
+    if field_case != "F9":
+        assert calls == []
+        return
+    # one determinant per minor: the t = 1 pivot minor, and the t = 0 one
+    # where the first vanishes at t = 0 and the pivots differ
+    taken = len(calls)
+    f = A.field
+    minors = 0
+    for pres, wv, wpv in validity_args:
+        r1, r0 = pres.d_rows(wv), pres.d_rows(wpv)
+        (_, piv1), (_, piv0) = witness.rref(f, r1), witness.rref(f, r0)
+        v1 = _line_minor_by_polymat_det(f, r1, r0, piv1)
+        minors += 1 + (f.is_zero(v1.eval(f.zero)) and piv0 != piv1)
+    assert taken == minors
+
+
+def test_ideal_pencils_eliminate_only_in_the_column_space(monkeypatch):
+    # on M4(F_5) the algebra has 16 coordinates and V = F_5^4: building
+    # and verifying an ideal pencil eliminates only rows of length 4
+    from csawitness import ideals
+    A = make_matrix_algebra(F5, 4)
+    rng = random.Random(7)
+    I1, I2 = random_ideal(A, 2, rng), random_ideal(A, 2, rng)
+    widths = Counter()
+    for mod in (ideals, witness):
+        for name in ("rref", "rank"):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda f, rows, fn=fn, name=name: widths.update(
+                [(name, len(rows[0]) if rows else 0)]) or fn(f, rows))
+    w = connect_ideals(I1, I2)
+    assert verify_witness(w, exhaustive(F5)).passed
+    assert widths[("rref", 4)] and widths[("rank", 4)]
+    assert {width for _, width in widths} <= {0, 4}
+
+
+def test_a_pencil_that_drops_rank_at_a_sample_keeps_its_detail():
+    # on M3(F_7) the pencil from (e1, e2) at t = 1 to (e2, e1) at t = 0 has
+    # the same column space at both ends, and its two vectors at t are
+    # dependent exactly where det [[t, 1 - t], [1 - t, t]] = 2t - 1 vanishes,
+    # at t = 4; there the ideal's construction and the sample's rank check
+    # both fail with the same message, and everywhere else both pass
+    A = make_matrix_algebra(F7, 3)
+    pres = module_presentation(A)
+    e1, e2 = (1, 0, 0), (0, 1, 0)
+    wb, wpb = [e1, e2], [e2, e1]
+    validity = witness._subspace_validity(pres, wb, wpb, [2])
+    assert validity == Poly.from_ints(F7, [-1, 2])
+    I = pres.ideal_from_subspace(wb)
+    w = PencilWitness(witness.IdealPencil.tag, I, I, validity,
+                      {"pencil_w": wb, "pencil_w_prime": wpb}, algebra=A, meta={"rdim": 2})
+    for t in exhaustive(F7):
+        want = "pencil drops rank at t=4" if t == 4 else None
+        try:
+            assert w.evaluate(t) == I
+            got = None
+        except StructuralError as exc:
+            got = str(exc)
+        assert got == want
+        assert _outcome(w.record.check_sample, w, t) == ((False, want) if want else (True, ""))
+    report = verify_witness(w, exhaustive(F7))
+    assert report.passed
+    assert "membership@t=4" not in [n for n, _, _ in report.checks]
+    entries = witness._sampled(w, None, [4], lambda t: w.record.check_sample(w, t))
+    assert entries == [("membership@t=4", False, "pencil drops rank at t=4")]
