@@ -19,7 +19,7 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    dependency, first_dependency, int_dependency, int_first_dependency, int_rank,
+    dependency, first_dependency, int_dependency, int_intertwiner_mismatch,
     intertwiner_mismatch, kernel, lift_matrix, mat_vec, rank, rref, solve,
     transpose,
 )
@@ -49,10 +49,10 @@ def _mult_matrix(f, x, table):
 class Algebra:
     __slots__ = ("field", "dim", "degree", "labels", "table", "unit", "preset",
                  "_closure_gens", "_preset_gens", "_flat", "_flat_scale", "_lift",
-                 "_symplectic", "_presentation", "__weakref__")
+                 "_lifted_unit", "_symplectic", "_presentation", "__weakref__")
 
     def __init__(self, field, table, degree, labels=None, unit=None,
-                 preset=None, _trusted=False, _preset_gens=False):
+                 preset=None, _trusted=False, _preset_gens=False, _flat=None):
         dim = len(table)
         if degree * degree != dim:
             raise InvalidInputError(f"dimension {dim} is not degree^2 = {degree * degree}")
@@ -79,26 +79,37 @@ class Algebra:
         # ints over one scale, flattened per left index i into (j, k, c)
         # triples: e_i e_j has coordinate c / _flat_scale at k.  Over Q it
         # lifts its operands with _lift; over F_p the scalars are ints
-        # already and _lift is None.
-        self._flat = self._flat_scale = self._lift = None
+        # already and _lift is None.  A constructor that knows the triples
+        # passes them as _flat, at scale 1 (make_matrix_algebra).
+        flat = _flat
+        self._flat = self._flat_scale = self._lift = self._lifted_unit = None
         if isinstance(field, INTEGER_CORE):
             self._lift = None if field.int_modulus else field.lift_vector
-            terms = [(i, j, k, c) for i, row in enumerate(self.table)
-                     for j, entry in enumerate(row) for k, c in entry]
-            consts, self._flat_scale = field.lift_vector([t[3] for t in terms])
-            p = field.int_modulus
-            flat = [[] for _ in range(dim)]
-            for (i, j, k, _), c in zip(terms, consts):
-                if c % p if p else c:
-                    flat[i].append((j, k, c))
-            self._flat = tuple(map(tuple, flat))
+            self._flat, self._flat_scale = (flat, 1) if flat else self._flat_table()
         if not _trusted:
             self._check_associativity()
         if unit is None:
             unit = self._find_unit()
         self.unit = tuple(unit)
+        if self._flat is not None:
+            # the first power of every _int_powers sequence, lifted once
+            ints, scale = self._lifted(self.unit)
+            self._lifted_unit = tuple(ints), scale
         if not _trusted:
             self._check_unit()
+
+    def _flat_table(self):
+        """(_flat, _flat_scale) from the table, every constant lifted."""
+        field = self.field
+        terms = [(i, j, k, c) for i, row in enumerate(self.table)
+                 for j, entry in enumerate(row) for k, c in entry]
+        consts, scale = field.lift_vector([t[3] for t in terms])
+        p = field.int_modulus
+        flat = [[] for _ in range(self.dim)]
+        for (i, j, k, _), c in zip(terms, consts):
+            if c % p if p else c:
+                flat[i].append((j, k, c))
+        return tuple(map(tuple, flat)), scale
 
     # -- construction-time checks -------------------------------------------
 
@@ -246,11 +257,10 @@ class Algebra:
                         out[k] += xi * yj * c
         return out
 
-    def _int_mult_matrix(self, x, right=False):
-        """(int rows, scale) of left multiplication by x, or of right
-        multiplication if right, walking the flat table with x lifted once:
+    def _int_mult_matrix(self, x, scale, right=False):
+        """(int rows, scale) of left multiplication by x = ints / scale, or
+        of right multiplication if right, walking the flat table:
         L[k][j] += x_i c and R[k][i] += x_j c over (j, k, c) in _flat[i]."""
-        x, scale = self._lifted(x)
         m = [[0] * self.dim for _ in range(self.dim)]
         for i, terms in enumerate(self._flat):
             if right:
@@ -264,17 +274,13 @@ class Algebra:
                     m[k][j] += xi * c
         return m, scale * self._flat_scale
 
-    def int_powers(self, x):
-        """Over F_p and Q, the powers 1, x, x^2, ... of x as (ints, scale)
-        pairs with x^k = ints / scale, x lifted once and every product an
-        int one (reduced mod p over F_p); None over other fields."""
-        if self._flat is None:
-            return None
-        return self._int_powers(*self._lifted(x))
-
     def _int_powers(self, x, xscale):
+        """Over F_p and Q, the powers 1, x, x^2, ... of x = ints / xscale as
+        (ints, scale) pairs with x^k = ints / scale, every product an int
+        one (reduced mod p over F_p), from the unit lifted once per
+        algebra."""
         p = self.field.int_modulus
-        cur, scale = self._lifted(self.unit)
+        cur, scale = self._lifted_unit
         step = xscale * self._flat_scale
         while True:
             yield cur, scale
@@ -303,50 +309,64 @@ class Algebra:
         """Matrix of y -> y x."""
         return _mult_matrix(self.field, x, tuple(zip(*self.table)))
 
-    def _lower_rows(self, rows, scale):
-        lower = self.field.lower_vector
-        return [lower(r, scale) for r in rows]
-
     def left_minus_right_matrix(self, x, y):
-        """Matrix of u -> x u - u y; over F_p and Q each entry is lowered
-        once from the int difference at the common scale."""
+        """Matrix of u -> x u - u y, by the field methods over every field
+        (commutator_rows holds it as int rows over F_p and Q)."""
+        sub = self.field.sub
+        return [[sub(a, b) for a, b in zip(r, q)]
+                for r, q in zip(self.left_mult_matrix(x), self.right_mult_matrix(y))]
+
+    def commutator_rows(self, pairs):
+        """The rows of the conditions x u = u y, one block per (x, y) in
+        pairs, as (rows, lifted) for linalg's rank and kernel (the
+        intertwiner spaces of witness.py are their kernels).  Over F_p and
+        Q rows is None and lifted is (int rows, None): each block is
+        L_x s_y - R_y s_x, x and y lifted once (once for both when x = y,
+        where the scales cancel), at a scale of its own, which rank and
+        kernel do not read; nothing is lowered.  Over other fields it is the
+        stacked left_minus_right_matrix and None."""
         if self._flat is None:
-            sub = self.field.sub
-            return [[sub(a, b) for a, b in zip(r, q)]
-                    for r, q in zip(self.left_mult_matrix(x), self.right_mult_matrix(y))]
-        (lm, sl), (rm, sr) = self._int_mult_matrix(x), self._int_mult_matrix(y, right=True)
-        return self._lower_rows([[a * sr - b * sl for a, b in zip(r, q)]
-                                 for r, q in zip(lm, rm)], sl * sr)
+            return [row for x, y in pairs for row in self.left_minus_right_matrix(x, y)], None
+        rows = []
+        for x, y in pairs:
+            lx = self._lifted(x)
+            ly = lx if y == x else self._lifted(y)
+            (lm, sl), (rm, sr) = self._int_mult_matrix(*lx), self._int_mult_matrix(*ly, right=True)
+            if sl == sr:
+                rows += [[a - b for a, b in zip(r, q)] for r, q in zip(lm, rm)]
+            else:
+                rows += [[a * sr - b * sl for a, b in zip(r, q)] for r, q in zip(lm, rm)]
+        return None, (rows, None)
 
     def centralizer_dim(self, x):
         """dim of the centralizer {u : x u = u x}: dim A minus the rank of
-        u -> x u - u x.  Over F_p and Q the rank is taken on the int rows
-        L_x - R_x, both at the scale of x, with no entry lowered."""
-        if self._flat is None:
-            return self.dim - rank(self.field, self.left_minus_right_matrix(x, x))
-        (lm, _), (rm, _) = self._int_mult_matrix(x), self._int_mult_matrix(x, right=True)
-        return self.dim - int_rank(self.field, [[a - b for a, b in zip(r, q)]
-                                                for r, q in zip(lm, rm)])
+        u -> x u - u x, taken over F_p and Q on the int rows L_x - R_x, both
+        at the scale of x, with no entry lowered."""
+        return self.dim - rank(self.field, *self.commutator_rows([(x, x)]))
 
-    def sandwich_matrix(self, u, mat, v):
-        """The matrix of y -> u (mat y) v.  Over F_p and Q, u, v and the
-        columns of mat are lifted once and each column is two int products,
-        lowered once."""
+    def sandwich_matrix(self, u, mat, v, lifted=None):
+        """The matrix of y -> u (mat y) v as (mat, lifted), the pair an
+        involution holds (involutions.Involution).  Over F_p and Q it is
+        (None, (int rows, scale)): u, v and the columns of mat, or of lifted
+        = lift_matrix of mat where the caller holds it (mat is not read
+        then), are lifted once, each column is two int products, and nothing
+        is lowered.  Over other fields it is (tuple rows, None)."""
         if self._flat is None:
-            return transpose([self.mul(self.mul(u, col), v) for col in transpose(mat)])
+            return tuple(zip(*[self.mul(self.mul(u, col), v) for col in zip(*mat)])), None
         (u, su), (v, sv) = self._lifted(u), self._lifted(v)
-        cols, sm = self.field.lift_rows(transpose(mat))
-        images = [self._int_mul(self._int_mul(u, col), v) for col in cols]
-        return self._lower_rows(transpose(images), su * sm * sv * self._flat_scale ** 2)
+        rows, sm = lift_matrix(self.field, mat) if lifted is None else lifted
+        images = [self._int_mul(self._int_mul(u, col), v) for col in zip(*rows)]
+        return None, ([list(r) for r in zip(*images)], su * sm * sv * self._flat_scale ** 2)
 
     def anti_automorphism_mismatch(self, mat, lifted=None):
         """The first (i, g), over g in closure_generators() and then basis
         indices i, with sigma(e_i g) != sigma(g) sigma(e_i) for the linear
         map sigma of matrix mat; None if there is none.  For each g this is
         mat R_g = L_sigma(g) mat, whose column i is that equation; over F_p
-        and Q it is compared on the int multiplication matrices.  lifted is
-        lift_matrix of mat where the caller holds it; it is lifted here
-        only when None, as mat_vec does.
+        and Q it is compared on the int multiplication matrices
+        (linalg.int_intertwiner_mismatch).  lifted is lift_matrix of mat
+        where the caller holds it; it is lifted here only when None, as
+        mat_vec does.
         """
         f = self.field
         if lifted is None:
@@ -357,9 +377,9 @@ class Algebra:
                 i = intertwiner_mismatch(f, mat, self.right_mult_matrix(g),
                                          self.left_mult_matrix(sigma_g))
             else:
-                i = intertwiner_mismatch(f, mat, None, None, (
-                    lifted, self._int_mult_matrix(g, right=True),
-                    self._int_mult_matrix(sigma_g)))
+                i = int_intertwiner_mismatch(
+                    f, lifted, self._int_mult_matrix(*self._lifted(g), right=True),
+                    self._int_mult_matrix(*self._lifted(sigma_g)))
             if i is not None:
                 return i, g
         return None
@@ -430,34 +450,38 @@ class Algebra:
         y x = 1 is kept.
 
         The dependency is linalg.dependency on the powers, and over F_p and
-        Q linalg.int_dependency on the int powers (int_powers); no rref
+        Q linalg.int_dependency on the int powers (_int_powers); no rref
         basis is built.  Over F_p and Q a zero divisor returns None with
         nothing lowered, and the inverse is summed from the kept powers as
-        ints at the scale of x^(d-1), then lowered once."""
+        ints at the scale of x^(d-1), checked against the unit as an int
+        product with x, and lowered once."""
         f = self.field
-        lifted = self.int_powers(x)
         powers = []
-        if lifted is None:
+        if self._flat is None:
             comb, _ = dependency(f, _recorded(_powers(self, x), powers))
             if f.is_zero(comb[0]):
                 return None
             scale = f.neg(f.inv(comb[0]))
             y = tuple(mat_vec(f, transpose(powers[:-1]), [f.mul(scale, a) for a in comb[1:]]))
-        else:
-            comb, _ = int_dependency(f, _recorded(lifted, powers))
-            p = f.int_modulus
-            if not (comb[0] % p if p else comb[0]):
-                return None
-            top = powers[len(comb) - 2][1]   # the scale of x^(d-1)
-            acc = [0] * self.dim
-            for c, (ints, scale) in zip(comb[1:], powers):
-                if c:
-                    c *= top // scale
-                    acc = [a + c * v for a, v in zip(acc, ints)]
-            y = tuple(f.lower_vector([-a for a in acc], comb[0] * top))
-        if self.mul(y, x) != self.unit:
+            return y if self.mul(y, x) == self.unit else None
+        (x, xs), p = self._lifted(x), f.int_modulus
+        comb, _ = int_dependency(f, _recorded(self._int_powers(x, xs), powers))
+        if not (comb[0] % p if p else comb[0]):
             return None
-        return y
+        top = powers[len(comb) - 2][1]   # the scale of x^(d-1)
+        acc = [0] * self.dim
+        for c, (ints, scale) in zip(comb[1:], powers):
+            if c:
+                c *= top // scale
+                acc = [a + c * v for a, v in zip(acc, ints)]
+        y, ys = [-a for a in acc], comb[0] * top
+        # y x = 1: the ints of y x over ys xs t against those of the unit
+        unit, us = self._lifted_unit
+        yx_scale = ys * xs * self._flat_scale
+        diff = [a * us - b * yx_scale for a, b in zip(self._int_mul(y, x), unit)]
+        if any([d % p for d in diff] if p else diff):
+            return None
+        return tuple(f.lower_vector(y, ys))
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and other.field == self.field
@@ -546,21 +570,16 @@ def poly_eval_at_element(f, x):
 def minimal_polynomial_and_power_basis(x):
     """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
     d = deg(minpoly), and the rref basis and pivots of their span, from the
-    first linear dependency of the powers 1, x, x^2, ...  Over F_p and Q the
-    powers are int products of x lifted once (Algebra.int_powers), and only
-    the d kept powers are lowered."""
+    first linear dependency of the powers 1, x, x^2, ..., by the field
+    methods over every field.  etale.generate_etale runs the same
+    elimination on the int powers over F_p and Q and lowers nothing it does
+    not hand out."""
     alg = x.algebra
     f = alg.field
     seen = []
-    lifted = alg.int_powers(x.coords)
-    if lifted is None:
-        coeffs, basis, pivots = first_dependency(f, _recorded(_powers(alg, x.coords), seen))
-        powers = seen[:len(coeffs)]
-    else:
-        coeffs, basis, pivots = int_first_dependency(f, _recorded(lifted, seen))
-        powers = [tuple(f.lower_vector(*v)) for v in seen[:len(coeffs)]]
+    coeffs, basis, pivots = first_dependency(f, _recorded(_powers(alg, x.coords), seen))
     mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
-    return mp, powers, basis, pivots
+    return mp, seen[:len(coeffs)], basis, pivots
 
 
 def _recorded(vectors, seen):
@@ -602,7 +621,10 @@ def make_matrix_algebra(field, n):
         raise InvalidInputError("n must be >= 1")
     dim = n * n
     one = field.one
-    # the n^3 nonzero products E_rc E_cs = E_rs; every other one is zero
+    # the n^3 nonzero products E_rc E_cs = E_rs; every other one is zero.
+    # flat holds them as the (j, k, c) triples of Algebra._flat, E_rc at
+    # index r n + c and each constant the int 1, so the int core need not
+    # walk the table
     table = []
     for r in range(n):
         for c in range(n):
@@ -611,10 +633,13 @@ def make_matrix_algebra(field, n):
                 row[c * n + s] = ((r * n + s, one),)
             table.append(tuple(row))
     table = tuple(table)
+    flat = tuple(tuple((c * n + s, r * n + s, 1) for s in range(n))
+                 for r in range(n) for c in range(n))
     labels = [f"E{r + 1}{c + 1}" for r in range(n) for c in range(n)]
     unit = [one if divmod(i, n)[0] == divmod(i, n)[1] else field.zero for i in range(dim)]
     return Algebra(field, table, n, labels=labels, unit=unit,
-                   preset={"kind": "matrix", "n": n}, _trusted=True, _preset_gens=True)
+                   preset={"kind": "matrix", "n": n}, _trusted=True, _preset_gens=True,
+                   _flat=flat)
 
 
 def make_quaternion(field, a, b):

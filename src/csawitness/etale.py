@@ -3,8 +3,10 @@
 A subalgebra is stored with a primitive generator, its minimal polynomial
 (required squarefree) and the canonical rref basis of its linear span, so
 subspace equality is exact.  The minimal polynomial and the basis come
-from one elimination over the powers 1, x, x^2, ...
-(algebra.minimal_polynomial_and_power_basis).
+from one elimination over the powers 1, x, x^2, ...: over F_p and Q that
+of linalg.int_dependency on the int powers (Algebra._int_powers), whose
+results the subalgebra keeps lifted and lowers only when they are read;
+over F_{p^k} that of algebra.minimal_polynomial_and_power_basis.
 The type of a subalgebra is the multiset of geometric idempotent ranks, the
 root multiplicities of the generator's reduced characteristic polynomial.
 etale_type reads them off with gcds against the squarefree minimal
@@ -21,15 +23,19 @@ witness.symplectic_fixing_involution, the demos).
 """
 
 from .algebra import (
-    minimal_polynomial_and_power_basis, poly_eval_at_element, reduced_char_poly,
+    _recorded, minimal_polynomial_and_power_basis, poly_eval_at_element,
+    reduced_char_poly,
 )
 from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )
 from .fields import Rationals
 from .ideals import ideal_generated
-from .linalg import in_row_space, rref
-from .poly import Poly, factor, poly_gcd, poly_ext_gcd, poly_squarefree, rational_roots
+from .linalg import in_row_space, int_dependency, int_rref_lifted, rref
+from .poly import (
+    Poly, factor, int_squarefree_certified, poly_gcd, poly_ext_gcd, poly_squarefree,
+    rational_roots,
+)
 
 
 class Partition:
@@ -58,19 +64,59 @@ class Partition:
 
 
 class EtaleSubalgebra:
-    __slots__ = ("algebra", "generator", "minpoly", "basis", "pivots", "_type")
+    """A subalgebra generated by one element, with its minimal polynomial
+    and the rref basis of its span.
+
+    Equality and hash read the basis lifted (_rows): each rref row as the
+    pair (ints, scale) that Algebra._lifted gives of it (lift_vector over
+    Q, the row itself at scale 1 over F_p and F_{p^k}), one pair per
+    subspace.  Built from a basis, the subalgebra lifts it once; built by
+    generate_etale over F_p and Q, it holds only the lifted rows and the
+    minimal polynomial's ints (_mp_ints, with the polynomial their ratio
+    to the last), and lowers basis and minpoly on their first read."""
+
+    __slots__ = ("algebra", "generator", "pivots", "_rows", "_basis", "_minpoly",
+                 "_mp_ints", "_type")
 
     def __init__(self, algebra, generator, minpoly, basis, pivots):
         self.algebra = algebra
         self.generator = generator
-        self.minpoly = minpoly
-        self.basis = tuple(tuple(r) for r in basis)
+        self._mp_ints = None
+        self._minpoly = minpoly
+        self._basis = tuple(tuple(r) for r in basis)
+        self._rows = tuple((tuple(v), s) for v, s in map(algebra._lifted, self._basis))
         self.pivots = tuple(pivots)
         self._type = None
 
+    @classmethod
+    def _from_lifted(cls, algebra, generator, mp_ints, rows, pivots):
+        """The subalgebra of generate_etale's int elimination: rows from
+        linalg.int_rref_lifted, mp_ints = (ints, lead) with the minimal
+        polynomial ints / lead, lowest degree first."""
+        E = cls.__new__(cls)
+        E.algebra, E.generator, E.pivots = algebra, generator, tuple(pivots)
+        E._rows = tuple((tuple(v), s) for v, s in rows)
+        E._basis = E._minpoly = E._type = None
+        E._mp_ints = mp_ints
+        return E
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            lower = self.algebra.field.lower_vector
+            self._basis = tuple(tuple(lower(v, s)) for v, s in self._rows)
+        return self._basis
+
+    @property
+    def minpoly(self):
+        if self._minpoly is None:
+            f = self.algebra.field
+            self._minpoly = Poly(f, f.lower_vector(*self._mp_ints))
+        return self._minpoly
+
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
     def contains(self, coords):
         return in_row_space(self.algebra.field, self.basis, self.pivots, coords)
@@ -81,10 +127,10 @@ class EtaleSubalgebra:
     def __eq__(self, other):
         """Subspace equality: independent of the chosen generator."""
         return (isinstance(other, EtaleSubalgebra) and other.algebra == self.algebra
-                and other.basis == self.basis)
+                and other._rows == self._rows)
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(self._rows)
 
     def __repr__(self):
         return f"EtaleSubalgebra(dim={self.dim} of degree-{self.algebra.degree} algebra)"
@@ -93,25 +139,53 @@ class EtaleSubalgebra:
 def generate_etale(a):
     """The subalgebra spanned by the powers of a; requires a squarefree
     minimal polynomial (separability).  Maximal iff its dimension equals the
-    degree of the ambient algebra."""
-    mp, powers, basis, pivots = minimal_polynomial_and_power_basis(a)
-    if not poly_squarefree(mp):
-        raise NotEtaleError(
-            f"minimal polynomial of degree {mp.degree} is not squarefree")
-    _check_commutative(a.algebra, powers)
-    return EtaleSubalgebra(a.algebra, a, mp, basis, pivots)
+    degree of the ambient algebra.
+
+    Over F_p and Q the powers are int products of a lifted once, from the
+    unit the algebra lifted once (Algebra._int_powers), and
+    linalg.int_dependency finds their first dependency, comb.  comb is the
+    minimal polynomial times comb[d]: the squarefree certificate over Q
+    reads it (poly.int_squarefree_certified), the commutativity check reads
+    the int powers, and the basis is the int rref of the kept rows, held
+    lifted (linalg.int_rref_lifted).  Nothing is lowered here; F_{p^k}
+    takes minimal_polynomial_and_power_basis."""
+    alg = a.algebra
+    if alg._flat is None:
+        mp, powers, basis, pivots = minimal_polynomial_and_power_basis(a)
+        if not poly_squarefree(mp):
+            raise NotEtaleError(
+                f"minimal polynomial of degree {mp.degree} is not squarefree")
+        _check_commutative(powers, lambda u, v: alg.mul(u, v) == alg.mul(v, u))
+        return EtaleSubalgebra(alg, a, mp, basis, pivots)
+    f = alg.field
+    seen = []
+    comb, kept = int_dependency(f, _recorded(alg._int_powers(*alg._lifted(a.coords)), seen))
+    d = len(comb) - 1
+    E = EtaleSubalgebra._from_lifted(alg, a, (comb, comb[d]), *int_rref_lifted(f, kept))
+    if not (int_squarefree_certified(f, comb) or poly_squarefree(E.minpoly)):
+        raise NotEtaleError(f"minimal polynomial of degree {d} is not squarefree")
+    p = f.int_modulus
+
+    def commute(u, v):
+        diff = [x - y for x, y in zip(alg._int_mul(u[0], v[0]), alg._int_mul(v[0], u[0]))]
+        return not any([x % p for x in diff] if p else diff)
+
+    _check_commutative(seen[:d], commute)
+    return E
 
 
-def _check_commutative(alg, powers):
+def _check_commutative(powers, commute):
     """x^i x^j = x^j x^i for 1 <= i < j < d, so the span of the powers
     x^0..x^(d-1) is commutative: the product is bilinear, and x^0 is the
     unit, two-sided by Algebra's unit check or by preset construction.
     Powers of one element commute when the product is associative; kept
     because an explicit table above dimension 256 has its associativity
-    checked only on samples."""
+    checked only on samples.  commute(u, v) tells whether u v = v u, for
+    powers as generate_etale holds them (over F_p and Q, int products of
+    (ints, scale) pairs at one scale each way)."""
     for i in range(1, len(powers)):
         for c in powers[i + 1:]:
-            if alg.mul(powers[i], c) != alg.mul(c, powers[i]):
+            if not commute(powers[i], c):
                 raise StructuralError("subalgebra basis does not commute")
 
 

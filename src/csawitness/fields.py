@@ -228,7 +228,8 @@ class PrimeField:
 
     def lower_vector(self, ints, scale=1):
         """The canonical scalars ints[i] / scale mod p.  A lifted F_p vector
-        has scale 1, but int_first_dependency takes vectors at any scale."""
+        has scale 1, but a dependency's coefficients (int_dependency) come at
+        any scale."""
         p = self.p
         if scale != 1:
             inv = pow(scale, -1, p)

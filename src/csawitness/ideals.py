@@ -20,15 +20,17 @@ the endpoints of every pencil use, skips the check.  It eliminates once, in
 V: the columns have disjoint supports, so the rref of W placed in each
 column is the rref of the whole ideal, and RightIdeal takes that basis as
 it is.  The D-rows that span W are products by four block-diagonal maps of
-V, lifted once per presentation.  The pencils of witness.py (an
-ideal pencil is the one-level flag pencil) move D-bases of column spaces, so
-they need column spaces free over D.  d_basis_of picks its basis from the
-rows and, where a row falls short, from sums of two rows, and raises
-StructuralError when that choice fails, which only a split quaternion factor
-allows; the column space may still be free.
+V, lifted once per presentation; over F_p and Q the vectors are lifted
+once for all four, and the rows stay int rows for the eliminations.  The
+pencils of witness.py (an ideal pencil is the one-level flag pencil) move
+D-bases of column spaces, so they need column spaces free over D.
+d_basis_of picks its basis from the rows and, where a row falls short, from
+sums of two rows, and raises StructuralError when that choice fails, which
+only a split quaternion factor allows; the column space may still be free.
 """
 
 import weakref
+from operator import mul
 
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
@@ -137,14 +139,16 @@ def splitting_idempotent(ideal):
     (RightIdeal._lifted, b_s = ints_s / s): b_s b_r is Algebra._int_mul of
     ints_s and ints_r over s^2 t, t = Algebra._flat_scale, so block r reads
     sum_s mu_s _int_mul(ints_s, ints_r) = ints_r s t, one int system for
-    linalg.int_solve.  The self-check e^2 = e compares _int_mul(e, e) with
-    e at the same scale.  No operand is lifted twice, and only mu and e are
-    lowered.  F_{p^k} takes the method path.
+    linalg.int_solve.  Its solution mu = ints / den gives e = sum mu_r b_r
+    as the ints sum ints_mu_r ints_r over den s, and the self-check e^2 = e
+    compares _int_mul(e, e) with e at the same scale.  No operand is lifted
+    twice, and only e is lowered, once.  F_{p^k} takes the method path.
     """
     alg = ideal.algebra
     f = alg.field
     if not ideal.basis:
         return alg.zero
+    no_unit = "no left unit exists; the input is not a right ideal of a semisimple algebra"
     if ideal._lifted is None:
         rows, rhs = [], []
         for b_r in ideal.basis:
@@ -152,6 +156,10 @@ def splitting_idempotent(ideal):
             rows.extend(zip(*[alg.mul(b_s, b_r) for b_s in ideal.basis]))
             rhs.extend(b_r)
         mu = solve(f, rows, rhs)
+        if mu is None:
+            raise StructuralError(no_unit)
+        elem = alg.element(mat_vec(f, transpose(ideal.basis), mu))
+        idempotent = (elem * elem - elem).is_zero()
     else:
         ints, s = ideal._lifted
         scale = s * alg._flat_scale
@@ -159,18 +167,16 @@ def splitting_idempotent(ideal):
         for b_r in ints:
             prods = [alg._int_mul(b_s, b_r) for b_s in ints]
             aug.extend([*row, x * scale] for row, x in zip(zip(*prods), b_r))
-        mu = int_solve(f, aug)
-    if mu is None:
-        raise StructuralError("no left unit exists; the input is not a right "
-                              "ideal of a semisimple algebra")
-    elem = alg.element(mat_vec(f, transpose(ideal.basis), mu))
-    if ideal._lifted is None:
-        idempotent = (elem * elem - elem).is_zero()
-    else:
-        x, s = alg._lifted(elem.coords)
+        solved = int_solve(f, aug)
+        if solved is None:
+            raise StructuralError(no_unit)
+        mu, den = solved
+        x = [sum(map(mul, mu, col)) for col in zip(*ints)]
+        xs = den * s
         p = f.int_modulus
-        diff = [u - v * s * alg._flat_scale for u, v in zip(alg._int_mul(x, x), x)]
+        diff = [u - v * xs * alg._flat_scale for u, v in zip(alg._int_mul(x, x), x)]
         idempotent = not any([d % p for d in diff] if p else diff)
+        elem = alg.element(f.lower_vector(x, xs))
     if not idempotent:
         raise StructuralError("solved element is not idempotent")  # pragma: no cover
     return elem
@@ -323,8 +329,9 @@ class ModulePresentation:
     coordinate in column 0 (V's own order except on H x M_m, where l runs
     slowest in A), and _sorted_cols lists each column's coordinates in it.
     Right multiplication by the basis element d_l of D acts slot by slot,
-    as a block-diagonal vlen x vlen matrix; __init__ builds the four, and
-    lifts each once (linalg.lift_matrix), for d_rows.
+    as a block-diagonal vlen x vlen matrix; __init__ builds the four, in V's
+    order and in _order, and lifts each set once to one scale
+    (linalg.lift_matrix), for d_rows.
 
     Built once per algebra: use module_presentation(A).  A keeps it, so it
     refers to A weakly, and reference counting frees the two together.
@@ -365,14 +372,18 @@ class ModulePresentation:
                            for col in range(m))
         self._order = tuple(sorted(range(self.vlen), key=self._cols[0].__getitem__))
         self._sorted_cols = tuple(tuple(c[i] for i in self._order) for c in self._cols)
-        self._dmaps = []
+        self._dmaps = self._omaps = None
         if self.D is not None:
             zero = self.field.zero
+            maps = []
             for l in range(4):
                 block = self.D.right_mult_matrix(self.D.basis_coords(l))
-                rows = [[zero] * (4 * r) + list(b) + [zero] * (self.vlen - 4 * r - 4)
-                        for r in range(m) for b in block]
-                self._dmaps.append((rows, lift_matrix(self.field, rows)))
+                maps.append([[zero] * (4 * r) + list(b) + [zero] * (self.vlen - 4 * r - 4)
+                             for r in range(m) for b in block])
+            omaps = [[rows[i] for i in self._order] for rows in maps]
+            # each set with the four maps stacked and lifted to one scale
+            self._dmaps = maps, lift_matrix(self.field, [r for rows in maps for r in rows])
+            self._omaps = omaps, lift_matrix(self.field, [r for rows in omaps for r in rows])
 
     # coordinate layout helpers -------------------------------------------
 
@@ -381,14 +392,34 @@ class ModulePresentation:
         return tuple(coords[i] for i in self._cols[col])
 
     def d_rows(self, vecs):
-        """F-spanning rows of the right D-span of vecs: v d for each v in
-        vecs and, inside, each d of the F-basis of D, each one mat_vec by a
-        lifted block map.  Over F (no D) they are the vectors themselves,
-        whose scalars callers keep canonical."""
-        if self.D is None:
-            return [tuple(v) for v in vecs]
+        """F-spanning rows of the right D-span of vecs, as (rows, lifted)
+        for linalg's rref and rank: v d for each v in vecs and, inside, each
+        d of the F-basis of D, the product by d's block map.  Over F_p and Q
+        the vectors are lifted once, to one scale s, and each row is an int
+        product by a lifted block map: rows is None, lifted is (int rows,
+        s * the maps' scale), and nothing is lowered.  Over F_{p^k} it is
+        (rows, None), by mat_vec.  Over F (no D) the rows are the vectors
+        themselves, with their lift."""
+        return self._d_rows(vecs, self._dmaps)
+
+    def _d_rows(self, vecs, maps):
+        """d_rows by the block maps maps (_dmaps in V's order, _omaps in
+        _order, which is V's own order when there is no D)."""
         f = self.field
-        return [tuple(mat_vec(f, rows, v, lifted)) for v in vecs for rows, lifted in self._dmaps]
+        vecs = [tuple(v) for v in vecs]
+        lifted = lift_matrix(f, vecs)
+        if self.D is None:
+            return vecs, lifted
+        blocks, lifted_blocks = maps
+        if lifted is None:
+            return [tuple(mat_vec(f, b, v)) for v in vecs for b in blocks], None
+        (ints, s), (stacked, sm) = lifted, lifted_blocks
+        n = self.vlen
+        rows = []
+        for v in ints:
+            prods = [sum(map(mul, row, v)) for row in stacked]
+            rows += [prods[i:i + n] for i in range(0, len(prods), n)]
+        return None, (rows, s * sm)
 
     # subspaces --------------------------------------------------------------
 
@@ -414,25 +445,28 @@ class ModulePresentation:
         free."""
         field = self.field
         chosen = list(extend_from)
-        span_rows = self.d_rows(chosen)
-        span, pivots = rref(field, span_rows)
+        span, pivots = rref(field, *self.d_rows(chosen))
+        # the span lifted once per growth, for the membership tests
+        lifted_span = lift_matrix(field, span)
 
         def take(cand):
-            nonlocal span, pivots
-            grown, grown_pivots = rref(field, span_rows + self.d_rows([cand]))
+            nonlocal span, pivots, lifted_span
+            grown, grown_pivots = rref(field, *self.d_rows(chosen + [cand]))
             if len(grown) - len(span) != self.d2:
                 return False
             chosen.append(cand)
-            span_rows.extend(self.d_rows([cand]))
-            span, pivots = grown, grown_pivots
+            span, pivots, lifted_span = grown, grown_pivots, lift_matrix(field, grown)
             return True
+
+        def outside(row):
+            return not in_row_space(field, span, pivots, row, lifted_span)
 
         passed = []
         for cand in map(tuple, f_span_rows):
-            if not in_row_space(field, span, pivots, cand) and not take(cand):
+            if outside(cand) and not take(cand):
                 passed.append(cand)
         while True:
-            passed = [r for r in passed if not in_row_space(field, span, pivots, r)]
+            passed = [r for r in passed if outside(r)]
             if not passed:
                 return chosen
             sums = (tuple(field.add(x, y) for x, y in zip(a, b))
@@ -450,7 +484,8 @@ class ModulePresentation:
         column c of x a is sum_s col_s(x) a_sc, a right D-combination of the
         columns of x.  It is spanned by an F-basis of W placed in each of
         the m columns, and its rref comes from one elimination in V: the
-        rref of d_rows(vecs), with V's positions in _order.  In that order
+        rref of the D-rows of vecs, with V's positions in _order (over F_p
+        and Q int rows, lowered once by the rref).  In that order
         the coordinates of every column increase, so a basis row placed in
         column c has its leading entry at its pivot placed there.  The
         columns have disjoint supports, so no placed row is nonzero at
@@ -460,8 +495,7 @@ class ModulePresentation:
         dimension is m * dim W; RightIdeal raises StructuralError when that
         is not a multiple of the degree.
         """
-        basis, pivots = rref(self.field, [[w[i] for i in self._order]
-                                          for w in self.d_rows(vecs)])
+        basis, pivots = rref(self.field, *self._d_rows(vecs, self._omaps))
         zero, dim = self.field.zero, self._algebra().dim
         placed = []
         for cols in self._sorted_cols:
@@ -497,8 +531,11 @@ def random_ideal(A, rdim, rng):
     f = A.field
     while True:
         vecs = [tuple(f.random(rng) for _ in range(pres.vlen)) for _ in range(r)]
-        if rank(f, pres.d_rows(vecs)) == r * pres.d2:
-            return pres.ideal_from_subspace(vecs)
+        # the D-rows of vecs have full rank r * d2 exactly when the ideal,
+        # m times their span, has dimension m * r * d2: one elimination
+        ideal = pres.ideal_from_subspace(vecs)
+        if ideal.dim() == pres.m * r * pres.d2:
+            return ideal
 
 
 def random_flag(A, signature, rng):
@@ -518,6 +555,6 @@ def random_flag(A, signature, rng):
         r = rd // pres.ind
         while len(vecs) < r:
             cand = tuple(f.random(rng) for _ in range(pres.vlen))
-            if rank(f, pres.d_rows(vecs + [cand])) == (len(vecs) + 1) * pres.d2:
+            if rank(f, *pres.d_rows(vecs + [cand])) == (len(vecs) + 1) * pres.d2:
                 vecs.append(cand)
     return Flag([pres.ideal_from_subspace(vecs[:rd // pres.ind]) for rd in sig])

@@ -31,8 +31,8 @@ from .errors import (
     InvalidFormError, InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from .linalg import (
-    identity, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank, rref,
-    transpose,
+    identity, int_kernel, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
+    rref, transpose,
 )
 from .poly import poly_nth_root
 
@@ -41,24 +41,38 @@ SYMPLECTIC = "symplectic"
 
 
 class Involution:
-    __slots__ = ("algebra", "mat", "kind", "_lifted")
+    """An involution by its coordinate matrix.  Over F_p and Q it holds the
+    matrix lifted (_lifted, linalg.lift_matrix), which apply_coords,
+    sym_basis and twist_by_inner read; one built from the lifted matrix
+    alone (twist_by_inner) lowers mat on its first read."""
+
+    __slots__ = ("algebra", "_mat", "kind", "_lifted")
 
     def __init__(self, algebra, mat, kind):
         self.algebra = algebra
-        self.mat = tuple(tuple(r) for r in mat)
+        self._mat = tuple(tuple(r) for r in mat)
         self.kind = kind
-        self._lifted = lift_matrix(algebra.field, self.mat)
+        self._lifted = lift_matrix(algebra.field, self._mat)
 
     @classmethod
     def _from_parts(cls, algebra, mat, kind, lifted):
         """The involution of a verified tuple-of-tuples matrix, with
-        lifted = lift_matrix(algebra.field, mat) already taken."""
+        lifted = lift_matrix(algebra.field, mat) already taken; mat may be
+        None where lifted is not."""
         sigma = cls.__new__(cls)
-        sigma.algebra, sigma.mat, sigma.kind, sigma._lifted = algebra, mat, kind, lifted
+        sigma.algebra, sigma._mat, sigma.kind, sigma._lifted = algebra, mat, kind, lifted
         return sigma
 
+    @property
+    def mat(self):
+        if self._mat is None:
+            rows, scale = self._lifted
+            lower = self.algebra.field.lower_vector
+            self._mat = tuple(tuple(lower(r, scale)) for r in rows)
+        return self._mat
+
     def apply_coords(self, coords):
-        return tuple(mat_vec(self.algebra.field, self.mat, coords, self._lifted))
+        return tuple(mat_vec(self.algebra.field, self._mat, coords, self._lifted))
 
     def __call__(self, x):
         if isinstance(x, AlgebraElement):
@@ -95,9 +109,17 @@ def sym_dimension(algebra, mat):
 
 
 def sym_basis(sigma):
-    """Canonical (rref) basis of Sym(A, sigma)."""
+    """Canonical (rref) basis of Sym(A, sigma), the kernel of sigma - 1.
+    Over F_p and Q that is linalg.int_kernel of the lifted matrix minus its
+    scale on the diagonal, and the rref of the int kernel vectors, lowered
+    once."""
     f = sigma.algebra.field
-    basis, _ = rref(f, kernel(f, _minus_identity(f, sigma.mat)))
+    if sigma._lifted is None:
+        basis, _ = rref(f, kernel(f, _minus_identity(f, sigma.mat)))
+    else:
+        rows, s = sigma._lifted
+        ints = [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        basis, _ = rref(f, None, int_kernel(f, ints))
     return [tuple(r) for r in basis]
 
 
@@ -263,10 +285,10 @@ def tensor_involution(sigma1, sigma2, product_algebra):
     f = A.field
     dim_b = right.dim
     images = []
-    for i1 in range(left.dim):
-        s1 = sigma1.apply_coords(left.basis_coords(i1))
-        for i2 in range(right.dim):
-            s2 = sigma2.apply_coords(right.basis_coords(i2))
+    # sigma(e_i) is column i of sigma's matrix
+    cols2 = list(zip(*sigma2.mat))
+    for s1 in zip(*sigma1.mat):
+        for s2 in cols2:
             img = [f.zero] * A.dim
             for k1, c1 in enumerate(s1):
                 if f.is_zero(c1):
@@ -316,7 +338,10 @@ def twist_by_inner(sigma, u, u_inv):
         raise InvalidInputError("twisting element u has sigma(u) != u and != -u")
     if A.mul(uc, u_inv) != A.unit:
         raise InvalidInputError("twisting element is not invertible")
-    return Involution(A, A.sandwich_matrix(uc, sigma.mat, u_inv), kind)
+    # over F_p and Q sigma's matrix goes in lifted and the twist comes out
+    # lifted, with no matrix lowered (Algebra.sandwich_matrix)
+    mat, lifted = A.sandwich_matrix(uc, sigma._mat, u_inv, sigma._lifted)
+    return Involution._from_parts(A, mat, kind, lifted)
 
 
 def pfaffian_char_poly(sigma, x):

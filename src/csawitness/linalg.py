@@ -7,21 +7,25 @@ byte-comparable.
 
 The functions on scalars run on field methods.  Over F_p and Q
 (fields.INTEGER_CORE) the ones a workload spends time in branch to an
-integer core instead: rref, rank (so kernel and inverse), mat_vec,
-in_row_space and intertwiner_mismatch.  Each operand is lifted once to ints and a scale
-(fields' lift_vector and lift_rows; lift_matrix lifts a matrix used by many
-calls once), the loop does exact int arithmetic, and each output entry is
-lowered once (lower_vector), or not at all where a result is only compared
-or tested for membership.  int_rank, int_solve, int_in_row_space,
-int_first_dependency, int_dependency and int_prefix_solve take int rows, at
-any scale, from callers that hold them, so nothing is lowered only to be
-lifted back.  mat_mul, reduce_vector, solve, dependency and
+integer core instead: rref, rank, kernel (so inverse), mat_vec and
+in_row_space.  Each operand is lifted once to ints and a scale (fields'
+lift_vector and lift_rows; lift_matrix lifts a matrix used by many calls
+once, and rref, rank, kernel, mat_vec and in_row_space take it as lifted=,
+reading the matrix itself only when it is None), the loop does exact int
+arithmetic, and each output entry is lowered once (lower_vector), or not
+at all where a result is only compared or tested for membership.
+int_rank, int_pivots, int_rref_lifted, int_kernel, int_solve,
+int_in_row_space, int_intertwiner_mismatch, int_dependency and
+int_prefix_solve take int rows, at any scale, from callers that hold them,
+so nothing is lowered only to be lifted back.
+mat_mul, intertwiner_mismatch, reduce_vector, solve, dependency and
 first_dependency keep the field-method path alone: no workload spends
-measurable time in them over F_p or Q.  rref, rank and int_solve read the
-column-wise echelon form of _int_echelon; the incremental eliminations
-int_dependency and int_prefix_solve share one step, _reduce_and_keep.  The
-fields differ only where int_modulus says so: in the zero test, in how a
-row is normalised, and in the final lowering.
+measurable time in them over F_p or Q, or their callers hold the int
+operands.  rref, rank, kernel and int_solve read the column-wise echelon
+form of _int_echelon; the incremental eliminations int_dependency and
+int_prefix_solve share one step, _reduce_and_keep.  The fields differ only
+where int_modulus says so: in the zero test, in how a row is normalised,
+and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -41,7 +45,7 @@ row is normalised, and in the final lowering.
 """
 
 import operator
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 from .fields import INTEGER_CORE
@@ -85,18 +89,18 @@ def _int_mat_mul(a, b):
     return out
 
 
-def intertwiner_mismatch(field, a, b, c, lifted=None):
-    """The first column j in which a b and c a differ, or None if a b = c a.
+def intertwiner_mismatch(field, a, b, c):
+    """The first column j in which a b and c a differ, or None if a b = c a."""
+    cols = zip(zip(*mat_mul(field, a, b)), zip(*mat_mul(field, c, a)))
+    return next((j for j, (u, v) in enumerate(cols) if u != v), None)
 
-    Given lifted = (lift_matrix of a, of b, of c), over F_p and Q, the
-    matrices themselves are not read: the int products are compared as
-    (a b) s_c against (c a) s_b, the common scale s_a cancelled, with no
-    entry lowered.
-    """
-    if lifted is None:
-        cols = zip(zip(*mat_mul(field, a, b)), zip(*mat_mul(field, c, a)))
-        return next((j for j, (u, v) in enumerate(cols) if u != v), None)
-    (a, _), (b, sb), (c, sc) = lifted
+
+def int_intertwiner_mismatch(field, la, lb, lc):
+    """intertwiner_mismatch over F_p and Q on lifted matrices (la, lb, lc =
+    lift_matrix of a, b and c): the int products are compared as (a b) s_c
+    against (c a) s_b, the common scale s_a cancelled, with no entry
+    lowered."""
+    (a, _), (b, sb), (c, sc) = la, lb, lc
     p = field.int_modulus
     for j, (u, v) in enumerate(zip(zip(*_int_mat_mul(a, b)), zip(*_int_mat_mul(c, a)))):
         diff = [x * sc - y * sb for x, y in zip(u, v)]
@@ -108,8 +112,10 @@ def intertwiner_mismatch(field, a, b, c, lifted=None):
 def lift_matrix(field, a):
     """(int rows, scale) with a = rows / scale over F_p and Q, else None.
 
-    Pass it as lifted= to mat_vec or in_row_space (intertwiner_mismatch
-    takes three), so that a matrix used by many calls is lifted once.
+    Pass it as lifted= to rref, rank, kernel, mat_vec or in_row_space, so
+    that a matrix used by many calls is lifted once, or that a matrix a
+    caller holds only lifted is never lowered (int_intertwiner_mismatch
+    takes three).  Only rref, rank and kernel read it at any scale per row.
     """
     if isinstance(field, INTEGER_CORE):
         return field.lift_rows(a)
@@ -117,6 +123,9 @@ def lift_matrix(field, a):
 
 
 def mat_vec(field, a, v, lifted=None):
+    """The product a v.  Over F_p and Q, given lifted = (rows, scale) with
+    a = rows / scale, a is not read: v is lifted once, each entry is one
+    int dot product, and the result is lowered once."""
     if lifted is None:
         lifted = lift_matrix(field, a)
     if lifted is not None:
@@ -140,12 +149,18 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    if not rows:
-        return [], []
-    if isinstance(field, INTEGER_CORE):
-        return _int_rref(field, list(field.lift_rows(rows)[0]))
+def rref(field, rows, lifted=None):
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Over F_p and Q, lifted is lift_matrix of rows where the caller holds it;
+    rows is not read then, and each int row may carry a scale of its own."""
+    if lifted is None:
+        if not rows:
+            return [], []
+        if isinstance(field, INTEGER_CORE):
+            lifted = field.lift_rows(rows)
+    if lifted is not None:
+        return _int_rref(field, list(lifted[0])) if lifted[0] else ([], [])
     m = [list(r) for r in rows]
     ncols = len(m[0])
     sub, mul, div = field.sub, field.mul, field.div
@@ -189,6 +204,25 @@ def _int_rref(field, m):
     is 1 mod p."""
     m, pivots = _int_echelon(field, m)
     return [field.lower_vector(row, row[c]) for row, c in zip(m, pivots)], pivots
+
+
+def int_rref_lifted(field, rows):
+    """rref over F_p and Q of int rows, each at any nonzero scale of its
+    own, with nothing lowered: (lifted, pivots), each rref row as the pair
+    (ints, scale) that lift_vector gives of it.  Over Q a row of
+    _int_echelon is primitive with pivot a, so the denominators of row / a
+    have lcm |a| (a prime power dividing a divides every one but those of
+    the entries it does not divide, and one entry it does not divide
+    exists), and row / a lifts exactly to (sign(a) row, |a|).  Over F_p the
+    pivot is 1 and the lift is the row reduced mod p, at scale 1."""
+    if not rows:
+        return [], []
+    m, pivots = _int_echelon(field, list(rows))
+    p = field.int_modulus
+    if p:
+        return [([x % p for x in row], 1) for row in m], pivots
+    return [(row, row[c]) if row[c] > 0 else ([-x for x in row], -row[c])
+            for row, c in zip(m, pivots)], pivots
 
 
 def _int_echelon(field, m, _reduce=True):
@@ -238,32 +272,45 @@ def _int_echelon(field, m, _reduce=True):
     return m[:r], pivots
 
 
-def rank(field, rows):
-    if isinstance(field, INTEGER_CORE):
-        return int_rank(field, field.lift_rows(rows)[0])
+def rank(field, rows, lifted=None):
+    """The rank of rows; over F_p and Q, lifted as rref takes it."""
+    if lifted is None and isinstance(field, INTEGER_CORE):
+        lifted = field.lift_rows(rows)
+    if lifted is not None:
+        return int_rank(field, lifted[0])
     return len(rref(field, rows)[0])
 
 
 def int_rank(field, rows):
     """rank over F_p and Q of int rows, at any nonzero scale, with no entry
     lowered, by forward elimination."""
-    return len(_int_echelon(field, list(rows), _reduce=False)[1]) if rows else 0
+    return len(int_pivots(field, rows))
+
+
+def int_pivots(field, rows):
+    """The pivot columns of the rref of int rows over F_p and Q, at any
+    nonzero scale, by forward elimination, with no entry lowered: the
+    columns where the row space first reaches a new dimension, which the
+    reduced form shares."""
+    return _int_echelon(field, list(rows), _reduce=False)[1] if rows else []
 
 
 def int_solve(field, aug):
     """solve over F_p and Q for the int augmented matrix aug = [a | b], at
-    any nonzero common scale (it cancels): one x with a x = b, free
-    variables 0, or None if inconsistent.  Only the solution is lowered,
-    each entry once as the last column of its echelon row over the row's
-    pivot."""
+    any nonzero common scale (it cancels), with nothing lowered: one x with
+    a x = b, free variables 0, as (ints, scale) with x = ints / scale, or
+    None if inconsistent.  x at a pivot column is the last column of its
+    echelon row over the row's pivot, all taken over the lcm of the pivots
+    (1 over F_p)."""
     n = len(aug[0]) - 1
     m, pivots = _int_echelon(field, list(aug))
     if pivots and pivots[-1] == n:
         return None  # 0 = 1 row
-    x = [field.zero] * n
+    scale = lcm(*[row[c] for row, c in zip(m, pivots)])
+    x = [0] * n
     for row, c in zip(m, pivots):
-        x[c], = field.lower_vector([row[n]], row[c])
-    return x
+        x[c] = row[n] * (scale // row[c])
+    return x, scale
 
 
 def first_dependency(field, vectors):
@@ -299,16 +346,6 @@ def dependency(field, vectors):
         inv = field.inv(w[piv])
         rows.append((piv, [mul(inv, x) for x in w]))
     raise InvalidInputError("the sequence ends with no linear dependency")
-
-
-def int_first_dependency(field, lifted):
-    """first_dependency over F_p and Q on lifted vectors, given as (ints,
-    scale) pairs with v_i = ints / scale, at any scale: int_dependency, then
-    the coefficients lowered and the basis, _int_rref of the kept rows."""
-    comb, kept = int_dependency(field, lifted)
-    d = len(comb) - 1
-    basis, pivots = _int_rref(field, kept) if kept else ([], [])
-    return field.lower_vector([-c for c in comb[:d]], comb[d]), basis, pivots
 
 
 def _reduce_and_keep(p, kept, w, n):
@@ -443,10 +480,19 @@ def int_in_row_space(field, lifted, pivots, ints):
     return not any([x % p for x in ints] if p else ints)
 
 
-def kernel(field, rows):
-    """Basis of the right kernel {v : rows . v = 0}, canonical order."""
-    if not rows:
-        raise InvalidInputError("kernel of an empty matrix needs a column count")
+def kernel(field, rows, lifted=None):
+    """Basis of the right kernel {v : rows . v = 0}, canonical order.  Over
+    F_p and Q, lifted as rref takes it; int_kernel then runs on the ints and
+    only the kernel vectors are lowered, once, at their one scale."""
+    if lifted is None:
+        if not rows:
+            raise InvalidInputError("kernel of an empty matrix needs a column count")
+        lifted = lift_matrix(field, rows)
+    if lifted is not None:
+        vecs, scale = int_kernel(field, lifted[0])
+        flat = field.lower_vector([x for v in vecs for x in v], scale)
+        n = len(lifted[0][0])
+        return [flat[i:i + n] for i in range(0, len(flat), n)]
     ncols = len(rows[0])
     basis, pivots = rref(field, rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -459,6 +505,31 @@ def kernel(field, rows):
             v[p] = field.neg(row[fc])
         out.append(v)
     return out
+
+
+def int_kernel(field, rows):
+    """kernel over F_p and Q of int rows, each at any nonzero scale of its
+    own, with nothing lowered: (the int vectors of kernel, in its order,
+    their one scale).
+
+    Row i of _int_echelon has pivot a_i in column p_i and is zero (mod p)
+    in the other pivot columns, so the kernel vector of free column c has
+    1 at c, -row_i[c] / a_i at p_i and 0 elsewhere: ints L at c and
+    -row_i[c] (L / a_i) at p_i, over scale L = lcm |a_i| (1 over F_p, where
+    every a_i is 1)."""
+    if not rows:
+        raise InvalidInputError("kernel of an empty matrix needs a column count")
+    ncols = len(rows[0])
+    m, pivots = _int_echelon(field, list(rows))
+    scale = lcm(*[row[c] for row, c in zip(m, pivots)])
+    out = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = scale
+        for row, c in zip(m, pivots):
+            v[c] = -row[fc] * (scale // row[c])
+        out.append(v)
+    return out, scale
 
 
 def solve(field, a, b):

@@ -289,13 +289,24 @@ def poly_squarefree(f):
     if f.degree == 0:
         return True
     field = f.field
-    if isinstance(field, INTEGER_CORE) and not field.int_modulus:
-        ints, _ = field.lift_vector(f.coeffs)
-        derivative = [i * c for i, c in enumerate(ints)][1:]
-        if ints[-1] % SQUAREFREE_PRIME and len(_int_gcd(ints, derivative, SQUAREFREE_PRIME)) == 1:
-            return True
+    if isinstance(field, INTEGER_CORE) and int_squarefree_certified(
+            field, field.lift_vector(f.coeffs)[0]):
+        return True
     g = poly_gcd(f, f.derivative())
     return g.degree == 0
+
+
+def int_squarefree_certified(field, ints):
+    """The squarefree certificate over Q (module docstring) on ints, the
+    int coefficients, lowest first, of a nonzero rational multiple of f of
+    degree >= 1; Gauss's lemma gives the proof for every such multiple.
+    True proves f squarefree.  False decides nothing, and is the answer
+    over F_p (int_modulus p), where there is no certificate."""
+    if field.int_modulus:
+        return False
+    derivative = [i * c for i, c in enumerate(ints)][1:]
+    return bool(ints[-1] % SQUAREFREE_PRIME
+                and len(_int_gcd(ints, derivative, SQUAREFREE_PRIME)) == 1)
 
 
 def poly_nth_root(g, n):

@@ -230,7 +230,7 @@ def _pencil_min_poly_ints(A, start, end, d):
     step = [a - b for a, b in zip(ints, e)]
     mul = A._int_mul
     # powers[j][i]: the ints of the coefficient of t^i in x(t)^j
-    powers = [[A._lifted(A.unit)[0]]]
+    powers = [[A._lifted_unit[0]]]
     for _ in range(d):
         prev = powers[-1]
         cur = [mul(prev[0], e)]

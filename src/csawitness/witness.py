@@ -38,7 +38,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import kernel, lift_matrix, mat_vec, rank, rref, transpose
+from .linalg import int_pivots, kernel, lift_matrix, mat_vec, rank, rref, transpose
 from .poly import Poly, poly_gcd
 from .polyrings import (
     _ZT, _bareiss, _zt_trim, line_coords, pencil_discriminant, polymat_det,
@@ -125,10 +125,22 @@ def _check_full_rank(pres, dim, lvl, t):
 
 
 def _pencil_vectors_at(f, vecs, vecs_prime, t):
-    """t w + (1 - t) w' for each pair, as the matrix with rows (w_i, w'_i)
-    times (t, 1 - t): over F_p and Q one integer mat_vec per pair."""
-    tv = (t, f.sub(f.one, t))
-    return [tuple(mat_vec(f, list(zip(w, wp)), tv)) for w, wp in zip(vecs, vecs_prime)]
+    """t w + (1 - t) w' for each pair.  At the endpoints, which every
+    verification evaluates, that is w at t = 1 and w' at t = 0, whose
+    scalars the pencil data keeps canonical (as constructed or parsed).
+    Elsewhere it is one mat_vec of (t, 1 - t) by the matrix with a row
+    (w_i[c], w'_i[c]) for each pair i and coordinate c: over F_p and Q the
+    vectors are lifted once for all pairs."""
+    if t == f.one:
+        return [tuple(v) for v in vecs]
+    if f.is_zero(t):
+        return [tuple(v) for v in vecs_prime]
+    if not vecs:
+        return []
+    n = len(vecs[0])
+    flat = mat_vec(f, [row for w, wp in zip(vecs, vecs_prime) for row in zip(w, wp)],
+                   (t, f.sub(f.one, t)))
+    return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
 
 
 class _Kind:
@@ -177,7 +189,7 @@ class _Pencil(_Kind):
         vecs = _pencil_vectors_at(A.field, w.data["pencil_w"], w.data["pencil_w_prime"], t)
         rdims = []
         for lvl in self.levels(w):
-            dim = pres.m * rank(A.field, pres.d_rows(vecs[:lvl]))
+            dim = pres.m * rank(A.field, *pres.d_rows(vecs[:lvl]))
             if dim % A.degree:
                 raise StructuralError(
                     f"subspace dimension {dim} is not a multiple of the degree")
@@ -507,25 +519,30 @@ def _pencil_validity(pres, wvecs, wpvecs):
     the pencil; its minor is the empty one, 1.
 
     The minors are minors of the k x vlen matrix t R1 + (1 - t) R0, R1 and
-    R0 the D-rows at t = 1 and t = 0.  Over F_p and Q the 2k rows are lifted
-    once, to one scale s, and each minor is one Bareiss determinant in Z[t]
+    R0 the D-rows at t = 1 and t = 0.  Over F_p and Q d_rows gives the 2k
+    rows as int rows at one scale s, the pivots come from forward
+    elimination on them, and each minor is one Bareiss determinant in Z[t]
     (_zt_line_minor), lowered once by s^k; over F_p s is 1 and that int
     determinant reduced mod p is the one over F_p.  A determinant is
     unique, so it is the Poly that polymat_det gives over F[t], which
     F_{p^k} keeps.
     """
     field = pres.field
-    rows_t1, rows_t0 = pres.d_rows(wvecs), pres.d_rows(wpvecs)
-    _, piv1 = rref(field, rows_t1)
-    _, piv0 = rref(field, rows_t0)
-    lifted = lift_matrix(field, rows_t1 + rows_t0)
+    rows, lifted = pres.d_rows(list(wvecs) + list(wpvecs))
     if lifted is None:
+        k = len(rows) // 2
+        _, piv1 = rref(field, rows[:k])
+        _, piv0 = rref(field, rows[k:])
         # polynomial matrix of the moving span rows
-        rows = [line_coords(field, r1, r0) for r1, r0 in zip(rows_t1, rows_t0)]
+        prows = [line_coords(field, r1, r0) for r1, r0 in zip(rows[:k], rows[k:])]
 
         def minor(cols):
-            return polymat_det(field, [[row[c] for c in cols] for row in rows])
+            return polymat_det(field, [[row[c] for c in cols] for row in prows])
     else:
+        ints = lifted[0]
+        k = len(ints) // 2
+        piv1, piv0 = int_pivots(field, ints[:k]), int_pivots(field, ints[k:])
+
         def minor(cols):
             return _zt_line_minor(field, lifted, cols)
 
@@ -700,9 +717,10 @@ def connect_max_etale(E1, E2, rng_seed=0):
 
 
 def _intertwiner_space(A, pairs):
-    """Kernel of the conditions L(x) u = u R(x) for the (L(x), R(x)) pairs."""
-    rows = [row for lx, rx in pairs for row in A.left_minus_right_matrix(lx, rx)]
-    return kernel(A.field, rows)
+    """Kernel of the conditions L(x) u = u R(x) for the (L(x), R(x)) pairs:
+    over F_p and Q int_kernel of the int commutator rows, with only the
+    kernel vectors lowered (Algebra.commutator_rows)."""
+    return kernel(A.field, *A.commutator_rows(pairs))
 
 
 def _search_invertible(A, space, rng, first, image=tuple):

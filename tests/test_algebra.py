@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction
 
@@ -746,3 +747,92 @@ def test_mult_matrices_match_the_field_method_path(name):
             [f.sub(a, b) for a, b in zip(r, q)] for r, q in zip(left, right)]
         if f == QQ:
             assert all(type(c) is Fraction for r in left + right for c in r)
+
+
+# ---------------------------------------------------------------------------
+# commutator kernels, sandwiches and the matrix preset's table on the
+# integer core, against the field-method path
+
+
+class _MethodPath:
+    """A field through its own methods, but not an INTEGER_CORE instance,
+    so linalg takes the field-method path on it."""
+
+    def __init__(self, field):
+        self._f = field
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+def _commutator_algebras():
+    H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
+    S = make_quaternion(QQ, Fraction(1), Fraction(1))
+    return {"M2(Q)": make_matrix_algebra(QQ, 2), "M3(Q)": make_matrix_algebra(QQ, 3),
+            "(-1,-1)x(1,1)/Q": tensor_product(H, S), "M4(F7)": make_matrix_algebra(F7, 4)}
+
+
+_COMMUTATOR_ALGEBRAS = _commutator_algebras()
+# sympy is a test-only reference; without it the method path is the only one
+HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
+
+
+def _sympy_nullspace_rref(rows):
+    """The rref rows of sympy's nullspace of rational rows, as Fractions."""
+    import sympy
+    null = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows]).nullspace()
+    if not null:
+        return []
+    basis = sympy.Matrix.hstack(*null).T.rref()[0]
+    return [[Fraction(int(x.p), int(x.q)) for x in basis.row(i)] for i in range(len(null))]
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTATOR_ALGEBRAS))
+def test_commutator_kernels_match_the_method_path_and_sympy(name):
+    # x u = u y on a centralizer (y = x), an intertwiner of x with a
+    # conjugate g x g^-1, whose kernel is nonzero, and a random pair
+    A = _COMMUTATOR_ALGEBRAS[name]
+    f = A.field
+    ref = _MethodPath(f)
+    rng = random.Random(name)
+    nonzero = 0
+    for _ in range(4):
+        x, y = _sparse_random(A, rng), _sparse_random(A, rng)
+        g = A.random_element(rng).coords
+        g_inv = A.inverse(g)
+        conj = x if g_inv is None else A.mul(A.mul(g, x), g_inv)
+        for pairs in ([(x, x)], [(conj, x)], [(x, y)], [(x, x), (conj, x)]):
+            rows = [r for a, b in pairs for r in A.left_minus_right_matrix(a, b)]
+            want = kernel(ref, rows)
+            assert kernel(f, *A.commutator_rows(pairs)) == want
+            assert rank(f, *A.commutator_rows(pairs)) == A.dim - len(want)
+            nonzero += bool(want)
+            if f == QQ and HAVE_SYMPY:
+                assert [list(r) for r in rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
+        assert A.centralizer_dim(x) == A.dim - rank(ref, A.left_minus_right_matrix(x, x))
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", sorted(_INT_CORE_ALGEBRAS))
+def test_sandwich_matrix_stays_lifted_on_the_integer_core(name):
+    from csawitness.linalg import lift_matrix
+    A = _INT_CORE_ALGEBRAS[name]
+    f = A.field
+    rng = random.Random(name)
+    u, v = _sparse_random(A, rng), _sparse_random(A, rng)
+    m = [list(_sparse_random(A, rng)) for _ in range(A.dim)]
+    want = [list(r) for r in zip(*[A.mul(A.mul(u, col), v) for col in zip(*m)])]
+    for lifted in (None, lift_matrix(f, m)):
+        mat, (rows, scale) = A.sandwich_matrix(u, m if lifted is None else None, v, lifted)
+        assert mat is None
+        assert [f.lower_vector(r, scale) for r in rows] == want
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F7], ids=["Q", "F2", "F7"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_preset_flat_table_is_the_walked_table(field, n):
+    # make_matrix_algebra hands Algebra its n^3 triples; walking the table
+    # and lifting every constant gives the same flat table
+    A = make_matrix_algebra(field, n)
+    assert (A._flat, A._flat_scale) == A._flat_table()

@@ -599,3 +599,48 @@ def test_verifying_an_exp2_chain_neither_factors_nor_ranks_idempotents(monkeypat
     report = verify_witness(chain)
     assert report.passed and len(report.checks) > 3 * 7
     assert calls["factor"] == calls["principal_rdim"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a subalgebra built on the integer core keeps its basis lifted
+
+
+def _lifted_etale_cases():
+    F9 = standard_extension(3, 2)
+    out = []
+    for field in (QQ, F7, F9):
+        A = make_matrix_algebra(field, 3)
+        rng = random.Random(f"lifted etale {field!r}")
+        xs = [A.random_element(rng) for _ in range(12)]
+        # a x + b generates the subalgebra that x does, for a != 0
+        two = field.from_int(2)
+        xs += [x * two + A.from_scalar(field.one) for x in xs[:6]]
+        xs += [A.from_scalar(two), A.basis_element(0)]
+        out.append((A, xs))
+    return out
+
+
+@pytest.mark.parametrize("case", _lifted_etale_cases(), ids=["Q", "F7", "F9"])
+def test_etale_equality_and_hash_are_those_of_the_basis(case):
+    # generate_etale over F_p and Q holds its rref basis lifted and lowers it
+    # on read; equality, hash, basis, pivots and minimal polynomial are
+    # those of the field-method elimination and of the basis it lowers to
+    A, xs = case
+    built = []
+    for x in xs:
+        mp, _, basis, pivots = minimal_polynomial_and_power_basis(x)
+        try:
+            E = generate_etale(x)
+        except NotEtaleError:
+            continue
+        assert (E.basis, E.pivots, E.minpoly) == (tuple(map(tuple, basis)), tuple(pivots), mp)
+        same = EtaleSubalgebra(A, x, mp, E.basis, E.pivots)
+        assert E == same and hash(E) == hash(same) and E.dim == same.dim
+        built.append(generate_etale(x))
+    assert len(built) >= 10
+    for E in built:
+        for F in built:
+            assert (E == F) == (E.basis == F.basis)
+            if E == F:
+                assert hash(E) == hash(F)
+    assert len({E.basis for E in built}) < len(built)  # some share a subspace

@@ -73,16 +73,26 @@ def test_integer_forks_are_these():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= forking_functions(path.read_text(), path.stem)
     assert found == {
-        # linalg: the elimination, membership and product workloads time
+        # linalg: the elimination, membership and product workloads time;
+        # kernel lowers only the kernel vectors of int rows (the commutator
+        # kernels of connect_exp2: 2.2 % of build_q, 4.7 % of build_fp
+        # operation time)
         "linalg.lift_matrix", "linalg.rref", "linalg.rank", "linalg.mat_vec",
-        "linalg.in_row_space", "linalg.intertwiner_mismatch",
-        # algebra: the product, the commutator matrices and the Krylov eliminations
-        "algebra.Algebra.__init__", "algebra.Algebra.mul", "algebra.Algebra.int_powers",
-        "algebra.Algebra.left_minus_right_matrix", "algebra.Algebra.centralizer_dim",
-        "algebra.Algebra.sandwich_matrix", "algebra.Algebra.anti_automorphism_mismatch",
-        "algebra.Algebra.inverse", "algebra.minimal_polynomial_and_power_basis",
-        # ideals: the left-unit system of a splitting idempotent
-        "ideals.splitting_idempotent",
+        "linalg.in_row_space", "linalg.kernel",
+        # algebra: the product, the commutator rows (for rank and kernel) and
+        # the Krylov elimination of the inverse
+        "algebra.Algebra.__init__", "algebra.Algebra.mul",
+        "algebra.Algebra.commutator_rows", "algebra.Algebra.sandwich_matrix",
+        "algebra.Algebra.anti_automorphism_mismatch", "algebra.Algebra.inverse",
+        # etale: the power-basis elimination on int powers, held lifted
+        "etale.generate_etale",
+        # ideals: the left-unit system of a splitting idempotent, and the
+        # D-rows of a module presentation as int products (3.7 % of build_q)
+        "ideals.splitting_idempotent", "ideals.ModulePresentation._d_rows",
+        # involutions: Sym as the int kernel of the lifted matrix minus its
+        # scale, so a twisted involution is never lowered (0.8 % of build_q,
+        # 1.6 % of build_fp; about three times that on the lowered matrix)
+        "involutions.sym_basis",
         # polyrings and poly: pencil minimal polynomials and F_p[x] gcds
         "polyrings.pencil_min_poly", "poly.poly_gcd", "poly.poly_squarefree",
         # polyrings: the etale validity as one Z[t] determinant; its F[t] form

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    charpoly, first_dependency, identity, in_row_space, int_first_dependency,
-    int_prefix_solve, int_rank, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul,
-    mat_vec, rank, reduce_vector, rref, solve,
+    charpoly, first_dependency, identity, in_row_space, int_dependency,
+    int_intertwiner_mismatch, int_pivots, int_prefix_solve, int_rank, int_rref_lifted,
+    int_solve, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
+    reduce_vector, rref, solve,
 )
 
 F5 = PrimeField(5)
@@ -362,7 +363,7 @@ def _check_intertwiner(field, ref, a, b, c):
         want = _first_unequal_column(mat_mul(ref, a, b), mat_mul(ref, c, a))
         assert intertwiner_mismatch(field, a, b, c) == want
         lifted = tuple(lift_matrix(field, m) for m in (a, b, c))
-        assert intertwiner_mismatch(field, None, None, None, lifted) == want
+        assert int_intertwiner_mismatch(field, *lifted) == want
     if a_inv is not None:
         assert want is None
 
@@ -422,7 +423,12 @@ def _combination(field, coeffs, vecs, n):
 
 
 def _lifted_first_dependency(field, vectors):
-    return int_first_dependency(field, map(field.lift_vector, vectors))
+    """first_dependency from the int core, as etale.generate_etale runs it:
+    int_dependency on the lifted vectors, then the coefficients lowered and
+    the int rref of the kept rows."""
+    comb, kept = int_dependency(field, map(field.lift_vector, vectors))
+    d = len(comb) - 1
+    return (field.lower_vector([-c for c in comb[:d]], comb[d]), *rref(field, None, (kept, 1)))
 
 
 def _check_first_dependency(field, vecs, first=first_dependency):
@@ -480,14 +486,15 @@ def test_first_dependency_raises_when_the_sequence_ends_first(name):
         first_dependency(field, iter([]))
 
 
-def test_int_first_dependency_reads_each_vector_at_its_scale():
+def test_int_dependency_reads_each_vector_at_its_scale():
     # v = ints / scale: over F_7, (2, 0) / 2 = (1, 0), (0, 6) / 3 = (0, 2)
-    # and (4, 6) / 2 = (2, 3) = 2 (1, 0) + 3/2 (0, 2), and 3/2 = 5 mod 7
+    # and (4, 6) / 2 = (2, 3) = 2 (1, 0) + 3/2 (0, 2), and 3/2 = 5 mod 7;
+    # the kept rows span the plane, whose rref rows lift to (e_i, 1)
     lifted = [([2, 0], 2), ([0, 6], 3), ([4, 6], 2)]
-    assert int_first_dependency(F7, iter(lifted)) == ([2, 5], [[1, 0], [0, 1]], [0, 1])
-    assert int_first_dependency(QQ, iter(lifted)) == (
-        [Fraction(2), Fraction(3, 2)], [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-        [0, 1])
+    for field, coeffs in ((F7, [2, 5]), (QQ, [Fraction(2), Fraction(3, 2)])):
+        comb, kept = int_dependency(field, iter(lifted))
+        assert field.lower_vector([-c for c in comb[:2]], comb[2]) == coeffs
+        assert int_rref_lifted(field, kept) == ([([1, 0], 1), ([0, 1], 1)], [0, 1])
     assert F7.lower_vector([4, 6, 9], 2) == [2, 3, 1]
 
 
@@ -582,3 +589,76 @@ def test_int_prefix_solve_solves_the_first_full_rank_prefix(field):
         assert len(read) == k
         seen.add((want is None, k == len(rows)))
     assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+
+# ---------------------------------------------------------------------------
+# the int entry points that hand on ints: kernel, pivots, lifted rref, solve
+
+
+def _sympy_nullspace_rref(rows):
+    """The rref rows of sympy's nullspace of rational rows, as Fractions."""
+    import sympy
+    null = sympy.Matrix(rows).nullspace()
+    if not null:
+        return []
+    basis = sympy.Matrix.hstack(*null).T.rref()[0]
+    return [[Fraction(int(x.p), int(x.q)) for x in basis.row(i)]
+            for i in range(len(null))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_matrices())
+def test_kernel_over_q_matches_the_method_path_and_sympy(rows):
+    want = kernel(MethodPathQ(), rows)
+    assert kernel(QQ, rows) == want
+    assert kernel(QQ, None, lift_matrix(QQ, rows)) == want
+    assert all(type(x) is Fraction for v in want for x in v)
+    pytest.importorskip("sympy")
+    assert [list(r) for r in rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unreduced_matrices())
+def test_kernel_over_fp_matches_the_method_path(case):
+    # int_kernel reads unreduced ints, at any scale per row
+    p, rows = case
+    want = kernel(MethodPathField(p), _reduced(p, rows))
+    assert kernel(PrimeField(p), rows) == want
+    scaled = [[3 * x for x in r] if i % 2 else r for i, r in enumerate(rows)]
+    if p != 3:
+        assert kernel(PrimeField(p), None, (scaled, 1)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_matrices())
+def test_a_lifted_rref_row_is_the_lift_of_the_rref_row(rows):
+    # an rref row r with primitive int pivot a lifts to (sign(a) r, |a|)
+    basis, pivots = rref(QQ, rows)
+    ints = QQ.lift_rows(rows)[0]
+    lifted, lifted_pivots = int_rref_lifted(QQ, ints)
+    assert lifted_pivots == pivots == int_pivots(QQ, ints)
+    assert lifted == [QQ.lift_vector(row) for row in basis]
+    assert rref(QQ, None, (ints, 1)) == (basis, pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_matrices())
+def test_a_lifted_rref_row_over_fp_is_the_reduced_row(case):
+    p, rows = case
+    f = PrimeField(p)
+    basis, pivots = rref(MethodPathField(p), _reduced(p, rows))
+    assert int_rref_lifted(f, rows) == ([(row, 1) for row in basis], pivots)
+    assert int_pivots(f, rows) == pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_matrices(max_cols=5), st.data())
+def test_int_solve_over_q_matches_the_method_path(rows, data):
+    b = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    aug, scale = QQ.lift_rows([list(r) + [c] for r, c in zip(rows, b)])
+    want = solve(MethodPathQ(), rows, b)
+    got = int_solve(QQ, aug)
+    if want is None:
+        assert got is None
+    else:
+        assert QQ.lower_vector(*got) == want
