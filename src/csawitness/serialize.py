@@ -161,8 +161,14 @@ def ideal_to_json(I, inline_algebra=True):
 
 
 def ideal_from_json(data, algebra=None, _skip_closure_check=False):
+    """The ideal of a JSON object; each basis row must have dim A entries
+    (a flag's ideals and a witness's ideal endpoints are read here too)."""
     A = _resolve_algebra(data, algebra)
-    return RightIdeal(A, _vecs_at(A.field, data, "basis"), _skip_closure_check)
+    basis = _vecs_at(A.field, data, "basis")
+    for row in basis:
+        if len(row) != A.dim:
+            raise InvalidInputError(f"'basis' holds a vector of length {len(row)}, not {A.dim}")
+    return RightIdeal(A, basis, _skip_closure_check)
 
 
 def flag_to_json(flag, inline_algebra=True):

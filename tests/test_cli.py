@@ -903,6 +903,54 @@ def test_a_stored_endpoint_that_is_no_right_ideal_fails_verification(runner, tmp
     assert _one_error_line(r) and "subspace is not a right ideal" in r.stderr, r.output
 
 
+# on M2(F_5) a basis row has 4 entries; rows of 2 and 6 entries were once cut
+# to the shorter length by zip and passed as a valid right ideal, and rows
+# of 5 entries ended in an IndexError
+_WRONG_LENGTH_ROWS = {
+    2: [["1", "0"], ["0", "1"]],
+    3: [["1", "0", "4"], ["0", "1", "0"]],
+    5: [["1", "0", "4", "0", "1"], ["0", "1", "0", "4", "0"]],
+    6: [["1", "0", "4", "0", "0", "0"], ["0", "1", "0", "4", "0", "0"]],
+}
+
+
+def _wrong_length_message(n, dim):
+    return [f"error: 'basis' holds a vector of length {n}, not {dim}"]
+
+
+@pytest.mark.parametrize("n", sorted(_WRONG_LENGTH_ROWS))
+def test_an_ideal_file_with_rows_of_the_wrong_length_is_bad_input(runner, tmp_path, n):
+    i = tmp_path / "i.json"
+    serialize.save_json({"basis": _WRONG_LENGTH_ROWS[n],
+                         "algebra": serialize.algebra_to_json(make_matrix_algebra(PrimeField(5), 2))}, i)
+    r = invoke(runner, ["ideal", "check", "--ideal", str(i)])
+    assert _one_error_line(r) and r.stderr.splitlines() == _wrong_length_message(n, 4), r.output
+
+
+def test_a_flag_file_with_rows_of_the_wrong_length_is_bad_input(runner, tmp_path):
+    A = make_matrix_algebra(PrimeField(5), 2)
+    a, f = tmp_path / "a.json", tmp_path / "f.json"
+    serialize.save_json(serialize.algebra_to_json(A), a)
+    serialize.save_json({"ideals": [{"basis": _WRONG_LENGTH_ROWS[6]}], "signature": [1]}, f)
+    r = invoke(runner, ["witness", "connect-flags", "--algebra", str(a), "--from", str(f),
+                        "--to", str(f), "--out", str(tmp_path / "w.json")])
+    assert _one_error_line(r) and r.stderr.splitlines() == _wrong_length_message(6, 4), r.output
+
+
+@pytest.mark.parametrize("kind", ["ideal", "flag"])
+def test_a_witness_endpoint_with_rows_of_the_wrong_length_is_bad_input(runner, tmp_path, kind):
+    # an M4(F_5) endpoint row has 16 entries; one entry short, the file is
+    # bad input (exit 2), not a witness that fails verification (exit 1)
+    data = _pencil_file(tmp_path, kind)
+    start = data["segments"][0]["start"]
+    ideal = start if kind == "ideal" else start["ideals"][0]
+    ideal["basis"] = [row[:-1] for row in ideal["basis"]]
+    w = tmp_path / "w.json"
+    serialize.save_json(data, w)
+    r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
+    assert _one_error_line(r) and r.stderr.splitlines() == _wrong_length_message(15, 16), r.output
+
+
 def _honest_witness(runner, tmp_path, name):
     """The witness file of the etale_m3f7 or exp2_m4f7 pipeline, or of the
     F_3 conic pipeline, checked to verify."""
