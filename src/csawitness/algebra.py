@@ -19,9 +19,8 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    dependency, first_dependency, int_dependency, int_intertwiner_mismatch,
-    intertwiner_mismatch, kernel, lift_matrix, mat_vec, rank, rref, solve,
-    transpose,
+    Matrix, dependency, first_dependency, int_dependency, int_intertwiner_mismatch,
+    intertwiner_mismatch, kernel, mat_vec, rank, rref, solve, transpose,
 )
 from .poly import Poly, poly_nth_root
 from .quadrics import QuadraticForm, projective_points
@@ -69,7 +68,7 @@ class Algebra:
             self._check_shape(unit)
         self.preset = preset or {"kind": "explicit"}
         self._closure_gens = None
-        # (mat, kind, lifted) of witness.default_symplectic_involution
+        # (Matrix, kind) of witness.default_symplectic_involution
         self._symplectic = None
         self._presentation = None  # ideals.module_presentation
         # the preset constructors pass True: their algebra_generators are
@@ -318,15 +317,16 @@ class Algebra:
 
     def commutator_rows(self, pairs):
         """The rows of the conditions x u = u y, one block per (x, y) in
-        pairs, as (rows, lifted) for linalg's rank and kernel (the
-        intertwiner spaces of witness.py are their kernels).  Over F_p and
-        Q rows is None and lifted is (int rows, None): each block is
-        L_x s_y - R_y s_x, x and y lifted once (once for both when x = y,
-        where the scales cancel), at a scale of its own, which rank and
-        kernel do not read; nothing is lowered.  Over other fields it is the
-        stacked left_minus_right_matrix and None."""
+        pairs, as a Matrix for linalg's rank and kernel (the intertwiner
+        spaces of witness.py are their kernels).  Over F_p and Q it holds
+        int rows only: each block is L_x s_y - R_y s_x, x and y lifted once
+        (once for both when x = y, where the scales cancel), so it is the
+        block of conditions times a nonzero int of its own, which neither
+        rank nor kernel sees.  Over other fields it is the stacked
+        left_minus_right_matrix."""
         if self._flat is None:
-            return [row for x, y in pairs for row in self.left_minus_right_matrix(x, y)], None
+            return Matrix(self.field, [row for x, y in pairs
+                                       for row in self.left_minus_right_matrix(x, y)])
         rows = []
         for x, y in pairs:
             lx = self._lifted(x)
@@ -336,49 +336,44 @@ class Algebra:
                 rows += [[a - b for a, b in zip(r, q)] for r, q in zip(lm, rm)]
             else:
                 rows += [[a * sr - b * sl for a, b in zip(r, q)] for r, q in zip(lm, rm)]
-        return None, (rows, None)
+        return Matrix(self.field, None, rows)
 
     def centralizer_dim(self, x):
         """dim of the centralizer {u : x u = u x}: dim A minus the rank of
         u -> x u - u x, taken over F_p and Q on the int rows L_x - R_x, both
         at the scale of x, with no entry lowered."""
-        return self.dim - rank(self.field, *self.commutator_rows([(x, x)]))
+        return self.dim - rank(self.commutator_rows([(x, x)]))
 
-    def sandwich_matrix(self, u, mat, v, lifted=None):
-        """The matrix of y -> u (mat y) v as (mat, lifted), the pair an
-        involution holds (involutions.Involution).  Over F_p and Q it is
-        (None, (int rows, scale)): u, v and the columns of mat, or of lifted
-        = lift_matrix of mat where the caller holds it (mat is not read
-        then), are lifted once, each column is two int products, and nothing
-        is lowered.  Over other fields it is (tuple rows, None)."""
+    def sandwich_matrix(self, u, mat, v):
+        """The Matrix of y -> u (mat y) v, for the Matrix mat.  Over F_p and
+        Q u, v and the columns of mat are read lifted, each column is two
+        int products, and nothing is lowered."""
         if self._flat is None:
-            return tuple(zip(*[self.mul(self.mul(u, col), v) for col in zip(*mat)])), None
+            return Matrix(self.field, list(zip(*[self.mul(self.mul(u, col), v)
+                                                 for col in zip(*mat.rows)])))
         (u, su), (v, sv) = self._lifted(u), self._lifted(v)
-        rows, sm = lift_matrix(self.field, mat) if lifted is None else lifted
+        rows, sm = mat.lifted
         images = [self._int_mul(self._int_mul(u, col), v) for col in zip(*rows)]
-        return None, ([list(r) for r in zip(*images)], su * sm * sv * self._flat_scale ** 2)
+        return Matrix(self.field, None, [list(r) for r in zip(*images)],
+                      su * sm * sv * self._flat_scale ** 2)
 
-    def anti_automorphism_mismatch(self, mat, lifted=None):
+    def anti_automorphism_mismatch(self, mat):
         """The first (i, g), over g in closure_generators() and then basis
         indices i, with sigma(e_i g) != sigma(g) sigma(e_i) for the linear
-        map sigma of matrix mat; None if there is none.  For each g this is
-        mat R_g = L_sigma(g) mat, whose column i is that equation; over F_p
-        and Q it is compared on the int multiplication matrices
-        (linalg.int_intertwiner_mismatch).  lifted is lift_matrix of mat
-        where the caller holds it; it is lifted here only when None, as
-        mat_vec does.
+        map sigma of the Matrix mat; None if there is none.  For each g this
+        is mat R_g = L_sigma(g) mat, whose column i is that equation; over
+        F_p and Q it is compared on the int multiplication matrices
+        (linalg.int_intertwiner_mismatch).
         """
         f = self.field
-        if lifted is None:
-            lifted = lift_matrix(f, mat)
         for g in self.closure_generators():
-            sigma_g = mat_vec(f, mat, g, lifted)
+            sigma_g = mat_vec(mat, g)
             if self._flat is None:
-                i = intertwiner_mismatch(f, mat, self.right_mult_matrix(g),
+                i = intertwiner_mismatch(f, mat.rows, self.right_mult_matrix(g),
                                          self.left_mult_matrix(sigma_g))
             else:
                 i = int_intertwiner_mismatch(
-                    f, lifted, self._int_mult_matrix(*self._lifted(g), right=True),
+                    f, mat.lifted, self._int_mult_matrix(*self._lifted(g), right=True),
                     self._int_mult_matrix(*self._lifted(sigma_g)))
             if i is not None:
                 return i, g
@@ -405,14 +400,14 @@ class Algebra:
         # Grow span{1} by right products with gens.  Each round multiplies
         # only the rref rows with new pivots: they span the new part modulo
         # the old span, so every direction is multiplied exactly once.
-        basis, pivots = rref(self.field, [self.unit])
-        frontier = basis
-        while frontier and len(basis) < self.dim:
+        basis, pivots = rref(rows=Matrix(self.field, [self.unit]))
+        frontier = basis.rows
+        while frontier and len(pivots) < self.dim:
             prods = [self.mul(v, g) for v in frontier for g in gens]
             old = set(pivots)
-            basis, pivots = rref(self.field, basis + prods)
-            frontier = [r for r, c in zip(basis, pivots) if c not in old]
-        return len(basis) == self.dim
+            basis, pivots = rref(rows=Matrix(self.field, basis.rows + prods))
+            frontier = [r for r, c in zip(basis.rows, pivots) if c not in old]
+        return len(pivots) == self.dim
 
     # -- elements -------------------------------------------------------------
 
@@ -462,7 +457,8 @@ class Algebra:
             if f.is_zero(comb[0]):
                 return None
             scale = f.neg(f.inv(comb[0]))
-            y = tuple(mat_vec(f, transpose(powers[:-1]), [f.mul(scale, a) for a in comb[1:]]))
+            y = tuple(mat_vec(Matrix(f, transpose(powers[:-1])),
+                              [f.mul(scale, a) for a in comb[1:]]))
             return y if self.mul(y, x) == self.unit else None
         (x, xs), p = self._lifted(x), f.int_modulus
         comb, _ = int_dependency(f, _recorded(self._int_powers(x, xs), powers))
@@ -877,7 +873,7 @@ def index_evidence(A, search_bound=50):
             if x.is_zero():
                 continue
             lm = A.left_mult_matrix(x.coords)
-            ker = kernel(field, lm)
+            ker = kernel(Matrix(field, lm)).rows
             if ker:
                 return SplitWitness(x, A.element(ker[0]))
             tried += 1

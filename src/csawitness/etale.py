@@ -5,8 +5,9 @@ A subalgebra is stored with a primitive generator, its minimal polynomial
 subspace equality is exact.  The minimal polynomial and the basis come
 from one elimination over the powers 1, x, x^2, ...: over F_p and Q that
 of linalg.int_dependency on the int powers (Algebra._int_powers), whose
-results the subalgebra keeps lifted and lowers only when they are read;
-over F_{p^k} that of algebra.minimal_polynomial_and_power_basis.
+results the subalgebra keeps as lifted linalg.Matrix values, lowered only
+when they are read; over F_{p^k} that of
+algebra.minimal_polynomial_and_power_basis.
 The type of a subalgebra is the multiset of geometric idempotent ranks, the
 root multiplicities of the generator's reduced characteristic polynomial.
 etale_type reads them off with gcds against the squarefree minimal
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .fields import Rationals
 from .ideals import ideal_generated
-from .linalg import in_row_space, int_dependency, int_rref_lifted, rref
+from .linalg import Matrix, in_row_space, int_dependency, rank, rref
 from .poly import (
     Poly, factor, int_squarefree_certified, poly_gcd, poly_ext_gcd, poly_squarefree,
     rational_roots,
@@ -67,59 +68,44 @@ class EtaleSubalgebra:
     """A subalgebra generated by one element, with its minimal polynomial
     and the rref basis of its span.
 
-    Equality and hash read the basis lifted (_rows): each rref row as the
-    pair (ints, scale) that Algebra._lifted gives of it (lift_vector over
-    Q, the row itself at scale 1 over F_p and F_{p^k}), one pair per
-    subspace.  Built from a basis, the subalgebra lifts it once; built by
-    generate_etale over F_p and Q, it holds only the lifted rows and the
-    minimal polynomial's ints (_mp_ints, with the polynomial their ratio
-    to the last), and lowers basis and minpoly on their first read."""
+    It takes both as linalg.Matrix values: minpoly the one row of the
+    polynomial's coefficients, lowest degree first, and basis the rref
+    Matrix with its pivots.  generate_etale builds them lifted over F_p
+    and Q, and they are lowered on their first read.  Equality and hash
+    read _key: the basis lifted over F_p and Q, where the lift of an rref
+    is canonical (linalg.Matrix), and its rows elsewhere."""
 
-    __slots__ = ("algebra", "generator", "pivots", "_rows", "_basis", "_minpoly",
-                 "_mp_ints", "_type")
+    __slots__ = ("algebra", "generator", "pivots", "_coeffs", "_matrix", "_key",
+                 "_basis", "_minpoly", "_type")
 
     def __init__(self, algebra, generator, minpoly, basis, pivots):
         self.algebra = algebra
         self.generator = generator
-        self._mp_ints = None
-        self._minpoly = minpoly
-        self._basis = tuple(tuple(r) for r in basis)
-        self._rows = tuple((tuple(v), s) for v, s in map(algebra._lifted, self._basis))
+        self._coeffs, self._matrix = minpoly, basis
         self.pivots = tuple(pivots)
-        self._type = None
-
-    @classmethod
-    def _from_lifted(cls, algebra, generator, mp_ints, rows, pivots):
-        """The subalgebra of generate_etale's int elimination: rows from
-        linalg.int_rref_lifted, mp_ints = (ints, lead) with the minimal
-        polynomial ints / lead, lowest degree first."""
-        E = cls.__new__(cls)
-        E.algebra, E.generator, E.pivots = algebra, generator, tuple(pivots)
-        E._rows = tuple((tuple(v), s) for v, s in rows)
-        E._basis = E._minpoly = E._type = None
-        E._mp_ints = mp_ints
-        return E
+        lifted = basis.lifted
+        self._key = (tuple(map(tuple, basis.rows)) if lifted is None
+                     else (tuple(map(tuple, lifted[0])), lifted[1]))
+        self._basis = self._minpoly = self._type = None
 
     @property
     def basis(self):
         if self._basis is None:
-            lower = self.algebra.field.lower_vector
-            self._basis = tuple(tuple(lower(v, s)) for v, s in self._rows)
+            self._basis = tuple(map(tuple, self._matrix.rows))
         return self._basis
 
     @property
     def minpoly(self):
         if self._minpoly is None:
-            f = self.algebra.field
-            self._minpoly = Poly(f, f.lower_vector(*self._mp_ints))
+            self._minpoly = Poly(self.algebra.field, self._coeffs.rows[0])
         return self._minpoly
 
     @property
     def dim(self):
-        return len(self._rows)
+        return len(self.pivots)
 
     def contains(self, coords):
-        return in_row_space(self.algebra.field, self.basis, self.pivots, coords)
+        return in_row_space(self._matrix, self.pivots, coords)
 
     def is_maximal(self):
         return self.dim == self.algebra.degree
@@ -127,10 +113,10 @@ class EtaleSubalgebra:
     def __eq__(self, other):
         """Subspace equality: independent of the chosen generator."""
         return (isinstance(other, EtaleSubalgebra) and other.algebra == self.algebra
-                and other._rows == self._rows)
+                and other._key == self._key)
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash(self._key)
 
     def __repr__(self):
         return f"EtaleSubalgebra(dim={self.dim} of degree-{self.algebra.degree} algebra)"
@@ -146,22 +132,24 @@ def generate_etale(a):
     linalg.int_dependency finds their first dependency, comb.  comb is the
     minimal polynomial times comb[d]: the squarefree certificate over Q
     reads it (poly.int_squarefree_certified), the commutativity check reads
-    the int powers, and the basis is the int rref of the kept rows, held
-    lifted (linalg.int_rref_lifted).  Nothing is lowered here; F_{p^k}
-    takes minimal_polynomial_and_power_basis."""
+    the int powers, and the basis is the rref of the kept int rows (at a
+    scale of their own per row, which the rref does not read), held
+    lifted.  Nothing is lowered here; F_{p^k} takes
+    minimal_polynomial_and_power_basis."""
     alg = a.algebra
+    f = alg.field
     if alg._flat is None:
         mp, powers, basis, pivots = minimal_polynomial_and_power_basis(a)
         if not poly_squarefree(mp):
             raise NotEtaleError(
                 f"minimal polynomial of degree {mp.degree} is not squarefree")
         _check_commutative(powers, lambda u, v: alg.mul(u, v) == alg.mul(v, u))
-        return EtaleSubalgebra(alg, a, mp, basis, pivots)
-    f = alg.field
+        return EtaleSubalgebra(alg, a, Matrix(f, [mp.coeffs]), Matrix(f, basis), pivots)
     seen = []
     comb, kept = int_dependency(f, _recorded(alg._int_powers(*alg._lifted(a.coords)), seen))
     d = len(comb) - 1
-    E = EtaleSubalgebra._from_lifted(alg, a, (comb, comb[d]), *int_rref_lifted(f, kept))
+    E = EtaleSubalgebra(alg, a, Matrix(f, None, [comb], comb[d]),
+                        *rref(rows=Matrix(f, None, kept)))
     if not (int_squarefree_certified(f, comb) or poly_squarefree(E.minpoly)):
         raise NotEtaleError(f"minimal polynomial of degree {d} is not squarefree")
     p = f.int_modulus
@@ -316,8 +304,7 @@ def independent_ideals_check(ideals):
             raise InvalidInputError("ideals live in different algebras")
     rows = [b for i in ideals for b in i.basis]
     total = sum(len(i.basis) for i in ideals)
-    basis, _ = rref(alg.field, rows)
-    return len(basis) == total == alg.dim
+    return rank(Matrix(alg.field, rows)) == total == alg.dim
 
 
 def subalgebra_to_ideal_tuple(E):

@@ -20,9 +20,9 @@ the endpoints of every pencil use, skips the check.  It eliminates once, in
 V: the columns have disjoint supports, so the rref of W placed in each
 column is the rref of the whole ideal, and RightIdeal takes that basis as
 it is.  The D-rows that span W are products by four block-diagonal maps of
-V, lifted once per presentation; over F_p and Q the vectors are lifted
-once for all four, and the rows stay int rows for the eliminations.  The
-pencils of witness.py (an ideal pencil is the one-level flag pencil) move
+V, held as one Matrix per presentation; over F_p and Q the vectors are
+lifted once for all four, and the rows stay int rows for the eliminations.
+The pencils of witness.py (an ideal pencil is the one-level flag pencil) move
 D-bases of column spaces, so they need column spaces free over D.
 d_basis_of picks its basis from the rows and, where a row falls short, from
 sums of two rows, and raises StructuralError when that choice fails, which
@@ -35,28 +35,30 @@ from operator import mul
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    in_row_space, int_solve, lift_matrix, mat_vec, rank,
+    Matrix, in_row_space, int_solve, mat_vec, rank,
     reduce_vector, rref, solve, transpose,
 )
 
 
 class RightIdeal:
-    __slots__ = ("algebra", "basis", "pivots", "rdim", "_lifted")
+    __slots__ = ("algebra", "basis", "pivots", "rdim", "_matrix")
 
     def __init__(self, algebra, rows, _skip_closure_check=False, _pivots=None):
         # _pivots: rows are already the rref basis with these pivot columns
-        # (ModulePresentation.ideal_from_subspace), so no elimination is run
+        # (ModulePresentation.ideal_from_subspace), so no elimination is run.
+        # _matrix is the basis as a Matrix, for every membership test: the
+        # rref's own, which holds its lift over F_p and Q
+        matrix = Matrix(algebra.field, rows)
         if _pivots is None:
-            rows, _pivots = rref(algebra.field, rows)
+            matrix, _pivots = rref(rows=matrix)
         self.algebra = algebra
-        self.basis = tuple(tuple(r) for r in rows)
+        self.basis = tuple(tuple(r) for r in matrix.rows)
+        self._matrix = matrix
         self.pivots = tuple(_pivots)
         if len(self.basis) % algebra.degree != 0:
             raise StructuralError(
                 f"subspace dimension {len(self.basis)} is not a multiple of the degree")
         self.rdim = len(self.basis) // algebra.degree
-        # the basis lifted once for every membership test (linalg.lift_matrix)
-        self._lifted = lift_matrix(algebra.field, self.basis)
         if not _skip_closure_check:
             self._check_closed()
 
@@ -70,8 +72,7 @@ class RightIdeal:
         return len(self.basis)
 
     def contains(self, coords):
-        return in_row_space(self.algebra.field, self.basis, self.pivots, coords,
-                            self._lifted)
+        return in_row_space(self._matrix, self.pivots, coords)
 
     def contains_ideal(self, other):
         return all(self.contains(b) for b in other.basis)
@@ -121,7 +122,7 @@ def principal_rdim(x):
     the degree raises StructuralError, as RightIdeal does.
     """
     alg = x.algebra
-    r = rank(alg.field, alg.left_mult_matrix(x.coords))
+    r = rank(Matrix(alg.field, alg.left_mult_matrix(x.coords)))
     if r % alg.degree != 0:
         raise StructuralError(f"subspace dimension {r} is not a multiple of the degree")
     return r // alg.degree
@@ -135,8 +136,8 @@ def splitting_idempotent(ideal):
     A -> I and taking the image of 1.  Any solution works: e^2 = e because
     e lies in I, and e I = I forces e A = I.
 
-    Over F_p and Q the system is built on the basis the ideal holds lifted
-    (RightIdeal._lifted, b_s = ints_s / s): b_s b_r is Algebra._int_mul of
+    Over F_p and Q the system is built on the basis lifted
+    (RightIdeal._matrix, b_s = ints_s / s): b_s b_r is Algebra._int_mul of
     ints_s and ints_r over s^2 t, t = Algebra._flat_scale, so block r reads
     sum_s mu_s _int_mul(ints_s, ints_r) = ints_r s t, one int system for
     linalg.int_solve.  Its solution mu = ints / den gives e = sum mu_r b_r
@@ -149,7 +150,8 @@ def splitting_idempotent(ideal):
     if not ideal.basis:
         return alg.zero
     no_unit = "no left unit exists; the input is not a right ideal of a semisimple algebra"
-    if ideal._lifted is None:
+    lifted = ideal._matrix.lifted
+    if lifted is None:
         rows, rhs = [], []
         for b_r in ideal.basis:
             # block r: sum_s mu_s (b_s b_r) = b_r, one equation per coordinate
@@ -158,10 +160,10 @@ def splitting_idempotent(ideal):
         mu = solve(f, rows, rhs)
         if mu is None:
             raise StructuralError(no_unit)
-        elem = alg.element(mat_vec(f, transpose(ideal.basis), mu))
+        elem = alg.element(mat_vec(Matrix(f, transpose(ideal.basis)), mu))
         idempotent = (elem * elem - elem).is_zero()
     else:
-        ints, s = ideal._lifted
+        ints, s = lifted
         scale = s * alg._flat_scale
         aug = []
         for b_r in ints:
@@ -193,7 +195,8 @@ def corner_algebra(e):
     rows = []
     for j in range(alg.dim):
         rows.append(alg.mul(alg.mul(e.coords, alg.basis_coords(j)), e.coords))
-    embed, pivots = rref(f, rows)
+    embed, pivots = rref(rows=Matrix(f, rows))
+    embed = embed.rows
     dc = len(embed)
     l = principal_rdim(e)
     if dc != l * l:
@@ -222,7 +225,7 @@ def corner_algebra(e):
 
 
 def corner_to_parent(D, coords):
-    return tuple(mat_vec(D.field, transpose(D.preset["embed"]), coords))
+    return tuple(mat_vec(Matrix(D.field, transpose(D.preset["embed"])), coords))
 
 
 def parent_to_corner(D, coords):
@@ -329,9 +332,8 @@ class ModulePresentation:
     coordinate in column 0 (V's own order except on H x M_m, where l runs
     slowest in A), and _sorted_cols lists each column's coordinates in it.
     Right multiplication by the basis element d_l of D acts slot by slot,
-    as a block-diagonal vlen x vlen matrix; __init__ builds the four, in V's
-    order and in _order, and lifts each set once to one scale
-    (linalg.lift_matrix), for d_rows.
+    as a block-diagonal vlen x vlen matrix; __init__ stacks the four into
+    one Matrix, in V's order (_dmaps) and in _order (_omaps), for d_rows.
 
     Built once per algebra: use module_presentation(A).  A keeps it, so it
     refers to A weakly, and reference counting frees the two together.
@@ -380,10 +382,8 @@ class ModulePresentation:
                 block = self.D.right_mult_matrix(self.D.basis_coords(l))
                 maps.append([[zero] * (4 * r) + list(b) + [zero] * (self.vlen - 4 * r - 4)
                              for r in range(m) for b in block])
-            omaps = [[rows[i] for i in self._order] for rows in maps]
-            # each set with the four maps stacked and lifted to one scale
-            self._dmaps = maps, lift_matrix(self.field, [r for rows in maps for r in rows])
-            self._omaps = omaps, lift_matrix(self.field, [r for rows in omaps for r in rows])
+            self._dmaps = Matrix(self.field, [r for rows in maps for r in rows])
+            self._omaps = Matrix(self.field, [rows[i] for rows in maps for i in self._order])
 
     # coordinate layout helpers -------------------------------------------
 
@@ -392,34 +392,34 @@ class ModulePresentation:
         return tuple(coords[i] for i in self._cols[col])
 
     def d_rows(self, vecs):
-        """F-spanning rows of the right D-span of vecs, as (rows, lifted)
-        for linalg's rref and rank: v d for each v in vecs and, inside, each
-        d of the F-basis of D, the product by d's block map.  Over F_p and Q
+        """F-spanning rows of the right D-span of vecs, as a Matrix for
+        linalg's rref and rank: v d for each v in vecs and, inside, each d
+        of the F-basis of D, the product by d's block map.  Over F_p and Q
         the vectors are lifted once, to one scale s, and each row is an int
-        product by a lifted block map: rows is None, lifted is (int rows,
-        s * the maps' scale), and nothing is lowered.  Over F_{p^k} it is
-        (rows, None), by mat_vec.  Over F (no D) the rows are the vectors
-        themselves, with their lift."""
+        product by the lifted block maps, at scale s times theirs, with
+        nothing lowered.  Over F (no D) the rows are the vectors
+        themselves."""
         return self._d_rows(vecs, self._dmaps)
 
     def _d_rows(self, vecs, maps):
-        """d_rows by the block maps maps (_dmaps in V's order, _omaps in
-        _order, which is V's own order when there is no D)."""
-        f = self.field
-        vecs = [tuple(v) for v in vecs]
-        lifted = lift_matrix(f, vecs)
+        """d_rows by the stacked block maps maps (_dmaps in V's order,
+        _omaps in _order, which is V's own order when there is no D)."""
+        f, n = self.field, self.vlen
+        vecs = Matrix(f, list(vecs))
         if self.D is None:
-            return vecs, lifted
-        blocks, lifted_blocks = maps
-        if lifted is None:
-            return [tuple(mat_vec(f, b, v)) for v in vecs for b in blocks], None
-        (ints, s), (stacked, sm) = lifted, lifted_blocks
-        n = self.vlen
+            return vecs
+        lifted = vecs.lifted
         rows = []
+        if lifted is None:
+            for v in vecs.rows:
+                prods = mat_vec(maps, v)
+                rows += [tuple(prods[i:i + n]) for i in range(0, len(prods), n)]
+            return Matrix(f, rows)
+        (ints, s), (stacked, sm) = lifted, maps.lifted
         for v in ints:
             prods = [sum(map(mul, row, v)) for row in stacked]
             rows += [prods[i:i + n] for i in range(0, len(prods), n)]
-        return None, (rows, s * sm)
+        return Matrix(f, None, rows, s * sm)
 
     # subspaces --------------------------------------------------------------
 
@@ -428,8 +428,8 @@ class ModulePresentation:
         its basis.  I is {x : every column of x lies in W}, so each w in W
         placed in column 0 is in I, and column 0 alone maps I onto W; W is
         D-stable, so neither its D-span nor the other columns add a row."""
-        basis, _ = rref(self.field, [self.column_of(b, 0) for b in ideal.basis])
-        return [tuple(r) for r in basis]
+        basis, _ = rref(rows=Matrix(self.field, [self.column_of(b, 0) for b in ideal.basis]))
+        return [tuple(r) for r in basis.rows]
 
     def d_basis_of(self, f_span_rows, extend_from=()):
         """A right-D basis of a D-stable F-subspace given by F-spanning rows
@@ -445,21 +445,19 @@ class ModulePresentation:
         free."""
         field = self.field
         chosen = list(extend_from)
-        span, pivots = rref(field, *self.d_rows(chosen))
-        # the span lifted once per growth, for the membership tests
-        lifted_span = lift_matrix(field, span)
+        span, pivots = rref(rows=self.d_rows(chosen))
 
         def take(cand):
-            nonlocal span, pivots, lifted_span
-            grown, grown_pivots = rref(field, *self.d_rows(chosen + [cand]))
-            if len(grown) - len(span) != self.d2:
+            nonlocal span, pivots
+            grown, grown_pivots = rref(rows=self.d_rows(chosen + [cand]))
+            if len(grown_pivots) - len(pivots) != self.d2:
                 return False
             chosen.append(cand)
-            span, pivots, lifted_span = grown, grown_pivots, lift_matrix(field, grown)
+            span, pivots = grown, grown_pivots
             return True
 
         def outside(row):
-            return not in_row_space(field, span, pivots, row, lifted_span)
+            return not in_row_space(span, pivots, row)
 
         passed = []
         for cand in map(tuple, f_span_rows):
@@ -495,11 +493,12 @@ class ModulePresentation:
         dimension is m * dim W; RightIdeal raises StructuralError when that
         is not a multiple of the degree.
         """
-        basis, pivots = rref(self.field, *self._d_rows(vecs, self._omaps))
+        basis, pivots = rref(rows=self._d_rows(vecs, self._omaps))
         zero, dim = self.field.zero, self._algebra().dim
+        rows = basis.rows
         placed = []
         for cols in self._sorted_cols:
-            for row, piv in zip(basis, pivots):
+            for row, piv in zip(rows, pivots):
                 out = [zero] * dim
                 for i, x in zip(cols, row):
                     out[i] = x
@@ -555,6 +554,6 @@ def random_flag(A, signature, rng):
         r = rd // pres.ind
         while len(vecs) < r:
             cand = tuple(f.random(rng) for _ in range(pres.vlen))
-            if rank(f, *pres.d_rows(vecs + [cand])) == (len(vecs) + 1) * pres.d2:
+            if rank(pres.d_rows(vecs + [cand])) == (len(vecs) + 1) * pres.d2:
                 vecs.append(cand)
     return Flag([pres.ideal_from_subspace(vecs[:rd // pres.ind]) for rd in sig])

@@ -31,8 +31,7 @@ from .errors import (
     InvalidFormError, InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from .linalg import (
-    identity, int_kernel, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
-    rref, transpose,
+    Matrix, identity, inverse, kernel, mat_mul, mat_vec, rank, rref, transpose,
 )
 from .poly import poly_nth_root
 
@@ -41,38 +40,27 @@ SYMPLECTIC = "symplectic"
 
 
 class Involution:
-    """An involution by its coordinate matrix.  Over F_p and Q it holds the
-    matrix lifted (_lifted, linalg.lift_matrix), which apply_coords,
-    sym_basis and twist_by_inner read; one built from the lifted matrix
-    alone (twist_by_inner) lowers mat on its first read."""
+    """An involution by its coordinate matrix, a verified linalg.Matrix
+    (_matrix), which apply_coords, sym_basis and twist_by_inner read; over
+    F_p and Q lifted, so a twist (Algebra.sandwich_matrix) is lowered only
+    when mat is read."""
 
-    __slots__ = ("algebra", "_mat", "kind", "_lifted")
+    __slots__ = ("algebra", "_matrix", "kind", "_mat")
 
     def __init__(self, algebra, mat, kind):
         self.algebra = algebra
-        self._mat = tuple(tuple(r) for r in mat)
+        self._matrix = mat
         self.kind = kind
-        self._lifted = lift_matrix(algebra.field, self._mat)
-
-    @classmethod
-    def _from_parts(cls, algebra, mat, kind, lifted):
-        """The involution of a verified tuple-of-tuples matrix, with
-        lifted = lift_matrix(algebra.field, mat) already taken; mat may be
-        None where lifted is not."""
-        sigma = cls.__new__(cls)
-        sigma.algebra, sigma._mat, sigma.kind, sigma._lifted = algebra, mat, kind, lifted
-        return sigma
+        self._mat = None
 
     @property
     def mat(self):
         if self._mat is None:
-            rows, scale = self._lifted
-            lower = self.algebra.field.lower_vector
-            self._mat = tuple(tuple(lower(r, scale)) for r in rows)
+            self._mat = tuple(map(tuple, self._matrix.rows))
         return self._mat
 
     def apply_coords(self, coords):
-        return tuple(mat_vec(self.algebra.field, self._mat, coords, self._lifted))
+        return tuple(mat_vec(self._matrix, coords))
 
     def __call__(self, x):
         if isinstance(x, AlgebraElement):
@@ -105,22 +93,24 @@ def _minus_identity(f, mat):
 
 def sym_dimension(algebra, mat):
     """dim of the fixed space of the linear map given by mat."""
-    return algebra.dim - rank(algebra.field, _minus_identity(algebra.field, mat))
+    return algebra.dim - rank(Matrix(algebra.field, _minus_identity(algebra.field, mat)))
 
 
 def sym_basis(sigma):
     """Canonical (rref) basis of Sym(A, sigma), the kernel of sigma - 1.
-    Over F_p and Q that is linalg.int_kernel of the lifted matrix minus its
-    scale on the diagonal, and the rref of the int kernel vectors, lowered
-    once."""
+    Over F_p and Q the matrix minus 1 is the lifted matrix minus its scale
+    on the diagonal, and the kernel and its rref stay int rows until the
+    basis is lowered, once."""
     f = sigma.algebra.field
-    if sigma._lifted is None:
-        basis, _ = rref(f, kernel(f, _minus_identity(f, sigma.mat)))
+    lifted = sigma._matrix.lifted
+    if lifted is None:
+        minus = Matrix(f, _minus_identity(f, sigma.mat))
     else:
-        rows, s = sigma._lifted
-        ints = [[x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-        basis, _ = rref(f, None, int_kernel(f, ints))
-    return [tuple(r) for r in basis]
+        rows, s = lifted
+        minus = Matrix(f, None, [[x - s if i == j else x for j, x in enumerate(row)]
+                                 for i, row in enumerate(rows)], s)
+    basis, _ = rref(rows=kernel(minus))
+    return [tuple(r) for r in basis.rows]
 
 
 def _kind_from_sym_dimension(deg, d):
@@ -158,14 +148,14 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
         raise InvalidInputError(
             f"matrix must be {n} x {n}, not rows of lengths {[len(r) for r in mat]}")
     # sigma^2 = 1 iff sigma maps its own j-th column to e_j for every j
-    lifted = lift_matrix(f, mat)
+    sigma = Matrix(f, mat)
     for j, e_j in enumerate(identity(f, n)):
-        if mat_vec(f, mat, [r[j] for r in mat], lifted) != e_j:
+        if mat_vec(sigma, [r[j] for r in mat]) != e_j:
             raise InvalidInputError("map is not of order two")
 
-    if tuple(mat_vec(f, mat, algebra.unit, lifted)) != algebra.unit:
+    if tuple(mat_vec(sigma, algebra.unit)) != algebra.unit:
         raise InvalidInputError("map does not fix the unit")
-    bad = algebra.anti_automorphism_mismatch(mat, lifted)
+    bad = algebra.anti_automorphism_mismatch(sigma)
     if bad is not None:
         i, g = bad
         raise InvalidInputError(
@@ -179,7 +169,7 @@ def involution_from_matrix(algebra, mat, expected_kind=None):
             "not an involution of the first kind over this field")
     if expected_kind is not None and kind != expected_kind:
         raise InvalidInputError(f"involution is {kind}, expected {expected_kind}")
-    return Involution._from_parts(algebra, mat, kind, lifted)
+    return Involution(algebra, sigma, kind)
 
 
 def involution_type(sigma):
@@ -340,8 +330,7 @@ def twist_by_inner(sigma, u, u_inv):
         raise InvalidInputError("twisting element is not invertible")
     # over F_p and Q sigma's matrix goes in lifted and the twist comes out
     # lifted, with no matrix lowered (Algebra.sandwich_matrix)
-    mat, lifted = A.sandwich_matrix(uc, sigma._mat, u_inv, sigma._lifted)
-    return Involution._from_parts(A, mat, kind, lifted)
+    return Involution(A, A.sandwich_matrix(uc, sigma._matrix, u_inv), kind)
 
 
 def pfaffian_char_poly(sigma, x):

@@ -1,31 +1,23 @@
 """Exact linear algebra over a field object.
 
-Matrices are lists of row lists of raw scalars.  Row reduction is
-deterministic: columns are processed left to right and the first row with a
-nonzero entry becomes the pivot, so reduced forms are canonical and
-byte-comparable.
+A matrix, or a list of vectors, is one value, Matrix: its field and its
+rows, held as field scalars, as ints and a scale, or both (Matrix states
+the rules).  rref, pivots, rank, kernel, mat_vec and in_row_space take a
+Matrix, and rref and kernel return one.  Row reduction is deterministic:
+columns are processed left to right and the first row with a nonzero entry
+becomes the pivot, so reduced forms are canonical and byte-comparable.
 
-The functions on scalars run on field methods.  Over F_p and Q
-(fields.INTEGER_CORE) the ones a workload spends time in branch to an
-integer core instead: rref, rank, kernel (so inverse), mat_vec and
-in_row_space.  Each operand is lifted once to ints and a scale (fields'
-lift_vector and lift_rows; lift_matrix lifts a matrix used by many calls
-once, and rref, rank, kernel, mat_vec and in_row_space take it as lifted=,
-reading the matrix itself only when it is None), the loop does exact int
-arithmetic, and each output entry is lowered once (lower_vector), or not
-at all where a result is only compared or tested for membership.
-int_rank, int_pivots, int_rref_lifted, int_kernel, int_solve,
-int_in_row_space, int_intertwiner_mismatch, int_dependency and
-int_prefix_solve take int rows, at any scale, from callers that hold them,
-so nothing is lowered only to be lifted back.
+Over F_p and Q (fields.INTEGER_CORE) those kernels read the Matrix lifted
+and run on ints; over F_{p^k} they run on field methods.  Each output
+entry is lowered at most once, on its first read.  rref, pivots, kernel
+and int_solve read the column-wise echelon form of _int_echelon; the
+incremental eliminations int_dependency and int_prefix_solve, which read
+rows as their callers build them, share one step, _reduce_and_keep.
 mat_mul, intertwiner_mismatch, reduce_vector, solve, dependency and
 first_dependency keep the field-method path alone: no workload spends
 measurable time in them over F_p or Q, or their callers hold the int
-operands.  rref, rank, kernel and int_solve read the column-wise echelon
-form of _int_echelon; the incremental eliminations int_dependency and
-int_prefix_solve share one step, _reduce_and_keep.  The fields differ only
-where int_modulus says so: in the zero test, in how a row is normalised,
-and in the final lowering.
+operands.  The fields differ only where int_modulus says so: in the zero
+test, in how a row is normalised, and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -39,9 +31,8 @@ and in the final lowering.
   content reduction: a row is updated as a*row - f*pivot_row, a the pivot,
   and divided by the gcd of its entries.  Each int row is a nonzero
   rational multiple of the row the Fraction path would hold, so dividing
-  each reduced row by its pivot gives the same rref; a vector is lifted over
-  the lcm of its denominators and each output entry is one canonical
-  Fraction.
+  each reduced row by its pivot gives the same rref, and each output entry
+  is one canonical Fraction.
 """
 
 import operator
@@ -49,6 +40,62 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError
 from .fields import INTEGER_CORE
+
+
+class Matrix:
+    """A matrix, or a list of vectors, over field: the value the kernels of
+    this module take and return.
+
+    It holds rows, the entries as field scalars, or their lift, int rows
+    and a scale, or both, and computes the missing one on its first read
+    and keeps it.  Only F_p and Q (fields.INTEGER_CORE) lift: over F_{p^k}
+    lifted is None, and a Matrix is built from rows.  The scale rules:
+
+    * rows = ints / scale entry by entry, with scale a nonzero int (prime
+      to p over F_p); over F_p the ints are any representatives.
+    * A lift made here (fields' lift_rows) is the canonical one: over Q the
+      ints over the lcm of every denominator, over F_p the scalars at scale
+      1.  rref returns its basis lifted the same way, so every row holds
+      the scale at its pivot, which in_row_space reads.
+    * Scaling a row does not change the row space, so rank, pivots, rref
+      and kernel read int rows at a scale of their own per row; a kernel
+      that returns such rows says what they are the rows of.
+    * rows is lowered in one lower_vector call; len and indexing read the
+      rows as held (_held) and convert nothing.
+    """
+
+    __slots__ = ("field", "_rows", "_lifted")
+
+    def __init__(self, field, rows=None, ints=None, scale=1):
+        self.field = field
+        self._rows = rows
+        self._lifted = None if ints is None else (ints, scale)
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            ints, scale = self._lifted
+            n = len(ints[0]) if ints else 0
+            flat = self.field.lower_vector([x for row in ints for x in row], scale)
+            self._rows = [flat[i * n:(i + 1) * n] for i in range(len(ints))]
+        return self._rows
+
+    @property
+    def lifted(self):
+        """(int rows, scale) over F_p and Q, else None."""
+        if self._lifted is None and isinstance(self.field, INTEGER_CORE):
+            self._lifted = self.field.lift_rows(self._rows)
+        return self._lifted
+
+    def _held(self):
+        """The rows as held: lowered if they are, else as ints."""
+        return self._lifted[0] if self._rows is None else self._rows
+
+    def __len__(self):
+        return len(self._held())
+
+    def __getitem__(self, i):
+        return self._held()[i]
 
 
 def identity(field, n):
@@ -96,10 +143,9 @@ def intertwiner_mismatch(field, a, b, c):
 
 
 def int_intertwiner_mismatch(field, la, lb, lc):
-    """intertwiner_mismatch over F_p and Q on lifted matrices (la, lb, lc =
-    lift_matrix of a, b and c): the int products are compared as (a b) s_c
-    against (c a) s_b, the common scale s_a cancelled, with no entry
-    lowered."""
+    """intertwiner_mismatch over F_p and Q on (int rows, scale) lifts of a,
+    b and c: the int products are compared as (a b) s_c against (c a) s_b,
+    the common scale s_a cancelled, with no entry lowered."""
     (a, _), (b, sb), (c, sc) = la, lb, lc
     p = field.int_modulus
     for j, (u, v) in enumerate(zip(zip(*_int_mat_mul(a, b)), zip(*_int_mat_mul(c, a)))):
@@ -109,25 +155,11 @@ def int_intertwiner_mismatch(field, la, lb, lc):
     return None
 
 
-def lift_matrix(field, a):
-    """(int rows, scale) with a = rows / scale over F_p and Q, else None.
-
-    Pass it as lifted= to rref, rank, kernel, mat_vec or in_row_space, so
-    that a matrix used by many calls is lifted once, or that a matrix a
-    caller holds only lifted is never lowered (int_intertwiner_mismatch
-    takes three).  Only rref, rank and kernel read it at any scale per row.
-    """
-    if isinstance(field, INTEGER_CORE):
-        return field.lift_rows(a)
-    return None
-
-
-def mat_vec(field, a, v, lifted=None):
-    """The product a v.  Over F_p and Q, given lifted = (rows, scale) with
-    a = rows / scale, a is not read: v is lifted once, each entry is one
-    int dot product, and the result is lowered once."""
-    if lifted is None:
-        lifted = lift_matrix(field, a)
+def mat_vec(m, v):
+    """The product m v, as a list.  Over F_p and Q v is lifted once, each
+    entry is one int dot product, and the result is lowered once."""
+    field = m.field
+    lifted = m.lifted
     if lifted is not None:
         rows, scale = lifted
         if not field.int_modulus:
@@ -136,7 +168,7 @@ def mat_vec(field, a, v, lifted=None):
         return field.lower_vector([sum(map(operator.mul, row, v)) for row in rows], scale)
     add, mul, zero = field.add, field.mul, field.zero
     out = []
-    for row in a:
+    for row in m.rows:
         acc = zero
         for c, x in zip(row, v):
             if not field.is_zero(c):
@@ -149,80 +181,85 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rref(field, rows, lifted=None):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
+def rref(*, rows):
+    """Reduced row echelon form of the Matrix rows: (Matrix, pivot
+    columns).  rows is passed by keyword: the benchmark's tracer
+    (perfbench/tracer.py) counts each call's cells from it."""
+    return _echelon(rows)
 
-    Over F_p and Q, lifted is lift_matrix of rows where the caller holds it;
-    rows is not read then, and each int row may carry a scale of its own."""
-    if lifted is None:
-        if not rows:
-            return [], []
-        if isinstance(field, INTEGER_CORE):
-            lifted = field.lift_rows(rows)
+
+def pivots(m):
+    """The pivot columns of the rref of m, by forward elimination alone: the
+    columns where the row space first reaches a new dimension."""
+    return _echelon(m, False)[1]
+
+
+def rank(m):
+    return len(_echelon(m, False)[1])
+
+
+def _echelon(m, reduce=True):
+    """(Matrix, pivots): the rref of m, or with reduce False an echelon
+    form of its row space, reduced only below each pivot.  Over F_p and Q
+    the rref is _int_echelon's rows, each over its pivot a_i, lifted to
+    the scale lcm |a_i| (a row r / a of it lifts to sign(a) r at |a|: r is
+    primitive, so the denominators of r / a have lcm |a|), or over F_p
+    reduced mod p at scale 1; the echelon form is _int_echelon's rows as
+    they are."""
+    field = m.field
+    lifted = m.lifted
     if lifted is not None:
-        return _int_rref(field, list(lifted[0])) if lifted[0] else ([], [])
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    sub, mul, div = field.sub, field.mul, field.div
+        if not lifted[0]:
+            return Matrix(field, [], []), []
+        rows, piv = _int_echelon(field, list(lifted[0]), reduce)
+        p = field.int_modulus
+        if not reduce:
+            return Matrix(field, None, rows), piv
+        if p:
+            # reduced mod p, the ints are the rref's scalars themselves
+            rows = [[x % p for x in row] for row in rows]
+            return Matrix(field, rows, rows), piv
+        scale = lcm(*[row[c] for row, c in zip(rows, piv)])
+        ints = [row if row[c] == scale else [x * (scale // row[c]) for x in row]
+                for row, c in zip(rows, piv)]
+        return Matrix(field, None, ints, scale), piv
+    rows = [list(r) for r in m.rows]
+    if not rows:
+        return Matrix(field, []), []
+    ncols = len(rows[0])
+    sub, mul = field.sub, field.mul
     is_zero = field.is_zero
-    pivots = []
+    piv = []
     r = 0
     for c in range(ncols):
         pr = None
-        for i in range(r, len(m)):
-            if not is_zero(m[i][c]):
+        for i in range(r, len(rows)):
+            if not is_zero(rows[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        if m[r][c] != field.one:
-            m[r] = [mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                mi, mr = m[i], m[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        if rows[r][c] != field.one:
+            rows[r] = [mul(inv, x) for x in rows[r]]
+        for i in range(0 if reduce else r + 1, len(rows)):
+            if i != r and not is_zero(rows[i][c]):
+                f = rows[i][c]
+                mi, mr = rows[i], rows[r]
                 for j in range(c, ncols):
                     mi[j] = sub(mi[j], mul(f, mr[j]))
-        pivots.append(c)
+        piv.append(c)
         r += 1
-        if r == len(m):
+        if r == len(rows):
             break
-    return [m[i] for i in range(r)], pivots
+    return Matrix(field, rows[:r]), piv
 
 
 def _primitive(row):
     """An int row divided by its content."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _int_rref(field, m):
-    """rref on lifted rows (scaling a row does not change the row space),
-    lowered once: each row of _int_echelon over its pivot, which over F_p
-    is 1 mod p."""
-    m, pivots = _int_echelon(field, m)
-    return [field.lower_vector(row, row[c]) for row, c in zip(m, pivots)], pivots
-
-
-def int_rref_lifted(field, rows):
-    """rref over F_p and Q of int rows, each at any nonzero scale of its
-    own, with nothing lowered: (lifted, pivots), each rref row as the pair
-    (ints, scale) that lift_vector gives of it.  Over Q a row of
-    _int_echelon is primitive with pivot a, so the denominators of row / a
-    have lcm |a| (a prime power dividing a divides every one but those of
-    the entries it does not divide, and one entry it does not divide
-    exists), and row / a lifts exactly to (sign(a) row, |a|).  Over F_p the
-    pivot is 1 and the lift is the row reduced mod p, at scale 1."""
-    if not rows:
-        return [], []
-    m, pivots = _int_echelon(field, list(rows))
-    p = field.int_modulus
-    if p:
-        return [([x % p for x in row], 1) for row in m], pivots
-    return [(row, row[c]) if row[c] > 0 else ([-x for x in row], -row[c])
-            for row, c in zip(m, pivots)], pivots
 
 
 def _int_echelon(field, m, _reduce=True):
@@ -272,29 +309,6 @@ def _int_echelon(field, m, _reduce=True):
     return m[:r], pivots
 
 
-def rank(field, rows, lifted=None):
-    """The rank of rows; over F_p and Q, lifted as rref takes it."""
-    if lifted is None and isinstance(field, INTEGER_CORE):
-        lifted = field.lift_rows(rows)
-    if lifted is not None:
-        return int_rank(field, lifted[0])
-    return len(rref(field, rows)[0])
-
-
-def int_rank(field, rows):
-    """rank over F_p and Q of int rows, at any nonzero scale, with no entry
-    lowered, by forward elimination."""
-    return len(int_pivots(field, rows))
-
-
-def int_pivots(field, rows):
-    """The pivot columns of the rref of int rows over F_p and Q, at any
-    nonzero scale, by forward elimination, with no entry lowered: the
-    columns where the row space first reaches a new dimension, which the
-    reduced form shares."""
-    return _int_echelon(field, list(rows), _reduce=False)[1] if rows else []
-
-
 def int_solve(field, aug):
     """solve over F_p and Q for the int augmented matrix aug = [a | b], at
     any nonzero common scale (it cancels), with nothing lowered: one x with
@@ -316,10 +330,11 @@ def int_solve(field, aug):
 def first_dependency(field, vectors):
     """The first linear dependency of a sequence v_0, v_1, ...: at the first
     v_d in the span of v_0..v_{d-1}, (coeffs, basis, pivots) with
-    v_d = sum coeffs[i] v_i and (basis, pivots) = rref(v_0..v_{d-1}):
-    dependency, then rref of the kept rows."""
+    v_d = sum coeffs[i] v_i and basis, pivots the rows and pivots of the
+    rref of v_0..v_{d-1}: dependency, then rref of the kept rows."""
     comb, kept = dependency(field, vectors)
-    return ([field.neg(c) for c in comb[:-1]], *rref(field, kept))
+    basis, piv = rref(rows=Matrix(field, kept))
+    return [field.neg(c) for c in comb[:-1]], basis.rows, piv
 
 
 def dependency(field, vectors):
@@ -456,21 +471,17 @@ def reduce_vector(field, basis, pivots, vec):
     return v, coeffs
 
 
-def in_row_space(field, basis, pivots, vec, lifted=None):
+def in_row_space(basis, pivots, vec):
+    """Whether vec lies in the row space of basis, an rref Matrix with these
+    pivots.  Over F_p and Q vec is lifted and reduced as ints against the
+    basis's lift."""
+    field = basis.field
+    lifted = basis.lifted
     if lifted is None:
-        lifted = lift_matrix(field, basis)
-    if lifted is not None:
-        return int_in_row_space(field, lifted, pivots, field.lift_vector(vec)[0])
-    residual, _ = reduce_vector(field, basis, pivots, vec)
-    return all(field.is_zero(x) for x in residual)
-
-
-def int_in_row_space(field, lifted, pivots, ints):
-    """in_row_space over F_p and Q for a vector given only as ints, at any
-    nonzero scale (membership does not depend on it); lifted is
-    lift_matrix of the rref basis, every row of which has the common scale
-    a at its pivot (1 over F_p)."""
+        residual, _ = reduce_vector(field, basis.rows, pivots, vec)
+        return all(field.is_zero(x) for x in residual)
     rows, a = lifted
+    ints = field.lift_vector(vec)[0]
     p = field.int_modulus
     for row, piv in zip(rows, pivots):
         f = ints[piv] % p if p else ints[piv]
@@ -480,66 +491,37 @@ def int_in_row_space(field, lifted, pivots, ints):
     return not any([x % p for x in ints] if p else ints)
 
 
-def kernel(field, rows, lifted=None):
-    """Basis of the right kernel {v : rows . v = 0}, canonical order.  Over
-    F_p and Q, lifted as rref takes it; int_kernel then runs on the ints and
-    only the kernel vectors are lowered, once, at their one scale."""
-    if lifted is None:
-        if not rows:
-            raise InvalidInputError("kernel of an empty matrix needs a column count")
-        lifted = lift_matrix(field, rows)
-    if lifted is not None:
-        vecs, scale = int_kernel(field, lifted[0])
-        flat = field.lower_vector([x for v in vecs for x in v], scale)
-        n = len(lifted[0][0])
-        return [flat[i:i + n] for i in range(0, len(flat), n)]
-    ncols = len(rows[0])
-    basis, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    z, o = field.zero, field.one
-    for fc in free:
-        v = [z] * ncols
-        v[fc] = o
-        for row, p in zip(basis, pivots):
-            v[p] = field.neg(row[fc])
-        out.append(v)
-    return out
-
-
-def int_kernel(field, rows):
-    """kernel over F_p and Q of int rows, each at any nonzero scale of its
-    own, with nothing lowered: (the int vectors of kernel, in its order,
-    their one scale).
-
-    Row i of _int_echelon has pivot a_i in column p_i and is zero (mod p)
-    in the other pivot columns, so the kernel vector of free column c has
-    1 at c, -row_i[c] / a_i at p_i and 0 elsewhere: ints L at c and
-    -row_i[c] (L / a_i) at p_i, over scale L = lcm |a_i| (1 over F_p, where
-    every a_i is 1)."""
-    if not rows:
+def kernel(m):
+    """Basis of the right kernel {v : m v = 0}, in canonical order, as a
+    Matrix: for each free column c of the rref, 1 at c and minus the rref's
+    entry in column c at each pivot.  Over F_p and Q that is read off the
+    rref's lift, 1 being its scale, and nothing is lowered."""
+    if not len(m):
         raise InvalidInputError("kernel of an empty matrix needs a column count")
-    ncols = len(rows[0])
-    m, pivots = _int_echelon(field, list(rows))
-    scale = lcm(*[row[c] for row, c in zip(m, pivots)])
+    field, ncols = m.field, len(m[0])
+    basis, piv = rref(rows=m)
+    lifted = basis.lifted
+    rows, one, zero, neg = ((basis.rows, field.one, field.zero, field.neg) if lifted is None
+                            else (lifted[0], lifted[1], 0, operator.neg))
     out = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[fc] = scale
-        for row, c in zip(m, pivots):
-            v[c] = -row[fc] * (scale // row[c])
-        out.append(v)
-    return out, scale
+    for fc in range(ncols):
+        if fc not in piv:
+            v = [zero] * ncols
+            v[fc] = one
+            for row, c in zip(rows, piv):
+                v[c] = neg(row[fc])
+            out.append(v)
+    return Matrix(field, out) if lifted is None else Matrix(field, None, out, one)
 
 
 def solve(field, a, b):
     """One solution x of a x = b, free variables set to 0; None if inconsistent."""
     aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    basis, pivots = rref(field, aug)
+    basis, piv = rref(rows=Matrix(field, aug))
     n = len(a[0]) if a else 0
     z = field.zero
     x = [z] * n
-    for row, p in zip(basis, pivots):
+    for row, p in zip(basis.rows, piv):
         if p == n:
             return None  # 0 = 1 row
         x[p] = row[n]
@@ -549,10 +531,10 @@ def solve(field, a, b):
 def inverse(field, rows):
     n = len(rows)
     aug = [list(r) + list(e) for r, e in zip(rows, identity(field, n))]
-    basis, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
+    basis, piv = rref(rows=Matrix(field, aug))
+    if piv[:n] != list(range(n)):
         return None
-    return [row[n:] for row in basis]
+    return [row[n:] for row in basis.rows]
 
 
 def charpoly(field, rows):

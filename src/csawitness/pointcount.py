@@ -28,7 +28,7 @@ from .errors import (
     StructuralError, UnsupportedFieldError,
 )
 from .fields import PrimeField, Rationals, standard_extension
-from .linalg import rref
+from .linalg import Matrix, rref
 from .poly import Poly
 from .quadrics import (
     QuadraticForm, enumerate_rref_subspaces, normalize_point, points_on_quadric,
@@ -123,10 +123,10 @@ class GrassmannianModel(_Model):
 
     def normalize(self, field, coords):
         mat = [list(coords[r * self.m:(r + 1) * self.m]) for r in range(self.k)]
-        basis, _ = rref(field, mat)
-        if len(basis) != self.k:
+        basis, pivots = rref(rows=Matrix(field, mat))
+        if len(pivots) != self.k:
             return None
-        return tuple(c for row in basis for c in row)
+        return tuple(c for row in basis.rows for c in row)
 
     def to_json(self):
         return {"kind": self.kind, "k": self.k, "m": self.m}

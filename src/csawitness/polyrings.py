@@ -19,7 +19,7 @@ lowered once.  No rational-function arithmetic is ever needed.
 from collections import namedtuple
 import operator
 
-from .linalg import int_prefix_solve, rref
+from .linalg import Matrix, int_prefix_solve, rref
 from .poly import Poly
 
 # the operations the Newton and Bareiss loops take from a coefficient ring
@@ -315,8 +315,8 @@ def _pencil_min_poly_rref(A, start, end, d):
         for m in range(A.dim):
             rows.append([f.zero if v is None else v[m] for v in terms]
                         + [f.neg(powers[d][i][m])])
-    basis, pivots = rref(f, rows)
+    basis, pivots = rref(rows=Matrix(f, rows))
     if pivots != list(range(len(unknowns))):
         return None
-    sol = iter(row[-1] for row in basis)
+    sol = iter(row[-1] for row in basis.rows)
     return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]

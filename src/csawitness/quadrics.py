@@ -19,7 +19,7 @@ coordinates q is a quadratic in the last one, expanded once per prefix.
 
 from .errors import InvalidFormError, InvalidInputError
 from .fields import json_get
-from .linalg import mat_vec, rank, rref
+from .linalg import Matrix, mat_vec, rank, rref
 from .poly import Poly
 
 
@@ -78,7 +78,7 @@ class QuadraticForm:
         for k, v in enumerate(vecs):
             out[2 * k] = f.add(out[2 * k], self.eval(v))
             if k < deg:
-                for l, b in enumerate(mat_vec(f, polars[k:], v), k + 1):
+                for l, b in enumerate(mat_vec(Matrix(f, polars[k:]), v), k + 1):
                     out[k + l] = f.add(out[k + l], b)
         return Poly(coord_polys[0].field, out)
 
@@ -201,10 +201,10 @@ def plucker_embed(field, rows):
     for a genuine subspace)."""
     if len(rows) != 2 or any(len(r) != 4 for r in rows):
         raise InvalidInputError("need two spanning vectors in F^4")
-    basis, _ = rref(field, rows)
-    if len(basis) != 2:
+    basis, pivots = rref(rows=Matrix(field, rows))
+    if len(pivots) != 2:
         raise InvalidInputError("vectors do not span a 2-dimensional subspace")
-    coords = plucker_coordinates(field, basis[0], basis[1])
+    coords = plucker_coordinates(field, *basis.rows)
     pt = normalize_point(field, coords)
     return pt, plucker_quadric_value(field, coords)
 
@@ -223,7 +223,7 @@ def alternating_form_check(field, omega):
         for j in range(n):
             if omega[i][j] != field.neg(omega[j][i]):
                 raise InvalidFormError("form is not alternating")
-    if rank(field, omega) < n:
+    if rank(Matrix(field, omega)) < n:
         raise InvalidFormError("alternating form is singular")
 
 

@@ -38,7 +38,7 @@ from .involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from .linalg import int_pivots, kernel, lift_matrix, mat_vec, rank, rref, transpose
+from .linalg import Matrix, kernel, mat_vec, pivots, rank, rref, transpose
 from .poly import Poly, poly_gcd
 from .polyrings import (
     _ZT, _bareiss, _zt_trim, line_coords, pencil_discriminant, polymat_det,
@@ -138,7 +138,7 @@ def _pencil_vectors_at(f, vecs, vecs_prime, t):
     if not vecs:
         return []
     n = len(vecs[0])
-    flat = mat_vec(f, [row for w, wp in zip(vecs, vecs_prime) for row in zip(w, wp)],
+    flat = mat_vec(Matrix(f, [row for w, wp in zip(vecs, vecs_prime) for row in zip(w, wp)]),
                    (t, f.sub(f.one, t)))
     return [tuple(flat[i:i + n]) for i in range(0, len(flat), n)]
 
@@ -189,7 +189,7 @@ class _Pencil(_Kind):
         vecs = _pencil_vectors_at(A.field, w.data["pencil_w"], w.data["pencil_w_prime"], t)
         rdims = []
         for lvl in self.levels(w):
-            dim = pres.m * rank(A.field, *pres.d_rows(vecs[:lvl]))
+            dim = pres.m * rank(pres.d_rows(vecs[:lvl]))
             if dim % A.degree:
                 raise StructuralError(
                     f"subspace dimension {dim} is not a multiple of the degree")
@@ -520,19 +520,19 @@ def _pencil_validity(pres, wvecs, wpvecs):
 
     The minors are minors of the k x vlen matrix t R1 + (1 - t) R0, R1 and
     R0 the D-rows at t = 1 and t = 0.  Over F_p and Q d_rows gives the 2k
-    rows as int rows at one scale s, the pivots come from forward
-    elimination on them, and each minor is one Bareiss determinant in Z[t]
-    (_zt_line_minor), lowered once by s^k; over F_p s is 1 and that int
-    determinant reduced mod p is the one over F_p.  A determinant is
-    unique, so it is the Poly that polymat_det gives over F[t], which
-    F_{p^k} keeps.
+    rows as int rows at one scale s, and each minor is one Bareiss
+    determinant in Z[t] (_zt_line_minor), lowered once by s^k; over F_p s is
+    1 and that int determinant reduced mod p is the one over F_p.  A
+    determinant is unique, so it is the Poly that polymat_det gives over
+    F[t], which F_{p^k} keeps.
     """
     field = pres.field
-    rows, lifted = pres.d_rows(list(wvecs) + list(wpvecs))
+    both = pres.d_rows(list(wvecs) + list(wpvecs))
+    lifted = both.lifted
     if lifted is None:
+        rows = both.rows
         k = len(rows) // 2
-        _, piv1 = rref(field, rows[:k])
-        _, piv0 = rref(field, rows[k:])
+        piv1, piv0 = rref(rows=Matrix(field, rows[:k]))[1], rref(rows=Matrix(field, rows[k:]))[1]
         # polynomial matrix of the moving span rows
         prows = [line_coords(field, r1, r0) for r1, r0 in zip(rows[:k], rows[k:])]
 
@@ -541,10 +541,11 @@ def _pencil_validity(pres, wvecs, wpvecs):
     else:
         ints = lifted[0]
         k = len(ints) // 2
-        piv1, piv0 = int_pivots(field, ints[:k]), int_pivots(field, ints[k:])
+        # forward elimination suffices for the pivots
+        piv1, piv0 = pivots(Matrix(field, None, ints[:k])), pivots(Matrix(field, None, ints[k:]))
 
         def minor(cols):
-            return _zt_line_minor(field, lifted, cols)
+            return _zt_line_minor(both, cols)
 
     v1 = minor(piv1)
     if field.is_zero(v1.eval(field.one)):
@@ -558,12 +559,13 @@ def _pencil_validity(pres, wvecs, wpvecs):
     return v1
 
 
-def _zt_line_minor(field, lifted, cols):
-    """The minor at columns cols of t R1 + (1 - t) R0 over F_p or Q, from
-    lifted = (int rows of R1 then of R0, scale s): its entries
+def _zt_line_minor(rows, cols):
+    """The minor at columns cols of t R1 + (1 - t) R0 over F_p or Q, for
+    the Matrix rows of R1 then R0, read lifted at scale s: its entries
     e + (a - e) t are Z[t] int lists, and the k x k minor is one Bareiss
     determinant in Z[t], lowered once by s^k."""
-    ints, s = lifted
+    field = rows.field
+    ints, s = rows.lifted
     k = len(ints) // 2
     det = _bareiss(_ZT, [[_zt_trim([r0[c], r1[c] - r0[c]]) for c in cols]
                          for r1, r0 in zip(ints[:k], ints[k:])])
@@ -667,7 +669,7 @@ def _random_combination(A, basis, rng):
     """sum c_i b_i over a nonempty basis, with one f.random(rng) draw per
     basis row, in order."""
     f = A.field
-    return tuple(mat_vec(f, transpose(basis), [f.random(rng) for _ in basis]))
+    return tuple(mat_vec(Matrix(f, transpose(basis)), [f.random(rng) for _ in basis]))
 
 
 def _redraw_generator(E, rng):
@@ -718,9 +720,9 @@ def connect_max_etale(E1, E2, rng_seed=0):
 
 def _intertwiner_space(A, pairs):
     """Kernel of the conditions L(x) u = u R(x) for the (L(x), R(x)) pairs:
-    over F_p and Q int_kernel of the int commutator rows, with only the
+    over F_p and Q the kernel of the int commutator rows, with only the
     kernel vectors lowered (Algebra.commutator_rows)."""
-    return kernel(A.field, *A.commutator_rows(pairs))
+    return kernel(A.commutator_rows(pairs)).rows
 
 
 def _search_invertible(A, space, rng, first, image=tuple):
@@ -848,13 +850,13 @@ def _symplectic_fixing(L, tau, rng_seed, cent):
 
 def default_symplectic_involution(A):
     """A canonical symplectic involution for exponent-2 presets, built and
-    verified once per algebra object.  A keeps its matrix, kind and lifted
-    matrix, not the Involution, which refers to A: that cycle would leave
-    every such algebra to the collector."""
+    verified once per algebra object.  A keeps its Matrix and kind, not
+    the Involution, which refers to A: that cycle would leave every such
+    algebra to the collector."""
     if A._symplectic is None:
         sigma = _default_symplectic_involution(A)
-        A._symplectic = sigma.mat, sigma.kind, sigma._lifted
-    return Involution._from_parts(A, *A._symplectic)
+        A._symplectic = sigma._matrix, sigma.kind
+    return Involution(A, *A._symplectic)
 
 
 def _default_symplectic_involution(A):
@@ -1080,13 +1082,11 @@ def _link_quadric_points(form, p1, p2, candidates, polar):
         q(p) nonzero.  This uses only q(a) = q(b) = 0 and b(a, a) = 2 q(a),
         so it holds over any field and for any form, degenerate or in
         characteristic 2."""
-        rows = [polar_of(a), polar_of(b)]
-        lifted = lift_matrix(field, rows)
+        polars = Matrix(field, [polar_of(a), polar_of(b)])
         for p in pool:
-            ba, bb = mat_vec(field, rows, p, lifted)
+            ba, bb = mat_vec(polars, p)
             if not (is_zero(ba) or is_zero(bb)):
-                return _quadric_segment(form, a, b, p, ba, bb,
-                                        mat_vec(field, rows[:1], b)[0])
+                return _quadric_segment(form, a, b, p, ba, bb, mat_vec(polars, b)[0])
         return None
 
     # One lazy pass in candidate order returns the first good point as soon

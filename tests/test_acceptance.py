@@ -27,7 +27,7 @@ from csawitness.involutions import (
     adjoint_involution, pfaffian_char_poly, standard_alternating_matrix,
     sym_basis,
 )
-from csawitness.linalg import rank, rref
+from csawitness.linalg import Matrix, rank, rref
 from csawitness.algebra import index_evidence, poly_eval_at_element, reduced_char_poly
 from csawitness.pointcount import (
     QPointSearch, QuadricCurves, QuadricModel, link_graph,
@@ -44,6 +44,12 @@ from csawitness.witness import (
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
+
+
+def _rref(field, rows):
+    """rref of the Matrix of rows, as (its rows, pivots)."""
+    basis, piv = rref(rows=Matrix(field, rows))
+    return basis.rows, piv
 
 def report(number, name, ok, elapsed, budget):
     status = "PASS" if ok and elapsed < budget else "FAIL"
@@ -76,7 +82,7 @@ def test_criterion_01_idempotent_splitting():
         ok = ok and I.contains(e.coords)
         ok = ok and ideal_generated([e]) == I
         ok = ok and I.dim() + comp.dim() == A.dim
-        ok = ok and rank(A.field, list(I.basis) + list(comp.basis)) == A.dim
+        ok = ok and rank(Matrix(A.field, list(I.basis) + list(comp.basis))) == A.dim
         if not ok:
             break
     report(1, "idempotent splitting (200 ideals)", ok,
@@ -105,9 +111,9 @@ def test_criterion_02_subflag_dictionary():
                     for idx, x in enumerate(w):
                         v[idx] = F5.add(v[idx], F5.mul(c, x))
                 vecs.append(tuple(v))
-            if rank(F5, vecs) == sub_rdim:
+            if rank(Matrix(F5, vecs)) == sub_rdim:
                 break
-        J = pres.ideal_from_subspace([tuple(r) for r in rref(F5, vecs)[0]])
+        J = pres.ideal_from_subspace([tuple(r) for r in _rref(F5, vecs)[0]])
         ok = ok and I.contains_ideal(J)
         K = restrict_to_corner(J, D)
         ok = ok and induce_from_corner(K) == J

@@ -17,12 +17,18 @@ from csawitness.errors import (
     InvalidInputError, StructuralError, UnsupportedFieldError,
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import charpoly, kernel, rank, rref, solve
+from csawitness.linalg import Matrix, charpoly, kernel, rank, rref, solve
 from csawitness.poly import Poly, poly_nth_root
 from csawitness.quadrics import QuadraticForm
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
+
+
+def _rref(field, rows):
+    """rref of the Matrix of rows, as (its rows, pivots)."""
+    basis, piv = rref(rows=Matrix(field, rows))
+    return basis.rows, piv
 
 def test_matrix_algebra_units():
     A = make_matrix_algebra(F5, 2)
@@ -88,7 +94,7 @@ def test_tensor_of_matrix_algebras():
     # the regular representation is faithful: the 16 left-multiplication
     # matrices of the basis are linearly independent
     flat = [sum(T.left_mult_matrix(T.basis_coords(i)), []) for i in range(16)]
-    assert rank(F5, flat) == 16
+    assert rank(Matrix(F5, flat)) == 16
 
 
 def test_tensor_with_the_base_field_changes_nothing():
@@ -104,7 +110,7 @@ def test_biquaternion_zero_divisor_from_linear_system():
     assert B.degree == 4
     # x = i(x)1 - 1(x)i is a zero divisor: find its partner by solving x y = 0
     x = B.basis_element(1 * 4 + 0) - B.basis_element(0 * 4 + 1)
-    ker = kernel(QQ, B.left_mult_matrix(x.coords))
+    ker = kernel(Matrix(QQ, B.left_mult_matrix(x.coords))).rows
     assert ker
     y = B.element(ker[0])
     assert (x * y).is_zero() and not x.is_zero() and not y.is_zero()
@@ -326,9 +332,9 @@ def _word_span_rank(A, gens):
     """Rank of the span of all words in gens, grown one word length at a
     time: S_{k+1} = S_k + S_k g."""
     f = A.field
-    span, _ = rref(f, [A.unit])
+    span, _ = _rref(f, [A.unit])
     while True:
-        grown, _ = rref(f, span + [A.mul(b, g) for b in span for g in gens])
+        grown, _ = _rref(f, span + [A.mul(b, g) for b in span for g in gens])
         if len(grown) == len(span):
             return len(span)
         span = grown
@@ -517,12 +523,12 @@ def test_inverse_agrees_with_solving_x_y_equals_1(name, A):
                          ids=["M4(F7)", "M2(Q)xH"])
 def test_inverse_builds_no_basis_and_lowers_nothing_on_a_zero_divisor(A, monkeypatch):
     from csawitness import linalg
-    calls = {"_int_rref": 0, "lower_vector": 0}
-    int_rref, lower = linalg._int_rref, A.field.lower_vector
+    calls = {"_echelon": 0, "lower_vector": 0}
+    echelon, lower = linalg._echelon, type(A.field).lower_vector
 
-    def counted_rref(*args):
-        calls["_int_rref"] += 1
-        return int_rref(*args)
+    def counted_echelon(*args, **kwargs):
+        calls["_echelon"] += 1
+        return echelon(*args, **kwargs)
 
     def counted_lower(*args):
         calls["lower_vector"] += 1
@@ -534,18 +540,20 @@ def test_inverse_builds_no_basis_and_lowers_nothing_on_a_zero_divisor(A, monkeyp
     e = A.basis_coords(0)
     singular = [A.zero_coords(), e, A.sub(A.unit, e)]
     singular += [A.mul(A.random_element(rng).coords, e) for _ in range(6)]
-    monkeypatch.setattr(linalg, "_int_rref", counted_rref)
-    monkeypatch.setattr(A.field, "lower_vector", counted_lower)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    # on the class, so that undoing the patch leaves no attribute on the
+    # shared field instance
+    monkeypatch.setattr(type(A.field), "lower_vector", counted_lower)
     for x in singular:
         assert A.inverse(x) is None
-    assert calls == {"_int_rref": 0, "lower_vector": 0}
+    assert calls == {"_echelon": 0, "lower_vector": 0}
     found = 0
     for _ in range(12):
         x = A.random_element(rng).coords
         y = A.inverse(x)
         found += y is not None
         assert y is None or A.mul(x, y) == A.unit
-    assert found and calls["_int_rref"] == 0
+    assert found and calls["_echelon"] == 0
 
 
 
@@ -563,9 +571,9 @@ def test_inverse_over_f9_builds_no_basis(monkeypatch):
     calls = []
     counted = linalg.rref
 
-    def counted_rref(*args):
+    def counted_rref(*args, **kwargs):
         calls.append(args)
-        return counted(*args)
+        return counted(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "rref", counted_rref)
     monkeypatch.setattr(algebra_module, "rref", counted_rref)
@@ -804,29 +812,30 @@ def test_commutator_kernels_match_the_method_path_and_sympy(name):
         conj = x if g_inv is None else A.mul(A.mul(g, x), g_inv)
         for pairs in ([(x, x)], [(conj, x)], [(x, y)], [(x, x), (conj, x)]):
             rows = [r for a, b in pairs for r in A.left_minus_right_matrix(a, b)]
-            want = kernel(ref, rows)
-            assert kernel(f, *A.commutator_rows(pairs)) == want
-            assert rank(f, *A.commutator_rows(pairs)) == A.dim - len(want)
+            want = kernel(Matrix(ref, rows)).rows
+            assert kernel(A.commutator_rows(pairs)).rows == want
+            assert rank(A.commutator_rows(pairs)) == A.dim - len(want)
             nonzero += bool(want)
             if f == QQ and HAVE_SYMPY:
-                assert [list(r) for r in rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
-        assert A.centralizer_dim(x) == A.dim - rank(ref, A.left_minus_right_matrix(x, x))
+                assert [list(r) for r in _rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
+        assert A.centralizer_dim(x) == A.dim - rank(Matrix(ref, A.left_minus_right_matrix(x, x)))
     assert nonzero
 
 
 @pytest.mark.parametrize("name", sorted(_INT_CORE_ALGEBRAS))
 def test_sandwich_matrix_stays_lifted_on_the_integer_core(name):
-    from csawitness.linalg import lift_matrix
     A = _INT_CORE_ALGEBRAS[name]
     f = A.field
     rng = random.Random(name)
     u, v = _sparse_random(A, rng), _sparse_random(A, rng)
     m = [list(_sparse_random(A, rng)) for _ in range(A.dim)]
     want = [list(r) for r in zip(*[A.mul(A.mul(u, col), v) for col in zip(*m)])]
-    for lifted in (None, lift_matrix(f, m)):
-        mat, (rows, scale) = A.sandwich_matrix(u, m if lifted is None else None, v, lifted)
-        assert mat is None
-        assert [f.lower_vector(r, scale) for r in rows] == want
+    ints, scale = f.lift_rows(m)
+    # from rows, and held only lifted: the result is held only lifted
+    for mat in (Matrix(f, m), Matrix(f, ints=ints, scale=scale)):
+        got = A.sandwich_matrix(u, mat, v)
+        assert got._held() is got.lifted[0]
+        assert got.rows == want
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F7], ids=["Q", "F2", "F7"])

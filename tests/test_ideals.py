@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from csawitness.algebra import Algebra, make_matrix_algebra, make_quaternion, tensor_product
 from csawitness.errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from csawitness.fields import QQ, PrimeField, standard_extension
-from csawitness.linalg import in_row_space, mat_vec, rank, rref, solve, transpose
+from csawitness.linalg import Matrix, in_row_space, mat_vec, rank, rref, solve, transpose
 from csawitness.ideals import (
     Flag, RightIdeal, corner_algebra, flag_check, full_ideal, ideal_generated,
     induce_from_corner, module_presentation, random_flag, random_ideal,
@@ -18,6 +18,12 @@ from csawitness.ideals import (
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
+
+
+def _rref(field, rows):
+    """rref of the Matrix of rows, as (its rows, pivots)."""
+    basis, piv = rref(rows=Matrix(field, rows))
+    return basis.rows, piv
 
 def test_ideal_generated_examples():
     A = make_matrix_algebra(F5, 2)
@@ -62,7 +68,7 @@ def _idempotent_by_the_method_path(I):
         prods = [A.mul(b_s, b_r) for b_s in I.basis]
         rows.extend([p[k] for p in prods] for k in range(A.dim))
         rhs.extend(b_r)
-    return A.element(mat_vec(f, transpose(I.basis), solve(f, rows, rhs)))
+    return A.element(mat_vec(Matrix(f, transpose(I.basis)), solve(f, rows, rhs)))
 
 
 def _idempotent_cases():
@@ -115,7 +121,7 @@ def test_splitting_idempotent_seeded_all_presets():
                 # complement: I + J = A, I ∩ J = 0
                 assert I.dim() + J.dim() == A.dim
                 from csawitness.linalg import rank
-                assert rank(A.field, list(I.basis) + list(J.basis)) == A.dim
+                assert rank(Matrix(A.field, list(I.basis) + list(J.basis))) == A.dim
 
 
 def test_corner_algebra_trivial_cases():
@@ -229,11 +235,11 @@ def test_d_basis_of_takes_a_sum_of_two_rows_where_each_row_falls_short():
     I = ideal_generated([T.element([0, 1, 1, 0] + [0] * 8 + [0, 1, 1, 0])])
     assert I.rdim == 2
     rows = pres.image_subspace(I)
-    assert all(rank(F5, *pres.d_rows([v])) == 2 for v in rows)
+    assert all(rank(pres.d_rows([v])) == 2 for v in rows)
     sums = [tuple(F5.add(x, y) for x, y in zip(a, b))
             for i, a in enumerate(rows) for b in rows[i + 1:]]
     assert pres.d_basis_of(rows) == [next(w for w in sums
-                                          if rank(F5, *pres.d_rows([w])) == 4)]
+                                          if rank(pres.d_rows([w])) == 4)]
     # a column space whose rows each add 4 keeps the first row
     r = random_ideal(T, 2, random.Random(3))
     rows = pres.image_subspace(r)
@@ -277,22 +283,18 @@ def test_d_span_ideals_pass_the_closure_check(name):
         J = pres.ideal_from_subspace(vecs)
         assert RightIdeal(A, J.basis) == J
         # and its column space is the D-span of vecs
-        span, _ = rref(f, *pres.d_rows(vecs))
-        assert pres.image_subspace(J) == [tuple(r) for r in span]
+        span, _ = rref(rows=pres.d_rows(vecs))
+        assert pres.image_subspace(J) == [tuple(r) for r in span.rows]
         # which column 0 alone gives: the D-span of all columns is the same
         cols = [pres.column_of(b, c) for b in J.basis for c in range(pres.m)]
-        all_cols, _ = rref(f, *pres.d_rows(cols))
-        assert pres.image_subspace(J) == [tuple(r) for r in all_cols]
+        all_cols, _ = rref(rows=pres.d_rows(cols))
+        assert pres.image_subspace(J) == [tuple(r) for r in all_cols.rows]
 
 
 def _lowered_d_rows(pres, vecs):
-    """The rows of pres.d_rows(vecs) as field scalars: its rows, or, over
-    F_p and Q with a D, its int rows lowered."""
-    rows, lifted = pres.d_rows(vecs)
-    if rows is not None:
-        return rows
-    ints, scale = lifted
-    return [tuple(pres.field.lower_vector(r, scale)) for r in ints]
+    """The rows of pres.d_rows(vecs) as field scalars: over F_p and Q with
+    a D, its int rows lowered."""
+    return [tuple(r) for r in pres.d_rows(vecs).rows]
 
 
 def _old_slot(A, pres, row, col, l):
@@ -402,10 +404,10 @@ def _closed_under_every_basis_element(A, rows):
     """The former definition: dimension a multiple of the degree and
     closure under right multiplication by each basis element e_j."""
     f = A.field
-    basis, pivots = rref(f, rows)
+    basis, pivots = _rref(f, rows)
     if len(basis) % A.degree:
         return False
-    return all(in_row_space(f, basis, pivots, A.mul(b, A.basis_coords(j)))
+    return all(in_row_space(Matrix(f, basis), pivots, A.mul(b, A.basis_coords(j)))
                for b in basis for j in range(A.dim))
 
 
@@ -622,8 +624,8 @@ def test_ideal_from_subspace_is_the_ideal_of_every_placed_row():
             got, err = _outcome(lambda: pres.ideal_from_subspace(vecs))
             want, want_err = _outcome(lambda: _placed_everywhere(A, pres, rows))
             assert err == want_err
-            assert (got.basis, got.pivots, got.rdim, got._lifted) == (
-                want.basis, want.pivots, want.rdim, want._lifted), (A, vecs)
+            assert (got.basis, got.pivots, got.rdim, got._matrix.lifted) == (
+                want.basis, want.pivots, want.rdim, want._matrix.lifted), (A, vecs)
             deficient += got.dim() < pres.m * len(rows)
     assert deficient > 0
 
@@ -634,7 +636,7 @@ def test_ideal_from_subspace_raises_as_the_full_width_ideal(monkeypatch, layout)
     # rows that are not give the degree error, with the same message
     A = _coordinate_map_algebra("q", layout, 2)
     pres = module_presentation(A)
-    monkeypatch.setattr(pres, "_d_rows", lambda vecs, maps: ([tuple(v) for v in vecs], None))
+    monkeypatch.setattr(pres, "_d_rows", lambda vecs, maps: Matrix(A.field, vecs))
     rng = random.Random(layout)
     vecs = [tuple(QQ.random(rng) for _ in range(pres.vlen))]
     _, err = _outcome(lambda: pres.ideal_from_subspace(vecs))

@@ -6,9 +6,9 @@ only where a workload spends time in it, so the forks of every module of
 the package are pinned as a literal set, and a fork added or deleted shows
 up in a diff.  A function forks when an `if` (statement or expression) of
 its own, outside nested definitions, tests `INTEGER_CORE`, or tests against
-None either `lifted`, a name assigned from `lift_matrix(...)`, or an
-attribute `_flat` or `_lifted` (the flat table of an Algebra, the lifted
-basis of a RightIdeal).
+None either `lifted`, a name assigned from a `.lifted` attribute, or an
+attribute `_flat`, `lifted` or `_lifted` (the flat table of an Algebra,
+the lift of a linalg.Matrix and the slot that holds it).
 """
 
 import ast
@@ -37,9 +37,12 @@ def own_nodes(fn):
             stack.extend(ast.iter_child_nodes(node))
 
 
+LIFTED_ATTRIBUTES = ("_flat", "lifted", "_lifted")
+
+
 def _is_none_test(node, names):
-    """node is `x is None` or `x is not None`, x one of names, `._flat` or
-    `._lifted`."""
+    """node is `x is None` or `x is not None`, x one of names or an
+    attribute named in LIFTED_ATTRIBUTES."""
     if not (isinstance(node, ast.Compare) and len(node.ops) == 1
             and isinstance(node.ops[0], (ast.Is, ast.IsNot))
             and isinstance(node.comparators[0], ast.Constant)
@@ -47,15 +50,14 @@ def _is_none_test(node, names):
         return False
     x = node.left
     return ((isinstance(x, ast.Name) and x.id in names)
-            or (isinstance(x, ast.Attribute) and x.attr in ("_flat", "_lifted")))
+            or (isinstance(x, ast.Attribute) and x.attr in LIFTED_ATTRIBUTES))
 
 
 def forks(fn):
     nodes = list(own_nodes(fn))
     names = {"lifted"} | {
         target.id for node in nodes if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
-        and node.value.func.id == "lift_matrix"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "lifted"
         for target in node.targets if isinstance(target, ast.Name)}
     return any((isinstance(sub, ast.Name) and sub.id == "INTEGER_CORE")
                or _is_none_test(sub, names)
@@ -73,19 +75,21 @@ def test_integer_forks_are_these():
     for path in sorted(PACKAGE.glob("*.py")):
         found |= forking_functions(path.read_text(), path.stem)
     assert found == {
-        # linalg: the elimination, membership and product workloads time;
-        # kernel lowers only the kernel vectors of int rows (the commutator
-        # kernels of connect_exp2: 2.2 % of build_q, 4.7 % of build_fp
-        # operation time)
-        "linalg.lift_matrix", "linalg.rref", "linalg.rank", "linalg.mat_vec",
+        # linalg: a Matrix lifts only over F_p and Q; the elimination behind
+        # rref, pivots and rank, membership and products, which workloads
+        # time; kernel lowers only the kernel vectors of int rows (the
+        # commutator kernels of connect_exp2: 2.2 % of build_q, 4.7 % of
+        # build_fp operation time)
+        "linalg.Matrix.lifted", "linalg._echelon", "linalg.mat_vec",
         "linalg.in_row_space", "linalg.kernel",
         # algebra: the product, the commutator rows (for rank and kernel) and
         # the Krylov elimination of the inverse
         "algebra.Algebra.__init__", "algebra.Algebra.mul",
         "algebra.Algebra.commutator_rows", "algebra.Algebra.sandwich_matrix",
         "algebra.Algebra.anti_automorphism_mismatch", "algebra.Algebra.inverse",
-        # etale: the power-basis elimination on int powers, held lifted
-        "etale.generate_etale",
+        # etale: the power-basis elimination on int powers, held lifted, and
+        # equality on the lifted rref basis, which over F_p and Q is canonical
+        "etale.generate_etale", "etale.EtaleSubalgebra.__init__",
         # ideals: the left-unit system of a splitting idempotent, and the
         # D-rows of a module presentation as int products (3.7 % of build_q)
         "ideals.splitting_idempotent", "ideals.ModulePresentation._d_rows",
@@ -109,10 +113,14 @@ def test_a_fork_is_caught():
     source = (
         "def by_type(f):\n"
         "    return 1 if isinstance(f, INTEGER_CORE) else 2\n"
-        "def by_lift(f, a):\n"
-        "    la = lift_matrix(f, a)\n"
+        "def by_lift(m):\n"
+        "    la = m.lifted\n"
         "    if la is not None:\n"
         "        return la\n"
+        "def by_value(m):\n"
+        "    return 0 if m.lifted is None else 1\n"
+        "def by_lifted_slot(m):\n"
+        "    return 0 if m._lifted is None else 1\n"
         "class A:\n"
         "    def by_table(self):\n"
         "        if self._flat is None:\n"
@@ -120,8 +128,6 @@ def test_a_fork_is_caught():
         "    def by_argument(self, lifted=None):\n"
         "        if lifted is None:\n"
         "            return 0\n"
-        "def by_lifted_basis(ideal):\n"
-        "    return 0 if ideal._lifted is None else 1\n"
         "def other_none(x):\n"
         "    if x is None:\n"
         "        return 0\n"
@@ -132,5 +138,5 @@ def test_a_fork_is_caught():
         "def unbranched(f):\n"
         "    return INTEGER_CORE\n")
     assert forking_functions(source, "m") == {
-        "m.by_type", "m.by_lift", "m.A.by_table", "m.A.by_argument",
-        "m.by_lifted_basis"}
+        "m.by_type", "m.by_lift", "m.by_value", "m.A.by_table", "m.A.by_argument",
+        "m.by_lifted_slot"}

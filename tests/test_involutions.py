@@ -19,7 +19,7 @@ from csawitness.involutions import (
     quaternion_reversal, standard_alternating_matrix, sym_basis, sym_dimension,
     tensor_involution, transpose_involution, twist_by_inner,
 )
-from csawitness.linalg import identity, mat_mul, mat_vec
+from csawitness.linalg import Matrix, identity, mat_mul, mat_vec
 from csawitness.poly import Poly
 
 F3, F7 = PrimeField(3), PrimeField(7)
@@ -359,10 +359,10 @@ def _all_pairs_kind(A, mat):
     f, n, deg = A.field, A.dim, A.degree
     if mat_mul(f, mat, mat) != identity(f, n):
         return None
-    images = [tuple(mat_vec(f, mat, A.basis_coords(i))) for i in range(n)]
+    images = [tuple(mat_vec(Matrix(f, mat), A.basis_coords(i))) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = tuple(mat_vec(f, mat, A.mul(A.basis_coords(i), A.basis_coords(j))))
+            lhs = tuple(mat_vec(Matrix(f, mat), A.mul(A.basis_coords(i), A.basis_coords(j))))
             if lhs != A.mul(images[j], images[i]):
                 return None
     d = sym_dimension(A, mat)
@@ -478,7 +478,7 @@ def _generator_loop_message(A, mat):
         return "map is not of order two"
 
     def sigma(x):
-        return tuple(mat_vec(f, mat, x))
+        return tuple(mat_vec(Matrix(f, mat), x))
 
     if sigma(A.unit) != A.unit:
         return "map does not fix the unit"
@@ -635,17 +635,16 @@ def test_every_closure_generator_is_checked(field):
         A = make_matrix_algebra(field, 2)
         A._closure_gens = (A.unit, A.smul(field.from_int(2), A.unit), A.basis_coords(j))
         # E11 E12 = E12 but E12 E11 = 0; E11 E21 = 0 but E21 E11 = E21
-        assert A.anti_automorphism_mismatch(identity(field, 4)) == (0, A.basis_coords(j))
+        assert A.anti_automorphism_mismatch(Matrix(field, identity(field, 4))) == (0, A.basis_coords(j))
         A._closure_gens = A._closure_gens[:2]
-        assert A.anti_automorphism_mismatch(identity(field, 4)) is None
+        assert A.anti_automorphism_mismatch(Matrix(field, identity(field, 4))) is None
 
 
 @pytest.mark.parametrize("case", ["H(-1,-1) x (1,1) over Q", "M4(F7)"])
 def test_involution_from_matrix_lifts_its_matrix_once(monkeypatch, case):
-    # involution_from_matrix hands the lift it holds to
+    # involution_from_matrix hands the Matrix it holds to
     # Algebra.anti_automorphism_mismatch; accepted and rejected maps are
     # lifted once, and give the same kinds and messages
-    from csawitness import algebra, involutions, linalg
     if case == "M4(F7)":
         A = make_matrix_algebra(F7, 4)
         sigma = transpose_involution(A)
@@ -661,10 +660,15 @@ def test_involution_from_matrix_lifts_its_matrix_once(monkeypatch, case):
         message = _generator_loop_message(A, bad)
     assert message is not None and message == _rejection(A, bad)
     lifts = []
-    lift = linalg.lift_matrix
-    for mod in (algebra, involutions, linalg):
-        monkeypatch.setattr(mod, "lift_matrix", lambda f, a: lifts.append(1) or lift(f, a))
+    field_class = type(A.field)
+    lift = field_class.lift_rows
+
+    def spy(field, rows):
+        lifts.append(tuple(map(tuple, rows)))
+        return lift(field, rows)
+
+    monkeypatch.setattr(field_class, "lift_rows", spy)
     assert involution_from_matrix(A, sigma.mat).kind == sigma.kind
-    assert len(lifts) == 1
+    assert lifts.count(sigma.mat) == 1
     assert _rejection(A, bad) == message
-    assert len(lifts) == 2
+    assert lifts.count(tuple(map(tuple, bad))) == 1

@@ -7,14 +7,19 @@ from hypothesis import given, settings, strategies as st
 from csawitness.errors import InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import (
-    charpoly, first_dependency, identity, in_row_space, int_dependency,
-    int_intertwiner_mismatch, int_pivots, int_prefix_solve, int_rank, int_rref_lifted,
-    int_solve, intertwiner_mismatch, inverse, kernel, lift_matrix, mat_mul, mat_vec, rank,
-    reduce_vector, rref, solve,
+    Matrix, charpoly, first_dependency, identity, in_row_space, int_dependency,
+    int_intertwiner_mismatch, int_prefix_solve, int_solve, intertwiner_mismatch, inverse,
+    kernel, mat_mul, mat_vec, pivots, rank, reduce_vector, rref, solve,
 )
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+def _rref(field, rows):
+    """rref of the Matrix of rows, as (its rows, pivots)."""
+    basis, piv = rref(rows=Matrix(field, rows))
+    return basis.rows, piv
 
 
 def random_matrix(field, rng, m, n):
@@ -26,14 +31,14 @@ def test_rref_is_idempotent_seeded():
     for field in (F5, QQ, standard_extension(2, 2)):
         for _ in range(60):
             m = random_matrix(field, rng, rng.randint(1, 5), rng.randint(1, 6))
-            r1, p1 = rref(field, m)
-            r2, p2 = rref(field, r1)
+            r1, p1 = _rref(field, m)
+            r2, p2 = _rref(field, r1)
             assert r1 == r2 and p1 == p2
 
 
 def test_rref_known():
     m = [[2, 4], [1, 2]]
-    basis, pivots = rref(F5, m)
+    basis, pivots = _rref(F5, m)
     assert basis == [[1, 2]] and pivots == [0]
 
 
@@ -41,9 +46,9 @@ def test_kernel_annihilates():
     rng = random.Random(4)
     for _ in range(60):
         a = random_matrix(F7, rng, rng.randint(1, 4), rng.randint(1, 6))
-        for v in kernel(F7, a):
-            assert all(x == 0 for x in mat_vec(F7, a, v))
-        assert len(kernel(F7, a)) == len(a[0]) - rank(F7, a)
+        for v in kernel(Matrix(F7, a)).rows:
+            assert all(x == 0 for x in mat_vec(Matrix(F7, a), v))
+        assert len(kernel(Matrix(F7, a)).rows) == len(a[0]) - rank(Matrix(F7, a))
 
 
 def test_solve_verifies():
@@ -51,10 +56,10 @@ def test_solve_verifies():
     for _ in range(80):
         a = random_matrix(F5, rng, rng.randint(1, 4), rng.randint(1, 4))
         x0 = [F5.random(rng) for _ in range(len(a[0]))]
-        b = mat_vec(F5, a, x0)
+        b = mat_vec(Matrix(F5, a), x0)
         x = solve(F5, a, b)
         assert x is not None
-        assert mat_vec(F5, a, x) == b
+        assert mat_vec(Matrix(F5, a), x) == b
     # inconsistent system
     assert solve(F5, [[1, 0], [1, 0]], [1, 2]) is None
 
@@ -67,7 +72,7 @@ def test_inverse():
         m = random_matrix(F7, rng, n, n)
         inv = inverse(F7, m)
         if inv is None:
-            assert rank(F7, m) < n
+            assert rank(Matrix(F7, m)) < n
             continue
         assert mat_mul(F7, m, inv) == identity(F7, n)
         ok += 1
@@ -163,9 +168,9 @@ def _reduced(p, rows):
 @given(unreduced_matrices())
 def test_rref_and_rank_match_the_method_path(case):
     p, rows = case
-    want = rref(MethodPathField(p), _reduced(p, rows))
-    assert rref(PrimeField(p), rows) == want
-    assert rank(PrimeField(p), rows) == len(want[0])
+    want = _rref(MethodPathField(p), _reduced(p, rows))
+    assert _rref(PrimeField(p), rows) == want
+    assert rank(Matrix(PrimeField(p), rows)) == len(want[0])
     # the last column as the right-hand side
     a, b = [r[:-1] for r in rows], [r[-1] for r in rows]
     assert solve(PrimeField(p), a, b) == solve(MethodPathField(p), _reduced(p, a),
@@ -178,8 +183,8 @@ def test_mat_vec_matches_the_method_path(case, data):
     p, rows = case
     v = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows[0]),
                            max_size=len(rows[0])))
-    want = mat_vec(MethodPathField(p), _reduced(p, rows), [x % p for x in v])
-    assert mat_vec(PrimeField(p), rows, v) == want
+    want = mat_vec(Matrix(MethodPathField(p), _reduced(p, rows)), [x % p for x in v])
+    assert mat_vec(Matrix(PrimeField(p), rows), v) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,7 +192,7 @@ def test_mat_vec_matches_the_method_path(case, data):
 def test_reduce_vector_matches_the_method_path(case, data):
     p, rows = case
     f = PrimeField(p)
-    basis, pivots = rref(f, rows)
+    basis, pivots = _rref(f, rows)
     # an unreduced combination of the rows, and an arbitrary vector
     coeffs = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=len(rows),
                                 max_size=len(rows)))
@@ -202,11 +207,11 @@ def test_reduce_vector_matches_the_method_path(case, data):
         assert all(residual[c] == 0 for c in pivots)
         assert [(r + sum(c * b[j] for c, b in zip(coeffs, basis))) % p
                 for j, r in enumerate(residual)] == reduced
-        member = in_row_space(f, basis, pivots, v)
-        assert member == in_row_space(MethodPathField(p), basis, pivots, reduced)
+        member = in_row_space(Matrix(f, basis), pivots, v)
+        assert member == in_row_space(Matrix(MethodPathField(p), basis), pivots, reduced)
         assert member == (not any(residual))
-        assert member == (rank(f, rows + [v]) == len(basis))
-    assert in_row_space(f, basis, pivots, inside)
+        assert member == (rank(Matrix(f, rows + [v])) == len(basis))
+    assert in_row_space(Matrix(f, basis), pivots, inside)
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,8 +225,8 @@ def test_rref_and_rank_match_sympy(case):
     dm = DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), len(rows[0])), K)
     sym_rows, sym_pivots = dm.rref()
     want = [[K.to_int(x) % p for x in r] for r in sym_rows.to_list()[:len(sym_pivots)]]
-    assert rref(PrimeField(p), rows) == (want, list(sym_pivots))
-    assert rank(PrimeField(p), rows) == dm.rank()
+    assert _rref(PrimeField(p), rows) == (want, list(sym_pivots))
+    assert rank(Matrix(PrimeField(p), rows)) == dm.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +261,9 @@ def q_matrices(draw, max_rows=6, max_cols=7):
 @settings(max_examples=300, deadline=None)
 @given(q_matrices())
 def test_rref_over_q_matches_the_method_path_and_sympy(rows):
-    got = rref(QQ, rows)
-    assert got == rref(MethodPathQ(), rows)
-    assert rank(QQ, rows) == len(got[0])
+    got = _rref(QQ, rows)
+    assert got == _rref(MethodPathQ(), rows)
+    assert rank(Matrix(QQ, rows)) == len(got[0])
     a, b = [r[:-1] for r in rows], [r[-1] for r in rows]
     x = solve(QQ, a, b)
     assert x == solve(MethodPathQ(), a, b)
@@ -279,9 +284,11 @@ def test_rref_over_q_matches_the_method_path_and_sympy(rows):
 @given(q_matrices(), st.data())
 def test_mat_vec_over_q_matches_the_method_path_and_sympy(rows, data):
     v = data.draw(st.lists(rationals, min_size=len(rows[0]), max_size=len(rows[0])))
-    got = mat_vec(QQ, rows, v)
-    assert got == mat_vec(MethodPathQ(), rows, v)
-    assert mat_vec(QQ, rows, v, lift_matrix(QQ, rows)) == got
+    got = mat_vec(Matrix(QQ, rows), v)
+    assert got == mat_vec(Matrix(MethodPathQ(), rows), v)
+    # a Matrix held only lifted reads its ints
+    ints, scale = QQ.lift_rows(rows)
+    assert mat_vec(Matrix(QQ, ints=ints, scale=scale), v) == got
     pytest.importorskip("sympy")
     import sympy
     want = sympy.Matrix(rows) * sympy.Matrix(v)
@@ -291,20 +298,21 @@ def test_mat_vec_over_q_matches_the_method_path_and_sympy(rows, data):
 @settings(max_examples=300, deadline=None)
 @given(q_matrices(), st.data())
 def test_reduce_vector_over_q_matches_the_method_path(rows, data):
-    basis, pivots = rref(QQ, rows)
+    basis, pivots = _rref(QQ, rows)
     coeffs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
     inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
               for j in range(len(rows[0]))]
     other = data.draw(st.lists(rationals, min_size=len(rows[0]), max_size=len(rows[0])))
-    lifted = lift_matrix(QQ, basis)
+    # rref's own Matrix, held only lifted
+    held = rref(rows=Matrix(QQ, rows))[0]
     for v in (inside, other):
         want = reduce_vector(MethodPathQ(), basis, pivots, v)
         assert reduce_vector(QQ, basis, pivots, v) == want
-        member = in_row_space(QQ, basis, pivots, v)
-        assert member == in_row_space(MethodPathQ(), basis, pivots, v)
-        assert member == in_row_space(QQ, basis, pivots, v, lifted)
-        assert member == (rank(QQ, rows + [v]) == len(basis))
-    assert in_row_space(QQ, basis, pivots, inside)
+        member = in_row_space(Matrix(QQ, basis), pivots, v)
+        assert member == in_row_space(Matrix(MethodPathQ(), basis), pivots, v)
+        assert member == in_row_space(held, pivots, v)
+        assert member == (rank(Matrix(QQ, rows + [v])) == len(basis))
+    assert in_row_space(Matrix(QQ, basis), pivots, inside)
 
 
 def _q_algebras():
@@ -362,7 +370,7 @@ def _check_intertwiner(field, ref, a, b, c):
     for c in cases:
         want = _first_unequal_column(mat_mul(ref, a, b), mat_mul(ref, c, a))
         assert intertwiner_mismatch(field, a, b, c) == want
-        lifted = tuple(lift_matrix(field, m) for m in (a, b, c))
+        lifted = tuple(Matrix(field, m).lifted for m in (a, b, c))
         assert int_intertwiner_mismatch(field, *lifted) == want
     if a_inv is not None:
         assert want is None
@@ -428,7 +436,8 @@ def _lifted_first_dependency(field, vectors):
     the int rref of the kept rows."""
     comb, kept = int_dependency(field, map(field.lift_vector, vectors))
     d = len(comb) - 1
-    return (field.lower_vector([-c for c in comb[:d]], comb[d]), *rref(field, None, (kept, 1)))
+    basis, piv = rref(rows=Matrix(field, ints=kept))
+    return field.lower_vector([-c for c in comb[:d]], comb[d]), basis.rows, piv
 
 
 def _check_first_dependency(field, vecs, first=first_dependency):
@@ -450,7 +459,7 @@ def _check_first_dependency(field, vecs, first=first_dependency):
     n = len(vecs[d])
     assert _combination(field, coeffs, vecs[:d], n) == _combination(field, [field.one],
                                                                     [vecs[d]], n)
-    assert (basis, pivots) == rref(field, vecs[:d])
+    assert (basis, pivots) == _rref(field, vecs[:d])
     assert len(basis) == d
     return coeffs, basis, pivots
 
@@ -494,7 +503,8 @@ def test_int_dependency_reads_each_vector_at_its_scale():
     for field, coeffs in ((F7, [2, 5]), (QQ, [Fraction(2), Fraction(3, 2)])):
         comb, kept = int_dependency(field, iter(lifted))
         assert field.lower_vector([-c for c in comb[:2]], comb[2]) == coeffs
-        assert int_rref_lifted(field, kept) == ([([1, 0], 1), ([0, 1], 1)], [0, 1])
+        basis, piv = rref(rows=Matrix(field, ints=kept))
+        assert (basis.lifted, piv) == (([[1, 0], [0, 1]], 1), [0, 1])
     assert F7.lower_vector([4, 6, 9], 2) == [2, 3, 1]
 
 
@@ -518,8 +528,8 @@ def test_first_dependency_over_q_matches_the_method_path(rows):
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), F7, QQ], ids=["F2", "F7", "Q"])
-def test_int_rank_by_forward_elimination_equals_the_rref_length(field):
-    # int_rank stops at forward elimination; rref reduces fully.  Products
+def test_rank_by_forward_elimination_equals_the_rref_length(field):
+    # rank stops at forward elimination; rref reduces fully.  Products
     # of an m x r and an r x n matrix give rank-deficient cases.
     rng = random.Random(17)
     deficient = 0
@@ -530,10 +540,10 @@ def test_int_rank_by_forward_elimination_equals_the_rref_length(field):
             r = rng.randint(1, min(m, n))
             rows = mat_mul(field, random_matrix(field, rng, m, r),
                            random_matrix(field, rng, r, n))
-        want = len(rref(field, rows)[0])
+        want = len(_rref(field, rows)[0])
         deficient += want < min(m, n)
-        assert int_rank(field, field.lift_rows(rows)[0]) == want
-        assert rank(field, rows) == want
+        assert rank(Matrix(field, ints=field.lift_rows(rows)[0])) == want
+        assert rank(Matrix(field, rows)) == want
     assert deficient >= 30
 
 
@@ -549,7 +559,7 @@ def _prefix_reference(field, aug, n):
     if n == 0:
         return [], 0
     for k in range(1, len(aug) + 1):
-        basis, pivots = rref(field, [field.lower_vector(*field.lift_vector(r)) for r in aug[:k]])
+        basis, pivots = _rref(field, [field.lower_vector(*field.lift_vector(r)) for r in aug[:k]])
         if pivots[-1:] == [n]:
             return None, k
         if len(pivots) == n:
@@ -592,7 +602,8 @@ def test_int_prefix_solve_solves_the_first_full_rank_prefix(field):
 
 
 # ---------------------------------------------------------------------------
-# the int entry points that hand on ints: kernel, pivots, lifted rref, solve
+# the kernels on Matrix values held only lifted: kernel, pivots, rref; and
+# int_solve
 
 
 def _sympy_nullspace_rref(rows):
@@ -609,36 +620,39 @@ def _sympy_nullspace_rref(rows):
 @settings(max_examples=200, deadline=None)
 @given(q_matrices())
 def test_kernel_over_q_matches_the_method_path_and_sympy(rows):
-    want = kernel(MethodPathQ(), rows)
-    assert kernel(QQ, rows) == want
-    assert kernel(QQ, None, lift_matrix(QQ, rows)) == want
+    want = kernel(Matrix(MethodPathQ(), rows)).rows
+    assert kernel(Matrix(QQ, rows)).rows == want
+    ints, scale = QQ.lift_rows(rows)
+    assert kernel(Matrix(QQ, ints=ints, scale=scale)).rows == want
     assert all(type(x) is Fraction for v in want for x in v)
     pytest.importorskip("sympy")
-    assert [list(r) for r in rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
+    assert [list(r) for r in _rref(QQ, want)[0]] == _sympy_nullspace_rref(rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(unreduced_matrices())
 def test_kernel_over_fp_matches_the_method_path(case):
-    # int_kernel reads unreduced ints, at any scale per row
+    # kernel reads unreduced ints, at any scale per row
     p, rows = case
-    want = kernel(MethodPathField(p), _reduced(p, rows))
-    assert kernel(PrimeField(p), rows) == want
+    want = kernel(Matrix(MethodPathField(p), _reduced(p, rows))).rows
+    assert kernel(Matrix(PrimeField(p), rows)).rows == want
     scaled = [[3 * x for x in r] if i % 2 else r for i, r in enumerate(rows)]
     if p != 3:
-        assert kernel(PrimeField(p), None, (scaled, 1)) == want
+        assert kernel(Matrix(PrimeField(p), ints=scaled)).rows == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(q_matrices())
 def test_a_lifted_rref_row_is_the_lift_of_the_rref_row(rows):
-    # an rref row r with primitive int pivot a lifts to (sign(a) r, |a|)
-    basis, pivots = rref(QQ, rows)
-    ints = QQ.lift_rows(rows)[0]
-    lifted, lifted_pivots = int_rref_lifted(QQ, ints)
-    assert lifted_pivots == pivots == int_pivots(QQ, ints)
-    assert lifted == [QQ.lift_vector(row) for row in basis]
-    assert rref(QQ, None, (ints, 1)) == (basis, pivots)
+    # rref's lift is the canonical lift of its rows, so every row holds the
+    # scale at its pivot, and it reads int rows at any scale per row
+    basis, piv = _rref(QQ, rows)
+    ints = [[3 * x for x in r] if i % 2 else r for i, r in enumerate(QQ.lift_rows(rows)[0])]
+    held, held_pivots = rref(rows=Matrix(QQ, ints=ints))
+    assert held_pivots == piv == pivots(Matrix(QQ, ints=ints))
+    assert held.lifted == QQ.lift_rows(basis)
+    assert all(r[c] == held.lifted[1] for r, c in zip(held.lifted[0], piv))
+    assert held.rows == basis
 
 
 @settings(max_examples=300, deadline=None)
@@ -646,9 +660,10 @@ def test_a_lifted_rref_row_is_the_lift_of_the_rref_row(rows):
 def test_a_lifted_rref_row_over_fp_is_the_reduced_row(case):
     p, rows = case
     f = PrimeField(p)
-    basis, pivots = rref(MethodPathField(p), _reduced(p, rows))
-    assert int_rref_lifted(f, rows) == ([(row, 1) for row in basis], pivots)
-    assert int_pivots(f, rows) == pivots
+    basis, piv = _rref(MethodPathField(p), _reduced(p, rows))
+    held, held_pivots = rref(rows=Matrix(f, ints=rows))
+    assert (held.lifted, held_pivots) == ((basis, 1), piv)
+    assert pivots(Matrix(f, ints=rows)) == piv
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,7 +18,7 @@ from csawitness.algebra import (
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import sym_basis
-from csawitness.linalg import rref
+from csawitness.linalg import Matrix, rref
 from csawitness.poly import Poly
 from csawitness.polyrings import (
     pencil_discriminant, pencil_min_poly, polymat_det, xpoly_discriminant,
@@ -27,6 +27,12 @@ from csawitness.witness import default_samples, default_symplectic_involution
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
+
+
+def _rref(field, rows):
+    """rref of the Matrix of rows, as (its rows, pivots)."""
+    basis, piv = rref(rows=Matrix(field, rows))
+    return basis.rows, piv
 
 def random_poly(field, rng, degree):
     return Poly(field, [field.random(rng) for _ in range(degree + 1)])
@@ -335,7 +341,7 @@ def full_rref_min_poly(A, start, end, d):
         for m in range(A.dim):
             rows.append([f.zero if v is None else v[m] for v in terms]
                         + [f.neg(powers[d][i][m])])
-    basis, pivots = rref(f, rows)
+    basis, pivots = _rref(f, rows)
     if pivots != list(range(len(unknowns))):
         return None
     sol = iter(row[-1] for row in basis)

@@ -7,7 +7,7 @@ from csawitness.arith import gaussian_binomial
 from csawitness.errors import InvalidFormError, InvalidInputError
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import standard_alternating_matrix
-from csawitness.linalg import mat_vec
+from csawitness.linalg import Matrix, mat_vec
 from csawitness.poly import Poly
 from csawitness.quadrics import (
     PLUCKER_PAIRS, QuadraticForm, enumerate_rref_subspaces, isotropic_two_planes,
@@ -294,8 +294,8 @@ def test_eval_polys_and_polar_match_products():
             u, v = ([rng.choice(elems) for _ in range(nvars)] for _ in range(2))
             uv = [field.add(a, b) for a, b in zip(u, v)]
             b = field.sub(form.eval(uv), field.add(form.eval(u), form.eval(v)))
-            assert (mat_vec(field, [form.polar(v)], u)[0] == b
-                    == mat_vec(field, [form.polar(u)], v)[0])
+            assert (mat_vec(Matrix(field, [form.polar(v)]), u)[0] == b
+                    == mat_vec(Matrix(field, [form.polar(u)]), v)[0])
 
 
 def test_zero_form_rejected():

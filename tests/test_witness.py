@@ -31,7 +31,7 @@ from csawitness.involutions import (
     SYMPLECTIC, adjoint_involution, quaternion_conjugation,
     standard_alternating_matrix, transpose_involution,
 )
-from csawitness.linalg import mat_vec, rank
+from csawitness.linalg import Matrix, mat_vec, rank
 from csawitness.pointcount import InvolutionQuadricModel, QuadricCurves, QuadricModel
 from csawitness.poly import Poly, poly_gcd
 from csawitness.polyrings import line_coords
@@ -959,7 +959,7 @@ def test_an_algebra_and_its_symplectic_involution_are_freed_by_reference_countin
     A = make()
     sigma = default_symplectic_involution(A)
     again = default_symplectic_involution(A)
-    assert again == sigma and again.kind == SYMPLECTIC and again._lifted is sigma._lifted
+    assert again == sigma and again.kind == SYMPLECTIC and again._matrix is sigma._matrix
     alive = weakref.ref(A)
     enabled = gc.isenabled()
     gc.disable()
@@ -1315,7 +1315,7 @@ def test_conic_report_ignores_samples():
 
 def _polar_value(form, u, v):
     """b(u, v) = q(u+v) - q(u) - q(v), as sum u_i (B v)_i."""
-    return mat_vec(form.field, [form.polar(v)], u)[0]
+    return mat_vec(Matrix(form.field, [form.polar(v)]), u)[0]
 
 
 def _eager_chain(form, p1, p2, points):
@@ -1335,7 +1335,7 @@ def _eager_chain(form, p1, p2, points):
         if (field.is_zero(_polar_value(form, p, a))
                 or field.is_zero(_polar_value(form, p, b))):
             return False
-        return rank(field, [list(a), list(b), list(p)]) == 3
+        return rank(Matrix(field, [list(a), list(b), list(p)])) == 3
 
     candidates = [p for p in (normalize_point(field, v) for v in points)
                   if p is not None and field.is_zero(form.eval(p))]
@@ -1453,7 +1453,7 @@ def test_polar_tests_imply_rank_three():
                         good = not (field.is_zero(_polar_value(form, p, a))
                                     or field.is_zero(_polar_value(form, p, b)))
                         independent = (p not in (a, b)
-                                       and rank(field, [list(a), list(b), list(p)]) == 3)
+                                       and rank(Matrix(field, [list(a), list(b), list(p)])) == 3)
                         assert independent or not good
                         seen[good, independent] += 1
     assert set(seen) == {(True, True), (False, True), (False, False)}
@@ -1475,7 +1475,7 @@ def _secant_segment(form, p1, p2, aux):
     field = form.field
     add, sub, mul = field.add, field.sub, field.mul
     w_polys = line_coords(field, p1, p2)
-    b2, b1 = mat_vec(field, [p2, p1], form.polar(aux))
+    b2, b1 = mat_vec(Matrix(field, [p2, p1]), form.polar(aux))
     l0, l1 = b2, sub(b1, b2)
     qw = form.eval_polys(w_polys)
     q0, q1, q2 = qw.coeff(0), qw.coeff(1), qw.coeff(2)
@@ -1574,7 +1574,6 @@ def _line_minor_by_polymat_det(field, rows_t1, rows_t0, cols):
 
 @pytest.mark.parametrize("field", [PrimeField(2), F5, F7, QQ], ids=["F2", "F5", "F7", "Q"])
 def test_zt_line_minors_equal_the_polynomial_determinant(field):
-    from csawitness.linalg import lift_matrix
     rng = random.Random(f"zt minors {field}")
 
     def scalar():
@@ -1591,12 +1590,12 @@ def test_zt_line_minors_equal_the_polynomial_determinant(field):
             # a repeated row pair: the minor vanishes identically in t
             rows_t1[1], rows_t0[1] = rows_t1[0], rows_t0[0]
         cols = sorted(rng.sample(range(n), k))
-        lifted = lift_matrix(field, rows_t1 + rows_t0)
-        got = witness._zt_line_minor(field, lifted, cols)
+        rows = Matrix(field, rows_t1 + rows_t0)
+        got = witness._zt_line_minor(rows, cols)
         assert got == _line_minor_by_polymat_det(field, rows_t1, rows_t0, cols)
         seen["empty"] += k == 0 and got == Poly.one(field)
         seen["zero"] += k > 0 and got.is_zero()
-        seen["scale"] += lifted[1] != 1
+        seen["scale"] += rows.lifted[1] != 1
     assert seen["empty"] and seen["zero"]
     assert seen["scale"] or field is not QQ
 
@@ -1641,8 +1640,8 @@ def test_pencil_minors_take_polymat_det_only_over_fpk(monkeypatch, field_case):
     minors = 0
     for pres, wv, wpv in validity_args:
         # over F_9 d_rows gives field rows and no lift
-        (r1, _), (r0, _) = pres.d_rows(wv), pres.d_rows(wpv)
-        (_, piv1), (_, piv0) = witness.rref(f, r1), witness.rref(f, r0)
+        r1, r0 = pres.d_rows(wv).rows, pres.d_rows(wpv).rows
+        piv1, piv0 = witness.pivots(Matrix(f, r1)), witness.pivots(Matrix(f, r0))
         v1 = _line_minor_by_polymat_det(f, r1, r0, piv1)
         minors += 1 + (f.is_zero(v1.eval(f.zero)) and piv0 != piv1)
     assert taken == minors
@@ -1657,16 +1656,15 @@ def test_ideal_pencils_eliminate_only_in_the_column_space(monkeypatch):
     I1, I2 = random_ideal(A, 2, rng), random_ideal(A, 2, rng)
     widths = Counter()
 
-    def width(rows, lifted=None):
-        # the row length of rows, or of the int rows of lifted= when given
-        rows = lifted[0] if lifted is not None else rows
-        return len(rows[0]) if rows else 0
+    def width(rows):
+        # the row length of a Matrix, as held
+        return len(rows[0]) if len(rows) else 0
 
     for mod in (ideals, witness):
         for name in ("rref", "rank"):
             fn = getattr(mod, name)
-            monkeypatch.setattr(mod, name, lambda f, *args, fn=fn, name=name: widths.update(
-                [(name, width(*args))]) or fn(f, *args))
+            monkeypatch.setattr(mod, name, lambda *args, fn=fn, name=name, **kwargs: widths.update(
+                [(name, width(*args, *kwargs.values()))]) or fn(*args, **kwargs))
     w = connect_ideals(I1, I2)
     assert verify_witness(w, exhaustive(F5)).passed
     assert widths[("rref", 4)] and widths[("rank", 4)]
