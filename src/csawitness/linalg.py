@@ -199,13 +199,12 @@ def rank(m):
 
 
 def _echelon(m, reduce=True):
-    """(Matrix, pivots): the rref of m, or with reduce False an echelon
-    form of its row space, reduced only below each pivot.  Over F_p and Q
-    the rref is _int_echelon's rows, each over its pivot a_i, lifted to
-    the scale lcm |a_i| (a row r / a of it lifts to sign(a) r at |a|: r is
+    """(Matrix, pivots): the rref of m, or with reduce False m itself and
+    the pivots, found by forward elimination alone.  Over F_p and Q the
+    rref is _int_echelon's rows, each over its pivot a_i, lifted to the
+    scale lcm |a_i| (a row r / a of it lifts to sign(a) r at |a|: r is
     primitive, so the denominators of r / a have lcm |a|), or over F_p
-    reduced mod p at scale 1; the echelon form is _int_echelon's rows as
-    they are."""
+    reduced mod p at scale 1."""
     field = m.field
     lifted = m.lifted
     if lifted is not None:
@@ -214,7 +213,7 @@ def _echelon(m, reduce=True):
         rows, piv = _int_echelon(field, list(lifted[0]), reduce)
         p = field.int_modulus
         if not reduce:
-            return Matrix(field, None, rows), piv
+            return m, piv
         if p:
             # reduced mod p, the ints are the rref's scalars themselves
             rows = [[x % p for x in row] for row in rows]
@@ -253,7 +252,7 @@ def _echelon(m, reduce=True):
         r += 1
         if r == len(rows):
             break
-    return Matrix(field, rows[:r]), piv
+    return Matrix(field, rows[:r]) if reduce else m, piv
 
 
 def _primitive(row):

@@ -45,12 +45,6 @@ from csawitness.witness import (
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
-
-def _rref(field, rows):
-    """rref of the Matrix of rows, as (its rows, pivots)."""
-    basis, piv = rref(rows=Matrix(field, rows))
-    return basis.rows, piv
-
 def report(number, name, ok, elapsed, budget):
     status = "PASS" if ok and elapsed < budget else "FAIL"
     print(f"criterion {number:2d}  {name:<42s} {status}  ({elapsed:6.2f}s / {budget}s)")
@@ -113,7 +107,7 @@ def test_criterion_02_subflag_dictionary():
                 vecs.append(tuple(v))
             if rank(Matrix(F5, vecs)) == sub_rdim:
                 break
-        J = pres.ideal_from_subspace([tuple(r) for r in _rref(F5, vecs)[0]])
+        J = pres.ideal_from_subspace([tuple(r) for r in rref(rows=Matrix(F5, vecs))[0].rows])
         ok = ok and I.contains_ideal(J)
         K = restrict_to_corner(J, D)
         ok = ok and induce_from_corner(K) == J

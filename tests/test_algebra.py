@@ -24,11 +24,11 @@ from csawitness.quadrics import QuadraticForm
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
-
 def _rref(field, rows):
     """rref of the Matrix of rows, as (its rows, pivots)."""
     basis, piv = rref(rows=Matrix(field, rows))
     return basis.rows, piv
+
 
 def test_matrix_algebra_units():
     A = make_matrix_algebra(F5, 2)

@@ -19,12 +19,6 @@ from csawitness.ideals import (
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
 
-
-def _rref(field, rows):
-    """rref of the Matrix of rows, as (its rows, pivots)."""
-    basis, piv = rref(rows=Matrix(field, rows))
-    return basis.rows, piv
-
 def test_ideal_generated_examples():
     A = make_matrix_algebra(F5, 2)
     assert ideal_generated([A.zero]).rdim == 0
@@ -404,11 +398,11 @@ def _closed_under_every_basis_element(A, rows):
     """The former definition: dimension a multiple of the degree and
     closure under right multiplication by each basis element e_j."""
     f = A.field
-    basis, pivots = _rref(f, rows)
-    if len(basis) % A.degree:
+    basis, pivots = rref(rows=Matrix(f, rows))
+    if len(pivots) % A.degree:
         return False
-    return all(in_row_space(Matrix(f, basis), pivots, A.mul(b, A.basis_coords(j)))
-               for b in basis for j in range(A.dim))
+    return all(in_row_space(basis, pivots, A.mul(b, A.basis_coords(j)))
+               for b in basis.rows for j in range(A.dim))
 
 
 _SMALL = {

@@ -28,12 +28,6 @@ from csawitness.witness import default_samples, default_symplectic_involution
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 
-
-def _rref(field, rows):
-    """rref of the Matrix of rows, as (its rows, pivots)."""
-    basis, piv = rref(rows=Matrix(field, rows))
-    return basis.rows, piv
-
 def random_poly(field, rng, degree):
     return Poly(field, [field.random(rng) for _ in range(degree + 1)])
 
@@ -341,10 +335,10 @@ def full_rref_min_poly(A, start, end, d):
         for m in range(A.dim):
             rows.append([f.zero if v is None else v[m] for v in terms]
                         + [f.neg(powers[d][i][m])])
-    basis, pivots = _rref(f, rows)
+    basis, pivots = rref(rows=Matrix(f, rows))
     if pivots != list(range(len(unknowns))):
         return None
-    sol = iter(row[-1] for row in basis)
+    sol = iter(row[-1] for row in basis.rows)
     return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
 
 
