@@ -49,7 +49,8 @@ class Matrix:
     It holds rows, the entries as field scalars, or their lift, int rows
     and a scale, or both, and computes the missing one on its first read
     and keeps it.  Only F_p and Q (fields.INTEGER_CORE) lift: over F_{p^k}
-    lifted is None, and a Matrix is built from rows.  The scale rules:
+    lifted is None, and a Matrix is built from rows, which the field-method
+    paths below read as held (_rows).  The scale rules:
 
     * rows = ints / scale entry by entry, with scale a nonzero int (prime
       to p over F_p); over F_p the ints are any representatives.
@@ -168,7 +169,7 @@ def mat_vec(m, v):
         return field.lower_vector([sum(map(operator.mul, row, v)) for row in rows], scale)
     add, mul, zero = field.add, field.mul, field.zero
     out = []
-    for row in m.rows:
+    for row in m._rows:
         acc = zero
         for c, x in zip(row, v):
             if not field.is_zero(c):
@@ -222,7 +223,7 @@ def _echelon(m, reduce=True):
         ints = [row if row[c] == scale else [x * (scale // row[c]) for x in row]
                 for row, c in zip(rows, piv)]
         return Matrix(field, None, ints, scale), piv
-    rows = [list(r) for r in m.rows]
+    rows = [list(r) for r in m._rows]
     if not rows:
         return Matrix(field, []), []
     ncols = len(rows[0])
@@ -477,7 +478,7 @@ def in_row_space(basis, pivots, vec):
     field = basis.field
     lifted = basis.lifted
     if lifted is None:
-        residual, _ = reduce_vector(field, basis.rows, pivots, vec)
+        residual, _ = reduce_vector(field, basis._rows, pivots, vec)
         return all(field.is_zero(x) for x in residual)
     rows, a = lifted
     ints = field.lift_vector(vec)[0]
@@ -499,18 +500,25 @@ def kernel(m):
         raise InvalidInputError("kernel of an empty matrix needs a column count")
     field, ncols = m.field, len(m[0])
     basis, piv = rref(rows=m)
+    free = [c for c in range(ncols) if c not in piv]
     lifted = basis.lifted
-    rows, one, zero, neg = ((basis.rows, field.one, field.zero, field.neg) if lifted is None
-                            else (lifted[0], lifted[1], 0, operator.neg))
     out = []
-    for fc in range(ncols):
-        if fc not in piv:
-            v = [zero] * ncols
-            v[fc] = one
+    if lifted is not None:
+        rows, scale = lifted
+        for fc in free:
+            v = [0] * ncols
+            v[fc] = scale
             for row, c in zip(rows, piv):
-                v[c] = neg(row[fc])
+                v[c] = -row[fc]
             out.append(v)
-    return Matrix(field, out) if lifted is None else Matrix(field, None, out, one)
+        return Matrix(field, None, out, scale)
+    for fc in free:
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, c in zip(basis._rows, piv):
+            v[c] = field.neg(row[fc])
+        out.append(v)
+    return Matrix(field, out)
 
 
 def solve(field, a, b):

@@ -73,13 +73,12 @@ class QuadraticForm:
         f = self.field
         deg = max(p.degree for p in coord_polys)
         vecs = [[p.coeff(k) for p in coord_polys] for k in range(deg + 1)]
-        # row l - 1 is the polar vector of v_l, for l >= 1
-        polars = Matrix(f, [self.polar(v) for v in vecs[1:]])
+        polars = [self.polar(v) for v in vecs[1:]]
         out = [f.zero] * (2 * deg + 1)
         for k, v in enumerate(vecs):
             out[2 * k] = f.add(out[2 * k], self.eval(v))
             if k < deg:
-                for l, b in enumerate(mat_vec(polars, v)[k:], k + 1):
+                for l, b in enumerate(mat_vec(Matrix(f, polars[k:]), v), k + 1):
                     out[k + l] = f.add(out[k + l], b)
         return Poly(coord_polys[0].field, out)
 

@@ -1082,11 +1082,13 @@ def _link_quadric_points(form, p1, p2, candidates, polar):
         q(p) nonzero.  This uses only q(a) = q(b) = 0 and b(a, a) = 2 q(a),
         so it holds over any field and for any form, degenerate or in
         characteristic 2."""
-        polars = Matrix(field, [polar_of(a), polar_of(b)])
+        rows = [polar_of(a), polar_of(b)]
+        polars = Matrix(field, rows)
         for p in pool:
             ba, bb = mat_vec(polars, p)
             if not (is_zero(ba) or is_zero(bb)):
-                return _quadric_segment(form, a, b, p, ba, bb, mat_vec(polars, b)[0])
+                return _quadric_segment(form, a, b, p, ba, bb,
+                                        mat_vec(Matrix(field, rows[:1]), b)[0])
         return None
 
     # One lazy pass in candidate order returns the first good point as soon
