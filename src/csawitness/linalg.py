@@ -84,9 +84,10 @@ class Matrix:
     @property
     def lifted(self):
         """(int rows, scale) over F_p and Q, else None."""
-        if self._lifted is None and isinstance(self.field, INTEGER_CORE):
-            self._lifted = self.field.lift_rows(self._rows)
-        return self._lifted
+        lifted = self._lifted
+        if lifted is None and isinstance(self.field, INTEGER_CORE):
+            lifted = self._lifted = self.field.lift_rows(self._rows)
+        return lifted
 
     def _held(self):
         """The rows as held: lowered if they are, else as ints."""
@@ -212,9 +213,9 @@ def _echelon(m, reduce=True):
         if not lifted[0]:
             return Matrix(field, [], []), []
         rows, piv = _int_echelon(field, list(lifted[0]), reduce)
-        p = field.int_modulus
         if not reduce:
             return m, piv
+        p = field.int_modulus
         if p:
             # reduced mod p, the ints are the rref's scalars themselves
             rows = [[x % p for x in row] for row in rows]
@@ -496,9 +497,10 @@ def kernel(m):
     Matrix: for each free column c of the rref, 1 at c and minus the rref's
     entry in column c at each pivot.  Over F_p and Q that is read off the
     rref's lift, 1 being its scale, and nothing is lowered."""
-    if not len(m):
+    held = m._held()
+    if not held:
         raise InvalidInputError("kernel of an empty matrix needs a column count")
-    field, ncols = m.field, len(m[0])
+    field, ncols = m.field, len(held[0])
     basis, piv = rref(rows=m)
     free = [c for c in range(ncols) if c not in piv]
     lifted = basis.lifted
