@@ -19,8 +19,8 @@ from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
 from .linalg import (
-    Matrix, dependency, first_dependency, int_dependency, int_intertwiner_mismatch,
-    intertwiner_mismatch, kernel, mat_vec, rank, rref, solve, transpose,
+    Matrix, dependency, int_dependency, intertwiner_mismatch, kernel, mat_vec,
+    rank, rref, solve, transpose,
 )
 from .poly import Poly, poly_nth_root
 from .quadrics import QuadraticForm, projective_points
@@ -361,20 +361,20 @@ class Algebra:
         """The first (i, g), over g in closure_generators() and then basis
         indices i, with sigma(e_i g) != sigma(g) sigma(e_i) for the linear
         map sigma of the Matrix mat; None if there is none.  For each g this
-        is mat R_g = L_sigma(g) mat, whose column i is that equation; over
-        F_p and Q it is compared on the int multiplication matrices
-        (linalg.int_intertwiner_mismatch).
+        is mat R_g = L_sigma(g) mat, whose column i is that equation
+        (linalg.intertwiner_mismatch); over F_p and Q R_g and L_sigma(g) are
+        the int multiplication matrices, and nothing is lowered.
         """
         f = self.field
         for g in self.closure_generators():
             sigma_g = mat_vec(mat, g)
             if self._flat is None:
-                i = intertwiner_mismatch(f, mat.rows, self.right_mult_matrix(g),
-                                         self.left_mult_matrix(sigma_g))
+                r_g = Matrix(f, self.right_mult_matrix(g))
+                l_sigma_g = Matrix(f, self.left_mult_matrix(sigma_g))
             else:
-                i = int_intertwiner_mismatch(
-                    f, mat.lifted, self._int_mult_matrix(*self._lifted(g), right=True),
-                    self._int_mult_matrix(*self._lifted(sigma_g)))
+                r_g = Matrix(f, None, *self._int_mult_matrix(*self._lifted(g), right=True))
+                l_sigma_g = Matrix(f, None, *self._int_mult_matrix(*self._lifted(sigma_g)))
+            i = intertwiner_mismatch(mat, r_g, l_sigma_g)
             if i is not None:
                 return i, g
         return None
@@ -561,21 +561,6 @@ def poly_eval_at_element(f, x):
     for c in reversed(f.coeffs):
         acc = acc * x + alg.from_scalar(c)
     return acc
-
-
-def minimal_polynomial_and_power_basis(x):
-    """The minimal polynomial of x, the powers 1, x, ..., x^(d-1) with
-    d = deg(minpoly), and the rref basis and pivots of their span, from the
-    first linear dependency of the powers 1, x, x^2, ..., by the field
-    methods over every field.  etale.generate_etale runs the same
-    elimination on the int powers over F_p and Q and lowers nothing it does
-    not hand out."""
-    alg = x.algebra
-    f = alg.field
-    seen = []
-    coeffs, basis, pivots = first_dependency(f, _recorded(_powers(alg, x.coords), seen))
-    mp = Poly(f, [f.neg(c) for c in coeffs] + [f.one])
-    return mp, seen[:len(coeffs)], basis, pivots
 
 
 def _recorded(vectors, seen):

@@ -28,7 +28,7 @@ from .etale import etale_type, generate_etale, random_maximal_etale
 from .fields import json_get, parse_field_flag
 from .ideals import ideal_generated, random_flag, random_ideal
 from .involutions import (
-    adjoint_involution, involution_type, quaternion_conjugation,
+    adjoint_degree, adjoint_involution, involution_type, quaternion_conjugation,
     standard_alternating_matrix, transpose_involution,
 )
 from .pointcount import (
@@ -231,8 +231,7 @@ def involution_new(algebra_path, form_kind, out):
     if form_kind == "transpose":
         s = transpose_involution(A)
     elif form_kind == "alternating":
-        s = adjoint_involution(A, standard_alternating_matrix(A.field,
-                                                              A.preset["n"]))
+        s = adjoint_involution(A, standard_alternating_matrix(A.field, adjoint_degree(A)))
     else:
         s = quaternion_conjugation(A)
     serialize.save_json(serialize.involution_to_json(s), out)

@@ -3,11 +3,11 @@
 A subalgebra is stored with a primitive generator, its minimal polynomial
 (required squarefree) and the canonical rref basis of its linear span, so
 subspace equality is exact.  The minimal polynomial and the basis come
-from one elimination over the powers 1, x, x^2, ...: over F_p and Q that
-of linalg.int_dependency on the int powers (Algebra._int_powers), whose
+from one elimination over the powers 1, x, x^2, ..., their first linear
+dependency, and the rref of the powers it keeps: over F_p and Q that of
+linalg.int_dependency on the int powers (Algebra._int_powers), whose
 results the subalgebra keeps as lifted linalg.Matrix values, lowered only
-when they are read; over F_{p^k} that of
-algebra.minimal_polynomial_and_power_basis.
+when they are read; over F_{p^k} that of linalg.dependency on the powers.
 The type of a subalgebra is the multiset of geometric idempotent ranks, the
 root multiplicities of the generator's reduced characteristic polynomial.
 etale_type reads them off with gcds against the squarefree minimal
@@ -23,16 +23,13 @@ etale_type gives the full partition (csaw etale type,
 witness.symplectic_fixing_involution, the demos).
 """
 
-from .algebra import (
-    _recorded, minimal_polynomial_and_power_basis, poly_eval_at_element,
-    reduced_char_poly,
-)
+from .algebra import _powers, _recorded, poly_eval_at_element, reduced_char_poly
 from .errors import (
     InvalidInputError, NotEtaleError, StructuralError, UnsupportedFieldError,
 )
 from .fields import Rationals
 from .ideals import ideal_generated
-from .linalg import Matrix, in_row_space, int_dependency, rank, rref
+from .linalg import Matrix, dependency, in_row_space, int_dependency, rank, rref
 from .poly import (
     Poly, factor, int_squarefree_certified, poly_gcd, poly_ext_gcd, poly_squarefree,
     rational_roots,
@@ -127,37 +124,40 @@ def generate_etale(a):
     minimal polynomial (separability).  Maximal iff its dimension equals the
     degree of the ambient algebra.
 
-    Over F_p and Q the powers are int products of a lifted once, from the
-    unit the algebra lifted once (Algebra._int_powers), and
-    linalg.int_dependency finds their first dependency, comb.  comb is the
-    minimal polynomial times comb[d]: the squarefree certificate over Q
-    reads it (poly.int_squarefree_certified), the commutativity check reads
-    the int powers, and the basis is the rref of the kept int rows (at a
-    scale of their own per row, which the rref does not read), held
-    lifted.  Nothing is lowered here; F_{p^k} takes
-    minimal_polynomial_and_power_basis."""
+    The first dependency of the powers 1, a, a^2, ..., comb with
+    comb_0 + comb_1 a + ... + comb_d a^d = 0, is the minimal polynomial
+    times comb_d, and the basis is the rref of the powers it keeps (at a
+    scale of their own per row, which the rref does not read).  Over F_p
+    and Q the powers are int products of a lifted once, from the unit the
+    algebra lifted once (Algebra._int_powers), linalg.int_dependency finds
+    comb, the squarefree certificate over Q reads it
+    (poly.int_squarefree_certified), the commutativity check reads the int
+    powers, and nothing is lowered: the minimal polynomial and the basis
+    are held lifted.  Over F_{p^k} linalg.dependency finds comb, with
+    comb_d = 1, on the powers Algebra.mul takes."""
     alg = a.algebra
     f = alg.field
-    if alg._flat is None:
-        mp, powers, basis, pivots = minimal_polynomial_and_power_basis(a)
-        if not poly_squarefree(mp):
-            raise NotEtaleError(
-                f"minimal polynomial of degree {mp.degree} is not squarefree")
-        _check_commutative(powers, lambda u, v: alg.mul(u, v) == alg.mul(v, u))
-        return EtaleSubalgebra(alg, a, Matrix(f, [mp.coeffs]), Matrix(f, basis), pivots)
     seen = []
-    comb, kept = int_dependency(f, _recorded(alg._int_powers(*alg._lifted(a.coords)), seen))
+    if alg._flat is None:
+        comb, kept = dependency(f, _recorded(_powers(alg, a.coords), seen))
+        minpoly, kept = Matrix(f, [comb]), Matrix(f, kept)
+        certified = False
+
+        def commute(u, v):
+            return alg.mul(u, v) == alg.mul(v, u)
+    else:
+        comb, kept = int_dependency(f, _recorded(alg._int_powers(*alg._lifted(a.coords)), seen))
+        minpoly, kept = Matrix(f, None, [comb], comb[-1]), Matrix(f, None, kept)
+        certified = int_squarefree_certified(f, comb)
+        p = f.int_modulus
+
+        def commute(u, v):
+            diff = [x - y for x, y in zip(alg._int_mul(u[0], v[0]), alg._int_mul(v[0], u[0]))]
+            return not any([x % p for x in diff] if p else diff)
     d = len(comb) - 1
-    E = EtaleSubalgebra(alg, a, Matrix(f, None, [comb], comb[d]),
-                        *rref(rows=Matrix(f, None, kept)))
-    if not (int_squarefree_certified(f, comb) or poly_squarefree(E.minpoly)):
+    E = EtaleSubalgebra(alg, a, minpoly, *rref(rows=kept))
+    if not (certified or poly_squarefree(E.minpoly)):
         raise NotEtaleError(f"minimal polynomial of degree {d} is not squarefree")
-    p = f.int_modulus
-
-    def commute(u, v):
-        diff = [x - y for x, y in zip(alg._int_mul(u[0], v[0]), alg._int_mul(v[0], u[0]))]
-        return not any([x % p for x in diff] if p else diff)
-
     _check_commutative(seen[:d], commute)
     return E
 

@@ -35,8 +35,7 @@ from operator import mul
 from .algebra import Algebra
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .linalg import (
-    Matrix, in_row_space, int_solve, mat_vec, rank,
-    reduce_vector, rref, solve, transpose,
+    Matrix, in_row_space, mat_vec, rank, reduce_vector, rref, solve, transpose,
 )
 
 
@@ -139,8 +138,11 @@ def splitting_idempotent(ideal):
     Over F_p and Q the system is built on the basis lifted
     (RightIdeal._matrix, b_s = ints_s / s): b_s b_r is Algebra._int_mul of
     ints_s and ints_r over s^2 t, t = Algebra._flat_scale, so block r reads
-    sum_s mu_s _int_mul(ints_s, ints_r) = ints_r s t, one int system for
-    linalg.int_solve.  Its solution mu = ints / den gives e = sum mu_r b_r
+    sum_s mu_s _int_mul(ints_s, ints_r) = ints_r s t, one int system
+    [a | b].  Its rref, held lifted at a scale den that every row holds at
+    its pivot (linalg.Matrix), gives the solution with free unknowns 0:
+    mu = ints / den, ints the last column at each pivot, and a pivot in the
+    last column makes the system inconsistent.  mu gives e = sum mu_r b_r
     as the ints sum ints_mu_r ints_r over den s, and the self-check e^2 = e
     compares _int_mul(e, e) with e at the same scale.  No operand is lifted
     twice, and only e is lowered, once.  F_{p^k} takes the method path.
@@ -169,10 +171,14 @@ def splitting_idempotent(ideal):
         for b_r in ints:
             prods = [alg._int_mul(b_s, b_r) for b_s in ints]
             aug.extend([*row, x * scale] for row, x in zip(zip(*prods), b_r))
-        solved = int_solve(f, aug)
-        if solved is None:
-            raise StructuralError(no_unit)
-        mu, den = solved
+        n = len(ints)
+        echelon, piv = rref(rows=Matrix(f, None, aug))
+        if piv[-1:] == [n]:
+            raise StructuralError(no_unit)  # a 0 = 1 row
+        rows, den = echelon.lifted
+        mu = [0] * n
+        for row, c in zip(rows, piv):
+            mu[c] = row[n]
         x = [sum(map(mul, mu, col)) for col in zip(*ints)]
         xs = den * s
         p = f.int_modulus

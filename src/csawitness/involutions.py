@@ -191,10 +191,8 @@ def adjoint_involution(A, B):
     (symplectic case, n even).
     """
     _require_odd_char(A.field)
-    if A.preset.get("kind") != "matrix":
-        raise InvalidInputError("adjoint involutions need a matrix preset")
+    n = adjoint_degree(A)
     f = A.field
-    n = A.preset["n"]
     B = [list(r) for r in B]
     if len(B) != n or any(len(r) != n for r in B):
         raise InvalidInputError("form has the wrong size")
@@ -247,9 +245,17 @@ def quaternion_reversal(A):
     return involution_from_matrix(A, mat, expected_kind=ORTHOGONAL)
 
 
+def adjoint_degree(A):
+    """n for a matrix preset M_n, the size of an adjoint involution's form;
+    InvalidInputError on any other algebra."""
+    if A.preset.get("kind") != "matrix":
+        raise InvalidInputError("adjoint involutions need a matrix preset")
+    return A.preset["n"]
+
+
 def transpose_involution(A):
     """x -> x^T on a matrix preset (the identity-form adjoint)."""
-    return adjoint_involution(A, identity(A.field, A.preset["n"]))
+    return adjoint_involution(A, identity(A.field, adjoint_degree(A)))
 
 
 def standard_alternating_matrix(field, n):

@@ -7,17 +7,17 @@ Matrix, and rref and kernel return one.  Row reduction is deterministic:
 columns are processed left to right and the first row with a nonzero entry
 becomes the pivot, so reduced forms are canonical and byte-comparable.
 
-Over F_p and Q (fields.INTEGER_CORE) those kernels read the Matrix lifted
-and run on ints; over F_{p^k} they run on field methods.  Each output
-entry is lowered at most once, on its first read.  rref, pivots, kernel
-and int_solve read the column-wise echelon form of _int_echelon; the
-incremental eliminations int_dependency and int_prefix_solve, which read
-rows as their callers build them, share one step, _reduce_and_keep.
-mat_mul, intertwiner_mismatch, reduce_vector, solve, dependency and
-first_dependency keep the field-method path alone: no workload spends
-measurable time in them over F_p or Q, or their callers hold the int
-operands.  The fields differ only where int_modulus says so: in the zero
-test, in how a row is normalised, and in the final lowering.
+Over F_p and Q (fields.INTEGER_CORE) those kernels, and
+intertwiner_mismatch, read the Matrix lifted and run on ints; over F_{p^k}
+they run on field methods.  Each output entry is lowered at most once, on
+its first read.  rref, pivots and kernel read the column-wise echelon form
+of _int_echelon; the incremental eliminations int_dependency and
+int_prefix_solve, which read rows as their callers build them, share one
+step, _reduce_and_keep.  mat_mul, reduce_vector, solve and dependency keep
+the field-method path alone: no workload spends measurable time in them
+over F_p or Q, or their callers hold the int operands.  The fields differ
+only where int_modulus says so: in the zero test, in how a row is
+normalised, and in the final lowering.
 
 * Over F_p this is delayed reduction (Dumas, Giorgi and Pernet, "Dense
   linear algebra over word-size prime fields: the FFLAS and FFPACK
@@ -138,17 +138,18 @@ def _int_mat_mul(a, b):
     return out
 
 
-def intertwiner_mismatch(field, a, b, c):
-    """The first column j in which a b and c a differ, or None if a b = c a."""
-    cols = zip(zip(*mat_mul(field, a, b)), zip(*mat_mul(field, c, a)))
-    return next((j for j, (u, v) in enumerate(cols) if u != v), None)
-
-
-def int_intertwiner_mismatch(field, la, lb, lc):
-    """intertwiner_mismatch over F_p and Q on (int rows, scale) lifts of a,
-    b and c: the int products are compared as (a b) s_c against (c a) s_b,
-    the common scale s_a cancelled, with no entry lowered."""
-    (a, _), (b, sb), (c, sc) = la, lb, lc
+def intertwiner_mismatch(a, b, c):
+    """The first column j in which a b and c a differ, or None if a b = c a,
+    for square Matrix values a, b and c.  Over F_p and Q the int products
+    are compared as (a b) s_c against (c a) s_b, the common scale s_a
+    cancelled, with no entry lowered."""
+    field = a.field
+    lifted = a.lifted
+    if lifted is None:
+        a, b, c = a._rows, b._rows, c._rows
+        cols = zip(zip(*mat_mul(field, a, b)), zip(*mat_mul(field, c, a)))
+        return next((j for j, (u, v) in enumerate(cols) if u != v), None)
+    (a, _), (b, sb), (c, sc) = lifted, b.lifted, c.lifted
     p = field.int_modulus
     for j, (u, v) in enumerate(zip(zip(*_int_mat_mul(a, b)), zip(*_int_mat_mul(c, a)))):
         diff = [x * sc - y * sb for x, y in zip(u, v)]
@@ -310,42 +311,15 @@ def _int_echelon(field, m, _reduce=True):
     return m[:r], pivots
 
 
-def int_solve(field, aug):
-    """solve over F_p and Q for the int augmented matrix aug = [a | b], at
-    any nonzero common scale (it cancels), with nothing lowered: one x with
-    a x = b, free variables 0, as (ints, scale) with x = ints / scale, or
-    None if inconsistent.  x at a pivot column is the last column of its
-    echelon row over the row's pivot, all taken over the lcm of the pivots
-    (1 over F_p)."""
-    n = len(aug[0]) - 1
-    m, pivots = _int_echelon(field, list(aug))
-    if pivots and pivots[-1] == n:
-        return None  # 0 = 1 row
-    scale = lcm(*[row[c] for row, c in zip(m, pivots)])
-    x = [0] * n
-    for row, c in zip(m, pivots):
-        x[c] = row[n] * (scale // row[c])
-    return x, scale
-
-
-def first_dependency(field, vectors):
-    """The first linear dependency of a sequence v_0, v_1, ...: at the first
-    v_d in the span of v_0..v_{d-1}, (coeffs, basis, pivots) with
-    v_d = sum coeffs[i] v_i and basis, pivots the rows and pivots of the
-    rref of v_0..v_{d-1}: dependency, then rref of the kept rows."""
-    comb, kept = dependency(field, vectors)
-    basis, piv = rref(rows=Matrix(field, kept))
-    return [field.neg(c) for c in comb[:-1]], basis.rows, piv
-
-
 def dependency(field, vectors):
-    """The elimination of first_dependency, with no basis built: at the
+    """The first linear dependency of a sequence v_0, v_1, ...: at the
     first v_d in the span of v_0..v_{d-1}, (comb, kept) with
     0 = sum comb_i v_i over i <= d, comb_d = 1, and kept the rows of
-    v_0..v_{d-1} in echelon form.  vectors may be lazy and is read up to
-    v_d only: each vector is reduced against the rows kept so far, which
-    carry their combination of the v_i after their entries, and kept if
-    nonzero.  Raises InvalidInputError if the sequence ends first."""
+    v_0..v_{d-1} in echelon form (their rref is the canonical basis of the
+    span).  vectors may be lazy and is read up to v_d only: each vector is
+    reduced against the rows kept so far, which carry their combination of
+    the v_i after their entries, and kept if nonzero.  Raises
+    InvalidInputError if the sequence ends first."""
     sub, mul, is_zero = field.sub, field.mul, field.is_zero
     rows = []   # (pivot column, entries + combination), pivot entry 1
     for d, v in enumerate(vectors):

@@ -8,12 +8,13 @@ minor of an ideal pencil, and the discriminant of an etale line as the
 d x d Hankel determinant of the power sums of its minimal polynomial's
 roots (xpoly_discriminant).  The minimal polynomial of a line
 t*a + (1-t)*b is one linear system over F for the coefficients of its
-coefficients.  Over F_p and Q it is solved on ints from the rows that pin
-every unknown (linalg.int_prefix_solve) and the candidate is accepted by
-one identity in F[t] (x(t) is a root); over F_{p^k} the whole system is
-eliminated by rref.  Over F_p and Q the etale validity
-(pencil_discriminant) stays on those ints: it is one Z[t] determinant,
-lowered once.  No rational-function arithmetic is ever needed.
+coefficients, which pencil_min_poly eliminates whole by rref.  The etale
+validity (pencil_discriminant) over F_{p^k} is the discriminant of that
+polynomial; over F_p and Q it solves the system on ints from the rows
+that pin every unknown (linalg.int_prefix_solve), accepts the candidate by
+one identity in F[t] (x(t) is a root), and stays on those ints: it is one
+Z[t] determinant, lowered once.  No rational-function arithmetic is ever
+needed.
 """
 
 from collections import namedtuple
@@ -188,40 +189,55 @@ def pencil_min_poly(A, start, end, d):
       system is inconsistent.  Either way the result is None.
 
     So the result is the system's unique solution, and None when it has
-    none or more than one.  Over F_p and Q the system is solved from the
-    rows it needs (linalg.int_prefix_solve), coordinate by coordinate of A,
-    all t-degrees of a coordinate together.  A row read so far that is
-    inconsistent, or rows that run out before every unknown has a pivot,
-    give None, as the whole system then has no solution or a free unknown.
-    Once every unknown has a pivot, the rows read have full column rank, so
-    the whole system has at most the one candidate they give, and it has
-    that one iff the candidate satisfies every row, that is iff
-    sum_jk c_jk t^k x(t)^j + x(t)^d = 0 in every t-degree.  That identity
-    is checked on int vectors, and only the solution is lowered.  The
-    result is therefore the same as from eliminating the whole system,
-    None cases included.
-
-    start and end are lifted once, to one scale s, and the coefficient
-    vectors of the powers are int products (Algebra._int_mul, reduced mod p
-    over F_p): with u the unit's scale and a the table's, x(t)^j sits at
-    scale u (s a)^j, so weighting the unknowns c_jk by (s a)^(d-j) makes
-    the identity, times u (s a)^d, one int system.  Over F_{p^k} the whole
-    system is eliminated with field methods (rref).
+    none or more than one.  The whole system is eliminated by rref.
     """
-    if A._flat is None:
-        return _pencil_min_poly_rref(A, start, end, d)
-    solved = _pencil_min_poly_ints(A, start, end, d)
-    if solved is None:
-        return None
     f = A.field
-    sol = iter(f.lower_vector(*solved))
+    step = A.sub(start, end)
+    # powers[j][i]: coefficient of t^i in x(t)^j
+    powers = [[A.unit]]
+    for _ in range(d):
+        prev = powers[-1]
+        cur = [A.mul(prev[0], end)]
+        for i in range(1, len(prev)):
+            cur.append(A.add(A.mul(prev[i], end), A.mul(prev[i - 1], step)))
+        cur.append(A.mul(prev[-1], step))
+        powers.append(cur)
+    unknowns = [(j, k) for j in range(d) for k in range(d - j + 1)]
+    rows = []
+    for i in range(d + 1):
+        terms = [powers[j][i - k] if 0 <= i - k <= j else None for j, k in unknowns]
+        for m in range(A.dim):
+            rows.append([f.zero if v is None else v[m] for v in terms]
+                        + [f.neg(powers[d][i][m])])
+    basis, pivots = rref(rows=Matrix(f, rows))
+    if pivots != list(range(len(unknowns))):
+        return None
+    sol = iter(row[-1] for row in basis.rows)
     return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
 
 
 def _pencil_min_poly_ints(A, start, end, d):
     """pencil_min_poly over F_p and Q, before lowering: (c, den) with the
     coefficient of t^k in c_j equal to c[i] / den, the unknowns (j, k)
-    numbered j-major, or None."""
+    numbered j-major, or None.
+
+    The system is solved from the rows it needs (linalg.int_prefix_solve),
+    coordinate by coordinate of A, all t-degrees of a coordinate together.
+    A row read so far that is inconsistent, or rows that run out before
+    every unknown has a pivot, give None, as the whole system then has no
+    solution or a free unknown.  Once every unknown has a pivot, the rows
+    read have full column rank, so the whole system has at most the one
+    candidate they give, and it has that one iff the candidate satisfies
+    every row, that is iff sum_jk c_jk t^k x(t)^j + x(t)^d = 0 in every
+    t-degree.  That identity is checked on int vectors.  The result is
+    therefore the solution pencil_min_poly gives, None cases included.
+
+    start and end are lifted once, to one scale s, and the coefficient
+    vectors of the powers are int products (Algebra._int_mul, reduced mod p
+    over F_p): with u the unit's scale and a the table's, x(t)^j sits at
+    scale u (s a)^j, so weighting the unknowns c_jk by (s a)^(d-j) makes
+    the identity, times u (s a)^d, one int system.
+    """
     f = A.field
     p = f.int_modulus
     n = A.dim
@@ -264,9 +280,12 @@ def _pencil_min_poly_ints(A, start, end, d):
 
 def pencil_discriminant(A, start, end, d):
     """xpoly_discriminant(pencil_min_poly(A, start, end, d)), the validity
-    of an etale line, or None where pencil_min_poly gives None.
+    of an etale line, or None where pencil_min_poly gives None.  F_{p^k}
+    takes those two steps.
 
-    Over F_p and Q it is taken from the minimal polynomial's own ints.
+    Over F_p and Q it is taken from the minimal polynomial's own ints, as
+    _pencil_min_poly_ints solves for them, with nothing lowered before the
+    determinant.
     With a_j = c_j / den (_pencil_min_poly_ints), g(x) = den^d f(x / den) =
     x^d + sum_j den^(d-j-1) c_j(t) x^j is monic in Z[t][x], and its roots
     are den times those of f, so disc g = den^(d(d-1)) disc f.  Newton's
@@ -275,8 +294,7 @@ def pencil_discriminant(A, start, end, d):
     disc g is one d x d determinant in Z[t], lowered once by den^(d(d-1)).
     Over F_p den is 1 and the c_j are int representatives, so that
     determinant reduced mod p is the one over F_p.  The determinant is
-    unique, so the result is the same Poly as the two steps give, which
-    F_{p^k} keeps.
+    unique, so the result is the same Poly as the two steps give.
     """
     if A._flat is None:
         mp = pencil_min_poly(A, start, end, d)
@@ -293,30 +311,3 @@ def pencil_discriminant(A, start, end, d):
     disc = _bareiss(_ZT, _power_sum_hankel(_ZT, g + [[1]]))
     f = A.field
     return Poly(f, f.lower_vector(disc, den ** (d * (d - 1))))
-
-
-def _pencil_min_poly_rref(A, start, end, d):
-    """pencil_min_poly over F_{p^k}: the whole system, eliminated by rref."""
-    f = A.field
-    step = A.sub(start, end)
-    # powers[j][i]: coefficient of t^i in x(t)^j
-    powers = [[A.unit]]
-    for _ in range(d):
-        prev = powers[-1]
-        cur = [A.mul(prev[0], end)]
-        for i in range(1, len(prev)):
-            cur.append(A.add(A.mul(prev[i], end), A.mul(prev[i - 1], step)))
-        cur.append(A.mul(prev[-1], step))
-        powers.append(cur)
-    unknowns = [(j, k) for j in range(d) for k in range(d - j + 1)]
-    rows = []
-    for i in range(d + 1):
-        terms = [powers[j][i - k] if 0 <= i - k <= j else None for j, k in unknowns]
-        for m in range(A.dim):
-            rows.append([f.zero if v is None else v[m] for v in terms]
-                        + [f.neg(powers[d][i][m])])
-    basis, pivots = rref(rows=Matrix(f, rows))
-    if pivots != list(range(len(unknowns))):
-        return None
-    sol = iter(row[-1] for row in basis.rows)
-    return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]

@@ -489,6 +489,27 @@ def _one_error_line(r):
             and r.stderr.startswith("error: "))
 
 
+@pytest.mark.parametrize("form", ["transpose", "alternating"])
+@pytest.mark.parametrize("preset", ["quaternion", "tensor"])
+def test_adjoint_involution_on_a_non_matrix_preset_exits_2(runner, tmp_path, preset, form):
+    h, m, a = (tmp_path / name for name in ("h.json", "m.json", "a.json"))
+    assert invoke(runner, ["algebra", "new", "--preset", "quaternion", "--field", "fp:5",
+                           "--a", "2", "--b", "3", "--out", str(h)]).exit_code == 0
+    if preset == "tensor":
+        assert invoke(runner, ["algebra", "new", "--preset", "matrix", "--n", "2",
+                               "--field", "fp:5", "--out", str(m)]).exit_code == 0
+        assert invoke(runner, ["algebra", "new", "--preset", "tensor", "--field", "fp:5",
+                               "--left", str(m), "--right", str(h),
+                               "--out", str(a)]).exit_code == 0
+        h = a
+    s = tmp_path / "s.json"
+    r = invoke(runner, ["involution", "new", "--algebra", str(h), "--form", form,
+                        "--out", str(s)])
+    assert _one_error_line(r)
+    assert r.stderr == "error: adjoint involutions need a matrix preset\n"
+    assert not s.exists()
+
+
 def test_negative_index_evidence_bound_exits_2(runner, tmp_path):
     h = tmp_path / "h.json"
     assert invoke(runner, ["algebra", "new", "--preset", "quaternion", "--field", "q",

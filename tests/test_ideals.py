@@ -84,6 +84,16 @@ def test_splitting_idempotent_equals_the_method_path_solve():
                 assert (e * e - e).is_zero() and I.contains(e.coords)
 
 
+@pytest.mark.parametrize("field", [QQ, F5, standard_extension(3, 2)], ids=["Q", "F5", "F9"])
+def test_splitting_idempotent_without_a_left_unit_raises(field):
+    # span{E12, E21} is not a right ideal: e = a E12 + b E21 gives
+    # e E12 = b E22, never E12, so the left-unit system is inconsistent
+    A = make_matrix_algebra(field, 2)
+    I = RightIdeal(A, [A.basis_coords(1), A.basis_coords(2)], _skip_closure_check=True)
+    with pytest.raises(StructuralError, match="no left unit exists"):
+        splitting_idempotent(I)
+
+
 def test_splitting_idempotent_makes_no_algebra_products_over_q_and_fp(monkeypatch):
     rng = random.Random(29)
     ideals = [random_ideal(A, rd, rng) for A, rdims in _idempotent_cases()[:5]

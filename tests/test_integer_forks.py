@@ -79,28 +79,36 @@ def test_integer_forks_are_these():
         # rref, pivots and rank, membership and products, which workloads
         # time; kernel lowers only the kernel vectors of int rows (the
         # commutator kernels of connect_exp2: 2.2 % of build_q, 4.7 % of
-        # build_fp operation time)
+        # build_fp operation time); the intertwiner check compares the int
+        # products of anti_automorphism_mismatch, so an involution's matrix
+        # is never lowered
         "linalg.Matrix.lifted", "linalg._echelon", "linalg.mat_vec",
-        "linalg.in_row_space", "linalg.kernel",
-        # algebra: the product, the commutator rows (for rank and kernel) and
+        "linalg.in_row_space", "linalg.kernel", "linalg.intertwiner_mismatch",
+        # algebra: the product, the commutator rows (for rank and kernel),
+        # the int multiplication matrices of the anti-automorphism check and
         # the Krylov elimination of the inverse
         "algebra.Algebra.__init__", "algebra.Algebra.mul",
         "algebra.Algebra.commutator_rows", "algebra.Algebra.sandwich_matrix",
         "algebra.Algebra.anti_automorphism_mismatch", "algebra.Algebra.inverse",
-        # etale: the power-basis elimination on int powers, held lifted, and
-        # equality on the lifted rref basis, which over F_p and Q is canonical
+        # etale: the first dependency of the int powers, held lifted (F_{p^k}
+        # takes linalg.dependency), and equality on the lifted rref basis,
+        # which over F_p and Q is canonical
         "etale.generate_etale", "etale.EtaleSubalgebra.__init__",
-        # ideals: the left-unit system of a splitting idempotent, and the
-        # D-rows of a module presentation as int products (3.7 % of build_q)
+        # ideals: the left-unit system of a splitting idempotent, built as
+        # int products and solved off its rref's lift, and the D-rows of a
+        # module presentation as int products (3.7 % of build_q)
         "ideals.splitting_idempotent", "ideals.ModulePresentation._d_rows",
         # involutions: Sym as the int kernel of the lifted matrix minus its
         # scale, so a twisted involution is never lowered (0.8 % of build_q,
         # 1.6 % of build_fp; about three times that on the lowered matrix)
         "involutions.sym_basis",
-        # polyrings and poly: pencil minimal polynomials and F_p[x] gcds
-        "polyrings.pencil_min_poly", "poly.poly_gcd", "poly.poly_squarefree",
-        # polyrings: the etale validity as one Z[t] determinant; its F[t] form
-        # took 13 % of build_q and 9 % of build_fp operation time
+        # poly: F_p[x] gcds
+        "poly.poly_gcd", "poly.poly_squarefree",
+        # polyrings: the etale validity as one Z[t] determinant of the pencil
+        # minimal polynomial solved on ints from the rows it needs; its F[t]
+        # form took 13 % of build_q and 9 % of build_fp operation time.
+        # pencil_min_poly itself eliminates the whole system by rref, on
+        # F_{p^k} alone in the pipelines
         "polyrings.pencil_discriminant",
         # witness: the ideal-pencil rank minors as Z[t] determinants; their
         # F[t] form (_subspace_validity) took 7.5 % of build_fp and 6.1 % of

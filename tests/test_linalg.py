@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness.errors import InvalidInputError
-from csawitness.fields import QQ, PrimeField, standard_extension
+from csawitness.fields import QQ, ExtensionField, PrimeField, standard_extension
 from csawitness.linalg import (
-    Matrix, charpoly, first_dependency, identity, in_row_space, int_dependency,
-    int_intertwiner_mismatch, int_prefix_solve, int_solve, intertwiner_mismatch, inverse,
-    kernel, mat_mul, mat_vec, pivots, rank, reduce_vector, rref, solve,
+    Matrix, charpoly, dependency, identity, in_row_space, int_dependency,
+    int_prefix_solve, intertwiner_mismatch, inverse, kernel, mat_mul, mat_vec,
+    pivots, rank, reduce_vector, rref, solve,
 )
 
 F5 = PrimeField(5)
@@ -361,17 +361,23 @@ def _first_unequal_column(lhs, rhs):
 
 def _check_intertwiner(field, ref, a, b, c):
     """intertwiner_mismatch on (a, b, c) and on (a, b, a b a^-1) (where a is
-    invertible), lifted and not, against the column-by-column comparison of
-    the reference field's products."""
+    invertible), against the column-by-column comparison of the reference
+    field's products: on Matrix values over the reference field (the
+    field-method path), held as rows over field, and held lifted only, a,
+    b and c at the scales 1, 2 and 4 times their canonical lift's."""
     cases = [c]
     a_inv = inverse(ref, a)
     if a_inv is not None:
         cases.append(mat_mul(ref, mat_mul(ref, a, b), a_inv))
     for c in cases:
         want = _first_unequal_column(mat_mul(ref, a, b), mat_mul(ref, c, a))
-        assert intertwiner_mismatch(field, a, b, c) == want
-        lifted = tuple(Matrix(field, m).lifted for m in (a, b, c))
-        assert int_intertwiner_mismatch(field, *lifted) == want
+        assert intertwiner_mismatch(*(Matrix(ref, m) for m in (a, b, c))) == want
+        assert intertwiner_mismatch(*(Matrix(field, m) for m in (a, b, c))) == want
+        lifted = []
+        for m, k in zip((a, b, c), (1, 2, 4)):
+            ints, scale = field.lift_rows(m)
+            lifted.append(Matrix(field, None, [[k * x for x in r] for r in ints], k * scale))
+        assert intertwiner_mismatch(*lifted) == want
     if a_inv is not None:
         assert want is None
 
@@ -420,7 +426,8 @@ def test_mat_mul_of_non_square_matrices():
 
 
 # ---------------------------------------------------------------------------
-# first_dependency over F_p, Q and F_{p^k}
+# the first dependency over F_p, Q and F_{p^k}: dependency or int_dependency,
+# then the rref of the kept rows, as etale.generate_etale runs them
 
 
 def _combination(field, coeffs, vecs, n):
@@ -430,18 +437,27 @@ def _combination(field, coeffs, vecs, n):
     return out
 
 
+def _first_dependency(field, vectors):
+    """(coeffs, basis, pivots) with v_d = sum coeffs_i v_i at the first v_d
+    in the span of v_0..v_{d-1}, and basis, pivots the rref of those:
+    dependency on the vectors, then the rref of the kept rows."""
+    comb, kept = dependency(field, vectors)
+    basis, piv = rref(rows=Matrix(field, kept))
+    return [field.neg(c) for c in comb[:-1]], basis.rows, piv
+
+
 def _lifted_first_dependency(field, vectors):
-    """first_dependency from the int core, as etale.generate_etale runs it:
-    int_dependency on the lifted vectors, then the coefficients lowered and
-    the int rref of the kept rows."""
+    """_first_dependency from the int core: int_dependency on the lifted
+    vectors, then the coefficients lowered and the int rref of the kept
+    rows."""
     comb, kept = int_dependency(field, map(field.lift_vector, vectors))
     d = len(comb) - 1
     basis, piv = rref(rows=Matrix(field, ints=kept))
     return field.lower_vector([-c for c in comb[:d]], comb[d]), basis.rows, piv
 
 
-def _check_first_dependency(field, vecs, first=first_dependency):
-    """first (first_dependency or _lifted_first_dependency) on vecs, read
+def _check_first_dependency(field, vecs, first=_first_dependency):
+    """first (_first_dependency or _lifted_first_dependency) on vecs, read
     lazily: v_d is a combination of the independent v_0..v_{d-1} with the
     returned coefficients, the basis is their rref, and nothing after v_d
     is read."""
@@ -477,22 +493,32 @@ def test_first_dependency_seeded(name):
         vecs = random_matrix(field, rng, rng.randint(0, n), n)
         # a combination of the vectors so far, then vectors never read
         vecs.append(_combination(field, [field.random(rng) for _ in vecs], vecs, n))
-        _check_first_dependency(field, vecs + random_matrix(field, rng, 2, n))
+        vecs += random_matrix(field, rng, 2, n)
+        for first in _firsts(field):
+            _check_first_dependency(field, vecs, first)
+
+
+def _firsts(field):
+    """The first-dependency eliminations that run over field."""
+    return ((_first_dependency,) if isinstance(field, ExtensionField)
+            else (_first_dependency, _lifted_first_dependency))
 
 
 def test_first_dependency_of_a_zero_first_vector():
     for field in FIRST_DEPENDENCY_FIELDS.values():
         zero = [field.zero] * 3
-        assert first_dependency(field, iter([zero, zero])) == ([], [], [])
+        for first in _firsts(field):
+            assert first(field, iter([zero, zero])) == ([], [], [])
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_DEPENDENCY_FIELDS))
 def test_first_dependency_raises_when_the_sequence_ends_first(name):
     field = FIRST_DEPENDENCY_FIELDS[name]
-    with pytest.raises(InvalidInputError, match="no linear dependency"):
-        first_dependency(field, iter(identity(field, 3)))
-    with pytest.raises(InvalidInputError, match="no linear dependency"):
-        first_dependency(field, iter([]))
+    for first in _firsts(field):
+        with pytest.raises(InvalidInputError, match="no linear dependency"):
+            first(field, iter(identity(field, 3)))
+        with pytest.raises(InvalidInputError, match="no linear dependency"):
+            first(field, iter([]))
 
 
 def test_int_dependency_reads_each_vector_at_its_scale():
@@ -515,7 +541,7 @@ def test_first_dependency_over_fp_matches_the_method_path(case):
     p, rows = case
     vecs = rows + [rows[0]]
     got = _check_first_dependency(PrimeField(p), vecs, _lifted_first_dependency)
-    assert got == first_dependency(MethodPathField(p), iter(_reduced(p, vecs)))
+    assert got == _first_dependency(MethodPathField(p), iter(_reduced(p, vecs)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,7 +549,7 @@ def test_first_dependency_over_fp_matches_the_method_path(case):
 def test_first_dependency_over_q_matches_the_method_path(rows):
     vecs = rows + [rows[-1]]
     got = _check_first_dependency(QQ, vecs, _lifted_first_dependency)
-    assert got == first_dependency(MethodPathQ(), iter(vecs))
+    assert got == _first_dependency(MethodPathQ(), iter(vecs))
     assert all(type(x) is Fraction for x in got[0])
 
 
@@ -602,8 +628,7 @@ def test_int_prefix_solve_solves_the_first_full_rank_prefix(field):
 
 
 # ---------------------------------------------------------------------------
-# the kernels on Matrix values held only lifted: kernel, pivots, rref; and
-# int_solve
+# the kernels on Matrix values held only lifted: kernel, pivots, rref
 
 
 def _sympy_nullspace_rref(rows):
@@ -664,16 +689,3 @@ def test_a_lifted_rref_row_over_fp_is_the_reduced_row(case):
     held, held_pivots = rref(rows=Matrix(f, ints=rows))
     assert (held.lifted, held_pivots) == ((basis, 1), piv)
     assert pivots(Matrix(f, ints=rows)) == piv
-
-
-@settings(max_examples=200, deadline=None)
-@given(q_matrices(max_cols=5), st.data())
-def test_int_solve_over_q_matches_the_method_path(rows, data):
-    b = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
-    aug, scale = QQ.lift_rows([list(r) + [c] for r, c in zip(rows, b)])
-    want = solve(MethodPathQ(), rows, b)
-    got = int_solve(QQ, aug)
-    if want is None:
-        assert got is None
-    else:
-        assert QQ.lower_vector(*got) == want

@@ -11,13 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from csawitness.algebra import (
-    coords_of_matrix, make_matrix_algebra, minimal_polynomial_and_power_basis,
-)
+from csawitness.algebra import coords_of_matrix, make_matrix_algebra
 from csawitness.errors import NotEtaleError
 from csawitness.etale import etale_type, generate_etale
 from csawitness.fields import QQ, PrimeField
-from csawitness.linalg import charpoly
+from csawitness.linalg import charpoly, dependency
 from csawitness.poly import Poly, factor
 from csawitness.polyrings import pencil_discriminant, xpoly_discriminant
 
@@ -226,6 +224,20 @@ def _sympy_factor_list(K, p, coeffs_high_first):
     return [(sympy.Poly(g, X).degree(), m) for g, m in facs]
 
 
+def _minimal_polynomial(x):
+    """The minimal polynomial of x: the first linear dependency of the
+    powers 1, x, x^2, ..., which linalg.dependency returns monic."""
+    A, f = x.algebra, x.algebra.field
+
+    def powers():
+        y = A.one
+        while True:
+            yield y.coords
+            y = y * x
+
+    return Poly(f, dependency(f, powers())[0])
+
+
 def _check_etale_against_sympy(p, rows):
     field, K = (PrimeField(p) if p else QQ), _sympy_domain(p)
     n = len(rows)
@@ -233,7 +245,7 @@ def _check_etale_against_sympy(p, rows):
     x = A.element(coords_of_matrix(A, rows))
     dm = DomainMatrix([[_to_sympy(K, p, c) for c in r] for r in rows], (n, n), K)
     powers = [[c for r in (dm ** k).to_list() for c in r] for k in range(n + 1)]
-    mp = minimal_polynomial_and_power_basis(x)[0]
+    mp = _minimal_polynomial(x)
     d = mp.degree
     assert mp.is_monic()
     assert d == DomainMatrix(powers, (n + 1, n * n), K).rank()

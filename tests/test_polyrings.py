@@ -18,7 +18,6 @@ from csawitness.algebra import (
 )
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.involutions import sym_basis
-from csawitness.linalg import Matrix, rref
 from csawitness.poly import Poly
 from csawitness.polyrings import (
     pencil_discriminant, pencil_min_poly, polymat_det, xpoly_discriminant,
@@ -313,32 +312,15 @@ def test_pencil_min_poly_annihilates_every_point(line):
             assert at_t == reduced_char_poly(x)
 
 
-def full_rref_min_poly(A, start, end, d):
-    """The reference: the whole (d + 1) dim A-row system in the d(d + 3)/2
-    unknowns c_jk, built from field-method products and eliminated at once
-    by rref; the unique solution, or None."""
-    f = A.field
-    step = A.sub(start, end)
-    # powers[j][i]: coefficient of t^i in x(t)^j
-    powers = [[A.unit]]
-    for _ in range(d):
-        prev = powers[-1]
-        cur = [A.mul(prev[0], end)]
-        for i in range(1, len(prev)):
-            cur.append(A.add(A.mul(prev[i], end), A.mul(prev[i - 1], step)))
-        cur.append(A.mul(prev[-1], step))
-        powers.append(cur)
-    unknowns = [(j, k) for j in range(d) for k in range(d - j + 1)]
-    rows = []
-    for i in range(d + 1):
-        terms = [powers[j][i - k] if 0 <= i - k <= j else None for j, k in unknowns]
-        for m in range(A.dim):
-            rows.append([f.zero if v is None else v[m] for v in terms]
-                        + [f.neg(powers[d][i][m])])
-    basis, pivots = rref(rows=Matrix(f, rows))
-    if pivots != list(range(len(unknowns))):
+def lowered_prefix_solve(A, start, end, d):
+    """The minimal polynomial that pencil_discriminant reads over F_p and Q:
+    polyrings._pencil_min_poly_ints, which solves the system from the rows
+    it needs, lowered to Polys; None where it gives None."""
+    solved = polyrings._pencil_min_poly_ints(A, start, end, d)
+    if solved is None:
         return None
-    sol = iter(row[-1] for row in basis.rows)
+    f = A.field
+    sol = iter(f.lower_vector(*solved))
     return [Poly(f, [next(sol) for _ in range(d - j + 1)]) for j in range(d)] + [Poly.one(f)]
 
 
@@ -377,8 +359,9 @@ F11 = PrimeField(11)
 
 @pytest.mark.parametrize("field", [F5, F7, F11, QQ], ids=["F5", "F7", "F11", "Q"])
 def test_pencil_min_poly_matches_the_full_elimination(field):
-    """The rows-it-needs solve gives what eliminating the whole system
-    gives, None included, on 4 x 32 lines per field (512 in all)."""
+    """The rows-it-needs solve of pencil_discriminant gives what
+    pencil_min_poly, which eliminates the whole system, gives, None
+    included, on 4 x 32 lines per field (512 in all)."""
     rng = random.Random(f"differential/{field!r}")
     m1 = field.neg(field.one)
     algebras = [make_matrix_algebra(field, n) for n in (2, 3, 4)]
@@ -387,7 +370,7 @@ def test_pencil_min_poly_matches_the_full_elimination(field):
     for A in algebras:
         for s, e, d in differential_lines(field, A, rng, 32):
             got = pencil_min_poly(A, s, e, d)
-            assert got == full_rref_min_poly(A, s, e, d), (A, s, e, d)
+            assert lowered_prefix_solve(A, s, e, d) == got, (A, s, e, d)
             outcomes[got is None] += 1
     assert outcomes[True] >= 32 and outcomes[False] >= 32
 
