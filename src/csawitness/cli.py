@@ -45,16 +45,25 @@ EXIT_INVALID = 2
 EXIT_TOO_SMALL = 3
 
 
+def _echo(message, err=False):
+    """Print one line to the current sys.stdout, or sys.stderr with err.
+    The stream is named: without a file, click.echo caches a wrapper per
+    stream, and when the stream is already a text wrapper (as under
+    click.testing.CliRunner) the cached wrapper is the stream itself, which
+    then keys its own cache entry and outlives the invocation."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (FieldTooSmallError, BudgetExceededError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_TOO_SMALL)
         except (CsawError, OSError, KeyError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INVALID)
     return wrapper
 
@@ -110,7 +119,7 @@ def algebra_new(preset, field_flag, n, a, b, left, right, out):
             raise InvalidInputError("--left and --right are required for tensors")
         A = tensor_product(_load_algebra(left), _load_algebra(right))
     serialize.save_json(serialize.algebra_to_json(A), out)
-    click.echo(f"wrote degree-{A.degree} algebra to {out}")
+    _echo(f"wrote degree-{A.degree} algebra to {out}")
 
 
 @algebra.command("show")
@@ -118,10 +127,10 @@ def algebra_new(preset, field_flag, n, a, b, left, right, out):
 @handle_errors
 def algebra_show(algebra_path):
     A = _load_algebra(algebra_path)
-    click.echo(f"field: {A.field!r}")
-    click.echo(f"degree: {A.degree}  dimension: {A.dim}")
-    click.echo(f"preset: {A.preset.get('kind')}")
-    click.echo(f"basis: {' '.join(A.labels)}")
+    _echo(f"field: {A.field!r}")
+    _echo(f"degree: {A.degree}  dimension: {A.dim}")
+    _echo(f"preset: {A.preset.get('kind')}")
+    _echo(f"basis: {' '.join(A.labels)}")
 
 
 @algebra.command("index-evidence")
@@ -132,10 +141,10 @@ def algebra_index_evidence(algebra_path, bound):
     A = _load_algebra(algebra_path)
     w = index_evidence(A, search_bound=bound)
     if isinstance(w, NoWitnessFound):
-        click.echo(f"no splitting witness up to height {bound} "
-                   "(not a proof of division)")
+        _echo(f"no splitting witness up to height {bound} "
+              "(not a proof of division)")
         sys.exit(EXIT_VERIFY_FAILED)
-    click.echo(f"split witness: ({w.x!r}) * ({w.y!r}) = 0")
+    _echo(f"split witness: ({w.x!r}) * ({w.y!r}) = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +166,7 @@ def ideal_random(algebra_path, rdim, seed, out):
     A = _load_algebra(algebra_path)
     I = random_ideal(A, rdim, random.Random(seed))
     serialize.save_json(serialize.ideal_to_json(I), out)
-    click.echo(f"wrote rdim-{I.rdim} ideal to {out}")
+    _echo(f"wrote rdim-{I.rdim} ideal to {out}")
 
 
 @ideal.command("generate")
@@ -171,7 +180,7 @@ def ideal_generate(algebra_path, elements, out):
     gens = [A.element(_parse_scalars(A.field, e)) for e in elements]
     I = ideal_generated(gens)
     serialize.save_json(serialize.ideal_to_json(I), out)
-    click.echo(f"wrote rdim-{I.rdim} ideal to {out}")
+    _echo(f"wrote rdim-{I.rdim} ideal to {out}")
 
 
 @ideal.command("check")
@@ -179,7 +188,7 @@ def ideal_generate(algebra_path, elements, out):
 @handle_errors
 def ideal_check(ideal_path):
     I = serialize.ideal_from_json(serialize.load_json(ideal_path))
-    click.echo(f"valid right ideal, rdim {I.rdim} of degree {I.algebra.degree}")
+    _echo(f"valid right ideal, rdim {I.rdim} of degree {I.algebra.degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,7 @@ def flag_random(algebra_path, signature, seed, out):
             f"signature {signature!r} is not a comma-separated list of integers") from None
     fl = random_flag(A, sig, random.Random(seed))
     serialize.save_json(serialize.flag_to_json(fl), out)
-    click.echo(f"wrote flag of signature {list(fl.signature)} to {out}")
+    _echo(f"wrote flag of signature {list(fl.signature)} to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +244,7 @@ def involution_new(algebra_path, form_kind, out):
     else:
         s = quaternion_conjugation(A)
     serialize.save_json(serialize.involution_to_json(s), out)
-    click.echo(f"wrote {s.kind} involution to {out}")
+    _echo(f"wrote {s.kind} involution to {out}")
 
 
 @involution.command("type")
@@ -243,7 +252,7 @@ def involution_new(algebra_path, form_kind, out):
 @handle_errors
 def involution_type_cmd(inv_path):
     s = serialize.involution_from_json(serialize.load_json(inv_path))
-    click.echo(involution_type(s))
+    _echo(involution_type(s))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +280,7 @@ def etale_generate(algebra_path, element, random_maximal, seed, out):
     else:
         raise InvalidInputError("need --element or --random-maximal")
     serialize.save_json(serialize.etale_to_json(E), out)
-    click.echo(f"wrote dim-{E.dim} subalgebra to {out}")
+    _echo(f"wrote dim-{E.dim} subalgebra to {out}")
 
 
 @etale.command("type")
@@ -279,7 +288,7 @@ def etale_generate(algebra_path, element, random_maximal, seed, out):
 @handle_errors
 def etale_type_cmd(sub_path):
     E = serialize.etale_from_json(serialize.load_json(sub_path))
-    click.echo(str(list(etale_type(E).parts)))
+    _echo(str(list(etale_type(E).parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +310,7 @@ def _load_endpoints(algebra_path, from_path, to_path, reader):
 def _write_witness(w, out, form=None):
     serialize.save_json(serialize.witness_to_json(w, form=form), out)
     nseg = len(w.segments) if hasattr(w, "segments") else 1
-    click.echo(f"wrote witness ({nseg} segment{'s' if nseg != 1 else ''}) to {out}")
+    _echo(f"wrote witness ({nseg} segment{'s' if nseg != 1 else ''}) to {out}")
 
 
 @witness.command("connect-ideals")
@@ -395,12 +404,12 @@ def verify_cmd(witness_path, exhaustive, samples, out):
     if out:
         serialize.save_json(report.to_json(), out)
     if not segments and report.passed:
-        click.echo("trivial chain: endpoints coincide; pass")
+        _echo("trivial chain: endpoints coincide; pass")
         return
     status = "pass" if report.passed else "FAIL"
-    click.echo(f"{status}: {len(report.checks)} checks")
+    _echo(f"{status}: {len(report.checks)} checks")
     for name, detail in report.failures():
-        click.echo(f"  failed: {name} {detail}", err=True)
+        _echo(f"  failed: {name} {detail}", err=True)
     if not report.passed:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -447,7 +456,7 @@ def enumerate_cmd(model_kind, form_path, field_flag, k, m, degree, out):
                                       for c in pt.coords]}
                           for pt in pts]}
     serialize.save_json(payload, out)
-    click.echo(f"enumerated {len(pts)} closed points of degree dividing {degree}")
+    _echo(f"enumerated {len(pts)} closed points of degree dividing {degree}")
 
 
 @main.command("hgraph")
@@ -461,8 +470,8 @@ def hgraph_cmd(model_kind, form_path, n, out):
     model = _build_model(model_kind, form_path, None, 0, 0)
     report = link_graph(model, n, QuadricCurves(model))
     serialize.save_json(report.to_json(), out)
-    click.echo(f"{len(report.vertices)} vertices, {len(report.edges)} edges, "
-               f"{report.components} component(s)")
+    _echo(f"{len(report.vertices)} vertices, {len(report.edges)} edges, "
+          f"{report.components} component(s)")
     if not report.connected:
         sys.exit(EXIT_VERIFY_FAILED)
 
@@ -485,7 +494,7 @@ def arith_vp(p, r, out):
     v = vp_factorial(p, r)
     if out:
         serialize.save_json({"p": p, "r": r, "vp_factorial": v}, out)
-    click.echo(str(v))
+    _echo(str(v))
 
 
 @arith.command("pidegree")
@@ -499,7 +508,7 @@ def arith_pidegree(n, m, p, out):
     if out:
         serialize.save_json({"n": n, "m": m, "p": p, "degree": str(degree),
                              "prime_to_p": prime_to_p}, out)
-    click.echo(f"{degree} prime_to_{p}={prime_to_p}")
+    _echo(f"{degree} prime_to_{p}={prime_to_p}")
 
 
 if __name__ == "__main__":

@@ -504,7 +504,7 @@ class LinkGraphReport:
 
     @property
     def connected(self):
-        return self.components == 1 and self.vertices
+        return self.components == 1
 
     def to_json(self):
         refs = []
@@ -518,16 +518,23 @@ class LinkGraphReport:
                 "scope_note": SCOPE_NOTE, "notes": self.notes}
 
 
-def _single_swap(a, b):
-    """(p, q) when the point sets a and b differ by trading the one point p
-    of a for the one point q of b; None otherwise."""
-    only_a = a - b
-    if len(only_a) != 1:
-        return None
-    only_b = b - a
-    if len(only_b) != 1:
-        return None
-    return next(iter(only_a)), next(iter(only_b))
+def _equal_degree_swaps(vertices):
+    """Every (i, p, j, q) with i < j where vertex j is vertex i with its
+    closed point p traded for another point q, each such pair once: in the
+    order of j, then of q in j's support, then of i.  The two vertices share
+    their support minus one point, so keying every vertex by its support
+    minus p, for each p in its support, puts the pair in exactly one bucket,
+    and the pairs of a bucket are exactly its swaps.  Vertices of one
+    degree, as link_graph's are, trade points of one degree.  A generator:
+    the caller may act on each pair before the next is formed."""
+    buckets = {}
+    for j, beta in enumerate(vertices):
+        supp = beta.support()
+        for q in supp:
+            bucket = buckets.setdefault(tuple(p for p in supp if p != q), [])
+            for i, p in bucket:
+                yield i, p, j, q
+            bucket.append((j, q))
 
 
 def _irreducible_quadratics(field):
@@ -545,18 +552,25 @@ def _irreducible_quadratics(field):
 
 
 def link_graph(model, n, curves):
-    """The graph of degree-n multiplicity-free cycles under verified moves.
+    """The components of degree-n multiplicity-free cycles under verified
+    moves, with a spanning forest of them: |V| - components edges.
 
     Moves: (point) slide one rational support point along a verified curve
     through both positions; (transfer) replace one degree-d closed point by
     another whose F_{q^d} representatives are linked by a curve over that
     extension; (fiber) trade a pair of rational points on a verified curve
     for the closed point swept out at a conjugate parameter pair, via a
-    pencil of degree-2 parameter divisors.  Each distinct witness, one per
-    ordered (degree, point, point) link, is verified once by verify_witness,
-    before its first edge: a conic segment is certified for every parameter,
-    any other witness at every element of its field.  A link that fails or
-    does not verify adds no edge.  verify_witness checks a quadric_line
+    pencil of degree-2 parameter divisors.  The point and transfer pairs
+    come from _equal_degree_swaps, the fiber pairs from a shared remainder
+    gamma; a pair whose ends are already in one component is skipped
+    (union-find, Tarjan 1975) before any curve is built, so each edge joins
+    two trees.  A skipped pair is already connected, and QuadricCurves.link
+    is deterministic per (d, x, y), so the components are those of the graph
+    of every verified move.  Each distinct witness, one per ordered (degree,
+    point, point) link, is verified once by verify_witness, before its
+    first edge: a conic segment is certified for every parameter, any other
+    witness at every element of its field.  A link that fails or does not
+    verify adds no edge.  verify_witness checks a quadric_line
     against the form only; the curve stays on a hyperplane-cut model
     (InvolutionQuadricModel) because its auxiliary points come from the
     model's point list and the segment is a linear combination of its two
@@ -566,7 +580,6 @@ def link_graph(model, n, curves):
     if curves is None:
         raise InvalidInputError("a curve supplier is required")
     vertices = symmetric_power_points(model, n)
-    index = {v: i for i, v in enumerate(vertices)}
     edges = []
     parent = list(range(len(vertices)))
 
@@ -598,21 +611,15 @@ def link_graph(model, n, curves):
     base = model.base_field
 
     # moves (point) and (transfer): vertices differing in one closed point
-    supports = [frozenset(v.support()) for v in vertices]
-    for i, a in enumerate(supports):
-        for j in range(i + 1, len(supports)):
-            swap = _single_swap(a, supports[j])
-            if swap is None:
-                continue
-            pa, pb = swap
-            if pa.degree != pb.degree:
-                continue
-            d = pa.degree
-            w = verified_link(d, pa.coords, pb.coords)
-            if w is None:
-                continue
-            move = "point" if d == 1 else "transfer"
-            add_edge(i, j, move, w, {"degree": d})
+    for i, pa, j, pb in _equal_degree_swaps(vertices):
+        if find(i) == find(j):
+            continue  # already linked
+        d = pa.degree
+        w = verified_link(d, pa.coords, pb.coords)
+        if w is None:
+            continue
+        move = "point" if d == 1 else "transfer"
+        add_edge(i, j, move, w, {"degree": d})
 
     # move (fiber): {Q1, Q2} + gamma <-> {P} + gamma with P quadratic
     ext = model.field_at(2)

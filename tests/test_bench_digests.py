@@ -18,7 +18,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED_1_DIGESTS = {
     "build_fp": "23189bca5757f8267c1568b76e3f06a2187b550d280d76aaa9992ca9e7780d05",
     "build_q": "641bbe35a127adbc316847e071c02657b80ecbf63ab77ec8742e5daa7af2e040",
-    "audit_cli": "ddd0170fbe23b21d108574e030fa4a3babdf2713a3565460403f1323e3869ea8",
+    "audit_cli": "566f14f1031c1c1711408185950f2fa84cfe59049df9f30b4ec8afcf12ed2f3f",
 }
 
 

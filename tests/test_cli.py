@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import random
 import subprocess
@@ -71,6 +73,31 @@ def test_verify_tampered_witness_exits_1(runner, tmp_path):
     w.write_text(json.dumps(data))
     r = invoke(runner, ["verify", "--witness", str(w), "--exhaustive"])
     assert r.exit_code == 1
+
+
+def _live_text_wrappers():
+    gc.collect()
+    return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+
+def test_in_process_invocations_leave_no_stream_wrapper(runner, tmp_path):
+    """CliRunner gives each invocation fresh text wrappers as sys.stdout and
+    sys.stderr; once it returns, none of them stays alive, on the pass, the
+    fail and the bad-input path alike."""
+    good = _ideal_witness_file(runner, tmp_path)
+    data = json.loads(good.read_text())
+    vec = data["segments"][0]["pencil_w"][0]
+    vec[0] = "2" if vec[0] != "2" else "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    calls = [(["verify", "--witness", str(good), "--exhaustive"], 0),
+             (["verify", "--witness", str(bad), "--exhaustive"], 1),
+             (["verify", "--witness", str(tmp_path / "missing.json")], 2)]
+    before = _live_text_wrappers()
+    for _ in range(100):
+        for args, code in calls:
+            assert invoke(runner, args).exit_code == code
+    assert _live_text_wrappers() == before
 
 
 def test_unknown_flag_exits_2(runner, tmp_path):

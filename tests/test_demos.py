@@ -24,7 +24,7 @@ DEMO_STDOUT_SHA256 = {
     "04_exponent_two_chain.py":
         "215fe3fcb263fc9ee4ab5005cbab623c7cfdd18920f9d7204cd57af09113ee11",
     "05_quadrics_and_cycles.py":
-        "468cb6a3a937a4dc0cad768c4ac3e13948ceb55331fbb5b4b53fc0190c565e8d",
+        "93afcb7fe3e00da8a20eb036a07433003adb38da35c535244175fd8037958e96",
 }
 
 

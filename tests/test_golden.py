@@ -327,16 +327,16 @@ HGRAPH_FORMS = {
     "f2_surface": ({"field": {"kind": "prime", "p": 2}, "nvars": 4,
                     "coeffs": {"0,1": "1", "0,2": "1", "1,2": "1", "1,3": "1",
                                "2,2": "1"}},
-                   "3c3a6549d4e7a56a91927db9b69982325e44faaf76cbb700a1ddb7d0e7a316bb",
-                   "6838eb510483e7de886aa2f3a53423a93b7dd1ae89cd3f92f8027d9bbc6b61e7"),
+                   "2cc554501bb8f85052a0ba7006a9400a69cc83f6ed1118c053b669f600e05f98",
+                   "efbfaf3d9c366d7be13d8d93927aa15ee6116962311bedbe13c3cb12257f3ea7"),
     "f3_conic": ({"field": {"kind": "prime", "p": 3}, "nvars": 3,
                   "coeffs": {"0,1": "2", "0,2": "1", "1,1": "1", "2,2": "1"}},
-                 "fef7a113d8c22bb03f4199fdd8b55d76d79575b6edc3dc62c4755be0f9966547",
-                 "87b3022d9ab76fc92c01cb38ba0ca3a24132637b69acd914dbb5cea43c60cb69"),
+                 "3771bb07a58435e68a8a05724344101ad61f30364a84e7cd4e7dc0a2be4c2fab",
+                 "035990fe0254b5c23a171bf6f80ca1b54bd3e8547c98d1b4c8d2c2725d28600f"),
     "f5_conic": ({"field": {"kind": "prime", "p": 5}, "nvars": 3,
                   "coeffs": {"0,1": "3", "0,2": "4", "1,1": "3", "2,2": "2"}},
-                 "ceb5cb29c253c4b2a6085fa284830d3c4d94d6f7df4313f75451a30d90dfb27d",
-                 "6dafd8c8ec18fa63ac36b8f308666db35703ff53bd9911a143d6293aebae14bf"),
+                 "e2d02dd1c330dec3d9a3e8da964a906c8cdcf911d52defba5405427512f18e6a",
+                 "f433e45a33dbc9a98aecb562e86afad412f18ae7c0bf111e010db37a4897a0b3"),
 }
 
 
@@ -357,11 +357,11 @@ def test_golden_hgraph(tmp_path, monkeypatch, name):
 
 def test_golden_hgraph_line_pair(tmp_path, monkeypatch):
     # the degenerate F_3 conic x0 x1, a pair of lines: the run prints
-    # "27 vertices, 38 edges, 5 component(s)" and exits 1
+    # "27 vertices, 22 edges, 5 component(s)" and exits 1
     form = {"field": {"kind": "prime", "p": 3}, "nvars": 3, "coeffs": {"0,1": "1"}}
     assert _hgraph(tmp_path, monkeypatch, form) == (
-        1, "d62064ea4055417f4889b6f148f0186d12c253e61120111ed0677180ba2e1e3c",
-        "6abd048e73c8ce56507f20ebf30ac5bb4dbc855f60fb5dd7a48b7e48bbd911e4")
+        1, "5a5adfa56e0fd5a3eb156f55e7ab3357a9b6e04826c12506a82051eb749dbaec",
+        "89c80867cc71f77bb1a9f4f5b50916aefdd3d921094c399cee91f8808f80781f")
 
 
 @pytest.mark.parametrize("name", sorted(HGRAPH_FORMS))

@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,11 @@ from csawitness.pointcount import (
     ClosedPoint, GrassmannianModel, InvolutionQuadricModel, QPointSearch,
     QuadricCurves, QuadricModel, enumerate_points, frobenius_coords,
     frobenius_orbit, link_graph, symmetric_power_points,
-    _irreducible_quadratics, _single_swap, transfer_cycle,
+    _equal_degree_swaps, _fiber_hit, _first_root, _irreducible_quadratics,
+    transfer_cycle,
 )
-from csawitness.quadrics import QuadraticForm
+from csawitness.quadrics import QuadraticForm, plucker_form
+from csawitness.witness import verify_witness
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 
@@ -240,13 +244,13 @@ def test_link_graph_degree_zero_is_trivially_connected():
     model = conic(F3)
     report = link_graph(model, 0, QuadricCurves(model))
     assert len(report.vertices) == 1 and report.components == 1
-    assert report.connected
+    assert report.connected is True
 
 
 def test_link_graph_conic_degree_one():
     model = conic(F3)
     report = link_graph(model, 1, QuadricCurves(model))
-    assert report.connected
+    assert report.connected is True
     assert len(report.vertices) == 4
     assert all(e.move == "point" for e in report.edges)
 
@@ -255,7 +259,7 @@ def test_link_graph_conic_degree_two():
     model = conic(F3)
     report = link_graph(model, 2, QuadricCurves(model))
     assert len(report.vertices) == 9
-    assert report.connected
+    assert report.connected is True
     moves = {e.move for e in report.edges}
     # connectivity between pair-type and quadratic-point vertices needs all
     # three move kinds
@@ -271,23 +275,24 @@ def test_link_graph_split_surface_f2_degree_two():
     report = link_graph(model, 2, QuadricCurves(model))
     # 36 rational pairs + 8 quadratic closed points
     assert len(report.vertices) == 44
-    assert report.connected
+    assert report.connected is True
 
 
 @pytest.mark.parametrize("model, n", [(conic(F3), 2), (conic(F3), 3),
-                                      (split_surface(F2), 2)])
+                                      (split_surface(F2), 2), (conic(F2), 4)])
 def test_single_swap_is_the_one_point_difference(model, n):
+    """The pairs of link_graph's buckets are exactly the vertex pairs whose
+    supports differ by one point on each side, and the two points have one
+    degree."""
     vertices = symmetric_power_points(model, n)
-    swaps = 0
-    for alpha in vertices:
-        for beta in vertices:
-            a, b = set(alpha.support()), set(beta.support())
-            want = None
-            if len(a - b) == 1 and len(b - a) == 1:
-                want = ((a - b).pop(), (b - a).pop())
-                swaps += 1
-            assert _single_swap(frozenset(a), frozenset(b)) == want
-    assert swaps
+    want = Counter()
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        a, b = set(vertices[i].support()), set(vertices[j].support())
+        if len(a - b) == 1 and len(b - a) == 1:
+            (p,), (q,) = a - b, b - a
+            assert p.degree == q.degree
+            want[i, p, j, q] += 1
+    assert want and Counter(_equal_degree_swaps(vertices)) == want
 
 
 def test_involution_quadric_model_counts():
@@ -323,26 +328,121 @@ def test_negative_search_sizes_are_invalid():
 
 
 # ---------------------------------------------------------------------------
-# link_graph: each ordered point pair is linked and verified once per graph
+# link_graph: a spanning forest, each point pair linked at most once and each
+# witness verified once per graph
 
 
 class CountingCurves(QuadricCurves):
-    """QuadricCurves that counts its link calls per ordered (d, x, y)."""
+    """QuadricCurves that counts its link calls per ordered (d, x, y) and
+    keeps every witness it returns."""
 
     def __init__(self, model):
         super().__init__(model)
         self.calls = Counter()
+        self.returned = []
 
     def link(self, d, x, y):
         self.calls[(d, x, y)] += 1
-        return super().link(d, x, y)
+        w = super().link(d, x, y)
+        if w is not None:
+            self.returned.append(w)
+        return w
+
+
+def partition(vertices, find):
+    """The vertex classes of a union-find over vertex indices, as a set of
+    frozensets of cycles."""
+    groups = {}
+    for i, v in enumerate(vertices):
+        groups.setdefault(find(i), set()).add(v)
+    return {frozenset(g) for g in groups.values()}
+
+
+def all_pairs_partition(model, n, curves):
+    """The vertex partition under the rule link_graph followed before it kept
+    a spanning forest: every single swap is linked and every fiber pair
+    tried, whether or not its ends are already joined.  Each (d, x, y) is
+    linked and verified once."""
+    vertices = symmetric_power_points(model, n)
+    links = {}
+
+    def link(d, x, y):
+        if (d, x, y) not in links:
+            w = curves.link(d, x, y)
+            links[d, x, y] = w if w is not None and verify_witness(w).passed else None
+        return links[d, x, y]
+
+    supports = [frozenset(v.support()) for v in vertices]
+    parent = list(range(len(vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        parent[find(i)] = find(j)
+
+    for i, j in itertools.combinations(range(len(vertices)), 2):
+        only_i, only_j = supports[i] - supports[j], supports[j] - supports[i]
+        if len(only_i) == 1 and len(only_j) == 1:
+            (p,), (q,) = only_i, only_j
+            if link(p.degree, p.coords, q.coords) is not None:
+                union(i, j)
+    index = {supp: i for i, supp in enumerate(supports)}
+    rationals = enumerate_points(model, 1)
+    ext = model.field_at(2)
+    roots = [(g, _first_root(ext, g)) for g in _irreducible_quadratics(model.base_field)]
+    for i, beta in enumerate(vertices):
+        for P in beta.support():
+            if P.degree != 2:
+                continue
+            gamma = supports[i] - {P}
+            for q1, q2 in itertools.combinations(
+                    [q for q in rationals if q not in gamma], 2):
+                j = index.get(gamma | {q1, q2})
+                w = None if j is None else link(1, q1.coords, q2.coords)
+                if (w is not None and len(w.segments) == 1
+                        and _fiber_hit(model, w.segments[0], roots, ext, P) is not None):
+                    union(i, j)
+    return partition(vertices, find)
+
+
+def forest_partition(report):
+    """Check that the report's edges form a spanning forest whose trees are
+    its components, and that the ends of each edge differ by its stated
+    move; the vertex partition, as all_pairs_partition gives it."""
+    vertices = report.vertices
+    assert len(report.edges) == len(vertices) - report.components
+    parent = list(range(len(vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for e in report.edges:
+        a, b = set(vertices[e.u].support()), set(vertices[e.v].support())
+        if e.move == "fiber":
+            assert sorted(p.degree for p in a - b) == [1, 1]
+            assert [p.degree for p in b - a] == [2] == [e.data["degree"]]
+        else:
+            (p,), (q,) = a - b, b - a
+            assert p.degree == q.degree == e.data["degree"]
+            assert e.move == ("point" if p.degree == 1 else "transfer")
+        ru, rv = find(e.u), find(e.v)
+        assert ru != rv  # every edge joins two trees
+        parent[ru] = rv
+    assert len({find(i) for i in range(len(vertices))}) == report.components
+    return partition(vertices, find)
 
 
 @pytest.mark.parametrize("model, expected", [
-    # vertices, edges, components and edges by move of each graph
-    (conic(F3), (9, 16, 1, {"fiber": 1, "point": 12, "transfer": 3})),
-    (conic(F5), (25, 106, 1, {"fiber": 1, "point": 60, "transfer": 45})),
-    (split_surface(F2), (44, 281, 1, {"fiber": 1, "point": 252, "transfer": 28})),
+    # vertices, edges, components, edges by move, and links built
+    (conic(F3), (9, 8, 1, {"fiber": 1, "point": 5, "transfer": 2}, 6)),
+    (conic(F5), (25, 24, 1, {"fiber": 1, "point": 14, "transfer": 9}, 17)),
+    (split_surface(F2), (44, 43, 1, {"fiber": 1, "point": 35, "transfer": 7}, 21)),
 ], ids=["conic_f3", "conic_f5", "surface_f2"])
 def test_link_graph_links_and_verifies_each_pair_once(monkeypatch, model, expected):
     verified = Counter()
@@ -357,8 +457,9 @@ def test_link_graph_links_and_verifies_each_pair_once(monkeypatch, model, expect
     report = link_graph(model, 2, curves)
     moves = Counter(e.move for e in report.edges)
     assert (len(report.vertices), len(report.edges), report.components,
-            dict(moves)) == expected
+            dict(moves), len(curves.calls)) == expected
     assert set(curves.calls.values()) == {1}
+    assert sorted(verified) == sorted(id(w) for w in curves.returned)
     assert set(verified.values()) == {1}
     assert {id(e.witness) for e in report.edges} <= set(verified)
 
@@ -372,19 +473,22 @@ def involution_model(field):
 
 @pytest.mark.parametrize("field, n, expected", [
     # vertices, edges, components
-    (F2, 1, (15, 105, 1)),
-    (F2, 2, (140, 1961, 1)),
-    (F3, 1, (40, 780, 1)),
+    (F2, 1, (15, 14, 1)),
+    (F2, 2, (140, 139, 1)),
+    (F3, 1, (40, 39, 1)),
 ], ids=["f2_n1", "f2_n2", "f3_n1"])
 def test_link_graph_curves_stay_on_the_involution_model(field, n, expected):
     """verify_witness checks a conic segment against the quadric only; every
-    segment of the graph must also lie on the model's hyperplane, as an
-    identity sum_i h_i phi_i(t) = 0 of polynomials."""
+    segment the supplier returns must also lie on the model's hyperplane, as
+    an identity sum_i h_i phi_i(t) = 0 of polynomials.  The all-pairs rule
+    builds every link of the graph's swaps and fiber pairs, not only those of
+    the forest."""
     model = involution_model(field)
-    report = link_graph(model, n, QuadricCurves(model))
+    curves = CountingCurves(model)
+    report = link_graph(model, n, curves)
     assert (len(report.vertices), len(report.edges), report.components) == expected
-    witnesses = {id(e.witness): e.witness for e in report.edges}
-    for w in witnesses.values():
+    assert forest_partition(report) == all_pairs_partition(model, n, curves)
+    for w in curves.returned:
         for seg in w.segments:
             polys = seg.data["coord_polys"]
             ext = polys[0].field
@@ -392,6 +496,57 @@ def test_link_graph_curves_stay_on_the_involution_model(field, n, expected):
             for h, phi in zip(model.hyperplane, polys):
                 lin = lin + phi.scale(ext.from_int(h))
             assert lin.is_zero()
+
+
+def _benchmark_forms(count):
+    """The first `count` seed-1 forms of each hgraph kind of the benchmark's
+    audit_cli workload, as QuadricModels."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent
+        / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    models = []
+    for kind, (p, nvars, coeffs, _) in sorted(workloads.HGRAPH_FORMS.items()):
+        field = PrimeField(p)
+        for i in range(count):
+            M = workloads.random_invertible(p, nvars, workloads.op_rng(1, kind, i))
+            models.append(QuadricModel(QuadraticForm(
+                field, nvars, workloads.transform_form(p, nvars, coeffs, M))))
+    return models
+
+
+class FlakyCurves(QuadricCurves):
+    """QuadricCurves that fails two links in three, the same ones in any
+    call order: those whose (d, x, y) does not hash to 0 mod 3."""
+
+    def link(self, d, x, y):
+        return super().link(d, x, y) if hash((d, x, y)) % 3 == 0 else None
+
+
+def test_link_graph_forest_keeps_the_all_pairs_partition():
+    """Skipping the pairs whose ends are already joined leaves the vertex
+    partition of the all-pairs rule: on the conics and the split surface at
+    n = 2, 3, 4 (n = 2, 3 over F_5), on the benchmark's seed-1 forms, on the
+    line pair x0 x1 over F_3, and where links fail.  The forest spans Sym^2
+    of the Klein quadric Gr(2, 4) over F_2."""
+    cases = [(conic(F2), n) for n in (2, 3, 4)] + [(conic(F3), n) for n in (2, 3, 4)]
+    cases += [(split_surface(F2), n) for n in (2, 3, 4)] + [(conic(F5), n) for n in (2, 3)]
+    cases = [(model, n, QuadricCurves) for model, n in cases]
+    cases += [(model, 2, QuadricCurves) for model in _benchmark_forms(16)]
+    line_pair = QuadricModel(QuadraticForm(F3, 3, {(0, 1): 1}))
+    cases += [(line_pair, 2, QuadricCurves), (conic(F5), 2, FlakyCurves),
+              (split_surface(F2), 3, FlakyCurves)]
+    components = []
+    for model, n, curves in cases:
+        report = link_graph(model, n, curves(model))
+        assert forest_partition(report) == all_pairs_partition(model, n, curves(model))
+        components.append(report.components)
+    assert components == [1, 2, 3] * 3 + [1, 2] + [1] * 48 + [5, 2, 2]
+    klein = QuadricModel(plucker_form(F2))
+    report = link_graph(klein, 2, QuadricCurves(klein))
+    assert (len(report.vertices), report.components) == (756, 1)
+    forest_partition(report)
 
 
 class BrokenCurves(QuadricCurves):
@@ -418,6 +573,7 @@ def test_link_graph_adds_no_edge_for_unverified_witnesses():
     assert {e.move for e in report.edges} == {"transfer"}
     report = link_graph(model, 2, BrokenCurves(model, {1, 2}))
     assert report.edges == [] and report.components == len(report.vertices)
+    assert report.connected is False
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, PrimeField(7)], ids=str)
