@@ -11,10 +11,8 @@ and ideals.corner_algebra build their tables by formula, as tuples, and
 skip these checks; tests/test_algebra.py runs them on every family.
 """
 
-import itertools
 import random
 
-from .arith import first_int_root
 from .errors import InvalidInputError, StructuralError, UnsupportedFieldError
 from .fields import INTEGER_CORE, PrimeField, ExtensionField, Rationals
 from .linalg import charpoly as mat_charpoly
@@ -23,7 +21,7 @@ from .linalg import (
     rank, rref, solve, transpose,
 )
 from .poly import Poly, poly_nth_root
-from .quadrics import QuadraticForm, projective_points
+from .quadrics import QuadraticForm, first_rational_point, quadric_points
 
 _ASSOC_FULL_LIMIT = 256
 _ASSOC_SAMPLES_PER_DIM = 10
@@ -788,54 +786,26 @@ class NoWitnessFound:
         return f"NoWitnessFound(bound={self.bound})"
 
 
-def _quaternion_norm_search_fq(A):
-    """A nonzero (x, y, z) with x^2 - a y^2 - b z^2 = 0: the first point of
-    the conic <1, -a, -b> on the line x = 0, else with x = 1, in the order of
-    quadrics.projective_points (the first hit of a triple loop over x, y, z
-    in element order, as b != 0).  The scan stops at that point."""
-    field = A.field
-    a, b = A.preset["a"], A.preset["b"]
-    conic = QuadraticForm.diagonal(field, [field.one, field.neg(a), field.neg(b)])
-    line = ((field.zero,) + p for p in projective_points(field, 2))
-    points = itertools.chain(line, projective_points(field, 3))
-    return next((p for p in points if field.is_zero(conic.eval(p))), None)
-
-
-def _quaternion_norm_search_q(A, bound):
-    """The first nonzero integer (x, y, z) with |x|, |y|, |z| <= bound and
-    x^2 = a y^2 + b z^2, x >= 0, in the order of a triple loop over x, y, z;
-    z is the first root of its fiber (arith.first_int_root)."""
-    from fractions import Fraction
-    (a, b), scale = A.field.lift_vector([A.preset["a"], A.preset["b"]])
-    # integer solutions suffice by homogeneity; x^2 = a y^2 + b z^2 over Q
-    # is scale x^2 = a y^2 + b z^2 on the lifted a, b.  At x = y = 0 the
-    # fiber b z^2 = 0 has the root 0 only, unless b = 0 and its first root
-    # is -bound, so skipping the zero vector skips no other root.
-    for x in range(0, bound + 1):
-        lhs = scale * x * x
-        for y in range(-bound, bound + 1):
-            z = first_int_root(b, 0, a * y * y - lhs, bound)
-            if z is not None and (x or y or z):
-                return Fraction(x), Fraction(y), Fraction(z)
-    return None
-
-
 def index_evidence(A, search_bound=50):
     """Look for a splitting witness (zero divisor).
 
     Over a finite field something is always found (every central simple
     algebra there is a matrix algebra).  Over Q, only quaternion presets are
     searched, by bounded-height isotropy of the ternary norm form; a negative
-    answer is evidence only, never a proof of division.
+    answer is evidence only, never a proof of division.  The first point
+    (x, y, z) of the norm conic <1, -a, -b> in quadrics' search of its field
+    kind gives u = x + y i + z j with u ubar = 0.
     """
     if search_bound < 0:
         raise InvalidInputError(f"search bound must be >= 0, not {search_bound}")
     field = A.field
     if A.preset.get("kind") == "quaternion":
+        a, b = A.preset["a"], A.preset["b"]
+        conic = QuadraticForm.diagonal(field, [field.one, field.neg(a), field.neg(b)])
         if isinstance(field, (PrimeField, ExtensionField)):
-            sol = _quaternion_norm_search_fq(A)
+            sol = next(quadric_points(conic), None)
         elif isinstance(field, Rationals):
-            sol = _quaternion_norm_search_q(A, search_bound)
+            sol = first_rational_point(conic, search_bound)
         else:
             raise UnsupportedFieldError("unsupported field for quaternion search")
         if sol is None:

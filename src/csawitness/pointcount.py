@@ -1,6 +1,6 @@
 """Finite-field enumeration of variety models, zero cycles, the transfer map,
-rational-point searches over Q, and linkage graphs of degree-n cycles at
-desk scale.
+index bounds over Q (quadrics.first_rational_point plus checked extension
+points), and linkage graphs of degree-n cycles at desk scale.
 
 Models live over a prime base field; points of degree d are computed inside
 the canonical extension F_{p^d} (the lexicographically first modulus, given
@@ -19,19 +19,19 @@ extensions.
 """
 
 import itertools
-from fractions import Fraction
+from functools import reduce
 from math import gcd
 
-from .arith import first_int_root
 from .errors import (
     BudgetExceededError, FieldTooSmallError, InvalidInputError,
     StructuralError, UnsupportedFieldError,
 )
 from .fields import PrimeField, Rationals, standard_extension
 from .linalg import Matrix, rref
-from .poly import Poly
+from .poly import Poly, poly_gcd
 from .quadrics import (
-    QuadraticForm, enumerate_rref_subspaces, normalize_point, points_on_quadric,
+    QuadraticForm, enumerate_rref_subspaces, first_rational_point, normalize_point,
+    points_on_quadric,
 )
 from .witness import _link_quadric_points, verify_witness
 
@@ -282,6 +282,9 @@ def transfer_cycle(model, coords, ext_degree):
     orbit closed point of degree d = orbit size, with multiplicity n/d.  A
     point whose orbit is shorter than n is first mapped into F_{q^d}, so the
     closed point is the one enumerate_points lists."""
+    if len(coords) != model.ambient:
+        raise InvalidInputError(
+            f"{len(coords)} coordinates for a model with {model.ambient}")
     field = model.field_at(ext_degree)
     coords = model.normalize(field, coords)
     if coords is None or not model.contains(field, coords):
@@ -377,12 +380,9 @@ class QPointSearch:
 
     Height-bounded exhaustive search over primitive integer vectors, plus
     optional extension points given as (modulus, coordinate polynomials)
-    and checked by exact substitution modulo the modulus.  The search runs
-    by fibers: for each prefix of all but the last coordinate z, the form is
-    one quadratic a z^2 + b z + c in ints, and arith.first_int_root gives
-    the first z of that fiber.  So it expands O(B^(n-1)) prefixes rather
-    than evaluating O(B^n) vectors, and returns the same first zero in the
-    same order.
+    and checked by exact substitution modulo the modulus f.  Coordinates
+    with no common factor with f give a point over Q[x]/f_i for each
+    irreducible factor f_i of f, so the index divides each deg f_i.
     """
 
     def __init__(self, form, extension_points=()):
@@ -391,38 +391,9 @@ class QPointSearch:
         self.form = form
         self.extension_points = list(extension_points)
 
-    def _integer_form(self):
-        ints, _ = self.form.field.lift_vector(list(self.form.coeffs.values()))
-        return dict(zip(self.form.coeffs, ints))
-
     def search_rational_point(self, height_bound):
-        """The first integer zero with |coords| <= bound, or None, in the
-        canonical order: leading zeros, then a positive first coordinate,
-        then the remaining coordinates lexicographically in [-bound, bound].
-        It is primitive: a zero k w with k > 1 comes after w, whose first
-        coordinate is smaller."""
-        if height_bound < 0:
-            raise InvalidInputError(f"height bound must be >= 0, not {height_bound}")
-        coeffs = self._integer_form()
-        last = self.form.nvars - 1
-        # q(v, z) = a z^2 + (sum of cross terms v_i z) + q(v, 0)
-        a = coeffs.get((last, last), 0)
-        cross = [(i, c) for (i, j), c in coeffs.items() if i != j == last]
-        rest = [(i, j, c) for (i, j), c in coeffs.items() if j != last]
-        rng = range(-height_bound, height_bound + 1)
-        for first in range(last):
-            for head in range(1, height_bound + 1):
-                for middle in itertools.product(rng, repeat=last - first - 1):
-                    vec = (0,) * first + (head,) + middle
-                    z = first_int_root(a, sum(c * vec[i] for i, c in cross),
-                                       sum(c * vec[i] * vec[j] for i, j, c in rest),
-                                       height_bound)
-                    if z is not None:
-                        return tuple(Fraction(v) for v in vec + (z,))
-        # the vectors (0, ..., 0, head) with head > 0, where q = a head^2
-        if height_bound and not a:
-            return (Fraction(0),) * last + (Fraction(1),)
-        return None
+        """quadrics.first_rational_point on the form."""
+        return first_rational_point(self.form, height_bound)
 
     def verify_extension_point(self, modulus, coord_polys):
         """Substitute polynomial coordinates into the form modulo the modulus;
@@ -430,8 +401,11 @@ class QPointSearch:
         if not modulus.is_monic() or modulus.degree < 1:
             raise InvalidInputError("modulus must be monic of positive degree")
         polys = list(coord_polys)
-        if all((p % modulus).is_zero() for p in polys):
-            raise InvalidInputError("coordinates vanish modulo the modulus")
+        if len(polys) != self.form.nvars:
+            raise InvalidInputError(
+                f"{len(polys)} coordinates for a form in {self.form.nvars} variables")
+        if reduce(poly_gcd, polys, modulus).degree > 0:
+            raise InvalidInputError("coordinates share a factor with the modulus")
         if not (self.form.eval_polys(polys) % modulus).is_zero():
             raise InvalidInputError("point does not satisfy the form")
         return modulus.degree

@@ -13,10 +13,15 @@ The polar values also pick the auxiliary points of conic segments
 points a, b and a quadric point p = alpha a + beta b, q(p) = alpha beta
 b(a, b), b(p, a) = beta b(a, b) and b(p, b) = alpha b(a, b), so b(p, a) and
 b(p, b) both nonzero put p off the line through a and b.
-points_on_quadric enumerates by fibers: over each prefix of the first n-1
+One point search per field kind runs by fibers, quadric_points over F_q
+and first_rational_point over Q: on each prefix of the first n-1
 coordinates q is a quadratic in the last one, expanded once per prefix.
 """
 
+import itertools
+from fractions import Fraction
+
+from .arith import first_int_root
 from .errors import InvalidFormError, InvalidInputError
 from .fields import json_get
 from .linalg import Matrix, mat_vec, rank, rref
@@ -124,7 +129,6 @@ def normalize_point(field, vec):
 def projective_points(field, nvars):
     """All points of P^(nvars-1) over a finite field, canonical reps,
     deterministic order."""
-    import itertools
     elems = list(field.elements())
 
     def gen():
@@ -135,11 +139,11 @@ def projective_points(field, nvars):
     return gen()
 
 
-def points_on_quadric(form):
-    """Canonical representatives of the F_q-points of the quadric, in the
-    order of projective_points.  That order runs the last coordinate x
-    fastest under each prefix of the first n-1, and the prefixes come in the
-    order of P^(n-2) before the point (0, ..., 0, 1).  On a prefix, q is
+def quadric_points(form):
+    """The F_q-points of the quadric as canonical representatives, lazily,
+    in the order of projective_points.  That order runs the last coordinate
+    x fastest under each prefix of the first n-1, and the prefixes come in
+    the order of P^(n-2) before the point (0, ..., 0, 1).  On a prefix, q is
     a x^2 + b x + c, expanded once and scanned over the field."""
     f = form.field
     add, mul, is_zero = f.add, f.mul, f.is_zero
@@ -148,7 +152,6 @@ def points_on_quadric(form):
     linear = [(i, c) for (i, j), c in form.coeffs.items() if i < j == last]
     rest = [(i, j, c) for (i, j), c in form.coeffs.items() if j < last]
     elems = list(f.elements())
-    out = []
     for prefix in projective_points(f, last):
         b = f.zero
         for i, c in linear:
@@ -158,10 +161,54 @@ def points_on_quadric(form):
             c0 = add(c0, mul(c, mul(prefix[i], prefix[j])))
         for x in elems:
             if is_zero(add(mul(add(mul(a, x), b), x), c0)):
-                out.append(prefix + (x,))
+                yield prefix + (x,)
     if is_zero(a):
-        out.append((f.zero,) * last + (f.one,))
-    return out
+        yield (f.zero,) * last + (f.one,)
+
+
+def points_on_quadric(form):
+    """All F_q-points of the quadric, in the order of quadric_points."""
+    return list(quadric_points(form))
+
+
+def first_rational_point(form, height_bound):
+    """The first integer zero of a form over Q with |coords| <= bound, or
+    None, in the order: leading zeros, a positive head, then the rest
+    lexicographically in [-bound, bound].  It is primitive: a zero k v with
+    k > 1 comes after v.  With z the last coordinate and y the one before,
+    q = a z^2 + (b0 + b1 y) z + (c0 + c1 y + c2 y^2) with b0, c0 and c1
+    expanded once per outer prefix w, and arith.first_int_root gives the
+    first z of each fiber: O(B^(n-1)) fibers, not O(B^n) vectors."""
+    if height_bound < 0:
+        raise InvalidInputError(f"height bound must be >= 0, not {height_bound}")
+    ints, _ = form.field.lift_vector(list(form.coeffs.values()))
+    coeffs = dict(zip(form.coeffs, ints))
+    last = form.nvars - 1
+    mid = last - 1
+    a = coeffs.get((last, last), 0)
+    b1 = coeffs.get((mid, last), 0)
+    c2 = coeffs.get((mid, mid), 0)
+    cross_z = [(i, c) for (i, j), c in coeffs.items() if i < mid and j == last]
+    cross_y = [(i, c) for (i, j), c in coeffs.items() if i < mid and j == mid]
+    rest = [(i, j, c) for (i, j), c in coeffs.items() if j < mid]
+    heads, rng = range(1, height_bound + 1), range(-height_bound, height_bound + 1)
+    # (w, the range of y): the prefixes w + (y,) in the order above
+    outer = itertools.chain(
+        (((0,) * first + (head,) + middle, rng) for first in range(last - 1)
+         for head in heads for middle in itertools.product(rng, repeat=last - first - 2)),
+        [((0,) * mid, heads)] if last else [])
+    for w, ys in outer:
+        b0 = sum(c * w[i] for i, c in cross_z)
+        c1 = sum(c * w[i] for i, c in cross_y)
+        c0 = sum(c * w[i] * w[j] for i, j, c in rest)
+        for y in ys:
+            z = first_int_root(a, b0 + b1 * y, c0 + (c1 + c2 * y) * y, height_bound)
+            if z is not None:
+                return tuple(Fraction(v) for v in w + (y, z))
+    # the vectors (0, ..., 0, head) with head > 0, where q = a head^2
+    if height_bound and not a:
+        return (Fraction(0),) * last + (Fraction(1),)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +292,6 @@ def symp_quadric_model(field, omega):
 def enumerate_rref_subspaces(field, k, m):
     """All k-dimensional subspaces of F^m as canonical rref matrices,
     deterministic order."""
-    import itertools
     elems = list(field.elements())
     out = []
     for pivots in itertools.combinations(range(m), k):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csawitness import algebra as algebra_module
+from csawitness import quadrics as quadrics_module
 from csawitness.algebra import (
-    Algebra, NoWitnessFound, _mult_matrix, _quaternion_norm_search_fq,
-    _quaternion_norm_search_q, SplitWitness,
+    Algebra, NoWitnessFound, _mult_matrix, SplitWitness,
     algebra_generators,
     certified_exponent_divides_2, index_evidence, make_matrix_algebra, make_quaternion,
     matrix_of, poly_eval_at_element, reduced_char_poly, tensor_product,
@@ -19,7 +20,7 @@ from csawitness.errors import (
 from csawitness.fields import QQ, PrimeField, standard_extension
 from csawitness.linalg import Matrix, charpoly, kernel, rank, rref, solve
 from csawitness.poly import Poly, poly_nth_root
-from csawitness.quadrics import QuadraticForm
+from csawitness.quadrics import QuadraticForm, points_on_quadric
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -165,14 +166,32 @@ def test_index_evidence_hamilton_negative():
     assert isinstance(w, NoWitnessFound) and w.bound == 50
 
 
+def _assert_split_by(w, A, point):
+    """w is SplitWitness(u, ubar) with u = x + y i + z j for point (x, y, z)."""
+    f = A.field
+    x, y, z = point
+    assert isinstance(w, SplitWitness)
+    assert w.x.coords == (x, y, z, f.zero)
+    assert w.y.coords == (x, f.neg(y), f.neg(z), f.zero)
+
+
+def _q_search_order(bound):
+    """The integer vectors of height <= bound in the order of the one search
+    over Q: leading zeros, a positive head, then the rest lexicographically."""
+    rng, heads = range(-bound, bound + 1), range(1, bound + 1)
+    yield from ((x, y, z) for x in heads for y in rng for z in rng)
+    yield from ((0, y, z) for y in heads for z in rng)
+    yield from ((0, 0, z) for z in heads)
+
+
 def _norm_search_q_triple_loop(a, b, bound):
-    """The first nonzero integer (x, y, z), x in [0, bound] outermost and
-    y, z in [-bound, bound], with x^2 = a y^2 + b z^2, by evaluating each."""
-    for x in range(bound + 1):
-        for y in range(-bound, bound + 1):
-            for z in range(-bound, bound + 1):
-                if (x or y or z) and x * x == a * y * y + b * z * z:
-                    return Fraction(x), Fraction(y), Fraction(z)
+    """The first zero of the norm conic <1, -a, -b> in _q_search_order, by
+    evaluating the form on each vector."""
+    conic = QuadraticForm.diagonal(QQ, [Fraction(1), -a, -b])
+    for vec in _q_search_order(bound):
+        point = tuple(Fraction(v) for v in vec)
+        if conic.eval(point) == 0:
+            return point
     return None
 
 
@@ -183,36 +202,42 @@ def test_norm_search_q_equals_the_triple_loop_seeded():
         a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 3))
                 for _ in range(2))
         bound = rng.randint(0, 8)
-        got = _quaternion_norm_search_q(make_quaternion(QQ, a, b), bound)
-        assert got == _norm_search_q_triple_loop(a, b, bound), (a, b, bound)
-        found += got is not None
+        A = make_quaternion(QQ, a, b)
+        got = index_evidence(A, search_bound=bound)
+        want = _norm_search_q_triple_loop(a, b, bound)
+        if want is None:
+            assert isinstance(got, NoWitnessFound) and got.bound == bound, (a, b, bound)
+        else:
+            _assert_split_by(got, A, want)
+        found += want is not None
     assert 80 <= found <= 450
 
 
 def test_norm_search_q_expands_one_fiber_per_x_and_y(monkeypatch):
+    # every prefix (x, y) with x > 0, then every (0, y) with y > 0, once
     fibers = []
-    root = algebra_module.first_int_root
-    monkeypatch.setattr(algebra_module, "first_int_root",
+    root = quadrics_module.first_int_root
+    monkeypatch.setattr(quadrics_module, "first_int_root",
                         lambda *args: fibers.append(args) or root(*args))
     H = make_quaternion(QQ, Fraction(-1), Fraction(-1))
     assert isinstance(index_evidence(H, search_bound=12), NoWitnessFound)
-    assert len(fibers) == 13 * 25
+    assert len(fibers) == 12 * 25 + 12
 
 
 def _norm_search_triple_loop(field, a, b):
-    """The first nonzero (x, y, z), x outermost and z innermost in element
-    order, with x^2 - a y^2 - b z^2 = 0: a reference search that scans the
-    whole q^2 slice x = 0 before any x != 0."""
-    for x in field.elements():
-        for y in field.elements():
-            for z in field.elements():
-                if field.is_zero(x) and field.is_zero(y) and field.is_zero(z):
-                    continue
-                val = field.sub(field.mul(x, x),
-                                field.add(field.mul(a, field.mul(y, y)),
-                                          field.mul(b, field.mul(z, z))))
-                if field.is_zero(val):
-                    return x, y, z
+    """The first nonzero (x, y, z) with x^2 - a y^2 - b z^2 = 0 in the order
+    of projective_points: x = 1 with y, z in element order and z innermost,
+    then (0, 1, z), then (0, 0, 1), each evaluated on its own."""
+    elems = list(field.elements())
+    zero, one = field.zero, field.one
+    points = itertools.chain(((one, y, z) for y in elems for z in elems),
+                             ((zero, one, z) for z in elems), [(zero, zero, one)])
+    for x, y, z in points:
+        val = field.sub(field.mul(x, x),
+                        field.add(field.mul(a, field.mul(y, y)),
+                                  field.mul(b, field.mul(z, z))))
+        if field.is_zero(val):
+            return x, y, z
     return None
 
 
@@ -223,21 +248,32 @@ def test_norm_search_is_the_first_hit_of_the_triple_loop(field):
     nonzero = [e for e in field.elements() if not field.is_zero(e)]
     for a in nonzero:
         for b in nonzero:
-            got = _quaternion_norm_search_fq(make_quaternion(field, a, b))
-            assert got == _norm_search_triple_loop(field, a, b), (a, b)
+            A = make_quaternion(field, a, b)
+            want = _norm_search_triple_loop(field, a, b)
+            conic = QuadraticForm.diagonal(field, [field.one, field.neg(a), field.neg(b)])
+            assert want == points_on_quadric(conic)[0], (a, b)
+            _assert_split_by(index_evidence(A), A, want)
 
 
-# q = 10007 = 3 mod 4: -1 is not a square, so (1, 1) has no point with x = 0
-# and the triple loop evaluates q^2 forms; (-1, 1) has the point (0, 1, 1)
-@pytest.mark.parametrize("a, expected, evals", [(1, (1, 0, 1), 10007 + 3),
-                                                (10006, (0, 1, 1), 2)])
-def test_norm_search_stops_at_its_first_hit(monkeypatch, a, expected, evals):
+# q = 10007 = 3 mod 4: -1 is not a square, so with b = -1 the fiber over
+# (1, 0) of x^2 - y^2 + z^2 has no point and the search scans all q values
+# of z before (1, 1, 0); with b = 1 the first fiber holds (1, 0, 1).  Nine
+# more zero tests build the conic and check the witness.
+@pytest.mark.parametrize("a, b, expected, evals", [(1, 10006, (1, 1, 0), 10008 + 9),
+                                                   (10006, 1, (1, 0, 1), 2 + 9)])
+def test_norm_search_stops_at_its_first_hit(monkeypatch, a, b, expected, evals):
     field = PrimeField(10007)
+    A = make_quaternion(field, a, b)
     count = []
-    evaluate = QuadraticForm.eval
-    monkeypatch.setattr(QuadraticForm, "eval",
-                        lambda form, vec: count.append(1) or evaluate(form, vec))
-    assert _quaternion_norm_search_fq(make_quaternion(field, a, 1)) == expected
+    is_zero = PrimeField.is_zero
+
+    def counted(f, x):
+        count.append(1)
+        assert len(count) <= 3 * field.p, "the search reads past its first point"
+        return is_zero(f, x)
+
+    monkeypatch.setattr(PrimeField, "is_zero", counted)
+    _assert_split_by(index_evidence(A), A, expected)
     assert len(count) == evals
 
 
@@ -249,12 +285,10 @@ def test_index_evidence_rejects_a_negative_bound():
 
 
 def _norm_search_by_fractions(a, b, bound):
-    """The norm search x^2 = a y^2 + b z^2 over Fractions, in the same order."""
-    for x in range(0, bound + 1):
-        for y in range(-bound, bound + 1):
-            for z in range(-bound, bound + 1):
-                if (x, y, z) != (0, 0, 0) and Fraction(x * x) == a * y * y + b * z * z:
-                    return Fraction(x), Fraction(y), Fraction(z)
+    """The norm search x^2 = a y^2 + b z^2 over Fractions, in _q_search_order."""
+    for x, y, z in _q_search_order(bound):
+        if Fraction(x * x) == a * y * y + b * z * z:
+            return Fraction(x), Fraction(y), Fraction(z)
     return None
 
 
@@ -269,7 +303,7 @@ def test_quaternion_norm_search_over_q_matches_the_fraction_search():
         if want is None:
             assert isinstance(w, NoWitnessFound)
         else:
-            assert w.x.coords == (*want, Fraction(0))
+            _assert_split_by(w, A, want)
 
 
 def test_index_evidence_finite_field_quaternion():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from csawitness import pointcount
+from csawitness import pointcount, quadrics
 from csawitness.arith import gaussian_binomial
 from csawitness.errors import BudgetExceededError, InvalidInputError
 from csawitness.fields import QQ, PrimeField
@@ -66,6 +66,18 @@ def test_enumerate_budget():
     # degree 3 would visit 125^4 > 10^7 coordinate vectors of F_125
     with pytest.raises(BudgetExceededError):
         enumerate_points(split_surface(F5), 3)
+
+
+@pytest.mark.parametrize("coords", [(0, 0, 0, 1), (1, 2)], ids=str)
+def test_transfer_rejects_coordinates_of_the_wrong_length_on_a_conic(coords):
+    with pytest.raises(InvalidInputError, match="coordinates for a model with 3"):
+        transfer_cycle(conic(F3), coords, 1)
+
+
+@pytest.mark.parametrize("coords", [(0, 1), (1, 0), (0, 0, 1, 0)], ids=str)
+def test_transfer_rejects_coordinates_of_the_wrong_length_on_a_grassmannian(coords):
+    with pytest.raises(InvalidInputError, match="coordinates for a model with 3"):
+        transfer_cycle(GrassmannianModel(F3, 1, 3), coords, 1)
 
 
 def test_transfer_rational_point():
@@ -182,6 +194,47 @@ def test_qpoint_search_rejects_bad_extension_point():
         QPointSearch(q, extension_points=[(modulus, bad)]).run(0)
 
 
+def _hamilton_search(*extension_points):
+    q = QuadraticForm.diagonal(QQ, [Fraction(1)] * 3)
+    return QPointSearch(q, extension_points=extension_points)
+
+
+def test_qpoint_search_rejects_coordinates_of_the_wrong_length():
+    # x^2 + y^2 + z^2 has index 2: a fourth coordinate, which the form never
+    # reads, must not certify a degree-1 point
+    x, c = Poly.x(QQ), (lambda k: Poly.from_ints(QQ, [k]))
+    for coords in ((c(0), c(0), c(0), c(1)), (Poly.one(QQ), x)):
+        with pytest.raises(InvalidInputError, match="coordinates for a form in 3"):
+            _hamilton_search((x, coords)).run(0)
+
+
+def test_qpoint_search_rejects_coordinates_sharing_a_factor_with_the_modulus():
+    # x^3 + x = x (x^2 + 1) and (x, x^2, 0): q = x^2 (1 + x^2) vanishes modulo
+    # it, but every coordinate vanishes at the factor x, so no degree-3 point
+    # and no bound 1 next to the genuine degree-2 point
+    x, zero = Poly.x(QQ), Poly.zero(QQ)
+    bad = (Poly.from_ints(QQ, [0, 1, 0, 1]), (x, x * x, zero))
+    good = (Poly.from_ints(QQ, [1, 0, 1]), (Poly.one(QQ), x, zero))
+    with pytest.raises(InvalidInputError, match="share a factor"):
+        _hamilton_search(bad).run(0)
+    with pytest.raises(InvalidInputError, match="share a factor"):
+        _hamilton_search(good, bad).run(0)
+    report = _hamilton_search(good).run(10)
+    assert report.value == 2 and report.found_degrees == (2,)
+
+
+def test_qpoint_search_accepts_a_reducible_modulus_prime_to_the_coordinates():
+    # (x^2 + 1)(x^2 + 2) with coordinates that are (1, x, 0) modulo x^2 + 1,
+    # a point over Q(i), and (1, 1, x) modulo x^2 + 2, a point over
+    # Q(sqrt -2), glued by the idempotents x^2 + 2 and -(x^2 + 1): each factor
+    # gives a point of degree 2, so the index divides 4
+    modulus = Poly.from_ints(QQ, [1, 0, 1]) * Poly.from_ints(QQ, [2, 0, 1])
+    coords = (Poly.one(QQ), Poly.from_ints(QQ, [-1, 2, -1, 1]),
+              Poly.from_ints(QQ, [0, -1, 0, -1]))
+    report = _hamilton_search((modulus, coords)).run(0)
+    assert report.value == 4 and report.found_degrees == (4,)
+
+
 def test_qpoint_search_empty_is_unknown():
     q = QuadraticForm.diagonal(QQ, [Fraction(1)] * 3)
     report = QPointSearch(q).run(height_bound=5)
@@ -227,13 +280,32 @@ def test_search_rational_point_by_fibers_equals_the_pointwise_loop_seeded():
     assert 200 <= found <= 700
 
 
+def test_search_rational_point_on_the_evidence_conics_equals_the_pointwise_loop():
+    # the norm conics <1, -a, -b> of the benchmark's evidence kinds at their
+    # bound 12: every definite (a, b) in [-3, -1]^2, and split ones built
+    # around a point of height <= 6
+    rng = random.Random(12)
+    pairs = [(Fraction(a), Fraction(b)) for a in (-1, -2, -3) for b in (-1, -2, -3)]
+    while len(pairs) < 49:
+        b = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+        x, y, z = rng.randint(0, 6), rng.randint(1, 4), rng.randint(1, 4)
+        a = (x * x - b * z * z) / (y * y)
+        if a:
+            pairs.append((a, b))
+    for a, b in pairs:
+        form = QuadraticForm.diagonal(QQ, [Fraction(1), -a, -b])
+        got = QPointSearch(form).search_rational_point(12)
+        assert got == _pointwise_search(form, 12), (a, b)
+        assert (got is None) == (a < 0 and b < 0), (a, b)
+
+
 def test_search_rational_point_expands_one_fiber_per_prefix(monkeypatch):
     # the definite x^2 + y^2 + z^2 has no zero: every prefix (x, y) with
     # x > 0, then every (0, y) with y > 0, is expanded once, and no vector
     # is evaluated on its own
     fibers = []
-    root = pointcount.first_int_root
-    monkeypatch.setattr(pointcount, "first_int_root",
+    root = quadrics.first_int_root
+    monkeypatch.setattr(quadrics, "first_int_root",
                         lambda *args: fibers.append(args) or root(*args))
     q = QuadraticForm.diagonal(QQ, [Fraction(1)] * 3)
     assert QPointSearch(q).search_rational_point(12) is None
